@@ -15,7 +15,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"strconv"
 	"strings"
@@ -24,11 +23,7 @@ import (
 	"dharma"
 	"dharma/internal/admission"
 	"dharma/internal/core"
-	"dharma/internal/dht"
-	"dharma/internal/kademlia"
-	"dharma/internal/kadid"
 	"dharma/internal/loadgen"
-	"dharma/internal/wire"
 )
 
 func runOverload(ctx context.Context, args []string) {
@@ -78,32 +73,23 @@ func runOverload(ctx context.Context, args []string) {
 	var serverBusy func() int64
 	var sys *dharma.System
 	if *bootstrapAddr != "" {
-		// Real fleet: each client is its own UDP node bootstrapped into
+		// Real fleet: each client is its own UDP peer bootstrapped into
 		// the running overlay; BUSY rejections are observed client-side
 		// (the servers' own counters live in their processes).
-		rng := rand.New(rand.NewSource(*seed))
 		for i := 0; i < *clients; i++ {
-			node := kademlia.NewNode(kadid.Random(rng), kademlia.Config{K: 20, Alpha: 3})
-			tr, err := wire.ListenUDP("127.0.0.1:0", node, 0)
-			if err != nil {
-				fail(err)
-			}
-			node.Attach(tr)
-			seedContact, err := node.Discover(ctx, *bootstrapAddr)
-			if err != nil {
-				fail(fmt.Errorf("discover %s: %w", *bootstrapAddr, err))
-			}
-			if err := node.Bootstrap(ctx, []wire.Contact{seedContact}); err != nil {
-				fail(err)
-			}
-			defer node.Shutdown() //nolint:errcheck // short-lived client
-			e, err := core.NewEngine(dht.NewOverlay(node, nil), core.Config{
-				Mode: core.Approximated, K: *k, Seed: *seed + int64(i),
+			p, err := dharma.NewUDPPeer(ctx, dharma.UDPPeerConfig{
+				Config: dharma.Config{
+					Mode: dharma.Approximated, K: *k, Seed: *seed + int64(i),
+					Replication: 20, Alpha: 3, // dharma-node serve's defaults
+				},
+				Listen:    "127.0.0.1:0",
+				Bootstrap: []string{*bootstrapAddr},
 			})
 			if err != nil {
 				fail(err)
 			}
-			engines = append(engines, e)
+			defer p.Close() //nolint:errcheck // short-lived client
+			engines = append(engines, p.Engine())
 		}
 		fmt.Printf("target: UDP fleet via %s, %d clients, k=%d\n", *bootstrapAddr, *clients, *k)
 	} else {

@@ -33,7 +33,7 @@ func runScrape(ctx context.Context, args []string) {
 	assertTrace := fs.Bool("assert-trace", false,
 		"exit nonzero unless the node retains at least one lookup trace with spans")
 	assertMin := fs.String("assert-min", "",
-		`comma-separated name=min pairs; exit nonzero unless each scraped metric, summed across its label sets (histograms by count), reaches its minimum — e.g. -assert-min dharma_session_cache_size=1,dharma_rpc_auth_rejected_count=1`)
+		`comma-separated name=min pairs; exit nonzero unless each scraped metric, summed across its label sets (histograms by count), reaches its minimum — e.g. -assert-min dharma_session_cache_size=1,dharma_rpc_auth_rejected_total=1`)
 	logLevel := fs.String("log-level", "info", "log verbosity: debug, info, warn or error")
 	fs.Parse(args) //nolint:errcheck // ExitOnError
 	logger := benchLogger(*logLevel)

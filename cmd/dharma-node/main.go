@@ -25,12 +25,10 @@ package main
 
 import (
 	"context"
-	"crypto/ed25519"
 	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
-	"math/rand"
 	"net"
 	"net/http"
 	"os"
@@ -40,16 +38,12 @@ import (
 	"syscall"
 	"time"
 
+	"dharma"
 	"dharma/internal/admission"
-	"dharma/internal/core"
-	"dharma/internal/dht"
 	"dharma/internal/kademlia"
 	"dharma/internal/kadid"
 	"dharma/internal/likir"
 	"dharma/internal/obs"
-	"dharma/internal/persist"
-	"dharma/internal/session"
-	"dharma/internal/wire"
 )
 
 func main() {
@@ -76,6 +70,9 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
+	if errors.Is(err, flag.ErrHelp) {
+		return // -h: the flag set already printed its usage
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dharma-node:", err)
 		os.Exit(1)
@@ -85,7 +82,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   dharma-node serve   -listen host:port [-bootstrap host:port] [-k n] [-alpha n]
-                      [-data-dir path] [-fsync group|each|none]
+                      [-data-dir path] [-fsync group|none]
                       [-queue-depth n] [-peer-rate r] [-debug-addr host:port]
                       [-trace-slow d] [-trace-sample n] [-log-level l]
                       [-identity file -ca file [-revocations file] [-require-auth]]
@@ -140,363 +137,171 @@ func traceHook(logger *slog.Logger) func(*kademlia.LookupTrace) {
 	}
 }
 
-// nodeOptions bundles what startNode needs beyond addresses.
-type nodeOptions struct {
-	dataDir     string
-	popts       persist.Options
-	adm         admission.Config
-	k, alpha    int
-	traceSlow   time.Duration
-	traceSample int
-	logger      *slog.Logger
-	// metrics, when non-nil, instruments node and transport before the
-	// bootstrap dials out, so even the first handshake lands in the
-	// histograms.
-	metrics *obs.Registry
-	// Security layer (all-empty = open overlay).
-	identityPath string
-	caPath       string
-	revPath      string
-	requireAuth  bool
-	chaosDelay   time.Duration
+// securityFlags registers the Likir flags serve and the client verbs share.
+func securityFlags(fs *flag.FlagSet, cfg *dharma.UDPPeerConfig) {
+	fs.StringVar(&cfg.IdentityPath, "identity", "",
+		"Likir identity file issued by `dharma-node ca issue` (with -ca: authenticated sessions, signed writes)")
+	fs.StringVar(&cfg.CAPath, "ca", "", "CA public key file (ca.pub)")
+	fs.StringVar(&cfg.RevocationsPath, "revocations", "",
+		"signed revocation bundle (revocations.bin); serve re-reads it every maintenance tick")
 }
 
-// nodeSec is the security state of one running node: the loaded
-// identity, CA key, live revocation set, and session cache. nil on an
-// open overlay — every method is nil-receiver safe.
-type nodeSec struct {
-	ident    *likir.Identity
-	caPub    ed25519.PublicKey
-	revSet   *likir.RevocationSet
-	revPath  string
-	sessions *session.Manager
+// checkSecurity rejects a half-configured Likir layer by flag name,
+// before anything is opened.
+func checkSecurity(cfg dharma.UDPPeerConfig) error {
+	if (cfg.IdentityPath == "") != (cfg.CAPath == "") {
+		return errors.New("-identity and -ca must be set together")
+	}
+	return nil
 }
 
-// signer returns the identity URI entries are signed with (nil = open
-// overlay, unsigned).
-func (s *nodeSec) signer() *likir.Identity {
-	if s == nil {
-		return nil
-	}
-	return s.ident
+// serveOptions is what `serve` needs beyond the peer itself.
+type serveOptions struct {
+	maintain  time.Duration
+	debugAddr string
+	logLevel  string
 }
 
-// refresh re-reads the revocation bundle and evicts sessions of newly
-// revoked peers. Best-effort: a transient read failure keeps the
-// previous set (fail-open on the file, never on the signature).
-func (s *nodeSec) refresh(logger *slog.Logger) {
-	if s == nil || s.revSet == nil || s.revPath == "" {
-		return
+// serveConfig maps `serve` flags onto the peer configuration. It opens
+// nothing: everything it returns is plain data.
+func serveConfig(args []string) (dharma.UDPPeerConfig, serveOptions, error) {
+	var cfg dharma.UDPPeerConfig
+	var o serveOptions
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+	fs.StringVar(&cfg.Listen, "listen", "127.0.0.1:9000", "UDP address to bind")
+	bootstrap := fs.String("bootstrap", "", "address of an existing node (empty = first node)")
+	fs.IntVar(&cfg.Replication, "k", 20, "bucket size / replication factor")
+	fs.IntVar(&cfg.Alpha, "alpha", 3, "lookup parallelism")
+	fs.DurationVar(&o.maintain, "maintain", 10*time.Minute,
+		"interval between maintenance rounds (dead-contact eviction + bucket refresh + anti-entropy); 0 disables")
+	fs.StringVar(&cfg.DataDir, "data-dir", "",
+		"directory for durable storage (WAL + snapshots + identity); restart resumes identity and blocks")
+	fsync := fs.String("fsync", "group",
+		"durability policy with -data-dir: group (one fsync per commit window) or none (survives kill, not power loss)")
+	fs.IntVar(&cfg.QueueDepth, "queue-depth", admission.DefaultQueueDepth,
+		"concurrent request handlers admitted before answering BUSY (negative = unlimited)")
+	fs.Float64Var(&cfg.PerPeerRate, "peer-rate", 0,
+		"admitted requests/sec per source peer before answering BUSY (0 = unlimited)")
+	fs.StringVar(&o.debugAddr, "debug-addr", "",
+		"HTTP address for the ops endpoint (/metrics, /debug/stats, /debug/traces, /debug/pprof); empty disables")
+	fs.DurationVar(&cfg.TraceSlow, "trace-slow", 0,
+		"capture and log every lookup slower than this (0 = default 250ms, negative = disabled)")
+	fs.IntVar(&cfg.TraceSample, "trace-sample", 0,
+		"capture 1 in n lookups regardless of speed (0 = default 1024, negative = disabled)")
+	fs.StringVar(&o.logLevel, "log-level", "info", "log verbosity: debug, info, warn or error")
+	securityFlags(fs, &cfg)
+	fs.BoolVar(&cfg.RequireAuth, "require-auth", false, "reject plain (session-less) requests with UNAUTHORIZED")
+	fs.DurationVar(&cfg.ChaosDelay, "chaos-delay", 0, "artificially delay every inbound RPC handler (deadline-shed testing)")
+	if err := fs.Parse(args); err != nil {
+		return cfg, o, err
 	}
-	bundle, err := os.ReadFile(s.revPath)
-	if err != nil {
-		logger.Warn("revocation refresh: read failed", "path", s.revPath, "err", err)
-		return
-	}
-	if err := s.revSet.Refresh(s.caPub, bundle); err != nil {
-		logger.Warn("revocation refresh: bad bundle", "path", s.revPath, "err", err)
-		return
-	}
-	if n := s.sessions.DropRevoked(); n > 0 {
-		logger.Info("revocation refresh dropped live sessions",
-			"dropped", n, "revoked", s.revSet.Len())
-	}
-}
-
-// loadSec loads the security material named by o, nil when o names
-// none.
-func loadSec(o nodeOptions) (*nodeSec, error) {
-	if o.identityPath == "" && o.caPath == "" {
-		return nil, nil
-	}
-	if o.identityPath == "" || o.caPath == "" {
-		return nil, errors.New("-identity and -ca must be set together")
-	}
-	ident, err := likir.LoadIdentity(o.identityPath)
-	if err != nil {
-		return nil, err
-	}
-	caPub, err := likir.LoadPublicKey(o.caPath)
-	if err != nil {
-		return nil, err
-	}
-	if err := likir.VerifyCredential(caPub, &ident.Credential, nil); err != nil {
-		return nil, fmt.Errorf("identity %s not issued by CA %s: %w", o.identityPath, o.caPath, err)
-	}
-	s := &nodeSec{ident: ident, caPub: caPub, revPath: o.revPath}
-	scfg := session.Config{Identity: ident, CAPub: caPub}
-	if o.revPath != "" {
-		bundle, err := os.ReadFile(o.revPath)
-		if err != nil {
-			return nil, err
-		}
-		if s.revSet, err = likir.NewRevocationSet(caPub, bundle); err != nil {
-			return nil, fmt.Errorf("%s: %w", o.revPath, err)
-		}
-		scfg.Revoked = s.revSet.Contains
-	}
-	if s.sessions, err = session.NewManager(scfg); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// startNode binds a UDP node and optionally joins through bootstrap.
-// With a data directory the node is durable: its identifier is loaded
-// from (or minted into) the directory so a restart re-enters the
-// overlay as the same member, and its block store recovers from the
-// write-ahead log before serving. With -identity/-ca the node runs the
-// Likir layer: authenticated sessions on the wire, credential-vetted
-// mutations in the handler, and the credential's node ID as its
-// overlay identifier.
-func startNode(ctx context.Context, listen, bootstrap string, o nodeOptions) (*kademlia.Node, *nodeSec, error) {
-	sec, err := loadSec(o)
-	if err != nil {
-		return nil, nil, err
-	}
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	cfg := kademlia.Config{
-		K: o.k, Alpha: o.alpha,
-		TraceSlow: o.traceSlow, TraceSample: o.traceSample,
-		OnTrace:    traceHook(o.logger),
-		ChaosDelay: o.chaosDelay,
-	}
-	id := kadid.Random(rng)
-	if sec != nil {
-		cfg.Identity, cfg.CAPub = sec.ident, sec.caPub
-		if sec.revSet != nil {
-			cfg.Revoked = sec.revSet.Contains
-		}
-		id = sec.ident.NodeID
-	}
-	if o.dataDir != "" {
-		// A credential already pins the overlay ID; otherwise the stored
-		// IDENTITY file does.
-		if sec == nil {
-			if id, err = persist.LoadOrCreateIdentity(o.dataDir, id); err != nil {
-				return nil, nil, err
-			}
-		}
-		store, stats, err := kademlia.OpenDurableStore(o.dataDir, o.popts)
-		if err != nil {
-			return nil, nil, err
-		}
-		cfg.Store = store
-		o.logger.Info(fmt.Sprintf("recovered %d blocks", store.Len()),
-			"data-dir", o.dataDir, "recovery", stats.String())
-	}
-	node := kademlia.NewNode(id, cfg)
-	var sessions *session.Manager
-	if sec != nil {
-		sessions = sec.sessions
-	}
-	tr, err := wire.ListenUDPOptions(listen, node, wire.UDPOptions{
-		Admission:   o.adm,
-		Sessions:    sessions,
-		RequireAuth: o.requireAuth,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	node.Attach(tr)
-	if o.metrics != nil {
-		node.Instrument(o.metrics)
-		tr.Instrument(o.metrics)
-	}
-	if bootstrap != "" {
-		seed, err := node.Discover(ctx, bootstrap)
-		if err != nil {
-			node.Shutdown() //nolint:errcheck // boot failed; nothing to flush
-			return nil, nil, fmt.Errorf("discover %s: %w", bootstrap, err)
-		}
-		if err := node.Bootstrap(ctx, []wire.Contact{seed}); err != nil {
-			node.Shutdown() //nolint:errcheck // boot failed; nothing to flush
-			return nil, nil, err
-		}
-	}
-	return node, sec, nil
-}
-
-// parseSyncMode maps the -fsync flag onto a persist.SyncMode.
-func parseSyncMode(s string) (persist.SyncMode, error) {
-	switch s {
+	switch *fsync {
 	case "group":
-		return persist.SyncGroup, nil
-	case "each":
-		return persist.SyncEach, nil
 	case "none":
-		return persist.SyncNone, nil
+		cfg.NoFsync = true
 	default:
-		return 0, fmt.Errorf("unknown -fsync mode %q (want group, each or none)", s)
+		return cfg, o, fmt.Errorf("unknown -fsync mode %q (want group or none)", *fsync)
 	}
-}
-
-// nodeStats is the /debug/stats JSON snapshot of a serving node — the
-// same admission-aware accounting Peer.Stats reports, plus transport
-// traffic.
-type nodeStats struct {
-	Node         string `json:"node"`
-	Addr         string `json:"addr"`
-	Contacts     int    `json:"contacts"`
-	Blocks       int    `json:"blocks"`
-	RPCServed    int64  `json:"rpc_served"`
-	Lookups      int64  `json:"lookups"`
-	Admitted     int64  `json:"admitted"`
-	BusyRejected int64  `json:"busy_rejected"`
-	InFlight     int64  `json:"in_flight"`
-	BusyServed   int64  `json:"busy_served"`
+	if *bootstrap != "" {
+		cfg.Bootstrap = []string{*bootstrap}
+	}
+	return cfg, o, checkSecurity(cfg)
 }
 
 func serve(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	listen := fs.String("listen", "127.0.0.1:9000", "UDP address to bind")
-	bootstrap := fs.String("bootstrap", "", "address of an existing node (empty = first node)")
-	k := fs.Int("k", 20, "bucket size / replication factor")
-	alpha := fs.Int("alpha", 3, "lookup parallelism")
-	maintain := fs.Duration("maintain", 10*time.Minute,
-		"interval between maintenance rounds (anti-entropy + bucket refresh); 0 disables")
-	dataDir := fs.String("data-dir", "",
-		"directory for durable storage (WAL + snapshots + identity); restart resumes identity and blocks")
-	fsync := fs.String("fsync", "group",
-		"durability policy with -data-dir: group (one fsync per commit window), each (fsync per append), none (survives kill, not power loss)")
-	queueDepth := fs.Int("queue-depth", admission.DefaultQueueDepth,
-		"concurrent request handlers admitted before answering BUSY (negative = unlimited)")
-	peerRate := fs.Float64("peer-rate", 0,
-		"admitted requests/sec per source peer before answering BUSY (0 = unlimited)")
-	debugAddr := fs.String("debug-addr", "",
-		"HTTP address for the ops endpoint (/metrics, /debug/stats, /debug/traces, /debug/pprof); empty disables")
-	traceSlow := fs.Duration("trace-slow", 0,
-		"capture and log every lookup slower than this (0 = default 250ms, negative = disabled)")
-	traceSample := fs.Int("trace-sample", 0,
-		"capture 1 in n lookups regardless of speed (0 = default 1024, negative = disabled)")
-	logLevel := fs.String("log-level", "info", "log verbosity: debug, info, warn or error")
-	identity := fs.String("identity", "", "Likir identity file issued by `dharma-node ca issue` (with -ca enables authenticated sessions and signed mutations)")
-	ca := fs.String("ca", "", "CA public key file (ca.pub)")
-	revocations := fs.String("revocations", "", "signed revocation bundle (revocations.bin); re-read every maintenance tick")
-	requireAuth := fs.Bool("require-auth", false, "reject plain (session-less) requests with UNAUTHORIZED")
-	chaosDelay := fs.Duration("chaos-delay", 0, "artificially delay every inbound RPC handler (deadline-shed testing)")
-	fs.Parse(args) //nolint:errcheck // ExitOnError
-
-	logger, err := newLogger(*logLevel)
+	cfg, o, err := serveConfig(args)
 	if err != nil {
 		return err
 	}
-	var popts persist.Options
-	if popts.Sync, err = parseSyncMode(*fsync); err != nil {
+	logger, err := newLogger(o.logLevel)
+	if err != nil {
 		return err
 	}
 	// The registry exists even without -debug-addr: instruments are a
 	// few KB of atomics, and a SIGQUIT'd process dump with live counters
-	// beats a dead flag. The WAL metrics ride the same registry.
+	// beats a dead flag.
 	reg := obs.NewRegistry()
-	popts.Metrics = reg
+	cfg.Metrics = reg
+	cfg.OnTrace = traceHook(logger)
 
-	node, sec, err := startNode(ctx, *listen, *bootstrap, nodeOptions{
-		dataDir: *dataDir, popts: popts,
-		adm: admission.Config{QueueDepth: *queueDepth, PerPeerRate: *peerRate},
-		k:   *k, alpha: *alpha,
-		traceSlow: *traceSlow, traceSample: *traceSample,
-		logger: logger, metrics: reg,
-		identityPath: *identity, caPath: *ca, revPath: *revocations,
-		requireAuth: *requireAuth, chaosDelay: *chaosDelay,
-	})
+	p, err := dharma.NewUDPPeer(ctx, cfg)
 	if err != nil {
 		return err
 	}
-	if sec != nil {
-		logger.Info("Likir layer active",
-			"identity", sec.ident.Name, "node-id", sec.ident.NodeID.Short(),
-			"require-auth", *requireAuth, "revocations", *revocations)
+	node := p.Node
+	if wal := node.LocalStore().WAL(); wal != nil {
+		logger.Info(fmt.Sprintf("recovered %d blocks", node.LocalStore().Len()),
+			"data-dir", cfg.DataDir, "recovery", wal.Recovery().String())
 	}
-	// startNode already instrumented node and transport on reg (before
-	// the bootstrap dials, so the first handshake is in the histograms).
-	udp, _ := node.Transport().(*wire.UDPTransport)
+	if id := node.Identity(); id != nil {
+		logger.Info("Likir layer active",
+			"identity", id.Name, "node-id", id.NodeID.Short(),
+			"require-auth", cfg.RequireAuth, "revocations", cfg.RevocationsPath)
+	}
 	logger.Info(fmt.Sprintf("node %s serving", node.Self().ID.Short()),
 		"addr", node.Self().Addr, "contacts", node.Table().Len())
 
-	var debugSrv *http.Server
-	if *debugAddr != "" {
+	if o.debugAddr != "" {
 		statsFn := func() any {
-			st := nodeStats{
-				Node:      node.Self().ID.Short(),
-				Addr:      node.Self().Addr,
-				Contacts:  node.Table().Len(),
-				Blocks:    node.LocalStore().Len(),
-				RPCServed: node.RPCServed(),
-				Lookups:   node.Lookups(),
-			}
-			if udp != nil {
-				adm := udp.AdmissionStats()
-				st.Admitted = adm.Admitted
-				st.BusyRejected = adm.Rejected()
-				st.InFlight = adm.InFlight
-				st.BusyServed = udp.BusyServed()
-			}
-			return st
+			return struct {
+				Node     string `json:"node"`
+				Addr     string `json:"addr"`
+				Contacts int    `json:"contacts"`
+				Blocks   int    `json:"blocks"`
+				dharma.Stats
+			}{node.Self().ID.Short(), node.Self().Addr, node.Table().Len(), node.LocalStore().Len(), p.Stats()}
 		}
-		tracesFn := func() any { return node.RecentTraces() }
-		ln, err := net.Listen("tcp", *debugAddr)
+		ln, err := net.Listen("tcp", o.debugAddr)
 		if err != nil {
-			node.Shutdown() //nolint:errcheck // boot failed; nothing to flush
+			p.Close() //nolint:errcheck // boot failed; the listen error is the one to report
 			return fmt.Errorf("debug listen: %w", err)
 		}
-		debugSrv = &http.Server{Handler: obs.Handler(reg, statsFn, tracesFn)}
+		debugSrv := &http.Server{Handler: obs.Handler(reg, statsFn, func() any { return node.RecentTraces() })}
 		go func() {
 			if serr := debugSrv.Serve(ln); serr != nil && !errors.Is(serr, http.ErrServerClosed) {
 				logger.Error("debug endpoint failed", "err", serr)
 			}
 		}()
 		logger.Info("ops endpoint serving", "debug-addr", ln.Addr().String())
+		defer debugSrv.Close() //nolint:errcheck // process is exiting
 	}
 
-	if *maintain > 0 {
-		go func() {
-			ticker := time.NewTicker(*maintain)
-			defer ticker.Stop()
-			seed := time.Now().UnixNano()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-ticker.C:
-					// The serve context bounds the maintenance RPCs too:
-					// Ctrl-C mid-round aborts the sweep rather than letting
-					// it finish behind the shutdown. Each tick is one
-					// anti-entropy round: per-block timers pick which blocks
-					// to sync, digests prove agreement before any data
-					// moves, and just-written blocks sit a round out.
-					// Revocations first: a freshly revoked peer must not be
-					// pulled from (or pushed to) in the round that follows.
-					sec.refresh(logger)
-					r := node.AntiEntropyOnce(ctx, 0)
-					for _, b := range node.Table().NonEmptyBuckets() {
-						seed++
-						node.RefreshBucket(ctx, b, seed)
-					}
-					ae := node.AntiEntropy()
-					logger.Info("maintenance: anti-entropy",
-						"synced", r.Synced,
-						"suppressed", r.Suppressed,
-						"skipped", r.Skipped,
-						"acks", r.Acks,
-						"matches", ae.DigestMatches,
-						"delta-entries", ae.DeltaEntries,
-						"full-blocks", ae.FullBlocks,
-						"bytes-out", ae.BytesSent,
-						"contacts", node.Table().Len())
-				}
+	// The facade starts no background work; this loop owns the peer's
+	// maintenance cadence. The serve context bounds each round's RPCs
+	// too: Ctrl-C mid-round aborts the sweep rather than letting it
+	// finish behind the shutdown.
+	var tick <-chan time.Time // nil (never fires) when maintenance is disabled
+	if o.maintain > 0 {
+		ticker := time.NewTicker(o.maintain)
+		defer ticker.Stop()
+		tick = ticker.C
+	}
+	for ctx.Err() == nil {
+		select {
+		case <-ctx.Done():
+		case <-tick:
+			before := node.AntiEntropy()
+			if err := p.MaintainOnce(ctx); err != nil {
+				logger.Warn("revocation refresh failed; previous set stays in force", "err", err)
 			}
-		}()
+			// This round's block decisions, then the running totals.
+			ae := node.AntiEntropy()
+			logger.Info("maintenance: anti-entropy",
+				"synced", ae.Synced-before.Synced,
+				"suppressed", ae.Suppressed-before.Suppressed,
+				"skipped", ae.Skipped-before.Skipped,
+				"matches", ae.DigestMatches,
+				"delta-entries", ae.DeltaEntries,
+				"full-blocks", ae.FullBlocks,
+				"bytes-out", ae.BytesSent,
+				"contacts", node.Table().Len())
+		}
 	}
 
-	<-ctx.Done()
-	if debugSrv != nil {
-		debugSrv.Close() //nolint:errcheck // process is exiting
-	}
 	// Clean stop: flush and close the durable store (no-op in-memory).
 	// A SIGKILL skips this path entirely — that is what the WAL's
 	// torn-tail recovery is for.
-	if err := node.Shutdown(); err != nil {
+	if err := p.Close(); err != nil {
 		logger.Error("shutdown failed", "err", err)
 	}
 	logger.Info("stopping",
@@ -504,113 +309,132 @@ func serve(ctx context.Context, args []string) error {
 	return nil
 }
 
-func client(ctx context.Context, cmd string, args []string) error {
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-	bootstrap := fs.String("bootstrap", "127.0.0.1:9000", "address of a running node")
-	r := fs.String("r", "", "resource name")
-	t := fs.String("t", "", "tag")
-	uri := fs.String("uri", "", "resource URI")
-	tags := fs.String("tags", "", "comma-separated tag list")
-	top := fs.Int("top", 10, "entries to display")
-	mode := fs.String("mode", "approx", "maintenance mode: naive or approx")
-	k := fs.Int("k", 5, "connection parameter (approx mode)")
-	timeout := fs.Duration("timeout", 0,
-		"overall deadline for the operation, bootstrap included (0 = none); on expiry in-flight RPCs are aborted and the command exits nonzero")
-	logLevel := fs.String("log-level", "warn", "log verbosity: debug, info, warn or error")
-	identity := fs.String("identity", "", "Likir identity file (with -ca: authenticated sessions, signed writes)")
-	ca := fs.String("ca", "", "CA public key file (ca.pub)")
-	revocations := fs.String("revocations", "", "signed revocation bundle (revocations.bin)")
-	fs.Parse(args) //nolint:errcheck // ExitOnError
+// clientOptions is one client verb's arguments.
+type clientOptions struct {
+	r, t, uri string
+	tags      []string
+	top       int
+	timeout   time.Duration
+	logLevel  string
+}
 
-	logger, err := newLogger(*logLevel)
+// clientConfig maps a client verb's flags onto the configuration of the
+// short-lived peer that carries the operation out, and checks the verb
+// has the arguments it needs — before anything is opened.
+func clientConfig(cmd string, args []string) (dharma.UDPPeerConfig, clientOptions, error) {
+	// A client is a full overlay member for the length of one operation:
+	// the fleet's bucket size and lookup parallelism, an ephemeral port.
+	// Mode is set explicitly: the Config zero value is Naive.
+	cfg := dharma.UDPPeerConfig{
+		Listen: "127.0.0.1:0",
+		Config: dharma.Config{Mode: dharma.Approximated, Replication: 20, Alpha: 3},
+	}
+	var o clientOptions
+	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
+	bootstrap := fs.String("bootstrap", "127.0.0.1:9000", "address of a running node")
+	fs.StringVar(&o.r, "r", "", "resource name")
+	fs.StringVar(&o.t, "t", "", "tag")
+	fs.StringVar(&o.uri, "uri", "", "resource URI")
+	tags := fs.String("tags", "", "comma-separated tag list")
+	fs.IntVar(&o.top, "top", 10, "entries to display")
+	mode := fs.String("mode", "approx", "maintenance mode: naive or approx")
+	fs.IntVar(&cfg.K, "k", 5, "connection parameter (approx mode)")
+	fs.DurationVar(&o.timeout, "timeout", 0,
+		"overall deadline for the operation, bootstrap included (0 = none); on expiry in-flight RPCs are aborted and the command exits nonzero")
+	fs.StringVar(&o.logLevel, "log-level", "warn", "log verbosity: debug, info, warn or error")
+	securityFlags(fs, &cfg)
+	if err := fs.Parse(args); err != nil {
+		return cfg, o, err
+	}
+	cfg.Bootstrap = []string{*bootstrap}
+	if *mode == "naive" {
+		cfg.Mode = dharma.Naive
+	}
+	if *tags != "" {
+		o.tags = strings.Split(*tags, ",")
+	}
+	var need string
+	switch {
+	case cmd == "insert" && (o.r == "" || o.uri == ""):
+		need = "-r and -uri"
+	case cmd == "tag" && (o.r == "" || o.t == ""):
+		need = "-r and -t"
+	case cmd == "search" && o.t == "":
+		need = "-t"
+	case cmd == "resolve" && o.r == "":
+		need = "-r"
+	}
+	if need != "" {
+		return cfg, o, fmt.Errorf("%s needs %s", cmd, need)
+	}
+	return cfg, o, checkSecurity(cfg)
+}
+
+func client(ctx context.Context, cmd string, args []string) error {
+	cfg, o, err := clientConfig(cmd, args)
 	if err != nil {
 		return err
 	}
-	if *timeout > 0 {
+	logger, err := newLogger(o.logLevel)
+	if err != nil {
+		return err
+	}
+	cfg.OnTrace = traceHook(logger)
+	if o.timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		ctx, cancel = context.WithTimeout(ctx, o.timeout)
 		defer cancel()
 	}
 
-	node, sec, err := startNode(ctx, "127.0.0.1:0", *bootstrap, nodeOptions{
-		k: 20, alpha: 3, logger: logger,
-		identityPath: *identity, caPath: *ca, revPath: *revocations,
-	})
+	p, err := dharma.NewUDPPeer(ctx, cfg)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
-			return fmt.Errorf("deadline exceeded reaching bootstrap %s: %w", *bootstrap, err)
+			return fmt.Errorf("deadline exceeded reaching bootstrap %s: %w", cfg.Bootstrap[0], err)
 		}
 		return err
 	}
-	defer node.Shutdown() //nolint:errcheck // short-lived client
-	engMode := core.Approximated
-	if *mode == "naive" {
-		engMode = core.Naive
-	}
-	eng, err := core.NewEngine(dht.NewOverlay(node, sec.signer()), core.Config{
-		Mode: engMode, K: *k, Seed: time.Now().UnixNano(),
-	})
-	if err != nil {
-		return err
-	}
+	defer p.Close() //nolint:errcheck // short-lived client
 
 	switch cmd {
 	case "insert":
-		if *r == "" || *uri == "" {
-			return fmt.Errorf("insert needs -r and -uri")
-		}
-		var tagList []string
-		if *tags != "" {
-			tagList = strings.Split(*tags, ",")
-		}
-		if err := eng.InsertResource(ctx, *r, *uri, tagList...); err != nil {
+		if err := p.InsertResource(ctx, o.r, o.uri, o.tags); err != nil {
 			return err
 		}
-		fmt.Printf("inserted %s with %d tags\n", *r, len(tagList))
+		fmt.Printf("inserted %s with %d tags\n", o.r, len(o.tags))
 
 	case "tag":
-		if *r == "" || *t == "" {
-			return fmt.Errorf("tag needs -r and -t")
-		}
-		if err := eng.Tag(ctx, *r, *t); err != nil {
+		if err := p.Tag(ctx, o.r, o.t); err != nil {
 			return err
 		}
-		fmt.Printf("tagged %s with %s\n", *r, *t)
+		fmt.Printf("tagged %s with %s\n", o.r, o.t)
 
 	case "search":
-		if *t == "" {
-			return fmt.Errorf("search needs -t")
-		}
-		related, resources, err := eng.SearchStep(ctx, *t)
+		related, resources, err := p.SearchStep(ctx, o.t)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("related tags of %q:\n", *t)
-		for i, w := range related {
-			if i == *top {
-				break
-			}
-			fmt.Printf("  %-24s sim=%d\n", w.Name, w.Weight)
-		}
-		fmt.Printf("resources labeled %q:\n", *t)
-		for i, w := range resources {
-			if i == *top {
-				break
-			}
-			fmt.Printf("  %-24s u=%d\n", w.Name, w.Weight)
-		}
+		printTop(fmt.Sprintf("related tags of %q:", o.t), "sim", related, o.top)
+		printTop(fmt.Sprintf("resources labeled %q:", o.t), "u", resources, o.top)
 
 	case "resolve":
-		if *r == "" {
-			return fmt.Errorf("resolve needs -r")
-		}
-		uri, err := eng.ResolveURI(ctx, *r)
+		uri, err := p.ResolveURI(ctx, o.r)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%s -> %s\n", *r, uri)
+		fmt.Printf("%s -> %s\n", o.r, uri)
 	}
 	return nil
+}
+
+// printTop lists the first top entries of a search result.
+func printTop(title, unit string, list []dharma.Weighted, top int) {
+	fmt.Println(title)
+	if top >= 0 && top < len(list) {
+		list = list[:top]
+	}
+	for _, w := range list {
+		fmt.Printf("  %-24s %s=%d\n", w.Name, unit, w.Weight)
+	}
 }
 
 // caCmd implements the certification-authority toolbox: `ca init`

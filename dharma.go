@@ -123,8 +123,8 @@ type Weighted = folksonomy.Weighted
 type Config struct {
 	// Nodes is the overlay size (default 16).
 	Nodes int
-	// Mode selects the maintenance protocol (default Approximated —
-	// the paper's contribution).
+	// Mode selects the maintenance protocol. The zero value is Naive;
+	// set Approximated for the paper's contribution.
 	Mode Mode
 	// K is the connection parameter of Approximation A (default 5).
 	K int
@@ -277,13 +277,10 @@ type Peer struct {
 	engine    *core.Engine
 	Node      *kademlia.Node
 	store     *dht.Overlay
-	cache     *dht.Cached // nil unless Config.CacheBlocks > 0
-	cachePath string      // snapshot location; empty on in-memory systems
-	net       *simnet.NodeStats
-	// admStats resolves this peer's admission accounting. Simulated
-	// peers reach through the network (per-endpoint controllers live
-	// there); real-UDP peers read their transport's controller.
-	admStats func() admission.Stats
+	cache     *dht.Cached       // nil unless Config.CacheBlocks > 0
+	cachePath string            // snapshot location; empty on in-memory systems
+	net       *simnet.NodeStats // simulated endpoint traffic; nil on real-UDP peers
+	maint     *kademlia.Maintainer
 	// Security layer state; nil/empty on open-overlay and simulated
 	// peers. revSet is shared with the node config's Revoked hook and
 	// the session manager, so a Refresh propagates everywhere at once.
@@ -322,9 +319,7 @@ type Stats struct {
 	NetSent, NetReceived int64
 	// BusyRejected counts requests this peer refused at admission
 	// (work queue full or per-peer rate exceeded). A nonzero value under
-	// load is the overload protection working, not a fault. Reported for
-	// both transports: simulated peers read their endpoint's network
-	// counter, real-UDP peers their transport's admission controller.
+	// load is the overload protection working, not a fault.
 	BusyRejected int64
 	// Admitted counts inbound requests that passed the admission gate;
 	// InFlight is how many of them are currently in their handler.
@@ -374,21 +369,13 @@ func (p *Peer) Stats() Stats {
 	if p.net != nil {
 		st.NetSent = p.net.Sent.Load()
 		st.NetReceived = p.net.Received.Load()
-		st.BusyRejected = p.net.Busy.Load()
 	}
-	// Admission accounting. A real-UDP transport self-reports (this is
-	// the path that used to be silently missing: a UDP peer's Stats
-	// always said BusyRejected 0 no matter how hard its admission gate
-	// was working); simulated peers resolve through the network.
+	// Both transports report their endpoint's admission controller.
 	if tr, ok := p.Node.Transport().(interface{ AdmissionStats() admission.Stats }); ok {
 		adm := tr.AdmissionStats()
 		st.Admitted = adm.Admitted
 		st.InFlight = adm.InFlight
 		st.BusyRejected = adm.Rejected()
-	} else if p.admStats != nil {
-		adm := p.admStats()
-		st.Admitted = adm.Admitted
-		st.InFlight = adm.InFlight
 	}
 	return st
 }
@@ -483,6 +470,36 @@ func (p *Peer) NavigateFromResource(ctx context.Context, r string, strat Strateg
 	return res, err
 }
 
+// newPeer is the one place a participant is assembled on an attached
+// node: overlay store, optional read cache (warmed from dir when
+// durable), engine. On error the caller still owns the node.
+func newPeer(node *kademlia.Node, cfg Config, dir string, seed int64) (*Peer, error) {
+	p := &Peer{
+		Node:  node,
+		store: dht.NewOverlay(node, node.Identity()), // signs URI entries on a Likir overlay
+		maint: kademlia.NewMaintainer(node, kademlia.MaintainerConfig{Seed: seed}),
+	}
+	var engineStore dht.Store = p.store
+	if cfg.CacheBlocks > 0 {
+		p.cache = dht.NewCached(p.store, cfg.CacheBlocks, 0, nil)
+		if dir != "" {
+			// The snapshot lives next to the node's write-ahead log. A
+			// failed warm is a cold start, never a failed boot.
+			p.cachePath = filepath.Join(dir, "readcache")
+			p.cache.WarmSnapshot(p.cachePath) //nolint:errcheck
+		}
+		engineStore = p.cache
+	}
+	var err error
+	p.engine, err = core.NewEngine(engineStore, core.Config{
+		Mode: cfg.Mode, K: cfg.K, TopN: cfg.TopN, Seed: seed,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
 // NewSystem boots an overlay of cfg.Nodes nodes and attaches a DHARMA
 // engine to each. On any failure after the overlay booted, the cluster
 // is shut down before the error is returned — a failed NewSystem never
@@ -526,47 +543,19 @@ func NewSystem(cfg Config) (*System, error) {
 
 	sys := &System{cluster: cluster, authority: authority}
 	for i, node := range cluster.Nodes {
-		var signer *likir.Identity
-		if authority != nil {
-			signer = node.Identity()
+		var nodeDir string
+		if cfg.DataDir != "" {
+			nodeDir = filepath.Join(cfg.DataDir, node.Self().Addr)
 		}
-		store := dht.NewOverlay(node, signer)
-		var engineStore dht.Store = store
-		var cache *dht.Cached
-		var cachePath string
-		if cfg.CacheBlocks > 0 {
-			cache = dht.NewCached(store, cfg.CacheBlocks, 0, nil)
-			if cfg.DataDir != "" {
-				// The node's WAL directory already exists (the cluster booted
-				// durably); the cache snapshot lives alongside it. A failed
-				// warm is a cold start, never a failed boot.
-				cachePath = filepath.Join(cfg.DataDir, node.Self().Addr, "readcache")
-				cache.WarmSnapshot(cachePath) //nolint:errcheck
-			}
-			engineStore = cache
-		}
-		engine, err := core.NewEngine(engineStore, core.Config{
-			Mode: cfg.Mode,
-			K:    cfg.K,
-			TopN: cfg.TopN,
-			Seed: cfg.Seed + int64(i),
-		})
+		p, err := newPeer(node, cfg, nodeDir, cfg.Seed+int64(i))
 		if err != nil {
 			// The cluster is already live: endpoints attached, durable
 			// WALs open. Tear it down, or a failed boot leaks them all.
 			cluster.Shutdown()
 			return nil, fmt.Errorf("dharma: engine %d: %w", i, err)
 		}
-		addr := simnet.Addr(node.Self().Addr)
-		sys.peers = append(sys.peers, &Peer{
-			engine:    engine,
-			Node:      node,
-			store:     store,
-			cache:     cache,
-			cachePath: cachePath,
-			net:       cluster.Net.Stats(addr),
-			admStats:  func() admission.Stats { return cluster.Net.AdmissionStats(addr) },
-		})
+		p.net = cluster.Net.Stats(simnet.Addr(node.Self().Addr))
+		sys.peers = append(sys.peers, p)
 	}
 	return sys, nil
 }
@@ -646,7 +635,7 @@ type UDPPeerConfig struct {
 	CAPath       string
 	// RevocationsPath, when set, points at the authority's signed
 	// revocation bundle (revocations.bin); the peer refuses revoked
-	// peers and RefreshRevocations re-reads the file live.
+	// peers and MaintainOnce re-reads the file live.
 	RevocationsPath string
 	// RequireAuth rejects plain (session-less) inbound requests with
 	// KindUnauthorized. Leave false during a rolling upgrade; set true
@@ -655,12 +644,22 @@ type UDPPeerConfig struct {
 	// ChaosDelay artificially delays every inbound RPC handler — a
 	// test knob for observing deadline-shed behaviour under load.
 	ChaosDelay time.Duration
+
+	// TraceSlow captures every lookup slower than this (0 = default
+	// 250ms, negative = disabled), TraceSample 1 in n regardless of speed
+	// (0 = default 1024, negative = disabled). Captures are kept on
+	// Node.RecentTraces and handed to OnTrace, when set, as they complete.
+	TraceSlow   time.Duration
+	TraceSample int
+	OnTrace     func(*kademlia.LookupTrace)
 }
 
 // NewUDPPeer boots one real-UDP participant. The returned Peer speaks
 // the same API as a simulated one; callers own its lifecycle and must
-// Close it. ctx bounds the join handshake only.
-func NewUDPPeer(ctx context.Context, ucfg UDPPeerConfig) (*Peer, error) {
+// Close it. ctx bounds the join handshake only. A failed boot releases
+// everything it opened (socket, read loop, write-ahead log). No
+// background work is started: the owner calls MaintainOnce.
+func NewUDPPeer(ctx context.Context, ucfg UDPPeerConfig) (_ *Peer, err error) {
 	cfg := ucfg.Config.withDefaults()
 	seed := cfg.Seed
 	if seed == 0 {
@@ -672,6 +671,7 @@ func NewUDPPeer(ctx context.Context, ucfg UDPPeerConfig) (*Peer, error) {
 		K: cfg.Replication, Alpha: cfg.Alpha,
 		ReadRepair: cfg.ReadRepair, MinStoreAcks: cfg.WriteQuorum,
 		ChaosDelay: ucfg.ChaosDelay,
+		TraceSlow:  ucfg.TraceSlow, TraceSample: ucfg.TraceSample, OnTrace: ucfg.OnTrace,
 	}
 
 	var (
@@ -714,11 +714,10 @@ func NewUDPPeer(ctx context.Context, ucfg UDPPeerConfig) (*Peer, error) {
 		id = ident.NodeID // Likir: the credential fixes the overlay ID
 	}
 
-	var popts persist.Options
+	popts := persist.Options{Metrics: ucfg.Metrics}
 	if cfg.NoFsync {
 		popts.Sync = persist.SyncNone
 	}
-	popts.Metrics = ucfg.Metrics
 	if cfg.DataDir != "" {
 		// Without a credential the stored IDENTITY file pins the overlay
 		// ID across restarts; with one, the credential already does.
@@ -735,7 +734,14 @@ func NewUDPPeer(ctx context.Context, ucfg UDPPeerConfig) (*Peer, error) {
 		ncfg.Store = store
 	}
 	node := kademlia.NewNode(id, ncfg)
-	tr, err := wire.ListenUDPOptions(ucfg.Listen, node, wire.UDPOptions{
+	// The node owns the open WAL (and soon the socket): one cleanup
+	// covers every failure from here on.
+	defer func() {
+		if err != nil {
+			node.Shutdown() //nolint:errcheck // boot failed; nothing to flush
+		}
+	}()
+	tr, err := wire.ListenUDP(ucfg.Listen, node, wire.UDPOptions{
 		Timeout:     ucfg.Timeout,
 		Admission:   admission.Config{QueueDepth: cfg.QueueDepth, PerPeerRate: cfg.PerPeerRate},
 		Sessions:    sessions,
@@ -745,76 +751,53 @@ func NewUDPPeer(ctx context.Context, ucfg UDPPeerConfig) (*Peer, error) {
 		return nil, fmt.Errorf("dharma: %w", err)
 	}
 	node.Attach(tr)
+	p, err := newPeer(node, cfg, cfg.DataDir, seed)
+	if err != nil {
+		return nil, fmt.Errorf("dharma: engine: %w", err)
+	}
+	p.sessions, p.revSet, p.revPath, p.caPub = sessions, revSet, ucfg.RevocationsPath, caPub
+	// Instrument before dialing out, so the join handshake already lands
+	// in the histograms.
+	p.Instrument(ucfg.Metrics)
+
 	var seeds []wire.Contact
 	for _, b := range ucfg.Bootstrap {
 		contact, err := node.Discover(ctx, b)
 		if err != nil {
-			node.Shutdown() //nolint:errcheck // boot failed; nothing to flush
 			return nil, fmt.Errorf("dharma: discover %s: %w", b, err)
 		}
 		seeds = append(seeds, contact)
 	}
 	if len(seeds) > 0 {
 		if err := node.Bootstrap(ctx, seeds); err != nil {
-			node.Shutdown() //nolint:errcheck // boot failed; nothing to flush
 			return nil, fmt.Errorf("dharma: bootstrap: %w", err)
 		}
 	}
-
-	store := dht.NewOverlay(node, ident)
-	var engineStore dht.Store = store
-	var cache *dht.Cached
-	var cachePath string
-	if cfg.CacheBlocks > 0 {
-		cache = dht.NewCached(store, cfg.CacheBlocks, 0, nil)
-		if cfg.DataDir != "" {
-			cachePath = filepath.Join(cfg.DataDir, "readcache")
-			cache.WarmSnapshot(cachePath) //nolint:errcheck
-		}
-		engineStore = cache
-	}
-	engine, err := core.NewEngine(engineStore, core.Config{
-		Mode: cfg.Mode, K: cfg.K, TopN: cfg.TopN, Seed: seed,
-	})
-	if err != nil {
-		node.Shutdown() //nolint:errcheck // boot failed; nothing to flush
-		return nil, fmt.Errorf("dharma: engine: %w", err)
-	}
-	p := &Peer{
-		engine:    engine,
-		Node:      node,
-		store:     store,
-		cache:     cache,
-		cachePath: cachePath,
-		sessions:  sessions,
-		revSet:    revSet,
-		revPath:   ucfg.RevocationsPath,
-		caPub:     caPub,
-	}
-	p.Instrument(ucfg.Metrics)
 	return p, nil
 }
 
-// RefreshRevocations re-reads the peer's revocation bundle from disk
-// (the authority rewrites it on every `ca revoke`) and tears down any
-// live sessions whose peer the fresh bundle names. It returns how many
-// identifiers the bundle now lists. Call it from a maintenance tick;
-// a no-op (0, nil) on peers built without RevocationsPath.
-func (p *Peer) RefreshRevocations() (int, error) {
-	if p.revSet == nil || p.revPath == "" {
-		return 0, nil
+// MaintainOnce runs one maintenance round: the revocation bundle is
+// re-read and sessions of newly revoked peers are torn down, so the
+// round never syncs with them; then kademlia.Maintainer.RunOnce evicts
+// dead contacts, refreshes a rotating sample of buckets and reconciles
+// blocks with their replica sets. ctx bounds the round's RPCs. The
+// facade never calls it: the peer's owner sets the cadence. The error is
+// the bundle failing to load — the previous set stays in force and the
+// round has still run.
+func (p *Peer) MaintainOnce(ctx context.Context) error {
+	defer p.maint.RunOnce(ctx) // whatever the refresh below returns
+	if p.revSet == nil {
+		return nil // built without RevocationsPath
 	}
 	bundle, err := os.ReadFile(p.revPath)
 	if err != nil {
-		return p.revSet.Len(), fmt.Errorf("dharma: %w", err)
+		return fmt.Errorf("dharma: %w", err)
 	}
 	if err := p.revSet.Refresh(p.caPub, bundle); err != nil {
-		return p.revSet.Len(), fmt.Errorf("dharma: %s: %w", p.revPath, err)
+		return fmt.Errorf("dharma: %s: %w", p.revPath, err)
 	}
-	if p.sessions != nil {
-		p.sessions.DropRevoked()
-	}
-	return p.revSet.Len(), nil
+	p.sessions.DropRevoked()
+	return nil
 }
 
 // Instrument registers every layer of this peer on reg: the overlay

@@ -3,8 +3,11 @@ package dharma
 import (
 	"context"
 	"math/rand"
+	"net"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"dharma/internal/kadid"
 	"dharma/internal/obs"
@@ -31,7 +34,7 @@ func TestUDPPeerStatsSurfaceAdmission(t *testing.T) {
 
 	// A raw wire-level client: no busy retries, no backoff — each Call
 	// is exactly one admission decision at the peer.
-	client, err := wire.ListenUDP("127.0.0.1:0", nil, 0)
+	client, err := wire.ListenUDP("127.0.0.1:0", nil, wire.UDPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +77,8 @@ func TestUDPPeerStatsSurfaceAdmission(t *testing.T) {
 }
 
 // TestSimnetPeerStatsSurfaceAdmission: the simulated path reports the
-// same admission fields, resolved through the network's per-endpoint
-// controllers.
+// same admission fields, read off the endpoint's own controller exactly
+// as the UDP transport's are.
 func TestSimnetPeerStatsSurfaceAdmission(t *testing.T) {
 	sys, err := NewSystem(Config{Nodes: 8, Seed: 7})
 	if err != nil {
@@ -139,5 +142,111 @@ func TestUDPPeerInstrument(t *testing.T) {
 	}
 	if m, ok := parsed["dharma_udp_datagrams_read_total"]; !ok || m.Value == 0 {
 		t.Fatalf("instrumented transport read no datagrams: %+v", m)
+	}
+}
+
+// TestUDPPeerFailedBootReleasesWAL: a boot that fails after the durable
+// store opened (here: the socket cannot be bound) must close the store
+// again. It used to return straight out of the listen error, leaving
+// the WAL's flusher goroutine and segment descriptor behind on every
+// attempt.
+func TestUDPPeerFailedBootReleasesWAL(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	p, err := NewUDPPeer(ctx, UDPPeerConfig{Listen: "127.0.0.1:0", Config: Config{DataDir: dir}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.InsertResource(ctx, "song", "uri:song", []string{"rock"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Hold a port so every boot below dies at bind, after the WAL opened.
+	taken, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	baseline := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		if _, err := NewUDPPeer(ctx, UDPPeerConfig{
+			Listen: taken.LocalAddr().String(),
+			Config: Config{DataDir: dir},
+		}); err == nil {
+			t.Fatal("boot on a taken port succeeded")
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after 20 failed boots, %d before: the WAL flushers leaked",
+				runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	p, err = NewUDPPeer(ctx, UDPPeerConfig{Listen: "127.0.0.1:0", Config: Config{DataDir: dir}})
+	if err != nil {
+		t.Fatalf("boot over the same DataDir after failed attempts: %v", err)
+	}
+	defer p.Close()
+	if uri, err := p.ResolveURI(ctx, "song"); err != nil || uri != "uri:song" {
+		t.Fatalf("recovered ResolveURI = %q, %v; want the pre-failure write", uri, err)
+	}
+}
+
+// TestUDPPeerMaintainOnce drives the facade's one maintenance entry
+// point over real sockets: a round evicts a dead contact, and a round on
+// a block holder hands a late joiner the blocks it is now a replica of,
+// proving agreement with the older replicas by digest.
+func TestUDPPeerMaintainOnce(t *testing.T) {
+	ctx := context.Background()
+	boot := func(via *Peer) *Peer {
+		t.Helper()
+		// A short RPC timeout keeps the pings to the dead peer cheap.
+		cfg := UDPPeerConfig{Listen: "127.0.0.1:0", Timeout: 250 * time.Millisecond}
+		if via != nil {
+			cfg.Bootstrap = []string{string(via.Node.Transport().Addr())}
+		}
+		p, err := NewUDPPeer(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		return p
+	}
+	a := boot(nil)
+	b, c := boot(a), boot(a)
+	if err := b.InsertResource(ctx, "song", "uri:song", []string{"rock", "60s"}); err != nil {
+		t.Fatal(err)
+	}
+
+	dead := c.Node.Self().ID
+	if !a.Node.Table().Contains(dead) {
+		t.Fatal("seed never learned the peer that bootstrapped through it")
+	}
+	c.Close()
+	if err := a.MaintainOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if a.Node.Table().Contains(dead) {
+		t.Fatal("MaintainOnce left the dead contact in the routing table")
+	}
+
+	d := boot(a)
+	if n := d.Node.LocalStore().Len(); n != 0 {
+		t.Fatalf("late joiner holds %d blocks before any maintenance round", n)
+	}
+	if err := b.MaintainOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if d.Node.LocalStore().Len() == 0 {
+		t.Fatal("late joiner received no blocks from a holder's maintenance round")
+	}
+	if st := b.Stats(); st.DigestMatches+st.DeltaEntries == 0 {
+		t.Fatalf("round moved no digests and no deltas: %+v", st)
 	}
 }

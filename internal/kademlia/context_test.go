@@ -18,7 +18,7 @@ import (
 // deliberately 5s) regardless of the caller's budget.
 func TestFindValueDeadlineBeatsUDPRetryTimer(t *testing.T) {
 	node := NewNode(kadid.HashString("udp-ctx-node"), Config{K: 4, Alpha: 2})
-	tr, err := wire.ListenUDP("127.0.0.1:0", node, 5*time.Second)
+	tr, err := wire.ListenUDP("127.0.0.1:0", node, wire.UDPOptions{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

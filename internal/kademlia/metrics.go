@@ -82,10 +82,6 @@ func (n *Node) Instrument(reg *obs.Registry) {
 		"Lookup rounds (α-wide waves) executed.", n.rounds.Load)
 	reg.CounterFunc("dharma_rpc_served_total",
 		"RPC requests answered.", n.rpcServed.Load)
-	reg.CounterFunc("dharma_rpc_deadline_shed_count",
-		"Requests shed dead-on-arrival (all kinds).", n.shedTotal.Load)
-	reg.CounterFunc("dharma_rpc_auth_rejected_count",
-		"Requests rejected by identity checks (all kinds).", n.authRejTotal.Load)
 	reg.CounterFunc("dharma_read_repairs_total",
 		"Stale replicas healed through read-repair.", n.repairs.Load)
 	reg.CounterFunc("dharma_read_repair_entries_total",

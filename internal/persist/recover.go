@@ -130,6 +130,7 @@ func Open(dir string, opts Options, apply func(Record) error) (*Log, RecoverySta
 		flushC:      make(chan struct{}, 1),
 		quit:        make(chan struct{}),
 		flusherDone: make(chan struct{}),
+		recovered:   stats,
 	}
 	l.instrument(opts.Metrics)
 	go l.flushLoop()

@@ -166,8 +166,9 @@ const maxRecordPayload = 4 << 20
 
 // Log is a segmented write-ahead log with group commit.
 type Log struct {
-	dir  string
-	opts Options
+	dir       string
+	opts      Options
+	recovered RecoveryStats // what Open replayed; fixed after Open
 
 	// mu is the commit lock: it guards the staging buffer, the pending
 	// batch, and — through Commit's apply callback — the in-memory
@@ -544,6 +545,9 @@ func (l *Log) BytesSinceCompact() int64 { return l.sinceCompact.Load() }
 
 // Options returns the log's effective options (defaults applied).
 func (l *Log) Options() Options { return l.opts }
+
+// Recovery reports what Open found and replayed to build this log.
+func (l *Log) Recovery() RecoveryStats { return l.recovered }
 
 // ActiveSegment reports the active segment's sequence number (tests and
 // stats).

@@ -154,7 +154,6 @@ type Network struct {
 type NodeStats struct {
 	Sent     atomic.Int64 // requests originated
 	Received atomic.Int64 // requests offered (including admission rejects)
-	Busy     atomic.Int64 // requests this endpoint rejected at admission
 }
 
 type endpoint struct {
@@ -274,22 +273,6 @@ func (n *Network) Counters() Counters {
 	}
 }
 
-// AdmissionStats returns the admission-gate accounting of the endpoint
-// attached at addr: what its own controller admitted and rejected. The
-// zero Stats is returned when nothing is attached there — per-endpoint
-// controllers live and die with their endpoint, unlike the NodeStats
-// traffic counters, which outlive detachment.
-func (n *Network) AdmissionStats(addr Addr) admission.Stats {
-	s := n.shardOf(addr)
-	s.mu.RLock()
-	ep, ok := s.nodes[addr]
-	s.mu.RUnlock()
-	if !ok {
-		return admission.Stats{}
-	}
-	return ep.ctrl.Stats()
-}
-
 // Instrument registers the network-wide counters on reg as scrape-time
 // funcs, so a simulated deployment exposes the same ops surface as a
 // real one. A nil reg is a no-op.
@@ -366,6 +349,10 @@ func (s *shard) roll(cfg *Config) (drop bool, rtt time.Duration) {
 	return drop, rtt
 }
 
+// AdmissionStats reports this endpoint's admission accounting, as
+// wire.UDPTransport does; the controller lives and dies with the endpoint.
+func (ep *endpoint) AdmissionStats() admission.Stats { return ep.ctrl.Stats() }
+
 // Call implements Transport.
 func (ep *endpoint) Call(ctx context.Context, to Addr, payload []byte) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
@@ -416,7 +403,6 @@ func (ep *endpoint) Call(ctx context.Context, to Addr, payload []byte) ([]byte, 
 	release, aerr := target.ctrl.Admit(string(ep.addr))
 	if aerr != nil {
 		n.counters.busy.Add(1)
-		target.stats.Busy.Add(1)
 		return nil, fmt.Errorf("simnet: %s rejected request: %w", to, aerr)
 	}
 

@@ -24,10 +24,10 @@ func TestCancelStormBoundsGoroutines(t *testing.T) {
 	)
 	n := New(Config{Admission: admission.Config{QueueDepth: queueDepth}})
 	block := make(chan struct{})
-	n.Attach("hung", HandlerFunc(func(context.Context, Addr, []byte) ([]byte, error) {
+	hung := n.Attach("hung", HandlerFunc(func(context.Context, Addr, []byte) ([]byte, error) {
 		<-block // deliberately deaf to ctx: the worst-case handler
 		return nil, nil
-	}))
+	})).(*endpoint)
 	a := n.Attach("a", echo())
 
 	before := runtime.NumGoroutine()
@@ -85,8 +85,8 @@ func TestCancelStormBoundsGoroutines(t *testing.T) {
 	if got := n.Counters().Busy; got != int64(nBusy) {
 		t.Fatalf("Counters().Busy = %d, want %d", got, nBusy)
 	}
-	if got := n.Stats("hung").Busy.Load(); got != int64(nBusy) {
-		t.Fatalf(`Stats("hung").Busy = %d, want %d`, got, nBusy)
+	if got := hung.AdmissionStats().Rejected(); got != int64(nBusy) {
+		t.Fatalf("hung endpoint rejected %d, want %d", got, nBusy)
 	}
 
 	// Unblocking the handler drains the queue and frees every slot: the

@@ -17,17 +17,13 @@ const (
 	MaxListLen   = 1 << 16 // most contacts or entries per message
 )
 
-// codecVersion 2 added the two BlockSummary uvarints after TopN.
-// Version 3 added the TraceID/Hop uvarints after the summary. Version 4
-// added the Deadline uvarint after Hop, carrying the caller's remaining
-// budget across the wire. The decoder still accepts v2 and v3 frames
-// (missing fields read as zero) so a mixed-version fleet keeps
-// interoperating during a rolling upgrade.
-const (
-	codecVersion       = 4
-	codecVersionPrev   = 3
-	codecVersionOldest = 2
-)
+// codecVersion is the one message layout this tree speaks; write-ahead
+// logs and snapshots hold payloads in it. Every other version byte is
+// rejected with ErrMalformed. Extension rule: a new field is appended
+// after Cred, the version byte moves to the next value, and the decoder
+// accepts exactly that value — nodes do not interoperate across a
+// layout change, so a fleet (and its data directories) upgrades as one.
+const codecVersion = 4
 
 // ErrMalformed is wrapped by all decode errors.
 var ErrMalformed = errors.New("wire: malformed message")
@@ -110,8 +106,7 @@ func (d *Decoder) DecodeInto(m *Message, b []byte) error {
 
 func decodeInto(m *Message, b []byte, strs *interner) error {
 	r := &reader{buf: b, strs: strs}
-	v := r.byte()
-	if v < codecVersionOldest || v > codecVersion {
+	if v := r.byte(); v != codecVersion {
 		return fmt.Errorf("%w: version %d", ErrMalformed, v)
 	}
 	m.Kind = Kind(r.byte())
@@ -121,18 +116,9 @@ func decodeInto(m *Message, b []byte, strs *interner) error {
 	m.TopN = uint32(r.uvarint())
 	m.Summary.Fields = r.uvarint()
 	m.Summary.Digest = r.uvarint()
-	if v >= 3 {
-		m.TraceID = r.uvarint()
-		m.Hop = uint32(r.uvarint())
-	} else {
-		m.TraceID = 0
-		m.Hop = 0
-	}
-	if v >= 4 {
-		m.Deadline = r.uvarint()
-	} else {
-		m.Deadline = 0
-	}
+	m.TraceID = r.uvarint()
+	m.Hop = uint32(r.uvarint())
+	m.Deadline = r.uvarint()
 
 	nc := r.uvarint()
 	if nc > MaxListLen {

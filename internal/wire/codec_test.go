@@ -55,142 +55,16 @@ func TestEncodeDecodeEmptyMessage(t *testing.T) {
 	}
 }
 
-// encodeLegacy hand-crafts a frame in an older codec layout: v2 (no
-// trace fields, no deadline) or v3 (trace fields, no deadline). Tests
-// and fuzz seeds use it to prove the rolling-upgrade guarantee — old
-// peers keep talking to new ones while the fleet converges.
-func encodeLegacy(version byte, m *Message) []byte {
-	w := &writer{}
-	w.byte(version)
-	w.byte(byte(m.Kind))
-	w.id(m.From.ID)
-	w.str(m.From.Addr)
-	w.id(m.Target)
-	w.uvarint(uint64(m.TopN))
-	w.uvarint(m.Summary.Fields)
-	w.uvarint(m.Summary.Digest)
-	if version >= 3 {
-		w.uvarint(m.TraceID)
-		w.uvarint(uint64(m.Hop))
-	}
-	w.uvarint(uint64(len(m.Contacts)))
-	for _, c := range m.Contacts {
-		w.id(c.ID)
-		w.str(c.Addr)
-	}
-	w.uvarint(uint64(len(m.Entries)))
-	for _, e := range m.Entries {
-		w.str(e.Field)
-		w.uvarint(e.Count)
-		w.uvarint(e.Init)
-		w.blob(e.Data)
-		w.blob(e.Author)
-		w.blob(e.Sig)
-	}
-	w.str(m.Err)
-	w.blob(m.Cred)
-	return w.buf
-}
-
-// TestDecodeAcceptsV2 hand-crafts a codec-v2 frame — the pre-trace
-// layout, with nothing between Summary.Digest and the contact count —
-// and asserts a v4 decoder still reads it, with the trace and deadline
-// fields zero.
-func TestDecodeAcceptsV2(t *testing.T) {
-	want := sampleMessage()
-	want.TraceID = 0 // v2 frames cannot carry trace state
-	want.Hop = 0
-
-	w := &writer{}
-	w.byte(codecVersionOldest)
-	w.byte(byte(want.Kind))
-	w.id(want.From.ID)
-	w.str(want.From.Addr)
-	w.id(want.Target)
-	w.uvarint(uint64(want.TopN))
-	w.uvarint(want.Summary.Fields)
-	w.uvarint(want.Summary.Digest)
-	w.uvarint(uint64(len(want.Contacts)))
-	for _, c := range want.Contacts {
-		w.id(c.ID)
-		w.str(c.Addr)
-	}
-	w.uvarint(uint64(len(want.Entries)))
-	for _, e := range want.Entries {
-		w.str(e.Field)
-		w.uvarint(e.Count)
-		w.uvarint(e.Init)
-		w.blob(e.Data)
-		w.blob(e.Author)
-		w.blob(e.Sig)
-	}
-	w.str(want.Err)
-	w.blob(want.Cred)
-
-	got, err := Decode(w.buf)
-	if err != nil {
-		t.Fatalf("Decode v2 frame: %v", err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("v2 decode mismatch:\n got %+v\nwant %+v", got, want)
-	}
-
-	// A traced message decoded from a stale (v2-shaped) buffer must not
-	// leak the previous decode's trace fields.
-	var d Decoder
-	m := &Message{}
-	if err := d.DecodeInto(m, Encode(sampleMessage())); err != nil {
-		t.Fatal(err)
-	}
-	if m.TraceID == 0 || m.Hop == 0 {
-		t.Fatal("v4 decode should have set trace fields")
-	}
-	if err := d.DecodeInto(m, w.buf); err != nil {
-		t.Fatal(err)
-	}
-	if m.TraceID != 0 || m.Hop != 0 {
-		t.Fatalf("v2 decode left stale trace fields: id=%d hop=%d", m.TraceID, m.Hop)
-	}
-}
-
-// TestDecodeAcceptsV3 does the same for a codec-v3 frame — trace
-// fields present, no Deadline — proving the v3→v4 upgrade path and
-// that stale deadline state never leaks across decodes.
-func TestDecodeAcceptsV3(t *testing.T) {
-	want := sampleMessage()
-	buf := encodeLegacy(codecVersionPrev, want)
-
-	got, err := Decode(buf)
-	if err != nil {
-		t.Fatalf("Decode v3 frame: %v", err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("v3 decode mismatch:\n got %+v\nwant %+v", got, want)
-	}
-
-	var d Decoder
-	m := &Message{}
-	v4 := sampleMessage()
-	v4.Deadline = 12345
-	if err := d.DecodeInto(m, Encode(v4)); err != nil {
-		t.Fatal(err)
-	}
-	if m.Deadline != 12345 {
-		t.Fatal("v4 decode should have set the deadline field")
-	}
-	if err := d.DecodeInto(m, buf); err != nil {
-		t.Fatal(err)
-	}
-	if m.Deadline != 0 {
-		t.Fatalf("v3 decode left a stale deadline: %d", m.Deadline)
-	}
-}
-
+// TestDecodeRejectsBadVersion: the codec is frozen at one layout. The
+// retired versions 2 and 3 are rejected like any other unknown byte,
+// not decoded under their old field lists.
 func TestDecodeRejectsBadVersion(t *testing.T) {
 	b := Encode(sampleMessage())
-	b[0] = 99
-	if _, err := Decode(b); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("want ErrMalformed, got %v", err)
+	for _, v := range []byte{0, 2, 3, codecVersion + 1, 99} {
+		b[0] = v
+		if _, err := Decode(b); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("version byte %d: want ErrMalformed, got %v", v, err)
+		}
 	}
 }
 

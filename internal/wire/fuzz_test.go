@@ -21,46 +21,16 @@ func FuzzDecode(f *testing.F) {
 		Summary: BlockSummary{Fields: 2, Digest: 42},
 		Entries: []Entry{{Field: "rock", Count: 7}, {Field: "jazz", Count: 1}},
 	}))
+	deadlined := sampleMessage()
+	deadlined.Deadline = 250_000 // 250ms of remaining budget
+	f.Add(Encode(deadlined))
+	f.Add(Encode(&Message{Kind: KindUnauthorized, Err: "unauthorized: revoked"}))
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
 		if err != nil {
 			return
-		}
-		re := Encode(m)
-		m2, err := Decode(re)
-		if err != nil {
-			t.Fatalf("re-encode of accepted message failed: %v", err)
-		}
-		if !reflect.DeepEqual(m, m2) {
-			t.Fatalf("decode/encode not idempotent:\n%+v\n%+v", m, m2)
-		}
-	})
-}
-
-// FuzzWireV4Decode stresses the cross-version decode path: seeds cover
-// v2, v3 and v4 layouts of the same message, so mutations explore the
-// boundary where the version byte decides whether the trace and
-// deadline uvarints exist. Any accepted input must re-encode (as v4)
-// into an equal message — the rolling-upgrade invariant.
-func FuzzWireV4Decode(f *testing.F) {
-	deadlined := sampleMessage()
-	deadlined.Deadline = 250_000 // 250ms of remaining budget
-	f.Add(Encode(deadlined))
-	f.Add(Encode(sampleMessage()))
-	f.Add(encodeLegacy(codecVersionPrev, sampleMessage()))   // v3: trace, no deadline
-	f.Add(encodeLegacy(codecVersionOldest, sampleMessage())) // v2: neither
-	f.Add(Encode(&Message{Kind: KindUnauthorized, Err: "unauthorized: revoked"}))
-	f.Add(Encode(&Message{Kind: KindStore, Deadline: 1}))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Decode(data)
-		if err != nil {
-			return
-		}
-		if data[0] < 4 && m.Deadline != 0 {
-			t.Fatalf("v%d frame decoded a deadline: %d", data[0], m.Deadline)
 		}
 		re := Encode(m)
 		m2, err := Decode(re)

@@ -142,18 +142,16 @@ type BlockSummary struct {
 
 // Message is a single overlay RPC request or response.
 //
-// TraceID and Hop are the observability fields of codec v3: a client
-// that is tracing a lookup stamps every RPC of that lookup with its
-// trace ID and the α-wave (round) number, servers echo the trace ID in
-// their responses, and the hop-by-hop timeline is reassembled by
-// `Node.TraceLookup`. Both are zero for untraced traffic, and decode as
-// zero from v2 peers.
+// TraceID and Hop are the observability fields: a client that is
+// tracing a lookup stamps every RPC of that lookup with its trace ID and
+// the α-wave (round) number, servers echo the trace ID in their
+// responses, and the hop-by-hop timeline is reassembled by
+// `Node.TraceLookup`. Both are zero for untraced traffic.
 //
-// Deadline is the deadline-propagation field of codec v4: the caller's
-// remaining budget in microseconds at send time (0 = unbounded). A
-// server installs it as a handler context deadline and sheds requests
-// whose budget already ran out — the caller is gone, answering is pure
-// waste. It decodes as zero from v2/v3 peers.
+// Deadline is the deadline-propagation field: the caller's remaining
+// budget in microseconds at send time (0 = unbounded). A server installs
+// it as a handler context deadline and sheds requests whose budget
+// already ran out — the caller is gone, answering is pure waste.
 type Message struct {
 	Kind     Kind
 	From     Contact  // the sender, so receivers can refresh routing state

@@ -85,22 +85,7 @@ type UDPTransport struct {
 	wg         sync.WaitGroup
 }
 
-// ListenUDP binds a UDP socket on bind (e.g. "127.0.0.1:0") and serves
-// inbound RPCs with h under the default admission gate (bounded work
-// queue, no per-peer rate limit). A zero timeout selects
-// DefaultUDPTimeout.
-func ListenUDP(bind string, h simnet.Handler, timeout time.Duration) (*UDPTransport, error) {
-	return ListenUDPAdmitted(bind, h, timeout, admission.Config{})
-}
-
-// ListenUDPAdmitted is ListenUDP with an explicit admission
-// configuration, for deployments that tune QueueDepth or enable
-// per-peer rate limits.
-func ListenUDPAdmitted(bind string, h simnet.Handler, timeout time.Duration, adm admission.Config) (*UDPTransport, error) {
-	return ListenUDPOptions(bind, h, UDPOptions{Timeout: timeout, Admission: adm})
-}
-
-// UDPOptions configures a UDP transport beyond the basics.
+// UDPOptions configures a UDP transport; every zero field is its default.
 type UDPOptions struct {
 	// Timeout is the per-call response wait; 0 = DefaultUDPTimeout.
 	Timeout time.Duration
@@ -116,9 +101,9 @@ type UDPOptions struct {
 	RequireAuth bool
 }
 
-// ListenUDPOptions is the fully-configurable constructor every other
-// Listen variant delegates to.
-func ListenUDPOptions(bind string, h simnet.Handler, o UDPOptions) (*UDPTransport, error) {
+// ListenUDP binds a UDP socket on bind (e.g. "127.0.0.1:0") and serves
+// inbound RPCs with h.
+func ListenUDP(bind string, h simnet.Handler, o UDPOptions) (*UDPTransport, error) {
 	addr, err := net.ResolveUDPAddr("udp", bind)
 	if err != nil {
 		return nil, fmt.Errorf("wire: resolve %q: %w", bind, err)

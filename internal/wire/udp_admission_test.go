@@ -16,12 +16,12 @@ import (
 func TestUDPBusyReplyIsFast(t *testing.T) {
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 1)
-	srv, err := ListenUDPAdmitted("127.0.0.1:0", simnet.HandlerFunc(
+	srv, err := ListenUDP("127.0.0.1:0", simnet.HandlerFunc(
 		func(_ context.Context, _ simnet.Addr, p []byte) ([]byte, error) {
 			entered <- struct{}{}
 			<-gate
 			return p, nil
-		}), 5*time.Second, admission.Config{QueueDepth: 1})
+		}), UDPOptions{Timeout: 5 * time.Second, Admission: admission.Config{QueueDepth: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestUDPBusyReplyIsFast(t *testing.T) {
 	defer close(gate)
 
 	cli, err := ListenUDP("127.0.0.1:0", simnet.HandlerFunc(
-		func(context.Context, simnet.Addr, []byte) ([]byte, error) { return nil, nil }), 5*time.Second)
+		func(context.Context, simnet.Addr, []byte) ([]byte, error) { return nil, nil }), UDPOptions{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

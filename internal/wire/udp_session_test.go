@@ -38,13 +38,13 @@ func newSecuredTransport(t *testing.T, auth *likir.Authority, id *likir.Identity
 	if err != nil {
 		t.Fatalf("session.NewManager: %v", err)
 	}
-	tr, err := ListenUDPOptions("127.0.0.1:0", h, UDPOptions{
+	tr, err := ListenUDP("127.0.0.1:0", h, UDPOptions{
 		Timeout:     time.Second,
 		Sessions:    mgr,
 		RequireAuth: true,
 	})
 	if err != nil {
-		t.Fatalf("ListenUDPOptions: %v", err)
+		t.Fatalf("ListenUDP: %v", err)
 	}
 	t.Cleanup(func() { tr.Close() })
 	return tr
@@ -97,7 +97,7 @@ func TestUDPRequireAuthRejectsPlainCaller(t *testing.T) {
 	// An open client (no session layer) gets a typed UNAUTHORIZED answer,
 	// not service.
 	cli, err := ListenUDP("127.0.0.1:0", simnet.HandlerFunc(
-		func(context.Context, simnet.Addr, []byte) ([]byte, error) { return nil, nil }), time.Second)
+		func(context.Context, simnet.Addr, []byte) ([]byte, error) { return nil, nil }), UDPOptions{Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestUDPSessionStaleRehandshake(t *testing.T) {
 	}
 	var srv2 *UDPTransport
 	for i := 0; ; i++ {
-		srv2, err = ListenUDPOptions(string(addr), echo, UDPOptions{
+		srv2, err = ListenUDP(string(addr), echo, UDPOptions{
 			Timeout: time.Second, Sessions: mgr2, RequireAuth: true,
 		})
 		if err == nil {

@@ -15,14 +15,14 @@ func TestUDPRoundTrip(t *testing.T) {
 	srv, err := ListenUDP("127.0.0.1:0", simnet.HandlerFunc(
 		func(_ context.Context, from simnet.Addr, p []byte) ([]byte, error) {
 			return append([]byte("ok:"), p...), nil
-		}), time.Second)
+		}), UDPOptions{Timeout: time.Second})
 	if err != nil {
 		t.Fatalf("ListenUDP server: %v", err)
 	}
 	defer srv.Close()
 
 	cli, err := ListenUDP("127.0.0.1:0", simnet.HandlerFunc(
-		func(context.Context, simnet.Addr, []byte) ([]byte, error) { return nil, nil }), time.Second)
+		func(context.Context, simnet.Addr, []byte) ([]byte, error) { return nil, nil }), UDPOptions{Timeout: time.Second})
 	if err != nil {
 		t.Fatalf("ListenUDP client: %v", err)
 	}
@@ -39,7 +39,7 @@ func TestUDPRoundTrip(t *testing.T) {
 
 func TestUDPTimeoutOnDeadPeer(t *testing.T) {
 	cli, err := ListenUDP("127.0.0.1:0", simnet.HandlerFunc(
-		func(context.Context, simnet.Addr, []byte) ([]byte, error) { return nil, nil }), 100*time.Millisecond)
+		func(context.Context, simnet.Addr, []byte) ([]byte, error) { return nil, nil }), UDPOptions{Timeout: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("ListenUDP: %v", err)
 	}
@@ -55,14 +55,14 @@ func TestUDPHandlerErrorTimesOut(t *testing.T) {
 	srv, err := ListenUDP("127.0.0.1:0", simnet.HandlerFunc(
 		func(context.Context, simnet.Addr, []byte) ([]byte, error) {
 			return nil, errors.New("refuse")
-		}), time.Second)
+		}), UDPOptions{Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
 	cli, err := ListenUDP("127.0.0.1:0", simnet.HandlerFunc(
-		func(context.Context, simnet.Addr, []byte) ([]byte, error) { return nil, nil }), 100*time.Millisecond)
+		func(context.Context, simnet.Addr, []byte) ([]byte, error) { return nil, nil }), UDPOptions{Timeout: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,14 +77,14 @@ func TestUDPConcurrentCalls(t *testing.T) {
 	srv, err := ListenUDP("127.0.0.1:0", simnet.HandlerFunc(
 		func(_ context.Context, from simnet.Addr, p []byte) ([]byte, error) {
 			return p, nil // echo
-		}), 2*time.Second)
+		}), UDPOptions{Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
 	cli, err := ListenUDP("127.0.0.1:0", simnet.HandlerFunc(
-		func(context.Context, simnet.Addr, []byte) ([]byte, error) { return nil, nil }), 2*time.Second)
+		func(context.Context, simnet.Addr, []byte) ([]byte, error) { return nil, nil }), UDPOptions{Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestUDPConcurrentCalls(t *testing.T) {
 
 func TestUDPCloseUnblocksCallers(t *testing.T) {
 	cli, err := ListenUDP("127.0.0.1:0", simnet.HandlerFunc(
-		func(context.Context, simnet.Addr, []byte) ([]byte, error) { return nil, nil }), 10*time.Second)
+		func(context.Context, simnet.Addr, []byte) ([]byte, error) { return nil, nil }), UDPOptions{Timeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,14 +159,14 @@ func TestUDPMessageLevelRoundTrip(t *testing.T) {
 			}
 			resp := &Message{Kind: KindPong, Target: req.Target}
 			return Encode(resp), nil
-		}), time.Second)
+		}), UDPOptions{Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
 	cli, err := ListenUDP("127.0.0.1:0", simnet.HandlerFunc(
-		func(context.Context, simnet.Addr, []byte) ([]byte, error) { return nil, nil }), time.Second)
+		func(context.Context, simnet.Addr, []byte) ([]byte, error) { return nil, nil }), UDPOptions{Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@
 #   3. A 100ms client deadline is enforced server-side: against a node
 #      with -chaos-delay 300ms the budget travels in the message header
 #      and the server sheds the dead-on-arrival request, visible in its
-#      dharma_rpc_deadline_shed_count metric.
+#      dharma_rpc_deadline_shed_total metric.
 #
 #   ./scripts/auth_smoke.sh
 set -euo pipefail
@@ -152,7 +152,7 @@ fi
 # ...and the SERVER must have observed the expiry: the shed counter
 # proves the budget crossed the wire rather than dying client-side.
 "$BENCH" scrape -addr "127.0.0.1:$((DEBUG_PORT + 3))" \
-  -assert-min "dharma_rpc_deadline_shed_count=1" \
+  -assert-min "dharma_rpc_deadline_shed_total=1" \
   >"$WORK/scrape3.out"
 grep -E '^assert-min ok' "$WORK/scrape3.out"
 
