@@ -201,7 +201,8 @@ func (n *Node) syncBlockWith(ctx context.Context, key kadid.ID, local wire.Block
 		// half of the exchange.
 		return false
 	}
-	resp, err := n.call(ctx, c, &wire.Message{Kind: wire.KindSummary, Target: key, Summary: local})
+	var resp wire.Message
+	err := n.call(ctx, c, &wire.Message{Kind: wire.KindSummary, Target: key, Summary: local}, &resp)
 	if err != nil || resp.Kind != wire.KindSummaryReply {
 		return false
 	}
@@ -240,8 +241,9 @@ func (n *Node) syncBlockWith(ctx context.Context, key kadid.ID, local wire.Block
 	if !fallback {
 		n.aeDeltaEntries.Add(int64(len(delta)))
 	}
-	ack, err := n.call(ctx, c, &wire.Message{Kind: wire.KindReplicate, Target: key, Entries: delta})
-	return err == nil && ack.Kind == wire.KindStoreAck
+	// The summary reply has been consumed; resp now receives the ack.
+	err = n.call(ctx, c, &wire.Message{Kind: wire.KindReplicate, Target: key, Entries: delta}, &resp)
+	return err == nil && resp.Kind == wire.KindStoreAck
 }
 
 // deltaEntries selects the entries of local whose field the other side

@@ -82,6 +82,72 @@ func BenchmarkRoutingTableUpdate(b *testing.B) {
 	}
 }
 
+// BenchmarkHandleRPC is the composed serving path the alloc gate holds:
+// decode → admit → table update → dispatch → encode on a warmed node.
+// The budget is the reply buffer, which escapes to the transport (plus,
+// for find_value, the entry list Store.Get hands out).
+func BenchmarkHandleRPC(b *testing.B) {
+	cl := benchCluster(b, 64)
+	srv, from := cl.Nodes[1], cl.Nodes[2].Self()
+	ctx := context.Background()
+	key := kadid.HashString("hot")
+	block := make([]wire.Entry, 16)
+	for i := range block {
+		block[i] = wire.Entry{Field: fmt.Sprintf("tag-%02d", i), Count: uint64(i + 1)}
+	}
+	if err := srv.LocalStore().Append(ctx, key, block); err != nil {
+		b.Fatal(err)
+	}
+	for _, req := range []struct {
+		name string
+		msg  wire.Message
+		want wire.Kind
+	}{
+		{"find_node", wire.Message{Kind: wire.KindFindNode, Target: kadid.HashString("elsewhere")}, wire.KindNodes},
+		{"find_value", wire.Message{Kind: wire.KindFindValue, Target: key, TopN: 8}, wire.KindValue},
+		{"store", wire.Message{Kind: wire.KindStore, Target: key, Entries: block[3:4]}, wire.KindStoreAck},
+	} {
+		b.Run(req.name, func(b *testing.B) {
+			req.msg.From = from
+			payload := wire.Encode(&req.msg)
+			out, err := srv.HandleRPC(ctx, simnet.Addr(from.Addr), payload) // warm the scratch
+			if err != nil {
+				b.Fatal(err)
+			}
+			if resp, err := wire.Decode(out); err != nil || resp.Kind != req.want {
+				b.Fatalf("reply %v, err %v; want %v", resp, err, req.want)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := srv.HandleRPC(ctx, simnet.Addr(from.Addr), payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCallRoundTrip is the composed client path over a simnet
+// endpoint: encode, admission at the receiver, its handler, and the
+// reply decoded into a message the caller owns. The budget is the
+// handler's reply buffer plus Admit's two.
+func BenchmarkCallRoundTrip(b *testing.B) {
+	cl := benchCluster(b, 64)
+	from, to := cl.Nodes[1], cl.Nodes[2].Self()
+	ctx := context.Background()
+	target := kadid.HashString("elsewhere")
+	var req, resp wire.Message
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req = wire.Message{Kind: wire.KindFindNode, Target: target}
+		if err := from.callOnce(ctx, to, &req, &resp); err != nil || len(resp.Contacts) == 0 {
+			b.Fatalf("reply %v, err %v", resp.Kind, err)
+		}
+	}
+}
+
 // BenchmarkLocalStoreAppend measures the storage merge path.
 func BenchmarkLocalStoreAppend(b *testing.B) {
 	s := NewStore()

@@ -90,7 +90,7 @@ func TestBusyExhaustionSurfacesTypedError(t *testing.T) {
 	net.Attach("forever-busy", srv)
 	n.Table().Update(peer)
 
-	_, err := n.call(context.Background(), peer, &wire.Message{Kind: wire.KindPing})
+	err := n.call(context.Background(), peer, &wire.Message{Kind: wire.KindPing}, new(wire.Message))
 	if !errors.Is(err, wire.ErrBusy) {
 		t.Fatalf("exhausted retries: got %v, want wire.ErrBusy", err)
 	}
@@ -117,7 +117,7 @@ func TestBusyRetryHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := n.call(ctx, peer, &wire.Message{Kind: wire.KindPing})
+	err := n.call(ctx, peer, &wire.Message{Kind: wire.KindPing}, new(wire.Message))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want DeadlineExceeded", err)
 	}

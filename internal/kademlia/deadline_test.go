@@ -57,7 +57,7 @@ func TestCallStampsDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
 	msg := &wire.Message{Kind: wire.KindPing}
-	if _, err := cl.Nodes[0].call(ctx, cl.Nodes[1].Self(), msg); err != nil {
+	if err := cl.Nodes[0].call(ctx, cl.Nodes[1].Self(), msg, new(wire.Message)); err != nil {
 		t.Fatalf("call: %v", err)
 	}
 	// ~1h in µs, minus the time spent reaching callOnce.
@@ -67,7 +67,7 @@ func TestCallStampsDeadline(t *testing.T) {
 	// Without a context deadline the stamp must stay zero — "no budget"
 	// must never be encoded as a huge finite one.
 	msg2 := &wire.Message{Kind: wire.KindPing}
-	if _, err := cl.Nodes[0].call(context.Background(), cl.Nodes[1].Self(), msg2); err != nil {
+	if err := cl.Nodes[0].call(context.Background(), cl.Nodes[1].Self(), msg2, new(wire.Message)); err != nil {
 		t.Fatalf("call: %v", err)
 	}
 	if msg2.Deadline != 0 {

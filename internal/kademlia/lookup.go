@@ -33,18 +33,24 @@ type candidate struct {
 	failed    bool
 }
 
+// probe is the request and reply of one in-flight lookup RPC. A wave's
+// replies are consumed before the next wave reuses the slots.
+type probe struct{ req, resp wire.Message }
+
 // lookupArena is the reusable working state of one iterative lookup.
-// Arenas are pooled per node (see Node.arenas) so that steady-state
+// Arenas are recycled per node (see Node.arenas) so that steady-state
 // lookup rounds allocate no candidate bookkeeping: the candidate slice,
-// the distance-ordered index list, the seen map and the table seed
-// buffer all retain their capacity across lookups. order holds indices
-// into cands (not pointers), so growing cands never invalidates it.
+// the distance-ordered index list, the seen map, the table seed buffer
+// and the α probe messages all retain their capacity across lookups.
+// order holds indices into cands (not pointers), so growing cands never
+// invalidates it.
 type lookupArena struct {
 	cands   []candidate
 	order   []int32            // indices into cands, ascending distance to target
 	seen    map[kadid.ID]int32 // contact ID -> index into cands
 	seedBuf []wire.Contact     // reused by Table.ClosestInto for seeding
 	batch   []int32            // this round's query set (indices into cands)
+	probes  []probe            // this round's messages, one per batch slot
 	spans   []TraceSpan        // per-RPC trace spans, cloned out only on capture
 }
 
@@ -106,9 +112,12 @@ func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue b
 		}
 	}
 
-	arena := n.arenas.Get().(*lookupArena)
+	arena := n.arenas.get()
 	arena.reset()
-	defer n.arenas.Put(arena)
+	defer n.arenas.put(arena)
+	if len(arena.probes) < n.cfg.Alpha {
+		arena.probes = make([]probe, n.cfg.Alpha)
+	}
 
 	round, tried := 0, 0
 	defer func() {
@@ -200,17 +209,16 @@ func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue b
 		tried += len(arena.batch)
 
 		var wg sync.WaitGroup
-		for _, idx := range arena.batch {
+		for slot, idx := range arena.batch {
 			cd := &arena.cands[idx]
 			cd.queried = true
 			wg.Add(1)
-			go func(c wire.Contact) {
+			go func(c wire.Contact, msg, resp *wire.Message) {
 				defer wg.Done()
-				var msg *wire.Message
 				if wantValue {
-					msg = &wire.Message{Kind: wire.KindFindValue, Target: target, TopN: uint32(topN)}
+					*msg = wire.Message{Kind: wire.KindFindValue, Target: target, TopN: uint32(topN)}
 				} else {
-					msg = &wire.Message{Kind: wire.KindFindNode, Target: target}
+					*msg = wire.Message{Kind: wire.KindFindNode, Target: target}
 				}
 				if tracing {
 					// Stamp the α-wave so receivers (and packet captures)
@@ -219,7 +227,7 @@ func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue b
 					msg.Hop = uint32(round)
 				}
 				st := time.Now()
-				resp, err := n.call(ctx, c, msg)
+				err := n.call(ctx, c, msg, resp)
 				rtt := time.Since(st)
 				if err != nil {
 					results <- lookupResult{from: c, err: err, start: st.Sub(t0), rtt: rtt}
@@ -233,7 +241,7 @@ func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue b
 					start:    st.Sub(t0),
 					rtt:      rtt,
 				}
-			}(cd.contact)
+			}(cd.contact, &arena.probes[slot].req, &arena.probes[slot].resp)
 		}
 		wg.Wait()
 
@@ -353,7 +361,7 @@ func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue b
 			if !valueHolders[c.ID] {
 				go n.call(context.Background(), c, &wire.Message{ //nolint:errcheck // best effort
 					Kind: wire.KindReplicate, Target: target, Entries: out,
-				})
+				}, new(wire.Message))
 				break
 			}
 		}
@@ -403,11 +411,12 @@ func (n *Node) readRepair(ctx context.Context, key kadid.ID, merged []wire.Entry
 		wg.Add(1)
 		go func(j repairJob) {
 			defer wg.Done()
-			resp, err := n.call(ctx, j.to, &wire.Message{
+			var resp wire.Message
+			err := n.call(ctx, j.to, &wire.Message{
 				Kind:    wire.KindReplicate,
 				Target:  key,
 				Entries: j.delta,
-			})
+			}, &resp)
 			if err == nil && resp.Kind == wire.KindStoreAck {
 				n.repairs.Add(1)
 				n.repairEntries.Add(int64(len(j.delta)))

@@ -138,11 +138,12 @@ func (n *Node) replicateTo(ctx context.Context, key kadid.ID, entries []wire.Ent
 		wg.Add(1)
 		go func(c wire.Contact) {
 			defer wg.Done()
-			resp, err := n.call(ctx, c, &wire.Message{
+			var resp wire.Message
+			err := n.call(ctx, c, &wire.Message{
 				Kind:    wire.KindReplicate,
 				Target:  key,
 				Entries: entries,
-			})
+			}, &resp)
 			if err == nil && resp.Kind == wire.KindStoreAck {
 				mu.Lock()
 				acks++

@@ -255,11 +255,12 @@ func TestReplicateRPCUsesMaxMerge(t *testing.T) {
 
 	// A REPLICATE with a smaller count must not change anything; a
 	// STORE with the same payload would add.
-	resp, err := cl.Nodes[1].call(context.Background(), target.Self(), &wire.Message{
+	var resp wire.Message
+	err := cl.Nodes[1].call(context.Background(), target.Self(), &wire.Message{
 		Kind:    wire.KindReplicate,
 		Target:  key,
 		Entries: []wire.Entry{{Field: "f", Count: 4}},
-	})
+	}, &resp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -216,10 +216,12 @@ type Node struct {
 	aeBytesOut     atomic.Int64
 	aeBytesIn      atomic.Int64
 
-	// arenas pools lookup working state (candidate lists, seen map,
-	// seed buffer) so steady-state lookups allocate no per-round
-	// bookkeeping. See lookupArena.
-	arenas sync.Pool
+	// arenas recycles lookup working state (candidate lists, seen map,
+	// seed buffer, probe messages) and scratch the per-RPC decode state
+	// of both ends, so steady-state lookups and served requests allocate
+	// no bookkeeping. See lookupArena, rpcScratch and freeList.
+	arenas  freeList[lookupArena]
+	scratch freeList[rpcScratch]
 
 	// Telemetry (metrics.go, trace.go). metrics is the zero value —
 	// all no-ops — until Instrument installs real instruments.
@@ -251,8 +253,7 @@ func NewNode(self kadid.ID, cfg Config) *Node {
 		aeRoundAt: make(map[kadid.ID]int64),
 	}
 	n.detached.Store(true) // until Attach
-	n.arenas.New = func() any { return &lookupArena{} }
-	n.table = NewTable(self, cfg.K, n.pingContact)
+	n.table = NewTable(self, cfg.K, nil)
 	if cfg.Identity != nil {
 		n.credBlob = cfg.Identity.Credential.Marshal()
 	}
@@ -330,6 +331,31 @@ func (n *Node) RPCServed() int64 { return n.rpcServed.Load() }
 // written back through read-repair (requires Config.ReadRepair).
 func (n *Node) Repairs() int64 { return n.repairs.Load() }
 
+// rpcScratch is the reusable working state of one end of an RPC. The
+// decoder's intern table makes repeated addresses and field names free;
+// req, reply and cs are HandleRPC's request, response and NODES contact
+// list, which live only until the response is encoded. What a handler
+// keeps from req is safe to keep: strings are immutable, blobs are
+// fresh copies, and the store and its WAL finish reading req.Entries
+// before Append/MergeMax return, even when ctx ends first.
+type rpcScratch struct {
+	dec        wire.Decoder
+	req, reply wire.Message
+	cs         []wire.Contact
+}
+
+// maxScratchEntries bounds the request entry list an idle scratch
+// retains: one bulk REPLICATE must not pin its array for good.
+const maxScratchEntries = 256
+
+func (n *Node) putScratch(sc *rpcScratch) {
+	sc.reply = wire.Message{} // drop the references to store results
+	if cap(sc.req.Entries) > maxScratchEntries {
+		sc.req.Entries = nil
+	}
+	n.scratch.put(sc)
+}
+
 // HandleRPC implements simnet.Handler: it decodes one request, updates
 // the routing table with the caller, and dispatches. ctx is the
 // server-side request context: work whose caller has already given up
@@ -344,8 +370,10 @@ func (n *Node) HandleRPC(ctx context.Context, from simnet.Addr, payload []byte) 
 	if n.metrics.rpcLatency != nil {
 		start = time.Now()
 	}
-	msg, err := wire.Decode(payload)
-	if err != nil {
+	sc := n.scratch.get()
+	defer n.putScratch(sc)
+	msg, resp := &sc.req, &sc.reply
+	if err := sc.dec.DecodeInto(msg, payload); err != nil {
 		return nil, err
 	}
 	n.rpcServed.Add(1)
@@ -386,32 +414,26 @@ func (n *Node) HandleRPC(ctx context.Context, from simnet.Addr, payload []byte) 
 		n.table.Update(msg.From)
 	}
 
-	// Contact lists for NODES replies are built in a pooled scratch
-	// buffer: they live only until the response is encoded below, so the
-	// backing array can be recycled across requests.
-	var scratch *contactBuf
 	closest := func(target kadid.ID) []wire.Contact {
-		scratch = contactBufPool.Get().(*contactBuf)
-		scratch.cs = n.table.ClosestInto(target, n.cfg.K, scratch.cs[:0])
-		return scratch.cs
+		sc.cs = n.table.ClosestInto(target, n.cfg.K, sc.cs)
+		return sc.cs
 	}
 
-	var resp *wire.Message
 	switch msg.Kind {
 	case wire.KindPing:
-		resp = &wire.Message{Kind: wire.KindPong}
+		*resp = wire.Message{Kind: wire.KindPong}
 
 	case wire.KindFindNode:
-		resp = &wire.Message{
+		*resp = wire.Message{
 			Kind:     wire.KindNodes,
 			Contacts: closest(msg.Target),
 		}
 
 	case wire.KindFindValue:
 		if entries, ok := n.store.Get(msg.Target, int(msg.TopN)); ok {
-			resp = &wire.Message{Kind: wire.KindValue, Entries: entries}
+			*resp = wire.Message{Kind: wire.KindValue, Entries: entries}
 		} else {
-			resp = &wire.Message{
+			*resp = wire.Message{
 				Kind:     wire.KindNodes,
 				Contacts: closest(msg.Target),
 			}
@@ -423,7 +445,7 @@ func (n *Node) HandleRPC(ctx context.Context, from simnet.Addr, payload []byte) 
 		// can compute the exact delta. A block too wide to enumerate in
 		// one message answers with the bare summary — the caller falls
 		// back to a full push.
-		resp = &wire.Message{Kind: wire.KindSummaryReply}
+		*resp = wire.Message{Kind: wire.KindSummaryReply}
 		if sum, ok := n.store.Summary(msg.Target); ok {
 			resp.Summary = sum
 			if sum != msg.Summary {
@@ -441,7 +463,7 @@ func (n *Node) HandleRPC(ctx context.Context, from simnet.Addr, payload []byte) 
 				// tampered batch earn an acknowledgement, which upper layers
 				// read as "durably stored".
 				n.rejectUnauthorized(msg.Kind)
-				resp = &wire.Message{Kind: wire.KindUnauthorized, Err: reason}
+				*resp = wire.Message{Kind: wire.KindUnauthorized, Err: reason}
 				break
 			}
 		}
@@ -455,13 +477,13 @@ func (n *Node) HandleRPC(ctx context.Context, from simnet.Addr, payload []byte) 
 			// A durable store that could not log the write must not ack
 			// it: the sender sees a failure and withholds its own ack,
 			// which is the whole durability contract.
-			resp = &wire.Message{Kind: wire.KindError, Err: serr.Error()}
+			*resp = wire.Message{Kind: wire.KindError, Err: serr.Error()}
 		} else {
-			resp = &wire.Message{Kind: wire.KindStoreAck}
+			*resp = wire.Message{Kind: wire.KindStoreAck}
 		}
 
 	default:
-		resp = &wire.Message{Kind: wire.KindError, Err: fmt.Sprintf("unexpected %v", msg.Kind)}
+		*resp = wire.Message{Kind: wire.KindError, Err: fmt.Sprintf("unexpected %v", msg.Kind)}
 	}
 	resp.From = n.Self()
 	// Echo the caller's trace stamp so the response is attributable to
@@ -469,9 +491,6 @@ func (n *Node) HandleRPC(ctx context.Context, from simnet.Addr, payload []byte) 
 	resp.TraceID = msg.TraceID
 	resp.Hop = msg.Hop
 	out := wire.Encode(resp)
-	if scratch != nil {
-		contactBufPool.Put(scratch)
-	}
 	if h := n.metrics.kindHist(msg.Kind); h != nil {
 		h.Observe(time.Since(start))
 		ki := int(msg.Kind) - 1
@@ -479,14 +498,6 @@ func (n *Node) HandleRPC(ctx context.Context, from simnet.Addr, payload []byte) 
 		n.metrics.rpcRespBytes.At(ki).Add(int64(len(out)))
 	}
 	return out, nil
-}
-
-// contactBufPool recycles the contact lists HandleRPC encodes into
-// NODES replies — the most common allocation of a node serving lookups.
-var contactBufPool = sync.Pool{New: func() any { return &contactBuf{} }}
-
-type contactBuf struct {
-	cs []wire.Contact
 }
 
 // admit enforces Likir node admission when a CA public key is
@@ -586,13 +597,14 @@ func (n *Node) AuthRejected() int64 { return n.authRejTotal.Load() }
 // failure. ctx bounds the exchange: when it ends, the transport's
 // in-flight waiter is aborted and ctx.Err() comes back. BUSY answers
 // are retried with jittered exponential backoff (up to
-// Config.BusyRetries times) before being surfaced.
-func (n *Node) call(ctx context.Context, to wire.Contact, msg *wire.Message) (*wire.Message, error) {
+// Config.BusyRetries times) before being surfaced. The reply is decoded
+// into resp, which the caller owns (see callOnce).
+func (n *Node) call(ctx context.Context, to wire.Contact, msg, resp *wire.Message) error {
 	backoff := n.cfg.BusyBackoff
 	for attempt := 0; ; attempt++ {
-		resp, err := n.callOnce(ctx, to, msg)
+		err := n.callOnce(ctx, to, msg, resp)
 		if err == nil || !errors.Is(err, wire.ErrBusy) || attempt >= n.cfg.BusyRetries {
-			return resp, err
+			return err
 		}
 		// Uniform jitter in [0.5, 1.5)·backoff: retriers that were
 		// rejected together must not knock again together.
@@ -600,7 +612,7 @@ func (n *Node) call(ctx context.Context, to wire.Contact, msg *wire.Message) (*w
 		backoff *= 2
 		select {
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		case <-time.After(delay):
 		}
 	}
@@ -611,9 +623,14 @@ func (n *Node) call(ctx context.Context, to wire.Contact, msg *wire.Message) (*w
 // returned wrapping wire.ErrBusy and, crucially, does NOT evict the
 // peer from the routing table: busy means alive, the same way
 // cancellation means nothing (PR 5's rule).
-func (n *Node) callOnce(ctx context.Context, to wire.Contact, msg *wire.Message) (*wire.Message, error) {
+//
+// The reply is decoded into resp through a per-node interning decoder.
+// resp's Contacts and Entries arrays are reused across calls, so a
+// caller that hands the same resp to a later call must be done with
+// those slices first; strings and blobs inside them stay valid forever.
+func (n *Node) callOnce(ctx context.Context, to wire.Contact, msg, resp *wire.Message) error {
 	if n.detached.Load() {
-		return nil, errDetached
+		return errDetached
 	}
 	n.selfMu.RLock()
 	msg.From = n.self
@@ -628,7 +645,7 @@ func (n *Node) callOnce(ctx context.Context, to wire.Contact, msg *wire.Message)
 	if dl, ok := ctx.Deadline(); ok {
 		left := time.Until(dl)
 		if left <= 0 {
-			return nil, context.DeadlineExceeded
+			return context.DeadlineExceeded
 		}
 		msg.Deadline = uint64(left / time.Microsecond)
 		if msg.Deadline == 0 {
@@ -664,41 +681,37 @@ func (n *Node) callOnce(ctx context.Context, to wire.Contact, msg *wire.Message)
 		if !errors.Is(err, simnet.ErrClosed) && !errors.Is(err, wire.ErrBusy) && ctx.Err() == nil {
 			n.table.Remove(to.ID)
 		}
-		return nil, err
+		return err
 	}
-	resp, err := wire.Decode(raw)
+	sc := n.scratch.get()
+	err = sc.dec.DecodeInto(resp, raw)
+	n.scratch.put(sc)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if resp.Kind == wire.KindBusy {
-		return nil, fmt.Errorf("kademlia: %s is busy: %w", to.Addr, wire.ErrBusy)
+		return fmt.Errorf("kademlia: %s is busy: %w", to.Addr, wire.ErrBusy)
 	}
 	if resp.Kind == wire.KindUnauthorized {
 		// An UNAUTHORIZED verdict comes from a live, policy-enforcing
 		// peer: surface the typed error and keep the peer routable — it
 		// is this node's standing that is in question, not the peer's.
-		return nil, fmt.Errorf("kademlia: %s refused: %s: %w", to.Addr, resp.Err, wire.ErrUnauthorized)
+		return fmt.Errorf("kademlia: %s refused: %s: %w", to.Addr, resp.Err, wire.ErrUnauthorized)
 	}
 	if resp.Kind == wire.KindError {
-		return nil, fmt.Errorf("kademlia: remote error: %s", resp.Err)
+		return fmt.Errorf("kademlia: remote error: %s", resp.Err)
 	}
 	if resp.From.ID != (kadid.ID{}) && resp.From.Addr != "" {
 		n.table.Update(resp.From)
 	}
-	return resp, nil
-}
-
-// pingContact is the routing table's liveness probe. Table-internal
-// pings are background work with no caller to cancel them, so they run
-// under the background context.
-func (n *Node) pingContact(c wire.Contact) bool {
-	return n.Ping(context.Background(), c)
+	return nil
 }
 
 // Ping probes a contact and returns whether it answered before ctx
 // ended.
 func (n *Node) Ping(ctx context.Context, c wire.Contact) bool {
-	resp, err := n.call(ctx, c, &wire.Message{Kind: wire.KindPing})
+	var resp wire.Message
+	err := n.call(ctx, c, &wire.Message{Kind: wire.KindPing}, &resp)
 	return err == nil && resp.Kind == wire.KindPong
 }
 
@@ -706,8 +719,8 @@ func (n *Node) Ping(ctx context.Context, c wire.Contact) bool {
 // node answering there — how a joining node learns its bootstrap
 // contact from a host:port alone.
 func (n *Node) Discover(ctx context.Context, addr string) (wire.Contact, error) {
-	resp, err := n.call(ctx, wire.Contact{Addr: addr}, &wire.Message{Kind: wire.KindPing})
-	if err != nil {
+	var resp wire.Message
+	if err := n.call(ctx, wire.Contact{Addr: addr}, &wire.Message{Kind: wire.KindPing}, &resp); err != nil {
 		return wire.Contact{}, err
 	}
 	if resp.From.ID.IsZero() || resp.From.Addr == "" {
@@ -779,7 +792,8 @@ func (n *Node) Store(ctx context.Context, key kadid.ID, entries []wire.Entry) (i
 		wg.Add(1)
 		go func(c wire.Contact) {
 			defer wg.Done()
-			resp, err := n.call(ctx, c, &wire.Message{Kind: wire.KindStore, Target: key, Entries: entries})
+			var resp wire.Message
+			err := n.call(ctx, c, &wire.Message{Kind: wire.KindStore, Target: key, Entries: entries}, &resp)
 			mu.Lock()
 			defer mu.Unlock()
 			if err == nil && resp.Kind == wire.KindStoreAck {

@@ -7,43 +7,71 @@ import (
 	"dharma/internal/wire"
 )
 
-// Pinger checks whether a contact is still alive. The routing table
-// calls it (outside its lock) before evicting a least-recently-seen
-// contact in favour of a new one, as prescribed by the Kademlia paper.
-type Pinger func(wire.Contact) bool
-
 // Table is a Kademlia routing table: one bucket per distance prefix,
 // each holding at most k contacts ordered from least to most recently
-// seen. It is safe for concurrent use.
+// seen, plus a replacement list of at most k more per bucket (Kademlia
+// §4.1). It performs no I/O and is safe for concurrent use.
 type Table struct {
 	self kadid.ID
 	k    int
-	ping Pinger
 
 	mu      sync.Mutex
 	buckets [kadid.Bits][]wire.Contact
-	// count and occupied are maintained incrementally on Update/Remove
-	// so Len, Contacts and NonEmptyBuckets can pre-size their outputs
-	// (and Len needs no bucket sweep at all).
+	// spares[i] holds contacts seen while buckets[i] was full, most
+	// recently seen last, no ID twice and none that is in the bucket.
+	// A bucket with room has no spares: Remove refills from them.
+	spares [kadid.Bits][]wire.Contact
+	// count, occupied and top are maintained incrementally on
+	// Update/Remove so Len, Contacts and NonEmptyBuckets can pre-size
+	// their outputs and ClosestInto can skip the empty deep buckets.
 	count    int // total contacts across all buckets
 	occupied int // buckets holding at least one contact
+	top      int // 1 + index of the highest non-empty bucket
 }
 
 // NewTable creates a routing table for the node with identifier self.
-// ping may be nil, in which case full buckets evict their
-// least-recently-seen contact without probing it first.
-func NewTable(self kadid.ID, k int, ping Pinger) *Table {
+// The third parameter, once a liveness probe, is ignored — the table
+// never calls out. It survives only because the frozen benchmark module
+// passes nil there (ROADMAP item 9 tracks dropping it).
+func NewTable(self kadid.ID, k int, _ func(wire.Contact) bool) *Table {
 	if k <= 0 {
 		panic("kademlia: bucket size must be positive")
 	}
-	return &Table{self: self, k: k, ping: ping}
+	return &Table{self: self, k: k}
 }
 
-// Update records that contact c was just seen. Following Kademlia's
-// rules: a known contact moves to the most-recently-seen position; a new
-// contact fills spare bucket capacity; when the bucket is full the
-// least-recently-seen contact is pinged and keeps its slot if it
-// answers, otherwise it is replaced.
+// contactIndex returns the position of the contact with identifier id in
+// list, or -1.
+func contactIndex(list []wire.Contact, id kadid.ID) int {
+	for i := range list {
+		if list[i].ID == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// touch moves the contact with c's ID to the tail of list (most
+// recently seen), refreshing its address, and reports whether it was
+// there.
+func touch(list []wire.Contact, c wire.Contact) bool {
+	i := contactIndex(list, c.ID)
+	if i < 0 {
+		return false
+	}
+	copy(list[i:], list[i+1:])
+	list[len(list)-1] = c
+	return true
+}
+
+// Update records that contact c was just seen. A known contact moves to
+// the most-recently-seen position; a new contact fills spare bucket
+// capacity; when the bucket is full the newcomer waits in the bucket's
+// replacement list (displacing the stalest replacement when that is
+// full too) until Remove frees a slot. Live contacts are therefore
+// never displaced by new ones, and a message costs no probe: dead
+// contacts leave through Remove, called for a failed exchange or by the
+// maintainer's sweep.
 func (t *Table) Update(c wire.Contact) {
 	if c.ID == t.self || c.ID.IsZero() {
 		return
@@ -51,52 +79,34 @@ func (t *Table) Update(c wire.Contact) {
 	idx := kadid.BucketIndex(t.self, c.ID)
 
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	b := t.buckets[idx]
-	for i := range b {
-		if b[i].ID == c.ID {
-			// Move to tail (most recently seen), refresh the address.
-			copy(b[i:], b[i+1:])
-			b[len(b)-1] = c
-			t.mu.Unlock()
-			return
-		}
+	if touch(b, c) {
+		return
 	}
 	if len(b) < t.k {
 		if len(b) == 0 {
 			t.occupied++
+			t.top = max(t.top, idx+1)
 		}
 		t.count++
 		t.buckets[idx] = append(b, c)
-		t.mu.Unlock()
 		return
 	}
-	oldest := b[0]
-	t.mu.Unlock()
-
-	alive := false
-	if t.ping != nil {
-		alive = t.ping(oldest) // outside the lock: may take network time
-	}
-
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	b = t.buckets[idx]
-	if len(b) == 0 || b[0].ID != oldest.ID {
-		// The bucket changed while we were pinging; drop the newcomer
-		// rather than guessing.
+	sp := t.spares[idx]
+	if touch(sp, c) {
 		return
 	}
-	if alive {
-		// Oldest responded: it moves to the tail, the newcomer is dropped.
-		copy(b, b[1:])
-		b[len(b)-1] = oldest
-		return
+	if len(sp) == t.k {
+		copy(sp, sp[1:])
+		sp = sp[:t.k-1]
 	}
-	copy(b, b[1:])
-	b[len(b)-1] = c
+	t.spares[idx] = append(sp, c)
 }
 
-// Remove deletes a contact, typically after it failed to answer an RPC.
+// Remove deletes a contact, typically after it failed to answer an RPC,
+// and promotes the bucket's most recently seen replacement into the
+// freed slot.
 func (t *Table) Remove(id kadid.ID) {
 	if id == t.self {
 		return
@@ -104,15 +114,27 @@ func (t *Table) Remove(id kadid.ID) {
 	idx := kadid.BucketIndex(t.self, id)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	b := t.buckets[idx]
-	for i := range b {
-		if b[i].ID == id {
-			t.buckets[idx] = append(b[:i], b[i+1:]...)
-			t.count--
-			if len(t.buckets[idx]) == 0 {
-				t.occupied--
-			}
-			return
+	b, sp := t.buckets[idx], t.spares[idx]
+	if i := contactIndex(sp, id); i >= 0 {
+		t.spares[idx] = append(sp[:i], sp[i+1:]...)
+		return
+	}
+	i := contactIndex(b, id)
+	if i < 0 {
+		return
+	}
+	b = append(b[:i], b[i+1:]...)
+	if last := len(sp) - 1; last >= 0 {
+		b = append(b, sp[last])
+		t.spares[idx] = sp[:last]
+	} else {
+		t.count--
+	}
+	t.buckets[idx] = b
+	if len(b) == 0 {
+		t.occupied--
+		for t.top > 0 && len(t.buckets[t.top-1]) == 0 {
+			t.top--
 		}
 	}
 }
@@ -141,7 +163,8 @@ func (t *Table) Closest(target kadid.ID, n int) []wire.Contact {
 // indices whose D-bit is 0 in descending order. Only the contacts
 // gathered — at most n plus one bucket's worth — are sorted, so the
 // cost per call is O(visited buckets + (n+k)·k) instead of growing with
-// table population.
+// table population. Buckets above the highest occupied one (t.top) are
+// empty and skipped: a table of n contacts occupies ~log2(n) of the 160.
 func (t *Table) ClosestInto(target kadid.ID, n int, buf []wire.Contact) []wire.Contact {
 	out := buf[:0]
 	if n <= 0 {
@@ -151,7 +174,7 @@ func (t *Table) ClosestInto(target kadid.ID, n int, buf []wire.Contact) []wire.C
 
 	t.mu.Lock()
 	// Target-side branches: D-bit set, ascending index.
-	for i := 0; i < kadid.Bits && len(out) < n; i++ {
+	for i := 0; i < t.top && len(out) < n; i++ {
 		if d.Bit(i) {
 			out = append(out, t.buckets[i]...)
 		}
@@ -159,7 +182,7 @@ func (t *Table) ClosestInto(target kadid.ID, n int, buf []wire.Contact) []wire.C
 	// Self-side branches: D-bit clear, descending index (nearest last
 	// buckets hold the longest shared prefixes with self — and therefore
 	// with target on every bit where the two agree).
-	for i := kadid.Bits - 1; i >= 0 && len(out) < n; i-- {
+	for i := t.top - 1; i >= 0 && len(out) < n; i-- {
 		if !d.Bit(i) {
 			out = append(out, t.buckets[i]...)
 		}
@@ -208,12 +231,7 @@ func (t *Table) Contains(id kadid.ID) bool {
 	idx := kadid.BucketIndex(t.self, id)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, c := range t.buckets[idx] {
-		if c.ID == id {
-			return true
-		}
-	}
-	return false
+	return contactIndex(t.buckets[idx], id) >= 0
 }
 
 // Contacts returns every contact currently in the table, in bucket

@@ -337,13 +337,18 @@ func (n *Network) BusiestNodes() []Addr {
 
 // roll draws this exchange's fault-model outcome from the sender
 // shard's rng: deterministic per (shard, sequence of rolls in that
-// shard) under a fixed seed.
+// shard) under a fixed seed. A fault-free, fixed-latency network draws
+// nothing, so its calls do not take the rng lock at all.
 func (s *shard) roll(cfg *Config) (drop bool, rtt time.Duration) {
+	span := cfg.LatencyMax - cfg.LatencyMin
+	if cfg.DropRate <= 0 && span <= 0 {
+		return false, 2 * cfg.LatencyMin
+	}
 	s.rngMu.Lock()
 	defer s.rngMu.Unlock()
 	drop = cfg.DropRate > 0 && s.rng.Float64() < cfg.DropRate
 	rtt = 2 * cfg.LatencyMin
-	if span := cfg.LatencyMax - cfg.LatencyMin; span > 0 {
+	if span > 0 {
 		rtt = 2 * (cfg.LatencyMin + time.Duration(s.rng.Int63n(int64(span))))
 	}
 	return drop, rtt

@@ -86,6 +86,18 @@ func TestDropRateDeterministic(t *testing.T) {
 	}
 }
 
+// A network with no drop rate and a fixed latency draws no random
+// number, so a call must not queue on the stripe's rng lock.
+func TestRollWithoutFaultsTakesNoLock(t *testing.T) {
+	n := New(Config{LatencyMin: time.Millisecond, LatencyMax: time.Millisecond})
+	s := &n.shards[0]
+	s.rngMu.Lock() // held: a roll that wanted the rng would block forever
+	defer s.rngMu.Unlock()
+	if drop, rtt := s.roll(&n.cfg); drop || rtt != 2*time.Millisecond {
+		t.Fatalf("roll = (%v, %v), want (false, 2ms)", drop, rtt)
+	}
+}
+
 func TestSetDownAndRecover(t *testing.T) {
 	n := New(Config{})
 	a := n.Attach("a", echo())

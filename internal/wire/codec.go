@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"dharma/internal/kadid"
@@ -28,13 +29,38 @@ const codecVersion = 4
 // ErrMalformed is wrapped by all decode errors.
 var ErrMalformed = errors.New("wire: malformed message")
 
-// Encode serialises m into a fresh byte slice. Hot paths that can
-// recycle their payloads should prefer AppendEncode with a pooled
-// Buffer; Encode is for callers whose output escapes to an owner with
-// an unknown lifetime (e.g. an RPC response handed to the transport).
+// Encode serialises m into a fresh byte slice of exactly the encoded
+// length. Hot paths that can recycle their payloads should prefer
+// AppendEncode with a pooled Buffer; Encode is for callers whose output
+// escapes to an owner with an unknown lifetime (e.g. an RPC response
+// handed to the transport).
 func Encode(m *Message) []byte {
-	return AppendEncode(make([]byte, 0, 256), m)
+	return AppendEncode(make([]byte, 0, encodedLen(m)), m)
 }
+
+// encodedLen returns the number of bytes AppendEncode appends for m;
+// the codec tests hold the two field lists in step.
+func encodedLen(m *Message) int {
+	n := 2 + 2*kadid.Size + strLen(len(m.From.Addr)) + uvarintLen(uint64(m.TopN)) +
+		uvarintLen(m.Summary.Fields) + uvarintLen(m.Summary.Digest) + uvarintLen(m.TraceID) +
+		uvarintLen(uint64(m.Hop)) + uvarintLen(m.Deadline) +
+		uvarintLen(uint64(len(m.Contacts))) + uvarintLen(uint64(len(m.Entries))) +
+		strLen(len(m.Err)) + strLen(len(m.Cred))
+	for i := range m.Contacts {
+		n += kadid.Size + strLen(len(m.Contacts[i].Addr))
+	}
+	for i := range m.Entries {
+		e := &m.Entries[i]
+		n += strLen(len(e.Field)) + uvarintLen(e.Count) + uvarintLen(e.Init) +
+			strLen(len(e.Data)) + strLen(len(e.Author)) + strLen(len(e.Sig))
+	}
+	return n
+}
+
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// strLen is the encoded size of a length-prefixed string or blob.
+func strLen(n int) int { return uvarintLen(uint64(n)) + n }
 
 // AppendEncode serialises m, appending to dst (which is used as-is, not
 // truncated) and returning the extended slice. With a buffer of

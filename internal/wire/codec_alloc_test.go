@@ -29,6 +29,9 @@ func lookupMessage(k int) *Message {
 func TestAppendEncodeMatchesEncode(t *testing.T) {
 	for _, m := range []*Message{sampleMessage(), lookupMessage(20), {Kind: KindPing}} {
 		want := Encode(m)
+		if cap(want) != len(want) {
+			t.Fatalf("Encode(%v) sized its buffer to %d for %d bytes", m.Kind, cap(want), len(want))
+		}
 		got := AppendEncode(nil, m)
 		if string(got) != string(want) {
 			t.Fatalf("AppendEncode differs from Encode for %v", m.Kind)

@@ -152,8 +152,9 @@ func TestRoundTripProperty(t *testing.T) {
 		if len(data) == 0 {
 			m.Entries[0].Data = nil // Decode normalises empty blobs to nil
 		}
-		got, err := Decode(Encode(m))
-		return err == nil && reflect.DeepEqual(m, got)
+		b := Encode(m)
+		got, err := Decode(b)
+		return err == nil && reflect.DeepEqual(m, got) && cap(b) == len(b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(12))}); err != nil {
 		t.Fatal(err)
