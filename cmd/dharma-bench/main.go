@@ -6,13 +6,6 @@
 //	dharma-bench -scale small            # quick pass (~seconds)
 //	dharma-bench -scale lastfm -out csv  # full benchmark preset + CSVs
 //
-// The load subcommand instead drives a live deployment with parallel
-// workload mixes and reports throughput and latency percentiles:
-//
-//	dharma-bench load                                  # all mixes, overlay target
-//	dharma-bench load -mix tag-heavy -workers 16 -ops 20000
-//	dharma-bench load -target local -out csv           # in-process store + CSVs
-//
 // The overload subcommand offers load at multiples of the deployment's
 // measured capacity and verifies overload protection: goodput must stay
 // flat (excess load rejected early with BUSY) and goroutines must
@@ -44,7 +37,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -52,33 +44,20 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
-	"dharma"
-	"dharma/internal/chaos"
-	"dharma/internal/core"
 	"dharma/internal/dataset"
-	"dharma/internal/dht"
 	"dharma/internal/exp"
-	"dharma/internal/kademlia"
-	"dharma/internal/kadid"
-	"dharma/internal/loadgen"
 )
 
 type csvWriter interface{ WriteCSV(w io.Writer) error }
 
 func main() {
-	// Ctrl-C cancels the run: the load harness aborts its in-flight
-	// operations and the bench exits promptly instead of draining the
-	// full op budget.
+	// Ctrl-C cancels the run: the overload, scale and antientropy
+	// subcommands abort their in-flight operations and exit promptly.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if len(os.Args) > 1 && os.Args[1] == "load" {
-		runLoad(ctx, os.Args[2:])
-		return
-	}
 	if len(os.Args) > 1 && os.Args[1] == "overload" {
 		runOverload(ctx, os.Args[2:])
 		return
@@ -229,316 +208,6 @@ func writeCSV(dir, name string, r csvWriter) {
 	fmt.Printf("(wrote %s)\n", path)
 }
 
-// runLoad is the `dharma-bench load` mode: parallel load generation
-// against a live System (or an in-process store), one report per
-// workload mix.
-func runLoad(ctx context.Context, args []string) {
-	fs := flag.NewFlagSet("load", flag.ExitOnError)
-	mixes := fs.String("mix", "all", `workload mixes, comma-separated ("insert-heavy,tag-heavy,...") or "all"`)
-	target := fs.String("target", "overlay", "what to drive: overlay (live Kademlia cluster) or local (in-process store)")
-	nodes := fs.Int("nodes", 16, "overlay size (overlay target)")
-	workers := fs.Int("workers", 8, "concurrent load workers")
-	ops := fs.Int("ops", 5000, "measured operations per mix")
-	seed := fs.Int64("seed", 1, "run seed")
-	k := fs.Int("k", 5, "connection parameter of Approximation A")
-	naive := fs.Bool("naive", false, "drive the naive (unapproximated) engine")
-	signed := fs.Bool("signed", false, "enable the Likir identity layer (overlay target): CA-issued credentials on every RPC, Ed25519-signed URI entries, replicas vet every mutation — measures the secured write path's overhead")
-	drop := fs.Float64("drop", 0, "inject network loss in [0,1) (overlay target): failed ops count and the run exits nonzero")
-	churnSpec := fs.String("churn", "", `membership churn during the measured phase: "rate,kill-fraction" (overlay target), e.g. -churn 20,0.25; enables read-repair + background maintenance, verifies every acknowledged write after a repair pass, and exits nonzero on lost writes`)
-	resources := fs.Int("resources", 128, "seeded resource universe")
-	tags := fs.Int("tags", 48, "tag vocabulary size (Zipf-popular)")
-	prefill := fs.Int("prefill", 0, "pre-fill the hottest tags' blocks with this many arcs each (hot-tag regime)")
-	dataDir := fs.String("data-dir", "", "give overlay nodes durable stores (WAL + snapshots) under this directory; churn revivals then recover from disk")
-	noFsync := fs.Bool("no-fsync", false, "with -data-dir: skip fsync (survives process kill, not power loss)")
-	batch := fs.Duration("batch", 0, "coalesce appends to the same key within this window (0 disables batching)")
-	vocab := fs.String("vocab", "", "draw vocabulary from a generated dataset: tiny, small or lastfm (default synthetic names)")
-	out := fs.String("out", "", "directory for per-mix CSVs (omit to skip)")
-	if err := fs.Parse(args); err != nil {
-		fail(err)
-	}
-
-	mode := dharma.Approximated
-	if *naive {
-		mode = dharma.Naive
-	}
-
-	var ds *dataset.Dataset
-	switch *vocab {
-	case "":
-	case "tiny":
-		ds = dataset.Generate(dataset.Tiny(*seed))
-	case "small":
-		ds = dataset.Generate(dataset.Small(*seed))
-	case "lastfm":
-		ds = dataset.Generate(dataset.LastFMScaled(*seed))
-	default:
-		fail(fmt.Errorf("unknown vocab %q", *vocab))
-	}
-
-	var churnCfg *loadgen.ChurnConfig
-	if *churnSpec != "" {
-		cc, err := loadgen.ParseChurnSpec(*churnSpec)
-		if err != nil {
-			fail(err)
-		}
-		if *target != "overlay" {
-			fail(fmt.Errorf("-churn needs a live overlay (target %q has no membership)", *target))
-		}
-		churnCfg = &cc
-	}
-	if *dataDir != "" && *target != "overlay" {
-		fail(fmt.Errorf("-data-dir needs a live overlay (target %q has no node stores)", *target))
-	}
-	if *signed && *target != "overlay" {
-		fail(fmt.Errorf("-signed needs a live overlay (target %q has no identity layer)", *target))
-	}
-
-	var engines []*core.Engine
-	var batchers []*dht.Batching
-	var sys *dharma.System
-	var ledger *chaos.Ledger
-	churnClients := 0
-	wrap := func(s dht.Store) dht.Store {
-		if *batch <= 0 {
-			return s
-		}
-		b := dht.NewBatching(s, *batch)
-		batchers = append(batchers, b)
-		return b
-	}
-	switch *target {
-	case "overlay":
-		// Under churn, writes need a 2-replica quorum: an acknowledged
-		// write then survives the crash of either acker even before any
-		// repair round spreads the block further.
-		writeQuorum := 0
-		if churnCfg != nil {
-			writeQuorum = 2
-		}
-		var err error
-		sys, err = dharma.NewSystem(dharma.Config{
-			Nodes: *nodes, Mode: mode, K: *k, Seed: *seed,
-			DropRate: *drop, ReadRepair: churnCfg != nil, WriteQuorum: writeQuorum,
-			DataDir: *dataDir, NoFsync: *noFsync, WithIdentity: *signed,
-		})
-		if err != nil {
-			fail(err)
-		}
-		if *dataDir != "" {
-			defer sys.Shutdown()
-			fmt.Printf("durable: per-node WAL under %s (fsync %v)\n", *dataDir, !*noFsync)
-		}
-		if churnCfg != nil {
-			// Clients (the nodes workers drive) are protected from
-			// churn; the rest of the overlay is fair game. Every
-			// client's store records acknowledged writes in one shared
-			// ledger, which the post-mix repair pass is checked against.
-			churnClients = *nodes / 4
-			if churnClients < 2 {
-				churnClients = 2
-			}
-			if *nodes < churnClients+4 {
-				fail(fmt.Errorf("-churn needs at least %d nodes (%d clients + 4 churnable), got %d", churnClients+4, churnClients, *nodes))
-			}
-			ledger = chaos.NewLedger()
-			for i := 0; i < churnClients; i++ {
-				p := sys.Peer(i)
-				st := chaos.NewRecording(wrap(dht.NewOverlay(p.Node, p.Node.Identity())), ledger)
-				e, err := core.NewEngine(st, core.Config{Mode: mode, K: *k, Seed: *seed + int64(i)})
-				if err != nil {
-					fail(err)
-				}
-				engines = append(engines, e)
-			}
-		} else if *batch > 0 {
-			// Rebuild each peer's engine over a coalescing store so
-			// same-key appends within the window collapse into one
-			// overlay store operation.
-			for i, p := range sys.Peers() {
-				e, err := core.NewEngine(wrap(dht.NewOverlay(p.Node, p.Node.Identity())), core.Config{Mode: mode, K: *k, Seed: *seed + int64(i)})
-				if err != nil {
-					fail(err)
-				}
-				engines = append(engines, e)
-			}
-		} else {
-			for _, p := range sys.Peers() {
-				engines = append(engines, p.Engine())
-			}
-		}
-		fmt.Printf("target: %d-node overlay, %s mode, k=%d, drop=%.2f, batch=%s, signed=%v\n", sys.Size(), mode, *k, *drop, *batch, *signed)
-	case "local":
-		store := wrap(dht.NewLocal())
-		for i := 0; i < *workers; i++ {
-			e, err := core.NewEngine(store, core.Config{Mode: mode, K: *k, Seed: *seed + int64(i)})
-			if err != nil {
-				fail(err)
-			}
-			engines = append(engines, e)
-		}
-		fmt.Printf("target: in-process store, %s mode, k=%d, batch=%s\n", mode, *k, *batch)
-	default:
-		fail(fmt.Errorf("unknown target %q (want overlay or local)", *target))
-	}
-
-	var selected []loadgen.Mix
-	if *mixes == "all" {
-		selected = loadgen.Mixes()
-	} else {
-		for _, name := range strings.Split(*mixes, ",") {
-			m, err := loadgen.MixByName(strings.TrimSpace(name))
-			if err != nil {
-				fail(err)
-			}
-			selected = append(selected, m)
-		}
-	}
-	if *out != "" {
-		if err := os.MkdirAll(*out, 0o755); err != nil {
-			fail(err)
-		}
-	}
-
-	// Under churn, every live node runs background maintenance for the
-	// whole session (republish + bucket refresh + dead-contact sweeps).
-	var maintSet *kademlia.MaintainerSet
-	var maintCancel context.CancelFunc
-	if churnCfg != nil {
-		var maintCtx context.Context
-		maintCtx, maintCancel = context.WithCancel(ctx)
-		defer maintCancel()
-		maintSet = sys.Cluster().StartMaintenance(maintCtx, kademlia.MaintainerConfig{
-			Interval: 500 * time.Millisecond,
-			Seed:     *seed,
-		})
-		fmt.Printf("churn: rate=%.1f events/sec, kill-fraction=%.2f, %d protected clients, read-repair + maintenance on\n",
-			churnCfg.Rate, churnCfg.KillFraction, churnClients)
-	}
-
-	// Lost obligations are deduplicated by (block, field): the ledger is
-	// cumulative across mixes, so a write lost permanently in mix 1
-	// resurfaces in every later mix's check and must not be re-counted.
-	type lostKey struct {
-		key   kadid.ID
-		field string
-	}
-	lost := make(map[lostKey]bool)
-	totalErrs := 0
-	var prevEnq, prevCoal, prevFlushed int64
-	for i, mix := range selected {
-		lcfg := loadgen.Config{
-			Mix:        mix,
-			Workers:    *workers,
-			Ops:        *ops,
-			Seed:       *seed + int64(i),
-			Resources:  *resources,
-			Tags:       *tags,
-			HotPrefill: *prefill,
-			Dataset:    ds,
-		}
-
-		// The churner starts once seeding is done (AfterSeed) and stops
-		// when the mix's measured phase ends.
-		var churner *loadgen.Churner
-		var churnCancel context.CancelFunc
-		churnDone := make(chan struct{})
-		if churnCfg != nil {
-			cc := *churnCfg
-			cc.Protected = churnClients
-			cc.Seed = *seed + int64(i)*101
-			// Joiners run what the existing members run (replication,
-			// alpha, read-repair, write quorum).
-			cc.Node = sys.Peer(0).Node.Config()
-			var err error
-			churner, err = loadgen.NewChurner(sys.Cluster(), cc)
-			if err != nil {
-				fail(err)
-			}
-			var churnCtx context.Context
-			churnCtx, churnCancel = context.WithCancel(ctx)
-			defer churnCancel()
-			lcfg.AfterSeed = func() {
-				go func() {
-					defer close(churnDone)
-					churner.Run(churnCtx)
-				}()
-			}
-		}
-
-		rep, err := loadgen.Run(ctx, lcfg, engines)
-		if errors.Is(err, context.Canceled) {
-			diag.Warn("interrupted; in-flight operations aborted")
-			os.Exit(130)
-		}
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println()
-		fmt.Print(rep)
-		if churner != nil {
-			churnCancel()
-			<-churnDone
-			fmt.Printf("  churn: %s (%d still dead at mix end)\n", churner.Stats(), churner.DeadCount())
-			violations := chaos.RepairAndCheck(ctx, sys.Cluster(), ledger, 2)
-			if len(violations) > 0 {
-				fmt.Printf("  LOST WRITES: %d of %d acknowledged (block,field) obligations\n", len(violations), ledger.Fields())
-				for vi, v := range violations {
-					if vi >= 10 {
-						fmt.Printf("    ... and %d more\n", len(violations)-vi)
-						break
-					}
-					fmt.Printf("    %s\n", v)
-				}
-			} else {
-				fmt.Printf("  invariant: all %d acknowledged (block,field) obligations readable after repair\n", ledger.Fields())
-			}
-			for _, v := range violations {
-				lost[lostKey{key: v.Key, field: v.Field}] = true
-			}
-			churner.ReviveAll(ctx) // next mix starts against a whole overlay
-		}
-		if rep.FirstError != nil {
-			fmt.Printf("  first error: %v\n", rep.FirstError)
-		}
-		if len(batchers) > 0 {
-			// The batchers live across mixes; print per-mix deltas.
-			var enq, coal, flushed int64
-			for _, b := range batchers {
-				enq += b.Enqueued()
-				coal += b.Coalesced()
-				flushed += b.Flushes()
-			}
-			fmt.Printf("  batching: %d logical appends, %d coalesced away, %d physical flushes\n",
-				enq-prevEnq, coal-prevCoal, flushed-prevFlushed)
-			prevEnq, prevCoal, prevFlushed = enq, coal, flushed
-		}
-		totalErrs += rep.Errors
-		writeCSV(*out, "load-"+mix.Name+".csv", rep)
-	}
-	if maintSet != nil {
-		maintCancel()
-		maintSet.Wait()
-		ms := maintSet.Stats()
-		fmt.Printf("\nmaintenance: %d rounds, %d dead contacts evicted, %d buckets refreshed, %d blocks republished\n",
-			ms.Rounds, ms.Evicted, ms.Refreshed, ms.Blocks)
-	}
-	if churnCfg != nil {
-		// Churn mode verifies durability, not per-op success: transient
-		// failures while nodes are down are expected, lost acknowledged
-		// writes are not.
-		if len(lost) > 0 {
-			fail(fmt.Errorf("load: %d acknowledged writes lost under churn", len(lost)))
-		}
-		if totalErrs > 0 {
-			fmt.Printf("note: %d operations failed transiently under churn (tolerated; every acknowledged write survived)\n", totalErrs)
-		}
-		return
-	}
-	if totalErrs > 0 {
-		fail(fmt.Errorf("load: %d operations failed", totalErrs))
-	}
-}
-
 // diag is the bench's diagnostic logger. Reports and tables stay on
 // stdout (they are the product); diagnostics are structured on stderr.
 var diag = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelInfo}))
@@ -546,11 +215,4 @@ var diag = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: s
 func fail(err error) {
 	diag.Error("fatal", "err", err)
 	os.Exit(1)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -54,9 +54,7 @@
 // A System and its Peers are safe for concurrent use: any number of
 // goroutines may insert, tag and navigate against the same deployment
 // simultaneously (block updates are commutative token appends, so
-// concurrent tagging is also semantically race-free — §IV-B). The
-// internal/loadgen package and `dharma-bench load` drive a System this
-// way to measure throughput and latency.
+// concurrent tagging is also semantically race-free — §IV-B).
 //
 // See the examples/ directory for complete programs.
 package dharma
@@ -197,9 +195,6 @@ func (c Config) withDefaults() Config {
 	if c.Nodes == 0 {
 		c.Nodes = 16
 	}
-	if c.Mode == Approximated && c.K == 0 {
-		c.K = 5
-	}
 	if c.K == 0 {
 		c.K = 5
 	}
@@ -295,7 +290,7 @@ type Peer struct {
 func (p *Peer) Cache() *dht.Cached { return p.cache }
 
 // Engine exposes the peer's underlying DHARMA engine (the
-// option-less, context-first core API; the load harness drives
+// option-less, context-first core API; the overload scenario drives
 // engines directly).
 func (p *Peer) Engine() *core.Engine { return p.engine }
 

@@ -48,11 +48,6 @@ type Config struct {
 	// (default DefaultTopN). 0 keeps the default; negative disables
 	// filtering.
 	TopN int
-	// Parallel issues the reverse-arc block updates of a tagging
-	// operation concurrently. The paper notes the lookups can run in
-	// parallel (the count stays 4+k; only latency changes); the updates
-	// are commutative token appends, so the result is identical.
-	Parallel bool
 	// Seed drives the random subset selection of Approximation A.
 	Seed int64
 }
@@ -223,9 +218,6 @@ func (e *Engine) Tag(ctx context.Context, r, t string) error {
 	if e.cfg.Mode == Approximated && len(reverse) > e.cfg.K {
 		reverse = e.sampleEntries(reverse, e.cfg.K)
 	}
-	if e.cfg.Parallel && len(reverse) > 1 {
-		return e.reverseParallel(ctx, r, t, reverse)
-	}
 	// The reverse updates are independent single-entry appends to
 	// distinct t̂ blocks; one batched call covers them all while keeping
 	// the per-block lookup count (len(reverse) Table-I lookups).
@@ -243,29 +235,6 @@ func (e *Engine) Tag(ctx context.Context, r, t string) error {
 		return fmt.Errorf("core: tag %q on %q (reverse t̂ arcs): %w", t, r, err)
 	}
 	return nil
-}
-
-// reverseParallel issues the reverse-arc appends concurrently. Appends
-// are commutative, so ordering does not matter. Every failure is
-// reported — the joined error carries one branch per failed arc, so a
-// load test counting failed appends sees all of them, not just the
-// first.
-func (e *Engine) reverseParallel(ctx context.Context, r, t string, reverse []wire.Entry) error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(reverse))
-	for i, en := range reverse {
-		wg.Add(1)
-		go func(i int, field string) {
-			defer wg.Done()
-			if err := e.store.Append(ctx, BlockKey(field, BlockTagNeighbors), []wire.Entry{
-				{Field: t, Count: 1},
-			}); err != nil {
-				errs[i] = fmt.Errorf("core: tag %q on %q (t̂ of %q): %w", t, r, field, err)
-			}
-		}(i, en.Field)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
 }
 
 // SearchStep retrieves the navigation data for tag t: its FG neighbours

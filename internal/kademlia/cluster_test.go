@@ -93,7 +93,7 @@ func TestNoAddressReuseAfterRemoval(t *testing.T) {
 
 // TestClusterChurnConcurrent runs joins, graceful leaves, crashes,
 // revives and membership reads all at once, against a cluster under
-// RPC load — the shape `dharma-bench load -churn` produces. It checks
+// RPC load — the shape TestChurnUnderLoad produces. It checks
 // the reader-facing invariants: NodeAt never returns a node outside the
 // snapshot contract, addresses stay unique, and the overlay stays
 // usable throughout.

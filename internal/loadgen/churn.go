@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,24 +74,6 @@ type ChurnStats struct {
 func (s ChurnStats) String() string {
 	return fmt.Sprintf("%d crashes, %d graceful leaves, %d revives, %d joins",
 		s.Crashes, s.Leaves, s.Revives, s.Joins)
-}
-
-// ParseChurnSpec parses the CLI form "rate,kill-fraction" (for example
-// "20,0.25") into a ChurnConfig with the remaining fields zero.
-func ParseChurnSpec(spec string) (ChurnConfig, error) {
-	parts := strings.Split(spec, ",")
-	if len(parts) != 2 {
-		return ChurnConfig{}, fmt.Errorf(`loadgen: churn spec %q: want "rate,kill-fraction"`, spec)
-	}
-	rate, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
-	if err != nil || rate <= 0 {
-		return ChurnConfig{}, fmt.Errorf("loadgen: churn rate %q: want a positive events/sec", parts[0])
-	}
-	frac, err := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
-	if err != nil || frac <= 0 || frac > 1 {
-		return ChurnConfig{}, fmt.Errorf("loadgen: kill fraction %q: want a value in (0,1]", parts[1])
-	}
-	return ChurnConfig{Rate: rate, KillFraction: frac}, nil
 }
 
 // NewChurner prepares a churner over cl. Call Run to start.

@@ -8,21 +8,6 @@ import (
 	"dharma/internal/kademlia"
 )
 
-func TestParseChurnSpec(t *testing.T) {
-	cc, err := ParseChurnSpec("20,0.25")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cc.Rate != 20 || cc.KillFraction != 0.25 {
-		t.Fatalf("parsed %+v", cc)
-	}
-	for _, bad := range []string{"", "20", "20,0.25,3", "x,0.25", "20,y", "-1,0.25", "20,0", "20,1.5"} {
-		if _, err := ParseChurnSpec(bad); err == nil {
-			t.Errorf("spec %q parsed without error", bad)
-		}
-	}
-}
-
 func TestChurnerRespectsProtectionAndKillCap(t *testing.T) {
 	cl, err := kademlia.NewCluster(kademlia.ClusterConfig{
 		N:    16,

@@ -1,3 +1,8 @@
+// Package loadgen holds the scenario drivers behind dharma-bench's
+// overload and scale subcommands, and the membership Churner the churn
+// tests run against a live cluster. Throughput and latency of the
+// paper's primitives are measured by the repository benchmark (bench/),
+// not here.
 package loadgen
 
 import (
@@ -14,7 +19,7 @@ import (
 	"time"
 
 	"dharma/internal/core"
-	"dharma/internal/metrics"
+	"dharma/internal/obs"
 	"dharma/internal/wire"
 )
 
@@ -42,8 +47,8 @@ type OverloadConfig struct {
 	// counted, so the generator itself cannot become the unbounded
 	// queue it is trying to detect.
 	MaxInFlight int
-	// Resources and Tags size the seeded vocabulary (defaults as in
-	// Config); TagZipfS/TagZipfV shape tag popularity.
+	// Resources and Tags size the seeded vocabulary (default 64 and 32);
+	// TagZipfS/TagZipfV shape tag popularity.
 	Resources, Tags    int
 	TagZipfS, TagZipfV float64
 	// Seed drives the generator's randomness.
@@ -98,7 +103,7 @@ type OverloadPhase struct {
 	Failed     int64         // other failures
 	Shed       int64         // ops dropped client-side at MaxInFlight
 	Goodput    float64       // successes per second
-	P50, P99   time.Duration // success latency percentiles
+	P50, P99   time.Duration // success latency percentiles (obs.Histogram buckets)
 	ServerBusy int64         // server-side admission rejections (delta)
 	MaxGor     int           // peak goroutine count sampled in-phase
 }
@@ -211,7 +216,7 @@ func RunOverload(ctx context.Context, cfg OverloadConfig, engines []*core.Engine
 		return nil, fmt.Errorf("loadgen: no engines to drive")
 	}
 	cfg = cfg.withDefaults()
-	vocab := buildVocabulary(Config{Resources: cfg.Resources, Tags: cfg.Tags})
+	vocab := newVocabulary(cfg.Resources, cfg.Tags)
 
 	// Seed: every tag gets a block so reads have something to find.
 	seedRng := rand.New(rand.NewSource(cfg.Seed))
@@ -259,6 +264,22 @@ func RunOverload(ctx context.Context, cfg OverloadConfig, engines []*core.Engine
 		time.Sleep(50 * time.Millisecond)
 	}
 	return rep, nil
+}
+
+// vocabulary is the name universe of one overload run.
+type vocabulary struct {
+	resources, tags []string
+}
+
+func newVocabulary(resources, tags int) vocabulary {
+	var v vocabulary
+	for i := 0; i < resources; i++ {
+		v.resources = append(v.resources, fmt.Sprintf("lr%d", i))
+	}
+	for i := 0; i < tags; i++ {
+		v.tags = append(v.tags, fmt.Sprintf("lt%d", i))
+	}
+	return v
 }
 
 // calibrate measures closed-loop capacity: cfg.Workers goroutines issue
@@ -340,7 +361,7 @@ func runPhase(ctx context.Context, cfg OverloadConfig, engines []*core.Engine, v
 		}
 	}
 
-	lat := &metrics.LatencyRecorder{}
+	var lat obs.Histogram // Check reads neither percentile; 2x resolution suffices
 	var succeeded, busy, deadline, failed atomic.Int64
 	inflight := make(chan struct{}, cfg.MaxInFlight)
 	var wg sync.WaitGroup
@@ -408,8 +429,7 @@ func runPhase(ctx context.Context, cfg OverloadConfig, engines []*core.Engine, v
 	ph.Deadline = deadline.Load()
 	ph.Failed = failed.Load()
 	ph.Goodput = float64(ph.Succeeded) / elapsed.Seconds()
-	s := lat.Summary()
-	ph.P50, ph.P99 = s.P50, s.P99
+	ph.P50, ph.P99 = time.Duration(lat.Quantile(50)), time.Duration(lat.Quantile(99))
 	ph.MaxGor = maxGor
 	if serverBusy != nil {
 		ph.ServerBusy = serverBusy() - busyBefore

@@ -7,6 +7,11 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dharma/internal/core"
+	"dharma/internal/dht"
+	"dharma/internal/kadid"
+	"dharma/internal/wire"
 )
 
 // overloadConfigFast keeps the scenario short enough for the test
@@ -24,12 +29,44 @@ func overloadConfigFast() OverloadConfig {
 	}
 }
 
+// latencyStore gives every block operation a fixed service time, so the
+// engines' capacity is set by that latency and by concurrency, not by
+// how much CPU the test binaries running beside this one leave it:
+// offered load past the calibrated rate then adds concurrency instead
+// of racing other processes for cores.
+type latencyStore struct{ dht.Store }
+
+const storeLatency = time.Millisecond
+
+func (s latencyStore) Append(ctx context.Context, key kadid.ID, entries []wire.Entry) error {
+	time.Sleep(storeLatency)
+	return s.Store.Append(ctx, key, entries)
+}
+
+func (s latencyStore) AppendBatch(ctx context.Context, items []dht.BatchItem) error {
+	time.Sleep(storeLatency)
+	return s.Store.AppendBatch(ctx, items)
+}
+
+func (s latencyStore) Get(ctx context.Context, key kadid.ID, topN int) ([]wire.Entry, error) {
+	time.Sleep(storeLatency)
+	return s.Store.Get(ctx, key, topN)
+}
+
 // TestRunOverloadLocalEngines drives the scenario against in-process
-// engines: goodput must not collapse at 3x offered load (the local
-// store has effectively infinite capacity, so this checks the
-// generator's accounting, not admission).
+// engines sharing one store: goodput must not collapse at 3x offered
+// load (the store has effectively unbounded concurrency, so this
+// checks the generator's accounting, not admission).
 func TestRunOverloadLocalEngines(t *testing.T) {
-	engines := localEngines(t, 4)
+	store := latencyStore{dht.NewLocal()}
+	engines := make([]*core.Engine, 4)
+	for i := range engines {
+		e, err := core.NewEngine(store, core.Config{Mode: core.Approximated, K: 3, Seed: int64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[i] = e
+	}
 	rep, err := RunOverload(context.Background(), overloadConfigFast(), engines, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -1,10 +1,6 @@
 package metrics
 
-import (
-	"sort"
-	"sync"
-	"time"
-)
+import "sort"
 
 // Percentile returns the p-th percentile (p in [0,100]) of a sample by
 // the nearest-rank method on a sorted copy. An empty sample yields 0.
@@ -14,13 +10,6 @@ func Percentile(v []float64, p float64) float64 {
 	}
 	sorted := append([]float64(nil), v...)
 	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
-}
-
-func percentileSorted(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
 	switch {
 	case p <= 0:
 		return sorted[0]
@@ -35,66 +24,4 @@ func percentileSorted(sorted []float64, p float64) float64 {
 		rank = len(sorted) - 1
 	}
 	return sorted[rank]
-}
-
-// LatencySummary condenses a latency sample into the figures a load
-// report prints.
-type LatencySummary struct {
-	N                  int
-	Mean               time.Duration
-	P50, P90, P99, Max time.Duration
-}
-
-// LatencyRecorder accumulates per-operation latencies from many
-// goroutines. Observations append under a mutex; summaries sort a
-// snapshot. The recorder keeps raw samples (a load run is bounded), so
-// percentiles are exact rather than histogram-bucketed.
-type LatencyRecorder struct {
-	mu      sync.Mutex
-	samples []float64 // nanoseconds
-}
-
-// Observe records one operation's latency. Safe for concurrent use.
-func (r *LatencyRecorder) Observe(d time.Duration) {
-	r.mu.Lock()
-	r.samples = append(r.samples, float64(d))
-	r.mu.Unlock()
-}
-
-// Merge appends every sample recorded by other. Safe for concurrent
-// use on the receiver; other must be quiescent.
-func (r *LatencyRecorder) Merge(other *LatencyRecorder) {
-	r.mu.Lock()
-	r.samples = append(r.samples, other.samples...)
-	r.mu.Unlock()
-}
-
-// Count returns how many observations were recorded.
-func (r *LatencyRecorder) Count() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.samples)
-}
-
-// Summary computes the latency figures over everything observed so far.
-func (r *LatencyRecorder) Summary() LatencySummary {
-	r.mu.Lock()
-	sorted := append([]float64(nil), r.samples...)
-	r.mu.Unlock()
-	if len(sorted) == 0 {
-		return LatencySummary{}
-	}
-	sort.Float64s(sorted)
-	var sum float64
-	for _, x := range sorted {
-		sum += x
-	}
-	return LatencySummary{
-		N:    len(sorted),
-		Mean: time.Duration(sum / float64(len(sorted))),
-		P50:  time.Duration(percentileSorted(sorted, 50)),
-		P90:  time.Duration(percentileSorted(sorted, 90)),
-		P99:  time.Duration(percentileSorted(sorted, 99)),
-		Max:  time.Duration(sorted[len(sorted)-1]),
-	}
 }

@@ -1,10 +1,6 @@
 package metrics
 
-import (
-	"sync"
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestPercentile(t *testing.T) {
 	v := []float64{50, 10, 40, 30, 20} // unsorted on purpose
@@ -25,62 +21,5 @@ func TestPercentile(t *testing.T) {
 	// Input must stay untouched (Percentile sorts a copy).
 	if v[0] != 50 || v[4] != 20 {
 		t.Errorf("Percentile mutated its input: %v", v)
-	}
-}
-
-func TestLatencyRecorderSummary(t *testing.T) {
-	var r LatencyRecorder
-	if s := r.Summary(); s.N != 0 || s.P99 != 0 {
-		t.Fatalf("empty recorder summary = %+v", s)
-	}
-	for i := 1; i <= 100; i++ {
-		r.Observe(time.Duration(i) * time.Millisecond)
-	}
-	s := r.Summary()
-	if s.N != 100 {
-		t.Fatalf("N = %d", s.N)
-	}
-	if s.P50 != 50*time.Millisecond {
-		t.Errorf("P50 = %v", s.P50)
-	}
-	if s.P99 != 99*time.Millisecond {
-		t.Errorf("P99 = %v", s.P99)
-	}
-	if s.Max != 100*time.Millisecond {
-		t.Errorf("Max = %v", s.Max)
-	}
-	if want := 50500 * time.Microsecond; s.Mean != want {
-		t.Errorf("Mean = %v, want %v", s.Mean, want)
-	}
-}
-
-func TestLatencyRecorderConcurrent(t *testing.T) {
-	var r LatencyRecorder
-	var wg sync.WaitGroup
-	const workers, each = 8, 500
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				r.Observe(time.Microsecond)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := r.Count(); got != workers*each {
-		t.Fatalf("Count = %d, want %d", got, workers*each)
-	}
-}
-
-func TestLatencyRecorderMerge(t *testing.T) {
-	var a, b LatencyRecorder
-	a.Observe(time.Millisecond)
-	b.Observe(2 * time.Millisecond)
-	b.Observe(3 * time.Millisecond)
-	a.Merge(&b)
-	s := a.Summary()
-	if s.N != 3 || s.Max != 3*time.Millisecond {
-		t.Fatalf("merged summary = %+v", s)
 	}
 }

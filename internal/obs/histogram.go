@@ -115,7 +115,7 @@ func (h *Histogram) Quantile(p float64) int64 {
 	if n == 0 {
 		return 0
 	}
-	// Nearest-rank, mirroring metrics.percentileSorted: the q-th sample
+	// Nearest-rank, mirroring metrics.Percentile: the q-th sample
 	// (0-based) of the sorted sequence.
 	var rank uint64
 	switch {

@@ -36,7 +36,7 @@
 // and fsyncs the whole buffer at once, so every appender that arrived
 // while the previous fsync was in flight shares the next one. Under
 // concurrent load this sustains one fsync per flush window rather than
-// one per append — the same shape as dht.Batching, one layer down.
+// one per append.
 package persist
 
 import (
@@ -101,9 +101,10 @@ type Options struct {
 	// FlushWindow is how long the group-commit flusher lingers after
 	// the first staged commit before writing and fsyncing, letting
 	// concurrent committers pile into the same flush (default 500µs,
-	// negative disables the wait). Only SyncGroup uses it: it trades a
-	// bounded ack latency for an order of magnitude fewer fsyncs under
-	// load, the same window shape as dht.Batching one layer up.
+	// negative disables the wait). Only SyncGroup uses it: every commit
+	// staged inside the window is acknowledged by one write and one
+	// fsync, trading up to FlushWindow of ack latency for an order of
+	// magnitude fewer fsyncs under load.
 	FlushWindow time.Duration
 	// CompactBytes is the number of logged bytes after which the
 	// embedding layer should snapshot-and-truncate. The Log itself

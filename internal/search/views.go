@@ -144,7 +144,7 @@ func (v *EngineView) load(t string) {
 		// the first failure is retained for Err. ErrNoSuchTag is
 		// retained too: on an overlay, a dropped lookup of an existing
 		// tag is indistinguishable from an unknown tag, and callers
-		// that navigate a known vocabulary (the load harness) must see
+		// that navigate a known vocabulary (the benchmark) must see
 		// it — callers starting from arbitrary user input can filter
 		// with errors.Is(err, core.ErrNoSuchTag).
 		if v.err == nil {

@@ -6,11 +6,15 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"dharma/internal/chaos"
 	"dharma/internal/core"
 	"dharma/internal/dht"
+	"dharma/internal/kademlia"
+	"dharma/internal/loadgen"
 	"dharma/internal/simnet"
+	"dharma/internal/wire"
 )
 
 // TestConcurrentSoak drives one System from many goroutines with a mixed
@@ -144,59 +148,10 @@ func TestChaosChurnSoak(t *testing.T) {
 	// Clients write through recording stores, so every acknowledged
 	// write lands in the ledger the final check verifies.
 	ledger := chaos.NewLedger()
-	engines := make([]*core.Engine, clients)
-	for i := range engines {
-		st := chaos.NewRecording(dht.NewOverlay(sys.Peer(i).Node, nil), ledger)
-		engines[i], err = core.NewEngine(st, core.Config{Mode: Approximated, K: 3, Seed: seed + int64(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	resources := make([]string, 16)
-	tags := make([]string, 10)
-	for i := range tags {
-		tags[i] = fmt.Sprintf("ct%d", i)
-	}
-	for i := range resources {
-		resources[i] = fmt.Sprintf("cr%d", i)
-		if err := engines[0].InsertResource(context.Background(), resources[i], "uri:"+resources[i], tags[i%len(tags)]); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// runPhase drives the mixed workload once across all clients.
-	runPhase := func(phase int) {
-		var wg sync.WaitGroup
-		for w := 0; w < clients; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(seed + int64(phase*100+w)))
-				e := engines[w]
-				for i := 0; i < opsPerGoro; i++ {
-					r := resources[rng.Intn(len(resources))]
-					tg := tags[rng.Intn(len(tags))]
-					switch rng.Intn(10) {
-					case 0:
-						name := fmt.Sprintf("cr-p%d-w%d-%d", phase, w, i)
-						// Inserts may fail transiently under faults; the
-						// ledger records only what was acknowledged, which
-						// is exactly the contract being tested.
-						_ = e.InsertResource(context.Background(), name, "uri:"+name, tg)
-					case 1, 2:
-						_, _, _ = e.SearchStep(context.Background(), tg)
-					default:
-						_ = e.Tag(context.Background(), r, tg)
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
+	load := newMixedLoad(t, sys, clients, ledger, "c", seed)
 
 	// Phase 1: healthy overlay.
-	runPhase(1)
+	mixedPhase(load, 1, opsPerGoro)
 
 	// Chaos: crash 25% of the storage nodes (never the clients) and cut
 	// client 1 off from four live storage nodes.
@@ -217,7 +172,7 @@ func TestChaosChurnSoak(t *testing.T) {
 	}
 
 	// Phase 2: workload continues against the degraded overlay.
-	runPhase(2)
+	mixedPhase(load, 2, opsPerGoro)
 
 	// Heal the partition; the crashed quarter stays dead.
 	for _, peer := range cut {
@@ -264,55 +219,10 @@ func TestChaosCrashWaveHealedByAntiEntropy(t *testing.T) {
 	}
 
 	ledger := chaos.NewLedger()
-	engines := make([]*core.Engine, clients)
-	for i := range engines {
-		st := chaos.NewRecording(dht.NewOverlay(sys.Peer(i).Node, nil), ledger)
-		engines[i], err = core.NewEngine(st, core.Config{Mode: Approximated, K: 3, Seed: seed + int64(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	resources := make([]string, 16)
-	tags := make([]string, 10)
-	for i := range tags {
-		tags[i] = fmt.Sprintf("at%d", i)
-	}
-	for i := range resources {
-		resources[i] = fmt.Sprintf("ar%d", i)
-		if err := engines[0].InsertResource(context.Background(), resources[i], "uri:"+resources[i], tags[i%len(tags)]); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	runPhase := func(phase int) {
-		var wg sync.WaitGroup
-		for w := 0; w < clients; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(seed + int64(phase*100+w)))
-				e := engines[w]
-				for i := 0; i < opsPerGoro; i++ {
-					r := resources[rng.Intn(len(resources))]
-					tg := tags[rng.Intn(len(tags))]
-					switch rng.Intn(10) {
-					case 0:
-						name := fmt.Sprintf("ar-p%d-w%d-%d", phase, w, i)
-						_ = e.InsertResource(context.Background(), name, "uri:"+name, tg)
-					case 1, 2:
-						_, _, _ = e.SearchStep(context.Background(), tg)
-					default:
-						_ = e.Tag(context.Background(), r, tg)
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
+	load := newMixedLoad(t, sys, clients, ledger, "a", seed)
 
 	// Phase 1: healthy overlay. Phase 2 runs against the degraded one.
-	runPhase(1)
+	mixedPhase(load, 1, opsPerGoro)
 	cl := sys.Cluster()
 	crashRng := rand.New(rand.NewSource(seed))
 	for c := 0; c < crashCount; c++ {
@@ -321,7 +231,7 @@ func TestChaosCrashWaveHealedByAntiEntropy(t *testing.T) {
 			t.Fatalf("crash %d: %v", c, err)
 		}
 	}
-	runPhase(2)
+	mixedPhase(load, 2, opsPerGoro)
 
 	// Heal purely through anti-entropy rounds on the survivors, then the
 	// invariant: zero acknowledged-write loss. Enough rounds that the
@@ -352,6 +262,162 @@ func TestChaosCrashWaveHealedByAntiEntropy(t *testing.T) {
 	}
 }
 
+// TestChurnUnderLoad runs the mixed workload from protected clients on a
+// 20-node overlay while a Churner crashes, revives, removes and joins
+// the other nodes at 25 events/s (at most a quarter dead at once), with
+// read-repair, a 2-replica write quorum and 500ms background
+// maintenance on. After a repair pass — the nodes still crashed stay
+// down — every acknowledged write must be readable. The memory variant
+// adds 2% packet loss; in the durable one every node logs to a WAL, so a
+// revived node recovers its blocks from disk, not from retained memory.
+func TestChurnUnderLoad(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		name := "memory"
+		if durable {
+			name = "durable"
+		}
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			const (
+				nodes      = 20
+				clients    = nodes / 4 // protected prefix: workers drive these
+				opsPerGoro = 30
+				seed       = 20261015
+			)
+			// Quorum 2: an acknowledged write survives the crash of either
+			// acker even before any repair round spreads it further.
+			cfg := Config{Nodes: nodes, Mode: Approximated, K: 3, ReadRepair: true, WriteQuorum: 2, Seed: seed}
+			if durable {
+				cfg.DataDir, cfg.NoFsync = t.TempDir(), true
+			} else {
+				cfg.DropRate = 0.02
+			}
+			sys, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Shutdown()
+			ctx, cancel := context.WithCancel(context.Background())
+			maint := sys.Cluster().StartMaintenance(ctx, kademlia.MaintainerConfig{
+				Interval: 500 * time.Millisecond, Seed: seed,
+			})
+			defer func() {
+				cancel()
+				maint.Wait()
+			}()
+
+			ledger := chaos.NewLedger()
+			load := newMixedLoad(t, sys, clients, ledger, "u", seed)
+			churner, err := loadgen.NewChurner(sys.Cluster(), loadgen.ChurnConfig{
+				Rate: 25, KillFraction: 0.25, Protected: clients, Seed: seed,
+				Node: sys.Peer(0).Node.Config(), // joiners run what members run
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			churnCtx, stopChurn := context.WithCancel(ctx)
+			churnDone := make(chan struct{})
+			go func() {
+				defer close(churnDone)
+				churner.Run(churnCtx)
+			}()
+			// Keep the workload going until the churner has made ten
+			// membership changes, a crash and a revive among them, so every
+			// run covers the whole cycle.
+			phase := 1
+			for ; phase < 50; phase++ {
+				mixedPhase(load, phase, opsPerGoro)
+				st := churner.Stats()
+				if st.Crashes > 0 && st.Revives > 0 && st.Crashes+st.Leaves+st.Revives+st.Joins >= 10 {
+					break
+				}
+			}
+			stopChurn()
+			<-churnDone
+			if st := churner.Stats(); st.Crashes == 0 || st.Revives == 0 {
+				t.Fatalf("churner never crashed and revived a node: %s", st)
+			}
+
+			violations := chaos.RepairAndCheck(ctx, sys.Cluster(), ledger, 2)
+			if len(violations) != 0 {
+				t.Fatalf("lost %d of %d acknowledged (block,field) obligations after repair (churn: %s):\n%v",
+					len(violations), ledger.Fields(), churner.Stats(), violations)
+			}
+			if ledger.Fields() == 0 {
+				t.Fatal("ledger recorded nothing; the scenario tested no writes")
+			}
+			t.Logf("%d phases, churn: %s, %d obligations readable", phase, churner.Stats(), ledger.Fields())
+		})
+	}
+}
+
+// mixedLoad is the churn soaks' workload: protected client engines
+// writing through chaos.Recording stores into one ledger, and the seeded
+// vocabulary they draw from.
+type mixedLoad struct {
+	engines         []*core.Engine
+	resources, tags []string
+	prefix          string
+	seed            int64
+}
+
+// newMixedLoad builds one engine per client on the system's first
+// clients peers and seeds 16 resources covering 10 tags, named
+// prefix+"r<i>" and prefix+"t<i>".
+func newMixedLoad(t *testing.T, sys *System, clients int, ledger *chaos.Ledger, prefix string, seed int64) *mixedLoad {
+	t.Helper()
+	l := &mixedLoad{prefix: prefix, seed: seed}
+	for i := 0; i < clients; i++ {
+		st := chaos.NewRecording(dht.NewOverlay(sys.Peer(i).Node, nil), ledger)
+		e, err := core.NewEngine(st, core.Config{Mode: Approximated, K: 3, Seed: seed + int64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.engines = append(l.engines, e)
+	}
+	for i := 0; i < 10; i++ {
+		l.tags = append(l.tags, fmt.Sprintf("%st%d", prefix, i))
+	}
+	for i := 0; i < 16; i++ {
+		r := fmt.Sprintf("%sr%d", prefix, i)
+		l.resources = append(l.resources, r)
+		if err := l.engines[0].InsertResource(context.Background(), r, "uri:"+r, l.tags[i%len(l.tags)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return l
+}
+
+// mixedPhase drives the workload once: every client runs ops operations
+// on its own goroutine — 10% inserts of a fresh resource, 20% search
+// steps, 70% tags. Errors are ignored: under faults an op may fail, and
+// the ledger records only what was acknowledged, which is exactly the
+// contract the soaks check.
+func mixedPhase(l *mixedLoad, phase, ops int) {
+	var wg sync.WaitGroup
+	for w, e := range l.engines {
+		wg.Add(1)
+		go func(w int, e *core.Engine) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(l.seed + int64(phase*100+w)))
+			for i := 0; i < ops; i++ {
+				r := l.resources[rng.Intn(len(l.resources))]
+				tg := l.tags[rng.Intn(len(l.tags))]
+				switch rng.Intn(10) {
+				case 0:
+					name := fmt.Sprintf("%sr-p%d-w%d-%d", l.prefix, phase, w, i)
+					_ = e.InsertResource(context.Background(), name, "uri:"+name, tg)
+				case 1, 2:
+					_, _, _ = e.SearchStep(context.Background(), tg)
+				default:
+					_ = e.Tag(context.Background(), r, tg)
+				}
+			}
+		}(w, e)
+	}
+	wg.Wait()
+}
+
 // TestConcurrentSoakLocalEngine exercises the embedding mode: one
 // engine over one Local store shared by many goroutines.
 func TestConcurrentSoakLocalEngine(t *testing.T) {
@@ -360,31 +426,81 @@ func TestConcurrentSoakLocalEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := engine.InsertResource(context.Background(), "shared", "uri:shared", "a", "b", "c", "d", "e", "f"); err != nil {
-		t.Fatal(err)
-	}
+	ctx := context.Background()
 
-	var wg sync.WaitGroup
-	for w := 0; w < 12; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				tag := fmt.Sprintf("t%d", i%9)
-				if err := engine.Tag(context.Background(), "shared", tag); err != nil {
-					t.Error(err)
-					return
+	t.Run("shared-resource", func(t *testing.T) {
+		if err := engine.InsertResource(ctx, "shared", "uri:shared", "a", "b", "c", "d", "e", "f"); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 12; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 200; i++ {
+					tag := fmt.Sprintf("t%d", i%9)
+					if err := engine.Tag(ctx, "shared", tag); err != nil {
+						t.Error(err)
+						return
+					}
+					if _, err := engine.TagsOf(ctx, "shared"); err != nil {
+						t.Error(err)
+						return
+					}
 				}
-				if _, err := engine.TagsOf(context.Background(), "shared"); err != nil {
-					t.Error(err)
-					return
-				}
+			}()
+		}
+		wg.Wait()
+		if got := store.Lookups(); got == 0 {
+			t.Fatal("no lookups recorded")
+		}
+	})
+
+	// A hot tag's t̄ block holds thousands of resources; concurrent
+	// search steps on it, racing taggers that keep growing it, must each
+	// get a full top-N page in non-increasing weight order.
+	t.Run("hot-tag", func(t *testing.T) {
+		const prefill, chunk = 5000, 256
+		key := core.BlockKey("hot", core.BlockTagResources)
+		for base := 0; base < prefill; base += chunk {
+			entries := make([]wire.Entry, min(chunk, prefill-base))
+			for i := range entries {
+				entries[i] = wire.Entry{Field: fmt.Sprintf("hp%d", base+i), Count: uint64((base+i)%9973 + 1)}
 			}
-		}(w)
-	}
-	wg.Wait()
-
-	if got := store.Lookups(); got == 0 {
-		t.Fatal("no lookups recorded")
-	}
+			if err := store.Append(ctx, key, entries); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 100; i++ {
+					if w%2 == 0 {
+						if err := engine.Tag(ctx, fmt.Sprintf("hr%d-%d", w, i), "hot"); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+					_, res, err := engine.SearchStep(ctx, "hot")
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if len(res) != core.DefaultTopN {
+						t.Errorf("search step returned %d resources, want %d", len(res), core.DefaultTopN)
+						return
+					}
+					for j := 1; j < len(res); j++ {
+						if res[j].Weight > res[j-1].Weight {
+							t.Errorf("resources out of order at %d: %+v after %+v", j, res[j], res[j-1])
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	})
 }
