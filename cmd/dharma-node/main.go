@@ -280,16 +280,17 @@ func serve(ctx context.Context, args []string) error {
 		select {
 		case <-ctx.Done():
 		case <-tick:
-			before := node.AntiEntropy()
-			if err := p.MaintainOnce(ctx); err != nil {
+			round, err := p.MaintainOnce(ctx)
+			if err != nil {
 				logger.Warn("revocation refresh failed; previous set stays in force", "err", err)
 			}
 			// This round's block decisions, then the running totals.
 			ae := node.AntiEntropy()
 			logger.Info("maintenance: anti-entropy",
-				"synced", ae.Synced-before.Synced,
-				"suppressed", ae.Suppressed-before.Suppressed,
-				"skipped", ae.Skipped-before.Skipped,
+				"synced", round.Synced,
+				"suppressed", round.Suppressed,
+				"skipped", round.Skipped,
+				"acks", round.Acks,
 				"matches", ae.DigestMatches,
 				"delta-entries", ae.DeltaEntries,
 				"full-blocks", ae.FullBlocks,

@@ -275,7 +275,6 @@ type Peer struct {
 	cache     *dht.Cached       // nil unless Config.CacheBlocks > 0
 	cachePath string            // snapshot location; empty on in-memory systems
 	net       *simnet.NodeStats // simulated endpoint traffic; nil on real-UDP peers
-	maint     *kademlia.Maintainer
 	// Security layer state; nil/empty on open-overlay and simulated
 	// peers. revSet is shared with the node config's Revoked hook and
 	// the session manager, so a Refresh propagates everywhere at once.
@@ -472,7 +471,6 @@ func newPeer(node *kademlia.Node, cfg Config, dir string, seed int64) (*Peer, er
 	p := &Peer{
 		Node:  node,
 		store: dht.NewOverlay(node, node.Identity()), // signs URI entries on a Likir overlay
-		maint: kademlia.NewMaintainer(node, kademlia.MaintainerConfig{Seed: seed}),
 	}
 	var engineStore dht.Store = p.store
 	if cfg.CacheBlocks > 0 {
@@ -569,9 +567,9 @@ func (s *System) Size() int { return len(s.peers) }
 func (s *System) Network() *simnet.Network { return s.cluster.Net }
 
 // Cluster exposes the overlay cluster for churn operations (RemoveNode,
-// Crash, Revive, StartMaintenance) and membership inspection. Peers are
-// bound to the nodes the System was built with; drive load only through
-// peers whose nodes churn does not touch.
+// Crash, Revive) and membership inspection. Peers are bound to the
+// nodes the System was built with; drive load only through peers whose
+// nodes churn does not touch.
 func (s *System) Cluster() *kademlia.Cluster { return s.cluster }
 
 // SetDown crashes (or revives) the i-th node: its endpoint stops
@@ -773,16 +771,23 @@ func NewUDPPeer(ctx context.Context, ucfg UDPPeerConfig) (_ *Peer, err error) {
 
 // MaintainOnce runs one maintenance round: the revocation bundle is
 // re-read and sessions of newly revoked peers are torn down, so the
-// round never syncs with them; then kademlia.Maintainer.RunOnce evicts
+// round never syncs with them; then kademlia.Node.MaintainOnce evicts
 // dead contacts, refreshes a rotating sample of buckets and reconciles
-// blocks with their replica sets. ctx bounds the round's RPCs. The
-// facade never calls it: the peer's owner sets the cadence. The error is
-// the bundle failing to load — the previous set stays in force and the
-// round has still run.
-func (p *Peer) MaintainOnce(ctx context.Context) error {
-	defer p.maint.RunOnce(ctx) // whatever the refresh below returns
+// blocks with their replica sets, and its report is returned. ctx
+// bounds the round's RPCs. The facade never calls it: the peer's owner
+// sets the cadence. The error is the bundle failing to load — the
+// previous set stays in force and the round has still run.
+func (p *Peer) MaintainOnce(ctx context.Context) (kademlia.MaintenanceRound, error) {
+	err := p.refreshRevocations()
+	return p.Node.MaintainOnce(ctx), err
+}
+
+// refreshRevocations re-reads the revocation bundle and drops sessions
+// of peers it newly revokes; a no-op on a peer built without
+// RevocationsPath.
+func (p *Peer) refreshRevocations() error {
 	if p.revSet == nil {
-		return nil // built without RevocationsPath
+		return nil
 	}
 	bundle, err := os.ReadFile(p.revPath)
 	if err != nil {

@@ -201,7 +201,8 @@ func TestUDPPeerFailedBootReleasesWAL(t *testing.T) {
 // TestUDPPeerMaintainOnce drives the facade's one maintenance entry
 // point over real sockets: a round evicts a dead contact, and a round on
 // a block holder hands a late joiner the blocks it is now a replica of,
-// proving agreement with the older replicas by digest.
+// proving agreement with the older replicas by digest. Each round's
+// report says what it did.
 func TestUDPPeerMaintainOnce(t *testing.T) {
 	ctx := context.Background()
 	boot := func(via *Peer) *Peer {
@@ -229,22 +230,27 @@ func TestUDPPeerMaintainOnce(t *testing.T) {
 		t.Fatal("seed never learned the peer that bootstrapped through it")
 	}
 	c.Close()
-	if err := a.MaintainOnce(ctx); err != nil {
+	round, err := a.MaintainOnce(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Node.Table().Contains(dead) {
-		t.Fatal("MaintainOnce left the dead contact in the routing table")
+	if a.Node.Table().Contains(dead) || round.Evicted == 0 {
+		t.Fatalf("MaintainOnce left the dead contact in the routing table (report %+v)", round)
 	}
 
 	d := boot(a)
 	if n := d.Node.LocalStore().Len(); n != 0 {
 		t.Fatalf("late joiner holds %d blocks before any maintenance round", n)
 	}
-	if err := b.MaintainOnce(ctx); err != nil {
+	round, err = b.MaintainOnce(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if d.Node.LocalStore().Len() == 0 {
 		t.Fatal("late joiner received no blocks from a holder's maintenance round")
+	}
+	if round.Synced == 0 || round.Acks == 0 {
+		t.Fatalf("holder's round reports no synced blocks or acks: %+v", round)
 	}
 	if st := b.Stats(); st.DigestMatches+st.DeltaEntries == 0 {
 		t.Fatalf("round moved no digests and no deltas: %+v", st)

@@ -214,10 +214,8 @@ func BenchmarkChurnRecovery(b *testing.B) {
 		for _, h := range downed {
 			cl.Net.SetDown(simnet.Addr(h.Self().Addr), true)
 		}
-		m := NewMaintainer(survivor, MaintainerConfig{Seed: int64(i)})
-
 		b.StartTimer()
-		m.RunOnce(context.Background())
+		survivor.MaintainOnce(context.Background())
 		if _, err := reader.FindValue(context.Background(), key, 0); err != nil {
 			b.Fatalf("block unreadable after recovery: %v", err)
 		}

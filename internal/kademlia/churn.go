@@ -14,9 +14,9 @@ import (
 // ways — a graceful leave, where the departing node hands its blocks to
 // the nodes that will be responsible for them, and a crash, where the
 // node simply stops answering — and regains them through joins
-// (AddNode) and recoveries (Revive). Together with the background
-// Maintainer and read-repair these keep every block's replica set
-// populated while membership moves underneath it.
+// (AddNode) and recoveries (Revive). Together with each member's
+// Node.MaintainOnce rounds and read-repair these keep every block's
+// replica set populated while membership moves underneath it.
 //
 // On a durable cluster (ClusterConfig.DataDir) the crash/revive pair
 // models a real process death: Crash kills the node's write-ahead log
@@ -120,7 +120,6 @@ func (c *Cluster) RemoveNode(ctx context.Context, i int) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.notifyLeave(n)
 	// Hand off while still attached, so the departing node can reach
 	// the replicas that take over its blocks; then disappear.
 	_, _, herr := n.Handoff(ctx)
@@ -140,7 +139,6 @@ func (c *Cluster) Crash(i int) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.notifyLeave(n)
 	addr := simnet.Addr(n.Self().Addr)
 	c.Net.SetDown(addr, true)
 	// Close the node's own endpoint too (which detaches it): a crashed
@@ -192,6 +190,5 @@ func (c *Cluster) Revive(ctx context.Context, n *Node, via int) (*Node, error) {
 	c.mu.Lock()
 	c.Nodes = append(c.Nodes, node)
 	c.mu.Unlock()
-	c.notifyJoin(node)
 	return node, nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"dharma/internal/kadid"
 	"dharma/internal/simnet"
@@ -121,7 +120,7 @@ func TestCrashIsAbruptAndReviveRejoins(t *testing.T) {
 	// maintenance round on the dead node must be a no-op, not a sweep
 	// that mistakes its own send failures for every peer being dead.
 	tableBefore := victim.Table().Len()
-	NewMaintainer(victim, MaintainerConfig{Seed: 1}).RunOnce(context.Background())
+	victim.MaintainOnce(context.Background())
 	if got := victim.Table().Len(); got != tableBefore {
 		t.Fatalf("crashed node's maintenance mutated its table: %d -> %d", tableBefore, got)
 	}
@@ -173,11 +172,8 @@ func TestMaintainerRepairsAfterCrashes(t *testing.T) {
 
 	// One maintenance round on the survivor: evict the dead from its
 	// table, refresh, republish to the live k-closest.
-	m := NewMaintainer(survivor, MaintainerConfig{Seed: 9})
-	m.RunOnce(context.Background())
-	st := m.Stats()
-	if st.Rounds != 1 || st.Blocks == 0 {
-		t.Fatalf("stats after one round: %+v", st)
+	if r := survivor.MaintainOnce(context.Background()); r.Synced == 0 {
+		t.Fatalf("report after one round: %+v", r)
 	}
 
 	live := holdersOf(cl, key) // crashed nodes are out of the membership
@@ -193,25 +189,6 @@ func TestMaintainerRepairsAfterCrashes(t *testing.T) {
 	es, err := cl.NodeAt(1).FindValue(context.Background(), key, 0)
 	if err != nil || es[0].Count != 5 {
 		t.Fatalf("value after maintenance: %v, %v", es, err)
-	}
-}
-
-func TestMaintainerRunStopsOnCancel(t *testing.T) {
-	cl := newTestCluster(t, 8, 65)
-	ctx, cancel := context.WithCancel(context.Background())
-	set := cl.StartMaintenance(ctx, MaintainerConfig{Interval: 5 * time.Millisecond, Seed: 3})
-
-	deadline := time.Now().Add(5 * time.Second)
-	for set.Stats().Rounds < 8 {
-		if time.Now().After(deadline) {
-			t.Fatalf("maintainers made no progress: %+v", set.Stats())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	cancel()
-	set.Wait() // must return; a hang here fails the test by timeout
-	if set.Stats().Rounds == 0 {
-		t.Fatal("no rounds recorded")
 	}
 }
 
@@ -420,7 +397,7 @@ func TestCrashedKMinusOneHoldersStayReadableAfterRepair(t *testing.T) {
 			revive = append(revive, n)
 		}
 
-		NewMaintainer(survivor, MaintainerConfig{Seed: int64(round)}).RunOnce(context.Background())
+		survivor.MaintainOnce(context.Background())
 
 		es, err := cl.NodeAt(0).FindValue(context.Background(), key, 0)
 		if err != nil {

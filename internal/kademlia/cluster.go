@@ -82,9 +82,8 @@ type Cluster struct {
 	dataDir     string          // root of per-node durable stores ("" = in-memory)
 	persistOpts persist.Options // write-ahead-log options for durable stores
 
-	mu     sync.RWMutex   // guards Nodes, minted and maint against concurrent membership changes
-	minted int            // addresses handed out; never reused (even across RemoveNode/Crash), so joins cannot shadow a dead endpoint
-	maint  *MaintainerSet // active maintenance pool, if any; membership changes keep it in sync
+	mu     sync.RWMutex // guards Nodes and minted against concurrent membership changes
+	minted int          // addresses handed out; never reused (even across RemoveNode/Crash), so joins cannot shadow a dead endpoint
 }
 
 // NewCluster builds and joins an N-node overlay. Every node bootstraps
@@ -233,7 +232,6 @@ func (c *Cluster) AddNode(ctx context.Context, cfg Config, seed int64, via int) 
 	c.mu.Lock()
 	c.Nodes = append(c.Nodes, node)
 	c.mu.Unlock()
-	c.notifyJoin(node)
 	return node, nil
 }
 
@@ -253,26 +251,6 @@ func (c *Cluster) Durable() bool { return c.dataDir != "" }
 func (c *Cluster) Shutdown() {
 	for _, n := range c.Snapshot() {
 		n.Shutdown() //nolint:errcheck // best-effort teardown
-	}
-}
-
-// notifyJoin and notifyLeave keep the active maintenance pool aligned
-// with membership (see StartMaintenance).
-func (c *Cluster) notifyJoin(n *Node) {
-	c.mu.RLock()
-	set := c.maint
-	c.mu.RUnlock()
-	if set != nil {
-		set.add(n)
-	}
-}
-
-func (c *Cluster) notifyLeave(n *Node) {
-	c.mu.RLock()
-	set := c.maint
-	c.mu.RUnlock()
-	if set != nil {
-		set.remove(n)
 	}
 }
 

@@ -164,7 +164,6 @@ func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue b
 
 	var merged map[string]wire.Entry
 	foundValue := false
-	var valueHolders map[kadid.ID]bool
 	// In repair mode (unfiltered value lookup on a ReadRepair node) the
 	// per-holder counts are kept so stale replicas can be detected after
 	// the merge. A filtered response is truncated by design and proves
@@ -278,9 +277,7 @@ func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue b
 				foundValue = true
 				if merged == nil {
 					merged = make(map[string]wire.Entry)
-					valueHolders = make(map[kadid.ID]bool)
 				}
-				valueHolders[res.from.ID] = true
 				if repairing {
 					counts := make(map[string]uint64, len(res.entries))
 					for _, e := range res.entries {
@@ -340,31 +337,9 @@ func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue b
 
 	// Read-repair: write the merged block back to every stale member of
 	// the k-closest set (synchronously, so a Get's repair is visible to
-	// the next read). This subsumes the §4.1 cache push below when both
-	// are enabled.
+	// the next read).
 	if repairing {
 		n.readRepair(ctx, target, out, closest, holderCounts)
-	}
-
-	// Kademlia §4.1: replicate the found value onto the closest node
-	// observed during the lookup that does not hold it, so hot blocks
-	// migrate towards their readers. Max-merge keeps this idempotent.
-	// Only unfiltered lookups are cached: a TopN-truncated response is
-	// a partial block, and caching it would let it shadow full replicas
-	// for later readers. (Cached copies can still serve stale counts —
-	// acceptable for DHARMA, whose weights are approximate by design.)
-	// The push is asynchronous and detached from the read's ctx: the
-	// read already succeeded, and a best-effort replica seeding must not
-	// die with the caller's deadline.
-	if n.cfg.CacheOnLookup && topN == 0 && !repairing {
-		for _, c := range closest {
-			if !valueHolders[c.ID] {
-				go n.call(context.Background(), c, &wire.Message{ //nolint:errcheck // best effort
-					Kind: wire.KindReplicate, Target: target, Entries: out,
-				}, new(wire.Message))
-				break
-			}
-		}
 	}
 
 	if topN > 0 && len(out) > topN {

@@ -62,8 +62,8 @@ func (s *Store) applyMergeMax(key kadid.ID, entries []wire.Entry) {
 // exchange is summary-based (see antientropy.go): replicas that already
 // agree cost one digest round trip instead of a whole-block push, and
 // disagreeing replicas receive only the delta. Deployments needing
-// periodic maintenance should prefer the Maintainer, which drives the
-// timer-suppressed AntiEntropyOnce; RepublishOnce is for callers that
+// periodic maintenance should prefer Node.MaintainOnce, which drives
+// the timer-suppressed AntiEntropyOnce; RepublishOnce is for callers that
 // must guarantee full coverage now (the chaos harness's repair phase,
 // tests, a node rejoining after downtime). A cancelled ctx stops the
 // sweep between blocks and aborts the in-flight RPCs.

@@ -162,57 +162,10 @@ func TestRepublishRestoresReplicationAfterCrashes(t *testing.T) {
 	}
 }
 
-func TestCacheOnLookupSpreadsHotBlocks(t *testing.T) {
-	cl, err := NewCluster(ClusterConfig{
-		N:    32,
-		Node: Config{K: 4, Alpha: 3, CacheOnLookup: true},
-		Seed: 71,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := kadid.HashString("hot|3")
-	if _, err := cl.Nodes[0].Store(context.Background(), key, []wire.Entry{{Field: "f", Count: 6}}); err != nil {
-		t.Fatal(err)
-	}
-	holdersBefore := 0
-	for _, n := range cl.Nodes {
-		if n.LocalStore().Has(key) {
-			holdersBefore++
-		}
-	}
-
-	// Many distinct readers fetch the hot block (unfiltered).
-	for i := 4; i < 28; i++ {
-		if _, err := cl.Nodes[i].FindValue(context.Background(), key, 0); err != nil {
-			t.Fatalf("reader %d: %v", i, err)
-		}
-	}
-	// Cache stores are fire-and-forget; nudge the scheduler.
-	for i := 0; i < 100; i++ {
-		holders := 0
-		for _, n := range cl.Nodes {
-			if n.LocalStore().Has(key) {
-				holders++
-			}
-		}
-		if holders > holdersBefore {
-			// Value must stay intact on every copy (max-merge).
-			es, err := cl.Nodes[30].FindValue(context.Background(), key, 0)
-			if err != nil || es[0].Count != 6 {
-				t.Fatalf("cached value corrupted: %+v, %v", es, err)
-			}
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("no cache copies created (still %d holders)", holdersBefore)
-}
-
 func TestFilteredLookupDoesNotCache(t *testing.T) {
 	cl, err := NewCluster(ClusterConfig{
 		N:    24,
-		Node: Config{K: 8, Alpha: 3, CacheOnLookup: true},
+		Node: Config{K: 8, Alpha: 3},
 		Seed: 72,
 	})
 	if err != nil {

@@ -2,186 +2,62 @@ package kademlia
 
 import (
 	"context"
-	"math/rand"
-	"sync"
-	"sync/atomic"
-	"time"
+	"encoding/binary"
 )
 
-// Maintainer runs a node's periodic background maintenance, the three
-// duties Kademlia prescribes for surviving churn:
+// refreshBuckets is how many non-empty buckets one maintenance round
+// refreshes. Refreshing every bucket every round would cost a full
+// lookup per bucket; a rotating sample amortizes it.
+const refreshBuckets = 2
+
+// MaintenanceRound reports what one MaintainOnce round did: the dead
+// contacts it evicted, the buckets it refreshed, and its anti-entropy
+// block decisions and replica acknowledgements.
+type MaintenanceRound struct {
+	Evicted   int // dead contacts dropped from the routing table
+	Refreshed int // bucket refresh lookups performed
+	AntiEntropyRound
+}
+
+// MaintainOnce runs one round of the three duties Kademlia prescribes
+// for surviving churn:
 //
 //   - dead-contact eviction: every routing-table contact is pinged and
 //     non-responders are dropped, so lookups stop wasting their k-window
 //     on crashed peers;
-//   - bucket refresh: random lookups inside a few buckets per round keep
-//     the table populated as the membership moves;
+//   - bucket refresh: random lookups inside a few buckets keep the table
+//     populated as the membership moves;
 //   - anti-entropy: blocks are reconciled with the k nodes currently
 //     closest to their key via the summary exchange (digest first, delta
 //     on mismatch — see antientropy.go), under per-block timers: a block
 //     just written skips a round, an unchanged synced block waits
-//     RepublishEvery rounds between checks. This is what moves replicas
-//     onto joiners and off the footprint of the dead, at a per-round
-//     cost proportional to divergence instead of store size.
+//     DefaultRepublishEvery rounds between checks. This is what moves
+//     replicas onto joiners and off the footprint of the dead, at a
+//     per-round cost proportional to divergence instead of store size.
 //
-// Rounds run at a jittered interval so a cluster of maintainers does not
-// phase-lock into synchronized republish storms.
-type Maintainer struct {
-	node *Node
-	cfg  MaintainerConfig
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
-	rounds     atomic.Int64
-	evicted    atomic.Int64
-	refreshed  atomic.Int64
-	blocks     atomic.Int64
-	acks       atomic.Int64
-	suppressed atomic.Int64
-	skipped    atomic.Int64
-}
-
-// MaintainerConfig parameterises the maintenance loop.
-type MaintainerConfig struct {
-	// Interval is the base period between rounds (default 250ms).
-	Interval time.Duration
-	// Jitter is the fraction of Interval each wait is randomized by,
-	// uniformly in ±Jitter·Interval (default 0.25, clamped to [0,1)).
-	Jitter float64
-	// RefreshBuckets is how many non-empty buckets are refreshed per
-	// round (default 2). Refreshing every bucket every round would cost
-	// a full lookup per bucket; a rotating sample amortizes it.
-	RefreshBuckets int
-	// RepublishEvery is how many rounds an unchanged, already-synced
-	// block sits out between anti-entropy checks (default
-	// kademlia.DefaultRepublishEvery). Every block is still force-synced
-	// at least once per RepublishEvery rounds, so it bounds replica
-	// staleness at RepublishEvery·Interval.
-	RepublishEvery int
-	// Seed drives the jitter and the refresh choices.
-	Seed int64
-}
-
-func (c MaintainerConfig) withDefaults() MaintainerConfig {
-	if c.Interval <= 0 {
-		c.Interval = 250 * time.Millisecond
-	}
-	if c.Jitter < 0 || c.Jitter >= 1 {
-		c.Jitter = 0.25
-	}
-	if c.Jitter == 0 {
-		c.Jitter = 0.25
-	}
-	if c.RefreshBuckets <= 0 {
-		c.RefreshBuckets = 2
-	}
-	if c.RepublishEvery <= 0 {
-		c.RepublishEvery = DefaultRepublishEvery
-	}
-	return c
-}
-
-// MaintenanceStats aggregates what maintenance rounds have done.
-type MaintenanceStats struct {
-	Rounds     int64 // maintenance rounds completed
-	Evicted    int64 // dead contacts dropped from routing tables
-	Refreshed  int64 // bucket refresh lookups performed
-	Blocks     int64 // blocks anti-entropy-synced
-	Acks       int64 // replica acknowledgements (digest matches included)
-	Suppressed int64 // block-rounds skipped as recently written
-	Skipped    int64 // block-rounds skipped as synced and not yet due
-}
-
-// NewMaintainer creates a maintainer for node n. Run starts the loop;
-// RunOnce performs a single round synchronously (tests, benchmarks and
-// the churn experiment drive it directly).
-func NewMaintainer(n *Node, cfg MaintainerConfig) *Maintainer {
-	cfg = cfg.withDefaults()
-	return &Maintainer{
-		node: n,
-		cfg:  cfg,
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
-	}
-}
-
-// RunOnce performs one maintenance round: evict, refresh, republish.
-// On a detached node (crashed, departed) it is a no-op: a dead node
-// performs no maintenance, and must not pollute the stats with rounds
-// that can reach nobody. ctx bounds the round — a cancelled context
+// The node starts no background work: its owner sets the cadence by
+// calling MaintainOnce. The buckets refreshed are drawn from a source
+// seeded by the node ID and the round number, so a seeded overlay
+// refreshes the same buckets every run. On a detached node (crashed,
+// departed) the round is a no-op and reports zeros: a dead node
+// performs no maintenance. ctx bounds the round — a cancelled context
 // aborts the in-flight refresh and republish RPCs mid-sweep.
-func (m *Maintainer) RunOnce(ctx context.Context) {
-	if m.node.Detached() {
-		return
+func (n *Node) MaintainOnce(ctx context.Context) MaintenanceRound {
+	var r MaintenanceRound
+	if n.Detached() {
+		return r
 	}
-	m.evicted.Add(int64(m.node.EvictDead(ctx)))
-	buckets := m.node.Table().NonEmptyBuckets()
-	for i := 0; i < m.cfg.RefreshBuckets && len(buckets) > 0; i++ {
+	r.Evicted = n.EvictDead(ctx)
+	rng := newRand(int64(binary.BigEndian.Uint64(n.id[:8])) + n.maintRounds.Add(1))
+	buckets := n.table.NonEmptyBuckets()
+	for ; r.Refreshed < refreshBuckets && len(buckets) > 0; r.Refreshed++ {
 		if ctx.Err() != nil {
-			return
+			return r
 		}
-		m.rngMu.Lock()
-		idx := buckets[m.rng.Intn(len(buckets))]
-		seed := m.rng.Int63()
-		m.rngMu.Unlock()
-		m.node.RefreshBucket(ctx, idx, seed)
-		m.refreshed.Add(1)
+		n.RefreshBucket(ctx, buckets[rng.Intn(len(buckets))], rng.Int63())
 	}
-	r := m.node.AntiEntropyOnce(ctx, m.cfg.RepublishEvery)
-	m.blocks.Add(int64(r.Synced))
-	m.acks.Add(int64(r.Acks))
-	m.suppressed.Add(int64(r.Suppressed))
-	m.skipped.Add(int64(r.Skipped))
-	m.rounds.Add(1)
-}
-
-// Run executes maintenance rounds until ctx is cancelled. The same ctx
-// bounds each round's RPCs, so cancellation does not just stop the
-// ticker — it cuts the round short.
-func (m *Maintainer) Run(ctx context.Context) {
-	timer := time.NewTimer(m.nextWait())
-	defer timer.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-timer.C:
-		}
-		m.RunOnce(ctx)
-		timer.Reset(m.nextWait())
-	}
-}
-
-// nextWait draws the jittered interval for the next round.
-func (m *Maintainer) nextWait() time.Duration {
-	m.rngMu.Lock()
-	defer m.rngMu.Unlock()
-	span := float64(m.cfg.Interval) * m.cfg.Jitter
-	return m.cfg.Interval + time.Duration((2*m.rng.Float64()-1)*span)
-}
-
-// Stats returns a snapshot of the maintainer's counters.
-func (m *Maintainer) Stats() MaintenanceStats {
-	return MaintenanceStats{
-		Rounds:     m.rounds.Load(),
-		Evicted:    m.evicted.Load(),
-		Refreshed:  m.refreshed.Load(),
-		Blocks:     m.blocks.Load(),
-		Acks:       m.acks.Load(),
-		Suppressed: m.suppressed.Load(),
-		Skipped:    m.skipped.Load(),
-	}
-}
-
-// add accumulates o into s (for aggregating a MaintainerSet).
-func (s *MaintenanceStats) add(o MaintenanceStats) {
-	s.Rounds += o.Rounds
-	s.Evicted += o.Evicted
-	s.Refreshed += o.Refreshed
-	s.Blocks += o.Blocks
-	s.Acks += o.Acks
-	s.Suppressed += o.Suppressed
-	s.Skipped += o.Skipped
+	r.AntiEntropyRound = n.AntiEntropyOnce(ctx, DefaultRepublishEvery)
+	return r
 }
 
 // EvictDead pings every routing-table contact and reports how many were
@@ -213,112 +89,4 @@ func (n *Node) EvictDead(ctx context.Context) int {
 		}
 	}
 	return evicted
-}
-
-// MaintainerSet is the cluster's membership-aware maintenance pool:
-// one background Maintainer per live member, started and stopped as
-// membership moves. A node joining after StartMaintenance (AddNode, a
-// churn joiner, a revived crasher) gets its own maintainer immediately
-// — it republishes its blocks itself instead of depending on the
-// original members' sweeps — and a node that crashes or leaves has its
-// loop cancelled rather than left pinging the dead.
-type MaintainerSet struct {
-	ctx context.Context
-	cfg MaintainerConfig
-
-	mu   sync.Mutex
-	all  []*Maintainer                // every maintainer ever started (stats survive member departure)
-	live map[*Node]context.CancelFunc // currently running loops
-	next int64                        // seed counter, so late joiners decorrelate too
-	wg   sync.WaitGroup
-}
-
-// StartMaintenance launches one background Maintainer per current
-// member, each seeded distinctly so their jitter decorrelates, and
-// registers the pool with the cluster: every later AddNode/Revive
-// starts a maintainer for the new member, every RemoveNode/Crash stops
-// the departing member's. Cancel ctx to stop the whole pool, then Wait
-// for the loops to exit; membership changes after cancellation are
-// ignored.
-func (c *Cluster) StartMaintenance(ctx context.Context, cfg MaintainerConfig) *MaintainerSet {
-	set := &MaintainerSet{
-		ctx:  ctx,
-		cfg:  cfg,
-		live: make(map[*Node]context.CancelFunc),
-	}
-	c.mu.Lock()
-	c.maint = set
-	nodes := append([]*Node(nil), c.Nodes...)
-	c.mu.Unlock()
-	for _, n := range nodes {
-		set.add(n)
-	}
-	return set
-}
-
-// add starts a maintainer for n (idempotent; no-op after the pool's
-// context ended).
-func (s *MaintainerSet) add(n *Node) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ctx.Err() != nil {
-		return
-	}
-	if _, ok := s.live[n]; ok {
-		return
-	}
-	s.next++
-	mcfg := s.cfg
-	mcfg.Seed = s.cfg.Seed + s.next*0x9e3779b9
-	m := NewMaintainer(n, mcfg)
-	ctx, cancel := context.WithCancel(s.ctx)
-	s.all = append(s.all, m)
-	s.live[n] = cancel
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		m.Run(ctx)
-	}()
-}
-
-// remove stops n's maintainer, if it has one.
-func (s *MaintainerSet) remove(n *Node) {
-	s.mu.Lock()
-	cancel := s.live[n]
-	delete(s.live, n)
-	s.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-}
-
-// Len reports how many maintainer loops are currently live.
-func (s *MaintainerSet) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.live)
-}
-
-// Covers reports whether n currently has a live maintainer.
-func (s *MaintainerSet) Covers(n *Node) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.live[n]
-	return ok
-}
-
-// Wait blocks until every maintainer loop has observed cancellation.
-func (s *MaintainerSet) Wait() { s.wg.Wait() }
-
-// Stats aggregates the counters of every maintainer the pool ever
-// started, including those of members that have since departed.
-func (s *MaintainerSet) Stats() MaintenanceStats {
-	s.mu.Lock()
-	ms := append([]*Maintainer(nil), s.all...)
-	s.mu.Unlock()
-	var out MaintenanceStats
-	for _, m := range ms {
-		out.add(m.Stats())
-	}
-	return out
 }

@@ -70,11 +70,6 @@ type Config struct {
 	// off peers that were admitted earlier). Typically backed by a
 	// likir.RevocationSet refreshed from the authority's bundle.
 	Revoked func(kadid.ID) bool
-	// CacheOnLookup enables the Kademlia §4.1 optimisation: after a
-	// successful value lookup, the block is replicated (max-merge) onto
-	// the closest observed node that did not have it. Popular blocks —
-	// DHARMA's hotspot concern — thereby spread towards their readers.
-	CacheOnLookup bool
 	// ReadRepair enables repair on unfiltered value lookups: the merged
 	// (field-wise maximum) block is written back, via REPLICATE, to
 	// every node of the k-closest set whose response was stale — missing
@@ -215,6 +210,8 @@ type Node struct {
 	repairEntries  atomic.Int64
 	aeBytesOut     atomic.Int64
 	aeBytesIn      atomic.Int64
+
+	maintRounds atomic.Int64 // MaintainOnce rounds run; seeds each round's refresh choices
 
 	// arenas recycles lookup working state (candidate lists, seen map,
 	// seed buffer, probe messages) and scratch the per-RPC decode state
@@ -659,7 +656,7 @@ func (n *Node) callOnce(ctx context.Context, to wire.Contact, msg, resp *wire.Me
 	buf := wire.GetBuffer()
 	buf.B = wire.AppendEncode(buf.B[:0], msg)
 	// Maintenance-plane byte accounting: SUMMARY exchanges and REPLICATE
-	// pushes (republish, anti-entropy, read-repair, §4.1 caching) are
+	// pushes (republish, anti-entropy, read-repair, handoff) are
 	// what the bandwidth-frugality claim is about, so their payload
 	// sizes are metered transport-independently here.
 	maint := msg.Kind == wire.KindSummary || msg.Kind == wire.KindReplicate

@@ -70,8 +70,8 @@ func touch(list []wire.Contact, c wire.Contact) bool {
 // replacement list (displacing the stalest replacement when that is
 // full too) until Remove frees a slot. Live contacts are therefore
 // never displaced by new ones, and a message costs no probe: dead
-// contacts leave through Remove, called for a failed exchange or by the
-// maintainer's sweep.
+// contacts leave through Remove, called for a failed exchange or by
+// EvictDead's sweep.
 func (t *Table) Update(c wire.Contact) {
 	if c.ID == t.self || c.ID.IsZero() {
 		return
@@ -235,7 +235,7 @@ func (t *Table) Contains(id kadid.ID) bool {
 }
 
 // Contacts returns every contact currently in the table, in bucket
-// order. The maintainer's dead-contact sweep pings this list. The
+// order. EvictDead's dead-contact sweep pings this list. The
 // output is pre-sized from the running count, so one allocation covers
 // the whole sweep.
 func (t *Table) Contacts() []wire.Contact {

@@ -19,7 +19,7 @@ import (
 // long-lived clients watch a churning storage population.
 //
 // The churner is the only goroutine that shrinks membership (workers
-// and maintainers only read it, AddNode only grows it), so its
+// and maintenance rounds only read it, AddNode only grows it), so its
 // index-based victim selection is race-free by construction.
 type Churner struct {
 	cl  *kademlia.Cluster
@@ -112,7 +112,7 @@ func (c *Churner) Run(ctx context.Context) {
 }
 
 // wait jitters the inter-event interval by ±50% so events do not beat
-// against the maintainers' own cadence.
+// against the maintenance rounds' own cadence.
 func (c *Churner) wait(rng *rand.Rand, interval time.Duration) time.Duration {
 	return interval/2 + time.Duration(rng.Int63n(int64(interval)))
 }

@@ -71,8 +71,7 @@ type UDPTransport struct {
 	mu      sync.Mutex
 	pending map[uint64]chan frameMsg
 
-	busyServed atomic.Int64 // inbound requests answered with KindBusy
-	authRej    atomic.Int64 // inbound requests rejected unauthenticated
+	authRej atomic.Int64 // inbound requests rejected unauthenticated
 
 	// metrics is set once by Instrument; the read loop races it, hence
 	// the atomic pointer. nil = un-instrumented (the default).
@@ -187,7 +186,7 @@ func (t *UDPTransport) Instrument(reg *obs.Registry) {
 		"Admitted requests currently in their handler.",
 		func() int64 { return t.ctrl.Stats().InFlight })
 	reg.CounterFunc("dharma_udp_busy_served_total",
-		"Inbound requests answered with BUSY.", t.busyServed.Load)
+		"Inbound requests answered with BUSY.", t.BusyServed)
 	reg.CounterFunc("dharma_udp_unauthenticated_rejected_total",
 		"Inbound frames rejected by the transport's session layer (failed handshakes and plain requests under require-auth).",
 		t.authRej.Load)
@@ -204,8 +203,9 @@ func (t *UDPTransport) AuthRejected() int64 { return t.authRej.Load() }
 // transport runs open).
 func (t *UDPTransport) Sessions() *session.Manager { return t.sessions }
 
-// BusyServed is the number of inbound requests answered with KindBusy.
-func (t *UDPTransport) BusyServed() int64 { return t.busyServed.Load() }
+// BusyServed is the number of inbound requests answered with KindBusy:
+// exactly the requests admission control refused.
+func (t *UDPTransport) BusyServed() int64 { return t.ctrl.Stats().Rejected() }
 
 // Addr implements simnet.Transport; the address is the bound UDP
 // endpoint, so it can be handed to peers as a contact address.
@@ -501,7 +501,6 @@ func (t *UDPTransport) readLoop() {
 			// unbounded signature verifications.
 			release, aerr := t.ctrl.Admit(from.String())
 			if aerr != nil {
-				t.busyServed.Add(1)
 				t.reply(frameResponse, from, id, busyResponse())
 				continue
 			}

@@ -8,7 +8,9 @@
 # feature: replicas that agree must prove it by digest — the maintenance
 # log must show digest matches accumulating and ZERO full-block pushes,
 # because shipping a block whose replicas already agree is exactly the
-# bandwidth this protocol exists to avoid.
+# bandwidth this protocol exists to avoid. Every round's line also
+# carries that round's replica acknowledgements (acks=), and the fleet's
+# rounds together must have collected some.
 #
 #   ./scripts/antientropy_smoke.sh
 set -euo pipefail
@@ -71,6 +73,7 @@ PIDS=()
 
 echo "== verifying the maintenance logs"
 total_matches=0
+total_acks=0
 for i in 0 1 2; do
   log="$WORK/node$i.log"
   last="$(grep 'maintenance: anti-entropy' "$log" | tail -n 1 || true)"
@@ -82,7 +85,8 @@ for i in 0 1 2; do
   echo "node $i: $last"
   matches="$(sed -n 's/.*matches=\([0-9]*\).*/\1/p' <<<"$last")"
   full="$(sed -n 's/.*full-blocks=\([0-9]*\).*/\1/p' <<<"$last")"
-  if [ -z "$matches" ] || [ -z "$full" ]; then
+  acks="$(sed -n 's/.* acks=\([0-9]*\).*/\1/p' <<<"$last")"
+  if [ -z "$matches" ] || [ -z "$full" ] || [ -z "$acks" ]; then
     echo "FAIL: node $i maintenance line missing counters" >&2
     exit 1
   fi
@@ -91,10 +95,18 @@ for i in 0 1 2; do
     exit 1
   fi
   total_matches=$((total_matches + matches))
+  # acks is per round (matches is a running total): sum every round.
+  for a in $(grep 'maintenance: anti-entropy' "$log" | sed -n 's/.* acks=\([0-9]*\).*/\1/p'); do
+    total_acks=$((total_acks + a))
+  done
 done
 if [ "$total_matches" -eq 0 ]; then
   echo "FAIL: no digest matches anywhere in the fleet — summary exchange never proved replica agreement" >&2
   exit 1
 fi
+if [ "$total_acks" -eq 0 ]; then
+  echo "FAIL: no replica acknowledgements in any round — anti-entropy reached no replica" >&2
+  exit 1
+fi
 
-echo "anti-entropy smoke passed: $total_matches digest matches fleet-wide, zero full-block pushes, clean stop"
+echo "anti-entropy smoke passed: $total_matches digest matches and $total_acks acks fleet-wide, zero full-block pushes, clean stop"
