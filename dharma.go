@@ -139,11 +139,6 @@ type Config struct {
 	// issues every node an identity; peers reject uncertified traffic
 	// and URI entries are signed.
 	WithIdentity bool
-	// ReadRepair enables repair on unfiltered overlay reads: stale or
-	// empty replicas observed during a value lookup are written back to
-	// the merged state. Free in steady state; under churn it heals
-	// blocks on the read path between republish rounds.
-	ReadRepair bool
 	// WriteQuorum is the minimum replica acknowledgements a write needs
 	// to succeed (default 1). An acknowledged write survives crashes of
 	// up to WriteQuorum-1 of its ackers even before any repair runs, so
@@ -306,8 +301,6 @@ type Stats struct {
 	NodeLookups int64
 	// RPCServed counts inbound RPC requests this peer answered.
 	RPCServed int64
-	// Repairs counts stale replicas this peer healed via read-repair.
-	Repairs int64
 	// NetSent and NetReceived count RPC exchanges originated and served
 	// at this peer's simulated endpoint (zero for real-UDP peers).
 	NetSent, NetReceived int64
@@ -349,7 +342,6 @@ func (p *Peer) Stats() Stats {
 		Lookups:          p.store.Lookups(),
 		NodeLookups:      p.Node.Lookups(),
 		RPCServed:        p.Node.RPCServed(),
-		Repairs:          p.Node.Repairs(),
 		MaintBytesSent:   ae.BytesSent,
 		MaintBytesRecv:   ae.BytesRecv,
 		DigestMatches:    ae.DigestMatches,
@@ -516,8 +508,7 @@ func NewSystem(cfg Config) (*System, error) {
 	cluster, err := kademlia.NewCluster(kademlia.ClusterConfig{
 		N: cfg.Nodes,
 		Node: kademlia.Config{
-			K: cfg.Replication, Alpha: cfg.Alpha,
-			ReadRepair: cfg.ReadRepair, MinStoreAcks: cfg.WriteQuorum,
+			K: cfg.Replication, Alpha: cfg.Alpha, MinStoreAcks: cfg.WriteQuorum,
 		},
 		Net: simnet.Config{
 			DropRate:  cfg.DropRate,
@@ -599,7 +590,7 @@ func (s *System) Shutdown() {
 // on top — the facade's path from simulation to deployment.
 type UDPPeerConfig struct {
 	// Config supplies the engine and overlay knobs (Mode, K, TopN,
-	// Replication, Alpha, ReadRepair, WriteQuorum, DataDir, NoFsync,
+	// Replication, Alpha, WriteQuorum, DataDir, NoFsync,
 	// CacheBlocks, QueueDepth, PerPeerRate, Seed). Simulation-only
 	// fields — Nodes, DropRate, MTU, WithIdentity — are ignored: there
 	// is no simulated fault model over a real socket, and the Likir
@@ -661,8 +652,7 @@ func NewUDPPeer(ctx context.Context, ucfg UDPPeerConfig) (_ *Peer, err error) {
 	id := kadid.Random(rand.New(rand.NewSource(seed)))
 
 	ncfg := kademlia.Config{
-		K: cfg.Replication, Alpha: cfg.Alpha,
-		ReadRepair: cfg.ReadRepair, MinStoreAcks: cfg.WriteQuorum,
+		K: cfg.Replication, Alpha: cfg.Alpha, MinStoreAcks: cfg.WriteQuorum,
 		ChaosDelay: ucfg.ChaosDelay,
 		TraceSlow:  ucfg.TraceSlow, TraceSample: ucfg.TraceSample, OnTrace: ucfg.OnTrace,
 	}

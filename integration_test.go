@@ -123,7 +123,7 @@ func TestPipelineSurvivesChurnWithMaintenance(t *testing.T) {
 		if i >= 10 && i < 20 {
 			continue
 		}
-		p.Node.RepublishOnce(context.Background())
+		p.Node.AntiEntropyOnce(context.Background(), 1)
 	}
 
 	// The most popular tags must all still answer search steps.

@@ -1,14 +1,14 @@
 // Package chaos provides the availability invariant DHARMA's churn
 // tolerance is judged against: an acknowledged write must stay readable
-// once the repair machinery (republish + read-repair) has run, no
-// matter which k-1 replica holders crashed in between.
+// once the repair machinery (anti-entropy rounds) has run, no matter
+// which k-1 replica holders crashed in between.
 //
 // The package has three parts. A Ledger records, per block key and
 // field, the durable floor every acknowledged write guarantees. A
 // Recording store decorator wraps any dht.Store and feeds the ledger
-// exactly when the underlying store acknowledges. RepairAndCheck runs
-// repair rounds over a cluster's live members and then verifies every
-// ledger entry through a real overlay read.
+// exactly when the underlying store acknowledges. AntiEntropyAndCheck
+// runs repair rounds over a cluster's live members and then verifies
+// every ledger entry through a real overlay read.
 //
 // The floor is deliberately the paper-consistent one, not a sum.
 // DHARMA's block counts are approximate by design: increments applied
@@ -236,49 +236,24 @@ func (r *Recording) Writes() int64 { return r.writes.Load() }
 
 var _ dht.Store = (*Recording)(nil)
 
-// RepairAndCheck runs `rounds` repair passes — every live cluster
-// member republishing its blocks to the currently closest nodes — and
-// then verifies the ledger by reading each recorded block, unfiltered,
-// through the cluster's first member (which also triggers read-repair
-// when that node has it enabled). It returns the surviving violations:
-// an empty slice is the churn invariant holding.
-func RepairAndCheck(ctx context.Context, cl *kademlia.Cluster, l *Ledger, rounds int) []Violation {
-	if rounds <= 0 {
-		rounds = 2
-	}
-	for r := 0; r < rounds; r++ {
-		for _, n := range cl.Snapshot() {
-			n.RepublishOnce(ctx)
-		}
-	}
-	return checkLedger(ctx, cl, l)
-}
-
-// AntiEntropyAndCheck is RepairAndCheck with the forced republish sweep
-// replaced by the timer-driven anti-entropy path: every live member runs
-// `rounds` AntiEntropyOnce rounds (RepublishEvery = every), so blocks
-// move only when digests disagree and recently written blocks sit out a
-// round. A cluster this heals proves the digest/delta/suppression
-// machinery alone — no full sweep, and with read-repair disabled no
-// read-path help either — restores every acknowledged write.
+// AntiEntropyAndCheck runs `rounds` anti-entropy passes — every live
+// cluster member running AntiEntropyOnce(ctx, every) — and then verifies
+// the ledger by reading each recorded block, unfiltered, through the
+// cluster's first member. every = 1 is the forced sweep: every block is
+// summary-synced with its current k closest nodes each round. A larger
+// every lets the per-block timers skip settled and recently written
+// blocks, so a cluster it heals proves the timer-driven path alone
+// restores every acknowledged write. It returns the surviving
+// violations: an empty slice is the churn invariant holding.
 func AntiEntropyAndCheck(ctx context.Context, cl *kademlia.Cluster, l *Ledger, rounds, every int) []Violation {
 	if rounds <= 0 {
 		rounds = 2
-	}
-	if every <= 0 {
-		every = kademlia.DefaultRepublishEvery
 	}
 	for r := 0; r < rounds; r++ {
 		for _, n := range cl.Snapshot() {
 			n.AntiEntropyOnce(ctx, every)
 		}
 	}
-	return checkLedger(ctx, cl, l)
-}
-
-// checkLedger verifies every ledger obligation through an unfiltered
-// overlay read from the cluster's first member.
-func checkLedger(ctx context.Context, cl *kademlia.Cluster, l *Ledger) []Violation {
 	reader := cl.NodeAt(0)
 	if reader == nil {
 		return []Violation{{Err: fmt.Errorf("chaos: cluster has no members left to read from")}}

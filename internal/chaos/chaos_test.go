@@ -123,7 +123,7 @@ func (s failingStore) Get(ctx context.Context, key kadid.ID, topN int) ([]wire.E
 func TestRepairAndCheckSurvivesKMinusOneCrashes(t *testing.T) {
 	cl, err := kademlia.NewCluster(kademlia.ClusterConfig{
 		N:    32,
-		Node: kademlia.Config{K: 5, Alpha: 3, ReadRepair: true},
+		Node: kademlia.Config{K: 5, Alpha: 3},
 		Seed: 81,
 	})
 	if err != nil {
@@ -160,7 +160,7 @@ func TestRepairAndCheckSurvivesKMinusOneCrashes(t *testing.T) {
 		t.Skip("no crashable holders under this seed")
 	}
 
-	if viol := RepairAndCheck(context.Background(), cl, ledger, 2); len(viol) != 0 {
+	if viol := AntiEntropyAndCheck(context.Background(), cl, ledger, 2, 1); len(viol) != 0 {
 		t.Fatalf("lost %d acknowledged writes after crashing %d holders: %v", len(viol), crashed, viol)
 	}
 }

@@ -28,7 +28,7 @@ func TestDurableWipeRecover(t *testing.T) {
 	)
 	cl, err := kademlia.NewCluster(kademlia.ClusterConfig{
 		N:       nodes,
-		Node:    kademlia.Config{K: 4, Alpha: 3, ReadRepair: true, MinStoreAcks: 2},
+		Node:    kademlia.Config{K: 4, Alpha: 3, MinStoreAcks: 2},
 		Seed:    seed,
 		DataDir: t.TempDir(),
 		Persist: persist.Options{Sync: persist.SyncNone, SegmentBytes: 1 << 14, CompactBytes: 1 << 15},
@@ -86,7 +86,7 @@ func TestDurableWipeRecover(t *testing.T) {
 			}
 		}
 
-		if viol := RepairAndCheck(context.Background(), cl, ledger, 2); len(viol) != 0 {
+		if viol := AntiEntropyAndCheck(context.Background(), cl, ledger, 2, 1); len(viol) != 0 {
 			t.Fatalf("round %d: %d of %d acknowledged (block,field) obligations lost after wipe-and-recover: %v",
 				round, len(viol), ledger.Fields(), viol[:min(len(viol), 5)])
 		}

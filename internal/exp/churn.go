@@ -114,7 +114,7 @@ func RunChurn(w *Workbench, nodes, annotations, cycles, kill, join, replication 
 			if republish {
 				for i, n := range cl.Nodes {
 					if i < len(alive) && alive[i] {
-						n.RepublishOnce(context.Background())
+						n.AntiEntropyOnce(context.Background(), 1)
 					}
 				}
 			}

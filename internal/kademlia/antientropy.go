@@ -40,8 +40,8 @@ const DefaultRepublishEvery = 4
 const aeNeverSynced = math.MinInt64 / 2
 
 // AntiEntropyStats is a snapshot of a node's cumulative anti-entropy
-// counters, across both AntiEntropyOnce rounds and forced RepublishOnce
-// sweeps (and, for the delta/byte counters, read-repair).
+// counters, across AntiEntropyOnce rounds and Handoff (whose exchanges
+// are the same summary sync).
 type AntiEntropyStats struct {
 	Synced        int64 // blocks reconciled via summary exchange
 	Suppressed    int64 // block-rounds skipped because recently written
@@ -50,7 +50,6 @@ type AntiEntropyStats struct {
 	DeltaEntries  int64 // entries pushed as sync deltas (not whole blocks)
 	PullEntries   int64 // entries pull-merged from better-informed replicas
 	FullBlocks    int64 // fallback whole-block pushes (remote counts unavailable)
-	RepairEntries int64 // entries pushed by delta read-repair
 	BytesSent     int64 // payload bytes sent on SUMMARY/REPLICATE exchanges
 	BytesRecv     int64 // payload bytes received on SUMMARY/REPLICATE exchanges
 }
@@ -65,7 +64,6 @@ func (n *Node) AntiEntropy() AntiEntropyStats {
 		DeltaEntries:  n.aeDeltaEntries.Load(),
 		PullEntries:   n.aePullEntries.Load(),
 		FullBlocks:    n.aeFullBlocks.Load(),
-		RepairEntries: n.repairEntries.Load(),
 		BytesSent:     n.aeBytesOut.Load(),
 		BytesRecv:     n.aeBytesIn.Load(),
 	}
@@ -91,8 +89,10 @@ type AntiEntropyRound struct {
 //     sync: summary-sync it;
 //  4. otherwise skip until due again.
 //
-// every <= 0 uses DefaultRepublishEvery. A cancelled ctx stops the
-// sweep between blocks, like RepublishOnce.
+// every <= 0 uses DefaultRepublishEvery. every = 1 makes every block
+// due every round: the forced full-coverage sweep a crash repair or a
+// rejoining node needs. A cancelled ctx stops the sweep between blocks
+// and aborts the in-flight RPCs.
 func (n *Node) AntiEntropyOnce(ctx context.Context, every int) AntiEntropyRound {
 	if every <= 0 {
 		every = DefaultRepublishEvery
@@ -249,8 +249,8 @@ func (n *Node) syncBlockWith(ctx context.Context, key kadid.ID, local wire.Block
 // deltaEntries selects the entries of local whose field the other side
 // is missing or holds at a lower count — exactly what MergeMax applied
 // remotely needs to raise the other replica to the field-wise maximum
-// of the pair. It is the one direction of the sync; read-repair and the
-// pull half use the same shape with the roles swapped.
+// of the pair. It is the push direction of the sync; the pull half uses
+// the same shape with the roles swapped.
 func deltaEntries(local []wire.Entry, remote map[string]uint64) []wire.Entry {
 	var delta []wire.Entry
 	for _, e := range local {

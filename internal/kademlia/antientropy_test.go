@@ -25,10 +25,10 @@ func TestSummarySyncSuppressesDataWhenReplicasAgree(t *testing.T) {
 	// Write-time replication already converged all 8 replicas, so a full
 	// republish sweep must be pure digest traffic: matches, no deltas,
 	// no whole-block fallbacks.
-	blocks, acks := a.RepublishOnce(context.Background())
+	r := a.AntiEntropyOnce(context.Background(), 1)
 	st := a.AntiEntropy()
-	if blocks != 1 || acks != 7 {
-		t.Fatalf("RepublishOnce = (%d blocks, %d acks), want (1, 7)", blocks, acks)
+	if r.Synced != 1 || r.Acks != 7 {
+		t.Fatalf("forced sweep = %+v, want 1 synced / 7 acks", r)
 	}
 	if st.DigestMatches != 7 {
 		t.Fatalf("DigestMatches = %d, want 7", st.DigestMatches)
@@ -58,8 +58,8 @@ func TestSummarySyncPushesOnlyTheDelta(t *testing.T) {
 	}
 
 	before := a.AntiEntropy()
-	if _, acks := a.RepublishOnce(context.Background()); acks != 7 {
-		t.Fatalf("acks = %d, want 7", acks)
+	if r := a.AntiEntropyOnce(context.Background(), 1); r.Acks != 7 {
+		t.Fatalf("acks = %d, want 7", r.Acks)
 	}
 	st := a.AntiEntropy()
 	// Each of the 7 stale replicas receives exactly the 1 missing entry,
@@ -79,7 +79,7 @@ func TestSummarySyncPushesOnlyTheDelta(t *testing.T) {
 
 	// A second sweep is back to pure digest matches.
 	before = a.AntiEntropy()
-	a.RepublishOnce(context.Background())
+	a.AntiEntropyOnce(context.Background(), 1)
 	st = a.AntiEntropy()
 	if st.DeltaEntries != before.DeltaEntries || st.DigestMatches-before.DigestMatches != 7 {
 		t.Fatalf("converged replicas still pushed data: %+v -> %+v", before, st)
@@ -101,7 +101,7 @@ func TestSummarySyncPullsHigherRemoteCounts(t *testing.T) {
 
 	// a initiates the sync: it has nothing b misses, but the exchange
 	// carries b's counts back, and a max-merges them in.
-	a.RepublishOnce(context.Background())
+	a.AntiEntropyOnce(context.Background(), 1)
 	if st := a.AntiEntropy(); st.PullEntries == 0 {
 		t.Fatalf("no pull happened: %+v", st)
 	}
@@ -215,7 +215,7 @@ func TestAntiEntropyHealsEmptyReplicas(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a.RepublishOnce(ctx)
+	a.AntiEntropyOnce(ctx, 1)
 	st := a.AntiEntropy()
 	// Each of the 7 empty replicas received both entries as the delta.
 	if st.DeltaEntries != 14 {
@@ -226,67 +226,5 @@ func TestAntiEntropyHealsEmptyReplicas(t *testing.T) {
 		if !ok || len(es) != 2 {
 			t.Fatalf("node %d not rebuilt: %v (ok=%v)", i, es, ok)
 		}
-	}
-}
-
-// TestReadRepairSendsOnlyDelta: the read path's repair must raise a
-// stale holder with exactly the fields it was missing, not the whole
-// merged block.
-func TestReadRepairSendsOnlyDelta(t *testing.T) {
-	cl, err := NewCluster(ClusterConfig{
-		N:    8,
-		Node: Config{K: 8, Alpha: 3, ReadRepair: true},
-		Seed: 7007,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, reader := cl.Nodes[0], cl.Nodes[2]
-	key := kadid.HashString("repairme|3")
-	ctx := context.Background()
-	if _, err := a.Store(ctx, key, []wire.Entry{
-		{Field: "rock", Count: 3}, {Field: "jazz", Count: 1}, {Field: "pop", Count: 2}, {Field: "folk", Count: 4},
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	// One replica misses one field's newest count.
-	stale := cl.Nodes[5]
-	if err := a.LocalStore().Append(ctx, key, []wire.Entry{{Field: "rock", Count: 7}}); err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range cl.Nodes {
-		if n == a || n == stale {
-			continue
-		}
-		if err := n.LocalStore().MergeMax(ctx, key, []wire.Entry{{Field: "rock", Count: 10}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	before := reader.AntiEntropy()
-	if _, err := reader.FindValue(ctx, key, 0); err != nil {
-		t.Fatal(err)
-	}
-	st := reader.AntiEntropy()
-	repaired := st.RepairEntries - before.RepairEntries
-	// The two stale holders (a at rock=10 missing, stale at rock=10
-	// missing) each need exactly the one field — 4-entry full-block
-	// pushes would have cost 8.
-	if repaired == 0 {
-		t.Fatal("read-repair pushed nothing")
-	}
-	if repaired > 2 {
-		t.Fatalf("read-repair pushed %d entries, want <= 2 (one per stale holder)", repaired)
-	}
-	healed := false
-	es, _ := stale.LocalStore().Get(key, 0)
-	for _, e := range es {
-		if e.Field == "rock" && e.Count == 10 {
-			healed = true
-		}
-	}
-	if len(es) != 4 || !healed {
-		t.Fatalf("stale holder not healed: %v", es)
 	}
 }

@@ -163,10 +163,11 @@ func BenchmarkLocalStoreAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkRepublishOnce measures one full republish round of a node
-// holding a realistic block population (the core of a maintenance
-// round: one iterative lookup plus up to k REPLICATEs per block).
-func BenchmarkRepublishOnce(b *testing.B) {
+// BenchmarkForcedSweep measures one forced anti-entropy sweep
+// (AntiEntropyOnce with every = 1) of a node holding a realistic block
+// population: per block, one iterative lookup plus a summary exchange
+// with each of the k closest nodes.
+func BenchmarkForcedSweep(b *testing.B) {
 	for _, blocks := range []int{16, 64} {
 		b.Run(fmt.Sprintf("blocks=%d", blocks), func(b *testing.B) {
 			cl := benchCluster(b, 32)
@@ -177,8 +178,8 @@ func BenchmarkRepublishOnce(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if blk, _ := republisher.RepublishOnce(context.Background()); blk != blocks {
-					b.Fatalf("republished %d blocks, want %d", blk, blocks)
+				if r := republisher.AntiEntropyOnce(context.Background(), 1); r.Synced != blocks {
+					b.Fatalf("synced %d blocks, want %d", r.Synced, blocks)
 				}
 			}
 		})

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 
+	"dharma/internal/kadid"
 	"dharma/internal/simnet"
 	"dharma/internal/wire"
 )
@@ -15,8 +16,8 @@ import (
 // the nodes that will be responsible for them, and a crash, where the
 // node simply stops answering — and regains them through joins
 // (AddNode) and recoveries (Revive). Together with each member's
-// Node.MaintainOnce rounds and read-repair these keep every block's
-// replica set populated while membership moves underneath it.
+// Node.MaintainOnce rounds these keep every block's replica set
+// populated while membership moves underneath it.
 //
 // On a durable cluster (ClusterConfig.DataDir) the crash/revive pair
 // models a real process death: Crash kills the node's write-ahead log
@@ -30,16 +31,32 @@ import (
 // named in the error are only healed once other replicas republish.
 var ErrHandoffIncomplete = errors.New("kademlia: handoff incomplete")
 
-// Handoff pushes every locally stored block to the k closest live nodes
-// excluding the node itself — the departing half of a graceful leave.
-// Replicas merge with max semantics, so a handoff of blocks the targets
-// already hold is idempotent. A block no replica acknowledges is retried
-// once against a fresh lookup; if it still lands nowhere it is named in
-// the returned ErrHandoffIncomplete so the caller can see the leave was
-// lossy-unless-republished. It returns how many blocks were offered and
-// how many replica stores were acknowledged.
+// Handoff reconciles every locally stored block with the k closest live
+// nodes excluding the node itself — the departing half of a graceful
+// leave. Each block goes through the anti-entropy summary exchange
+// (syncBlock), so a replica that already agrees costs one digest round
+// trip and a stale one receives only its delta. A block no replica
+// acknowledges is retried once against a fresh lookup; if it still
+// lands nowhere — or ctx ended before it was tried — it is named in the
+// returned ErrHandoffIncomplete so the caller can see the leave was
+// lossy-unless-republished. It returns how many blocks the node held
+// and how many replica acknowledgements came back.
 func (n *Node) Handoff(ctx context.Context) (blocks, acks int, err error) {
-	blocks, acks, unacked := n.pushBlocks(ctx, false, true)
+	var unacked []kadid.ID
+	for _, key := range n.store.Keys() {
+		blocks++
+		got := 0
+		// The first target set may have been stale under churn; one
+		// bounded retry against a fresh lookup, then give up and report
+		// rather than block the departure indefinitely.
+		for try := 0; try < 2 && got == 0 && ctx.Err() == nil; try++ {
+			got = n.syncBlock(ctx, key, n.IterativeFindNode(ctx, key))
+		}
+		if got == 0 {
+			unacked = append(unacked, key)
+		}
+		acks += got
+	}
 	if len(unacked) > 0 {
 		short := make([]string, 0, 4)
 		for i, k := range unacked {

@@ -221,142 +221,40 @@ func TestEvictDeadDropsCrashedContacts(t *testing.T) {
 	}
 }
 
-func TestReadRepairWritesBackStaleAndEmptyReplicas(t *testing.T) {
-	cl, err := NewCluster(ClusterConfig{
-		N:    24,
-		Node: Config{K: 6, Alpha: 3, ReadRepair: true},
-		Seed: 67,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestHandoffSendsNoDataToAgreeingReplicas: a leaver whose k closest
+// already hold its block proves their agreement by digest and ships no
+// block data — the handoff costs summary probes, not a whole-block
+// push per replica.
+func TestHandoffSendsNoDataToAgreeingReplicas(t *testing.T) {
+	cl := newTestCluster(t, 9, 7008) // K = 8: every node but the leaver is a replica
+	ctx := context.Background()
+	key := kadid.HashString("handed|3")
+	var block []wire.Entry
+	for i := 0; i < 200; i++ {
+		block = append(block, wire.Entry{Field: fmt.Sprintf("tag%03d", i), Count: uint64(1 + i%7)})
 	}
-	key := kadid.HashString("repairable|2")
-	if _, err := cl.Nodes[2].Store(context.Background(), key, []wire.Entry{{Field: "f", Count: 4}}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Make one replica fresher than the rest by appending to its local
-	// store directly — the staleness read-repair exists to heal.
-	holders := holdersOf(cl, key)
-	if len(holders) < 2 {
-		t.Skipf("only %d holders under this seed", len(holders))
-	}
-	holders[0].LocalStore().Append(context.Background(), key, []wire.Entry{{Field: "f", Count: 6}}) // now 10
-
-	reader := cl.NodeAt(20)
-	es, err := reader.FindValue(context.Background(), key, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if es[0].Count != 10 {
-		t.Fatalf("read did not surface the freshest replica: %d", es[0].Count)
-	}
-	if reader.Repairs() == 0 {
-		t.Fatal("no repairs recorded although replicas diverged")
-	}
-	// A repair-mode read surveys the whole k-closest window before
-	// merging, so afterwards every one of the k closest nodes to the
-	// key must hold the block at the merged maximum. (A holder outside
-	// that window — replica placement drifts as lookups differ — is not
-	// observed by the read and converges later through republish.)
-	for _, c := range cl.ClosestGroundTruth(key, 6) {
-		for _, n := range cl.Snapshot() {
-			if n.Self().ID != c.ID {
-				continue
-			}
-			es, ok := n.LocalStore().Get(key, 0)
-			if !ok {
-				t.Fatalf("closest node %s has no copy after read-repair", c.Addr)
-			}
-			if es[0].Count != 10 {
-				t.Fatalf("closest node %s still stale after read-repair: %d", c.Addr, es[0].Count)
-			}
-		}
-	}
-}
-
-func TestReadRepairRefillsEmptyReplicas(t *testing.T) {
-	cl, err := NewCluster(ClusterConfig{
-		N:    32,
-		Node: Config{K: 6, Alpha: 3, ReadRepair: true},
-		Seed: 73,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := kadid.HashString("refill|1")
-	if _, err := cl.Nodes[3].Store(context.Background(), key, []wire.Entry{{Field: "f", Count: 8}}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Crash every holder but one; no republish runs. The next read must
-	// find the survivor and synchronously re-seed the block onto live
-	// nodes of the k-closest set it observed.
-	holders := holdersOf(cl, key)
-	if len(holders) < 2 {
-		t.Skipf("only %d holders under this seed", len(holders))
-	}
-	survivor := holders[0]
-	if survivor == cl.NodeAt(0) {
-		survivor = holders[1]
-	}
-	for _, h := range holders {
-		if h == survivor || h == cl.NodeAt(0) {
-			continue
-		}
-		if _, err := cl.Crash(indexOf(cl, h)); err != nil {
+	for _, n := range cl.Nodes {
+		if err := n.LocalStore().Append(ctx, key, block); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if cl.NodeAt(0).LocalStore().Has(key) {
-		t.Skip("bootstrap node holds the block under this seed; scenario not isolated")
-	}
 
-	reader := cl.NodeAt(0)
-	es, err := reader.FindValue(context.Background(), key, 0)
-	if err != nil {
-		t.Fatalf("value unreadable with one live holder: %v", err)
+	leaver := cl.Nodes[8]
+	before := leaver.AntiEntropy()
+	blocks, acks, err := leaver.Handoff(ctx)
+	if err != nil || blocks != 1 || acks != 8 {
+		t.Fatalf("handoff: blocks=%d acks=%d err=%v, want 1 block / 8 acks", blocks, acks, err)
 	}
-	if es[0].Count != 8 {
-		t.Fatalf("count corrupted: %d", es[0].Count)
+	st := leaver.AntiEntropy()
+	if st.DigestMatches == before.DigestMatches {
+		t.Fatalf("agreeing replicas were not proven by digest: %+v", st)
 	}
-	if reader.Repairs() == 0 {
-		t.Fatal("read of an under-replicated block performed no repairs")
+	if st.DeltaEntries != before.DeltaEntries || st.FullBlocks != before.FullBlocks {
+		t.Fatalf("handoff moved data to agreeing replicas: %+v -> %+v", before, st)
 	}
-	if live := holdersOf(cl, key); len(live) < 2 {
-		t.Fatalf("block still has %d live holders after read-repair", len(live))
-	}
-}
-
-func TestFilteredReadNeverRepairs(t *testing.T) {
-	cl, err := NewCluster(ClusterConfig{
-		N:    16,
-		Node: Config{K: 4, Alpha: 3, ReadRepair: true},
-		Seed: 68,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := kadid.HashString("filtered-repair|1")
-	var entries []wire.Entry
-	for i := 0; i < 8; i++ {
-		entries = append(entries, wire.Entry{Field: fmt.Sprintf("t%d", i), Count: uint64(i + 1)})
-	}
-	if _, err := cl.Nodes[0].Store(context.Background(), key, entries); err != nil {
-		t.Fatal(err)
-	}
-	holders := holdersOf(cl, key)
-	if len(holders) == 0 {
-		t.Fatal("no holders")
-	}
-	holders[0].LocalStore().Append(context.Background(), key, []wire.Entry{{Field: "t0", Count: 50}})
-
-	reader := cl.NodeAt(10)
-	if _, err := reader.FindValue(context.Background(), key, 2); err != nil {
-		t.Fatal(err)
-	}
-	if got := reader.Repairs(); got != 0 {
-		t.Fatalf("filtered read performed %d repairs; truncated responses must not be treated as stale", got)
+	blockSize := len(wire.Encode(&wire.Message{Kind: wire.KindReplicate, Target: key, Entries: block}))
+	if sent := st.BytesSent - before.BytesSent; sent >= int64(blockSize) {
+		t.Fatalf("handoff sent %d bytes, want fewer than one %d-byte block", sent, blockSize)
 	}
 }
 
@@ -366,7 +264,7 @@ func TestCrashedKMinusOneHoldersStayReadableAfterRepair(t *testing.T) {
 	// survivor the block must be fully readable with intact counts.
 	cl, err := NewCluster(ClusterConfig{
 		N:    40,
-		Node: Config{K: 5, Alpha: 3, ReadRepair: true},
+		Node: Config{K: 5, Alpha: 3},
 		Seed: 69,
 	})
 	if err != nil {

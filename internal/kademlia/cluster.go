@@ -45,14 +45,11 @@ type ClusterConfig struct {
 	Node Config
 	// Net configures the simulated network.
 	Net simnet.Config
-	// Seed drives node identifier generation and refresh randomness.
+	// Seed drives node identifier generation.
 	Seed int64
 	// Authority, when set, issues a Likir identity to every node and
 	// enables credential checking cluster-wide (Node.CAPub is filled).
 	Authority *likir.Authority
-	// RefreshRounds runs extra random lookups per node after joining to
-	// densify routing tables. 0 keeps plain bootstrap.
-	RefreshRounds int
 	// Bootstrap selects how routing tables are populated (zero value:
 	// BootstrapIterative). Large clusters should use BootstrapWired.
 	Bootstrap BootstrapMode
@@ -135,11 +132,6 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 			if err := cl.Nodes[i].Bootstrap(context.Background(), []wire.Contact{seed}); err != nil {
 				return nil, fmt.Errorf("kademlia: bootstrap node %d: %w", i, err)
 			}
-		}
-	}
-	for r := 0; r < cc.RefreshRounds; r++ {
-		for _, n := range cl.Nodes {
-			n.IterativeFindNode(context.Background(), kadid.Random(rng))
 		}
 	}
 	return cl, nil

@@ -164,15 +164,6 @@ func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue b
 
 	var merged map[string]wire.Entry
 	foundValue := false
-	// In repair mode (unfiltered value lookup on a ReadRepair node) the
-	// per-holder counts are kept so stale replicas can be detected after
-	// the merge. A filtered response is truncated by design and proves
-	// nothing about the holder's state, so repair stays off for topN > 0.
-	repairing := wantValue && n.cfg.ReadRepair && topN == 0
-	var holderCounts map[kadid.ID]map[string]uint64
-	if repairing {
-		holderCounts = make(map[kadid.ID]map[string]uint64)
-	}
 
 	// One result channel serves every round; it is drained completely
 	// (wg.Wait before reading exactly len(batch) results), so reusing it
@@ -278,13 +269,6 @@ func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue b
 				if merged == nil {
 					merged = make(map[string]wire.Entry)
 				}
-				if repairing {
-					counts := make(map[string]uint64, len(res.entries))
-					for _, e := range res.entries {
-						counts[e.Field] = e.Count
-					}
-					holderCounts[res.from.ID] = counts
-				}
 				for _, e := range res.entries {
 					if cur, ok := merged[e.Field]; !ok || e.Count > cur.Count {
 						merged[e.Field] = e
@@ -296,15 +280,7 @@ func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue b
 				insert(c)
 			}
 		}
-		// A found value normally short-circuits the lookup. In repair
-		// mode the lookup keeps going until the whole k-closest window
-		// has answered: read-repair needs to observe every replica —
-		// including the stale and the empty ones — to know what to heal,
-		// exactly the quorum-read shape Dynamo-style systems use. That
-		// makes an unfiltered ReadRepair read cost a full lookup, which
-		// is the price of the durability guarantee and is why the mode
-		// is opt-in.
-		if foundValue && !repairing {
+		if foundValue {
 			break
 		}
 	}
@@ -334,71 +310,10 @@ func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue b
 		out = append(out, e)
 	}
 	sortEntries(out)
-
-	// Read-repair: write the merged block back to every stale member of
-	// the k-closest set (synchronously, so a Get's repair is visible to
-	// the next read).
-	if repairing {
-		n.readRepair(ctx, target, out, closest, holderCounts)
-	}
-
 	if topN > 0 && len(out) > topN {
 		out = out[:topN]
 	}
 	return out, true, closest, busy, nil
-}
-
-// readRepair heals the stale members of the k-closest set from merged —
-// the field-wise maximum over every replica response. The repair is
-// delta-based: each holder receives only the fields its own response
-// was missing or held at a lower count (its per-field state was
-// observed in holderCounts during the lookup), while non-holders get
-// the whole block they should be storing. REPLICATE max-merges on
-// arrival, so concurrent repairs and appends commute, and re-sending an
-// entry a racing writer already delivered is harmless.
-func (n *Node) readRepair(ctx context.Context, key kadid.ID, merged []wire.Entry, closest []wire.Contact, holderCounts map[kadid.ID]map[string]uint64) {
-	type repairJob struct {
-		to    wire.Contact
-		delta []wire.Entry
-	}
-	var jobs []repairJob
-	for _, c := range closest {
-		counts, isHolder := holderCounts[c.ID]
-		if !isHolder {
-			jobs = append(jobs, repairJob{to: c, delta: merged})
-			continue
-		}
-		var delta []wire.Entry
-		for _, e := range merged {
-			if counts[e.Field] < e.Count {
-				delta = append(delta, e)
-			}
-		}
-		if len(delta) > 0 {
-			jobs = append(jobs, repairJob{to: c, delta: delta})
-		}
-	}
-	if len(jobs) == 0 {
-		return
-	}
-	var wg sync.WaitGroup
-	for _, j := range jobs {
-		wg.Add(1)
-		go func(j repairJob) {
-			defer wg.Done()
-			var resp wire.Message
-			err := n.call(ctx, j.to, &wire.Message{
-				Kind:    wire.KindReplicate,
-				Target:  key,
-				Entries: j.delta,
-			}, &resp)
-			if err == nil && resp.Kind == wire.KindStoreAck {
-				n.repairs.Add(1)
-				n.repairEntries.Add(int64(len(j.delta)))
-			}
-		}(j)
-	}
-	wg.Wait()
 }
 
 func sortEntries(es []wire.Entry) {

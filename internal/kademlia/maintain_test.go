@@ -68,7 +68,7 @@ func TestRepublishMovesBlocksToJoiners(t *testing.T) {
 	// Republish from every original holder.
 	for _, n := range cl.Nodes[:20] {
 		if n.LocalStore().Has(key) {
-			n.RepublishOnce(context.Background())
+			n.AntiEntropyOnce(context.Background(), 1)
 		}
 	}
 
@@ -119,7 +119,7 @@ func TestRepublishRestoresReplicationAfterCrashes(t *testing.T) {
 	}
 
 	// The survivor repairs the replica set among live nodes.
-	survivor.RepublishOnce(context.Background())
+	survivor.AntiEntropyOnce(context.Background(), 1)
 
 	liveHolders := 0
 	for _, n := range cl.Nodes {

@@ -65,8 +65,12 @@ func TestMaintainOnceReportMatchesCounters(t *testing.T) {
 	}
 
 	// A writer keeps bumping a quarter of the blocks, locally and through
-	// the overlay, for as long as the rounds run.
+	// the overlay, for as long as the rounds run. It signals each local
+	// append on wrote, so every round can wait for one: a round takes
+	// well under a millisecond, and left to the scheduler the writer
+	// sometimes lands nothing between rounds, leaving no block to suppress.
 	stop := make(chan struct{})
+	wrote := make(chan struct{}, 1)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -80,6 +84,10 @@ func TestMaintainOnceReportMatchesCounters(t *testing.T) {
 			key, e := keys[i%4], []wire.Entry{{Field: fmt.Sprintf("f%d", i%3), Count: 1}}
 			if i%2 == 0 {
 				n.LocalStore().Append(ctx, key, e) //nolint:errcheck // in-memory store
+				select {
+				case wrote <- struct{}{}:
+				default:
+				}
 			} else {
 				cl.Nodes[0].Store(ctx, key, e) //nolint:errcheck // best-effort concurrent load
 			}
@@ -89,6 +97,15 @@ func TestMaintainOnceReportMatchesCounters(t *testing.T) {
 
 	var total MaintenanceRound
 	for i := 0; i < 4; i++ {
+		// Drop a signal from before the previous round ended. The next
+		// append may still predate the round's end; the one after it
+		// cannot.
+		select {
+		case <-wrote:
+		default:
+		}
+		<-wrote
+		<-wrote
 		before := n.AntiEntropy()
 		r := n.MaintainOnce(ctx)
 		after := n.AntiEntropy()

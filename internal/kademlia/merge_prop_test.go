@@ -130,8 +130,8 @@ func TestMergeMaxProperties(t *testing.T) {
 	}
 }
 
-// TestDeltaRepairConverges is the property behind delta-based sync and
-// read-repair: for random divergent replica pairs, exchanging only the
+// TestDeltaRepairConverges is the property behind delta-based sync (its
+// push and pull halves): for random divergent replica pairs, exchanging only the
 // deltaEntries each side computes against the other's counts — applied
 // via MergeMax — converges both replicas to the field-wise maximum of
 // the pair. The exchange must also be idempotent (re-applying a delta

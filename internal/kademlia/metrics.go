@@ -82,10 +82,6 @@ func (n *Node) Instrument(reg *obs.Registry) {
 		"Lookup rounds (α-wide waves) executed.", n.rounds.Load)
 	reg.CounterFunc("dharma_rpc_served_total",
 		"RPC requests answered.", n.rpcServed.Load)
-	reg.CounterFunc("dharma_read_repairs_total",
-		"Stale replicas healed through read-repair.", n.repairs.Load)
-	reg.CounterFunc("dharma_read_repair_entries_total",
-		"Entries written back by read-repair.", n.repairEntries.Load)
 	reg.CounterFunc("dharma_antientropy_synced_total",
 		"Blocks synced by anti-entropy rounds.", n.aeSynced.Load)
 	reg.CounterFunc("dharma_antientropy_digest_matches_total",

@@ -70,15 +70,6 @@ type Config struct {
 	// off peers that were admitted earlier). Typically backed by a
 	// likir.RevocationSet refreshed from the authority's bundle.
 	Revoked func(kadid.ID) bool
-	// ReadRepair enables repair on unfiltered value lookups: the merged
-	// (field-wise maximum) block is written back, via REPLICATE, to
-	// every node of the k-closest set whose response was stale — missing
-	// the block entirely, or holding lower counts for any field. Under
-	// churn this heals replica sets on the read path, between republish
-	// rounds; in steady state every replica is fresh and it costs
-	// nothing. Filtered (top-N) lookups never repair: a truncated
-	// response is not evidence of staleness.
-	ReadRepair bool
 	// Store, when set, is the node's block storage — typically a
 	// durable store from OpenDurableStore, so the node's blocks outlive
 	// its process. Nil creates a fresh in-memory store.
@@ -100,8 +91,6 @@ type Config struct {
 	// the block. Raising the quorum trades write availability under
 	// faults for durability.
 	MinStoreAcks int
-	// Now is the clock used for credential validation (default time.Now).
-	Now func() time.Time
 	// TraceSample captures the hop-by-hop trace of 1 in TraceSample
 	// lookups (default DefaultTraceSample; negative disables sampling).
 	// Captured traces land in the ring served by RecentTraces.
@@ -139,9 +128,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BusyBackoff <= 0 {
 		c.BusyBackoff = DefaultBusyBackoff
-	}
-	if c.Now == nil {
-		c.Now = time.Now
 	}
 	if c.TraceSample == 0 {
 		c.TraceSample = DefaultTraceSample
@@ -185,7 +171,6 @@ type Node struct {
 	lookups   atomic.Int64
 	rounds    atomic.Int64 // lookup rounds = hops (one α-wide wave each)
 	rpcServed atomic.Int64
-	repairs   atomic.Int64
 
 	shedTotal    atomic.Int64 // requests shed dead-on-arrival
 	authRejTotal atomic.Int64 // requests answered UNAUTHORIZED
@@ -207,7 +192,6 @@ type Node struct {
 	aeDeltaEntries atomic.Int64
 	aePullEntries  atomic.Int64
 	aeFullBlocks   atomic.Int64
-	repairEntries  atomic.Int64
 	aeBytesOut     atomic.Int64
 	aeBytesIn      atomic.Int64
 
@@ -323,10 +307,6 @@ func (n *Node) LookupRounds() int64 { return n.rounds.Load() }
 
 // RPCServed returns how many RPC requests this node has answered.
 func (n *Node) RPCServed() int64 { return n.rpcServed.Load() }
-
-// Repairs returns how many stale or empty replicas this node has
-// written back through read-repair (requires Config.ReadRepair).
-func (n *Node) Repairs() int64 { return n.repairs.Load() }
 
 // rpcScratch is the reusable working state of one end of an RPC. The
 // decoder's intern table makes repeated addresses and field names free;
@@ -531,7 +511,7 @@ func (n *Node) admit(ctx context.Context, msg *wire.Message) error {
 	if err != nil {
 		return err
 	}
-	if err := likir.VerifyCredential(n.cfg.CAPub, cred, n.cfg.Now); err != nil {
+	if err := likir.VerifyCredential(n.cfg.CAPub, cred, nil); err != nil {
 		return err
 	}
 	if cred.NodeID != msg.From.ID {
@@ -656,9 +636,9 @@ func (n *Node) callOnce(ctx context.Context, to wire.Contact, msg, resp *wire.Me
 	buf := wire.GetBuffer()
 	buf.B = wire.AppendEncode(buf.B[:0], msg)
 	// Maintenance-plane byte accounting: SUMMARY exchanges and REPLICATE
-	// pushes (republish, anti-entropy, read-repair, handoff) are
-	// what the bandwidth-frugality claim is about, so their payload
-	// sizes are metered transport-independently here.
+	// pushes (anti-entropy, handoff, the full-push baseline) are what
+	// the bandwidth-frugality claim is about, so their payload sizes are
+	// metered transport-independently here.
 	maint := msg.Kind == wire.KindSummary || msg.Kind == wire.KindReplicate
 	if maint {
 		n.aeBytesOut.Add(int64(len(buf.B)))
@@ -860,13 +840,6 @@ func (n *Node) FindValue(ctx context.Context, key kadid.ID, topN int) ([]wire.En
 		// keeping the larger count (counts only grow).
 		entries = mergeEntriesMax(entries, local)
 		found = true
-		if n.cfg.ReadRepair && topN == 0 {
-			// Self-repair: a replica that reads the block and discovers
-			// it was stale adopts the merged state it just computed.
-			// Best-effort — a repair the durable store cannot log is
-			// simply skipped (the read itself already succeeded).
-			n.store.MergeMax(ctx, key, entries) //nolint:errcheck
-		}
 		if topN > 0 && len(entries) > topN {
 			entries = entries[:topN]
 		}

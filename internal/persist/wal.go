@@ -3,7 +3,7 @@
 // truncate compaction, so a node's t̂/r̂ blocks outlive its process.
 //
 // The paper's availability argument (and the churn machinery of the
-// overlay — republish, read-repair, graceful handoff) assumes replicas
+// overlay — anti-entropy, graceful handoff) assumes replicas
 // re-enter the overlay with their state. An in-memory store only
 // simulates that: the node object survives because nothing ever kills
 // the process. This package crosses the line to a deployable node: a

@@ -138,7 +138,6 @@ func TestChaosChurnSoak(t *testing.T) {
 		Mode:        Approximated,
 		K:           3,
 		Replication: 8,
-		ReadRepair:  true,
 		Seed:        seed,
 	})
 	if err != nil {
@@ -181,7 +180,7 @@ func TestChaosChurnSoak(t *testing.T) {
 
 	// Repair pass over the survivors, then the invariant: zero
 	// acknowledged-write loss.
-	violations := chaos.RepairAndCheck(context.Background(), cl, ledger, 2)
+	violations := chaos.AntiEntropyAndCheck(context.Background(), cl, ledger, 2, 1)
 	if len(violations) != 0 {
 		t.Fatalf("lost %d of %d acknowledged (block,field) obligations after repair:\n%v",
 			len(violations), ledger.Fields(), violations)
@@ -192,8 +191,8 @@ func TestChaosChurnSoak(t *testing.T) {
 }
 
 // TestChaosCrashWaveHealedByAntiEntropy is the churn soak with the
-// repair machinery narrowed to the bandwidth-frugal path: read-repair
-// is off and no forced republish sweep ever runs. A quarter of the
+// repair machinery narrowed to the bandwidth-frugal path: no forced
+// (every = 1) sweep ever runs. A quarter of the
 // storage nodes crash mid-workload, and the only healing force is the
 // survivors' timer-driven anti-entropy rounds — digest probes, deltas
 // where replicas disagree, suppression for recently written blocks.
@@ -211,7 +210,6 @@ func TestChaosCrashWaveHealedByAntiEntropy(t *testing.T) {
 		Mode:        Approximated,
 		K:           3,
 		Replication: 8,
-		ReadRepair:  false, // healing must come from anti-entropy alone
 		Seed:        seed,
 	})
 	if err != nil {
@@ -265,7 +263,7 @@ func TestChaosCrashWaveHealedByAntiEntropy(t *testing.T) {
 // TestChurnUnderLoad runs the mixed workload from protected clients on a
 // 20-node overlay while a Churner crashes, revives, removes and joins
 // the other nodes at 25 events/s (at most a quarter dead at once), with
-// read-repair, a 2-replica write quorum and a maintenance round on
+// a 2-replica write quorum and a maintenance round on
 // every member each 500ms. After a repair pass — the nodes still
 // crashed stay down — every acknowledged write must be readable. The
 // memory variant adds 2% packet loss; in the durable one every node
@@ -287,7 +285,7 @@ func TestChurnUnderLoad(t *testing.T) {
 			)
 			// Quorum 2: an acknowledged write survives the crash of either
 			// acker even before any repair round spreads it further.
-			cfg := Config{Nodes: nodes, Mode: Approximated, K: 3, ReadRepair: true, WriteQuorum: 2, Seed: seed}
+			cfg := Config{Nodes: nodes, Mode: Approximated, K: 3, WriteQuorum: 2, Seed: seed}
 			if durable {
 				cfg.DataDir, cfg.NoFsync = t.TempDir(), true
 			} else {
@@ -337,7 +335,7 @@ func TestChurnUnderLoad(t *testing.T) {
 				t.Fatalf("churner never crashed and revived a node: %s", st)
 			}
 
-			violations := chaos.RepairAndCheck(ctx, sys.Cluster(), ledger, 2)
+			violations := chaos.AntiEntropyAndCheck(ctx, sys.Cluster(), ledger, 2, 1)
 			if len(violations) != 0 {
 				t.Fatalf("lost %d of %d acknowledged (block,field) obligations after repair (churn: %s):\n%v",
 					len(violations), ledger.Fields(), churner.Stats(), violations)
