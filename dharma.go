@@ -65,7 +65,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"time"
 
 	"dharma/internal/admission"
@@ -156,17 +155,6 @@ type Config struct {
 	// deployment: acknowledged writes are handed to the OS (surviving a
 	// process kill) but not fsynced. Ignored when DataDir is empty.
 	NoFsync bool
-	// CacheBlocks, when positive, puts a bounded TTL read cache
-	// (dht.Cached) of at most that many blocks in front of every peer's
-	// overlay store — DHARMA's read skew makes a small cache absorb most
-	// repeat hot-tag lookups (experiment A7). On a durable deployment
-	// (DataDir set) each peer's cache is snapshotted on Shutdown next to
-	// its node's write-ahead log and warmed on the next boot, so a
-	// restarted peer answers its first hot reads locally instead of
-	// rebuilding the working set one overlay lookup at a time. Warmed
-	// entries keep their original absolute expiry: the TTL staleness
-	// bound holds across the reboot.
-	CacheBlocks int
 	// Seed makes the deployment reproducible (node IDs, approximation
 	// subsets).
 	Seed int64
@@ -264,12 +252,10 @@ type System struct {
 // per-operation Options; the context bounds the whole multi-hop
 // operation, down to the individual RPC waiters.
 type Peer struct {
-	engine    *core.Engine
-	Node      *kademlia.Node
-	store     *dht.Overlay
-	cache     *dht.Cached       // nil unless Config.CacheBlocks > 0
-	cachePath string            // snapshot location; empty on in-memory systems
-	net       *simnet.NodeStats // simulated endpoint traffic; nil on real-UDP peers
+	engine *core.Engine
+	Node   *kademlia.Node
+	store  *dht.Overlay
+	net    *simnet.NodeStats // simulated endpoint traffic; nil on real-UDP peers
 	// Security layer state; nil/empty on open-overlay and simulated
 	// peers. revSet is shared with the node config's Revoked hook and
 	// the session manager, so a Refresh propagates everywhere at once.
@@ -278,10 +264,6 @@ type Peer struct {
 	revPath  string
 	caPub    ed25519.PublicKey
 }
-
-// Cache exposes the peer's read cache (nil when Config.CacheBlocks is
-// zero) for hit-rate inspection.
-func (p *Peer) Cache() *dht.Cached { return p.cache }
 
 // Engine exposes the peer's underlying DHARMA engine (the
 // option-less, context-first core API; the overload scenario drives
@@ -311,9 +293,6 @@ type Stats struct {
 	// Admitted counts inbound requests that passed the admission gate;
 	// InFlight is how many of them are currently in their handler.
 	Admitted, InFlight int64
-	// CacheHits and CacheMisses are the read-cache counters (both zero
-	// unless Config.CacheBlocks is set).
-	CacheHits, CacheMisses int64
 	// MaintBytesSent and MaintBytesRecv are the wire bytes of
 	// maintenance traffic (anti-entropy summary probes and replica
 	// deltas) this peer originated and got back — the cost the
@@ -347,10 +326,6 @@ func (p *Peer) Stats() Stats {
 		DigestMatches:    ae.DigestMatches,
 		SuppressedRounds: ae.Suppressed,
 		DeltaEntries:     ae.DeltaEntries,
-	}
-	if p.cache != nil {
-		st.CacheHits = p.cache.Hits()
-		st.CacheMisses = p.cache.Misses()
 	}
 	if p.net != nil {
 		st.NetSent = p.net.Sent.Load()
@@ -457,26 +432,15 @@ func (p *Peer) NavigateFromResource(ctx context.Context, r string, strat Strateg
 }
 
 // newPeer is the one place a participant is assembled on an attached
-// node: overlay store, optional read cache (warmed from dir when
-// durable), engine. On error the caller still owns the node.
-func newPeer(node *kademlia.Node, cfg Config, dir string, seed int64) (*Peer, error) {
+// node: overlay store, then engine. On error the caller still owns the
+// node.
+func newPeer(node *kademlia.Node, cfg Config, seed int64) (*Peer, error) {
 	p := &Peer{
 		Node:  node,
 		store: dht.NewOverlay(node, node.Identity()), // signs URI entries on a Likir overlay
 	}
-	var engineStore dht.Store = p.store
-	if cfg.CacheBlocks > 0 {
-		p.cache = dht.NewCached(p.store, cfg.CacheBlocks, 0, nil)
-		if dir != "" {
-			// The snapshot lives next to the node's write-ahead log. A
-			// failed warm is a cold start, never a failed boot.
-			p.cachePath = filepath.Join(dir, "readcache")
-			p.cache.WarmSnapshot(p.cachePath) //nolint:errcheck
-		}
-		engineStore = p.cache
-	}
 	var err error
-	p.engine, err = core.NewEngine(engineStore, core.Config{
+	p.engine, err = core.NewEngine(p.store, core.Config{
 		Mode: cfg.Mode, K: cfg.K, TopN: cfg.TopN, Seed: seed,
 	})
 	if err != nil {
@@ -527,11 +491,7 @@ func NewSystem(cfg Config) (*System, error) {
 
 	sys := &System{cluster: cluster, authority: authority}
 	for i, node := range cluster.Nodes {
-		var nodeDir string
-		if cfg.DataDir != "" {
-			nodeDir = filepath.Join(cfg.DataDir, node.Self().Addr)
-		}
-		p, err := newPeer(node, cfg, nodeDir, cfg.Seed+int64(i))
+		p, err := newPeer(node, cfg, cfg.Seed+int64(i))
 		if err != nil {
 			// The cluster is already live: endpoints attached, durable
 			// WALs open. Tear it down, or a failed boot leaks them all.
@@ -570,18 +530,9 @@ func (s *System) SetDown(i int, down bool) {
 }
 
 // Shutdown cleanly stops every member: a durable deployment flushes and
-// closes its write-ahead logs — and snapshots each peer's read cache
-// next to them — so a later NewSystem over the same DataDir recovers
-// the full state with the caches already warm. A no-op for in-memory
-// systems.
+// closes its write-ahead logs, so a later NewSystem over the same
+// DataDir recovers the full state. A no-op for in-memory systems.
 func (s *System) Shutdown() {
-	for _, p := range s.peers {
-		if p.cache != nil && p.cachePath != "" {
-			// Best-effort: a lost cache snapshot costs overlay lookups on
-			// the next boot, not data.
-			p.cache.SaveSnapshot(p.cachePath) //nolint:errcheck
-		}
-	}
 	s.cluster.Shutdown()
 }
 
@@ -591,7 +542,7 @@ func (s *System) Shutdown() {
 type UDPPeerConfig struct {
 	// Config supplies the engine and overlay knobs (Mode, K, TopN,
 	// Replication, Alpha, WriteQuorum, DataDir, NoFsync,
-	// CacheBlocks, QueueDepth, PerPeerRate, Seed). Simulation-only
+	// QueueDepth, PerPeerRate, Seed). Simulation-only
 	// fields — Nodes, DropRate, MTU, WithIdentity — are ignored: there
 	// is no simulated fault model over a real socket, and the Likir
 	// layer needs an in-process authority.
@@ -604,7 +555,7 @@ type UDPPeerConfig struct {
 	// Timeout bounds each overlay RPC (0 = the transport default).
 	Timeout time.Duration
 	// Metrics, when non-nil, instruments every layer of the peer on
-	// that registry — node, store, cache, transport, and (with DataDir)
+	// that registry — node, store, transport, and (with DataDir)
 	// the write-ahead log — ready for obs.Handler to serve.
 	Metrics *obs.Registry
 
@@ -734,7 +685,7 @@ func NewUDPPeer(ctx context.Context, ucfg UDPPeerConfig) (_ *Peer, err error) {
 		return nil, fmt.Errorf("dharma: %w", err)
 	}
 	node.Attach(tr)
-	p, err := newPeer(node, cfg, cfg.DataDir, seed)
+	p, err := newPeer(node, cfg, seed)
 	if err != nil {
 		return nil, fmt.Errorf("dharma: engine: %w", err)
 	}
@@ -792,32 +743,24 @@ func (p *Peer) refreshRevocations() error {
 
 // Instrument registers every layer of this peer on reg: the overlay
 // node (RPC serve latency by kind, lookup histograms, maintenance
-// counters, per-shard store latency), the read cache, and — on a
-// real-UDP peer — the transport's datagram and admission accounting.
-// One registry per peer: instrument names are deployment-wide, so two
-// peers sharing a registry would silently share instruments. A nil reg
-// is a no-op.
+// counters, per-shard store latency) and — on a real-UDP peer — the
+// transport's datagram and admission accounting. One registry per
+// peer: instrument names are deployment-wide, so two peers sharing a
+// registry would silently share instruments. A nil reg is a no-op.
 func (p *Peer) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
 	p.Node.Instrument(reg)
-	if p.cache != nil {
-		p.cache.Instrument(reg)
-	}
 	if tr, ok := p.Node.Transport().(*wire.UDPTransport); ok {
 		tr.Instrument(reg)
 	}
 }
 
-// Close stops a self-owned peer (one built with NewUDPPeer): the read
-// cache is snapshotted when durable, then the node shuts down, closing
-// its transport and flushing its write-ahead log. Peers belonging to a
-// System are closed by System.Shutdown instead.
+// Close stops a self-owned peer (one built with NewUDPPeer): the node
+// shuts down, closing its transport and flushing its write-ahead log.
+// Peers belonging to a System are closed by System.Shutdown instead.
 func (p *Peer) Close() error {
-	if p.cache != nil && p.cachePath != "" {
-		p.cache.SaveSnapshot(p.cachePath) //nolint:errcheck // best-effort
-	}
 	return p.Node.Shutdown()
 }
 

@@ -59,71 +59,3 @@ func TestSystemDurableRestart(t *testing.T) {
 		t.Fatalf("navigation after restart found nothing: %+v", res)
 	}
 }
-
-// TestSystemRebootWarmsReadCache closes the carried gap "dht.Cached is
-// cold after restart": on a durable deployment with CacheBlocks set,
-// Shutdown snapshots each peer's read cache next to its WAL and the
-// next boot warms it, so the first post-reboot read of a hot block is
-// served locally — zero overlay lookups — instead of paying the full
-// iterative-lookup latency to rebuild the working set.
-func TestSystemRebootWarmsReadCache(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{Nodes: 12, K: 3, Seed: 7, DataDir: dir, NoFsync: true, CacheBlocks: 64}
-
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := sys.Peer(0)
-	if err := p.InsertResource(context.Background(), "norwegian-wood", "magnet:?xt=nw", []string{"rock", "60s"}); err != nil {
-		t.Fatal(err)
-	}
-	// The hot working set: repeat reads that populate peer 0's cache.
-	if _, err := p.ResolveURI(context.Background(), "norwegian-wood"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.TagsOf(context.Background(), "norwegian-wood"); err != nil {
-		t.Fatal(err)
-	}
-	if p.Cache().Len() == 0 {
-		t.Fatal("reads did not populate the cache")
-	}
-	sys.Shutdown()
-
-	sys2, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys2.Shutdown()
-	p2 := sys2.Peer(0)
-	if p2.Cache().Len() == 0 {
-		t.Fatal("cache cold after reboot: snapshot not warmed")
-	}
-
-	// First reads after the reboot: served from the warmed cache. The
-	// overlay lookup counter is the latency proxy — a cold cache would
-	// pay one full iterative lookup per read here.
-	lookupsBefore := p2.Stats().Gets
-	uri, err := p2.ResolveURI(context.Background(), "norwegian-wood")
-	if err != nil || uri != "magnet:?xt=nw" {
-		t.Fatalf("resolve after reboot: %q, %v", uri, err)
-	}
-	tags, err := p2.TagsOf(context.Background(), "norwegian-wood")
-	if err != nil || len(tags) == 0 {
-		t.Fatalf("tags after reboot: %v, %v", tags, err)
-	}
-	st := p2.Stats()
-	if st.Gets != lookupsBefore {
-		t.Fatalf("first post-reboot reads hit the overlay (%d -> %d lookups); cache was cold",
-			lookupsBefore, st.Gets)
-	}
-	if st.CacheHits == 0 {
-		t.Fatal("no cache hits recorded after the warmed reads")
-	}
-
-	// A peer that cached nothing before the reboot behaves as before —
-	// cold but functional.
-	if _, err := sys2.Peer(5).ResolveURI(context.Background(), "norwegian-wood"); err != nil {
-		t.Fatalf("cold peer read after reboot: %v", err)
-	}
-}

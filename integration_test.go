@@ -143,6 +143,54 @@ func TestPipelineSurvivesChurnWithMaintenance(t *testing.T) {
 	}
 }
 
+// TestReadNeverHidesAnotherPeersWrite pins the facade's freshness
+// contract: every read goes to the overlay, so a block one peer has
+// already read shows another peer's acknowledged write on that peer's
+// very next read.
+func TestReadNeverHidesAnotherPeersWrite(t *testing.T) {
+	ctx := context.Background()
+	sys, err := dharma.NewSystem(dharma.Config{Nodes: 12, K: 3, Mode: dharma.Approximated, Seed: 80})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Shutdown()
+	a, b := sys.Peer(0), sys.Peer(5)
+	if err := a.InsertResource(ctx, "r", "uri:r", []string{"rock"}); err != nil {
+		t.Fatal(err)
+	}
+
+	has := func(ws []dharma.Weighted, name string) bool {
+		for _, w := range ws {
+			if w.Name == name {
+				return true
+			}
+		}
+		return false
+	}
+	// B reads r̄ and rock's step before the write.
+	tags, err := b.TagsOf(ctx, "r")
+	if err != nil || !has(tags, "rock") || has(tags, "folk") {
+		t.Fatalf("TagsOf(r) before the write: %v, %v", tags, err)
+	}
+	related, _, err := b.SearchStep(ctx, "rock")
+	if err != nil || has(related, "folk") {
+		t.Fatalf("SearchStep(rock) before the write: %v, %v", related, err)
+	}
+
+	if err := a.Tag(ctx, "r", "folk"); err != nil {
+		t.Fatal(err)
+	}
+
+	tags, err = b.TagsOf(ctx, "r")
+	if err != nil || !has(tags, "folk") {
+		t.Fatalf("TagsOf(r) after A tagged r folk: %v, %v", tags, err)
+	}
+	related, _, err = b.SearchStep(ctx, "rock")
+	if err != nil || !has(related, "folk") {
+		t.Fatalf("SearchStep(rock) after A tagged r folk: %v, %v", related, err)
+	}
+}
+
 // TestConcurrentPeersPublishing exercises the race-freedom claim of
 // Approximation B end to end: many peers tag the same resource
 // concurrently and every increment must be accounted.

@@ -16,7 +16,8 @@ import (
 	"dharma/internal/simnet"
 )
 
-// AblationBResult isolates the two approximations (A1 in DESIGN.md):
+// AblationBResult isolates the two approximations (A1 in README
+// "Reproducing the paper"):
 // Approximation B alone never drops arcs (recall 1) but flattens
 // weights; Approximation A alone drops arcs but keeps theoretic forward
 // weights.
@@ -132,46 +133,15 @@ func RunHotspots(w *Workbench, nodes, annotations, k int) (*HotspotResult, error
 		return nil, err
 	}
 
-	schedule := w.Schedule()
-	if len(schedule) > annotations {
-		schedule = schedule[:annotations]
-	}
-	inserted := map[string]bool{}
-	tags := map[string]int{}
-	for _, a := range schedule {
-		if !inserted[a.Resource] {
-			if err := eng.InsertResource(context.Background(), a.Resource, "uri:"+a.Resource); err != nil {
-				return nil, err
-			}
-			inserted[a.Resource] = true
-		}
-		if err := eng.Tag(context.Background(), a.Resource, a.Tag); err != nil {
-			return nil, err
-		}
-		tags[a.Tag]++
+	tagPop, err := w.publish(eng, annotations)
+	if err != nil {
+		return nil, err
 	}
 
 	// One search step per tag, most popular first (popularity within the
 	// replayed slice).
-	type tc struct {
-		tag string
-		n   int
-	}
-	var byPop []tc
-	for t, n := range tags {
-		byPop = append(byPop, tc{t, n})
-	}
-	sort.Slice(byPop, func(i, j int) bool {
-		if byPop[i].n != byPop[j].n {
-			return byPop[i].n > byPop[j].n
-		}
-		return byPop[i].tag < byPop[j].tag
-	})
-	if len(byPop) > 100 {
-		byPop = byPop[:100]
-	}
-	for _, t := range byPop {
-		if _, _, err := eng.SearchStep(context.Background(), t.tag); err != nil {
+	for _, tag := range topTags(tagPop, 100) {
+		if _, _, err := eng.SearchStep(context.Background(), tag); err != nil {
 			return nil, err
 		}
 	}

@@ -57,23 +57,9 @@ func RunChurn(w *Workbench, nodes, annotations, cycles, kill, join, replication 
 			return nil, nil, err
 		}
 
-		schedule := w.Schedule()
-		if len(schedule) > annotations {
-			schedule = schedule[:annotations]
-		}
-		inserted := map[string]bool{}
-		tagPop := map[string]int{}
-		for _, a := range schedule {
-			if !inserted[a.Resource] {
-				if err := eng.InsertResource(context.Background(), a.Resource, "uri:"+a.Resource); err != nil {
-					return nil, nil, err
-				}
-				inserted[a.Resource] = true
-			}
-			if err := eng.Tag(context.Background(), a.Resource, a.Tag); err != nil {
-				return nil, nil, err
-			}
-			tagPop[a.Tag]++
+		tagPop, err := w.publish(eng, annotations)
+		if err != nil {
+			return nil, nil, err
 		}
 
 		// Probe the t̂ blocks of the most popular tags in the slice.
@@ -139,31 +125,6 @@ func RunChurn(w *Workbench, nodes, annotations, cycles, kill, join, replication 
 		return nil, err
 	}
 	return res, nil
-}
-
-func topTags(pop map[string]int, n int) []string {
-	type tc struct {
-		tag string
-		n   int
-	}
-	all := make([]tc, 0, len(pop))
-	for t, c := range pop {
-		all = append(all, tc{t, c})
-	}
-	for i := 1; i < len(all); i++ { // insertion sort: small n
-		for j := i; j > 0 && (all[j].n > all[j-1].n ||
-			(all[j].n == all[j-1].n && all[j].tag < all[j-1].tag)); j-- {
-			all[j], all[j-1] = all[j-1], all[j]
-		}
-	}
-	if len(all) > n {
-		all = all[:n]
-	}
-	out := make([]string, len(all))
-	for i, t := range all {
-		out[i] = t.tag
-	}
-	return out
 }
 
 // String renders the availability series.

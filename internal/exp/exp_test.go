@@ -310,26 +310,6 @@ func TestRunChurn(t *testing.T) {
 	}
 }
 
-func TestRunCacheEffect(t *testing.T) {
-	w := tinyBench(t)
-	res, err := RunCacheEffect(w, 16, 300, 2, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PlainLookups == 0 {
-		t.Fatal("no plain lookups recorded")
-	}
-	if res.CachedLookups >= res.PlainLookups {
-		t.Fatalf("cache did not reduce lookups: %d vs %d", res.CachedLookups, res.PlainLookups)
-	}
-	if res.HitRate <= 0.3 {
-		t.Fatalf("hit rate %.2f too low for Zipf traffic", res.HitRate)
-	}
-	if !strings.Contains(res.String(), "Extension A7") {
-		t.Fatal("rendering header missing")
-	}
-}
-
 func TestWorkbenchCaches(t *testing.T) {
 	w := tinyBench(t)
 	if w.Dataset() != w.Dataset() {

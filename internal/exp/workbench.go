@@ -1,5 +1,6 @@
 // Package exp contains one driver per table and figure of the paper's
-// evaluation section, plus the ablations listed in DESIGN.md. Each
+// evaluation section, plus the ablations and extensions listed in
+// README "Reproducing the paper". Each
 // driver returns a structured result that renders to text (the same
 // rows/series the paper reports, with the paper's own numbers printed
 // alongside for comparison) and, for figures, dumps CSV series.
@@ -11,8 +12,11 @@
 package exp
 
 import (
+	"context"
+	"sort"
 	"sync"
 
+	"dharma/internal/core"
 	"dharma/internal/dataset"
 	"dharma/internal/folksonomy"
 	"dharma/internal/sim"
@@ -111,4 +115,48 @@ func (w *Workbench) Evolution(k int) *sim.Result {
 // PopularTags returns the n most popular tags of the workload.
 func (w *Workbench) PopularTags(n int) []string {
 	return dataset.PopularTags(w.Graph(), n)
+}
+
+// publish replays the first annotations entries of the schedule through
+// eng — each resource inserted once, on its first annotation, then
+// tagged — and returns how often each tag was applied in that slice.
+func (w *Workbench) publish(eng *core.Engine, annotations int) (map[string]int, error) {
+	schedule := w.Schedule()
+	if len(schedule) > annotations {
+		schedule = schedule[:annotations]
+	}
+	inserted := map[string]bool{}
+	tagPop := map[string]int{}
+	for _, a := range schedule {
+		if !inserted[a.Resource] {
+			if err := eng.InsertResource(context.Background(), a.Resource, "uri:"+a.Resource); err != nil {
+				return nil, err
+			}
+			inserted[a.Resource] = true
+		}
+		if err := eng.Tag(context.Background(), a.Resource, a.Tag); err != nil {
+			return nil, err
+		}
+		tagPop[a.Tag]++
+	}
+	return tagPop, nil
+}
+
+// topTags returns the n most applied tags of pop, by count descending
+// and then name ascending.
+func topTags(pop map[string]int, n int) []string {
+	all := make([]string, 0, len(pop))
+	for t := range pop {
+		all = append(all, t)
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if pop[all[i]] != pop[all[j]] {
+			return pop[all[i]] > pop[all[j]]
+		}
+		return all[i] < all[j]
+	})
+	if len(all) > n {
+		all = all[:n]
+	}
+	return all
 }
