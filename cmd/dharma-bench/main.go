@@ -6,46 +6,15 @@
 //
 //	dharma-bench -scale small            # quick pass (~seconds)
 //	dharma-bench -scale lastfm -out csv  # full benchmark preset + CSVs
-//
-// The overload subcommand offers load at multiples of the deployment's
-// measured capacity and verifies overload protection: goodput must stay
-// flat (excess load rejected early with BUSY) and goroutines must
-// return to baseline:
-//
-//	dharma-bench overload -mult 1,2,4                  # in-process simnet overlay
-//	dharma-bench overload -bootstrap 127.0.0.1:9000    # against a real UDP fleet
-//
-// The scale subcommand sweeps overlay size (100, 1k, 10k nodes by
-// default) and reports hop-count and latency distributions per lookup,
-// optionally writing BENCH_scale.json:
-//
-//	dharma-bench scale -out .
-//
-// The antientropy subcommand measures maintenance bytes per round on
-// the hot-tag regime — legacy full-block pushes vs the digest-first
-// summary sweep vs steady-state timer-driven rounds — and doubles as a
-// regression gate plus a crash-wave durability check:
-//
-//	dharma-bench antientropy -assert-ratio 10
-//
-// The scrape subcommand reads a serving node's live ops endpoint
-// (dharma-node serve -debug-addr) and reports RPC latency percentiles,
-// admission accounting, and the hop-by-hop timeline of a recent lookup
-// trace; -assert-rpc/-assert-trace make it a fleet health check:
-//
-//	dharma-bench scrape -addr 127.0.0.1:9600 -assert-rpc -assert-trace
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"syscall"
 	"time"
 
 	"dharma/internal/dataset"
@@ -55,32 +24,6 @@ import (
 type csvWriter interface{ WriteCSV(w io.Writer) error }
 
 func main() {
-	// Ctrl-C cancels the run: the overload, scale and antientropy
-	// subcommands abort their in-flight operations and exit promptly.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if len(os.Args) > 1 && os.Args[1] == "overload" {
-		runOverload(ctx, os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "scale" {
-		runScale(ctx, os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "antientropy" {
-		runAntiEntropy(ctx, os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "scrape" {
-		runScrape(ctx, os.Args[2:])
-		return
-	}
-	// The experiment path below is batch work that does not poll ctx;
-	// NotifyContext swallowed the signal's default-kill behavior, so
-	// restore it: first Ctrl-C exits promptly. A goroutine waiting on
-	// ctx.Done cannot do this: the deferred stop of a clean return wakes
-	// it too.
-	stop()
 	scale := flag.String("scale", "small", "workload scale: tiny, small or lastfm")
 	seed := flag.Int64("seed", 1, "generator seed")
 	out := flag.String("out", "", "directory for figure CSVs (omit to skip)")

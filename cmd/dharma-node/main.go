@@ -20,7 +20,11 @@
 // A serving node exposes a live ops endpoint when -debug-addr is set:
 // Prometheus metrics under /metrics, a JSON stats snapshot under
 // /debug/stats, recent lookup traces under /debug/traces, and the
-// standard pprof profiles under /debug/pprof/.
+// standard pprof profiles under /debug/pprof/. The scrape verb reads
+// that endpoint back, human-readable, and with -assert-rpc,
+// -assert-trace or -assert-min makes it a health check:
+//
+//	dharma-node scrape -addr 127.0.0.1:9600 -assert-rpc -assert-trace
 package main
 
 import (
@@ -64,6 +68,8 @@ func main() {
 		err = serve(ctx, args)
 	case "insert", "tag", "search", "resolve":
 		err = client(ctx, cmd, args)
+	case "scrape":
+		err = scrape(ctx, args, os.Stdout)
 	case "ca":
 		err = caCmd(args)
 	default:
@@ -91,6 +97,8 @@ func usage() {
   dharma-node search  -bootstrap host:port -t tag [-top n] [-timeout d]
   dharma-node resolve -bootstrap host:port -r name [-timeout d]
   (clients accept -identity/-ca/-revocations too, for secured overlays)
+  dharma-node scrape  [-addr host:port] [-timeout d] [-assert-rpc] [-assert-trace]
+                      [-assert-min name=min,...] [-log-level l]
   dharma-node ca init   -dir path [-validity d]
   dharma-node ca issue  -dir path -name name -out file
   dharma-node ca revoke -dir path (-id hexid | -identity file)`)

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"context"
+	"fmt"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -8,6 +11,7 @@ import (
 
 	"dharma"
 	"dharma/internal/admission"
+	"dharma/internal/obs"
 )
 
 // TestServeConfig pins the serve flag → UDPPeerConfig mapping: the
@@ -210,5 +214,64 @@ func TestClientConfig(t *testing.T) {
 				t.Errorf("options: got %+v, want %+v", opt, tc.wantOpt)
 			}
 		})
+	}
+}
+
+// TestScrapeAssertions drives the scrape verb against a live peer's
+// registry served the way serve -debug-addr serves it. -assert-rpc
+// must fail while the peer has served nothing and pass once it has;
+// -assert-min must fail one short of its minimum and pass at it; a
+// malformed -assert-min pair is rejected.
+func TestScrapeAssertions(t *testing.T) {
+	ctx := context.Background()
+	reg := obs.NewRegistry()
+	p, err := dharma.NewUDPPeer(ctx, dharma.UDPPeerConfig{Listen: "127.0.0.1:0", Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	srv := httptest.NewServer(obs.Handler(reg,
+		func() any { return p.Stats() },
+		func() any { return p.Node.RecentTraces() }))
+	defer srv.Close()
+	run := func(args ...string) (string, error) {
+		var out strings.Builder
+		err := scrape(ctx, append([]string{"-addr", strings.TrimPrefix(srv.URL, "http://")}, args...), &out)
+		return out.String(), err
+	}
+
+	if _, err := run("-assert-rpc"); err == nil {
+		t.Fatal("-assert-rpc passed on a peer that has served no RPC")
+	}
+	joiner, err := dharma.NewUDPPeer(ctx, dharma.UDPPeerConfig{
+		Listen:    "127.0.0.1:0",
+		Bootstrap: []string{p.Node.Self().Addr},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer joiner.Close()
+	out, err := run("-assert-rpc")
+	if err != nil {
+		t.Fatalf("-assert-rpc after a join: %v", err)
+	}
+	var served int
+	_, line, _ := strings.Cut(out, "assert-rpc ok: ")
+	if _, err := fmt.Sscanf(line, "%d", &served); err != nil || served == 0 {
+		t.Fatalf("no served-RPC count in the output (%v):\n%s", err, out)
+	}
+
+	if _, err := run("-assert-min", fmt.Sprintf("dharma_rpc_serve_seconds=%d", served+1)); err == nil {
+		t.Errorf("-assert-min passed one RPC above the %d served", served)
+	}
+	if out, err := run("-assert-min", fmt.Sprintf("dharma_rpc_serve_seconds=%d", served)); err != nil {
+		t.Errorf("-assert-min at exactly the %d served: %v", served, err)
+	} else if !strings.Contains(out, "assert-min ok: dharma_rpc_serve_seconds") {
+		t.Errorf("passing -assert-min printed no ok line:\n%s", out)
+	}
+	for _, bad := range []string{"dharma_rpc_serve_seconds", "dharma_rpc_serve_seconds=many"} {
+		if _, err := run("-assert-min", bad); err == nil || !strings.Contains(err.Error(), "bad -assert-min") {
+			t.Errorf("-assert-min %q: err = %v, want it rejected as malformed", bad, err)
+		}
 	}
 }

@@ -3,12 +3,11 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -18,14 +17,15 @@ import (
 	"dharma/internal/obs"
 )
 
-// The scrape subcommand reads a serving node's ops endpoint
-// (dharma-node serve -debug-addr) and reports what the node is doing:
-// per-kind RPC latency percentiles, transport and admission traffic,
-// the stats snapshot, and the hop-by-hop timeline of a recent lookup
-// trace. With -assert-rpc / -assert-trace it doubles as the check the
-// metrics smoke script runs against a live fleet.
-func runScrape(ctx context.Context, args []string) {
-	fs := flag.NewFlagSet("scrape", flag.ExitOnError)
+// scrape reads a serving node's ops endpoint (serve -debug-addr) and
+// reports what the node is doing: per-kind RPC latency percentiles,
+// transport and admission traffic, the stats snapshot, and the
+// hop-by-hop timeline of a recent lookup trace. With -assert-rpc,
+// -assert-trace and -assert-min it doubles as the fleet health check
+// the metrics and auth smoke scripts run: a failed assertion is an
+// error.
+func scrape(ctx context.Context, args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("scrape", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:9600", "ops endpoint address (dharma-node serve -debug-addr)")
 	timeout := fs.Duration("timeout", 5*time.Second, "per-request HTTP timeout")
 	assertRPC := fs.Bool("assert-rpc", false,
@@ -35,49 +35,48 @@ func runScrape(ctx context.Context, args []string) {
 	assertMin := fs.String("assert-min", "",
 		`comma-separated name=min pairs; exit nonzero unless each scraped metric, summed across its label sets (histograms by count), reaches its minimum — e.g. -assert-min dharma_session_cache_size=1,dharma_rpc_auth_rejected_total=1`)
 	logLevel := fs.String("log-level", "info", "log verbosity: debug, info, warn or error")
-	fs.Parse(args) //nolint:errcheck // ExitOnError
-	logger := benchLogger(*logLevel)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	logger, err := newLogger(*logLevel)
+	if err != nil {
+		return err
+	}
 
 	base := "http://" + *addr
 	client := &http.Client{Timeout: *timeout}
 
 	body, err := fetch(ctx, client, base+"/metrics")
 	if err != nil {
-		logger.Error("scrape /metrics failed", "addr", *addr, "err", err)
-		os.Exit(1)
+		return fmt.Errorf("scrape /metrics: %w", err)
 	}
 	metrics, err := obs.ParsePrometheus(strings.NewReader(string(body)))
 	if err != nil {
-		logger.Error("parse /metrics failed", "err", err)
-		os.Exit(1)
+		return fmt.Errorf("parse /metrics: %w", err)
 	}
-	printMetrics(metrics)
+	printMetrics(w, metrics)
 
 	stats, err := fetch(ctx, client, base+"/debug/stats")
 	if err != nil {
-		logger.Error("scrape /debug/stats failed", "err", err)
-		os.Exit(1)
+		return fmt.Errorf("scrape /debug/stats: %w", err)
 	}
-	fmt.Printf("\nstats: %s\n", strings.TrimSpace(string(stats)))
+	fmt.Fprintf(w, "\nstats: %s\n", strings.TrimSpace(string(stats)))
 
 	tbody, err := fetch(ctx, client, base+"/debug/traces")
 	if err != nil {
-		logger.Error("scrape /debug/traces failed", "err", err)
-		os.Exit(1)
+		return fmt.Errorf("scrape /debug/traces: %w", err)
 	}
 	var traces []*kademlia.LookupTrace
 	if err := json.Unmarshal(tbody, &traces); err != nil {
-		logger.Error("decode /debug/traces failed", "err", err)
-		os.Exit(1)
+		return fmt.Errorf("decode /debug/traces: %w", err)
 	}
-	printTraces(traces)
+	printTraces(w, traces)
 
 	// pprof must answer too: profiles are part of the ops surface.
 	if _, err := fetch(ctx, client, base+"/debug/pprof/cmdline"); err != nil {
-		logger.Error("scrape /debug/pprof/cmdline failed", "err", err)
-		os.Exit(1)
+		return fmt.Errorf("scrape /debug/pprof/cmdline: %w", err)
 	}
-	fmt.Println("\npprof: live")
+	fmt.Fprintln(w, "\npprof: live")
 
 	if *assertRPC {
 		var served uint64
@@ -88,10 +87,9 @@ func runScrape(ctx context.Context, args []string) {
 			}
 		}
 		if served == 0 {
-			logger.Error("assert-rpc failed: no served RPCs in dharma_rpc_serve_seconds")
-			os.Exit(1)
+			return errors.New("assert-rpc failed: no served RPCs in dharma_rpc_serve_seconds")
 		}
-		fmt.Printf("assert-rpc ok: %d RPCs in serve histograms\n", served)
+		fmt.Fprintf(w, "assert-rpc ok: %d RPCs in serve histograms\n", served)
 	}
 	if *assertTrace {
 		spans := 0
@@ -99,11 +97,10 @@ func runScrape(ctx context.Context, args []string) {
 			spans += len(tr.Spans)
 		}
 		if len(traces) == 0 || spans == 0 {
-			logger.Error("assert-trace failed: no retained lookup trace with spans",
-				"traces", len(traces), "spans", spans)
-			os.Exit(1)
+			return fmt.Errorf("assert-trace failed: no retained lookup trace with spans (%d traces, %d spans)",
+				len(traces), spans)
 		}
-		fmt.Printf("assert-trace ok: %d traces, %d spans retained\n", len(traces), spans)
+		fmt.Fprintf(w, "assert-trace ok: %d traces, %d spans retained\n", len(traces), spans)
 	}
 	for _, spec := range strings.Split(*assertMin, ",") {
 		spec = strings.TrimSpace(spec)
@@ -112,13 +109,11 @@ func runScrape(ctx context.Context, args []string) {
 		}
 		name, minStr, ok := strings.Cut(spec, "=")
 		if !ok {
-			logger.Error("bad -assert-min spec (want name=min)", "spec", spec)
-			os.Exit(2)
+			return fmt.Errorf("bad -assert-min spec %q (want name=min)", spec)
 		}
 		floor, err := strconv.ParseFloat(minStr, 64)
 		if err != nil {
-			logger.Error("bad -assert-min minimum", "spec", spec, "err", err)
-			os.Exit(2)
+			return fmt.Errorf("bad -assert-min minimum in %q: %w", spec, err)
 		}
 		var total float64
 		seen := false
@@ -134,12 +129,11 @@ func runScrape(ctx context.Context, args []string) {
 			}
 		}
 		if !seen || total < floor {
-			logger.Error("assert-min failed", "metric", name, "want-at-least", floor,
-				"got", total, "present", seen)
-			os.Exit(1)
+			return fmt.Errorf("assert-min failed: %s = %g, want at least %g (present: %t)", name, total, floor, seen)
 		}
-		fmt.Printf("assert-min ok: %s = %g (>= %g)\n", name, total, floor)
+		fmt.Fprintf(w, "assert-min ok: %s = %g (>= %g)\n", name, total, floor)
 	}
+	return nil
 }
 
 func fetch(ctx context.Context, client *http.Client, url string) ([]byte, error) {
@@ -164,13 +158,13 @@ func fetch(ctx context.Context, client *http.Client, url string) ([]byte, error)
 
 // printMetrics summarizes the scraped registry: histograms as
 // count/p50/p99, nonzero scalars as-is, sorted by series name.
-func printMetrics(metrics map[string]*obs.ScrapedMetric) {
+func printMetrics(w io.Writer, metrics map[string]*obs.ScrapedMetric) {
 	keys := make([]string, 0, len(metrics))
 	for k := range metrics {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	fmt.Println("metrics:")
+	fmt.Fprintln(w, "metrics:")
 	for _, k := range keys {
 		m := metrics[k]
 		switch {
@@ -178,18 +172,18 @@ func printMetrics(metrics map[string]*obs.ScrapedMetric) {
 			if m.Count == 0 {
 				continue
 			}
-			fmt.Printf("  %-52s count=%-8d p50=%-12g p99=%g\n",
+			fmt.Fprintf(w, "  %-52s count=%-8d p50=%-12g p99=%g\n",
 				k, m.Count, m.Quantile(50), m.Quantile(99))
 		case m.Value != 0:
-			fmt.Printf("  %-52s %g\n", k, m.Value)
+			fmt.Fprintf(w, "  %-52s %g\n", k, m.Value)
 		}
 	}
 }
 
 // printTraces renders the newest retained lookup trace hop by hop —
 // the "why was this navigate slow" answer, read off a live node.
-func printTraces(traces []*kademlia.LookupTrace) {
-	fmt.Printf("\ntraces retained: %d\n", len(traces))
+func printTraces(w io.Writer, traces []*kademlia.LookupTrace) {
+	fmt.Fprintf(w, "\ntraces retained: %d\n", len(traces))
 	if len(traces) == 0 {
 		return
 	}
@@ -198,20 +192,10 @@ func printTraces(traces []*kademlia.LookupTrace) {
 	if tr.Slow {
 		why = "slow"
 	}
-	fmt.Printf("newest trace %016x (%s): target=%s value=%t wall=%s rounds=%d tried=%d busy=%d found=%t\n",
+	fmt.Fprintf(w, "newest trace %016x (%s): target=%s value=%t wall=%s rounds=%d tried=%d busy=%d found=%t\n",
 		tr.TraceID, why, tr.Target.Short(), tr.Value, tr.Wall, tr.Rounds, tr.Tried, tr.Busy, tr.Found)
 	for i, sp := range tr.Spans {
-		fmt.Printf("  hop %-3d round=%-2d peer=%-22s kind=%-10s start=%-12s rtt=%-12s verdict=%s\n",
+		fmt.Fprintf(w, "  hop %-3d round=%-2d peer=%-22s kind=%-10s start=%-12s rtt=%-12s verdict=%s\n",
 			i+1, sp.Round, sp.Peer.Addr, sp.Kind, sp.Start, sp.RTT, sp.Verdict)
 	}
-}
-
-// benchLogger builds the bench's diagnostic logger; reports go to
-// stdout as before, diagnostics go through slog on stderr.
-func benchLogger(level string) *slog.Logger {
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(level)); err != nil {
-		lvl = slog.LevelInfo
-	}
-	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl}))
 }

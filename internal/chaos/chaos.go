@@ -3,12 +3,13 @@
 // once the repair machinery (anti-entropy rounds) has run, no matter
 // which k-1 replica holders crashed in between.
 //
-// The package has three parts. A Ledger records, per block key and
+// The package has four parts. A Ledger records, per block key and
 // field, the durable floor every acknowledged write guarantees. A
 // Recording store decorator wraps any dht.Store and feeds the ledger
-// exactly when the underlying store acknowledges. AntiEntropyAndCheck
-// runs repair rounds over a cluster's live members and then verifies
-// every ledger entry through a real overlay read.
+// exactly when the underlying store acknowledges. A Churner crashes,
+// removes, revives and adds cluster members while a workload runs.
+// AntiEntropyAndCheck runs repair rounds over a cluster's live members
+// and then verifies every ledger entry through a real overlay read.
 //
 // The floor is deliberately the paper-consistent one, not a sum.
 // DHARMA's block counts are approximate by design: increments applied

@@ -1,4 +1,4 @@
-package loadgen
+package chaos
 
 import (
 	"context"
@@ -81,7 +81,7 @@ func NewChurner(cl *kademlia.Cluster, cfg ChurnConfig) (*Churner, error) {
 	cfg = cfg.withDefaults()
 	n := cl.Len()
 	if cfg.Protected >= n {
-		return nil, fmt.Errorf("loadgen: %d protected nodes leave no churnable ones (membership %d)", cfg.Protected, n)
+		return nil, fmt.Errorf("chaos: %d protected nodes leave no churnable ones (membership %d)", cfg.Protected, n)
 	}
 	maxDead := int(cfg.KillFraction * float64(n))
 	if maxDead < 1 {

@@ -132,6 +132,29 @@ func TestRunFigures6And8(t *testing.T) {
 	}
 }
 
+// TestFigure8Repeats renders Figure 8 twice from the same seed on
+// fresh workbenches: the summary, the plot and the CSV must come out
+// byte-identical, so a reproduction run can be diffed against the last.
+func TestFigure8Repeats(t *testing.T) {
+	render := func() string {
+		f8 := RunFigure8(NewWorkbench(dataset.Tiny(1)), []int{1, 25, 500})
+		var b strings.Builder
+		b.WriteString(f8.String())
+		if err := f8.WriteCSV(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	first, second := render(), render()
+	if first != second {
+		i := 0
+		for i < min(len(first), len(second)) && first[i] == second[i] {
+			i++
+		}
+		t.Fatalf("two renderings of Figure 8 differ from byte %d:\n%.200q\nvs\n%.200q", i, first[i:], second[i:])
+	}
+}
+
 func TestRunTable4AndFigure7(t *testing.T) {
 	w := tinyBench(t)
 	t4 := RunTable4(w, 1, 5, 10)

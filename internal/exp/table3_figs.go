@@ -136,11 +136,7 @@ func RunFigure8(w *Workbench, ks []int) *FigureScatter {
 func (f *FigureScatter) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure %s — original vs simulated %s\n", f.Figure, f.XLabel)
-	ks := make([]int, 0, len(f.Slopes))
-	for k := range f.Slopes {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
+	ks := f.ks()
 	series := make([]plot.Series, 0, len(ks))
 	for _, k := range ks {
 		fmt.Fprintf(&b, "  k=%-4d points=%-7d slope(sim~orig)=%.4f\n", k, len(f.Series[k]), f.Slopes[k])
@@ -168,14 +164,24 @@ func (f *FigureScatter) WriteCSV(w io.Writer) error {
 		csvLabel(f.XLabel), csvLabel(f.XLabel)); err != nil {
 		return err
 	}
-	for k, pts := range f.Series {
-		for _, p := range pts {
+	for _, k := range f.ks() {
+		for _, p := range f.Series[k] {
 			if _, err := fmt.Fprintf(w, "%d,%g,%g\n", k, p[0], p[1]); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// ks returns the scatter's k values in ascending order.
+func (f *FigureScatter) ks() []int {
+	ks := make([]int, 0, len(f.Series))
+	for k := range f.Series {
+		ks = append(ks, k)
+	}
+	sort.Ints(ks)
+	return ks
 }
 
 func csvLabel(s string) string { return strings.ReplaceAll(s, " ", "_") }

@@ -143,11 +143,11 @@ func (n *Node) AntiEntropyOnce(ctx context.Context, every int) AntiEntropyRound 
 	return r
 }
 
-// syncBlock reconciles the block under key with every target (in
-// parallel, like replicateTo) using the summary exchange, and returns
-// how many replicas acknowledged — a digest match counts: the replica
-// demonstrably holds the same weight map. The full block is fetched
-// lazily, so a round where every replica matches never materializes it.
+// syncBlock reconciles the block under key with every target, in
+// parallel, using the summary exchange, and returns how many replicas
+// acknowledged — a digest match counts: the replica demonstrably holds
+// the same weight map. The full block is fetched lazily, so a round
+// where every replica matches never materializes it.
 func (n *Node) syncBlock(ctx context.Context, key kadid.ID, targets []wire.Contact) int {
 	local, ok := n.store.Summary(key)
 	if !ok {

@@ -2,7 +2,6 @@ package kademlia
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"dharma/internal/kadid"
@@ -52,54 +51,4 @@ func (s *Store) applyMergeMax(key kadid.ID, entries []wire.Entry) {
 	sh.mu.Lock()
 	sh.mergeMaxLocked(key, entries)
 	sh.mu.Unlock()
-}
-
-// RepublishFullOnce is the pre-summary maintenance sweep: every block
-// pushed whole to its k closest nodes, unconditionally. It is kept as
-// the measured baseline for the summary path (`dharma-bench
-// antientropy` reports bytes/round for both) and as a belt-and-braces
-// fallback that moves blobs even where digests would agree.
-func (n *Node) RepublishFullOnce(ctx context.Context) (blocks int, acks int) {
-	for _, key := range n.store.Keys() {
-		if ctx.Err() != nil {
-			return blocks, acks
-		}
-		entries, ok := n.store.Get(key, 0)
-		if !ok {
-			continue // deleted concurrently
-		}
-		blocks++
-		acks += n.replicateTo(ctx, key, entries, n.insertSelf(n.IterativeFindNode(ctx, key), key))
-	}
-	return blocks, acks
-}
-
-// replicateTo sends one block to every target but the node itself (in
-// parallel) and returns how many acknowledged.
-func (n *Node) replicateTo(ctx context.Context, key kadid.ID, entries []wire.Entry, targets []wire.Contact) int {
-	acks := 0
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	for _, c := range targets {
-		if c.ID == n.id {
-			continue // we already hold it
-		}
-		wg.Add(1)
-		go func(c wire.Contact) {
-			defer wg.Done()
-			var resp wire.Message
-			err := n.call(ctx, c, &wire.Message{
-				Kind:    wire.KindReplicate,
-				Target:  key,
-				Entries: entries,
-			}, &resp)
-			if err == nil && resp.Kind == wire.KindStoreAck {
-				mu.Lock()
-				acks++
-				mu.Unlock()
-			}
-		}(c)
-	}
-	wg.Wait()
-	return acks
 }

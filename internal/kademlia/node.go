@@ -636,9 +636,9 @@ func (n *Node) callOnce(ctx context.Context, to wire.Contact, msg, resp *wire.Me
 	buf := wire.GetBuffer()
 	buf.B = wire.AppendEncode(buf.B[:0], msg)
 	// Maintenance-plane byte accounting: SUMMARY exchanges and REPLICATE
-	// pushes (anti-entropy, handoff, the full-push baseline) are what
-	// the bandwidth-frugality claim is about, so their payload sizes are
-	// metered transport-independently here.
+	// pushes (anti-entropy and handoff) are what the bandwidth-frugality
+	// claim is about, so their payload sizes are metered
+	// transport-independently here.
 	maint := msg.Kind == wire.KindSummary || msg.Kind == wire.KindReplicate
 	if maint {
 		n.aeBytesOut.Add(int64(len(buf.B)))

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dharma/internal/kadid"
+	"dharma/internal/metrics"
 	"dharma/internal/simnet"
 )
 
@@ -80,17 +81,24 @@ func TestWiredBootstrapDeterministic(t *testing.T) {
 	}
 }
 
-// TestScale1kSmoke is the CI scale smoke: build a 1000-node wired
-// overlay and run 100 lookups through it (under -race in the workflow).
+// TestScale1kSmoke builds a 1000-node wired overlay at the default
+// k=20, α=3 and holds 200 random lookups to the hop and message budgets
+// of the Kademlia scale curve: rounds per lookup (one α-wide wave each,
+// a ~⌈k/α⌉ baseline plus the O(log n) term) and RPCs per lookup.
+// The budgets are ceilings. The hop counts repeat exactly under the
+// seed (p50 8, p99 8), but the RPC count does not quite: 4,309 in a
+// plain build and 4,310 under -race, because an α-wave's last replies
+// race the lookup's end. So msgs/lookup (21.55) gets 2 % headroom.
 func TestScale1kSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale smoke skipped in -short mode")
 	}
+	const nodes, lookups = 1000, 200
 	start := time.Now()
 	cl, err := NewCluster(ClusterConfig{
-		N:         1000,
-		Node:      Config{K: 16, Alpha: 3},
-		Net:       simnet.Config{LatencyMin: 100 * time.Microsecond, LatencyMax: 200 * time.Microsecond},
+		N:         nodes,
+		Node:      Config{K: DefaultK, Alpha: DefaultAlpha},
+		Net:       simnet.Config{LatencyMin: 50 * time.Microsecond, LatencyMax: 200 * time.Microsecond, Seed: 1},
 		Seed:      1,
 		Bootstrap: BootstrapWired,
 	})
@@ -98,13 +106,26 @@ func TestScale1kSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	buildTime := time.Since(start)
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 100; i++ {
-		target := kadid.Random(rng)
+	rng := rand.New(rand.NewSource(1 + nodes))
+	hops := make([]float64, 0, lookups)
+	callsBefore := cl.Net.Counters().Calls
+	for i := 0; i < lookups; i++ {
 		origin := cl.Nodes[rng.Intn(len(cl.Nodes))]
+		target := kadid.Random(rng)
+		r0 := origin.LookupRounds()
 		if got := origin.IterativeFindNode(context.Background(), target); len(got) == 0 {
 			t.Fatalf("lookup %d returned no contacts", i)
 		}
+		hops = append(hops, float64(origin.LookupRounds()-r0))
 	}
-	t.Logf("built 1k-node cluster in %v, 100 lookups OK", buildTime)
+	calls := cl.Net.Counters().Calls - callsBefore
+	p50, p99 := metrics.Percentile(hops, 50), metrics.Percentile(hops, 99)
+	t.Logf("built %d-node cluster in %v; %d lookups: hops p50 %.0f, p99 %.0f; %.2f msgs/lookup",
+		nodes, buildTime, lookups, p50, p99, float64(calls)/lookups)
+	if p50 > 8 || p99 > 8 {
+		t.Errorf("hops p50/p99 = %.0f/%.0f, budget 8/8", p50, p99)
+	}
+	if calls > 22*lookups {
+		t.Errorf("%.2f msgs/lookup, budget 22", float64(calls)/lookups)
+	}
 }

@@ -168,3 +168,23 @@ func BenchmarkTableClosestFullScanBaseline(b *testing.B) {
 		}
 	}
 }
+
+// closestFullScan is the reference implementation ClosestInto is tested
+// against: copy every bucket, sort the union, truncate. Kept verbatim
+// (not for production use) so the equivalence property — the ring walk
+// returns exactly the nearest-first prefix of the full scan — stays
+// checkable as both sides evolve.
+func (t *Table) closestFullScan(target kadid.ID, n int) []wire.Contact {
+	t.mu.Lock()
+	all := make([]wire.Contact, 0, 2*n)
+	for i := range t.buckets {
+		all = append(all, t.buckets[i]...)
+	}
+	t.mu.Unlock()
+
+	sortContactsByDistance(all, target)
+	if len(all) > n {
+		all = all[:n]
+	}
+	return all
+}

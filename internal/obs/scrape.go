@@ -12,7 +12,7 @@ import (
 
 // This file is the consumer side of the pipeline: a minimal parser for
 // the Prometheus text format WritePrometheus emits, used by
-// `dharma-bench scrape` so benchmark runs and live fleets report
+// `dharma-node scrape` so benchmark runs and live fleets report
 // through one path. It understands exactly the subset this registry
 // produces (one optional label, `le` histogram buckets) — it is not a
 // general Prometheus client.

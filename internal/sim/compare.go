@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"sort"
 
 	"dharma/internal/folksonomy"
 	"dharma/internal/metrics"
@@ -74,6 +75,10 @@ func Compare(orig *folksonomy.Graph, approx *Result, opt CompareOptions) *Compar
 		if len(origArcs) == 0 {
 			continue
 		}
+		// Neighbors comes back in map order; the weight reservoir below
+		// draws from rng per arc, so a fixed arc order is what makes the
+		// Figure 8 sample repeat under the seed.
+		sort.Slice(origArcs, func(i, j int) bool { return origArcs[i].Name < origArcs[j].Name })
 		cmp.OrigArcs += len(origArcs)
 
 		approxW := map[string]int{}

@@ -26,7 +26,6 @@ BASE_PORT="${BASE_PORT:-9580}"
 DEBUG_PORT="${DEBUG_PORT:-9590}"
 WORK="$(mktemp -d)"
 NODE="$WORK/dharma-node"
-BENCH="$WORK/dharma-bench"
 CA="$WORK/ca"
 PIDS=()
 
@@ -39,7 +38,6 @@ cleanup() {
 trap cleanup EXIT
 
 go build -o "$NODE" ./cmd/dharma-node
-go build -o "$BENCH" ./cmd/dharma-bench
 
 echo "== CA setup: init, issue, revoke"
 "$NODE" ca init -dir "$CA" -validity 1h
@@ -119,13 +117,13 @@ echo "   neither malicious write left a readable trace"
 echo "== scraping the security telemetry"
 # Node 0 accepted the fleet's and alice's handshakes, holds live
 # sessions, and refused the plain caller at the transport.
-"$BENCH" scrape -addr "127.0.0.1:${DEBUG_PORT}" -assert-rpc \
+"$NODE" scrape -addr "127.0.0.1:${DEBUG_PORT}" -assert-rpc \
   -assert-min "dharma_session_accepted_total=2,dharma_session_cache_size=1,dharma_udp_unauthenticated_rejected_total=1" \
   >"$WORK/scrape0.out"
 grep -E '^assert-min ok' "$WORK/scrape0.out"
 # Node 1 dialed node 0 to bootstrap: its handshake latency histogram
 # must have fired.
-"$BENCH" scrape -addr "127.0.0.1:$((DEBUG_PORT + 1))" \
+"$NODE" scrape -addr "127.0.0.1:$((DEBUG_PORT + 1))" \
   -assert-min "dharma_session_handshake_seconds=1" \
   >"$WORK/scrape1.out"
 grep -E '^assert-min ok' "$WORK/scrape1.out"
@@ -151,7 +149,7 @@ if "$NODE" insert -bootstrap "127.0.0.1:$((BASE_PORT + 3))" \
 fi
 # ...and the SERVER must have observed the expiry: the shed counter
 # proves the budget crossed the wire rather than dying client-side.
-"$BENCH" scrape -addr "127.0.0.1:$((DEBUG_PORT + 3))" \
+"$NODE" scrape -addr "127.0.0.1:$((DEBUG_PORT + 3))" \
   -assert-min "dharma_rpc_deadline_shed_total=1" \
   >"$WORK/scrape3.out"
 grep -E '^assert-min ok' "$WORK/scrape3.out"

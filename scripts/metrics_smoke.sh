@@ -4,7 +4,7 @@
 # A 3-node dharma-node fleet runs over real UDP with -debug-addr enabled
 # and -trace-slow 1ns so every lookup crosses the slow threshold and
 # leaves a retained trace. A client drives insert/tag/search traffic
-# through the overlay, then `dharma-bench scrape` reads each node's ops
+# through the overlay, then `dharma-node scrape` reads each node's ops
 # endpoint and asserts the two things the telemetry exists to show:
 # nonzero served-RPC latency histograms (-assert-rpc) and at least one
 # hop-level lookup trace with spans (-assert-trace). The scrape also
@@ -18,7 +18,6 @@ BASE_PORT="${BASE_PORT:-9560}"
 DEBUG_PORT="${DEBUG_PORT:-9570}"
 WORK="$(mktemp -d)"
 NODE="$WORK/dharma-node"
-BENCH="$WORK/dharma-bench"
 PIDS=()
 
 cleanup() {
@@ -30,7 +29,6 @@ cleanup() {
 trap cleanup EXIT
 
 go build -o "$NODE" ./cmd/dharma-node
-go build -o "$BENCH" ./cmd/dharma-bench
 
 echo "== 3-node fleet, ops endpoints on ${DEBUG_PORT}..$((DEBUG_PORT + 2))"
 "$NODE" serve -listen "127.0.0.1:${BASE_PORT}" \
@@ -67,7 +65,7 @@ for i in 0 1 2; do
   asserts=(-assert-rpc)
   [ "$i" -gt 0 ] && asserts+=(-assert-trace)
   echo "-- node $i (127.0.0.1:$((DEBUG_PORT + i)))"
-  if ! "$BENCH" scrape -addr "127.0.0.1:$((DEBUG_PORT + i))" \
+  if ! "$NODE" scrape -addr "127.0.0.1:$((DEBUG_PORT + i))" \
     "${asserts[@]}" >"$WORK/scrape$i.out" 2>"$WORK/scrape$i.err"; then
     echo "FAIL: scrape of node $i failed" >&2
     cat "$WORK/scrape$i.out" "$WORK/scrape$i.err" >&2

@@ -12,7 +12,6 @@ import (
 	"dharma/internal/core"
 	"dharma/internal/dht"
 	"dharma/internal/kademlia"
-	"dharma/internal/loadgen"
 	"dharma/internal/simnet"
 	"dharma/internal/wire"
 )
@@ -305,7 +304,7 @@ func TestChurnUnderLoad(t *testing.T) {
 
 			ledger := chaos.NewLedger()
 			load := newMixedLoad(t, sys, clients, ledger, "u", seed)
-			churner, err := loadgen.NewChurner(sys.Cluster(), loadgen.ChurnConfig{
+			churner, err := chaos.NewChurner(sys.Cluster(), chaos.ChurnConfig{
 				Rate: 25, KillFraction: 0.25, Protected: clients, Seed: seed,
 				Node: sys.Peer(0).Node.Config(), // joiners run what members run
 			})
