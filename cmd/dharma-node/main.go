@@ -333,10 +333,9 @@ type clientOptions struct {
 func clientConfig(cmd string, args []string) (dharma.UDPPeerConfig, clientOptions, error) {
 	// A client is a full overlay member for the length of one operation:
 	// the fleet's bucket size and lookup parallelism, an ephemeral port.
-	// Mode is set explicitly: the Config zero value is Naive.
 	cfg := dharma.UDPPeerConfig{
 		Listen: "127.0.0.1:0",
-		Config: dharma.Config{Mode: dharma.Approximated, Replication: 20, Alpha: 3},
+		Config: dharma.Config{Replication: 20, Alpha: 3},
 	}
 	var o clientOptions
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)

@@ -131,8 +131,7 @@ func TestClientConfig(t *testing.T) {
 	base := dharma.UDPPeerConfig{
 		Listen:    "127.0.0.1:0",
 		Bootstrap: []string{"127.0.0.1:9000"},
-		// Approximated must be set by the shim: the Config zero value is Naive.
-		Config: dharma.Config{Mode: dharma.Approximated, Replication: 20, Alpha: 3, K: 5},
+		Config:    dharma.Config{Mode: dharma.Approximated, Replication: 20, Alpha: 3, K: 5},
 	}
 	with := func(edit func(*dharma.UDPPeerConfig)) dharma.UDPPeerConfig {
 		c := base

@@ -14,7 +14,7 @@ func TestConfigWithDefaults(t *testing.T) {
 		{
 			name: "zero value fills every default",
 			in:   Config{},
-			want: Config{Nodes: 16, Mode: Naive, K: 5, Replication: 8, Alpha: 3},
+			want: Config{Nodes: 16, Mode: Approximated, K: 5, Replication: 8, Alpha: 3},
 		},
 		{
 			name: "approximated mode defaults K",

@@ -88,12 +88,13 @@ type Mode = core.Mode
 
 // Engine modes.
 const (
+	// Approximated applies Approximations A and B: a tagging operation
+	// costs 4+k lookups and updates are race-free token appends. It is
+	// the zero value.
+	Approximated = core.Approximated
 	// Naive implements the §III model verbatim: a tagging operation
 	// costs 4+|Tags(r)| overlay lookups.
 	Naive = core.Naive
-	// Approximated applies Approximations A and B: a tagging operation
-	// costs 4+k lookups and updates are race-free token appends.
-	Approximated = core.Approximated
 )
 
 // Strategy selects the next tag during faceted navigation.
@@ -120,8 +121,8 @@ type Weighted = folksonomy.Weighted
 type Config struct {
 	// Nodes is the overlay size (default 16).
 	Nodes int
-	// Mode selects the maintenance protocol. The zero value is Naive;
-	// set Approximated for the paper's contribution.
+	// Mode selects the maintenance protocol: Approximated (the zero
+	// value, the paper's contribution) or Naive.
 	Mode Mode
 	// K is the connection parameter of Approximation A (default 5).
 	K int
@@ -523,10 +524,13 @@ func (s *System) Network() *simnet.Network { return s.cluster.Net }
 // nodes churn does not touch.
 func (s *System) Cluster() *kademlia.Cluster { return s.cluster }
 
-// SetDown crashes (or revives) the i-th node: its endpoint stops
-// answering until revived.
+// SetDown crashes (or revives) the i-th overlay member: its endpoint
+// stops answering until revived. Members are indexed as in
+// Cluster().Nodes — the i-th peer's node for i < Size(), then nodes
+// joined with Cluster().AddNode in join order (RemoveNode and Crash
+// shift the indices down).
 func (s *System) SetDown(i int, down bool) {
-	s.cluster.Net.SetDown(simnet.Addr(s.peers[i].Node.Self().Addr), down)
+	s.cluster.Net.SetDown(simnet.Addr(s.cluster.NodeAt(i).Self().Addr), down)
 }
 
 // Shutdown cleanly stops every member: a durable deployment flushes and

@@ -15,12 +15,12 @@ import (
 // Mode selects between the exact protocol and the approximated one.
 type Mode int
 
-// Engine modes. Naive implements §III-B verbatim (one lookup per
-// reverse arc, forward arcs created at u(τ,r)); Approximated applies
-// Approximations A and B.
+// Engine modes. Approximated, the zero value, applies Approximations A
+// and B; Naive implements §III-B verbatim (one lookup per reverse arc,
+// forward arcs created at u(τ,r)).
 const (
-	Naive Mode = iota
-	Approximated
+	Approximated Mode = iota
+	Naive
 )
 
 // String returns the mode name.
@@ -38,7 +38,7 @@ const DefaultTopN = 100
 
 // Config parameterises an Engine.
 type Config struct {
-	// Mode selects naive or approximated maintenance (default Naive).
+	// Mode selects approximated (the zero value) or naive maintenance.
 	Mode Mode
 	// K is the connection parameter of Approximation A: the maximum
 	// number of reverse-arc blocks updated per tagging operation.

@@ -78,7 +78,7 @@ func TestInsertResourceCost(t *testing.T) {
 }
 
 func TestInsertResourceDedupCost(t *testing.T) {
-	e, store := newLocalEngine(t, core.Config{})
+	e, store := newLocalEngine(t, core.Config{Mode: core.Naive})
 	before := store.Lookups()
 	if err := e.InsertResource(context.Background(), "r", "", "a", "a", "b"); err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func TestTagCostApproximated(t *testing.T) {
 
 func TestSearchStepCost(t *testing.T) {
 	// Table I row 3: a search step costs exactly 2 lookups.
-	e, store := newLocalEngine(t, core.Config{})
+	e, store := newLocalEngine(t, core.Config{Mode: core.Naive})
 	if err := e.InsertResource(context.Background(), "r", "", "rock", "pop"); err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +446,7 @@ func TestApproximatedGraphIsBoundedByNaive(t *testing.T) {
 }
 
 func TestSearchStepFilteringAndOrder(t *testing.T) {
-	e, _ := newLocalEngine(t, core.Config{TopN: 3})
+	e, _ := newLocalEngine(t, core.Config{Mode: core.Naive, TopN: 3})
 	var tags []string
 	for i := 0; i < 10; i++ {
 		tags = append(tags, fmt.Sprintf("t%d", i))
@@ -482,14 +482,14 @@ func TestSearchStepFilteringAndOrder(t *testing.T) {
 }
 
 func TestSearchStepUnknownTag(t *testing.T) {
-	e, _ := newLocalEngine(t, core.Config{})
+	e, _ := newLocalEngine(t, core.Config{Mode: core.Naive})
 	if _, _, err := e.SearchStep(context.Background(), "ghost"); !errors.Is(err, core.ErrNoSuchTag) {
 		t.Fatalf("want ErrNoSuchTag, got %v", err)
 	}
 }
 
 func TestResolveURI(t *testing.T) {
-	e, _ := newLocalEngine(t, core.Config{})
+	e, _ := newLocalEngine(t, core.Config{Mode: core.Naive})
 	if err := e.InsertResource(context.Background(), "song", "http://example/song.ogg", "rock"); err != nil {
 		t.Fatal(err)
 	}

@@ -7,13 +7,10 @@ import (
 	"sort"
 	"strings"
 
-	"dharma/internal/core"
-	"dharma/internal/dht"
-	"dharma/internal/kademlia"
+	"dharma"
 	"dharma/internal/metrics"
 	"dharma/internal/search"
 	"dharma/internal/sim"
-	"dharma/internal/simnet"
 )
 
 // AblationBResult isolates the two approximations (A1 in README
@@ -72,7 +69,7 @@ type AblationKResult struct {
 	Recall []float64 // mean per k
 	Tau    []float64
 	Theta  []float64
-	Sim1   []float64
+	Sim1   []metrics.Summary // empty at a k where no arc is missing
 }
 
 // RunAblationK measures the comparison metrics across a k sweep.
@@ -84,7 +81,7 @@ func RunAblationK(w *Workbench, ks []int) *AblationKResult {
 		out.Recall = append(out.Recall, metrics.Summarize(cmp.Recall).Mean)
 		out.Tau = append(out.Tau, metrics.Summarize(cmp.Tau).Mean)
 		out.Theta = append(out.Theta, metrics.Summarize(cmp.Theta).Mean)
-		out.Sim1 = append(out.Sim1, metrics.Summarize(cmp.Sim1).Mean)
+		out.Sim1 = append(out.Sim1, metrics.Summarize(cmp.Sim1))
 	}
 	return out
 }
@@ -95,8 +92,8 @@ func (r *AblationKResult) String() string {
 	b.WriteString("Ablation A2 — connection parameter sweep (means per tag)\n")
 	fmt.Fprintf(&b, "%4s %10s %10s %10s %10s\n", "k", "recall", "Ktau", "theta", "sim1%")
 	for i, k := range r.Ks {
-		fmt.Fprintf(&b, "%4d %10.4f %10.4f %10.4f %10.4f\n",
-			k, r.Recall[i], r.Tau[i], r.Theta[i], r.Sim1[i])
+		fmt.Fprintf(&b, "%4d %10.4f %10.4f %10.4f %10s\n",
+			k, r.Recall[i], r.Tau[i], r.Theta[i], stat(r.Sim1[i], r.Sim1[i].Mean))
 	}
 	b.WriteString("(paper: recall grows sub-linearly with k)\n")
 	return b.String()
@@ -118,22 +115,14 @@ type HotspotResult struct {
 // the approximated engine) and then replays one search step per popular
 // tag, measuring the per-node distribution of storage and traffic.
 func RunHotspots(w *Workbench, nodes, annotations, k int) (*HotspotResult, error) {
-	cl, err := kademlia.NewCluster(kademlia.ClusterConfig{
-		N:    nodes,
-		Node: kademlia.Config{K: 8, Alpha: 3},
-		Seed: w.Seed,
-	})
+	sys, err := dharma.NewSystem(dharma.Config{Nodes: nodes, Mode: dharma.Approximated, K: k, Seed: w.Seed})
 	if err != nil {
 		return nil, err
 	}
-	eng, err := core.NewEngine(dht.NewOverlay(cl.Nodes[1], nil), core.Config{
-		Mode: core.Approximated, K: k, Seed: w.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
+	defer sys.Shutdown()
+	client := sys.Peer(1)
 
-	tagPop, err := w.publish(eng, annotations)
+	tagPop, err := w.publish(client, annotations)
 	if err != nil {
 		return nil, err
 	}
@@ -141,18 +130,18 @@ func RunHotspots(w *Workbench, nodes, annotations, k int) (*HotspotResult, error
 	// One search step per tag, most popular first (popularity within the
 	// replayed slice).
 	for _, tag := range topTags(tagPop, 100) {
-		if _, _, err := eng.SearchStep(context.Background(), tag); err != nil {
+		if _, _, err := client.SearchStep(context.Background(), tag); err != nil {
 			return nil, err
 		}
 	}
 
 	res := &HotspotResult{Nodes: nodes}
 	var blockLoad, reqLoad []float64
-	for _, n := range cl.Nodes {
-		blocks := n.LocalStore().EntryCount()
+	for _, p := range sys.Peers() {
+		blocks := p.Node.LocalStore().EntryCount()
 		res.TotalBlocks += blocks
 		blockLoad = append(blockLoad, float64(blocks))
-		served := cl.Net.Stats(simnet.Addr(n.Self().Addr)).Received.Load()
+		served := p.Stats().NetReceived
 		res.TotalRequests += served
 		reqLoad = append(reqLoad, float64(served))
 	}

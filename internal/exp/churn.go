@@ -7,10 +7,8 @@ import (
 	"math/rand"
 	"strings"
 
+	"dharma"
 	"dharma/internal/core"
-	"dharma/internal/dht"
-	"dharma/internal/kademlia"
-	"dharma/internal/simnet"
 )
 
 // ChurnResult is the A6 extension experiment: block availability under
@@ -42,22 +40,18 @@ func RunChurn(w *Workbench, nodes, annotations, cycles, kill, join, replication 
 	}
 
 	run := func(republish bool) ([]int, []float64, error) {
-		cl, err := kademlia.NewCluster(kademlia.ClusterConfig{
-			N:    nodes,
-			Node: kademlia.Config{K: replication, Alpha: 3},
-			Seed: w.Seed,
+		sys, err := dharma.NewSystem(dharma.Config{
+			Nodes: nodes, Mode: dharma.Approximated, K: 5, Replication: replication, Seed: w.Seed,
 		})
 		if err != nil {
 			return nil, nil, err
 		}
-		eng, err := core.NewEngine(dht.NewOverlay(cl.Nodes[0], nil), core.Config{
-			Mode: core.Approximated, K: 5, Seed: w.Seed,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
+		defer sys.Shutdown()
+		prober := sys.Peer(0)
+		cl := sys.Cluster()
+		ctx := context.Background()
 
-		tagPop, err := w.publish(eng, annotations)
+		tagPop, err := w.publish(prober, annotations)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -80,18 +74,17 @@ func RunChurn(w *Workbench, nodes, annotations, cycles, kill, join, replication 
 			for k := 0; k < kill; k++ {
 				for tries := 0; tries < 10*nodes; tries++ {
 					i := 1 + rng.Intn(len(cl.Nodes)-1)
-					if i < len(alive) && alive[i] {
+					if alive[i] {
 						alive[i] = false
 						liveCount--
-						cl.Net.SetDown(simnet.Addr(cl.Nodes[i].Self().Addr), true)
+						sys.SetDown(i, true)
 						break
 					}
 				}
 			}
-			// Join fresh nodes via node 0.
+			// Join fresh nodes via node 0, configured like the founders.
 			for j := 0; j < join; j++ {
-				if _, err := cl.AddNode(context.Background(), kademlia.Config{K: replication, Alpha: 3},
-					w.Seed+int64(1000+cycle*join+j), 0); err != nil {
+				if _, err := cl.AddNode(ctx, prober.Node.Config(), w.Seed+int64(1000+cycle*join+j), 0); err != nil {
 					return nil, nil, err
 				}
 				alive = append(alive, true)
@@ -99,15 +92,15 @@ func RunChurn(w *Workbench, nodes, annotations, cycles, kill, join, replication 
 			}
 			if republish {
 				for i, n := range cl.Nodes {
-					if i < len(alive) && alive[i] {
-						n.AntiEntropyOnce(context.Background(), 1)
+					if alive[i] {
+						n.AntiEntropyOnce(ctx, 1)
 					}
 				}
 			}
 
 			found := 0
 			for _, tag := range probes {
-				if _, err := eng.Store().Get(context.Background(), core.BlockKey(tag, core.BlockTagNeighbors), 1); err == nil {
+				if _, err := prober.Engine().Store().Get(ctx, core.BlockKey(tag, core.BlockTagNeighbors), 1); err == nil {
 					found++
 				}
 			}

@@ -6,10 +6,11 @@ import (
 	"fmt"
 	"strings"
 
-	"dharma/internal/core"
-	"dharma/internal/dht"
-	"dharma/internal/kademlia"
+	"dharma"
 )
+
+// table1Nodes is the overlay size of each Table I deployment.
+const table1Nodes = 16
 
 // Table1Row is one primitive's cost, analytic and measured.
 type Table1Row struct {
@@ -17,111 +18,81 @@ type Table1Row struct {
 	Formula   string
 	Param     int   // the m or |Tags(r)| the measurement used
 	Expected  int64 // formula evaluated at Param
-	Measured  int64 // lookups counted on the instrumented store
+	Measured  int64 // block operations the peer issued (Peer.Lookups)
+	overlay   int64 // iterative lookups the peer's overlay node ran
 }
 
 // Table1Result reproduces Table I: the lookup cost of the distributed
 // tagging primitives, naive and approximated, verified by running every
-// primitive against a live overlay cluster with an instrumented store.
+// primitive on a NewSystem deployment of each mode.
 type Table1Result struct {
 	K          int // connection parameter used for the approximated rows
 	NaiveRows  []Table1Row
 	ApproxRows []Table1Row
-	// OverlayVerified reports that the measurements were reproduced on
-	// a real Kademlia cluster (not just the in-process store).
-	OverlayVerified bool
 }
 
 // RunTable1 measures every Table I cell. The m and |Tags(r)| parameters
 // are fixed small values (costs are exact formulas, verified per-call).
 func RunTable1(k int) (*Table1Result, error) {
 	res := &Table1Result{K: k}
-
-	measure := func(mode core.Mode) ([]Table1Row, error) {
-		store := dht.NewLocal()
-		eng, err := core.NewEngine(store, core.Config{Mode: mode, K: k, Seed: 7})
-		if err != nil {
-			return nil, err
-		}
-		const m = 8 // tags on the insert measurement
-		tags := make([]string, m)
-		for i := range tags {
-			tags[i] = fmt.Sprintf("t%d", i)
-		}
-		before := store.Lookups()
-		if err := eng.InsertResource(context.Background(), "r", "uri:r", tags...); err != nil {
-			return nil, err
-		}
-		insertCost := store.Lookups() - before
-
-		before = store.Lookups()
-		if err := eng.Tag(context.Background(), "r", "fresh"); err != nil {
-			return nil, err
-		}
-		tagCost := store.Lookups() - before
-
-		before = store.Lookups()
-		if _, _, err := eng.SearchStep(context.Background(), "t0"); err != nil {
-			return nil, err
-		}
-		searchCost := store.Lookups() - before
-
-		tagParam := m // |Tags(r)| when "fresh" was added
-		expTag := int64(4 + tagParam)
-		tagFormula := "4+|Tags(r)|"
-		if mode == core.Approximated {
-			expTag = int64(4 + min(k, tagParam))
-			tagFormula = "4+k"
-		}
-		return []Table1Row{
-			{Primitive: "Insert(r, t1..m)", Formula: "2+2m", Param: m, Expected: int64(2 + 2*m), Measured: insertCost},
-			{Primitive: "Tag(r,t)", Formula: tagFormula, Param: tagParam, Expected: expTag, Measured: tagCost},
-			{Primitive: "Search step", Formula: "2", Param: 0, Expected: 2, Measured: searchCost},
-		}, nil
-	}
-
 	var err error
-	if res.NaiveRows, err = measure(core.Naive); err != nil {
+	if res.NaiveRows, err = measureTable1(dharma.Naive, k); err != nil {
 		return nil, err
 	}
-	if res.ApproxRows, err = measure(core.Approximated); err != nil {
+	if res.ApproxRows, err = measureTable1(dharma.Approximated, k); err != nil {
 		return nil, err
+	}
+	return res, nil
+}
+
+// measureTable1 boots one deployment in the given mode and runs each
+// primitive once from peer 0, recording how far the peer's block
+// operations and its node's iterative lookups moved.
+func measureTable1(mode dharma.Mode, k int) ([]Table1Row, error) {
+	sys, err := dharma.NewSystem(dharma.Config{Nodes: table1Nodes, Mode: mode, K: k, Seed: 7})
+	if err != nil {
+		return nil, err
+	}
+	defer sys.Shutdown()
+	p := sys.Peer(0)
+	ctx := context.Background()
+	measure := func(row Table1Row, op func() error) (Table1Row, error) {
+		before := p.Stats()
+		if err := op(); err != nil {
+			return row, err
+		}
+		after := p.Stats()
+		row.Measured = after.Lookups - before.Lookups
+		row.overlay = after.NodeLookups - before.NodeLookups
+		return row, nil
 	}
 
-	// Reproduce the approximated measurements over a real overlay: the
-	// engine's costs are defined in block operations, and each block
-	// operation must map to exactly one overlay lookup.
-	cl, err := kademlia.NewCluster(kademlia.ClusterConfig{
-		N:    24,
-		Node: kademlia.Config{K: 8, Alpha: 3},
-		Seed: 41,
-	})
-	if err != nil {
-		return nil, err
+	const m = 8 // tags on the insert measurement
+	tags := make([]string, m)
+	for i := range tags {
+		tags[i] = fmt.Sprintf("t%d", i)
 	}
-	over := dht.NewOverlay(cl.Nodes[2], nil)
-	eng, err := core.NewEngine(over, core.Config{Mode: core.Approximated, K: k, Seed: 7})
-	if err != nil {
-		return nil, err
+	tag := Table1Row{Primitive: "Tag(r,t)", Formula: "4+|Tags(r)|", Param: m, Expected: 4 + m} // |Tags(r)| when "fresh" is added
+	if mode == dharma.Approximated {
+		tag.Formula, tag.Expected = "4+k", int64(4+min(k, m))
 	}
-	node := cl.Nodes[2]
-	beforeOps, beforeLookups := over.Lookups(), node.Lookups()
-	if err := eng.InsertResource(context.Background(), "or", "uri:or", "a", "b", "c"); err != nil {
-		return nil, err
+	steps := []struct {
+		row Table1Row
+		op  func() error
+	}{
+		{Table1Row{Primitive: "Insert(r, t1..m)", Formula: "2+2m", Param: m, Expected: 2 + 2*m},
+			func() error { return p.InsertResource(ctx, "r", "uri:r", tags) }},
+		{tag, func() error { return p.Tag(ctx, "r", "fresh") }},
+		{Table1Row{Primitive: "Search step", Formula: "2", Expected: 2},
+			func() error { _, _, err := p.SearchStep(ctx, "t0"); return err }},
 	}
-	if err := eng.Tag(context.Background(), "or", "d"); err != nil {
-		return nil, err
+	rows := make([]Table1Row, len(steps))
+	for i, s := range steps {
+		if rows[i], err = measure(s.row, s.op); err != nil {
+			return nil, err
+		}
 	}
-	opDelta := over.Lookups() - beforeOps
-	overlayDelta := node.Lookups() - beforeLookups
-	if opDelta != int64((2+2*3)+(4+min(k, 3))) {
-		return nil, fmt.Errorf("exp: overlay op count %d does not match formulas", opDelta)
-	}
-	if overlayDelta != opDelta {
-		return nil, fmt.Errorf("exp: %d block ops became %d overlay lookups", opDelta, overlayDelta)
-	}
-	res.OverlayVerified = true
-	return res, nil
+	return rows, nil
 }
 
 // String renders the table in the paper's layout.
@@ -138,26 +109,20 @@ func (r *Table1Result) String() string {
 	}
 	dump("#lookups (naive)", r.NaiveRows)
 	dump("#lookups (approximated)", r.ApproxRows)
-	fmt.Fprintf(&b, "overlay-verified: %v (paper: Insert 2+2m | Tag naive 4+|Tags(r)|, approx 4+k | Search 2)\n",
-		r.OverlayVerified)
+	fmt.Fprintf(&b, "overlay-verified: %v, both modes on %d nodes, block ops = node lookups (paper: Insert 2+2m | Tag naive 4+|Tags(r)|, approx 4+k | Search 2)\n",
+		r.Verified(), table1Nodes)
 	return b.String()
 }
 
-// Verified reports whether every measured cost matched its formula.
+// Verified reports whether every measured cost matched its formula and
+// every block operation ran exactly one overlay lookup.
 func (r *Table1Result) Verified() bool {
 	for _, rows := range [][]Table1Row{r.NaiveRows, r.ApproxRows} {
 		for _, row := range rows {
-			if row.Expected != row.Measured {
+			if row.Expected != row.Measured || row.Measured != row.overlay {
 				return false
 			}
 		}
 	}
-	return r.OverlayVerified
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return true
 }

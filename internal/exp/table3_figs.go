@@ -68,10 +68,10 @@ func (r *Table3Result) String() string {
 			paperMu = fmt.Sprintf("%.4f %.4f %.4f %.4f", p["recall"][0], p["tau"][0], p["theta"][0], p["sim1"][0])
 			paperSd = fmt.Sprintf("%.4f %.4f %.4f %.4f", p["recall"][1], p["tau"][1], p["theta"][1], p["sim1"][1])
 		}
-		fmt.Fprintf(&b, "%3d %4s %10.4f %10.4f %10.4f %10.4f   %s\n",
-			row.K, "mu", row.Recall.Mean, row.Tau.Mean, row.Theta.Mean, row.Sim1.Mean, paperMu)
-		fmt.Fprintf(&b, "%3s %4s %10.4f %10.4f %10.4f %10.4f   %s\n",
-			"", "sd", row.Recall.Std, row.Tau.Std, row.Theta.Std, row.Sim1.Std, paperSd)
+		fmt.Fprintf(&b, "%3d %4s %10.4f %10.4f %10.4f %10s   %s\n",
+			row.K, "mu", row.Recall.Mean, row.Tau.Mean, row.Theta.Mean, stat(row.Sim1, row.Sim1.Mean), paperMu)
+		fmt.Fprintf(&b, "%3s %4s %10.4f %10.4f %10.4f %10s   %s\n",
+			"", "sd", row.Recall.Std, row.Tau.Std, row.Theta.Std, stat(row.Sim1, row.Sim1.Std), paperSd)
 	}
 	if len(r.Rows) > 0 {
 		last := r.Rows[len(r.Rows)-1]
@@ -79,6 +79,16 @@ func (r *Table3Result) String() string {
 			last.K, last.MissingWeightLE3)
 	}
 	return b.String()
+}
+
+// stat renders one statistic v of summary s to four places, or "-"
+// when s has no samples: sim1% is taken over missing arcs only, so it
+// is undefined at a k where none is missing.
+func stat(s metrics.Summary, v float64) string {
+	if s.N == 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.4f", v)
 }
 
 // FigureScatter is the generic scatter-series result behind Figures 6

@@ -8,7 +8,10 @@
 // Drivers share a Workbench that lazily builds and caches the expensive
 // artifacts — the synthetic dataset, its theoretic graph, the shuffled
 // tagging schedule and one evolution replay per connection parameter k —
-// so a full harness run pays for each only once.
+// so a full harness run pays for each only once. Reproduce runs every
+// driver in the paper's order; dharma-bench and the golden test both
+// call it. The drivers that need an overlay (Table I, A3, A6) boot it
+// through dharma.NewSystem.
 package exp
 
 import (
@@ -16,7 +19,7 @@ import (
 	"sort"
 	"sync"
 
-	"dharma/internal/core"
+	"dharma"
 	"dharma/internal/dataset"
 	"dharma/internal/folksonomy"
 	"dharma/internal/sim"
@@ -118,9 +121,9 @@ func (w *Workbench) PopularTags(n int) []string {
 }
 
 // publish replays the first annotations entries of the schedule through
-// eng — each resource inserted once, on its first annotation, then
+// peer p — each resource inserted once, on its first annotation, then
 // tagged — and returns how often each tag was applied in that slice.
-func (w *Workbench) publish(eng *core.Engine, annotations int) (map[string]int, error) {
+func (w *Workbench) publish(p *dharma.Peer, annotations int) (map[string]int, error) {
 	schedule := w.Schedule()
 	if len(schedule) > annotations {
 		schedule = schedule[:annotations]
@@ -129,12 +132,12 @@ func (w *Workbench) publish(eng *core.Engine, annotations int) (map[string]int, 
 	tagPop := map[string]int{}
 	for _, a := range schedule {
 		if !inserted[a.Resource] {
-			if err := eng.InsertResource(context.Background(), a.Resource, "uri:"+a.Resource); err != nil {
+			if err := p.InsertResource(context.Background(), a.Resource, "uri:"+a.Resource, nil); err != nil {
 				return nil, err
 			}
 			inserted[a.Resource] = true
 		}
-		if err := eng.Tag(context.Background(), a.Resource, a.Tag); err != nil {
+		if err := p.Tag(context.Background(), a.Resource, a.Tag); err != nil {
 			return nil, err
 		}
 		tagPop[a.Tag]++
