@@ -47,11 +47,11 @@ type AntiEntropyStats struct {
 	Suppressed    int64 // block-rounds skipped because recently written
 	Skipped       int64 // block-rounds skipped because synced and not yet due
 	DigestMatches int64 // summary exchanges where digests matched (no data moved)
-	DeltaEntries  int64 // entries pushed as sync deltas (not whole blocks)
+	DeltaEntries  int64 // entries pushed as sync deltas (not whole blocks) and acked
 	PullEntries   int64 // entries pull-merged from better-informed replicas
 	FullBlocks    int64 // fallback whole-block pushes (remote counts unavailable)
-	BytesSent     int64 // payload bytes sent on SUMMARY/REPLICATE exchanges
-	BytesRecv     int64 // payload bytes received on SUMMARY/REPLICATE exchanges
+	BytesSent     int64 // payload bytes sent on completed SUMMARY/REPLICATE exchanges
+	BytesRecv     int64 // payload bytes received on completed SUMMARY/REPLICATE exchanges
 }
 
 // AntiEntropy returns the node's anti-entropy counters.
@@ -238,12 +238,15 @@ func (n *Node) syncBlockWith(ctx context.Context, key kadid.ID, local wire.Block
 	if len(delta) == 0 {
 		return true // the replica holds a superset; nothing to push
 	}
+	// The summary reply has been consumed; resp now receives the ack.
+	err = n.call(ctx, c, &wire.Message{Kind: wire.KindReplicate, Target: key, Entries: delta}, &resp)
+	if err != nil || resp.Kind != wire.KindStoreAck {
+		return false
+	}
 	if !fallback {
 		n.aeDeltaEntries.Add(int64(len(delta)))
 	}
-	// The summary reply has been consumed; resp now receives the ack.
-	err = n.call(ctx, c, &wire.Message{Kind: wire.KindReplicate, Target: key, Entries: delta}, &resp)
-	return err == nil && resp.Kind == wire.KindStoreAck
+	return true
 }
 
 // deltaEntries selects the entries of local whose field the other side

@@ -2,9 +2,11 @@ package kademlia
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"dharma/internal/kadid"
+	"dharma/internal/simnet"
 	"dharma/internal/wire"
 )
 
@@ -225,6 +227,56 @@ func TestAntiEntropyHealsEmptyReplicas(t *testing.T) {
 		es, ok := n.LocalStore().Get(key, 0)
 		if !ok || len(es) != 2 {
 			t.Fatalf("node %d not rebuilt: %v (ok=%v)", i, es, ok)
+		}
+	}
+}
+
+// TestAntiEntropyCountsOnlyAckedPushes: a REPLICATE push the network
+// refuses (here: wider than the MTU) moves no delta entries and no
+// maintenance bytes. The node's byte counters equal what the network
+// actually delivered, which is the SUMMARY exchanges alone.
+func TestAntiEntropyCountsOnlyAckedPushes(t *testing.T) {
+	cl, err := NewCluster(ClusterConfig{
+		N:    8,
+		Node: Config{K: 8, Alpha: 3},
+		Net:  simnet.Config{MTU: 4096},
+		Seed: 7007,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := cl.Nodes[0]
+	key := kadid.HashString("wide|3")
+	ctx := context.Background()
+	// Local-only write of a block wider than one message: the empty
+	// replicas' delta is the whole block, which the network refuses.
+	block := make([]wire.Entry, 400)
+	for i := range block {
+		block[i] = wire.Entry{Field: fmt.Sprintf("field-%03d", i), Count: 1}
+	}
+	if err := a.LocalStore().Append(ctx, key, block); err != nil {
+		t.Fatal(err)
+	}
+	targets := a.insertSelf(a.IterativeFindNode(ctx, key), key)
+
+	before, netBefore := a.AntiEntropy(), cl.Net.Counters()
+	if acks := a.syncBlock(ctx, key, targets); acks != 0 {
+		t.Fatalf("acks = %d for pushes the network refused", acks)
+	}
+	st, net := a.AntiEntropy(), cl.Net.Counters()
+	if st.DeltaEntries != before.DeltaEntries {
+		t.Errorf("DeltaEntries moved by %d on refused pushes", st.DeltaEntries-before.DeltaEntries)
+	}
+	sent, delivered := st.BytesSent-before.BytesSent, net.BytesOut-netBefore.BytesOut
+	if delivered == 0 || sent != delivered {
+		t.Errorf("BytesSent moved by %d B; the network delivered %d B", sent, delivered)
+	}
+	if recv, got := st.BytesRecv-before.BytesRecv, net.BytesIn-netBefore.BytesIn; recv != got {
+		t.Errorf("BytesRecv moved by %d B; the network delivered %d B", recv, got)
+	}
+	for i, n := range cl.Nodes[1:] {
+		if n.LocalStore().Has(key) {
+			t.Errorf("node %d holds a block whose push was refused", i+1)
 		}
 	}
 }

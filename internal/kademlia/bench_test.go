@@ -53,6 +53,31 @@ func BenchmarkStoreReplicated(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreDurable measures a replicated write on a fleet where
+// every node group-commits to its own WAL (default options: fsync plus
+// the 500µs linger). K equals the fleet size, so the writer is always a
+// replica and each op waits on its own commit and seven remote ones.
+func BenchmarkStoreDurable(b *testing.B) {
+	cl, err := NewCluster(ClusterConfig{
+		N:       8,
+		Node:    Config{K: 8, Alpha: 3},
+		Seed:    1,
+		DataDir: b.TempDir(),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Shutdown()
+	writer := cl.Nodes[0]
+	entries := []wire.Entry{{Field: "f", Count: 1}}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := writer.Store(context.Background(), kadid.HashString(fmt.Sprintf("k%d", i%256)), entries); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFindValueHot measures repeated reads of one popular block.
 func BenchmarkFindValueHot(b *testing.B) {
 	cl := benchCluster(b, 64)

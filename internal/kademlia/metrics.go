@@ -91,15 +91,15 @@ func (n *Node) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("dharma_antientropy_skipped_total",
 		"Anti-entropy rounds skipped for settled blocks.", n.aeSkipped.Load)
 	reg.CounterFunc("dharma_antientropy_delta_entries_total",
-		"Entries pushed as anti-entropy deltas.", n.aeDeltaEntries.Load)
+		"Entries pushed as anti-entropy deltas and acknowledged.", n.aeDeltaEntries.Load)
 	reg.CounterFunc("dharma_antientropy_pull_entries_total",
 		"Entries pulled from replicas holding higher counts.", n.aePullEntries.Load)
 	reg.CounterFunc("dharma_antientropy_full_blocks_total",
 		"Blocks anti-entropy had to push in full.", n.aeFullBlocks.Load)
 	reg.CounterFunc("dharma_maintenance_bytes_out_total",
-		"Maintenance-plane payload bytes sent (SUMMARY + REPLICATE).", n.aeBytesOut.Load)
+		"Maintenance-plane payload bytes sent on completed SUMMARY + REPLICATE exchanges.", n.aeBytesOut.Load)
 	reg.CounterFunc("dharma_maintenance_bytes_in_total",
-		"Maintenance-plane payload bytes received.", n.aeBytesIn.Load)
+		"Maintenance-plane payload bytes received on completed exchanges.", n.aeBytesIn.Load)
 	reg.GaugeFunc("dharma_routing_table_peers",
 		"Live contacts in the routing table.", func() int64 { return int64(n.table.Len()) })
 	reg.GaugeFunc("dharma_store_blocks",

@@ -51,6 +51,9 @@ var (
 	// errDetached is returned by outbound calls of a node that has no
 	// live endpoint (crashed or departed).
 	errDetached = errors.New("kademlia: node is detached")
+	// errNotAcked records a STORE answered with something other than an
+	// ack; it counts as neither an ack nor a verdict.
+	errNotAcked = errors.New("kademlia: store answered without an ack")
 )
 
 // Config parameterises a node.
@@ -638,13 +641,13 @@ func (n *Node) callOnce(ctx context.Context, to wire.Contact, msg, resp *wire.Me
 	// Maintenance-plane byte accounting: SUMMARY exchanges and REPLICATE
 	// pushes (anti-entropy and handoff) are what the bandwidth-frugality
 	// claim is about, so their payload sizes are metered
-	// transport-independently here.
+	// transport-independently here. Only a completed exchange counts: a
+	// request that never left (too large) or never got an answer moved
+	// no maintenance data.
 	maint := msg.Kind == wire.KindSummary || msg.Kind == wire.KindReplicate
-	if maint {
-		n.aeBytesOut.Add(int64(len(buf.B)))
-	}
 	raw, err := tr.Call(ctx, simnet.Addr(to.Addr), buf.B)
 	if maint && err == nil {
+		n.aeBytesOut.Add(int64(len(buf.B)))
 		n.aeBytesIn.Add(int64(len(raw)))
 	}
 	if ctx.Err() == nil {
@@ -654,8 +657,10 @@ func (n *Node) callOnce(ctx context.Context, to wire.Contact, msg, resp *wire.Me
 		// A local send failure (endpoint closed under us) says nothing
 		// about the peer; only a timed-out exchange does. Likewise a
 		// caller giving up (ctx ended) is not evidence the peer is dead,
-		// and neither is an explicit busy rejection.
-		if !errors.Is(err, simnet.ErrClosed) && !errors.Is(err, wire.ErrBusy) && ctx.Err() == nil {
+		// and neither is an explicit busy rejection or a size verdict on
+		// a message too large for the transport.
+		if !errors.Is(err, simnet.ErrClosed) && !errors.Is(err, wire.ErrBusy) &&
+			!errors.Is(err, simnet.ErrTooLarge) && ctx.Err() == nil {
 			n.table.Remove(to.ID)
 		}
 		return err
@@ -732,10 +737,13 @@ func (n *Node) RefreshBucket(ctx context.Context, bucket int, seed int64) {
 // Store places entries under key on the k closest nodes to key
 // (replication at write time). The writer itself participates when it
 // is one of the k closest, so every writer converges on the same
-// replica set. It returns how many replicas acknowledged. When ctx ends
-// mid-operation the in-flight replica RPCs are aborted; if the quorum
-// was not reached by then, ctx's error is returned with the partial ack
-// count.
+// replica set. Every remote STORE is sent first and the local replica
+// commits on the calling goroutine while those are in flight, so a
+// durable write waits for one round of commits. Store still waits for
+// every target before it returns how many replicas acknowledged. When
+// ctx ends mid-operation the in-flight replica RPCs are aborted; if the
+// quorum was not reached by then, ctx's error is returned with the
+// partial ack count.
 func (n *Node) Store(ctx context.Context, key kadid.ID, entries []wire.Entry) (int, error) {
 	_, _, targets, _, lerr := n.iterativeLookup(ctx, key, false, 0)
 	if lerr != nil {
@@ -745,44 +753,51 @@ func (n *Node) Store(ctx context.Context, key kadid.ID, entries []wire.Entry) (i
 	if len(targets) == 0 {
 		return 0, ErrNoContacts
 	}
-	acks, busy, unauth := 0, 0, 0
-	var mu sync.Mutex
+	// One outcome per target, each written by one goroutine and read
+	// after wg.Wait.
+	outcomes := make([]error, len(targets))
 	var wg sync.WaitGroup
-	for _, c := range targets {
+	self := -1
+	for i, c := range targets {
 		if c.ID == n.id {
-			// The local replica applies the same signed-mutation rule the
-			// remote ones enforce: a node must not hold entries it would
-			// refuse from the network.
-			if n.cfg.CAPub != nil && vetEntries(key, entries) != "" {
-				mu.Lock()
-				unauth++
-				mu.Unlock()
-				continue
-			}
-			if n.store.Append(ctx, key, entries) == nil {
-				mu.Lock()
-				acks++
-				mu.Unlock()
-			}
+			self = i
 			continue
 		}
 		wg.Add(1)
-		go func(c wire.Contact) {
+		go func(i int, c wire.Contact) {
 			defer wg.Done()
 			var resp wire.Message
 			err := n.call(ctx, c, &wire.Message{Kind: wire.KindStore, Target: key, Entries: entries}, &resp)
-			mu.Lock()
-			defer mu.Unlock()
-			if err == nil && resp.Kind == wire.KindStoreAck {
-				acks++
-			} else if errors.Is(err, wire.ErrBusy) {
-				busy++
-			} else if errors.Is(err, wire.ErrUnauthorized) {
-				unauth++
+			if err == nil && resp.Kind != wire.KindStoreAck {
+				err = errNotAcked
 			}
-		}(c)
+			outcomes[i] = err
+		}(i, c)
+	}
+	if self >= 0 {
+		// The local replica applies the same signed-mutation rule the
+		// remote ones enforce: a node must not hold entries it would
+		// refuse from the network.
+		if n.cfg.CAPub != nil && vetEntries(key, entries) != "" {
+			outcomes[self] = wire.ErrUnauthorized
+		} else {
+			outcomes[self] = n.store.Append(ctx, key, entries)
+		}
 	}
 	wg.Wait()
+	acks, busy, unauth, tooLarge := 0, 0, 0, 0
+	for _, err := range outcomes {
+		switch {
+		case err == nil:
+			acks++
+		case errors.Is(err, wire.ErrBusy):
+			busy++
+		case errors.Is(err, wire.ErrUnauthorized):
+			unauth++
+		case errors.Is(err, simnet.ErrTooLarge):
+			tooLarge++
+		}
+	}
 	if acks < n.cfg.MinStoreAcks {
 		if err := ctx.Err(); err != nil {
 			return acks, err
@@ -793,6 +808,11 @@ func (n *Node) Store(ctx context.Context, key kadid.ID, entries []wire.Entry) (i
 			// Every replica that answered gave a policy verdict, not a
 			// failure: the write is refused, retrying is pointless.
 			return 0, fmt.Errorf("kademlia: %d replica(s) refused store of %s: %w", unauth, key.Short(), wire.ErrUnauthorized)
+		}
+		if tooLarge > 0 {
+			// A size verdict: the block cannot travel in one message, and
+			// resending it unchanged never will.
+			return 0, fmt.Errorf("kademlia: store of %s to %d replica(s): %w", key.Short(), tooLarge, simnet.ErrTooLarge)
 		}
 		if busy > 0 {
 			// The replica set is saturated, not gone: surface the typed

@@ -10,6 +10,7 @@ import (
 
 	"dharma/internal/kadid"
 	"dharma/internal/likir"
+	"dharma/internal/persist"
 	"dharma/internal/simnet"
 	"dharma/internal/wire"
 )
@@ -325,6 +326,23 @@ func TestLikirDropsTamperedEntries(t *testing.T) {
 	if len(es) != 1 || es[0].Field != "res" {
 		t.Fatalf("want exactly the good entry, got %+v", es)
 	}
+
+	// The writer's own replica vets the same way. Under the writer's own
+	// ID it is the closest replica; with every other node down its local
+	// refusal is the only verdict, and it must still read as
+	// unauthorized rather than as an unreachable replica set.
+	self := writer.Self().ID
+	for _, n := range cl.Nodes {
+		if n != writer {
+			cl.Net.SetDown(simnet.Addr(n.Self().Addr), true)
+		}
+	}
+	if _, err := writer.Store(context.Background(), self, []wire.Entry{unsigned}); !errors.Is(err, wire.ErrUnauthorized) {
+		t.Fatalf("local replica refusal: want ErrUnauthorized, got %v", err)
+	}
+	if writer.LocalStore().Has(self) {
+		t.Fatal("writer holds an entry its own replica refused")
+	}
 }
 
 func TestRevokedPeerRejected(t *testing.T) {
@@ -405,5 +423,113 @@ func TestLookupsUnderPacketLoss(t *testing.T) {
 	}
 	if got == nil {
 		t.Fatal("value unreachable under 5% loss with retries")
+	}
+}
+
+// TestStoreSendsBeforeLocalCommit: when the writer is one of a key's
+// replicas, its own durable commit runs while the remote STOREs are in
+// flight, not before them. The writer's WAL lingers 300 ms per group
+// commit, so every remote replica must hold the block well before the
+// writer's Store returns.
+func TestStoreSendsBeforeLocalCommit(t *testing.T) {
+	cl := newTestCluster(t, 7, 33)
+	store, _, err := OpenDurableStore(t.TempDir(), persist.Options{FlushWindow: 300 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writer, err := cl.AddNode(context.Background(), Config{K: 8, Alpha: 3, Store: store}, 1033, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { writer.Shutdown() }) //nolint:errcheck // test teardown
+	// The writer is the closest replica of its own ID.
+	key := writer.Self().ID
+
+	type result struct {
+		acks int
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		acks, err := writer.Store(context.Background(), key, []wire.Entry{{Field: "f", Count: 1}})
+		done <- result{acks, err}
+	}()
+
+	deadline := time.Now().Add(150 * time.Millisecond)
+	for {
+		held := 0
+		for _, n := range cl.Nodes[:7] {
+			if n.LocalStore().Has(key) {
+				held++
+			}
+		}
+		select {
+		case r := <-done:
+			t.Fatalf("Store returned (acks %d, err %v) with %d of 7 remote replicas holding the block first", r.acks, r.err, held)
+		default:
+		}
+		if held == 7 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 7 remote replicas hold the block 150ms into the writer's 300ms commit", held)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if r := <-done; r.err != nil || r.acks != 8 {
+		t.Fatalf("Store = %d acks, err %v; want 8 acks", r.acks, r.err)
+	}
+	if !writer.LocalStore().Has(key) {
+		t.Fatal("writer's own replica missing after Store")
+	}
+}
+
+// TestStoreTooLargeIsNotDeath: a block over the network's MTU is a size
+// verdict. The write fails with simnet.ErrTooLarge, and the replicas that
+// could not receive it stay in every routing table.
+func TestStoreTooLargeIsNotDeath(t *testing.T) {
+	cl, err := NewCluster(ClusterConfig{
+		N:    16,
+		Node: Config{K: 4, Alpha: 3},
+		Net:  simnet.Config{MTU: 2048},
+		Seed: 34,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := kadid.HashString("wide|3")
+	replicas := map[kadid.ID]bool{}
+	for _, c := range cl.ClosestGroundTruth(key, 4) {
+		replicas[c.ID] = true
+	}
+	var writer *Node
+	for _, n := range cl.Nodes {
+		if !replicas[n.Self().ID] {
+			writer = n
+			break
+		}
+	}
+	// Warm the path first, so the lookup inside Store meets only contacts
+	// every table already holds.
+	writer.IterativeFindNode(context.Background(), key)
+	lens := make([]int, len(cl.Nodes))
+	for i, n := range cl.Nodes {
+		lens[i] = n.Table().Len()
+	}
+
+	block := make([]wire.Entry, 200)
+	for i := range block {
+		block[i] = wire.Entry{Field: fmt.Sprintf("field-%03d", i), Count: 1}
+	}
+	if _, err := writer.Store(context.Background(), key, block); !errors.Is(err, simnet.ErrTooLarge) {
+		t.Errorf("over-MTU store: want ErrTooLarge, got %v", err)
+	}
+	for i, n := range cl.Nodes {
+		if got := n.Table().Len(); got != lens[i] {
+			t.Errorf("node %d routing table: %d contacts after the over-MTU store, %d before", i, got, lens[i])
+		}
+		if n.LocalStore().Has(key) {
+			t.Errorf("node %d holds the over-MTU block", i)
+		}
 	}
 }
