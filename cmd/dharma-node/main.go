@@ -90,7 +90,7 @@ func usage() {
   dharma-node serve   -listen host:port [-bootstrap host:port] [-k n] [-alpha n]
                       [-data-dir path] [-fsync group|none]
                       [-queue-depth n] [-peer-rate r] [-debug-addr host:port]
-                      [-trace-slow d] [-trace-sample n] [-log-level l]
+                      [-trace-slow d] [-log-level l]
                       [-identity file -ca file [-revocations file] [-require-auth]]
   dharma-node insert  -bootstrap host:port -r name -uri uri [-tags a,b,c] [-timeout d]
   dharma-node tag     -bootstrap host:port -r name -t tag [-timeout d]
@@ -122,16 +122,11 @@ func newLogger(level string) (*slog.Logger, error) {
 	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})), nil
 }
 
-// traceHook logs captured lookup traces through logger: slow ops at
-// WARN (these are the "why was this navigate slow" evidence), sampled
-// captures at DEBUG.
+// traceHook logs captured lookup traces through logger at WARN: every
+// capture is a slow lookup, the "why was this navigate slow" evidence.
 func traceHook(logger *slog.Logger) func(*kademlia.LookupTrace) {
 	return func(tr *kademlia.LookupTrace) {
-		lvl := slog.LevelDebug
-		if tr.Slow {
-			lvl = slog.LevelWarn
-		}
-		logger.Log(context.Background(), lvl, "lookup trace",
+		logger.Warn("lookup trace",
 			"trace-id", fmt.Sprintf("%016x", tr.TraceID),
 			"target", tr.Target.Short(),
 			"value", tr.Value,
@@ -140,7 +135,6 @@ func traceHook(logger *slog.Logger) func(*kademlia.LookupTrace) {
 			"tried", tr.Tried,
 			"busy", tr.Busy,
 			"found", tr.Found,
-			"slow", tr.Slow,
 			"spans", len(tr.Spans))
 	}
 }
@@ -194,8 +188,6 @@ func serveConfig(args []string) (dharma.UDPPeerConfig, serveOptions, error) {
 		"HTTP address for the ops endpoint (/metrics, /debug/stats, /debug/traces, /debug/pprof); empty disables")
 	fs.DurationVar(&cfg.TraceSlow, "trace-slow", 0,
 		"capture and log every lookup slower than this (0 = default 250ms, negative = disabled)")
-	fs.IntVar(&cfg.TraceSample, "trace-sample", 0,
-		"capture 1 in n lookups regardless of speed (0 = default 1024, negative = disabled)")
 	fs.StringVar(&o.logLevel, "log-level", "info", "log verbosity: debug, info, warn or error")
 	securityFlags(fs, &cfg)
 	fs.BoolVar(&cfg.RequireAuth, "require-auth", false, "reject plain (session-less) requests with UNAUTHORIZED")

@@ -73,10 +73,15 @@ func TestServeConfig(t *testing.T) {
 		},
 		{
 			name: "tracing and chaos",
-			args: []string{"-trace-slow", "1ns", "-trace-sample", "-1", "-chaos-delay", "300ms"},
+			args: []string{"-trace-slow", "1ns", "-chaos-delay", "300ms"},
 			want: with(func(c *dharma.UDPPeerConfig) {
-				c.TraceSlow, c.TraceSample, c.ChaosDelay = time.Nanosecond, -1, 300*time.Millisecond
+				c.TraceSlow, c.ChaosDelay = time.Nanosecond, 300*time.Millisecond
 			}),
+		},
+		{
+			name:    "-trace-sample is gone",
+			args:    []string{"-trace-sample", "1"},
+			wantErr: "trace-sample",
 		},
 		{
 			name: "security",

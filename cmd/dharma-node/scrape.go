@@ -188,12 +188,8 @@ func printTraces(w io.Writer, traces []*kademlia.LookupTrace) {
 		return
 	}
 	tr := traces[0] // newest first
-	why := "sampled"
-	if tr.Slow {
-		why = "slow"
-	}
-	fmt.Fprintf(w, "newest trace %016x (%s): target=%s value=%t wall=%s rounds=%d tried=%d busy=%d found=%t\n",
-		tr.TraceID, why, tr.Target.Short(), tr.Value, tr.Wall, tr.Rounds, tr.Tried, tr.Busy, tr.Found)
+	fmt.Fprintf(w, "newest trace %016x: target=%s value=%t wall=%s rounds=%d tried=%d busy=%d found=%t\n",
+		tr.TraceID, tr.Target.Short(), tr.Value, tr.Wall, tr.Rounds, tr.Tried, tr.Busy, tr.Found)
 	for i, sp := range tr.Spans {
 		fmt.Fprintf(w, "  hop %-3d round=%-2d peer=%-22s kind=%-10s start=%-12s rtt=%-12s verdict=%s\n",
 			i+1, sp.Round, sp.Peer.Addr, sp.Kind, sp.Start, sp.RTT, sp.Verdict)

@@ -38,7 +38,7 @@ func hangReplica(sys *System, p *Peer, id kadid.ID, addr string) (release func()
 	return func() { close(block) }
 }
 
-// TestSearchStepDeadlineAbortsInFlightRPC: a WithTimeout deadline on a
+// TestSearchStepDeadlineAbortsInFlightRPC: a context deadline on a
 // lookup whose replica set includes a non-answering endpoint surfaces
 // context.DeadlineExceeded promptly. The hung endpoint would otherwise
 // block the lookup round forever.
@@ -58,8 +58,10 @@ func TestSearchStepDeadlineAbortsInFlightRPC(t *testing.T) {
 	release := hangReplica(sys, p, key, "hung-replica")
 	defer release()
 
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	_, _, err = p.SearchStep(context.Background(), "rock", WithTimeout(100*time.Millisecond))
+	_, _, err = p.SearchStep(ctx, "rock")
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("SearchStep against hung replica: err = %v, want DeadlineExceeded", err)
@@ -141,44 +143,6 @@ func TestOperationsHonorPreCanceledContext(t *testing.T) {
 	}
 	if _, err := p.Navigate(ctx, "a", First, NavOptions{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("Navigate: %v, want Canceled", err)
-	}
-}
-
-// TestWithTopNOverridesPerCall: WithTopN narrows one SearchStep without
-// touching the deployment default.
-func TestWithTopNOverridesPerCall(t *testing.T) {
-	sys, err := NewSystem(Config{Nodes: 8, Mode: Approximated, K: 5, Seed: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := sys.Peer(0)
-	// One resource carrying many tags gives "hub" a wide neighbour set.
-	tags := []string{"hub", "t1", "t2", "t3", "t4", "t5", "t6"}
-	if err := p.InsertResource(context.Background(), "r", "uri:r", tags); err != nil {
-		t.Fatal(err)
-	}
-
-	wide, _, err := p.SearchStep(context.Background(), "hub")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wide) != 6 {
-		t.Fatalf("default SearchStep returned %d related tags, want 6", len(wide))
-	}
-	narrow, _, err := p.SearchStep(context.Background(), "hub", WithTopN(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(narrow) != 2 {
-		t.Fatalf("WithTopN(2) returned %d related tags, want 2", len(narrow))
-	}
-	// The override is per-call: the default is untouched afterwards.
-	again, _, err := p.SearchStep(context.Background(), "hub")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again) != 6 {
-		t.Fatalf("SearchStep after override returned %d related tags, want 6", len(again))
 	}
 }
 

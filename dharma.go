@@ -26,7 +26,7 @@
 //	res, err := p.Navigate(ctx, "rock", dharma.First, dharma.NavOptions{})
 //	fmt.Println(res.Path, res.FinalResources)
 //
-// # Contexts and per-operation options
+// # Contexts
 //
 // Every operation takes a context.Context as its first argument, and
 // the context is honored through the whole stack: cancelling it (or
@@ -43,13 +43,12 @@
 // a write whose acknowledgement was lost on the wire. Block updates are
 // commutative token appends, so retrying is always safe.
 //
-// Per-operation options override deployment defaults for a single
-// call:
+// A per-call bound is a derived context:
 //
-//	// bound one tag operation to 50ms, whatever Config says
-//	err := p.Tag(ctx, "norwegian-wood", "psychedelic", dharma.WithTimeout(50*time.Millisecond))
-//	// read a wider slice of the index for one navigation
-//	res, err := p.Navigate(ctx, "rock", dharma.First, dharma.NavOptions{}, dharma.WithTopN(500))
+//	// bound one tag operation to 50ms
+//	tctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+//	defer cancel()
+//	err := p.Tag(tctx, "norwegian-wood", "psychedelic")
 //
 // A System and its Peers are safe for concurrent use: any number of
 // goroutines may insert, tag and navigate against the same deployment
@@ -127,8 +126,7 @@ type Config struct {
 	// K is the connection parameter of Approximation A (default 5).
 	K int
 	// TopN caps entries returned per block read (default 100, the
-	// paper's display bound; -1 disables filtering). WithTopN overrides
-	// it per operation.
+	// paper's display bound; -1 disables filtering).
 	TopN int
 	// Replication is the overlay's bucket size and replica count
 	// (default 8 for in-process clusters).
@@ -189,55 +187,6 @@ func (c Config) withDefaults() Config {
 		c.Alpha = 3
 	}
 	return c
-}
-
-// Option tunes a single operation on a Peer, overriding the
-// deployment-wide defaults from Config for that call only.
-type Option func(*opSettings)
-
-// opSettings is the resolved per-operation configuration.
-type opSettings struct {
-	timeout time.Duration
-	topN    int
-}
-
-// WithTimeout bounds the operation: the call's context is wrapped in
-// context.WithTimeout, so when the budget runs out the in-flight
-// overlay RPCs are aborted and the operation returns
-// context.DeadlineExceeded (wrapped). A zero or negative d is ignored.
-func WithTimeout(d time.Duration) Option {
-	return func(s *opSettings) {
-		if d > 0 {
-			s.timeout = d
-		}
-	}
-}
-
-// WithTopN overrides the deployment's index-side filter cap
-// (Config.TopN) for one operation: n > 0 caps each block read at n
-// entries, n < 0 disables filtering entirely. It affects SearchStep,
-// Navigate and NavigateFromResource; operations without a filtered
-// read ignore it.
-func WithTopN(n int) Option {
-	return func(s *opSettings) {
-		if n != 0 {
-			s.topN = n
-		}
-	}
-}
-
-// apply resolves opts against ctx. The returned cancel must always be
-// called (it is a no-op when no timeout was requested).
-func applyOptions(ctx context.Context, opts []Option) (context.Context, context.CancelFunc, opSettings) {
-	var s opSettings
-	for _, o := range opts {
-		o(&s)
-	}
-	if s.timeout > 0 {
-		ctx, cancel := context.WithTimeout(ctx, s.timeout)
-		return ctx, cancel, s
-	}
-	return ctx, func() {}, s
 }
 
 // System is an in-process DHARMA deployment: an overlay cluster with
@@ -347,69 +296,49 @@ func (p *Peer) Stats() Stats {
 func (p *Peer) Lookups() int64 { return p.store.Lookups() }
 
 // InsertResource publishes a new resource r with URI uri and the given
-// tag set; 2+2m lookups for m distinct tags (Table I). Tags are a
-// slice (not variadic) so the call can carry per-operation Options —
-// the insert is the facade's widest fan-out, exactly the operation a
-// caller wants to bound. The engine's InsertResource keeps the
-// variadic form.
-func (p *Peer) InsertResource(ctx context.Context, r, uri string, tags []string, opts ...Option) error {
-	ctx, cancel, _ := applyOptions(ctx, opts)
-	defer cancel()
+// tag set; 2+2m lookups for m distinct tags (Table I).
+func (p *Peer) InsertResource(ctx context.Context, r, uri string, tags []string) error {
 	return p.engine.InsertResource(ctx, r, uri, tags...)
 }
 
 // Tag adds tag t to the existing resource r; 4+k lookups in
 // Approximated mode (Table I).
-func (p *Peer) Tag(ctx context.Context, r, t string, opts ...Option) error {
-	ctx, cancel, _ := applyOptions(ctx, opts)
-	defer cancel()
+func (p *Peer) Tag(ctx context.Context, r, t string) error {
 	return p.engine.Tag(ctx, r, t)
 }
 
 // SearchStep retrieves one navigation step for tag t: related tags by
 // descending similarity and resources by descending annotation count,
-// both capped index-side (Config.TopN, overridable per call with
-// WithTopN); 2 lookups.
-func (p *Peer) SearchStep(ctx context.Context, t string, opts ...Option) (related, resources []Weighted, err error) {
-	ctx, cancel, s := applyOptions(ctx, opts)
-	defer cancel()
-	return p.engine.SearchStepN(ctx, t, s.topN)
+// both capped index-side (Config.TopN); 2 lookups.
+func (p *Peer) SearchStep(ctx context.Context, t string) (related, resources []Weighted, err error) {
+	return p.engine.SearchStep(ctx, t)
 }
 
 // ResolveURI fetches the URI published for resource r; one lookup.
-func (p *Peer) ResolveURI(ctx context.Context, r string, opts ...Option) (string, error) {
-	ctx, cancel, _ := applyOptions(ctx, opts)
-	defer cancel()
+func (p *Peer) ResolveURI(ctx context.Context, r string) (string, error) {
 	return p.engine.ResolveURI(ctx, r)
 }
 
 // TagsOf fetches Tags(r) with weights, sorted by descending weight;
 // one lookup.
-func (p *Peer) TagsOf(ctx context.Context, r string, opts ...Option) ([]Weighted, error) {
-	ctx, cancel, _ := applyOptions(ctx, opts)
-	defer cancel()
+func (p *Peer) TagsOf(ctx context.Context, r string) ([]Weighted, error) {
 	return p.engine.TagsOf(ctx, r)
 }
 
 // Neighbors fetches the full (unfiltered) FG adjacency of tag t; one
 // lookup.
-func (p *Peer) Neighbors(ctx context.Context, t string, opts ...Option) ([]Weighted, error) {
-	ctx, cancel, _ := applyOptions(ctx, opts)
-	defer cancel()
+func (p *Peer) Neighbors(ctx context.Context, t string) ([]Weighted, error) {
 	return p.engine.Neighbors(ctx, t)
 }
 
 // Navigate runs a faceted search over the live overlay starting from
-// tag start. ctx (and WithTimeout) bound the whole walk: cancellation
-// is observed between steps and aborts the in-flight lookup RPCs, and
-// the walk returns the partial Result together with the context error.
+// tag start. ctx bounds the whole walk: cancellation is observed
+// between steps and aborts the in-flight lookup RPCs, and the walk
+// returns the partial Result together with the context error.
 // A non-context lookup failure swallowed mid-walk is also reported as
 // the error, alongside the (still useful) partial result.
-func (p *Peer) Navigate(ctx context.Context, start string, strat Strategy, opt NavOptions, opts ...Option) (NavResult, error) {
-	ctx, cancel, s := applyOptions(ctx, opts)
-	defer cancel()
+func (p *Peer) Navigate(ctx context.Context, start string, strat Strategy, opt NavOptions) (NavResult, error) {
 	v := search.NewEngineView(ctx, p.engine)
-	v.TopN = s.topN
 	res, err := search.Run(ctx, v, start, strat, opt)
 	if err == nil {
 		err = v.Err()
@@ -420,11 +349,8 @@ func (p *Peer) Navigate(ctx context.Context, start string, strat Strategy, opt N
 // NavigateFromResource runs a "more like this" search: the walk enters
 // the folksonomy through one of resource r's own tags (chosen by the
 // strategy) and refines from there. Context semantics match Navigate.
-func (p *Peer) NavigateFromResource(ctx context.Context, r string, strat Strategy, opt NavOptions, opts ...Option) (NavResult, error) {
-	ctx, cancel, s := applyOptions(ctx, opts)
-	defer cancel()
+func (p *Peer) NavigateFromResource(ctx context.Context, r string, strat Strategy, opt NavOptions) (NavResult, error) {
 	v := search.NewEngineView(ctx, p.engine)
-	v.TopN = s.topN
 	res, err := search.RunFromResource(ctx, v, v, r, strat, opt)
 	if err == nil {
 		err = v.Err()
@@ -585,12 +511,10 @@ type UDPPeerConfig struct {
 	ChaosDelay time.Duration
 
 	// TraceSlow captures every lookup slower than this (0 = default
-	// 250ms, negative = disabled), TraceSample 1 in n regardless of speed
-	// (0 = default 1024, negative = disabled). Captures are kept on
-	// Node.RecentTraces and handed to OnTrace, when set, as they complete.
-	TraceSlow   time.Duration
-	TraceSample int
-	OnTrace     func(*kademlia.LookupTrace)
+	// 250ms, negative = disabled). Captures are kept on Node.RecentTraces
+	// and handed to OnTrace, when set, as they complete.
+	TraceSlow time.Duration
+	OnTrace   func(*kademlia.LookupTrace)
 }
 
 // NewUDPPeer boots one real-UDP participant. The returned Peer speaks
@@ -609,7 +533,7 @@ func NewUDPPeer(ctx context.Context, ucfg UDPPeerConfig) (_ *Peer, err error) {
 	ncfg := kademlia.Config{
 		K: cfg.Replication, Alpha: cfg.Alpha, MinStoreAcks: cfg.WriteQuorum,
 		ChaosDelay: ucfg.ChaosDelay,
-		TraceSlow:  ucfg.TraceSlow, TraceSample: ucfg.TraceSample, OnTrace: ucfg.OnTrace,
+		TraceSlow:  ucfg.TraceSlow, OnTrace: ucfg.OnTrace,
 	}
 
 	var (

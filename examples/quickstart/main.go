@@ -48,8 +48,11 @@ func main() {
 
 	// Collaborative tagging: another user refines an existing resource.
 	bob := sys.Peer(9)
-	// Per-operation options: bound this tag to 100ms whatever happens.
-	if err := bob.Tag(ctx, "take-five", "brubeck", dharma.WithTimeout(100*time.Millisecond)); err != nil {
+	// A per-call bound is a derived context: this tag gets 100ms.
+	tctx, cancel := context.WithTimeout(ctx, 100*time.Millisecond)
+	err = bob.Tag(tctx, "take-five", "brubeck")
+	cancel()
+	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("bob tagged take-five with 'brubeck'")

@@ -49,12 +49,9 @@ type Config struct {
 	// tests that need the historical unbounded behavior).
 	QueueDepth int
 	// PerPeerRate is the sustained admission rate per remote peer in
-	// requests/second (0 = unlimited).
+	// requests/second (0 = unlimited). A peer may burst max(8,
+	// 2·PerPeerRate) requests before the sustained rate applies.
 	PerPeerRate float64
-	// PerPeerBurst is the token-bucket capacity per peer; a peer may
-	// burst this many requests before the sustained rate applies
-	// (0 = max(8, 2·PerPeerRate)).
-	PerPeerBurst int
 	// Now is the clock (default time.Now); tests inject a fake.
 	Now func() time.Time
 }
@@ -62,12 +59,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.QueueDepth == 0 {
 		c.QueueDepth = DefaultQueueDepth
-	}
-	if c.PerPeerBurst <= 0 {
-		c.PerPeerBurst = int(2 * c.PerPeerRate)
-		if c.PerPeerBurst < 8 {
-			c.PerPeerBurst = 8
-		}
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -108,6 +99,7 @@ type Controller struct {
 
 	mu      sync.Mutex
 	buckets map[string]*bucket
+	burst   float64 // token-bucket capacity per peer
 }
 
 // New builds a controller; the zero Config yields the default bounded
@@ -120,6 +112,7 @@ func New(cfg Config) *Controller {
 	}
 	if cfg.PerPeerRate > 0 {
 		c.buckets = make(map[string]*bucket)
+		c.burst = float64(max(8, int(2*cfg.PerPeerRate)))
 	}
 	return c
 }
@@ -157,8 +150,8 @@ func (c *Controller) Admit(peer string) (release func(), err error) {
 }
 
 // takeToken spends one token from peer's bucket, reporting whether one
-// was available. Buckets refill lazily at PerPeerRate up to
-// PerPeerBurst; with no rate configured every request has a token.
+// was available. Buckets refill lazily at PerPeerRate up to the burst
+// capacity; with no rate configured every request has a token.
 func (c *Controller) takeToken(peer string) bool {
 	if c.buckets == nil {
 		return true
@@ -168,13 +161,11 @@ func (c *Controller) takeToken(peer string) bool {
 	defer c.mu.Unlock()
 	b, ok := c.buckets[peer]
 	if !ok {
-		b = &bucket{tokens: float64(c.cfg.PerPeerBurst), last: now}
+		b = &bucket{tokens: c.burst, last: now}
 		c.buckets[peer] = b
 	} else if dt := now.Sub(b.last).Seconds(); dt > 0 {
 		b.tokens += dt * c.cfg.PerPeerRate
-		if max := float64(c.cfg.PerPeerBurst); b.tokens > max {
-			b.tokens = max
-		}
+		b.tokens = min(b.tokens, c.burst)
 		b.last = now
 	}
 	if b.tokens < 1 {

@@ -74,14 +74,14 @@ func TestNegativeQueueDepthIsUnlimited(t *testing.T) {
 func TestPerPeerTokenBucket(t *testing.T) {
 	now := time.Unix(1000, 0)
 	c := New(Config{
-		QueueDepth:   -1,
-		PerPeerRate:  10, // 10 req/s
-		PerPeerBurst: 2,
-		Now:          func() time.Time { return now },
+		QueueDepth:  -1,
+		PerPeerRate: 10, // 10 req/s, so the burst is max(8, 20) = 20
+		Now:         func() time.Time { return now },
 	})
+	const burst = 20
 
-	// Burst of 2 passes, third is rejected.
-	for i := 0; i < 2; i++ {
+	// The burst passes, the next request is rejected.
+	for i := 0; i < burst; i++ {
 		rel, err := c.Admit("hog")
 		if err != nil {
 			t.Fatalf("burst admit %d: %v", i, err)
@@ -115,7 +115,7 @@ func TestPerPeerTokenBucket(t *testing.T) {
 
 	// Refill never exceeds the burst capacity.
 	now = now.Add(time.Hour)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < burst; i++ {
 		rel, err := c.Admit("hog")
 		if err != nil {
 			t.Fatalf("post-idle admit %d: %v", i, err)

@@ -242,26 +242,11 @@ func (e *Engine) Tag(ctx context.Context, r, t string) error {
 // descending annotation count, both truncated to the engine's TopN
 // (index-side filtering). Per Table I it costs exactly 2 lookups.
 func (e *Engine) SearchStep(ctx context.Context, t string) (related, resources []folksonomy.Weighted, err error) {
-	return e.SearchStepN(ctx, t, 0)
-}
-
-// SearchStepN is SearchStep with a per-call filter cap: topN overrides
-// the engine's configured TopN for this step only (0 keeps the engine
-// default, negative disables filtering). It is what per-operation
-// options on the facade resolve to.
-func (e *Engine) SearchStepN(ctx context.Context, t string, topN int) (related, resources []folksonomy.Weighted, err error) {
-	limit := e.topN
-	switch {
-	case topN > 0:
-		limit = topN
-	case topN < 0:
-		limit = 0 // disable filtering
-	}
-	neigh, errN := e.store.Get(ctx, BlockKey(t, BlockTagNeighbors), limit)
+	neigh, errN := e.store.Get(ctx, BlockKey(t, BlockTagNeighbors), e.topN)
 	if errN != nil && !errors.Is(errN, dht.ErrNotFound) {
 		return nil, nil, fmt.Errorf("core: search %q (t̂): %w", t, errN)
 	}
-	res, errR := e.store.Get(ctx, BlockKey(t, BlockTagResources), limit)
+	res, errR := e.store.Get(ctx, BlockKey(t, BlockTagResources), e.topN)
 	if errR != nil && !errors.Is(errR, dht.ErrNotFound) {
 		return nil, nil, fmt.Errorf("core: search %q (t̄): %w", t, errR)
 	}

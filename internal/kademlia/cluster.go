@@ -234,9 +234,6 @@ func (c *Cluster) nodeDir(addr string) string {
 	return filepath.Join(c.dataDir, addr)
 }
 
-// Durable reports whether the cluster's nodes persist their stores.
-func (c *Cluster) Durable() bool { return c.dataDir != "" }
-
 // Shutdown cleanly stops every current member: detach, flush and close
 // durable stores. Crashed (removed-from-membership) nodes are not
 // touched — their logs already ended, cleanly or not.

@@ -1,10 +1,12 @@
 package kademlia
 
 import (
+	"cmp"
 	"context"
-	"encoding/binary"
 	"errors"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -96,21 +98,10 @@ func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue b
 	n.lookups.Add(1)
 	t0 := time.Now()
 
-	// Tracing decision. Spans are recorded whenever capture is still
-	// possible — forced (TraceLookup), lottery-sampled, or merely
-	// *eligible* for slow capture — because the slow verdict only
-	// exists at the end, when it is too late to start recording.
-	seq := n.traceSeq.Add(1)
-	forced := n.forceTrace.Load() > 0
-	sampled := n.cfg.TraceSample > 0 && seq%uint64(n.cfg.TraceSample) == 0
-	tracing := forced || sampled || n.cfg.TraceSlow > 0
-	var traceID uint64
-	if tracing {
-		traceID = binary.BigEndian.Uint64(n.id[:8]) ^ seq
-		if traceID == 0 {
-			traceID = 1
-		}
-	}
+	// Tracing decision. Spans are recorded whenever slow capture is
+	// enabled, because the slow verdict only exists at the end, when it
+	// is too late to start recording.
+	tracing := n.cfg.TraceSlow > 0
 
 	arena := n.arenas.get()
 	arena.reset()
@@ -128,12 +119,8 @@ func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue b
 		if busy > 0 {
 			n.metrics.lookupBusy.Add(int64(busy))
 		}
-		if tracing {
-			slow := n.cfg.TraceSlow > 0 && wall >= n.cfg.TraceSlow
-			if forced || sampled || slow {
-				n.captureTrace(arena, traceID, target, wantValue, t0, wall,
-					round, tried, busy, found, slow, sampled)
-			}
+		if tracing && wall >= n.cfg.TraceSlow {
+			n.captureTrace(arena, target, wantValue, t0, wall, round, tried, busy, found)
 		}
 	}()
 
@@ -210,12 +197,6 @@ func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue b
 				} else {
 					*msg = wire.Message{Kind: wire.KindFindNode, Target: target}
 				}
-				if tracing {
-					// Stamp the α-wave so receivers (and packet captures)
-					// can attribute the RPC to this lookup's timeline.
-					msg.TraceID = traceID
-					msg.Hop = uint32(round)
-				}
 				st := time.Now()
 				err := n.call(ctx, c, msg, resp)
 				rtt := time.Since(st)
@@ -269,11 +250,7 @@ func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue b
 				if merged == nil {
 					merged = make(map[string]wire.Entry)
 				}
-				for _, e := range res.entries {
-					if cur, ok := merged[e.Field]; !ok || e.Count > cur.Count {
-						merged[e.Field] = e
-					}
-				}
+				mergeMax(merged, res.entries)
 				continue
 			}
 			for _, c := range res.contacts {
@@ -305,48 +282,48 @@ func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue b
 	if !foundValue {
 		return nil, false, closest, busy, nil
 	}
-	out := make([]wire.Entry, 0, len(merged))
-	for _, e := range merged {
-		out = append(out, e)
-	}
-	sortEntries(out)
+	out := sortedEntries(merged)
 	if topN > 0 && len(out) > topN {
 		out = out[:topN]
 	}
 	return out, true, closest, busy, nil
 }
 
-func sortEntries(es []wire.Entry) {
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0 && entryLess(es[j], es[j-1]); j-- {
-			es[j], es[j-1] = es[j-1], es[j]
-		}
+// compareEntries is the block order every read returns: descending
+// count, ties broken by ascending field name.
+func compareEntries(a, b wire.Entry) int {
+	if c := cmp.Compare(b.Count, a.Count); c != 0 {
+		return c
 	}
+	return strings.Compare(a.Field, b.Field)
 }
 
-func entryLess(a, b wire.Entry) bool {
-	if a.Count != b.Count {
-		return a.Count > b.Count
-	}
-	return a.Field < b.Field
-}
-
-// mergeEntriesMax merges two entry lists field-wise, keeping the larger
-// count per field, and returns the result sorted by descending count.
-func mergeEntriesMax(a, b []wire.Entry) []wire.Entry {
-	m := make(map[string]wire.Entry, len(a)+len(b))
-	for _, e := range a {
-		m[e.Field] = e
-	}
-	for _, e := range b {
+// mergeMax folds es into m field-wise, keeping the larger count per
+// field: counts only grow, so the maximum is the most complete replica
+// state.
+func mergeMax(m map[string]wire.Entry, es []wire.Entry) {
+	for _, e := range es {
 		if cur, ok := m[e.Field]; !ok || e.Count > cur.Count {
 			m[e.Field] = e
 		}
 	}
+}
+
+// sortedEntries returns m's entries in block order.
+func sortedEntries(m map[string]wire.Entry) []wire.Entry {
 	out := make([]wire.Entry, 0, len(m))
 	for _, e := range m {
 		out = append(out, e)
 	}
-	sortEntries(out)
+	slices.SortFunc(out, compareEntries)
 	return out
+}
+
+// mergeEntriesMax merges two entry lists field-wise, keeping the larger
+// count per field, and returns the result in block order.
+func mergeEntriesMax(a, b []wire.Entry) []wire.Entry {
+	m := make(map[string]wire.Entry, len(a)+len(b))
+	mergeMax(m, a)
+	mergeMax(m, b)
+	return sortedEntries(m)
 }

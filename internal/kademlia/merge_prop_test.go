@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"dharma/internal/kadid"
 	"dharma/internal/wire"
@@ -123,7 +124,7 @@ func TestMergeMaxProperties(t *testing.T) {
 		// a filtered read returns the true maxima in order.
 		top, _ := s1.Get(key, 3)
 		for i := 1; i < len(top); i++ {
-			if entryLess(top[i], top[i-1]) {
+			if compareEntries(top[i], top[i-1]) < 0 {
 				t.Fatalf("trial %d: top index out of order: %v", trial, top)
 			}
 		}
@@ -251,4 +252,46 @@ func mapsEqual(a, b map[string]uint64) bool {
 		}
 	}
 	return true
+}
+
+// TestMergeEntriesMaxLargeReplicas merges two shuffled replicas of a
+// 20,000-arc block, as an unfiltered read of a hot tag does. The result
+// must hold the field-wise maximum in block order: count descending,
+// ties by field ascending. Counts are drawn from a small range so most
+// of the order comes from the tie-break.
+func TestMergeEntriesMaxLargeReplicas(t *testing.T) {
+	const arcs = 20000
+	rng := rand.New(rand.NewSource(7))
+	a := make([]wire.Entry, arcs)
+	b := make([]wire.Entry, arcs)
+	want := make(map[string]uint64, arcs)
+	for i := range a {
+		f := fmt.Sprintf("tag-%05d", i)
+		ca, cb := uint64(1+rng.Intn(50)), uint64(1+rng.Intn(50))
+		a[i] = wire.Entry{Field: f, Count: ca}
+		b[i] = wire.Entry{Field: f, Count: cb}
+		want[f] = max(ca, cb)
+	}
+	rng.Shuffle(arcs, func(i, j int) { a[i], a[j] = a[j], a[i] })
+	rng.Shuffle(arcs, func(i, j int) { b[i], b[j] = b[j], b[i] })
+
+	start := time.Now()
+	got := mergeEntriesMax(a, b)
+	t.Logf("merged 2 x %d entries in %v", arcs, time.Since(start))
+
+	if len(got) != arcs {
+		t.Fatalf("merged %d entries, want %d", len(got), arcs)
+	}
+	for i, e := range got {
+		if e.Count != want[e.Field] {
+			t.Fatalf("entry %d: %s count %d, want max %d", i, e.Field, e.Count, want[e.Field])
+		}
+		if i == 0 {
+			continue
+		}
+		prev := got[i-1]
+		if prev.Count < e.Count || (prev.Count == e.Count && prev.Field >= e.Field) {
+			t.Fatalf("entries %d,%d out of block order: %+v then %+v", i-1, i, prev, e)
+		}
+	}
 }

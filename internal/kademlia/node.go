@@ -94,15 +94,12 @@ type Config struct {
 	// the block. Raising the quorum trades write availability under
 	// faults for durability.
 	MinStoreAcks int
-	// TraceSample captures the hop-by-hop trace of 1 in TraceSample
-	// lookups (default DefaultTraceSample; negative disables sampling).
-	// Captured traces land in the ring served by RecentTraces.
-	TraceSample int
-	// TraceSlow always captures the trace of a lookup slower than this
-	// threshold, regardless of sampling (default DefaultTraceSlow;
-	// negative disables slow capture). This is the "why was this
-	// navigate slow" knob: the spans are recorded before anyone knows
-	// the op will be slow, so the evidence is there when it is.
+	// TraceSlow captures the hop-by-hop trace of every lookup slower
+	// than this threshold into the ring served by RecentTraces (default
+	// DefaultTraceSlow; negative disables capture). This is the "why
+	// was this navigate slow" knob: the spans are recorded before
+	// anyone knows the op will be slow, so the evidence is there when
+	// it is.
 	TraceSlow time.Duration
 	// OnTrace, when set, is called synchronously with every captured
 	// trace (after it entered the ring) — the hook slow-op logging hangs
@@ -131,11 +128,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BusyBackoff <= 0 {
 		c.BusyBackoff = DefaultBusyBackoff
-	}
-	if c.TraceSample == 0 {
-		c.TraceSample = DefaultTraceSample
-	} else if c.TraceSample < 0 {
-		c.TraceSample = 0
 	}
 	if c.TraceSlow == 0 {
 		c.TraceSlow = DefaultTraceSlow
@@ -209,10 +201,9 @@ type Node struct {
 
 	// Telemetry (metrics.go, trace.go). metrics is the zero value —
 	// all no-ops — until Instrument installs real instruments.
-	metrics    nodeMetrics
-	traceSeq   atomic.Uint64
-	forceTrace atomic.Int64 // >0 while a TraceLookup is in flight
-	traces     traceRing
+	metrics  nodeMetrics
+	traceSeq atomic.Uint64
+	traces   traceRing
 }
 
 // NewNode creates a node with identifier self. Attach must be called
@@ -466,10 +457,6 @@ func (n *Node) HandleRPC(ctx context.Context, from simnet.Addr, payload []byte) 
 		*resp = wire.Message{Kind: wire.KindError, Err: fmt.Sprintf("unexpected %v", msg.Kind)}
 	}
 	resp.From = n.Self()
-	// Echo the caller's trace stamp so the response is attributable to
-	// the traced lookup in packet captures and remote logs.
-	resp.TraceID = msg.TraceID
-	resp.Hop = msg.Hop
 	out := wire.Encode(resp)
 	if h := n.metrics.kindHist(msg.Kind); h != nil {
 		h.Observe(time.Since(start))

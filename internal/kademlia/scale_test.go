@@ -18,7 +18,6 @@ func TestWiredBootstrapMatchesGroundTruth(t *testing.T) {
 	cl, err := NewCluster(ClusterConfig{
 		N:         300,
 		Node:      Config{K: 8, Alpha: 3},
-		Net:       simnet.Config{LatencyMin: 500 * time.Microsecond, LatencyMax: time.Millisecond},
 		Seed:      42,
 		Bootstrap: BootstrapWired,
 	})
@@ -98,7 +97,7 @@ func TestScale1kSmoke(t *testing.T) {
 	cl, err := NewCluster(ClusterConfig{
 		N:         nodes,
 		Node:      Config{K: DefaultK, Alpha: DefaultAlpha},
-		Net:       simnet.Config{LatencyMin: 50 * time.Microsecond, LatencyMax: 200 * time.Microsecond, Seed: 1},
+		Net:       simnet.Config{Seed: 1},
 		Seed:      1,
 		Bootstrap: BootstrapWired,
 	})

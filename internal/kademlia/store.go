@@ -3,6 +3,7 @@ package kademlia
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -394,12 +395,7 @@ func (s *Store) Get(key kadid.ID, topN int) ([]wire.Entry, bool) {
 	}
 	sh.mu.RUnlock()
 
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Field < out[j].Field
-	})
+	slices.SortFunc(out, compareEntries)
 	if topN > 0 && len(out) > topN {
 		out = out[:topN]
 	}

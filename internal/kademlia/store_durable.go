@@ -54,9 +54,6 @@ func OpenDurableStore(dir string, opts persist.Options) (*Store, persist.Recover
 	return s, stats, nil
 }
 
-// Durable reports whether the store is backed by a write-ahead log.
-func (s *Store) Durable() bool { return s.dur != nil }
-
 // WAL exposes the backing log (stats, explicit compaction, tests); nil
 // for an in-memory store.
 func (s *Store) WAL() *persist.Log {

@@ -2,11 +2,13 @@ package kademlia
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"sync"
 	"time"
 
 	"dharma/internal/kadid"
+	"dharma/internal/simnet"
 	"dharma/internal/wire"
 )
 
@@ -15,18 +17,13 @@ import (
 // so the spans exist even for lookups nobody decided to trace in
 // advance. At the end of the lookup the spans are *captured* (cloned
 // out of the arena into a LookupTrace and pushed onto the node's ring)
-// when any of three things is true: the lookup was explicitly forced
-// (Node.TraceLookup), it won the sampling lottery (1 in
-// Config.TraceSample), or it came in slower than Config.TraceSlow.
-// The slow case is the one that matters operationally: "why was this
+// when the lookup came in slower than Config.TraceSlow: "why was this
 // navigate slow" is only answerable if the evidence was being recorded
 // before anyone knew the op would be slow.
 
-// Tracing defaults: sample 1 lookup in 1024, and always capture
-// lookups slower than 250ms.
+// Tracing defaults: capture lookups slower than 250ms.
 const (
-	DefaultTraceSample = 1024
-	DefaultTraceSlow   = 250 * time.Millisecond
+	DefaultTraceSlow = 250 * time.Millisecond
 
 	// traceRingCap bounds the per-node ring of retained traces.
 	traceRingCap = 64
@@ -48,9 +45,9 @@ const (
 	VerdictOK      = "ok"      // NODES answer
 	VerdictValue   = "value"   // VALUE answer
 	VerdictBusy    = "busy"    // rejected by admission after retries
-	VerdictTimeout = "timeout" // deadline elapsed waiting for the peer
+	VerdictTimeout = "timeout" // no answer: lost, dead or partitioned peer, or deadline
 	VerdictCancel  = "cancel"  // the caller gave up mid-exchange
-	VerdictError   = "error"   // transport failure or remote error
+	VerdictError   = "error"   // remote error or other transport failure
 )
 
 // LookupTrace is the assembled hop-by-hop timeline of one lookup.
@@ -64,8 +61,6 @@ type LookupTrace struct {
 	Tried   int // candidates queried
 	Busy    int // candidates that stayed BUSY after retries
 	Found   bool
-	Slow    bool // captured because Wall >= Config.TraceSlow
-	Sampled bool // captured by the sampling lottery
 	Spans   []TraceSpan
 }
 
@@ -115,7 +110,7 @@ func spanVerdict(ctx context.Context, res *lookupResult) string {
 		return VerdictOK
 	case errors.Is(res.err, wire.ErrBusy):
 		return VerdictBusy
-	case errors.Is(res.err, context.DeadlineExceeded):
+	case errors.Is(res.err, simnet.ErrTimeout), errors.Is(res.err, context.DeadlineExceeded):
 		return VerdictTimeout
 	case ctx.Err() != nil:
 		return VerdictCancel
@@ -130,32 +125,14 @@ func (n *Node) RecentTraces() []*LookupTrace {
 	return n.traces.recent()
 }
 
-// TraceLookup runs a value lookup for key with capture forced and
-// returns its hop-by-hop trace (alongside nothing else: the entries are
-// discarded — this is a diagnostic probe, not a read path). The trace
-// also lands in the ring like any other capture.
-func (n *Node) TraceLookup(ctx context.Context, key kadid.ID) (*LookupTrace, error) {
-	var captured *LookupTrace
-	n.forceTrace.Add(1)
-	defer n.forceTrace.Add(-1)
-	_, _, _, _, err := n.iterativeLookup(ctx, key, true, 0)
-	if err != nil && ctx.Err() != nil {
-		return nil, err
-	}
-	// The forced capture is the newest trace for this target.
-	for _, t := range n.traces.recent() {
-		if t.Target == key {
-			captured = t
-			break
-		}
-	}
-	return captured, nil
-}
-
 // capture clones the arena's spans into a retained LookupTrace, pushes
 // it onto the ring, and notifies Config.OnTrace.
-func (n *Node) captureTrace(a *lookupArena, traceID uint64, target kadid.ID, wantValue bool,
-	start time.Time, wall time.Duration, rounds, tried, busy int, found, slow, sampled bool) {
+func (n *Node) captureTrace(a *lookupArena, target kadid.ID, wantValue bool,
+	start time.Time, wall time.Duration, rounds, tried, busy int, found bool) {
+	traceID := binary.BigEndian.Uint64(n.id[:8]) ^ n.traceSeq.Add(1)
+	if traceID == 0 {
+		traceID = 1
+	}
 	t := &LookupTrace{
 		TraceID: traceID,
 		Target:  target,
@@ -166,8 +143,6 @@ func (n *Node) captureTrace(a *lookupArena, traceID uint64, target kadid.ID, wan
 		Tried:   tried,
 		Busy:    busy,
 		Found:   found,
-		Slow:    slow,
-		Sampled: sampled,
 		Spans:   append([]TraceSpan(nil), a.spans...),
 	}
 	n.traces.push(t)

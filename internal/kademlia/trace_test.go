@@ -8,11 +8,27 @@ import (
 
 	"dharma/internal/kadid"
 	"dharma/internal/obs"
+	"dharma/internal/simnet"
 	"dharma/internal/wire"
 )
 
+// slowTraceCluster boots a cluster whose every lookup crosses the slow
+// threshold, so each one is captured.
+func slowTraceCluster(t *testing.T, n int, seed int64) *Cluster {
+	t.Helper()
+	cl, err := NewCluster(ClusterConfig{
+		N:    n,
+		Node: Config{K: 8, Alpha: 3, TraceSlow: time.Nanosecond},
+		Seed: seed,
+	})
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	return cl
+}
+
 func TestTraceLookupAssemblesHopTimeline(t *testing.T) {
-	cl := newTestCluster(t, 32, 41)
+	cl := slowTraceCluster(t, 32, 41)
 	defer cl.Shutdown()
 	key := kadid.HashString("rock|3")
 	writer := cl.Nodes[3]
@@ -21,13 +37,14 @@ func TestTraceLookupAssemblesHopTimeline(t *testing.T) {
 	}
 
 	reader := cl.Nodes[17]
-	trace, err := reader.TraceLookup(context.Background(), key)
-	if err != nil {
-		t.Fatalf("TraceLookup: %v", err)
+	if _, err := reader.FindValue(context.Background(), key, 0); err != nil {
+		t.Fatalf("FindValue: %v", err)
 	}
-	if trace == nil {
-		t.Fatal("forced trace was not captured")
+	recent := reader.RecentTraces()
+	if len(recent) == 0 {
+		t.Fatal("slow lookup was not captured")
 	}
+	trace := recent[0]
 	if trace.TraceID == 0 {
 		t.Fatal("trace has no ID")
 	}
@@ -70,82 +87,84 @@ func TestTraceLookupAssemblesHopTimeline(t *testing.T) {
 		t.Fatal("a found lookup's timeline must contain a value span")
 	}
 
-	// The forced capture must be retained by the ring.
-	recent := reader.RecentTraces()
-	if len(recent) == 0 || recent[0].TraceID != trace.TraceID {
-		t.Fatalf("ring does not retain the forced trace: %d retained", len(recent))
+	// Trace IDs tell captures apart: the ring's previous capture (the
+	// reader's own join lookups) carries a different ID.
+	if len(recent) < 2 || recent[1].TraceID == trace.TraceID {
+		t.Fatalf("ring does not keep distinct traces: %d retained", len(recent))
 	}
 }
 
-// TestTraceSampling: with TraceSample=1 every lookup is captured; with
-// sampling and slow-capture disabled, none are.
-func TestTraceSampling(t *testing.T) {
-	cl, err := NewCluster(ClusterConfig{
-		N:    16,
-		Node: Config{K: 8, Alpha: 3, TraceSample: 1, TraceSlow: -1},
-		Seed: 43,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestTraceDeadPeerIsTimeout: a replica that never answers (here: set
+// down on the simulated network) shows up in the slow-lookup trace as a
+// "timeout" span, not as a generic error — over UDP, loss, a dead peer
+// and a partition all look like silence.
+func TestTraceDeadPeerIsTimeout(t *testing.T) {
+	cl := slowTraceCluster(t, 16, 48)
 	defer cl.Shutdown()
-	n := cl.Nodes[0]
-	for i := 0; i < 5; i++ {
-		n.IterativeFindNode(context.Background(), kadid.HashString("t"))
+	key := kadid.HashString("jazz|1")
+	if _, err := cl.Nodes[2].Store(context.Background(), key, []wire.Entry{{Field: "bop", Count: 1}}); err != nil {
+		t.Fatalf("Store: %v", err)
 	}
-	if got := len(n.RecentTraces()); got != 5 {
-		t.Fatalf("TraceSample=1 captured %d of 5 lookups", got)
+	reader := cl.Nodes[9]
+	// The reader's closest known contact to the key is in its lookup's
+	// first wave.
+	dead := reader.Table().Closest(key, 1)[0]
+	cl.Net.SetDown(simnet.Addr(dead.Addr), true)
+
+	if _, err := reader.FindValue(context.Background(), key, 0); err != nil {
+		t.Fatalf("FindValue with one replica down: %v", err)
 	}
-	for _, tr := range n.RecentTraces() {
-		if !tr.Sampled || tr.Value {
-			t.Fatalf("capture mislabeled: %+v", tr)
+	recent := reader.RecentTraces()
+	if len(recent) == 0 {
+		t.Fatal("slow lookup was not captured")
+	}
+	for _, sp := range recent[0].Spans {
+		if sp.Peer.ID == dead.ID {
+			if sp.Verdict != VerdictTimeout {
+				t.Fatalf("downed peer's span verdict = %q, want %q", sp.Verdict, VerdictTimeout)
+			}
+			return
 		}
 	}
+	t.Fatalf("trace has no span for the downed peer %s: %+v", dead.ID.Short(), recent[0].Spans)
+}
 
-	cl2, err := NewCluster(ClusterConfig{
+// TestTraceSlowCapture: with a 1ns threshold, every lookup is slower
+// than the bar and must be captured and handed to OnTrace; a negative
+// threshold captures nothing.
+func TestTraceSlowCapture(t *testing.T) {
+	var hooked []*LookupTrace
+	cl := slowTraceCluster(t, 16, 45)
+	defer cl.Shutdown()
+	n := cl.Nodes[0]
+	target := kadid.HashString("t")
+	n.cfg.OnTrace = func(tr *LookupTrace) { hooked = append(hooked, tr) }
+	n.IterativeFindNode(context.Background(), target)
+	traces := n.RecentTraces()
+	if len(traces) == 0 || traces[0].Target != target {
+		t.Fatalf("slow capture missed: %d traces", len(traces))
+	}
+	if traces[0].Value {
+		t.Fatalf("capture mislabeled: %+v", traces[0])
+	}
+	if len(hooked) != 1 || hooked[0] != traces[0] {
+		t.Fatalf("OnTrace hook not called with the captured trace")
+	}
+
+	off, err := NewCluster(ClusterConfig{
 		N:    16,
-		Node: Config{K: 8, Alpha: 3, TraceSample: -1, TraceSlow: -1},
+		Node: Config{K: 8, Alpha: 3, TraceSlow: -1},
 		Seed: 44,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl2.Shutdown()
-	n2 := cl2.Nodes[0]
+	defer off.Shutdown()
 	for i := 0; i < 5; i++ {
-		n2.IterativeFindNode(context.Background(), kadid.HashString("t"))
+		off.Nodes[0].IterativeFindNode(context.Background(), target)
 	}
-	if got := len(n2.RecentTraces()); got != 0 {
-		t.Fatalf("tracing disabled but %d lookups captured", got)
-	}
-}
-
-// TestTraceSlowCapture: with a 1ns threshold, every lookup is slower
-// than the bar and must be captured even though sampling never fires.
-func TestTraceSlowCapture(t *testing.T) {
-	var hooked []*LookupTrace
-	cl, err := NewCluster(ClusterConfig{
-		N: 16,
-		Node: Config{K: 8, Alpha: 3, TraceSample: 1 << 30, TraceSlow: time.Nanosecond,
-			OnTrace: nil},
-		Seed: 45,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Shutdown()
-	n := cl.Nodes[0]
-	n.cfg.OnTrace = func(tr *LookupTrace) { hooked = append(hooked, tr) }
-	n.IterativeFindNode(context.Background(), kadid.HashString("t"))
-	traces := n.RecentTraces()
-	if len(traces) != 1 {
-		t.Fatalf("slow capture missed: %d traces", len(traces))
-	}
-	if !traces[0].Slow || traces[0].Sampled {
-		t.Fatalf("capture mislabeled: %+v", traces[0])
-	}
-	if len(hooked) != 1 || hooked[0] != traces[0] {
-		t.Fatalf("OnTrace hook not called with the captured trace")
+	if got := len(off.Nodes[0].RecentTraces()); got != 0 {
+		t.Fatalf("capture disabled but %d lookups captured", got)
 	}
 }
 
@@ -201,31 +220,5 @@ func TestNodeInstrumentation(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("exposition missing %q", want)
 		}
-	}
-}
-
-// TestTraceStampEchoed: a traced request's ID must come back on the
-// response, so packet-level correlation works across nodes.
-func TestTraceStampEchoed(t *testing.T) {
-	cl := newTestCluster(t, 4, 47)
-	defer cl.Shutdown()
-	n := cl.Nodes[0]
-	msg := &wire.Message{
-		Kind:    wire.KindFindNode,
-		From:    cl.Nodes[1].Self(),
-		Target:  kadid.HashString("x"),
-		TraceID: 0xabcdef,
-		Hop:     4,
-	}
-	out, err := n.HandleRPC(context.Background(), "peer", wire.Encode(msg))
-	if err != nil {
-		t.Fatalf("HandleRPC: %v", err)
-	}
-	resp, err := wire.Decode(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.TraceID != 0xabcdef || resp.Hop != 4 {
-		t.Fatalf("trace stamp not echoed: id=%#x hop=%d", resp.TraceID, resp.Hop)
 	}
 }

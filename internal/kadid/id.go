@@ -42,11 +42,6 @@ func HashString(s string) ID {
 	return ID(sha1.Sum([]byte(s)))
 }
 
-// HashBytes derives an ID from arbitrary bytes with SHA-1.
-func HashBytes(b []byte) ID {
-	return ID(sha1.Sum(b))
-}
-
 // Random returns a uniformly random ID drawn from rng.
 func Random(rng *rand.Rand) ID {
 	var id ID

@@ -11,7 +11,7 @@ import (
 //
 //	/metrics        Prometheus text exposition of reg
 //	/debug/stats    JSON from stats() (Peer.Stats snapshot)
-//	/debug/traces   JSON from traces() (recent slow/sampled lookup traces)
+//	/debug/traces   JSON from traces() (recent slow lookup traces)
 //	/debug/pprof/*  the standard runtime profiles
 //
 // stats and traces may be nil; their routes then answer 404. pprof is

@@ -82,9 +82,6 @@ const (
 	// everyone who committed during the previous fsync rides the next
 	// one. Acknowledged writes survive power loss.
 	SyncGroup SyncMode = iota
-	// SyncEach fsyncs every commit individually — the baseline group
-	// commit is measured against (BenchmarkWALAppend).
-	SyncEach
 	// SyncNone never fsyncs. Acknowledged writes are written to the OS
 	// before the ack, so they survive a process kill (SIGKILL), but not
 	// power loss. Tests and simulated clusters use this mode.
@@ -180,11 +177,6 @@ type Log struct {
 	batch  *flushBatch
 	closed bool
 	err    error // sticky: first write/sync failure poisons the log
-
-	// eachMu serializes whole commits in SyncEach mode, so no two
-	// appends can ever share an fsync — the honest baseline group
-	// commit is measured against. Lock order: eachMu before fileMu.
-	eachMu sync.Mutex
 
 	// fileMu serializes file operations (flush, rotation, compaction).
 	// Lock order: fileMu before mu, never the reverse.
@@ -366,13 +358,6 @@ func (l *Log) Commit(ctx context.Context, recs []Record, apply func()) error {
 		}
 	}
 
-	if l.opts.Sync == SyncEach {
-		// Hold eachMu across stage + flush: every commit pays its own
-		// write and fsync, nothing coalesces.
-		l.eachMu.Lock()
-		defer l.eachMu.Unlock()
-	}
-
 	l.mu.Lock()
 	if l.closed || l.err != nil {
 		defer l.mu.Unlock()
@@ -392,15 +377,9 @@ func (l *Log) Commit(ctx context.Context, recs []Record, apply func()) error {
 	}
 	l.mu.Unlock()
 
-	if l.opts.Sync == SyncEach {
-		l.flushOnce()
-		// flushOnce completed synchronously under eachMu; the batch is
-		// resolved, so the done-wait below cannot block on ctx.
-	} else {
-		select {
-		case l.flushC <- struct{}{}:
-		default: // a flush signal is already pending
-		}
+	select {
+	case l.flushC <- struct{}{}:
+	default: // a flush signal is already pending
 	}
 	select {
 	case <-b.done:

@@ -96,16 +96,3 @@ func TestCommitRefusesDeadContext(t *testing.T) {
 		t.Fatalf("replayed %d records, want 0", len(got))
 	}
 }
-
-// TestCommitSyncEachIgnoresLateCancel: under SyncEach the flush happens
-// synchronously inside Commit, so a ctx that ends mid-flush still gets
-// a resolved batch — the committer learns the real outcome.
-func TestCommitSyncEachIgnoresLateCancel(t *testing.T) {
-	dir := t.TempDir()
-	_, _, l := collect(t, dir, Options{Sync: SyncEach})
-	defer l.Close()
-
-	if err := l.Commit(context.Background(), []Record{rec("k", "each", 1)}, nil); err != nil {
-		t.Fatalf("Commit: %v", err)
-	}
-}

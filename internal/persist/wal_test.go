@@ -195,9 +195,9 @@ func TestCrashPointRecovery(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	// SyncEach writes each record synchronously in commit order, so the
-	// on-disk image matches the deterministic concatenation.
-	_, _, l := collect(t, dir, Options{Sync: SyncEach, SegmentBytes: 1 << 30})
+	// Sequential commits each wait for their own flush, so the on-disk
+	// image matches the deterministic concatenation.
+	_, _, l := collect(t, dir, Options{Sync: SyncGroup, FlushWindow: -1, SegmentBytes: 1 << 30})
 	for i := range recs {
 		if err := l.Commit(context.Background(), []Record{recs[i]}, nil); err != nil {
 			t.Fatalf("Commit %d: %v", i, err)
@@ -330,7 +330,7 @@ func TestOversizedRecordChunksByBytes(t *testing.T) {
 // is no snapshot — is data loss, not a torn tail.
 func TestBoundarySegmentGapRefusesToOpen(t *testing.T) {
 	dir := t.TempDir()
-	_, _, l := collect(t, dir, Options{Sync: SyncEach, SegmentBytes: 64})
+	_, _, l := collect(t, dir, Options{Sync: SyncGroup, FlushWindow: -1, SegmentBytes: 64})
 	for _, rec := range randomRecords(rand.New(rand.NewSource(11)), 12) {
 		if err := l.Commit(context.Background(), []Record{rec}, nil); err != nil {
 			t.Fatal(err)
@@ -370,8 +370,9 @@ func TestBoundarySegmentGapRefusesToOpen(t *testing.T) {
 func TestCorruptMiddleSegmentRefusesToOpen(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments force rotation: every flush that ends >= 64 bytes
-	// rolls, so the log spans several files.
-	_, _, l := collect(t, dir, Options{Sync: SyncEach, SegmentBytes: 64})
+	// rolls, and sequential commits flush one record each, so the log
+	// spans several files.
+	_, _, l := collect(t, dir, Options{Sync: SyncGroup, FlushWindow: -1, SegmentBytes: 64})
 	recs := randomRecords(rand.New(rand.NewSource(3)), 30)
 	for i := range recs {
 		if err := l.Commit(context.Background(), []Record{recs[i]}, nil); err != nil {

@@ -110,14 +110,9 @@ func (v *CompositeView) Resources(t string) []folksonomy.Weighted {
 // An EngineView is request-scoped: it is built per walk, and the
 // context it is built with bounds every lookup the walk performs (the
 // View interface itself is context-free because the in-memory views
-// never block). TopN, when positive, overrides the engine's block-read
-// cap for this walk's steps.
+// never block).
 type EngineView struct {
 	E *core.Engine
-	// TopN, when non-zero, is the per-walk index-side filter cap passed
-	// to every SearchStep (negative disables filtering). Zero keeps the
-	// engine default.
-	TopN int
 
 	ctx     context.Context
 	mu      sync.Mutex
@@ -137,7 +132,7 @@ func (v *EngineView) load(t string) {
 	if v.ok && v.lastTag == t {
 		return
 	}
-	related, res, err := v.E.SearchStepN(v.ctx, t, v.TopN)
+	related, res, err := v.E.SearchStep(v.ctx, t)
 	if err != nil {
 		// The View interface cannot propagate errors mid-walk, so the
 		// step degrades to "nothing displayed" (the walk converges) and

@@ -29,7 +29,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dharma/internal/admission"
 	"dharma/internal/obs"
@@ -95,9 +94,6 @@ type Config struct {
 	DropRate float64
 	// MTU is the maximum payload size in bytes; 0 means unlimited.
 	MTU int
-	// LatencyMin and LatencyMax bound the simulated one-way latency,
-	// sampled uniformly. Latency is accounted, not slept.
-	LatencyMin, LatencyMax time.Duration
 	// Seed drives the network's random sources. Each of the numShards
 	// stripes derives its own rng from (Seed, shard index), so fault
 	// decisions are deterministic per (shard, call sequence within that
@@ -113,12 +109,11 @@ type Config struct {
 // Counters aggregates network-wide accounting. All fields are totals
 // since the network was created.
 type Counters struct {
-	Calls        int64         // RPC exchanges attempted
-	Drops        int64         // exchanges lost to injected faults
-	Busy         int64         // exchanges rejected at admission (ErrBusy)
-	BytesOut     int64         // request payload bytes
-	BytesIn      int64         // response payload bytes
-	SimulatedRTT time.Duration // accumulated round-trip latency
+	Calls    int64 // RPC exchanges attempted
+	Drops    int64 // exchanges lost to injected faults
+	Busy     int64 // exchanges rejected at admission (ErrBusy)
+	BytesOut int64 // request payload bytes
+	BytesIn  int64 // response payload bytes
 }
 
 // numShards is the stripe count for the endpoint/down/cut/stats maps
@@ -146,7 +141,7 @@ type Network struct {
 	cfg      Config
 	shards   [numShards]shard
 	counters struct {
-		calls, drops, busy, bytesOut, bytesIn, rttNanos atomic.Int64
+		calls, drops, busy, bytesOut, bytesIn atomic.Int64
 	}
 }
 
@@ -167,9 +162,6 @@ type endpoint struct {
 
 // New creates an empty network with the given configuration.
 func New(cfg Config) *Network {
-	if cfg.LatencyMax < cfg.LatencyMin {
-		cfg.LatencyMax = cfg.LatencyMin
-	}
 	n := &Network{cfg: cfg}
 	for i := range n.shards {
 		s := &n.shards[i]
@@ -264,12 +256,11 @@ func (n *Network) partitionDirected(src, dst Addr, cut bool) {
 // Counters returns a snapshot of network-wide accounting.
 func (n *Network) Counters() Counters {
 	return Counters{
-		Calls:        n.counters.calls.Load(),
-		Drops:        n.counters.drops.Load(),
-		Busy:         n.counters.busy.Load(),
-		BytesOut:     n.counters.bytesOut.Load(),
-		BytesIn:      n.counters.bytesIn.Load(),
-		SimulatedRTT: time.Duration(n.counters.rttNanos.Load()),
+		Calls:    n.counters.calls.Load(),
+		Drops:    n.counters.drops.Load(),
+		Busy:     n.counters.busy.Load(),
+		BytesOut: n.counters.bytesOut.Load(),
+		BytesIn:  n.counters.bytesIn.Load(),
 	}
 }
 
@@ -290,8 +281,6 @@ func (n *Network) Instrument(reg *obs.Registry) {
 		"Request payload bytes carried.", n.counters.bytesOut.Load)
 	reg.CounterFunc("dharma_simnet_response_bytes_total",
 		"Response payload bytes carried.", n.counters.bytesIn.Load)
-	reg.CounterFunc("dharma_simnet_simulated_rtt_nanoseconds_total",
-		"Accumulated simulated round-trip latency.", n.counters.rttNanos.Load)
 }
 
 // Stats returns the per-node counters for addr, creating them if needed
@@ -335,23 +324,17 @@ func (n *Network) BusiestNodes() []Addr {
 	return out
 }
 
-// roll draws this exchange's fault-model outcome from the sender
-// shard's rng: deterministic per (shard, sequence of rolls in that
-// shard) under a fixed seed. A fault-free, fixed-latency network draws
-// nothing, so its calls do not take the rng lock at all.
-func (s *shard) roll(cfg *Config) (drop bool, rtt time.Duration) {
-	span := cfg.LatencyMax - cfg.LatencyMin
-	if cfg.DropRate <= 0 && span <= 0 {
-		return false, 2 * cfg.LatencyMin
+// roll draws this exchange's drop decision from the sender shard's
+// rng: deterministic per (shard, sequence of rolls in that shard) under
+// a fixed seed. A fault-free network draws nothing, so its calls do not
+// take the rng lock at all.
+func (s *shard) roll(cfg *Config) bool {
+	if cfg.DropRate <= 0 {
+		return false
 	}
 	s.rngMu.Lock()
 	defer s.rngMu.Unlock()
-	drop = cfg.DropRate > 0 && s.rng.Float64() < cfg.DropRate
-	rtt = 2 * cfg.LatencyMin
-	if span > 0 {
-		rtt = 2 * (cfg.LatencyMin + time.Duration(s.rng.Int63n(int64(span))))
-	}
-	return drop, rtt
+	return s.rng.Float64() < cfg.DropRate
 }
 
 // AdmissionStats reports this endpoint's admission accounting, as
@@ -388,14 +371,13 @@ func (ep *endpoint) Call(ctx context.Context, to Addr, payload []byte) ([]byte, 
 	downDst := dst.down[to]
 	dst.mu.RUnlock()
 
-	drop, rtt := src.roll(&n.cfg)
+	drop := src.roll(&n.cfg)
 	if !ok || downSrc || downDst || cut || drop || target.closed.Load() {
 		n.counters.drops.Add(1)
 		return nil, ErrTimeout
 	}
 
 	n.counters.bytesOut.Add(int64(len(payload)))
-	n.counters.rttNanos.Add(int64(rtt))
 	// Both stats pointers are already resolved: the sender's since
 	// Attach, the receiver's on its own endpoint — no network-wide (or
 	// even stripe) lock on the per-RPC stats path.

@@ -136,7 +136,7 @@ func TestBusyAfterQueueDrain(t *testing.T) {
 // TestPerPeerRateLimitIsolatesPeers: a hog exceeding its token bucket is
 // rejected while an independent peer is untouched.
 func TestPerPeerRateLimitIsolatesPeers(t *testing.T) {
-	n := New(Config{Admission: admission.Config{PerPeerRate: 1, PerPeerBurst: 4}})
+	n := New(Config{Admission: admission.Config{PerPeerRate: 1}})
 	n.Attach("srv", echo())
 	hog := n.Attach("hog", echo())
 	quiet := n.Attach("quiet", echo())

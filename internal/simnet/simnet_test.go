@@ -86,15 +86,15 @@ func TestDropRateDeterministic(t *testing.T) {
 	}
 }
 
-// A network with no drop rate and a fixed latency draws no random
-// number, so a call must not queue on the stripe's rng lock.
+// A network with no drop rate draws no random number, so a call must
+// not queue on the stripe's rng lock.
 func TestRollWithoutFaultsTakesNoLock(t *testing.T) {
-	n := New(Config{LatencyMin: time.Millisecond, LatencyMax: time.Millisecond})
+	n := New(Config{})
 	s := &n.shards[0]
 	s.rngMu.Lock() // held: a roll that wanted the rng would block forever
 	defer s.rngMu.Unlock()
-	if drop, rtt := s.roll(&n.cfg); drop || rtt != 2*time.Millisecond {
-		t.Fatalf("roll = (%v, %v), want (false, 2ms)", drop, rtt)
+	if s.roll(&n.cfg) {
+		t.Fatal("fault-free roll dropped the exchange")
 	}
 }
 
@@ -151,7 +151,7 @@ func TestClose(t *testing.T) {
 }
 
 func TestCountersAndStats(t *testing.T) {
-	n := New(Config{LatencyMin: time.Millisecond, LatencyMax: 2 * time.Millisecond})
+	n := New(Config{})
 	a := n.Attach("a", echo())
 	n.Attach("b", echo())
 
@@ -170,10 +170,6 @@ func TestCountersAndStats(t *testing.T) {
 	}
 	if c.BytesIn != int64((4+5)*calls) {
 		t.Fatalf("BytesIn = %d, want %d", c.BytesIn, (4+5)*calls)
-	}
-	// Accumulated RTT must be within [2*min, 2*max] per call.
-	if c.SimulatedRTT < 2*time.Millisecond*calls || c.SimulatedRTT > 4*time.Millisecond*calls {
-		t.Fatalf("SimulatedRTT = %v out of range", c.SimulatedRTT)
 	}
 	if got := n.Stats("a").Sent.Load(); got != calls {
 		t.Fatalf("a.Sent = %d, want %d", got, calls)

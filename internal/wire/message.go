@@ -142,11 +142,10 @@ type BlockSummary struct {
 
 // Message is a single overlay RPC request or response.
 //
-// TraceID and Hop are the observability fields: a client that is
-// tracing a lookup stamps every RPC of that lookup with its trace ID and
-// the α-wave (round) number, servers echo the trace ID in their
-// responses, and the hop-by-hop timeline is reassembled by
-// `Node.TraceLookup`. Both are zero for untraced traffic.
+// TraceID and Hop are codec fields the overlay no longer sets: lookup
+// traces are assembled on the client (kademlia.LookupTrace). They stay
+// in the encoding because write-ahead-log payloads use this codec, so
+// dropping them would change its version. Both are zero in practice.
 //
 // Deadline is the deadline-propagation field: the caller's remaining
 // budget in microseconds at send time (0 = unbounded). A server installs
@@ -157,8 +156,8 @@ type Message struct {
 	From     Contact  // the sender, so receivers can refresh routing state
 	Target   kadid.ID // lookup target or block key
 	TopN     uint32   // FIND_VALUE: return at most this many entries (0 = all)
-	TraceID  uint64   // lookup trace this RPC belongs to (0 = untraced)
-	Hop      uint32   // α-wave number within the traced lookup
+	TraceID  uint64   // unused; kept for the codec (see above)
+	Hop      uint32   // unused; kept for the codec (see above)
 	Deadline uint64   // caller's remaining budget in µs (0 = none)
 	Summary  BlockSummary
 	Contacts []Contact
