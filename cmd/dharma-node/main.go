@@ -217,11 +217,6 @@ func serve(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	// The registry exists even without -debug-addr: instruments are a
-	// few KB of atomics, and a SIGQUIT'd process dump with live counters
-	// beats a dead flag.
-	reg := obs.NewRegistry()
-	cfg.Metrics = reg
 	cfg.OnTrace = traceHook(logger)
 
 	p, err := dharma.NewUDPPeer(ctx, cfg)
@@ -256,7 +251,7 @@ func serve(ctx context.Context, args []string) error {
 			p.Close() //nolint:errcheck // boot failed; the listen error is the one to report
 			return fmt.Errorf("debug listen: %w", err)
 		}
-		debugSrv := &http.Server{Handler: obs.Handler(reg, statsFn, func() any { return node.RecentTraces() })}
+		debugSrv := &http.Server{Handler: obs.Handler(p.Metrics(), statsFn, func() any { return node.RecentTraces() })}
 		go func() {
 			if serr := debugSrv.Serve(ln); serr != nil && !errors.Is(serr, http.ErrServerClosed) {
 				logger.Error("debug endpoint failed", "err", serr)
@@ -285,16 +280,16 @@ func serve(ctx context.Context, args []string) error {
 				logger.Warn("revocation refresh failed; previous set stays in force", "err", err)
 			}
 			// This round's block decisions, then the running totals.
-			ae := node.AntiEntropy()
+			c := node.Counters()
 			logger.Info("maintenance: anti-entropy",
 				"synced", round.Synced,
 				"suppressed", round.Suppressed,
 				"skipped", round.Skipped,
 				"acks", round.Acks,
-				"matches", ae.DigestMatches,
-				"delta-entries", ae.DeltaEntries,
-				"full-blocks", ae.FullBlocks,
-				"bytes-out", ae.BytesSent,
+				"matches", c.DigestMatches.Load(),
+				"delta-entries", c.DeltaEntries.Load(),
+				"full-blocks", c.FullBlocks.Load(),
+				"bytes-out", c.MaintBytesSent.Load(),
 				"contacts", node.Table().Len())
 		}
 	}

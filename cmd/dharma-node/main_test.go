@@ -228,13 +228,12 @@ func TestClientConfig(t *testing.T) {
 // malformed -assert-min pair is rejected.
 func TestScrapeAssertions(t *testing.T) {
 	ctx := context.Background()
-	reg := obs.NewRegistry()
-	p, err := dharma.NewUDPPeer(ctx, dharma.UDPPeerConfig{Listen: "127.0.0.1:0", Metrics: reg})
+	p, err := dharma.NewUDPPeer(ctx, dharma.UDPPeerConfig{Listen: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	srv := httptest.NewServer(obs.Handler(reg,
+	srv := httptest.NewServer(obs.Handler(p.Metrics(),
 		func() any { return p.Stats() },
 		func() any { return p.Node.RecentTraces() }))
 	defer srv.Close()

@@ -205,7 +205,6 @@ type Peer struct {
 	engine *core.Engine
 	Node   *kademlia.Node
 	store  *dht.Overlay
-	net    *simnet.NodeStats // simulated endpoint traffic; nil on real-UDP peers
 	// Security layer state; nil/empty on open-overlay and simulated
 	// peers. revSet is shared with the node config's Revoked hook and
 	// the session manager, so a Refresh propagates everywhere at once.
@@ -221,9 +220,10 @@ type Peer struct {
 func (p *Peer) Engine() *core.Engine { return p.engine }
 
 // Stats is a point-in-time snapshot of one peer's accounting,
-// consolidated across the three layers that used to be inspected
-// separately (engine store counters, overlay node counters, simulated
-// network traffic).
+// consolidated across the engine's block store counters, the overlay
+// node's counters (Node.Counters) and its endpoint's admission gate.
+// Every field but Appends, Gets and Lookups reads the atomic behind a
+// /metrics series of a NewUDPPeer peer (Peer.Metrics).
 type Stats struct {
 	// Appends and Gets are the block operations this peer issued — the
 	// paper's lookup unit; Lookups is their sum (the Table I cost).
@@ -231,11 +231,9 @@ type Stats struct {
 	// NodeLookups counts iterative lookup procedures the overlay node
 	// ran (each block operation needs one, plus maintenance traffic).
 	NodeLookups int64
-	// RPCServed counts inbound RPC requests this peer answered.
+	// RPCServed counts inbound RPC requests this peer answered — the
+	// per-node load count, on either transport.
 	RPCServed int64
-	// NetSent and NetReceived count RPC exchanges originated and served
-	// at this peer's simulated endpoint (zero for real-UDP peers).
-	NetSent, NetReceived int64
 	// BusyRejected counts requests this peer refused at admission
 	// (work queue full or per-peer rate exceeded). A nonzero value under
 	// load is the overload protection working, not a fault.
@@ -264,22 +262,18 @@ type Stats struct {
 // are read from independent atomic counters — the snapshot is
 // internally consistent only on a quiescent peer.
 func (p *Peer) Stats() Stats {
-	ae := p.Node.AntiEntropy()
+	c := p.Node.Counters()
 	st := Stats{
 		Appends:          p.store.Appends(),
 		Gets:             p.store.Gets(),
 		Lookups:          p.store.Lookups(),
-		NodeLookups:      p.Node.Lookups(),
-		RPCServed:        p.Node.RPCServed(),
-		MaintBytesSent:   ae.BytesSent,
-		MaintBytesRecv:   ae.BytesRecv,
-		DigestMatches:    ae.DigestMatches,
-		SuppressedRounds: ae.Suppressed,
-		DeltaEntries:     ae.DeltaEntries,
-	}
-	if p.net != nil {
-		st.NetSent = p.net.Sent.Load()
-		st.NetReceived = p.net.Received.Load()
+		NodeLookups:      c.Lookups.Load(),
+		RPCServed:        c.RPCServed.Load(),
+		MaintBytesSent:   c.MaintBytesSent.Load(),
+		MaintBytesRecv:   c.MaintBytesRecv.Load(),
+		DigestMatches:    c.DigestMatches.Load(),
+		SuppressedRounds: c.Suppressed.Load(),
+		DeltaEntries:     c.DeltaEntries.Load(),
 	}
 	// Both transports report their endpoint's admission controller.
 	if tr, ok := p.Node.Transport().(interface{ AdmissionStats() admission.Stats }); ok {
@@ -290,6 +284,12 @@ func (p *Peer) Stats() Stats {
 	}
 	return st
 }
+
+// Metrics returns the peer's metrics registry, ready for obs.Handler:
+// the node's counters on every peer, plus the timing histograms and the
+// transport, session and write-ahead-log instruments on a peer built
+// with NewUDPPeer.
+func (p *Peer) Metrics() *obs.Registry { return p.Node.Metrics() }
 
 // Lookups returns the number of block operations (the paper's lookup
 // unit) this peer has issued — shorthand for Stats().Lookups.
@@ -425,7 +425,6 @@ func NewSystem(cfg Config) (*System, error) {
 			cluster.Shutdown()
 			return nil, fmt.Errorf("dharma: engine %d: %w", i, err)
 		}
-		p.net = cluster.Net.Stats(simnet.Addr(node.Self().Addr))
 		sys.peers = append(sys.peers, p)
 	}
 	return sys, nil
@@ -484,10 +483,6 @@ type UDPPeerConfig struct {
 	Bootstrap []string
 	// Timeout bounds each overlay RPC (0 = the transport default).
 	Timeout time.Duration
-	// Metrics, when non-nil, instruments every layer of the peer on
-	// that registry — node, store, transport, and (with DataDir)
-	// the write-ahead log — ready for obs.Handler to serve.
-	Metrics *obs.Registry
 
 	// IdentityPath and CAPath enable the Likir security layer on a
 	// deployed peer: IdentityPath is an identity file issued by
@@ -521,7 +516,9 @@ type UDPPeerConfig struct {
 // the same API as a simulated one; callers own its lifecycle and must
 // Close it. ctx bounds the join handshake only. A failed boot releases
 // everything it opened (socket, read loop, write-ahead log). No
-// background work is started: the owner calls MaintainOnce.
+// background work is started: the owner calls MaintainOnce. Every
+// layer — node timing, store, write-ahead log, transport, sessions — is
+// instrumented on the node's registry, which Peer.Metrics returns.
 func NewUDPPeer(ctx context.Context, ucfg UDPPeerConfig) (_ *Peer, err error) {
 	cfg := ucfg.Config.withDefaults()
 	seed := cfg.Seed
@@ -576,7 +573,7 @@ func NewUDPPeer(ctx context.Context, ucfg UDPPeerConfig) (_ *Peer, err error) {
 		id = ident.NodeID // Likir: the credential fixes the overlay ID
 	}
 
-	popts := persist.Options{Metrics: ucfg.Metrics}
+	var popts persist.Options
 	if cfg.NoFsync {
 		popts.Sync = persist.SyncNone
 	}
@@ -603,6 +600,12 @@ func NewUDPPeer(ctx context.Context, ucfg UDPPeerConfig) (_ *Peer, err error) {
 			node.Shutdown() //nolint:errcheck // boot failed; nothing to flush
 		}
 	}()
+	// Instrument before the socket opens and before dialing out, so the
+	// join handshake already lands in the histograms.
+	node.Instrument()
+	if wal := node.LocalStore().WAL(); wal != nil {
+		wal.Instrument(node.Metrics())
+	}
 	tr, err := wire.ListenUDP(ucfg.Listen, node, wire.UDPOptions{
 		Timeout:     ucfg.Timeout,
 		Admission:   admission.Config{QueueDepth: cfg.QueueDepth, PerPeerRate: cfg.PerPeerRate},
@@ -612,15 +615,13 @@ func NewUDPPeer(ctx context.Context, ucfg UDPPeerConfig) (_ *Peer, err error) {
 	if err != nil {
 		return nil, fmt.Errorf("dharma: %w", err)
 	}
+	tr.Instrument(node.Metrics())
 	node.Attach(tr)
 	p, err := newPeer(node, cfg, seed)
 	if err != nil {
 		return nil, fmt.Errorf("dharma: engine: %w", err)
 	}
 	p.sessions, p.revSet, p.revPath, p.caPub = sessions, revSet, ucfg.RevocationsPath, caPub
-	// Instrument before dialing out, so the join handshake already lands
-	// in the histograms.
-	p.Instrument(ucfg.Metrics)
 
 	var seeds []wire.Contact
 	for _, b := range ucfg.Bootstrap {
@@ -667,22 +668,6 @@ func (p *Peer) refreshRevocations() error {
 	}
 	p.sessions.DropRevoked()
 	return nil
-}
-
-// Instrument registers every layer of this peer on reg: the overlay
-// node (RPC serve latency by kind, lookup histograms, maintenance
-// counters, per-shard store latency) and — on a real-UDP peer — the
-// transport's datagram and admission accounting. One registry per
-// peer: instrument names are deployment-wide, so two peers sharing a
-// registry would silently share instruments. A nil reg is a no-op.
-func (p *Peer) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	p.Node.Instrument(reg)
-	if tr, ok := p.Node.Transport().(*wire.UDPTransport); ok {
-		tr.Instrument(reg)
-	}
 }
 
 // Close stops a self-owned peer (one built with NewUDPPeer): the node

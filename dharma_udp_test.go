@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"net"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -98,12 +99,11 @@ func TestSimnetPeerStatsSurfaceAdmission(t *testing.T) {
 	}
 }
 
-// TestUDPPeerInstrument: a deployed two-peer overlay instrumented on a
-// registry exposes RPC, transport, and admission metrics.
+// TestUDPPeerInstrument: a deployed two-peer overlay exposes RPC,
+// transport, and admission metrics on each peer's registry.
 func TestUDPPeerInstrument(t *testing.T) {
 	ctx := context.Background()
-	reg := obs.NewRegistry()
-	a, err := NewUDPPeer(ctx, UDPPeerConfig{Listen: "127.0.0.1:0", Metrics: reg})
+	a, err := NewUDPPeer(ctx, UDPPeerConfig{Listen: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestUDPPeerInstrument(t *testing.T) {
 	}
 
 	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
+	if err := a.Metrics().WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	text := sb.String()
@@ -142,6 +142,126 @@ func TestUDPPeerInstrument(t *testing.T) {
 	}
 	if m, ok := parsed["dharma_udp_datagrams_read_total"]; !ok || m.Value == 0 {
 		t.Fatalf("instrumented transport read no datagrams: %+v", m)
+	}
+}
+
+// TestStatsMatchMetrics: Peer.Stats and Peer.Metrics are two views of
+// one set of counters. After traffic and a maintenance round on two
+// deployed peers, every Stats field with a /metrics series equals the
+// scraped value; on a simulated peer the registry reports the same
+// nonzero lookup and served-RPC totals as Stats.
+func TestStatsMatchMetrics(t *testing.T) {
+	ctx := context.Background()
+	// series names the /metrics series (summed) behind each Stats field;
+	// nil marks the engine's block-op counters, which have none.
+	series := map[string][]string{
+		"Appends": nil, "Gets": nil, "Lookups": nil,
+		"NodeLookups":      {"dharma_lookups_total"},
+		"RPCServed":        {"dharma_rpc_served_total"},
+		"BusyRejected":     {"dharma_admission_rejected_queue_total", "dharma_admission_rejected_rate_total"},
+		"Admitted":         {"dharma_admission_admitted_total"},
+		"InFlight":         {"dharma_admission_in_flight"},
+		"MaintBytesSent":   {"dharma_maintenance_bytes_out_total"},
+		"MaintBytesRecv":   {"dharma_maintenance_bytes_in_total"},
+		"DigestMatches":    {"dharma_antientropy_digest_matches_total"},
+		"SuppressedRounds": {"dharma_antientropy_suppressed_total"},
+		"DeltaEntries":     {"dharma_antientropy_delta_entries_total"},
+	}
+	scrape := func(p *Peer) map[string]*obs.ScrapedMetric {
+		t.Helper()
+		var sb strings.Builder
+		if err := p.Metrics().WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		parsed, err := obs.ParsePrometheus(strings.NewReader(sb.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return parsed
+	}
+
+	a, err := NewUDPPeer(ctx, UDPPeerConfig{Listen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := NewUDPPeer(ctx, UDPPeerConfig{
+		Listen:    "127.0.0.1:0",
+		Bootstrap: []string{string(a.Node.Transport().Addr())},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := b.InsertResource(ctx, "song", "uri:song", []string{"rock", "60s"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Tag(ctx, "song", "folk"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := a.SearchStep(ctx, "rock"); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*Peer{a, b} {
+		if _, err := p.MaintainOnce(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, p := range []*Peer{a, b} {
+		// A handler gives its admission slot back just after its reply
+		// is written: wait for the last one before taking the two views.
+		for deadline := time.Now().Add(5 * time.Second); p.Stats().InFlight != 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("admission slots still held after the traffic ended")
+			}
+		}
+		st := p.Stats()
+		m := scrape(p)
+		sv := reflect.ValueOf(st)
+		for i := 0; i < sv.NumField(); i++ {
+			name := sv.Type().Field(i).Name
+			names, ok := series[name]
+			if !ok {
+				t.Fatalf("Stats.%s has no entry in the series table", name)
+			}
+			if names == nil {
+				continue
+			}
+			var sum float64
+			for _, n := range names {
+				mv, ok := m[n]
+				if !ok {
+					t.Fatalf("%s: /metrics has no %s", p.Node.Self().Addr, n)
+				}
+				sum += mv.Value
+			}
+			if got := sv.Field(i).Int(); float64(got) != sum {
+				t.Errorf("%s: Stats.%s = %d, /metrics %v = %v", p.Node.Self().Addr, name, got, names, sum)
+			}
+		}
+		if st.RPCServed == 0 || st.NodeLookups == 0 || st.MaintBytesSent == 0 || st.DigestMatches == 0 {
+			t.Fatalf("%s: traffic and a maintenance round left counters at zero: %+v", p.Node.Self().Addr, st)
+		}
+	}
+
+	sys, err := NewSystem(Config{Nodes: 6, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Shutdown()
+	p := sys.Peer(0)
+	if err := p.InsertResource(ctx, "song", "uri:song", []string{"rock"}); err != nil {
+		t.Fatal(err)
+	}
+	st, m := p.Stats(), scrape(p)
+	for name, got := range map[string]int64{
+		"dharma_lookups_total":    st.NodeLookups,
+		"dharma_rpc_served_total": st.RPCServed,
+	} {
+		if mv, ok := m[name]; !ok || got == 0 || float64(got) != mv.Value {
+			t.Errorf("simulated peer: Stats reports %d, /metrics %s = %+v", got, name, mv)
+		}
 	}
 }
 

@@ -2,8 +2,38 @@ package dharma
 
 import (
 	"context"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 )
+
+// TestSystemFailedBootReleasesNodes: a durable NewSystem whose third
+// node cannot open its store must shut down the two nodes it already
+// built. It used to return the error with their write-ahead-log
+// flushers, open segments and simulated endpoints still alive.
+func TestSystemFailedBootReleasesNodes(t *testing.T) {
+	dir := t.TempDir()
+	// A regular file where node-2's store directory belongs.
+	if err := os.WriteFile(filepath.Join(dir, "node-2"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	baseline := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		if _, err := NewSystem(Config{Nodes: 4, Seed: 7, DataDir: dir, NoFsync: true}); err == nil {
+			t.Fatal("NewSystem succeeded with node-2's store directory blocked")
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after 10 failed boots, %d before: the built nodes leaked",
+				runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
 
 // TestSystemDurableRestart is the facade-level durability contract: a
 // System built over a DataDir, fed inserts and tags, and cleanly shut

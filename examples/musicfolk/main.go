@@ -13,7 +13,6 @@ import (
 
 	"dharma"
 	"dharma/internal/dataset"
-	"dharma/internal/simnet"
 )
 
 func main() {
@@ -86,13 +85,19 @@ func main() {
 
 	// Per-node load: the hotspot picture of §V.
 	fmt.Printf("\noverlay load (top 5 of %d nodes by requests served):\n", sys.Size())
-	busiest := sys.Network().BusiestNodes()
-	for i, addr := range busiest {
-		if i == 5 {
-			break
+	busiest := append([]*dharma.Peer(nil), sys.Peers()...)
+	served := make(map[*dharma.Peer]int64, len(busiest))
+	for _, p := range busiest {
+		served[p] = p.Stats().RPCServed
+	}
+	sort.Slice(busiest, func(i, j int) bool {
+		if a, b := served[busiest[i]], served[busiest[j]]; a != b {
+			return a > b
 		}
-		st := sys.Network().Stats(simnet.Addr(addr))
-		fmt.Printf("  %-8s served %6d requests\n", addr, st.Received.Load())
+		return busiest[i].Node.Self().Addr < busiest[j].Node.Self().Addr
+	})
+	for _, p := range busiest[:min(5, len(busiest))] {
+		fmt.Printf("  %-8s served %6d requests\n", p.Node.Self().Addr, served[p])
 	}
 	c := sys.Network().Counters()
 	fmt.Printf("network totals: %d RPCs, %.1f MB out\n",

@@ -84,7 +84,7 @@ func TestAntiEntropyHotTagBytes(t *testing.T) {
 
 	bytesSent := func() (sum int64) {
 		for _, n := range cl.Snapshot() {
-			sum += n.AntiEntropy().BytesSent
+			sum += n.Counters().MaintBytesSent.Load()
 		}
 		return sum
 	}

@@ -119,7 +119,7 @@ func TestOverlayCountsOps(t *testing.T) {
 		t.Fatalf("reader counters: gets=%d lookups=%d", r.Gets(), r.Lookups())
 	}
 	// The overlay node performed exactly one iterative lookup per op.
-	if w.Node().Lookups() == 0 {
+	if w.Node().Counters().Lookups.Load() == 0 {
 		t.Fatal("overlay node reports no iterative lookups")
 	}
 }

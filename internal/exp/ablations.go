@@ -141,7 +141,7 @@ func RunHotspots(w *Workbench, nodes, annotations, k int) (*HotspotResult, error
 		blocks := p.Node.LocalStore().EntryCount()
 		res.TotalBlocks += blocks
 		blockLoad = append(blockLoad, float64(blocks))
-		served := p.Stats().NetReceived
+		served := p.Stats().RPCServed
 		res.TotalRequests += served
 		reqLoad = append(reqLoad, float64(served))
 	}

@@ -39,36 +39,6 @@ const DefaultRepublishEvery = 4
 // force-sync rule fires on the first round that sees them.
 const aeNeverSynced = math.MinInt64 / 2
 
-// AntiEntropyStats is a snapshot of a node's cumulative anti-entropy
-// counters, across AntiEntropyOnce rounds and Handoff (whose exchanges
-// are the same summary sync).
-type AntiEntropyStats struct {
-	Synced        int64 // blocks reconciled via summary exchange
-	Suppressed    int64 // block-rounds skipped because recently written
-	Skipped       int64 // block-rounds skipped because synced and not yet due
-	DigestMatches int64 // summary exchanges where digests matched (no data moved)
-	DeltaEntries  int64 // entries pushed as sync deltas (not whole blocks) and acked
-	PullEntries   int64 // entries pull-merged from better-informed replicas
-	FullBlocks    int64 // fallback whole-block pushes (remote counts unavailable)
-	BytesSent     int64 // payload bytes sent on completed SUMMARY/REPLICATE exchanges
-	BytesRecv     int64 // payload bytes received on completed SUMMARY/REPLICATE exchanges
-}
-
-// AntiEntropy returns the node's anti-entropy counters.
-func (n *Node) AntiEntropy() AntiEntropyStats {
-	return AntiEntropyStats{
-		Synced:        n.aeSynced.Load(),
-		Suppressed:    n.aeSuppressed.Load(),
-		Skipped:       n.aeSkipped.Load(),
-		DigestMatches: n.aeMatches.Load(),
-		DeltaEntries:  n.aeDeltaEntries.Load(),
-		PullEntries:   n.aePullEntries.Load(),
-		FullBlocks:    n.aeFullBlocks.Load(),
-		BytesSent:     n.aeBytesOut.Load(),
-		BytesRecv:     n.aeBytesIn.Load(),
-	}
-}
-
 // AntiEntropyRound reports what one AntiEntropyOnce round did.
 type AntiEntropyRound struct {
 	Synced     int // blocks summary-synced this round
@@ -124,11 +94,11 @@ func (n *Node) AntiEntropyOnce(ctx context.Context, every int) AntiEntropyRound 
 		switch {
 		case !due && seenOK && seen != v:
 			r.Suppressed++
-			n.aeSuppressed.Add(1)
+			n.counters.Suppressed.Inc()
 			continue
 		case !due && syncedOK && syncedV == v:
 			r.Skipped++
-			n.aeSkipped.Add(1)
+			n.counters.Skipped.Inc()
 			continue
 		}
 
@@ -153,7 +123,7 @@ func (n *Node) syncBlock(ctx context.Context, key kadid.ID, targets []wire.Conta
 	if !ok {
 		return 0
 	}
-	n.aeSynced.Add(1)
+	n.counters.Synced.Inc()
 	var fullMu sync.Mutex
 	var full []wire.Entry
 	fullEntries := func() []wire.Entry {
@@ -207,7 +177,7 @@ func (n *Node) syncBlockWith(ctx context.Context, key kadid.ID, local wire.Block
 		return false
 	}
 	if resp.Summary == local {
-		n.aeMatches.Add(1)
+		n.counters.DigestMatches.Inc()
 		return true
 	}
 	entries := fullEntries()
@@ -217,7 +187,7 @@ func (n *Node) syncBlockWith(ctx context.Context, key kadid.ID, local wire.Block
 		// The replica has a block but could not enumerate it (wider than
 		// a message allows): fall back to the whole-block push.
 		delta = entries
-		n.aeFullBlocks.Add(1)
+		n.counters.FullBlocks.Inc()
 	} else {
 		remote := make(map[string]uint64, len(resp.Entries))
 		for _, e := range resp.Entries {
@@ -231,7 +201,7 @@ func (n *Node) syncBlockWith(ctx context.Context, key kadid.ID, local wire.Block
 			localCounts[e.Field] = e.Count
 		}
 		if pull := deltaEntries(resp.Entries, localCounts); len(pull) > 0 {
-			n.aePullEntries.Add(int64(len(pull)))
+			n.counters.PullEntries.Add(int64(len(pull)))
 			n.store.MergeMax(ctx, key, pull) //nolint:errcheck // best-effort pull
 		}
 	}
@@ -244,7 +214,7 @@ func (n *Node) syncBlockWith(ctx context.Context, key kadid.ID, local wire.Block
 		return false
 	}
 	if !fallback {
-		n.aeDeltaEntries.Add(int64(len(delta)))
+		n.counters.DeltaEntries.Add(int64(len(delta)))
 	}
 	return true
 }

@@ -28,18 +28,18 @@ func TestSummarySyncSuppressesDataWhenReplicasAgree(t *testing.T) {
 	// republish sweep must be pure digest traffic: matches, no deltas,
 	// no whole-block fallbacks.
 	r := a.AntiEntropyOnce(context.Background(), 1)
-	st := a.AntiEntropy()
+	c := a.Counters()
 	if r.Synced != 1 || r.Acks != 7 {
 		t.Fatalf("forced sweep = %+v, want 1 synced / 7 acks", r)
 	}
-	if st.DigestMatches != 7 {
-		t.Fatalf("DigestMatches = %d, want 7", st.DigestMatches)
+	if got := c.DigestMatches.Load(); got != 7 {
+		t.Fatalf("DigestMatches = %d, want 7", got)
 	}
-	if st.DeltaEntries != 0 || st.FullBlocks != 0 || st.PullEntries != 0 {
-		t.Fatalf("agreeing replicas moved data: %+v", st)
+	if d, f, p := c.DeltaEntries.Load(), c.FullBlocks.Load(), c.PullEntries.Load(); d != 0 || f != 0 || p != 0 {
+		t.Fatalf("agreeing replicas moved data: delta=%d full=%d pull=%d", d, f, p)
 	}
-	if st.BytesSent == 0 || st.BytesRecv == 0 {
-		t.Fatalf("summary exchange metered no bytes: %+v", st)
+	if out, in := c.MaintBytesSent.Load(), c.MaintBytesRecv.Load(); out == 0 || in == 0 {
+		t.Fatalf("summary exchange metered no bytes: out=%d in=%d", out, in)
 	}
 }
 
@@ -59,18 +59,18 @@ func TestSummarySyncPushesOnlyTheDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	before := a.AntiEntropy()
+	c := a.Counters()
+	deltaBefore, fullBefore := c.DeltaEntries.Load(), c.FullBlocks.Load()
 	if r := a.AntiEntropyOnce(context.Background(), 1); r.Acks != 7 {
 		t.Fatalf("acks = %d, want 7", r.Acks)
 	}
-	st := a.AntiEntropy()
 	// Each of the 7 stale replicas receives exactly the 1 missing entry,
 	// not the 4-entry block.
-	if got := st.DeltaEntries - before.DeltaEntries; got != 7 {
+	if got := c.DeltaEntries.Load() - deltaBefore; got != 7 {
 		t.Fatalf("delta entries pushed = %d, want 7 (one per replica)", got)
 	}
-	if st.FullBlocks != before.FullBlocks {
-		t.Fatalf("delta sync fell back to full-block pushes: %+v", st)
+	if got := c.FullBlocks.Load() - fullBefore; got != 0 {
+		t.Fatalf("delta sync fell back to %d full-block pushes", got)
 	}
 	for i, n := range cl.Nodes {
 		es, ok := n.LocalStore().Get(key, 0)
@@ -80,11 +80,10 @@ func TestSummarySyncPushesOnlyTheDelta(t *testing.T) {
 	}
 
 	// A second sweep is back to pure digest matches.
-	before = a.AntiEntropy()
+	deltaBefore, matchesBefore := c.DeltaEntries.Load(), c.DigestMatches.Load()
 	a.AntiEntropyOnce(context.Background(), 1)
-	st = a.AntiEntropy()
-	if st.DeltaEntries != before.DeltaEntries || st.DigestMatches-before.DigestMatches != 7 {
-		t.Fatalf("converged replicas still pushed data: %+v -> %+v", before, st)
+	if d, m := c.DeltaEntries.Load()-deltaBefore, c.DigestMatches.Load()-matchesBefore; d != 0 || m != 7 {
+		t.Fatalf("converged replicas still pushed data: %d delta entries, %d digest matches", d, m)
 	}
 }
 
@@ -104,8 +103,8 @@ func TestSummarySyncPullsHigherRemoteCounts(t *testing.T) {
 	// a initiates the sync: it has nothing b misses, but the exchange
 	// carries b's counts back, and a max-merges them in.
 	a.AntiEntropyOnce(context.Background(), 1)
-	if st := a.AntiEntropy(); st.PullEntries == 0 {
-		t.Fatalf("no pull happened: %+v", st)
+	if a.Counters().PullEntries.Load() == 0 {
+		t.Fatal("no pull happened")
 	}
 	es, _ := a.LocalStore().Get(key, 0)
 	if len(es) != 1 || es[0].Count != 13 {
@@ -218,10 +217,9 @@ func TestAntiEntropyHealsEmptyReplicas(t *testing.T) {
 	}
 
 	a.AntiEntropyOnce(ctx, 1)
-	st := a.AntiEntropy()
 	// Each of the 7 empty replicas received both entries as the delta.
-	if st.DeltaEntries != 14 {
-		t.Fatalf("DeltaEntries = %d, want 14 (2 entries x 7 empty replicas)", st.DeltaEntries)
+	if got := a.Counters().DeltaEntries.Load(); got != 14 {
+		t.Fatalf("DeltaEntries = %d, want 14 (2 entries x 7 empty replicas)", got)
 	}
 	for i, n := range cl.Nodes {
 		es, ok := n.LocalStore().Get(key, 0)
@@ -259,20 +257,22 @@ func TestAntiEntropyCountsOnlyAckedPushes(t *testing.T) {
 	}
 	targets := a.insertSelf(a.IterativeFindNode(ctx, key), key)
 
-	before, netBefore := a.AntiEntropy(), cl.Net.Counters()
+	c := a.Counters()
+	deltaBefore, sentBefore, recvBefore := c.DeltaEntries.Load(), c.MaintBytesSent.Load(), c.MaintBytesRecv.Load()
+	netBefore := cl.Net.Counters()
 	if acks := a.syncBlock(ctx, key, targets); acks != 0 {
 		t.Fatalf("acks = %d for pushes the network refused", acks)
 	}
-	st, net := a.AntiEntropy(), cl.Net.Counters()
-	if st.DeltaEntries != before.DeltaEntries {
-		t.Errorf("DeltaEntries moved by %d on refused pushes", st.DeltaEntries-before.DeltaEntries)
+	net := cl.Net.Counters()
+	if moved := c.DeltaEntries.Load() - deltaBefore; moved != 0 {
+		t.Errorf("DeltaEntries moved by %d on refused pushes", moved)
 	}
-	sent, delivered := st.BytesSent-before.BytesSent, net.BytesOut-netBefore.BytesOut
+	sent, delivered := c.MaintBytesSent.Load()-sentBefore, net.BytesOut-netBefore.BytesOut
 	if delivered == 0 || sent != delivered {
-		t.Errorf("BytesSent moved by %d B; the network delivered %d B", sent, delivered)
+		t.Errorf("MaintBytesSent moved by %d B; the network delivered %d B", sent, delivered)
 	}
-	if recv, got := st.BytesRecv-before.BytesRecv, net.BytesIn-netBefore.BytesIn; recv != got {
-		t.Errorf("BytesRecv moved by %d B; the network delivered %d B", recv, got)
+	if recv, got := c.MaintBytesRecv.Load()-recvBefore, net.BytesIn-netBefore.BytesIn; recv != got {
+		t.Errorf("MaintBytesRecv moved by %d B; the network delivered %d B", recv, got)
 	}
 	for i, n := range cl.Nodes[1:] {
 		if n.LocalStore().Has(key) {

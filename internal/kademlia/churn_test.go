@@ -240,20 +240,21 @@ func TestHandoffSendsNoDataToAgreeingReplicas(t *testing.T) {
 	}
 
 	leaver := cl.Nodes[8]
-	before := leaver.AntiEntropy()
+	c := leaver.Counters()
+	matchesBefore, deltaBefore, fullBefore, sentBefore :=
+		c.DigestMatches.Load(), c.DeltaEntries.Load(), c.FullBlocks.Load(), c.MaintBytesSent.Load()
 	blocks, acks, err := leaver.Handoff(ctx)
 	if err != nil || blocks != 1 || acks != 8 {
 		t.Fatalf("handoff: blocks=%d acks=%d err=%v, want 1 block / 8 acks", blocks, acks, err)
 	}
-	st := leaver.AntiEntropy()
-	if st.DigestMatches == before.DigestMatches {
-		t.Fatalf("agreeing replicas were not proven by digest: %+v", st)
+	if c.DigestMatches.Load() == matchesBefore {
+		t.Fatal("agreeing replicas were not proven by digest")
 	}
-	if st.DeltaEntries != before.DeltaEntries || st.FullBlocks != before.FullBlocks {
-		t.Fatalf("handoff moved data to agreeing replicas: %+v -> %+v", before, st)
+	if d, f := c.DeltaEntries.Load()-deltaBefore, c.FullBlocks.Load()-fullBefore; d != 0 || f != 0 {
+		t.Fatalf("handoff moved data to agreeing replicas: %d delta entries, %d full blocks", d, f)
 	}
 	blockSize := len(wire.Encode(&wire.Message{Kind: wire.KindReplicate, Target: key, Entries: block}))
-	if sent := st.BytesSent - before.BytesSent; sent >= int64(blockSize) {
+	if sent := c.MaintBytesSent.Load() - sentBefore; sent >= int64(blockSize) {
 		t.Fatalf("handoff sent %d bytes, want fewer than one %d-byte block", sent, blockSize)
 	}
 }

@@ -85,8 +85,9 @@ type Cluster struct {
 
 // NewCluster builds and joins an N-node overlay. Every node bootstraps
 // against node 0, which mirrors how a deployment uses a well-known
-// rendezvous node.
-func NewCluster(cc ClusterConfig) (*Cluster, error) {
+// rendezvous node. A failed NewCluster shuts down every node it built
+// first, so it leaks no endpoints and no open write-ahead logs.
+func NewCluster(cc ClusterConfig) (_ *Cluster, err error) {
 	if cc.N < 1 {
 		return nil, fmt.Errorf("kademlia: cluster needs at least 1 node, got %d", cc.N)
 	}
@@ -96,6 +97,15 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 		Net: net, Nodes: make([]*Node, cc.N), minted: cc.N,
 		dataDir: cc.DataDir, persistOpts: cc.Persist,
 	}
+	defer func() {
+		if err != nil {
+			for _, n := range cl.Nodes {
+				if n != nil {
+					n.Shutdown() //nolint:errcheck // boot failed; the boot error is the one to report
+				}
+			}
+		}
+	}()
 
 	for i := 0; i < cc.N; i++ {
 		cfg := cc.Node

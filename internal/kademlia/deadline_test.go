@@ -24,8 +24,9 @@ func TestDeadlinePropagationSheds(t *testing.T) {
 	if out, err := n.HandleRPC(context.Background(), "caller", dead); err == nil {
 		t.Fatalf("expired request served anyway: %q", out)
 	}
-	if got := n.DeadlineShed(); got != 1 {
-		t.Fatalf("DeadlineShed = %d, want 1", got)
+	shed := n.Counters().DeadlineShed.At(int(wire.KindPing) - 1)
+	if got := shed.Load(); got != 1 {
+		t.Fatalf("DeadlineShed[PING] = %d, want 1", got)
 	}
 
 	// No budget on the wire = no server-side deadline: the same request
@@ -42,8 +43,8 @@ func TestDeadlinePropagationSheds(t *testing.T) {
 	if resp.Kind != wire.KindPong {
 		t.Fatalf("resp = %v, want PONG", resp.Kind)
 	}
-	if got := n.DeadlineShed(); got != 1 {
-		t.Fatalf("DeadlineShed after control = %d, want 1", got)
+	if got := shed.Load(); got != 1 {
+		t.Fatalf("DeadlineShed[PING] after control = %d, want 1", got)
 	}
 }
 
@@ -126,8 +127,8 @@ func TestSessionPeerSkipsCredentialCheck(t *testing.T) {
 	if resp.Kind != wire.KindUnauthorized {
 		t.Fatalf("credential-less ping answered %v, want UNAUTHORIZED", resp.Kind)
 	}
-	if n.AuthRejected() != 1 {
-		t.Fatalf("AuthRejected = %d, want 1", n.AuthRejected())
+	if got := n.Counters().AuthRejected.At(int(wire.KindPing) - 1).Load(); got != 1 {
+		t.Fatalf("AuthRejected[PING] = %d, want 1", got)
 	}
 
 	// A session for a DIFFERENT identity than the claimed sender must not

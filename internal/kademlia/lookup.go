@@ -95,7 +95,7 @@ func (a *lookupArena) reset() {
 // misleading not-found — and busy candidates are never evicted from
 // the routing table.
 func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue bool, topN int) (entriesOut []wire.Entry, found bool, closestOut []wire.Contact, busy int, errOut error) {
-	n.lookups.Add(1)
+	n.counters.Lookups.Inc()
 	t0 := time.Now()
 
 	// Tracing decision. Spans are recorded whenever slow capture is
@@ -117,7 +117,7 @@ func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue b
 		n.metrics.lookupRounds.ObserveN(int64(round))
 		n.metrics.lookupTried.ObserveN(int64(tried))
 		if busy > 0 {
-			n.metrics.lookupBusy.Add(int64(busy))
+			n.counters.LookupBusy.Add(int64(busy))
 		}
 		if tracing && wall >= n.cfg.TraceSlow {
 			n.captureTrace(arena, target, wantValue, t0, wall, round, tried, busy, found)
@@ -181,7 +181,7 @@ func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue b
 		if len(arena.batch) == 0 {
 			break
 		}
-		n.rounds.Add(1)
+		n.counters.LookupRounds.Inc()
 		round++
 		tried += len(arena.batch)
 

@@ -106,14 +106,13 @@ func TestMaintainOnceReportMatchesCounters(t *testing.T) {
 		}
 		<-wrote
 		<-wrote
-		before := n.AntiEntropy()
+		c := n.Counters()
+		synced, suppressed, skipped := c.Synced.Load(), c.Suppressed.Load(), c.Skipped.Load()
 		r := n.MaintainOnce(ctx)
-		after := n.AntiEntropy()
-		if int64(r.Synced) != after.Synced-before.Synced ||
-			int64(r.Suppressed) != after.Suppressed-before.Suppressed ||
-			int64(r.Skipped) != after.Skipped-before.Skipped {
+		synced, suppressed, skipped = c.Synced.Load()-synced, c.Suppressed.Load()-suppressed, c.Skipped.Load()-skipped
+		if int64(r.Synced) != synced || int64(r.Suppressed) != suppressed || int64(r.Skipped) != skipped {
 			t.Fatalf("round %d report %+v, counters moved synced=%d suppressed=%d skipped=%d", i, r,
-				after.Synced-before.Synced, after.Suppressed-before.Suppressed, after.Skipped-before.Skipped)
+				synced, suppressed, skipped)
 		}
 		total.Synced += r.Synced
 		total.Suppressed += r.Suppressed

@@ -11,98 +11,120 @@ const maxKind = int(wire.KindUnauthorized)
 
 // kindNames lists every wire.Kind's name, indexed by kind-1, for
 // metric label values.
-func kindNames() []string {
+var kindNames = func() []string {
 	names := make([]string, maxKind)
 	for i := range names {
 		names[i] = wire.Kind(i + 1).String()
 	}
 	return names
+}()
+
+// Counters are the node's plain totals. NewNode registers every one on
+// the node's registry (Node.Metrics), which is their only store: the
+// /metrics series, Peer.Stats and tests all read these same atomics.
+// The fields are set once by NewNode and never reassigned.
+type Counters struct {
+	Lookups        *obs.Counter // iterative lookups initiated: the paper's Table I unit
+	LookupRounds   *obs.Counter // α-wide waves across all lookups: the Kademlia hop count
+	RPCServed      *obs.Counter // RPC requests answered
+	LookupBusy     *obs.Counter // lookup candidates still BUSY after the retry budget
+	TracesCaptured *obs.Counter // lookup traces captured (see TraceSlow)
+
+	// Anti-entropy totals, across AntiEntropyOnce rounds and Handoff
+	// (whose exchanges are the same summary sync).
+	Synced        *obs.Counter // blocks reconciled via summary exchange
+	Suppressed    *obs.Counter // block-rounds skipped because recently written
+	Skipped       *obs.Counter // block-rounds skipped because synced and not yet due
+	DigestMatches *obs.Counter // summary exchanges where digests matched (no data moved)
+	DeltaEntries  *obs.Counter // entries pushed as sync deltas (not whole blocks) and acked
+	PullEntries   *obs.Counter // entries pull-merged from better-informed replicas
+	FullBlocks    *obs.Counter // fallback whole-block pushes (remote counts unavailable)
+	// Payload bytes sent and received on completed SUMMARY/REPLICATE
+	// exchanges: the maintenance plane's bandwidth.
+	MaintBytesSent, MaintBytesRecv *obs.Counter
+
+	DeadlineShed *obs.CounterVec // requests shed dead-on-arrival, by wire kind (index kind-1)
+	AuthRejected *obs.CounterVec // requests answered UNAUTHORIZED, by wire kind (index kind-1)
 }
 
-// nodeMetrics holds the node's registered instruments. The zero value
-// (an un-instrumented node) is fully usable: every field is nil and
-// every record call is a no-op branch, so the protocol code threads
-// telemetry without conditionals.
+// newCounters registers the node's counters on reg.
+func newCounters(reg *obs.Registry) Counters {
+	return Counters{
+		Lookups: reg.Counter("dharma_lookups_total",
+			"Iterative lookup procedures initiated."),
+		LookupRounds: reg.Counter("dharma_lookup_rounds_total",
+			"Lookup rounds (α-wide waves) executed."),
+		RPCServed: reg.Counter("dharma_rpc_served_total",
+			"RPC requests answered."),
+		LookupBusy: reg.Counter("dharma_lookup_busy_candidates_total",
+			"Lookup candidates that stayed BUSY after the retry budget."),
+		TracesCaptured: reg.Counter("dharma_lookup_traces_captured_total",
+			"Lookup traces captured (sampled, slow, or forced)."),
+		Synced: reg.Counter("dharma_antientropy_synced_total",
+			"Blocks synced by anti-entropy rounds."),
+		Suppressed: reg.Counter("dharma_antientropy_suppressed_total",
+			"Anti-entropy rounds suppressed for just-written blocks."),
+		Skipped: reg.Counter("dharma_antientropy_skipped_total",
+			"Anti-entropy rounds skipped for settled blocks."),
+		DigestMatches: reg.Counter("dharma_antientropy_digest_matches_total",
+			"Anti-entropy summary exchanges proving agreement by digest."),
+		DeltaEntries: reg.Counter("dharma_antientropy_delta_entries_total",
+			"Entries pushed as anti-entropy deltas and acknowledged."),
+		PullEntries: reg.Counter("dharma_antientropy_pull_entries_total",
+			"Entries pulled from replicas holding higher counts."),
+		FullBlocks: reg.Counter("dharma_antientropy_full_blocks_total",
+			"Blocks anti-entropy had to push in full."),
+		MaintBytesSent: reg.Counter("dharma_maintenance_bytes_out_total",
+			"Maintenance-plane payload bytes sent on completed SUMMARY + REPLICATE exchanges."),
+		MaintBytesRecv: reg.Counter("dharma_maintenance_bytes_in_total",
+			"Maintenance-plane payload bytes received on completed exchanges."),
+		DeadlineShed: reg.CounterVec("dharma_rpc_deadline_shed_total",
+			"Requests shed because the caller's propagated deadline had already expired, by message kind.", "kind", kindNames),
+		AuthRejected: reg.CounterVec("dharma_rpc_auth_rejected_total",
+			"Requests answered UNAUTHORIZED by the Likir identity checks, by message kind.", "kind", kindNames),
+	}
+}
+
+// nodeMetrics holds the node's timing instruments. The zero value (an
+// untimed node) is fully usable: every field is nil and every record
+// call is a no-op branch, so the protocol code threads telemetry
+// without conditionals and a simulated node reads no extra clocks.
 type nodeMetrics struct {
 	rpcLatency   *obs.HistogramVec // serve time by wire.Kind
 	rpcReqBytes  *obs.CounterVec   // decoded request payload bytes by kind
 	rpcRespBytes *obs.CounterVec   // encoded response payload bytes by kind
 
-	deadlineShed *obs.CounterVec // requests shed dead-on-arrival, by kind
-	authRejected *obs.CounterVec // requests answered UNAUTHORIZED, by kind
-
 	lookupWall   *obs.Histogram // per-lookup wall time
 	lookupRounds *obs.Histogram // α-waves per lookup
 	lookupTried  *obs.Histogram // candidates queried per lookup
-	lookupBusy   *obs.Counter   // candidates still BUSY after retries
-
-	tracesCaptured *obs.Counter
 }
 
-// kindHist returns the serve-latency histogram for k (nil when
-// un-instrumented or k is out of the known range).
+// kindHist returns the serve-latency histogram for k (nil when untimed
+// or k is out of the known range).
 func (m *nodeMetrics) kindHist(k wire.Kind) *obs.Histogram {
 	return m.rpcLatency.At(int(k) - 1)
 }
 
-// Instrument registers the node's instruments on reg and wires the
-// node's pre-existing atomic counters in as scrape-time funcs. Call
-// once, before the node serves traffic. A nil reg is a no-op (the node
-// stays un-instrumented).
-func (n *Node) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	names := kindNames()
+// Instrument turns on the node's timing histograms — RPC serve latency
+// and bytes by kind, lookup wall time, rounds and candidates, per-shard
+// store latency — on the node's own registry. Call once, before the
+// node serves traffic; the deployed peer does, simulated nodes stay
+// untimed.
+func (n *Node) Instrument() {
+	reg := n.reg
 	n.metrics = nodeMetrics{
 		rpcLatency: reg.HistogramVec("dharma_rpc_serve_seconds",
-			"Time to serve one RPC request, by message kind.", "kind", names),
+			"Time to serve one RPC request, by message kind.", "kind", kindNames),
 		rpcReqBytes: reg.CounterVec("dharma_rpc_request_bytes_total",
-			"Decoded request payload bytes served, by message kind.", "kind", names),
+			"Decoded request payload bytes served, by message kind.", "kind", kindNames),
 		rpcRespBytes: reg.CounterVec("dharma_rpc_response_bytes_total",
-			"Encoded response payload bytes returned, by message kind.", "kind", names),
-		deadlineShed: reg.CounterVec("dharma_rpc_deadline_shed_total",
-			"Requests shed because the caller's propagated deadline had already expired, by message kind.", "kind", names),
-		authRejected: reg.CounterVec("dharma_rpc_auth_rejected_total",
-			"Requests answered UNAUTHORIZED by the Likir identity checks, by message kind.", "kind", names),
+			"Encoded response payload bytes returned, by message kind.", "kind", kindNames),
 		lookupWall: reg.Histogram("dharma_lookup_wall_seconds",
 			"Wall time of one iterative lookup."),
 		lookupRounds: reg.ValueHistogram("dharma_lookup_rounds",
 			"α-wide query waves per iterative lookup (the paper's hop count)."),
 		lookupTried: reg.ValueHistogram("dharma_lookup_candidates_tried",
 			"Candidates queried per iterative lookup."),
-		lookupBusy: reg.Counter("dharma_lookup_busy_candidates_total",
-			"Lookup candidates that stayed BUSY after the retry budget."),
-		tracesCaptured: reg.Counter("dharma_lookup_traces_captured_total",
-			"Lookup traces captured (sampled, slow, or forced)."),
 	}
-	reg.CounterFunc("dharma_lookups_total",
-		"Iterative lookup procedures initiated.", n.lookups.Load)
-	reg.CounterFunc("dharma_lookup_rounds_total",
-		"Lookup rounds (α-wide waves) executed.", n.rounds.Load)
-	reg.CounterFunc("dharma_rpc_served_total",
-		"RPC requests answered.", n.rpcServed.Load)
-	reg.CounterFunc("dharma_antientropy_synced_total",
-		"Blocks synced by anti-entropy rounds.", n.aeSynced.Load)
-	reg.CounterFunc("dharma_antientropy_digest_matches_total",
-		"Anti-entropy summary exchanges proving agreement by digest.", n.aeMatches.Load)
-	reg.CounterFunc("dharma_antientropy_suppressed_total",
-		"Anti-entropy rounds suppressed for just-written blocks.", n.aeSuppressed.Load)
-	reg.CounterFunc("dharma_antientropy_skipped_total",
-		"Anti-entropy rounds skipped for settled blocks.", n.aeSkipped.Load)
-	reg.CounterFunc("dharma_antientropy_delta_entries_total",
-		"Entries pushed as anti-entropy deltas and acknowledged.", n.aeDeltaEntries.Load)
-	reg.CounterFunc("dharma_antientropy_pull_entries_total",
-		"Entries pulled from replicas holding higher counts.", n.aePullEntries.Load)
-	reg.CounterFunc("dharma_antientropy_full_blocks_total",
-		"Blocks anti-entropy had to push in full.", n.aeFullBlocks.Load)
-	reg.CounterFunc("dharma_maintenance_bytes_out_total",
-		"Maintenance-plane payload bytes sent on completed SUMMARY + REPLICATE exchanges.", n.aeBytesOut.Load)
-	reg.CounterFunc("dharma_maintenance_bytes_in_total",
-		"Maintenance-plane payload bytes received on completed exchanges.", n.aeBytesIn.Load)
-	reg.GaugeFunc("dharma_routing_table_peers",
-		"Live contacts in the routing table.", func() int64 { return int64(n.table.Len()) })
-	reg.GaugeFunc("dharma_store_blocks",
-		"Blocks held by the local store.", func() int64 { return int64(n.store.Len()) })
 	n.store.Instrument(reg)
 }

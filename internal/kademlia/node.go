@@ -24,6 +24,7 @@ import (
 
 	"dharma/internal/kadid"
 	"dharma/internal/likir"
+	"dharma/internal/obs"
 	"dharma/internal/session"
 	"dharma/internal/simnet"
 	"dharma/internal/wire"
@@ -161,14 +162,8 @@ type Node struct {
 
 	// credCache remembers peers whose credential already verified, so
 	// the Ed25519 check runs once per peer rather than once per message.
-	credMu    sync.RWMutex
-	credSeen  map[kadid.ID]bool
-	lookups   atomic.Int64
-	rounds    atomic.Int64 // lookup rounds = hops (one α-wide wave each)
-	rpcServed atomic.Int64
-
-	shedTotal    atomic.Int64 // requests shed dead-on-arrival
-	authRejTotal atomic.Int64 // requests answered UNAUTHORIZED
+	credMu   sync.RWMutex
+	credSeen map[kadid.ID]bool
 
 	// Anti-entropy state (antientropy.go). aeMu guards the per-block
 	// timer maps: the version observed at the previous round (aeSeen),
@@ -180,16 +175,6 @@ type Node struct {
 	aeRoundAt  map[kadid.ID]int64
 	aeRoundCtr int64
 
-	aeSynced       atomic.Int64
-	aeSuppressed   atomic.Int64
-	aeSkipped      atomic.Int64
-	aeMatches      atomic.Int64
-	aeDeltaEntries atomic.Int64
-	aePullEntries  atomic.Int64
-	aeFullBlocks   atomic.Int64
-	aeBytesOut     atomic.Int64
-	aeBytesIn      atomic.Int64
-
 	maintRounds atomic.Int64 // MaintainOnce rounds run; seeds each round's refresh choices
 
 	// arenas recycles lookup working state (candidate lists, seen map,
@@ -199,8 +184,11 @@ type Node struct {
 	arenas  freeList[lookupArena]
 	scratch freeList[rpcScratch]
 
-	// Telemetry (metrics.go, trace.go). metrics is the zero value —
-	// all no-ops — until Instrument installs real instruments.
+	// Telemetry (metrics.go, trace.go). reg holds every instrument the
+	// node registers; counters are registered by NewNode, metrics is the
+	// zero value — all no-ops — until Instrument turns timing on.
+	reg      *obs.Registry
+	counters Counters
 	metrics  nodeMetrics
 	traceSeq atomic.Uint64
 	traces   traceRing
@@ -217,6 +205,7 @@ func NewNode(self kadid.ID, cfg Config) *Node {
 	if store == nil {
 		store = NewStore()
 	}
+	reg := obs.NewRegistry()
 	n := &Node{
 		cfg:       cfg,
 		id:        self,
@@ -226,9 +215,15 @@ func NewNode(self kadid.ID, cfg Config) *Node {
 		aeSeen:    make(map[kadid.ID]uint64),
 		aeSyncedV: make(map[kadid.ID]uint64),
 		aeRoundAt: make(map[kadid.ID]int64),
+		reg:       reg,
+		counters:  newCounters(reg),
 	}
 	n.detached.Store(true) // until Attach
 	n.table = NewTable(self, cfg.K, nil)
+	reg.GaugeFunc("dharma_routing_table_peers",
+		"Live contacts in the routing table.", func() int64 { return int64(n.table.Len()) })
+	reg.GaugeFunc("dharma_store_blocks",
+		"Blocks held by the local store.", func() int64 { return int64(n.store.Len()) })
 	if cfg.Identity != nil {
 		n.credBlob = cfg.Identity.Credential.Marshal()
 	}
@@ -288,19 +283,17 @@ func (n *Node) Table() *Table { return n.table }
 // LocalStore exposes the node's block storage.
 func (n *Node) LocalStore() *Store { return n.store }
 
-// Lookups returns how many iterative lookup procedures this node has
-// initiated; it is the unit the paper's Table I counts costs in.
-func (n *Node) Lookups() int64 { return n.lookups.Load() }
+// Metrics returns the node's registry: its counters always, its timing
+// histograms once Instrument ran, and whatever the embedding layer
+// registered next to them (transport, sessions, WAL). obs.Handler
+// serves it as /metrics.
+func (n *Node) Metrics() *obs.Registry { return n.reg }
 
-// LookupRounds returns how many lookup rounds (α-wide query waves) this
-// node has executed across all its lookups. A round is the unit the
-// scale harness reports as a hop: every candidate in a round is one
-// overlay step closer to the target, so rounds-per-lookup is the
-// O(log n) quantity of the Kademlia paper.
-func (n *Node) LookupRounds() int64 { return n.rounds.Load() }
+// Counters returns the node's counters; see Counters.
+func (n *Node) Counters() *Counters { return &n.counters }
 
 // RPCServed returns how many RPC requests this node has answered.
-func (n *Node) RPCServed() int64 { return n.rpcServed.Load() }
+func (n *Node) RPCServed() int64 { return n.counters.RPCServed.Load() }
 
 // rpcScratch is the reusable working state of one end of an RPC. The
 // decoder's intern table makes repeated addresses and field names free;
@@ -347,7 +340,7 @@ func (n *Node) HandleRPC(ctx context.Context, from simnet.Addr, payload []byte) 
 	if err := sc.dec.DecodeInto(msg, payload); err != nil {
 		return nil, err
 	}
-	n.rpcServed.Add(1)
+	n.counters.RPCServed.Inc()
 
 	// Cross-node deadline propagation: the caller stamped its remaining
 	// budget (µs) on the message. Install it as this handler's deadline
@@ -368,10 +361,7 @@ func (n *Node) HandleRPC(ctx context.Context, from simnet.Addr, payload []byte) 
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		n.shedTotal.Add(1)
-		if c := n.metrics.deadlineShed.At(int(msg.Kind) - 1); c != nil {
-			c.Add(1)
-		}
+		n.counters.DeadlineShed.At(int(msg.Kind) - 1).Inc()
 		// No reply: the caller's budget is spent, so any answer would be
 		// garbage-collected by its transport anyway.
 		return nil, err
@@ -546,19 +536,8 @@ func vetEntries(key kadid.ID, entries []wire.Entry) string {
 // rejectUnauthorized records one UNAUTHORIZED verdict in the node's
 // counters.
 func (n *Node) rejectUnauthorized(k wire.Kind) {
-	n.authRejTotal.Add(1)
-	if c := n.metrics.authRejected.At(int(k) - 1); c != nil {
-		c.Add(1)
-	}
+	n.counters.AuthRejected.At(int(k) - 1).Inc()
 }
-
-// DeadlineShed returns how many requests this node dropped because the
-// caller's propagated deadline had already expired at dispatch.
-func (n *Node) DeadlineShed() int64 { return n.shedTotal.Load() }
-
-// AuthRejected returns how many requests this node answered with
-// UNAUTHORIZED (failed admission or signed-mutation checks).
-func (n *Node) AuthRejected() int64 { return n.authRejTotal.Load() }
 
 // call sends one RPC and maintains the routing table on success and
 // failure. ctx bounds the exchange: when it ends, the transport's
@@ -634,8 +613,8 @@ func (n *Node) callOnce(ctx context.Context, to wire.Contact, msg, resp *wire.Me
 	maint := msg.Kind == wire.KindSummary || msg.Kind == wire.KindReplicate
 	raw, err := tr.Call(ctx, simnet.Addr(to.Addr), buf.B)
 	if maint && err == nil {
-		n.aeBytesOut.Add(int64(len(buf.B)))
-		n.aeBytesIn.Add(int64(len(raw)))
+		n.counters.MaintBytesSent.Add(int64(len(buf.B)))
+		n.counters.MaintBytesRecv.Add(int64(len(raw)))
 	}
 	if ctx.Err() == nil {
 		buf.Release()

@@ -179,12 +179,12 @@ func TestBootstrapRequiresSeeds(t *testing.T) {
 func TestLookupCounterIncrements(t *testing.T) {
 	cl := newTestCluster(t, 16, 8)
 	n := cl.Nodes[2]
-	before := n.Lookups()
+	before := n.Counters().Lookups.Load()
 	n.IterativeFindNode(context.Background(), kadid.HashString("x"))
 	if _, err := n.FindValue(context.Background(), kadid.HashString("y"), 0); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("unexpected: %v", err)
 	}
-	if got := n.Lookups() - before; got != 2 {
+	if got := n.Counters().Lookups.Load() - before; got != 2 {
 		t.Fatalf("Lookups delta = %d, want 2", got)
 	}
 }

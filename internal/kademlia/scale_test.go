@@ -111,11 +111,11 @@ func TestScale1kSmoke(t *testing.T) {
 	for i := 0; i < lookups; i++ {
 		origin := cl.Nodes[rng.Intn(len(cl.Nodes))]
 		target := kadid.Random(rng)
-		r0 := origin.LookupRounds()
+		r0 := origin.Counters().LookupRounds.Load()
 		if got := origin.IterativeFindNode(context.Background(), target); len(got) == 0 {
 			t.Fatalf("lookup %d returned no contacts", i)
 		}
-		hops = append(hops, float64(origin.LookupRounds()-r0))
+		hops = append(hops, float64(origin.Counters().LookupRounds.Load()-r0))
 	}
 	calls := cl.Net.Counters().Calls - callsBefore
 	p50, p99 := metrics.Percentile(hops, 50), metrics.Percentile(hops, 99)

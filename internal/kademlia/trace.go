@@ -146,7 +146,7 @@ func (n *Node) captureTrace(a *lookupArena, target kadid.ID, wantValue bool,
 		Spans:   append([]TraceSpan(nil), a.spans...),
 	}
 	n.traces.push(t)
-	n.metrics.tracesCaptured.Inc()
+	n.counters.TracesCaptured.Inc()
 	if n.cfg.OnTrace != nil {
 		n.cfg.OnTrace(t)
 	}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"dharma/internal/kadid"
-	"dharma/internal/obs"
 	"dharma/internal/simnet"
 	"dharma/internal/wire"
 )
@@ -174,10 +173,9 @@ func TestTraceSlowCapture(t *testing.T) {
 func TestNodeInstrumentation(t *testing.T) {
 	cl := newTestCluster(t, 24, 46)
 	defer cl.Shutdown()
-	reg := obs.NewRegistry()
 	serving := cl.Nodes[1]
 	client := cl.Nodes[2]
-	serving.Instrument(reg)
+	serving.Instrument()
 
 	key := kadid.HashString("rock|3")
 	if _, err := client.Store(context.Background(), key, []wire.Entry{{Field: "pop", Count: 2}}); err != nil {
@@ -206,7 +204,7 @@ func TestNodeInstrumentation(t *testing.T) {
 	}
 
 	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
+	if err := serving.Metrics().WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	text := b.String()

@@ -132,7 +132,6 @@ func Open(dir string, opts Options, apply func(Record) error) (*Log, RecoverySta
 		flusherDone: make(chan struct{}),
 		recovered:   stats,
 	}
-	l.instrument(opts.Metrics)
 	go l.flushLoop()
 	return l, stats, nil
 }

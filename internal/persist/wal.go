@@ -110,11 +110,6 @@ type Options struct {
 	// BytesSinceCompact against this threshold (default 64 MiB,
 	// negative disables automatic compaction).
 	CompactBytes int64
-	// Metrics, when non-nil, registers the log's instruments there:
-	// an fsync latency histogram plus flush accounting. fsync is the
-	// tail-latency budget of every durable write, so it is the one
-	// disk number the ops endpoint must be able to answer for.
-	Metrics *obs.Registry
 }
 
 func (o Options) withDefaults() Options {
@@ -191,19 +186,20 @@ type Log struct {
 	quit        chan struct{}
 	flusherDone chan struct{}
 
-	// Instruments; nil-safe no-ops when Options.Metrics was nil.
+	// Instruments, fileMu-guarded; nil-safe no-ops until Instrument.
 	fsyncLatency *obs.Histogram
 	flushBytes   *obs.Counter
 	flushes      *obs.Counter
 	rotations    *obs.Counter
 }
 
-// instrument registers the log's instruments on reg (nil = no-op; the
-// nil instruments the fields keep are themselves no-ops to record on).
-func (l *Log) instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
+// Instrument registers the log's instruments on reg: an fsync latency
+// histogram plus flush accounting. fsync is the tail-latency budget of
+// every durable write, so it is the one disk number the ops endpoint
+// must be able to answer for. Safe to call on a live log.
+func (l *Log) Instrument(reg *obs.Registry) {
+	l.fileMu.Lock()
+	defer l.fileMu.Unlock()
 	l.fsyncLatency = reg.Histogram("dharma_wal_fsync_seconds",
 		"Time one WAL fsync took; every durable write's tail-latency floor.")
 	l.flushBytes = reg.Counter("dharma_wal_flush_bytes_total",

@@ -13,12 +13,12 @@
 // counters instead of slept, which keeps large experiments fast while
 // still reporting how much network time a protocol would have spent.
 //
-// The network state is sharded: endpoints, down/partition flags, and
-// per-node statistics live in numShards stripes keyed by an address
-// hash, and each stripe carries its own seeded random source. No
-// operation on the hot Call path takes a network-wide lock, which is
-// what lets a single Network carry 10k+ endpoints with concurrent
-// callers (see BenchmarkCallContention).
+// The network state is sharded: endpoints and down/partition flags
+// live in numShards stripes keyed by an address hash, and each stripe
+// carries its own seeded random source. No operation on the hot Call
+// path takes a network-wide lock, which is what lets a single Network
+// carry 10k+ endpoints with concurrent callers (see
+// BenchmarkCallContention).
 package simnet
 
 import (
@@ -26,12 +26,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"dharma/internal/admission"
-	"dharma/internal/obs"
 )
 
 // Addr identifies an endpoint on the network.
@@ -116,7 +114,7 @@ type Counters struct {
 	BytesIn  int64 // response payload bytes
 }
 
-// numShards is the stripe count for the endpoint/down/cut/stats maps
+// numShards is the stripe count for the endpoint/down/cut maps
 // and the per-stripe rngs. 64 keeps the per-stripe population small
 // even at 10k endpoints while the array overhead stays negligible for
 // tiny test networks.
@@ -126,11 +124,10 @@ const numShards = 64
 // guarded by its own mutex, separate from the map lock, so a drop roll
 // never serialises against an Attach/SetDown on the same stripe.
 type shard struct {
-	mu      sync.RWMutex
-	nodes   map[Addr]*endpoint
-	down    map[Addr]bool
-	cut     map[[2]Addr]bool // directed (src, dst) pairs, keyed by src's shard
-	perNode map[Addr]*NodeStats
+	mu    sync.RWMutex
+	nodes map[Addr]*endpoint
+	down  map[Addr]bool
+	cut   map[[2]Addr]bool // directed (src, dst) pairs, keyed by src's shard
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -145,18 +142,11 @@ type Network struct {
 	}
 }
 
-// NodeStats counts traffic observed at a single endpoint.
-type NodeStats struct {
-	Sent     atomic.Int64 // requests originated
-	Received atomic.Int64 // requests offered (including admission rejects)
-}
-
 type endpoint struct {
 	net     *Network
 	addr    Addr
 	handler Handler
 	ctrl    *admission.Controller
-	stats   *NodeStats // this endpoint's own counters, resolved at Attach
 	closed  atomic.Bool
 }
 
@@ -168,7 +158,6 @@ func New(cfg Config) *Network {
 		s.nodes = make(map[Addr]*endpoint)
 		s.down = make(map[Addr]bool)
 		s.cut = make(map[[2]Addr]bool)
-		s.perNode = make(map[Addr]*NodeStats)
 		// Mix the shard index into the seed with a 64-bit odd constant
 		// (splitmix64's increment) so adjacent seeds do not produce
 		// correlated shard streams.
@@ -187,26 +176,12 @@ func (n *Network) shardOf(addr Addr) *shard {
 	return &n.shards[h%numShards]
 }
 
-// statsLocked returns the per-node counters for addr within s, creating
-// them if needed. Callers hold s.mu.
-func (s *shard) statsLocked(addr Addr) *NodeStats {
-	st, ok := s.perNode[addr]
-	if !ok {
-		st = &NodeStats{}
-		s.perNode[addr] = st
-	}
-	return st
-}
-
 // Attach registers a handler under addr and returns its Transport.
-// Attaching an address twice replaces the previous endpoint. The
-// endpoint's own stats pointer is resolved here, once, so the Call path
-// never looks the sender up again.
+// Attaching an address twice replaces the previous endpoint.
 func (n *Network) Attach(addr Addr, h Handler) Transport {
 	ep := &endpoint{net: n, addr: addr, handler: h, ctrl: admission.New(n.cfg.Admission)}
 	s := n.shardOf(addr)
 	s.mu.Lock()
-	ep.stats = s.statsLocked(addr)
 	s.nodes[addr] = ep
 	s.mu.Unlock()
 	return ep
@@ -264,66 +239,6 @@ func (n *Network) Counters() Counters {
 	}
 }
 
-// Instrument registers the network-wide counters on reg as scrape-time
-// funcs, so a simulated deployment exposes the same ops surface as a
-// real one. A nil reg is a no-op.
-func (n *Network) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.CounterFunc("dharma_simnet_calls_total",
-		"RPC exchanges attempted across the simulated network.", n.counters.calls.Load)
-	reg.CounterFunc("dharma_simnet_drops_total",
-		"Exchanges lost to injected faults.", n.counters.drops.Load)
-	reg.CounterFunc("dharma_simnet_busy_total",
-		"Exchanges rejected at admission.", n.counters.busy.Load)
-	reg.CounterFunc("dharma_simnet_request_bytes_total",
-		"Request payload bytes carried.", n.counters.bytesOut.Load)
-	reg.CounterFunc("dharma_simnet_response_bytes_total",
-		"Response payload bytes carried.", n.counters.bytesIn.Load)
-}
-
-// Stats returns the per-node counters for addr, creating them if needed
-// so that callers can query nodes that have not sent traffic yet. The
-// returned pointer is stable for the life of the network; callers that
-// poll a node repeatedly should keep it instead of re-resolving.
-func (n *Network) Stats(addr Addr) *NodeStats {
-	s := n.shardOf(addr)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.statsLocked(addr)
-}
-
-// BusiestNodes returns addresses sorted by requests served, descending.
-// It is used by the hotspot experiment (A3). Counts are snapshotted
-// once per node, so the sort itself takes no locks.
-func (n *Network) BusiestNodes() []Addr {
-	type nodeLoad struct {
-		addr     Addr
-		received int64
-	}
-	var loads []nodeLoad
-	for i := range n.shards {
-		s := &n.shards[i]
-		s.mu.RLock()
-		for a, st := range s.perNode {
-			loads = append(loads, nodeLoad{addr: a, received: st.Received.Load()})
-		}
-		s.mu.RUnlock()
-	}
-	sort.Slice(loads, func(i, j int) bool {
-		if loads[i].received != loads[j].received {
-			return loads[i].received > loads[j].received
-		}
-		return loads[i].addr < loads[j].addr
-	})
-	out := make([]Addr, len(loads))
-	for i, l := range loads {
-		out[i] = l.addr
-	}
-	return out
-}
-
 // roll draws this exchange's drop decision from the sender shard's
 // rng: deterministic per (shard, sequence of rolls in that shard) under
 // a fixed seed. A fault-free network draws nothing, so its calls do not
@@ -378,11 +293,6 @@ func (ep *endpoint) Call(ctx context.Context, to Addr, payload []byte) ([]byte, 
 	}
 
 	n.counters.bytesOut.Add(int64(len(payload)))
-	// Both stats pointers are already resolved: the sender's since
-	// Attach, the receiver's on its own endpoint — no network-wide (or
-	// even stripe) lock on the per-RPC stats path.
-	ep.stats.Sent.Add(1)
-	target.stats.Received.Add(1)
 
 	// Admission at the receiver: the target either takes the request into
 	// its bounded work queue or answers busy immediately. Rejection is an

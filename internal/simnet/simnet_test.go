@@ -171,29 +171,6 @@ func TestCountersAndStats(t *testing.T) {
 	if c.BytesIn != int64((4+5)*calls) {
 		t.Fatalf("BytesIn = %d, want %d", c.BytesIn, (4+5)*calls)
 	}
-	if got := n.Stats("a").Sent.Load(); got != calls {
-		t.Fatalf("a.Sent = %d, want %d", got, calls)
-	}
-	if got := n.Stats("b").Received.Load(); got != calls {
-		t.Fatalf("b.Received = %d, want %d", got, calls)
-	}
-}
-
-func TestBusiestNodes(t *testing.T) {
-	n := New(Config{})
-	a := n.Attach("a", echo())
-	n.Attach("b", echo())
-	n.Attach("c", echo())
-	for i := 0; i < 5; i++ {
-		a.Call(context.Background(), "b", nil) //nolint:errcheck
-	}
-	for i := 0; i < 2; i++ {
-		a.Call(context.Background(), "c", nil) //nolint:errcheck
-	}
-	order := n.BusiestNodes()
-	if len(order) != 3 || order[0] != "b" || order[1] != "c" {
-		t.Fatalf("BusiestNodes = %v", order)
-	}
 }
 
 func TestConcurrentCalls(t *testing.T) {

@@ -185,8 +185,6 @@ func (t *UDPTransport) Instrument(reg *obs.Registry) {
 	reg.GaugeFunc("dharma_admission_in_flight",
 		"Admitted requests currently in their handler.",
 		func() int64 { return t.ctrl.Stats().InFlight })
-	reg.CounterFunc("dharma_udp_busy_served_total",
-		"Inbound requests answered with BUSY.", t.BusyServed)
 	reg.CounterFunc("dharma_udp_unauthenticated_rejected_total",
 		"Inbound frames rejected by the transport's session layer (failed handshakes and plain requests under require-auth).",
 		t.authRej.Load)
@@ -202,10 +200,6 @@ func (t *UDPTransport) AuthRejected() int64 { return t.authRej.Load() }
 // Sessions exposes the transport's session manager (nil when the
 // transport runs open).
 func (t *UDPTransport) Sessions() *session.Manager { return t.sessions }
-
-// BusyServed is the number of inbound requests answered with KindBusy:
-// exactly the requests admission control refused.
-func (t *UDPTransport) BusyServed() int64 { return t.ctrl.Stats().Rejected() }
 
 // Addr implements simnet.Transport; the address is the bound UDP
 // endpoint, so it can be handed to peers as a contact address.

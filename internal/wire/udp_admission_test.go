@@ -58,8 +58,8 @@ func TestUDPBusyReplyIsFast(t *testing.T) {
 	if elapsed > time.Second {
 		t.Fatalf("busy reply took %v; rejection must be near-instant, not a timeout", elapsed)
 	}
-	if got := srv.BusyServed(); got != 1 {
-		t.Fatalf("BusyServed = %d, want 1", got)
+	if got := srv.AdmissionStats().Rejected(); got != 1 {
+		t.Fatalf("AdmissionStats().Rejected() = %d, want 1", got)
 	}
 	if st := srv.AdmissionStats(); st.RejectedQueue != 1 {
 		t.Fatalf("AdmissionStats = %+v, want one queue rejection", st)

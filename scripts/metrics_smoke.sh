@@ -7,7 +7,9 @@
 # through the overlay, then `dharma-node scrape` reads each node's ops
 # endpoint and asserts the two things the telemetry exists to show:
 # nonzero served-RPC latency histograms (-assert-rpc) and at least one
-# hop-level lookup trace with spans (-assert-trace). The scrape also
+# hop-level lookup trace with spans (-assert-trace). -assert-min checks
+# the counters kademlia.NewNode registers are live on every node. The
+# scrape also
 # exercises /metrics parsing, /debug/stats, /debug/traces JSON decoding,
 # and the pprof mux, so a regression in any of them fails here.
 #
@@ -58,12 +60,18 @@ done
 "$NODE" search -bootstrap "127.0.0.1:$((BASE_PORT + 1))" -t rock -timeout 30s >/dev/null
 
 echo "== scraping every node's ops endpoint"
-# Every node must report served RPCs. Lookup traces exist only on nodes
-# that *initiate* lookups — nodes 1 and 2 traced their bootstrap
-# self-lookup (forced slow by -trace-slow 1ns); seed node 0 only serves.
+# Every node must report served RPCs. Lookups and their traces exist
+# only on nodes that *initiate* lookups — nodes 1 and 2 ran and traced
+# their bootstrap self-lookup (forced slow by -trace-slow 1ns); seed
+# node 0 only serves.
 for i in 0 1 2; do
   asserts=(-assert-rpc)
-  [ "$i" -gt 0 ] && asserts+=(-assert-trace)
+  mins=dharma_rpc_served_total=1,dharma_antientropy_digest_matches_total=0
+  if [ "$i" -gt 0 ]; then
+    asserts+=(-assert-trace)
+    mins="dharma_lookups_total=1,$mins"
+  fi
+  asserts+=(-assert-min "$mins")
   echo "-- node $i (127.0.0.1:$((DEBUG_PORT + i)))"
   if ! "$NODE" scrape -addr "127.0.0.1:$((DEBUG_PORT + i))" \
     "${asserts[@]}" >"$WORK/scrape$i.out" 2>"$WORK/scrape$i.err"; then
@@ -72,7 +80,7 @@ for i in 0 1 2; do
     exit 1
   fi
   # The asserts already enforce the substance; echo the proof lines.
-  grep -E '^(assert-rpc ok|assert-trace ok|pprof: live)' "$WORK/scrape$i.out"
+  grep -E '^(assert-rpc ok|assert-trace ok|assert-min ok|pprof: live)' "$WORK/scrape$i.out"
 done
 
 echo "== spot-checking the rendered output"

@@ -247,9 +247,9 @@ func TestChaosCrashWaveHealedByAntiEntropy(t *testing.T) {
 	// digests and moved no data.
 	var matches, fulls int64
 	for _, n := range cl.Snapshot() {
-		st := n.AntiEntropy()
-		matches += st.DigestMatches
-		fulls += st.FullBlocks
+		c := n.Counters()
+		matches += c.DigestMatches.Load()
+		fulls += c.FullBlocks.Load()
 	}
 	if matches == 0 {
 		t.Fatal("anti-entropy recorded no digest matches across four rounds")
