@@ -19,7 +19,9 @@
 package core
 
 import (
+	"crypto/sha1"
 	"fmt"
+	"strconv"
 
 	"dharma/internal/kadid"
 )
@@ -60,7 +62,17 @@ func (bt BlockType) String() string {
 // BlockKey maps a graph-node name and block type to the DHT key the
 // block lives under: SHA-1(name ‖ "|" ‖ type). The type is the final
 // "|"-separated segment, so distinct (name, type) pairs can never
-// collide even when names themselves contain '|'.
-func BlockKey(name string, bt BlockType) kadid.ID {
-	return kadid.HashString(fmt.Sprintf("%s|%d", name, bt))
+// collide even when names themselves contain '|'. The name streams into
+// the digest through a stack buffer, so no key allocates.
+func BlockKey(name string, bt BlockType) (id kadid.ID) {
+	var buf [64]byte
+	h := sha1.New()
+	for len(name) > 0 {
+		n := copy(buf[:], name)
+		h.Write(buf[:n])
+		name = name[n:]
+	}
+	h.Write(strconv.AppendUint(append(buf[:0], '|'), uint64(bt), 10))
+	h.Sum(id[:0])
+	return id
 }

@@ -129,21 +129,23 @@ func (e *Engine) InsertResource(ctx context.Context, r, uri string, tags ...stri
 	// but one grouped store call instead of 2m sequential round-trips.
 	// An empty t̂ arc set (single-tag insert) stays in the batch for the
 	// lookup count, but materializes no block at the storage node.
+	// Every t̄_i gets the same single entry, and the m t̂_i arc lists
+	// are cut from one backing array; a store only reads the entries
+	// it is handed (dht.Store).
 	batch := make([]dht.BatchItem, 0, 2*len(tags))
+	resEntry := []wire.Entry{{Field: r, Count: 1}}
 	for _, t := range tags {
-		batch = append(batch, dht.BatchItem{
-			Key:     BlockKey(t, BlockTagResources),
-			Entries: []wire.Entry{{Field: r, Count: 1}},
-		})
+		batch = append(batch, dht.BatchItem{Key: BlockKey(t, BlockTagResources), Entries: resEntry})
 	}
+	arcs := make([]wire.Entry, 0, len(tags)*(len(tags)-1))
 	for _, t := range tags {
-		arcs := make([]wire.Entry, 0, len(tags)-1)
+		from := len(arcs)
 		for _, other := range tags {
 			if other != t {
 				arcs = append(arcs, wire.Entry{Field: other, Count: 1})
 			}
 		}
-		batch = append(batch, dht.BatchItem{Key: BlockKey(t, BlockTagNeighbors), Entries: arcs})
+		batch = append(batch, dht.BatchItem{Key: BlockKey(t, BlockTagNeighbors), Entries: arcs[from:len(arcs):len(arcs)]})
 	}
 	if err := e.store.AppendBatch(ctx, batch); err != nil {
 		return fmt.Errorf("core: insert %q (tag blocks): %w", r, err)
@@ -161,24 +163,28 @@ func (e *Engine) InsertResource(ctx context.Context, r, uri string, tags ...stri
 //	1 append of t̂_t (forward arcs (t,τ); empty when t was present)
 //	+ one append of t̂_τ per updated reverse arc (τ,t).
 func (e *Engine) Tag(ctx context.Context, r, t string) error {
-	prior, err := e.store.Get(ctx, BlockKey(r, BlockResourceTags), 0)
+	rKey := BlockKey(r, BlockResourceTags)
+	prior, err := e.store.Get(ctx, rKey, 0)
 	if err != nil && !errors.Is(err, dht.ErrNotFound) {
 		return fmt.Errorf("core: tag %q on %q (read r̄): %w", t, r, err)
 	}
 
+	// The Get result is ours (dht.Store.Get), so Tags(r)\{t} is
+	// filtered in place, keeping the block order.
 	wasTagged := false
-	others := prior[:0:0]
-	for _, en := range prior {
-		if en.Field == t {
+	others := prior[:0]
+	for i := range prior {
+		if prior[i].Field == t {
 			wasTagged = true
 		} else {
-			others = append(others, en)
+			others = append(others, prior[i])
 		}
 	}
 
-	if err := e.store.Append(ctx, BlockKey(r, BlockResourceTags), []wire.Entry{
-		{Field: t, Count: 1},
-	}); err != nil {
+	// tEntry also serves every reverse arc below: a store only reads
+	// the entries it is handed (dht.Store).
+	tEntry := []wire.Entry{{Field: t, Count: 1}}
+	if err := e.store.Append(ctx, rKey, tEntry); err != nil {
 		return fmt.Errorf("core: tag %q on %q (r̄): %w", t, r, err)
 	}
 	if err := e.store.Append(ctx, BlockKey(t, BlockTagResources), []wire.Entry{
@@ -198,14 +204,14 @@ func (e *Engine) Tag(ctx context.Context, r, t string) error {
 	// still issued (Table I charges the lookup either way), but the
 	// storage node materializes no block for it — re-tagging must not
 	// create a phantom empty t̂ that skews Has/EntryCount accounting.
-	forward := make([]wire.Entry, 0, len(others))
+	var forward []wire.Entry
 	if !wasTagged {
-		for _, en := range others {
-			entry := wire.Entry{Field: en.Field, Count: en.Count}
+		forward = make([]wire.Entry, len(others))
+		for i := range others {
+			forward[i] = wire.Entry{Field: others[i].Field, Count: others[i].Count}
 			if e.cfg.Mode == Approximated {
-				entry.Init = 1
+				forward[i].Init = 1
 			}
-			forward = append(forward, entry)
 		}
 	}
 	if err := e.store.Append(ctx, BlockKey(t, BlockTagNeighbors), forward); err != nil {
@@ -225,11 +231,8 @@ func (e *Engine) Tag(ctx context.Context, r, t string) error {
 		return nil
 	}
 	batch := make([]dht.BatchItem, len(reverse))
-	for i, en := range reverse {
-		batch[i] = dht.BatchItem{
-			Key:     BlockKey(en.Field, BlockTagNeighbors),
-			Entries: []wire.Entry{{Field: t, Count: 1}},
-		}
+	for i := range reverse {
+		batch[i] = dht.BatchItem{Key: BlockKey(reverse[i].Field, BlockTagNeighbors), Entries: tEntry}
 	}
 	if err := e.store.AppendBatch(ctx, batch); err != nil {
 		return fmt.Errorf("core: tag %q on %q (reverse t̂ arcs): %w", t, r, err)
@@ -297,24 +300,22 @@ func (e *Engine) Neighbors(ctx context.Context, t string) ([]folksonomy.Weighted
 	return toWeighted(es), nil
 }
 
-// sampleEntries returns k entries drawn uniformly without replacement
-// (partial Fisher-Yates on a copy; input order is preserved for the
-// caller).
+// sampleEntries returns k entries drawn uniformly without replacement:
+// a partial Fisher-Yates that shuffles in into its own prefix.
 func (e *Engine) sampleEntries(in []wire.Entry, k int) []wire.Entry {
-	cp := append([]wire.Entry(nil), in...)
 	e.rngMu.Lock()
 	for i := 0; i < k; i++ {
-		j := i + e.rng.Intn(len(cp)-i)
-		cp[i], cp[j] = cp[j], cp[i]
+		j := i + e.rng.Intn(len(in)-i)
+		in[i], in[j] = in[j], in[i]
 	}
 	e.rngMu.Unlock()
-	return cp[:k]
+	return in[:k]
 }
 
 func toWeighted(es []wire.Entry) []folksonomy.Weighted {
 	out := make([]folksonomy.Weighted, len(es))
-	for i, en := range es {
-		out[i] = folksonomy.Weighted{Name: en.Field, Weight: int(en.Count)}
+	for i := range es {
+		out[i] = folksonomy.Weighted{Name: es[i].Field, Weight: int(es[i].Count)}
 	}
 	return out
 }

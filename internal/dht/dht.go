@@ -39,7 +39,11 @@ type BatchItem = kademlia.BatchItem
 // Store is the PUT/GET interface DHARMA's engine runs on. Append merges
 // entries into the block under key ("one-bit token" semantics: counts
 // add up, data replaces); Get returns the block's entries sorted by
-// descending count, truncated to topN when topN > 0.
+// descending count, truncated to topN when topN > 0. The caller owns
+// the result: Get hands out a fresh slice whose byte slices alias no
+// stored state, so the caller may filter or reorder it in place.
+// Append and AppendBatch never modify the entries they are handed, so
+// the caller may hand one slice to several appends.
 //
 // AppendBatch applies a group of independent appends — distinct keys,
 // commutative merges — as one call. Each item still costs one Table-I
@@ -94,9 +98,8 @@ func (l *Local) Append(ctx context.Context, key kadid.ID, entries []wire.Entry) 
 }
 
 // AppendBatch implements Store: the items are applied in one pass over
-// the sharded store (each shard's lock taken once). The lookup counter
-// advances by one per item, keeping Table-I accounting identical to a
-// loop of Appends.
+// the sharded store. The lookup counter advances by one per item,
+// keeping Table-I accounting identical to a loop of Appends.
 func (l *Local) AppendBatch(ctx context.Context, items []BatchItem) error {
 	if err := ctx.Err(); err != nil {
 		return err

@@ -17,8 +17,10 @@
 package folksonomy
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Weighted is a (name, weight) pair: a tag with its similarity, or a
@@ -31,11 +33,11 @@ type Weighted struct {
 // SortWeighted orders by descending weight, ties broken by name, which
 // is the presentation order of a search step.
 func SortWeighted(ws []Weighted) {
-	sort.Slice(ws, func(i, j int) bool {
-		if ws[i].Weight != ws[j].Weight {
-			return ws[i].Weight > ws[j].Weight
+	slices.SortFunc(ws, func(a, b Weighted) int {
+		if c := cmp.Compare(b.Weight, a.Weight); c != 0 {
+			return c
 		}
-		return ws[i].Name < ws[j].Name
+		return strings.Compare(a.Name, b.Name)
 	})
 }
 

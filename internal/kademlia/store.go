@@ -1,6 +1,7 @@
 package kademlia
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"slices"
@@ -186,11 +187,11 @@ func (s *Store) applyAppend(key kadid.ID, entries []wire.Entry) {
 	sh.mu.Unlock()
 }
 
-// AppendBatch merges every item in one pass, taking each shard's lock
-// once. It is the storage half of the engine's batched write path: a
-// tagging operation's reverse-arc appends (and an insertion's t̄/t̂
-// appends) target distinct keys and commute, so they can be applied as
-// one grouped call.
+// AppendBatch merges every item in one pass, taking each item's shard
+// lock in turn. It is the storage half of the engine's batched write
+// path: a tagging operation's reverse-arc appends (and an insertion's
+// t̄/t̂ appends) target distinct keys and commute, so they can be
+// applied as one grouped call.
 // On a durable store the whole batch is logged as one commit — one
 // group-commit flush covers every item.
 func (s *Store) AppendBatch(ctx context.Context, items []BatchItem) error {
@@ -211,27 +212,13 @@ func (s *Store) AppendBatch(ctx context.Context, items []BatchItem) error {
 	return nil
 }
 
-// applyAppendBatch is the in-memory half of AppendBatch: one pass, each
-// shard's lock taken once.
+// applyAppendBatch is the in-memory half of AppendBatch. A batch's few
+// keys rarely share one of 64 shards, so each item takes its own lock.
 func (s *Store) applyAppendBatch(items []BatchItem) {
-	var groups [storeShards][]BatchItem
-	for _, it := range items {
-		if len(it.Entries) == 0 {
-			continue
+	for i := range items {
+		if len(items[i].Entries) > 0 {
+			s.applyAppend(items[i].Key, items[i].Entries)
 		}
-		si := it.Key[0] & (storeShards - 1)
-		groups[si] = append(groups[si], it)
-	}
-	for si := range groups {
-		if len(groups[si]) == 0 {
-			continue
-		}
-		sh := &s.shards[si]
-		sh.mu.Lock()
-		for _, it := range groups[si] {
-			sh.appendLocked(it.Key, it.Entries)
-		}
-		sh.mu.Unlock()
 	}
 }
 
@@ -357,10 +344,13 @@ func (sh *storeShard) mergeMaxLocked(key kadid.ID, entries []wire.Entry) {
 // the storing node returns only the most relevant ones. The second
 // result reports whether the block exists.
 //
-// A filtered read with topN ≤ topIndexCap is served from the block's
-// maintained head in O(topN); only unfiltered reads (and filters wider
-// than the head) scan and sort the full block. Returned entries never
-// alias internal storage — Data/Author/Sig are copied on the way out.
+// A read the block's maintained head covers — a filter of at most
+// topIndexCap, or any read of a block with at most topIndexCap fields —
+// is served from that head in O(topN) under the shard's read lock. A
+// wider read copies every field under the lock and sorts the copies
+// after releasing it, so writers to the shard wait only for the copy.
+// Returned entries never alias internal storage — Data/Author/Sig are
+// copied on the way out — so the caller owns the result.
 func (s *Store) Get(key kadid.ID, topN int) ([]wire.Entry, bool) {
 	if m := s.metrics; m != nil {
 		start := time.Now()
@@ -375,47 +365,35 @@ func (s *Store) Get(key kadid.ID, topN int) ([]wire.Entry, bool) {
 		sh.mu.RUnlock()
 		return nil, false
 	}
-
-	if topN > 0 && topN <= topIndexCap {
-		n := topN
-		if n > len(blk.top) {
-			n = len(blk.top)
-		}
+	n := len(blk.fields)
+	if topN > 0 && topN < n {
+		n = topN
+	}
+	if n <= len(blk.top) {
 		out := make([]wire.Entry, n)
 		for i, se := range blk.top[:n] {
-			out[i] = se.entry()
+			se.fill(&out[i])
 		}
 		sh.mu.RUnlock()
 		return out, true
 	}
-
-	out := make([]wire.Entry, 0, len(blk.fields))
+	out := make([]wire.Entry, len(blk.fields))
+	i := 0
 	for _, se := range blk.fields {
-		out = append(out, se.entry())
+		se.fill(&out[i])
+		i++
 	}
 	sh.mu.RUnlock()
 
 	slices.SortFunc(out, compareEntries)
-	if topN > 0 && len(out) > topN {
-		out = out[:topN]
-	}
-	return out, true
+	return out[:n], true
 }
 
-// entry materializes a wire entry with copied byte slices, so callers
-// can never mutate stored state through a Get result.
-func (se *storedEntry) entry() wire.Entry {
-	e := wire.Entry{Field: se.field, Count: se.count}
-	if se.data != nil {
-		e.Data = append([]byte(nil), se.data...)
-	}
-	if se.author != nil {
-		e.Author = append([]byte(nil), se.author...)
-	}
-	if se.sig != nil {
-		e.Sig = append([]byte(nil), se.sig...)
-	}
-	return e
+// fill writes se into e with copied byte slices, so callers can never
+// mutate stored state through a Get result.
+func (se *storedEntry) fill(e *wire.Entry) {
+	e.Field, e.Count = se.field, se.count
+	e.Data, e.Author, e.Sig = bytes.Clone(se.data), bytes.Clone(se.author), bytes.Clone(se.sig)
 }
 
 // Has reports whether a block exists under key.

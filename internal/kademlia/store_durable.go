@@ -147,7 +147,8 @@ func (s *Store) dumpBlocks(add func(persist.Record) error) error {
 		for key, blk := range sh.blocks {
 			entries := make([]wire.Entry, 0, len(blk.fields))
 			for _, se := range blk.fields {
-				entries = append(entries, se.entry())
+				entries = append(entries, wire.Entry{})
+				se.fill(&entries[len(entries)-1])
 			}
 			if err := add(persist.Record{Op: persist.OpMergeMax, Key: key, Entries: entries}); err != nil {
 				sh.mu.RUnlock()

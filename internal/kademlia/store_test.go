@@ -278,6 +278,67 @@ func TestStoreIncrementalOrderMatchesFullSort(t *testing.T) {
 	}
 }
 
+// TestStoreGetMatchesSnapshotSort checks Get — the maintained head when
+// it covers the read, a sort of copied fields otherwise — against a
+// by-value sort of a snapshot of the block, on blocks of 0–300 fields
+// whose counts tie often, for filters on both sides of topIndexCap and
+// of the block's length.
+func TestStoreGetMatchesSnapshotSort(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(37))
+	for _, size := range []int{0, 1, 2, 50, 99, 100, 101, 127, 128, 129, 200, 300} {
+		s := NewStore()
+		key := kadid.HashString(fmt.Sprintf("block-%d", size))
+		for _, i := range rng.Perm(size) {
+			e := wire.Entry{Field: fmt.Sprintf("f%03d", i), Count: uint64(1 + rng.Intn(3))}
+			if i%7 == 0 {
+				e.Data = []byte(fmt.Sprintf("uri-%d", i))
+			}
+			s.Append(ctx, key, []wire.Entry{e})
+		}
+		for j := 0; j < size; j++ {
+			f := fmt.Sprintf("f%03d", rng.Intn(size))
+			if rng.Intn(2) == 0 {
+				s.Append(ctx, key, []wire.Entry{{Field: f, Count: 1}})
+			} else {
+				s.MergeMax(ctx, key, []wire.Entry{{Field: f, Count: uint64(1 + rng.Intn(6))}})
+			}
+		}
+
+		var snap []wire.Entry
+		sh := s.shard(key)
+		sh.mu.RLock()
+		blk, exists := sh.blocks[key]
+		if exists {
+			for _, se := range blk.fields {
+				snap = append(snap, wire.Entry{Field: se.field, Count: se.count, Data: se.data})
+			}
+		}
+		sh.mu.RUnlock()
+		sort.Slice(snap, func(i, j int) bool { return compareEntries(snap[i], snap[j]) < 0 })
+
+		for _, n := range []int{0, 1, 100, topIndexCap - 1, topIndexCap, topIndexCap + 1, size, size + 1} {
+			got, ok := s.Get(key, n)
+			if ok != exists {
+				t.Fatalf("size %d: Get(%d) ok = %v, want %v", size, n, ok, exists)
+			}
+			want := snap
+			if n > 0 && n < len(want) {
+				want = want[:n]
+			}
+			if len(got) != len(want) {
+				t.Fatalf("size %d: Get(%d) returned %d entries, want %d", size, n, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].Field != want[i].Field || got[i].Count != want[i].Count || string(got[i].Data) != string(want[i].Data) {
+					t.Fatalf("size %d: Get(%d)[%d] = %s/%d/%q, want %s/%d/%q", size, n, i,
+						got[i].Field, got[i].Count, got[i].Data, want[i].Field, want[i].Count, want[i].Data)
+				}
+			}
+		}
+	}
+}
+
 // TestStoreConcurrentMixedOps hammers every public method from many
 // goroutines; run under -race this is the sharding regression test.
 func TestStoreConcurrentMixedOps(t *testing.T) {

@@ -22,6 +22,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"dharma/internal/folksonomy"
 )
@@ -140,7 +141,7 @@ type Result struct {
 	// stopped.
 	FinalTags []string
 	// FinalResources is R_n: the resources satisfying the conjunction
-	// of every selected tag.
+	// of every selected tag, sorted by name.
 	FinalResources []string
 	// Reason explains the termination.
 	Reason Reason
@@ -214,6 +215,7 @@ func Run(ctx context.Context, v View, start string, strat Strategy, opt Options)
 	for r := range resources {
 		res.FinalResources = append(res.FinalResources, r)
 	}
+	slices.Sort(res.FinalResources)
 	return res, walkErr
 }
 

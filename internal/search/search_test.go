@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dharma/internal/core"
@@ -335,5 +336,31 @@ func TestRunCanceledContext(t *testing.T) {
 	}
 	if _, err := RunFromResource(ctx, v, v, "r0", First, Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunFromResource under canceled ctx: err = %v", err)
+	}
+}
+
+// TestFinalResourcesDeterministic: R_n comes back sorted by name, so
+// two walks with the same seed return equal slices — a caller that
+// resolves FinalResources[0] resolves the same resource every run.
+func TestFinalResourcesDeterministic(t *testing.T) {
+	v := NewFolkView(buildTestGraph(t))
+	walk := func() []string {
+		res, err := Run(context.Background(), v, "music", Random, Options{Rng: rand.New(rand.NewSource(3))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.FinalResources
+	}
+	first := walk()
+	if len(first) < 2 {
+		t.Fatalf("walk ended with %d resources; the test needs several", len(first))
+	}
+	if !slices.IsSorted(first) {
+		t.Fatalf("FinalResources %v not sorted by name", first)
+	}
+	for i := 0; i < 20; i++ {
+		if again := walk(); !slices.Equal(again, first) {
+			t.Fatalf("run %d: FinalResources %v, first run %v", i, again, first)
+		}
 	}
 }
