@@ -97,8 +97,8 @@ func (l *Local) Append(ctx context.Context, key kadid.ID, entries []wire.Entry) 
 	return l.store.Append(ctx, key, entries)
 }
 
-// AppendBatch implements Store: the items are applied in one pass over
-// the sharded store. The lookup counter advances by one per item,
+// AppendBatch implements Store: the items are applied in one pass under
+// the store's lock. The lookup counter advances by one per item,
 // keeping Table-I accounting identical to a loop of Appends.
 func (l *Local) AppendBatch(ctx context.Context, items []BatchItem) error {
 	if err := ctx.Err(); err != nil {

@@ -256,8 +256,8 @@ func BenchmarkChurnRecovery(b *testing.B) {
 
 // baselineStore is the pre-refactor block store — one global RWMutex,
 // plain maps, full O(n log n) sort on every Get — kept verbatim as the
-// benchmark baseline the sharded, incrementally indexed Store is
-// measured against.
+// benchmark baseline the incrementally indexed Store is measured
+// against.
 type baselineStore struct {
 	mu     sync.RWMutex
 	blocks map[kadid.ID]map[string]*baselineEntry
@@ -464,9 +464,10 @@ func BenchmarkStoreAppendHot(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreHotMixedParallel is the contended shape the shards and
-// the index exist for: every core hammering reads and writes of the
-// same hot block plus a spread of cold ones.
+// BenchmarkStoreHotMixedParallel is the contended shape the index
+// exists for, and the measure of what the store's single lock costs:
+// every core hammering reads and writes of the same hot block plus a
+// spread of cold ones.
 func BenchmarkStoreHotMixedParallel(b *testing.B) {
 	s := NewStore()
 	hot := kadid.HashString("hot")

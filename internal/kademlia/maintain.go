@@ -34,7 +34,7 @@ func (s *Store) MergeMax(ctx context.Context, key kadid.ID, entries []wire.Entry
 	if m := s.metrics; m != nil {
 		start := time.Now()
 		defer func() {
-			m.appendLatency.At(int(key[0] & (storeShards - 1))).Observe(time.Since(start))
+			m.appendLatency.Observe(time.Since(start))
 		}()
 	}
 	if s.dur != nil {
@@ -47,8 +47,7 @@ func (s *Store) MergeMax(ctx context.Context, key kadid.ID, entries []wire.Entry
 
 // applyMergeMax is the in-memory half of MergeMax.
 func (s *Store) applyMergeMax(key kadid.ID, entries []wire.Entry) {
-	sh := s.shard(key)
-	sh.mu.Lock()
-	sh.mergeMaxLocked(key, entries)
-	sh.mu.Unlock()
+	s.mu.Lock()
+	s.mergeMaxLocked(key, entries)
+	s.mu.Unlock()
 }

@@ -106,8 +106,8 @@ func (m *nodeMetrics) kindHist(k wire.Kind) *obs.Histogram {
 }
 
 // Instrument turns on the node's timing histograms — RPC serve latency
-// and bytes by kind, lookup wall time, rounds and candidates, per-shard
-// store latency — on the node's own registry. Call once, before the
+// and bytes by kind, lookup wall time, rounds and candidates, store
+// append/get latency — on the node's own registry. Call once, before the
 // node serves traffic; the deployed peer does, simulated nodes stay
 // untimed.
 func (n *Node) Instrument() {

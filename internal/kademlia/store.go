@@ -3,7 +3,6 @@ package kademlia
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"slices"
 	"sort"
 	"sync"
@@ -25,9 +24,10 @@ import (
 // the traffic, and every SearchStep asks for the top-topN entries of
 // such a block (index-side filtering). Two structural choices follow:
 //
-//   - The block map is sharded by key prefix into storeShards stripes,
-//     each behind its own RWMutex, so appends to unrelated blocks never
-//     contend on a global lock.
+//   - One RWMutex guards the block map. Skewed traffic falls on a few
+//     hot blocks, and a block is the unit any finer lock would still
+//     have to serialise on, so striping the map bought no measured
+//     throughput (see BenchmarkStoreHotMixedParallel).
 //   - Every block maintains its descending-count order incrementally: a
 //     bounded, exactly-sorted top index (topIndexCap entries) is updated
 //     on each append, so Get(key, topN) for topN ≤ topIndexCap is
@@ -40,59 +40,46 @@ import (
 // durable backend can refuse to acknowledge a write it could not log;
 // the in-memory store never fails.
 type Store struct {
-	shards [storeShards]storeShard
+	mu     sync.RWMutex
+	blocks map[kadid.ID]*block
 
 	// dur, when set, write-ahead-logs every mutation before it is
 	// acknowledged (see OpenDurableStore); nil keeps the store purely
 	// in-memory.
 	dur *durability
 
-	// metrics, when set by Instrument, times appends and reads per
-	// shard. Nil (the default) keeps the mutation paths clock-free.
+	// metrics, when set by Instrument, times appends and reads. Nil
+	// (the default) keeps the mutation paths clock-free.
 	metrics *storeMetrics
 }
 
-// storeMetrics holds the store's per-shard latency instruments. The
+// storeMetrics holds the store's latency instruments. The
 // append histogram covers the full acknowledged write — on a durable
 // store that includes the WAL group-commit wait, which is exactly the
 // latency a writer experiences.
 type storeMetrics struct {
-	appendLatency *obs.HistogramVec
-	getLatency    *obs.HistogramVec
+	appendLatency *obs.Histogram
+	getLatency    *obs.Histogram
 }
 
-// Instrument registers per-shard append/get latency histograms on reg
-// and starts timing. Call once, before the store serves traffic; a nil
-// reg is a no-op.
+// Instrument registers append/get latency histograms on reg and starts
+// timing. Call once, before the store serves traffic; a nil reg is a
+// no-op.
 func (s *Store) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	labels := make([]string, storeShards)
-	for i := range labels {
-		labels[i] = fmt.Sprintf("%02d", i)
-	}
 	s.metrics = &storeMetrics{
-		appendLatency: reg.HistogramVec("dharma_store_append_seconds",
-			"Acknowledged block append latency (including WAL commit), by shard.", "shard", labels),
-		getLatency: reg.HistogramVec("dharma_store_get_seconds",
-			"Block read latency, by shard.", "shard", labels),
+		appendLatency: reg.Histogram("dharma_store_append_seconds",
+			"Acknowledged block append latency (including WAL commit)."),
+		getLatency: reg.Histogram("dharma_store_get_seconds", "Block read latency."),
 	}
 }
-
-// storeShards is the stripe count; a power of two so the key prefix
-// maps to a shard with a mask.
-const storeShards = 64
 
 // topIndexCap bounds the incrementally sorted head of each block. It
 // must cover the largest filter a search step asks for (the paper uses
 // top-100); reads beyond it fall back to a full sort.
 const topIndexCap = 128
-
-type storeShard struct {
-	mu     sync.RWMutex
-	blocks map[kadid.ID]*block
-}
 
 // block is one stored weighted set plus its maintained head.
 type block struct {
@@ -139,15 +126,7 @@ type BatchItem struct {
 
 // NewStore creates an empty block store.
 func NewStore() *Store {
-	s := &Store{}
-	for i := range s.shards {
-		s.shards[i].blocks = make(map[kadid.ID]*block)
-	}
-	return s
-}
-
-func (s *Store) shard(key kadid.ID) *storeShard {
-	return &s.shards[key[0]&(storeShards-1)]
+	return &Store{blocks: make(map[kadid.ID]*block)}
 }
 
 // Append merges entries into the block stored under key. Counts add up;
@@ -168,7 +147,7 @@ func (s *Store) Append(ctx context.Context, key kadid.ID, entries []wire.Entry) 
 	if m := s.metrics; m != nil {
 		start := time.Now()
 		defer func() {
-			m.appendLatency.At(int(key[0] & (storeShards - 1))).Observe(time.Since(start))
+			m.appendLatency.Observe(time.Since(start))
 		}()
 	}
 	if s.dur != nil {
@@ -181,17 +160,16 @@ func (s *Store) Append(ctx context.Context, key kadid.ID, entries []wire.Entry) 
 
 // applyAppend is the in-memory half of Append.
 func (s *Store) applyAppend(key kadid.ID, entries []wire.Entry) {
-	sh := s.shard(key)
-	sh.mu.Lock()
-	sh.appendLocked(key, entries)
-	sh.mu.Unlock()
+	s.mu.Lock()
+	s.appendLocked(key, entries)
+	s.mu.Unlock()
 }
 
-// AppendBatch merges every item in one pass, taking each item's shard
-// lock in turn. It is the storage half of the engine's batched write
-// path: a tagging operation's reverse-arc appends (and an insertion's
-// t̄/t̂ appends) target distinct keys and commute, so they can be
-// applied as one grouped call.
+// AppendBatch merges every item in one pass under one lock. It is the
+// storage half of the engine's batched write path: a tagging
+// operation's reverse-arc appends (and an insertion's t̄/t̂ appends)
+// target distinct keys and commute, so they can be applied as one
+// grouped call.
 // On a durable store the whole batch is logged as one commit — one
 // group-commit flush covers every item.
 func (s *Store) AppendBatch(ctx context.Context, items []BatchItem) error {
@@ -212,21 +190,22 @@ func (s *Store) AppendBatch(ctx context.Context, items []BatchItem) error {
 	return nil
 }
 
-// applyAppendBatch is the in-memory half of AppendBatch. A batch's few
-// keys rarely share one of 64 shards, so each item takes its own lock.
+// applyAppendBatch is the in-memory half of AppendBatch.
 func (s *Store) applyAppendBatch(items []BatchItem) {
+	s.mu.Lock()
 	for i := range items {
 		if len(items[i].Entries) > 0 {
-			s.applyAppend(items[i].Key, items[i].Entries)
+			s.appendLocked(items[i].Key, items[i].Entries)
 		}
 	}
+	s.mu.Unlock()
 }
 
-func (sh *storeShard) appendLocked(key kadid.ID, entries []wire.Entry) {
-	blk, ok := sh.blocks[key]
+func (s *Store) appendLocked(key kadid.ID, entries []wire.Entry) {
+	blk, ok := s.blocks[key]
 	if !ok {
 		blk = &block{fields: make(map[string]*storedEntry, len(entries))}
-		sh.blocks[key] = blk
+		s.blocks[key] = blk
 	}
 	changed := false
 	for i := range entries {
@@ -302,11 +281,11 @@ func (b *block) indexEnter(se *storedEntry) {
 // mergeMaxLocked applies the replica-maintenance merge rule: per-field
 // maximum instead of addition (see maintain.go). It shares the index
 // maintenance with appendLocked because counts still only grow.
-func (sh *storeShard) mergeMaxLocked(key kadid.ID, entries []wire.Entry) {
-	blk, ok := sh.blocks[key]
+func (s *Store) mergeMaxLocked(key kadid.ID, entries []wire.Entry) {
+	blk, ok := s.blocks[key]
 	if !ok {
 		blk = &block{fields: make(map[string]*storedEntry, len(entries))}
-		sh.blocks[key] = blk
+		s.blocks[key] = blk
 	}
 	changed := false
 	for i := range entries {
@@ -346,23 +325,22 @@ func (sh *storeShard) mergeMaxLocked(key kadid.ID, entries []wire.Entry) {
 //
 // A read the block's maintained head covers — a filter of at most
 // topIndexCap, or any read of a block with at most topIndexCap fields —
-// is served from that head in O(topN) under the shard's read lock. A
+// is served from that head in O(topN) under the store's read lock. A
 // wider read copies every field under the lock and sorts the copies
-// after releasing it, so writers to the shard wait only for the copy.
+// after releasing it, so writers wait only for the copy.
 // Returned entries never alias internal storage — Data/Author/Sig are
 // copied on the way out — so the caller owns the result.
 func (s *Store) Get(key kadid.ID, topN int) ([]wire.Entry, bool) {
 	if m := s.metrics; m != nil {
 		start := time.Now()
 		defer func() {
-			m.getLatency.At(int(key[0] & (storeShards - 1))).Observe(time.Since(start))
+			m.getLatency.Observe(time.Since(start))
 		}()
 	}
-	sh := s.shard(key)
-	sh.mu.RLock()
-	blk, ok := sh.blocks[key]
+	s.mu.RLock()
+	blk, ok := s.blocks[key]
 	if !ok {
-		sh.mu.RUnlock()
+		s.mu.RUnlock()
 		return nil, false
 	}
 	n := len(blk.fields)
@@ -374,7 +352,7 @@ func (s *Store) Get(key kadid.ID, topN int) ([]wire.Entry, bool) {
 		for i, se := range blk.top[:n] {
 			se.fill(&out[i])
 		}
-		sh.mu.RUnlock()
+		s.mu.RUnlock()
 		return out, true
 	}
 	out := make([]wire.Entry, len(blk.fields))
@@ -383,7 +361,7 @@ func (s *Store) Get(key kadid.ID, topN int) ([]wire.Entry, bool) {
 		se.fill(&out[i])
 		i++
 	}
-	sh.mu.RUnlock()
+	s.mu.RUnlock()
 
 	slices.SortFunc(out, compareEntries)
 	return out[:n], true
@@ -398,50 +376,38 @@ func (se *storedEntry) fill(e *wire.Entry) {
 
 // Has reports whether a block exists under key.
 func (s *Store) Has(key kadid.ID) bool {
-	sh := s.shard(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	_, ok := sh.blocks[key]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	_, ok := s.blocks[key]
 	return ok
 }
 
 // Keys returns the identifiers of all stored blocks.
 func (s *Store) Keys() []kadid.ID {
-	out := make([]kadid.ID, 0, 64)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for k := range sh.blocks {
-			out = append(out, k)
-		}
-		sh.mu.RUnlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]kadid.ID, 0, len(s.blocks))
+	for k := range s.blocks {
+		out = append(out, k)
 	}
 	return out
 }
 
 // Len returns the number of stored blocks.
 func (s *Store) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		n += len(sh.blocks)
-		sh.mu.RUnlock()
-	}
-	return n
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.blocks)
 }
 
 // EntryCount returns the total number of fields across all blocks; it
 // approximates the node's storage load for the hotspot experiment.
 func (s *Store) EntryCount() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, blk := range sh.blocks {
-			n += len(blk.fields)
-		}
-		sh.mu.RUnlock()
+	for _, blk := range s.blocks {
+		n += len(blk.fields)
 	}
 	return n
 }

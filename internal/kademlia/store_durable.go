@@ -11,7 +11,7 @@ import (
 )
 
 // Durable storage. OpenDurableStore puts a write-ahead log under the
-// sharded block store: every Append/AppendBatch/MergeMax is logged (and
+// block store: every Append/AppendBatch/MergeMax is logged (and
 // group-commit flushed) before it is acknowledged, so an acknowledged
 // write survives the death of the process. Recovery replays the newest
 // snapshot plus the WAL tail through the normal apply paths, which
@@ -139,23 +139,19 @@ func (s *Store) Compact() error {
 // record — loading a snapshot into an empty store is exact, and
 // max-merge keeps even a double-loaded snapshot idempotent. It runs
 // with the log's commit lock held, so writers are frozen; readers are
-// not (shard read-locks are shared).
+// not (the store's read lock is shared).
 func (s *Store) dumpBlocks(add func(persist.Record) error) error {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for key, blk := range sh.blocks {
-			entries := make([]wire.Entry, 0, len(blk.fields))
-			for _, se := range blk.fields {
-				entries = append(entries, wire.Entry{})
-				se.fill(&entries[len(entries)-1])
-			}
-			if err := add(persist.Record{Op: persist.OpMergeMax, Key: key, Entries: entries}); err != nil {
-				sh.mu.RUnlock()
-				return err
-			}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for key, blk := range s.blocks {
+		entries := make([]wire.Entry, 0, len(blk.fields))
+		for _, se := range blk.fields {
+			entries = append(entries, wire.Entry{})
+			se.fill(&entries[len(entries)-1])
 		}
-		sh.mu.RUnlock()
+		if err := add(persist.Record{Op: persist.OpMergeMax, Key: key, Entries: entries}); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -13,7 +13,7 @@ import (
 // converged through different histories fold to the same value) and
 // incrementally updatable: when a field's count moves from old to new,
 // the mutation path XORs out fieldDigest(field, old) and XORs in
-// fieldDigest(field, new) under the shard lock it already holds, so
+// fieldDigest(field, new) under the store lock it already holds, so
 // Summary is O(1) and never rescans the block.
 //
 // The digest covers the weight map only — (field, count) pairs, not
@@ -62,10 +62,9 @@ func fieldDigest(field string, count uint64) uint64 {
 // the zero value, which is also what replicas exchange for "I have
 // nothing".
 func (s *Store) Summary(key kadid.ID) (wire.BlockSummary, bool) {
-	sh := s.shard(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	blk, ok := sh.blocks[key]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	blk, ok := s.blocks[key]
 	if !ok {
 		return wire.BlockSummary{}, false
 	}
@@ -77,10 +76,9 @@ func (s *Store) Summary(key kadid.ID) (wire.BlockSummary, bool) {
 // already-merged state do not bump it), so an unchanged version between
 // two observations means the block is exactly as it was.
 func (s *Store) Version(key kadid.ID) (uint64, bool) {
-	sh := s.shard(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	blk, ok := sh.blocks[key]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	blk, ok := s.blocks[key]
 	if !ok {
 		return 0, false
 	}
@@ -92,10 +90,9 @@ func (s *Store) Version(key kadid.ID) (uint64, bool) {
 // summary mismatch reply carries so the other replica can compute a
 // delta. Order is unspecified.
 func (s *Store) Counts(key kadid.ID) ([]wire.Entry, bool) {
-	sh := s.shard(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	blk, ok := sh.blocks[key]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	blk, ok := s.blocks[key]
 	if !ok {
 		return nil, false
 	}

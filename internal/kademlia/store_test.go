@@ -306,15 +306,14 @@ func TestStoreGetMatchesSnapshotSort(t *testing.T) {
 		}
 
 		var snap []wire.Entry
-		sh := s.shard(key)
-		sh.mu.RLock()
-		blk, exists := sh.blocks[key]
+		s.mu.RLock()
+		blk, exists := s.blocks[key]
 		if exists {
 			for _, se := range blk.fields {
 				snap = append(snap, wire.Entry{Field: se.field, Count: se.count, Data: se.data})
 			}
 		}
-		sh.mu.RUnlock()
+		s.mu.RUnlock()
 		sort.Slice(snap, func(i, j int) bool { return compareEntries(snap[i], snap[j]) < 0 })
 
 		for _, n := range []int{0, 1, 100, topIndexCap - 1, topIndexCap, topIndexCap + 1, size, size + 1} {
@@ -340,7 +339,8 @@ func TestStoreGetMatchesSnapshotSort(t *testing.T) {
 }
 
 // TestStoreConcurrentMixedOps hammers every public method from many
-// goroutines; run under -race this is the sharding regression test.
+// goroutines; run under -race it checks that every path holds the
+// store lock.
 func TestStoreConcurrentMixedOps(t *testing.T) {
 	s := NewStore()
 	keys := make([]kadid.ID, 32)

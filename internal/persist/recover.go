@@ -38,7 +38,7 @@ func (s RecoveryStats) String() string {
 // surviving mutation — the newest snapshot, then the WAL tail in log
 // order — is handed to apply exactly once; the caller rebuilds its
 // in-memory state from that stream (the kademlia store rebuilds its
-// sharded block map and incremental top-N index this way).
+// block map and incremental top-N index this way).
 //
 // A torn or CRC-corrupt record at the tail of the final segment is
 // truncated away: it can only be a mutation that died mid-write, and

@@ -2,12 +2,17 @@ package sim
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"dharma/internal/core"
 	"dharma/internal/dataset"
 	"dharma/internal/dht"
+	"dharma/internal/kadid"
 	"dharma/internal/search"
+	"dharma/internal/wire"
 )
 
 func tinyData(t *testing.T) (*dataset.Dataset, []dataset.Annotation) {
@@ -57,55 +62,108 @@ func TestEvolveOrderInvariantWhenExact(t *testing.T) {
 	}
 }
 
+// noInitStore drops Approximation B from an approximated engine: the
+// conditional create travels as Entry.Init on the t̂ append, so zeroing
+// it makes a new forward arc start at u(τ,r). Only Append carries Init.
+type noInitStore struct{ dht.Store }
+
+func (s noInitStore) Append(ctx context.Context, key kadid.ID, entries []wire.Entry) error {
+	plain := slices.Clone(entries)
+	for i := range plain {
+		plain[i].Init = 0
+	}
+	return s.Store.Append(ctx, key, plain)
+}
+
 // TestEvolveMirrorsEngine is the cross-validation: the fast simulator,
-// seeded like the real DHARMA engine, must produce the identical
-// approximated graph for the identical schedule.
+// seeded like the real DHARMA engine, must produce the identical graph
+// for the identical schedule, in every configuration the reproduction
+// evolves — the approximated k sweep, A1's "B only" and "A only" rows
+// and A5's exact graph.
 func TestEvolveMirrorsEngine(t *testing.T) {
 	_, schedule := tinyData(t)
-	const k, seed = 2, 99
-
-	store := dht.NewLocal()
-	eng, err := core.NewEngine(store, core.Config{
-		Mode: core.Approximated, K: k, Seed: seed, TopN: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
+	const seed = 99
+	type mirror struct {
+		name   string
+		eng    core.Config
+		noInit bool
+		sim    EvolutionConfig
 	}
-	inserted := map[string]bool{}
-	for _, a := range schedule {
-		if !inserted[a.Resource] {
-			if err := eng.InsertResource(context.Background(), a.Resource, ""); err != nil {
+	var cases []mirror
+	for _, k := range []int{1, 2, 5, 10, 25, 100, 500} {
+		cases = append(cases, mirror{
+			name: fmt.Sprintf("approximated/k=%d", k),
+			eng:  core.Config{Mode: core.Approximated, K: k},
+			sim:  EvolutionConfig{K: k, ApproxB: true},
+		})
+	}
+	cases = append(cases,
+		mirror{
+			name: "B-only",
+			eng:  core.Config{Mode: core.Approximated, K: math.MaxInt},
+			sim:  EvolutionConfig{K: 0, ApproxB: true},
+		},
+		mirror{
+			name:   "A-only/k=1",
+			eng:    core.Config{Mode: core.Approximated, K: 1},
+			noInit: true,
+			sim:    EvolutionConfig{K: 1, ApproxB: false},
+		},
+		mirror{
+			name: "exact",
+			eng:  core.Config{Mode: core.Naive},
+			sim:  EvolutionConfig{},
+		},
+	)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var store dht.Store = dht.NewLocal()
+			if c.noInit {
+				store = noInitStore{store}
+			}
+			c.eng.Seed, c.eng.TopN = seed, -1
+			eng, err := core.NewEngine(store, c.eng)
+			if err != nil {
 				t.Fatal(err)
 			}
-			inserted[a.Resource] = true
-		}
-		if err := eng.Tag(context.Background(), a.Resource, a.Tag); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	res := Evolve(schedule, EvolutionConfig{K: k, ApproxB: true, Seed: seed})
-
-	for _, tag := range res.TagNames() {
-		engArcs, err := eng.Neighbors(context.Background(), tag)
-		if err != nil {
-			t.Fatal(err)
-		}
-		engW := map[string]int{}
-		for _, w := range engArcs {
-			if w.Weight != 0 {
-				engW[w.Name] = w.Weight
+			inserted := map[string]bool{}
+			for _, a := range schedule {
+				if !inserted[a.Resource] {
+					if err := eng.InsertResource(context.Background(), a.Resource, ""); err != nil {
+						t.Fatal(err)
+					}
+					inserted[a.Resource] = true
+				}
+				if err := eng.Tag(context.Background(), a.Resource, a.Tag); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		simArcs := res.Neighbors(tag)
-		if len(simArcs) != len(engW) {
-			t.Fatalf("tag %s: simulator %d arcs, engine %d", tag, len(simArcs), len(engW))
-		}
-		for _, w := range simArcs {
-			if engW[w.Name] != w.Weight {
-				t.Fatalf("sim(%s,%s): simulator %d, engine %d", tag, w.Name, w.Weight, engW[w.Name])
+
+			c.sim.Seed = seed
+			res := Evolve(schedule, c.sim)
+
+			for _, tag := range res.TagNames() {
+				engArcs, err := eng.Neighbors(context.Background(), tag)
+				if err != nil {
+					t.Fatal(err)
+				}
+				engW := map[string]int{}
+				for _, w := range engArcs {
+					if w.Weight != 0 {
+						engW[w.Name] = w.Weight
+					}
+				}
+				simArcs := res.Neighbors(tag)
+				if len(simArcs) != len(engW) {
+					t.Fatalf("tag %s: simulator %d arcs, engine %d", tag, len(simArcs), len(engW))
+				}
+				for _, w := range simArcs {
+					if engW[w.Name] != w.Weight {
+						t.Fatalf("sim(%s,%s): simulator %d, engine %d", tag, w.Name, w.Weight, engW[w.Name])
+					}
+				}
 			}
-		}
+		})
 	}
 }
 

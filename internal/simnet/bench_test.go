@@ -9,10 +9,8 @@ import (
 )
 
 // BenchmarkCallContention measures the per-RPC cost of the network's
-// bookkeeping under concurrent callers. Before the map sharding and the
-// per-endpoint stats cache, every Call took the network-wide exclusive
-// lock twice (once per Stats lookup) plus the global rng mutex, so this
-// benchmark collapsed onto those three serial points as callers grew.
+// bookkeeping under concurrent callers: every Call takes the network's
+// read lock once, so the cost per call should stay flat as callers grow.
 func BenchmarkCallContention(b *testing.B) {
 	for _, callers := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("callers=%d", callers), func(b *testing.B) {

@@ -9,16 +9,13 @@
 // partition pairs of endpoints. All randomness is seeded, so failures
 // are reproducible.
 //
-// Wall-clock time is never consumed: simulated latency is accumulated in
-// counters instead of slept, which keeps large experiments fast while
-// still reporting how much network time a protocol would have spent.
+// Wall-clock time is never consumed: an exchange costs only the
+// handler's own work, which keeps large experiments fast.
 //
-// The network state is sharded: endpoints and down/partition flags
-// live in numShards stripes keyed by an address hash, and each stripe
-// carries its own seeded random source. No operation on the hot Call
-// path takes a network-wide lock, which is what lets a single Network
-// carry 10k+ endpoints with concurrent callers (see
-// BenchmarkCallContention).
+// One RWMutex guards the endpoint, down and partition maps; Call holds
+// its read side once per exchange, so concurrent callers share it and
+// only topology changes (Attach, Detach, SetDown, Partition) write.
+// BenchmarkCallContention measures it under 1–64 callers.
 package simnet
 
 import (
@@ -92,11 +89,9 @@ type Config struct {
 	DropRate float64
 	// MTU is the maximum payload size in bytes; 0 means unlimited.
 	MTU int
-	// Seed drives the network's random sources. Each of the numShards
-	// stripes derives its own rng from (Seed, shard index), so fault
-	// decisions are deterministic per (shard, call sequence within that
-	// shard) rather than per global call sequence — reproducible under
-	// a fixed seed and schedule, and free of a global rng lock.
+	// Seed drives the network's random source, so fault decisions are
+	// deterministic per global sequence of drop rolls — reproducible
+	// under a fixed seed and schedule.
 	Seed int64
 	// Admission configures the per-endpoint overload gate (bounded work
 	// queue + per-peer rate limits). The zero value applies the default
@@ -114,29 +109,20 @@ type Counters struct {
 	BytesIn  int64 // response payload bytes
 }
 
-// numShards is the stripe count for the endpoint/down/cut maps
-// and the per-stripe rngs. 64 keeps the per-stripe population small
-// even at 10k endpoints while the array overhead stays negligible for
-// tiny test networks.
-const numShards = 64
+// Network connects endpoints. The zero value is not usable; call New.
+type Network struct {
+	cfg Config
 
-// shard is one stripe of the network state. The fault-model rng is
-// guarded by its own mutex, separate from the map lock, so a drop roll
-// never serialises against an Attach/SetDown on the same stripe.
-type shard struct {
 	mu    sync.RWMutex
 	nodes map[Addr]*endpoint
 	down  map[Addr]bool
-	cut   map[[2]Addr]bool // directed (src, dst) pairs, keyed by src's shard
+	cut   map[[2]Addr]bool // directed (src, dst) pairs
 
+	// The fault-model rng has its own mutex, separate from the map
+	// lock, so a drop roll never serialises against a topology change.
 	rngMu sync.Mutex
 	rng   *rand.Rand
-}
 
-// Network connects endpoints. The zero value is not usable; call New.
-type Network struct {
-	cfg      Config
-	shards   [numShards]shard
 	counters struct {
 		calls, drops, busy, bytesOut, bytesIn atomic.Int64
 	}
@@ -152,80 +138,55 @@ type endpoint struct {
 
 // New creates an empty network with the given configuration.
 func New(cfg Config) *Network {
-	n := &Network{cfg: cfg}
-	for i := range n.shards {
-		s := &n.shards[i]
-		s.nodes = make(map[Addr]*endpoint)
-		s.down = make(map[Addr]bool)
-		s.cut = make(map[[2]Addr]bool)
-		// Mix the shard index into the seed with a 64-bit odd constant
-		// (splitmix64's increment) so adjacent seeds do not produce
-		// correlated shard streams.
-		s.rng = rand.New(rand.NewSource(cfg.Seed ^ (int64(i+1) * -0x61c8864680b583eb)))
+	return &Network{
+		cfg:   cfg,
+		nodes: make(map[Addr]*endpoint),
+		down:  make(map[Addr]bool),
+		cut:   make(map[[2]Addr]bool),
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
-	return n
-}
-
-// shardOf maps an address onto its stripe with FNV-1a.
-func (n *Network) shardOf(addr Addr) *shard {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(addr); i++ {
-		h ^= uint64(addr[i])
-		h *= 1099511628211
-	}
-	return &n.shards[h%numShards]
 }
 
 // Attach registers a handler under addr and returns its Transport.
 // Attaching an address twice replaces the previous endpoint.
 func (n *Network) Attach(addr Addr, h Handler) Transport {
 	ep := &endpoint{net: n, addr: addr, handler: h, ctrl: admission.New(n.cfg.Admission)}
-	s := n.shardOf(addr)
-	s.mu.Lock()
-	s.nodes[addr] = ep
-	s.mu.Unlock()
+	n.mu.Lock()
+	n.nodes[addr] = ep
+	n.mu.Unlock()
 	return ep
 }
 
 // Detach removes the endpoint at addr, if any.
 func (n *Network) Detach(addr Addr) {
-	s := n.shardOf(addr)
-	s.mu.Lock()
-	delete(s.nodes, addr)
-	s.mu.Unlock()
+	n.mu.Lock()
+	delete(n.nodes, addr)
+	n.mu.Unlock()
 }
 
 // SetDown marks addr unreachable (true) or reachable (false) without
 // detaching it, simulating a crashed-but-rejoining node.
 func (n *Network) SetDown(addr Addr, down bool) {
-	s := n.shardOf(addr)
-	s.mu.Lock()
+	n.mu.Lock()
 	if down {
-		s.down[addr] = true
+		n.down[addr] = true
 	} else {
-		delete(s.down, addr)
+		delete(n.down, addr)
 	}
-	s.mu.Unlock()
+	n.mu.Unlock()
 }
 
 // Partition cuts (or heals) the link between a and b in both directions.
-// Each direction is recorded in the sending side's shard, which is the
-// stripe Call already consults for the sender.
 func (n *Network) Partition(a, b Addr, cut bool) {
-	n.partitionDirected(a, b, cut)
-	n.partitionDirected(b, a, cut)
-}
-
-func (n *Network) partitionDirected(src, dst Addr, cut bool) {
-	s := n.shardOf(src)
-	k := [2]Addr{src, dst}
-	s.mu.Lock()
-	if cut {
-		s.cut[k] = true
-	} else {
-		delete(s.cut, k)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, k := range [...][2]Addr{{a, b}, {b, a}} {
+		if cut {
+			n.cut[k] = true
+		} else {
+			delete(n.cut, k)
+		}
 	}
-	s.mu.Unlock()
 }
 
 // Counters returns a snapshot of network-wide accounting.
@@ -239,17 +200,16 @@ func (n *Network) Counters() Counters {
 	}
 }
 
-// roll draws this exchange's drop decision from the sender shard's
-// rng: deterministic per (shard, sequence of rolls in that shard) under
-// a fixed seed. A fault-free network draws nothing, so its calls do not
-// take the rng lock at all.
-func (s *shard) roll(cfg *Config) bool {
-	if cfg.DropRate <= 0 {
+// roll draws this exchange's drop decision from the network's rng:
+// deterministic per sequence of rolls under a fixed seed. A fault-free
+// network draws nothing, so its calls do not take the rng lock at all.
+func (n *Network) roll() bool {
+	if n.cfg.DropRate <= 0 {
 		return false
 	}
-	s.rngMu.Lock()
-	defer s.rngMu.Unlock()
-	return s.rng.Float64() < cfg.DropRate
+	n.rngMu.Lock()
+	defer n.rngMu.Unlock()
+	return n.rng.Float64() < n.cfg.DropRate
 }
 
 // AdmissionStats reports this endpoint's admission accounting, as
@@ -270,24 +230,13 @@ func (ep *endpoint) Call(ctx context.Context, to Addr, payload []byte) ([]byte, 
 		return nil, fmt.Errorf("%w: %d > %d", ErrTooLarge, len(payload), n.cfg.MTU)
 	}
 
-	// Sender-side state (down flag, outbound partition cuts) lives in
-	// the sender's stripe; the target endpoint and its down flag in the
-	// target's. The two reads are sequential, never nested, so equal
-	// stripes cannot deadlock.
-	src := n.shardOf(ep.addr)
-	src.mu.RLock()
-	downSrc := src.down[ep.addr]
-	cut := src.cut[[2]Addr{ep.addr, to}]
-	src.mu.RUnlock()
+	n.mu.RLock()
+	target, ok := n.nodes[to]
+	unreachable := n.down[ep.addr] || n.down[to] || n.cut[[2]Addr{ep.addr, to}]
+	n.mu.RUnlock()
 
-	dst := n.shardOf(to)
-	dst.mu.RLock()
-	target, ok := dst.nodes[to]
-	downDst := dst.down[to]
-	dst.mu.RUnlock()
-
-	drop := src.roll(&n.cfg)
-	if !ok || downSrc || downDst || cut || drop || target.closed.Load() {
+	drop := n.roll()
+	if !ok || unreachable || drop || target.closed.Load() {
 		n.counters.drops.Add(1)
 		return nil, ErrTimeout
 	}

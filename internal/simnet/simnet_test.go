@@ -87,13 +87,12 @@ func TestDropRateDeterministic(t *testing.T) {
 }
 
 // A network with no drop rate draws no random number, so a call must
-// not queue on the stripe's rng lock.
+// not queue on the network's rng lock.
 func TestRollWithoutFaultsTakesNoLock(t *testing.T) {
 	n := New(Config{})
-	s := &n.shards[0]
-	s.rngMu.Lock() // held: a roll that wanted the rng would block forever
-	defer s.rngMu.Unlock()
-	if s.roll(&n.cfg) {
+	n.rngMu.Lock() // held: a roll that wanted the rng would block forever
+	defer n.rngMu.Unlock()
+	if n.roll() {
 		t.Fatal("fault-free roll dropped the exchange")
 	}
 }
