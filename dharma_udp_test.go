@@ -62,6 +62,12 @@ func TestUDPPeerStatsSurfaceAdmission(t *testing.T) {
 		t.Fatal("rate gate never rejected; the test exercises nothing")
 	}
 
+	// Close waits for every serve goroutine, and each releases its
+	// admission slot before it exits, so InFlight is settled once Close
+	// returns; read before it, a reply can overtake its slot's release.
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
 	st := p.Stats()
 	if st.Admitted == 0 {
 		t.Fatal("UDP peer Stats().Admitted is 0 despite served pings")
@@ -73,7 +79,7 @@ func TestUDPPeerStatsSurfaceAdmission(t *testing.T) {
 		t.Fatalf("BusyRejected = %d, want %d (one per busy answer)", st.BusyRejected, busy)
 	}
 	if st.InFlight != 0 {
-		t.Fatalf("InFlight = %d on a quiescent peer", st.InFlight)
+		t.Fatalf("InFlight = %d on a closed peer", st.InFlight)
 	}
 }
 

@@ -104,6 +104,15 @@ func (e *Engine) Store() dht.Store { return e.store }
 //
 //	1 append of r̃ + 1 append of r̄ + m appends of t̄_i + m appends of t̂_i.
 //
+// It runs in two stages: the append of r̃ alone, then one batch of r̄,
+// every t̄_i and every t̂_i. The lone first write is the operation's
+// probe: if r̃'s replica set refuses or stalls it (BUSY, timeout,
+// cancellation), nothing else is sent, so a doomed insertion under
+// overload does not spend its whole batch. An error from the first stage
+// means at most r̃ was applied; an error from the batch means r̃ plus
+// any subset of the batch was (a failing item does not stop its
+// siblings, and every failure is reported, joined).
+//
 // Inserting a name that already exists is not detected here (checking
 // would cost an extra lookup the paper does not account); higher layers
 // own name allocation.
@@ -116,23 +125,21 @@ func (e *Engine) InsertResource(ctx context.Context, r, uri string, tags ...stri
 		return fmt.Errorf("core: insert %q (r̃): %w", r, err)
 	}
 
+	// r̄ and the 2m per-tag appends (t̄_i and t̂_i) target distinct keys
+	// and commute, so they go out as one batch: still 1+2m Table-I
+	// lookups, but one grouped store call instead of 1+2m sequential
+	// round-trips. An empty r̄ (untagged insert) or t̂ arc set
+	// (single-tag insert) stays in the batch for the lookup count, but
+	// materializes no block at the storage node. Every t̄_i gets the
+	// same single entry, and the m t̂_i arc lists are cut from one
+	// backing array; a store only reads the entries it is handed
+	// (dht.Store).
+	batch := make([]dht.BatchItem, 0, 1+2*len(tags))
 	rBar := make([]wire.Entry, len(tags))
 	for i, t := range tags {
 		rBar[i] = wire.Entry{Field: t, Count: 1}
 	}
-	if err := e.store.Append(ctx, BlockKey(r, BlockResourceTags), rBar); err != nil {
-		return fmt.Errorf("core: insert %q (r̄): %w", r, err)
-	}
-
-	// The 2m per-tag appends (t̄_i and t̂_i) target distinct keys and
-	// commute, so they go out as one batch: still 2m Table-I lookups,
-	// but one grouped store call instead of 2m sequential round-trips.
-	// An empty t̂ arc set (single-tag insert) stays in the batch for the
-	// lookup count, but materializes no block at the storage node.
-	// Every t̄_i gets the same single entry, and the m t̂_i arc lists
-	// are cut from one backing array; a store only reads the entries
-	// it is handed (dht.Store).
-	batch := make([]dht.BatchItem, 0, 2*len(tags))
+	batch = append(batch, dht.BatchItem{Key: BlockKey(r, BlockResourceTags), Entries: rBar})
 	resEntry := []wire.Entry{{Field: r, Count: 1}}
 	for _, t := range tags {
 		batch = append(batch, dht.BatchItem{Key: BlockKey(t, BlockTagResources), Entries: resEntry})
@@ -148,7 +155,7 @@ func (e *Engine) InsertResource(ctx context.Context, r, uri string, tags ...stri
 		batch = append(batch, dht.BatchItem{Key: BlockKey(t, BlockTagNeighbors), Entries: arcs[from:len(arcs):len(arcs)]})
 	}
 	if err := e.store.AppendBatch(ctx, batch); err != nil {
-		return fmt.Errorf("core: insert %q (tag blocks): %w", r, err)
+		return fmt.Errorf("core: insert %q (r̄ and tag blocks): %w", r, err)
 	}
 	return nil
 }
@@ -162,6 +169,16 @@ func (e *Engine) InsertResource(ctx context.Context, r, uri string, tags ...stri
 //	1 append of t̄ (u(t,r) += 1, reverse orientation)
 //	1 append of t̂_t (forward arcs (t,τ); empty when t was present)
 //	+ one append of t̂_τ per updated reverse arc (τ,t).
+//
+// It runs in three stages: the get of r̄; the append of r̄ alone; then
+// one batch of t̄, t̂_t and every sampled t̂_τ. The write stages cannot
+// start before the get, which supplies Tags(r). The append of r̄ goes
+// alone as the operation's probe: if r̄'s replica set refuses or stalls
+// it (BUSY, timeout, cancellation), nothing else is sent, so a doomed
+// tagging under overload does not spend its whole batch. An error from
+// the r̄ append means at most r̄ was applied; an error from the batch
+// means r̄ plus any subset of the batch was (a failing item does not
+// stop its siblings, and every failure is reported, joined).
 func (e *Engine) Tag(ctx context.Context, r, t string) error {
 	rKey := BlockKey(r, BlockResourceTags)
 	prior, err := e.store.Get(ctx, rKey, 0)
@@ -187,11 +204,6 @@ func (e *Engine) Tag(ctx context.Context, r, t string) error {
 	if err := e.store.Append(ctx, rKey, tEntry); err != nil {
 		return fmt.Errorf("core: tag %q on %q (r̄): %w", t, r, err)
 	}
-	if err := e.store.Append(ctx, BlockKey(t, BlockTagResources), []wire.Entry{
-		{Field: r, Count: 1},
-	}); err != nil {
-		return fmt.Errorf("core: tag %q on %q (t̄): %w", t, r, err)
-	}
 
 	// Forward arcs (t,τ): only updated when t is new on r, by the
 	// theoretic increment u(τ,r). Approximation B dampens the creation
@@ -204,6 +216,7 @@ func (e *Engine) Tag(ctx context.Context, r, t string) error {
 	// still issued (Table I charges the lookup either way), but the
 	// storage node materializes no block for it — re-tagging must not
 	// create a phantom empty t̂ that skews Has/EntryCount accounting.
+	// forward is copied out before the sampling below reorders others.
 	var forward []wire.Entry
 	if !wasTagged {
 		forward = make([]wire.Entry, len(others))
@@ -214,9 +227,6 @@ func (e *Engine) Tag(ctx context.Context, r, t string) error {
 			}
 		}
 	}
-	if err := e.store.Append(ctx, BlockKey(t, BlockTagNeighbors), forward); err != nil {
-		return fmt.Errorf("core: tag %q on %q (t̂): %w", t, r, err)
-	}
 
 	// Reverse arcs (τ,t): one block update per τ. Approximation A
 	// bounds the fan-out to a uniform random subset of size ≤ K.
@@ -224,18 +234,19 @@ func (e *Engine) Tag(ctx context.Context, r, t string) error {
 	if e.cfg.Mode == Approximated && len(reverse) > e.cfg.K {
 		reverse = e.sampleEntries(reverse, e.cfg.K)
 	}
-	// The reverse updates are independent single-entry appends to
-	// distinct t̂ blocks; one batched call covers them all while keeping
-	// the per-block lookup count (len(reverse) Table-I lookups).
-	if len(reverse) == 0 {
-		return nil
-	}
-	batch := make([]dht.BatchItem, len(reverse))
+
+	// t̄, t̂_t and the reverse t̂_τ are independent appends to distinct
+	// blocks (τ ≠ t); one batched call covers them all while keeping
+	// the per-block lookup count (2+len(reverse) Table-I lookups).
+	batch := make([]dht.BatchItem, 0, 2+len(reverse))
+	batch = append(batch,
+		dht.BatchItem{Key: BlockKey(t, BlockTagResources), Entries: []wire.Entry{{Field: r, Count: 1}}},
+		dht.BatchItem{Key: BlockKey(t, BlockTagNeighbors), Entries: forward})
 	for i := range reverse {
-		batch[i] = dht.BatchItem{Key: BlockKey(reverse[i].Field, BlockTagNeighbors), Entries: tEntry}
+		batch = append(batch, dht.BatchItem{Key: BlockKey(reverse[i].Field, BlockTagNeighbors), Entries: tEntry})
 	}
 	if err := e.store.AppendBatch(ctx, batch); err != nil {
-		return fmt.Errorf("core: tag %q on %q (reverse t̂ arcs): %w", t, r, err)
+		return fmt.Errorf("core: tag %q on %q (t̄, t̂ and reverse t̂ arcs): %w", t, r, err)
 	}
 	return nil
 }

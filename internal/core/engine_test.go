@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -650,46 +651,71 @@ func TestTagOnExistingTagCreatesNoPhantomBlock(t *testing.T) {
 	}
 }
 
-// selectiveFailStore serves a canned r̄ read and fails appends to a
-// chosen set of block keys — a stand-in for an overlay where some
-// replica sets are unreachable.
+// selectiveFailStore serves a canned r̄ read, fails appends to a chosen
+// set of block keys — a stand-in for an overlay where some replica sets
+// are unreachable — and records every call the engine makes, in order.
+// A batch applies each item on its own, as dht.Overlay does: a failing
+// item does not stop its siblings.
 type selectiveFailStore struct {
-	prior []wire.Entry        // served for every Get
-	fail  map[kadid.ID]string // failing keys -> name for the error
+	prior   []wire.Entry        // served for every Get
+	fail    map[kadid.ID]string // failing keys -> name for the error
+	calls   []storeCall
+	applied map[kadid.ID]bool // keys whose append succeeded
 }
 
-func (s *selectiveFailStore) failErr(key kadid.ID) error {
+// storeCall is one dht.Store call: its method and the keys it carried
+// (one for Get and Append, one per item for AppendBatch).
+type storeCall struct {
+	op   string // "get", "append" or "batch"
+	keys []kadid.ID
+}
+
+// apply fails an append to a failing key and records any other as applied.
+func (s *selectiveFailStore) apply(key kadid.ID) error {
 	if name, ok := s.fail[key]; ok {
 		return fmt.Errorf("replica set for %s unreachable", name)
 	}
+	s.applied[key] = true
 	return nil
 }
 
 func (s *selectiveFailStore) Append(ctx context.Context, key kadid.ID, entries []wire.Entry) error {
-	return s.failErr(key)
+	s.calls = append(s.calls, storeCall{op: "append", keys: []kadid.ID{key}})
+	return s.apply(key)
 }
 
 func (s *selectiveFailStore) AppendBatch(ctx context.Context, items []dht.BatchItem) error {
+	c := storeCall{op: "batch"}
 	errs := make([]error, len(items))
 	for i := range items {
-		errs[i] = s.failErr(items[i].Key)
+		c.keys = append(c.keys, items[i].Key)
+		errs[i] = s.apply(items[i].Key)
 	}
+	s.calls = append(s.calls, c)
 	return errors.Join(errs...)
 }
 
-func (s *selectiveFailStore) Get(context.Context, kadid.ID, int) ([]wire.Entry, error) {
-	return s.prior, nil
+func (s *selectiveFailStore) Get(_ context.Context, key kadid.ID, _ int) ([]wire.Entry, error) {
+	s.calls = append(s.calls, storeCall{op: "get", keys: []kadid.ID{key}})
+	return slices.Clone(s.prior), nil
 }
 
+// newSelectiveFailStore serves tags as Tags(r) and fails the t̂ block of
+// every tag in failing.
 func newSelectiveFailStore(tags []string, failing ...string) *selectiveFailStore {
-	s := &selectiveFailStore{fail: make(map[kadid.ID]string)}
+	s := &selectiveFailStore{fail: make(map[kadid.ID]string), applied: make(map[kadid.ID]bool)}
 	for _, tag := range tags {
 		s.prior = append(s.prior, wire.Entry{Field: tag, Count: 1})
 	}
 	for _, tag := range failing {
-		s.fail[core.BlockKey(tag, core.BlockTagNeighbors)] = tag
+		s.failBlock(tag, core.BlockTagNeighbors)
 	}
 	return s
+}
+
+// failBlock makes appends to name's block of type bt fail.
+func (s *selectiveFailStore) failBlock(name string, bt core.BlockType) {
+	s.fail[core.BlockKey(name, bt)] = fmt.Sprintf("%s/%d", name, bt) // e.g. "a/3" for t̂_a
 }
 
 func TestReverseArcFailuresAllReported(t *testing.T) {
@@ -734,4 +760,184 @@ func TestInsertAndTagCostsSurviveBatching(t *testing.T) {
 	if got, want := store.Lookups()-before, int64(4+2); got != want {
 		t.Fatalf("tag cost %d lookups, want 4+k=%d", got, want)
 	}
+}
+
+// checkCalls asserts the engine's store calls, in order: single names
+// the key of every call but the last, which must be one batch of
+// wantBatch distinct keys, all drawn from batch and including every key
+// in mustHave.
+func checkCalls(t *testing.T, got []storeCall, single []kadid.ID, batch []kadid.ID, wantBatch int, mustHave ...kadid.ID) {
+	t.Helper()
+	if len(got) != len(single)+1 {
+		t.Fatalf("%d store calls, want %d: %+v", len(got), len(single)+1, got)
+	}
+	for i, key := range single {
+		if len(got[i].keys) != 1 || got[i].keys[0] != key {
+			t.Fatalf("call %d (%s) keys %v, want [%s]", i, got[i].op, got[i].keys, key)
+		}
+	}
+	last := got[len(got)-1]
+	if last.op != "batch" {
+		t.Fatalf("last call is %s, want one batch", last.op)
+	}
+	if len(last.keys) != wantBatch {
+		t.Fatalf("batch of %d items, want %d", len(last.keys), wantBatch)
+	}
+	allowed := make(map[kadid.ID]bool, len(batch))
+	for _, k := range batch {
+		allowed[k] = true
+	}
+	seen := make(map[kadid.ID]bool, len(last.keys))
+	for _, k := range last.keys {
+		if seen[k] {
+			t.Fatalf("batch repeats key %s", k)
+		}
+		if !allowed[k] {
+			t.Fatalf("batch carries unexpected key %s", k)
+		}
+		seen[k] = true
+	}
+	for _, k := range mustHave {
+		if !seen[k] {
+			t.Fatalf("batch lacks key %s", k)
+		}
+	}
+}
+
+// TestWriteCriticalPath pins the order of an operation's store calls:
+// a Tag is Get(r̄), Append(r̄), then one batch of t̄, t̂_t and the reverse
+// t̂_τ; an insertion is Append(r̃), then one batch of r̄, every t̄_i and
+// every t̂_i. The lone first write is the probe: when it fails, no batch
+// is sent and the error names its block.
+func TestWriteCriticalPath(t *testing.T) {
+	ctx := context.Background()
+	prior := []string{"a", "b", "c", "d", "e"}
+	rBar, rURI := core.BlockKey("r", core.BlockResourceTags), core.BlockKey("r", core.BlockResourceURI)
+
+	tagCases := []struct {
+		name   string
+		cfg    core.Config
+		t      string
+		others []string
+		want   int // batch items: 2 + reverse arcs
+	}{
+		{"naive/new", core.Config{Mode: core.Naive}, "fresh", prior, 2 + 5},
+		{"naive/retag", core.Config{Mode: core.Naive}, "c", []string{"a", "b", "d", "e"}, 2 + 4},
+		{"approximated/K<others", core.Config{Mode: core.Approximated, K: 3}, "fresh", prior, 2 + 3},
+		{"approximated/K>others", core.Config{Mode: core.Approximated, K: 10}, "fresh", prior, 2 + 5},
+		{"approximated/retag", core.Config{Mode: core.Approximated, K: 2}, "c", []string{"a", "b", "d", "e"}, 2 + 2},
+	}
+	for _, c := range tagCases {
+		t.Run("Tag/"+c.name, func(t *testing.T) {
+			store := newSelectiveFailStore(prior)
+			e, err := core.NewEngine(store, c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Tag(ctx, "r", c.t); err != nil {
+				t.Fatal(err)
+			}
+			if store.calls[0].op != "get" || store.calls[1].op != "append" {
+				t.Fatalf("Tag opens with %s, %s; want get, append", store.calls[0].op, store.calls[1].op)
+			}
+			tBar, tHat := core.BlockKey(c.t, core.BlockTagResources), core.BlockKey(c.t, core.BlockTagNeighbors)
+			batch := []kadid.ID{tBar, tHat}
+			for _, o := range c.others {
+				batch = append(batch, core.BlockKey(o, core.BlockTagNeighbors))
+			}
+			checkCalls(t, store.calls, []kadid.ID{rBar, rBar}, batch, c.want, tBar, tHat)
+		})
+	}
+
+	for _, mode := range []core.Mode{core.Naive, core.Approximated} {
+		for _, m := range []int{0, 1, 4} {
+			t.Run(fmt.Sprintf("InsertResource/%v/m=%d", mode, m), func(t *testing.T) {
+				store := newSelectiveFailStore(nil)
+				e, err := core.NewEngine(store, core.Config{Mode: mode, K: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tags := prior[:m]
+				if err := e.InsertResource(ctx, "r", "uri:r", tags...); err != nil {
+					t.Fatal(err)
+				}
+				if store.calls[0].op != "append" {
+					t.Fatalf("InsertResource opens with %s; want append", store.calls[0].op)
+				}
+				batch := []kadid.ID{rBar}
+				for _, tag := range tags {
+					batch = append(batch, core.BlockKey(tag, core.BlockTagResources), core.BlockKey(tag, core.BlockTagNeighbors))
+				}
+				checkCalls(t, store.calls, []kadid.ID{rURI}, batch, 1+2*m, batch...)
+			})
+		}
+	}
+
+	t.Run("Tag/failed probe sends no batch", func(t *testing.T) {
+		store := newSelectiveFailStore(prior)
+		store.failBlock("r", core.BlockResourceTags)
+		e, _ := core.NewEngine(store, core.Config{Mode: core.Naive})
+		err := e.Tag(ctx, "r", "fresh")
+		if err == nil || !strings.Contains(err.Error(), "(r̄)") {
+			t.Fatalf("Tag error %v does not name r̄", err)
+		}
+		if len(store.calls) != 2 {
+			t.Fatalf("%d store calls after a failed r̄ append, want 2 (get, append): %+v", len(store.calls), store.calls)
+		}
+	})
+
+	t.Run("InsertResource/failed probe sends no batch", func(t *testing.T) {
+		store := newSelectiveFailStore(nil)
+		store.failBlock("r", core.BlockResourceURI)
+		e, _ := core.NewEngine(store, core.Config{Mode: core.Naive})
+		err := e.InsertResource(ctx, "r", "uri:r", "a", "b")
+		if err == nil || !strings.Contains(err.Error(), "(r̃)") {
+			t.Fatalf("InsertResource error %v does not name r̃", err)
+		}
+		if len(store.calls) != 1 {
+			t.Fatalf("%d store calls after a failed r̃ append, want 1: %+v", len(store.calls), store.calls)
+		}
+	})
+
+	t.Run("Tag/failed batch item spares its siblings", func(t *testing.T) {
+		store := newSelectiveFailStore(prior, "b")
+		store.failBlock("fresh", core.BlockTagResources)
+		e, _ := core.NewEngine(store, core.Config{Mode: core.Naive})
+		err := e.Tag(ctx, "r", "fresh")
+		if err == nil {
+			t.Fatal("Tag succeeded despite failing batch items")
+		}
+		for _, want := range []string{"b/3", "fresh/2"} {
+			if !strings.Contains(err.Error(), "replica set for "+want) {
+				t.Fatalf("error dropped the %s failure:\n%v", want, err)
+			}
+		}
+		for _, k := range []kadid.ID{rBar, core.BlockKey("fresh", core.BlockTagNeighbors),
+			core.BlockKey("a", core.BlockTagNeighbors), core.BlockKey("e", core.BlockTagNeighbors)} {
+			if !store.applied[k] {
+				t.Fatalf("block %s not applied beside the failing items", k)
+			}
+		}
+	})
+
+	t.Run("InsertResource/failed batch item spares its siblings", func(t *testing.T) {
+		store := newSelectiveFailStore(nil, "a")
+		store.failBlock("r", core.BlockResourceTags)
+		e, _ := core.NewEngine(store, core.Config{Mode: core.Naive})
+		err := e.InsertResource(ctx, "r", "uri:r", "a", "b")
+		if err == nil {
+			t.Fatal("InsertResource succeeded despite failing batch items")
+		}
+		for _, want := range []string{"r/1", "a/3"} {
+			if !strings.Contains(err.Error(), "replica set for "+want) {
+				t.Fatalf("error dropped the %s failure:\n%v", want, err)
+			}
+		}
+		for _, k := range []kadid.ID{rURI, core.BlockKey("a", core.BlockTagResources),
+			core.BlockKey("b", core.BlockTagResources), core.BlockKey("b", core.BlockTagNeighbors)} {
+			if !store.applied[k] {
+				t.Fatalf("block %s not applied beside the failing items", k)
+			}
+		}
+	})
 }

@@ -166,10 +166,10 @@ func (s *Store) applyAppend(key kadid.ID, entries []wire.Entry) {
 }
 
 // AppendBatch merges every item in one pass under one lock. It is the
-// storage half of the engine's batched write path: a tagging
-// operation's reverse-arc appends (and an insertion's t̄/t̂ appends)
-// target distinct keys and commute, so they can be applied as one
-// grouped call.
+// storage half of the engine's batched write path: every write of an
+// operation after its first (a tagging operation's t̄, t̂ and reverse
+// arcs; an insertion's r̄, t̄ and t̂ blocks) targets a distinct key and
+// commutes with the others, so they can be applied as one grouped call.
 // On a durable store the whole batch is logged as one commit — one
 // group-commit flush covers every item.
 func (s *Store) AppendBatch(ctx context.Context, items []BatchItem) error {

@@ -64,15 +64,28 @@ func TestEvolveOrderInvariantWhenExact(t *testing.T) {
 
 // noInitStore drops Approximation B from an approximated engine: the
 // conditional create travels as Entry.Init on the t̂ append, so zeroing
-// it makes a new forward arc start at u(τ,r). Only Append carries Init.
+// it makes a new forward arc start at u(τ,r). The engine's t̂ append
+// may travel alone or inside a batch, so both write paths zero it.
 type noInitStore struct{ dht.Store }
 
 func (s noInitStore) Append(ctx context.Context, key kadid.ID, entries []wire.Entry) error {
+	return s.Store.Append(ctx, key, withoutInit(entries))
+}
+
+func (s noInitStore) AppendBatch(ctx context.Context, items []dht.BatchItem) error {
+	plain := slices.Clone(items)
+	for i := range plain {
+		plain[i].Entries = withoutInit(plain[i].Entries)
+	}
+	return s.Store.AppendBatch(ctx, plain)
+}
+
+func withoutInit(entries []wire.Entry) []wire.Entry {
 	plain := slices.Clone(entries)
 	for i := range plain {
 		plain[i].Init = 0
 	}
-	return s.Store.Append(ctx, key, plain)
+	return plain
 }
 
 // TestEvolveMirrorsEngine is the cross-validation: the fast simulator,
