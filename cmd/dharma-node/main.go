@@ -179,7 +179,7 @@ func serveConfig(args []string) (dharma.UDPPeerConfig, serveOptions, error) {
 	fs.StringVar(&cfg.DataDir, "data-dir", "",
 		"directory for durable storage (WAL + snapshots + identity); restart resumes identity and blocks")
 	fsync := fs.String("fsync", "group",
-		"durability policy with -data-dir: group (one fsync per commit window) or none (survives kill, not power loss)")
+		"durability policy with -data-dir: group (one fsync per commit group) or none (survives kill, not power loss)")
 	fs.IntVar(&cfg.QueueDepth, "queue-depth", admission.DefaultQueueDepth,
 		"concurrent request handlers admitted before answering BUSY (negative = unlimited)")
 	fs.Float64Var(&cfg.PerPeerRate, "peer-rate", 0,

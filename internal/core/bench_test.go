@@ -12,11 +12,11 @@ import (
 
 // BenchmarkTagDurable measures a tagging operation end to end on a fleet
 // where every node group-commits to its own WAL (default options: fsync
-// plus the 500µs linger). K equals the fleet size, so every write waits
-// on a round of eight commits; a Tag's latency is the number of write
-// rounds on its critical path times that round. Each op tags one of 64
-// seeded resources (4 tags each at the start) with a new tag, so it
-// carries 4 or 5 (k) reverse arcs.
+// after the flusher's timerless coalescing). K equals the fleet size, so
+// every write waits on a round of eight commits; a Tag's latency is the
+// number of write rounds on its critical path times that round. Each op
+// tags one of 64 seeded resources (4 tags each at the start) with a new
+// tag, so it carries 4 or 5 (k) reverse arcs.
 func BenchmarkTagDurable(b *testing.B) {
 	cl, err := kademlia.NewCluster(kademlia.ClusterConfig{
 		N:       8,

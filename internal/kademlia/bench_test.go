@@ -54,9 +54,10 @@ func BenchmarkStoreReplicated(b *testing.B) {
 }
 
 // BenchmarkStoreDurable measures a replicated write on a fleet where
-// every node group-commits to its own WAL (default options: fsync plus
-// the 500µs linger). K equals the fleet size, so the writer is always a
-// replica and each op waits on its own commit and seven remote ones.
+// every node group-commits to its own WAL (default options: fsync after
+// the flusher's timerless coalescing). K equals the fleet size, so the
+// writer is always a replica and each op waits on its own commit and
+// seven remote ones.
 func BenchmarkStoreDurable(b *testing.B) {
 	cl, err := NewCluster(ClusterConfig{
 		N:       8,

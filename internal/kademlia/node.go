@@ -325,7 +325,7 @@ func (n *Node) putScratch(sc *rpcScratch) {
 // server-side request context: work whose caller has already given up
 // (or whose transport is shutting down) is shed at the door, and
 // storage commits run under it so a cancelled write does not pin the
-// handler for a whole WAL flush window.
+// handler for a whole WAL flush.
 func (n *Node) HandleRPC(ctx context.Context, from simnet.Addr, payload []byte) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

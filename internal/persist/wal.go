@@ -34,9 +34,12 @@
 // Commit batches are the fsync amortization: an appender stages its
 // records in an in-memory buffer and blocks; a dedicated flusher writes
 // and fsyncs the whole buffer at once, so every appender that arrived
-// while the previous fsync was in flight shares the next one. Under
-// concurrent load this sustains one fsync per flush window rather than
-// one per append.
+// while the previous fsync was in flight shares the next one. Before a
+// flush the flusher yields its thread for as long as each yield lets
+// another committer stage (see Options.FlushWindow), so committers that
+// are already runnable share the fsync while a lone commit pays only
+// its write and fsync. Under concurrent load this sustains one fsync
+// per group rather than one per append.
 package persist
 
 import (
@@ -47,6 +50,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,13 +99,18 @@ type Options struct {
 	SegmentBytes int64
 	// Sync selects the fsync policy (default SyncGroup).
 	Sync SyncMode
-	// FlushWindow is how long the group-commit flusher lingers after
-	// the first staged commit before writing and fsyncing, letting
-	// concurrent committers pile into the same flush (default 500µs,
-	// negative disables the wait). Only SyncGroup uses it: every commit
-	// staged inside the window is acknowledged by one write and one
-	// fsync, trading up to FlushWindow of ack latency for an order of
-	// magnitude fewer fsyncs under load.
+	// FlushWindow is what the group-commit flusher does between the
+	// first staged commit and its write and fsync. Only SyncGroup uses
+	// it; every commit staged by then is acknowledged by one write and
+	// one fsync.
+	//   - Zero (the default) coalesces without a timer: the flusher
+	//     yields its thread, and goes on yielding while its yields let
+	//     other committers stage (at most 64 yields). Runnable
+	//     committers share the flush; a lone commit waits for no clock.
+	//   - Positive sleeps that long, trading up to FlushWindow of ack
+	//     latency (rounded up to the runtime's timer resolution, about
+	//     1ms on an idle process) for a larger group.
+	//   - Negative flushes at once.
 	FlushWindow time.Duration
 	// CompactBytes is the number of logged bytes after which the
 	// embedding layer should snapshot-and-truncate. The Log itself
@@ -118,9 +127,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CompactBytes == 0 {
 		o.CompactBytes = 64 << 20
-	}
-	if o.FlushWindow == 0 {
-		o.FlushWindow = 500 * time.Microsecond
 	}
 	return o
 }
@@ -180,7 +186,8 @@ type Log struct {
 	segSeq     uint64
 	segWritten int64 // bytes in the active segment, fileMu-guarded
 
-	sinceCompact atomic.Int64 // bytes logged since the last compaction
+	sinceCompact atomic.Int64  // bytes logged since the last compaction
+	staged       atomic.Uint64 // commits staged so far; coalesce watches it
 
 	flushC      chan struct{}
 	quit        chan struct{}
@@ -368,6 +375,7 @@ func (l *Log) Commit(ctx context.Context, recs []Record, apply func()) error {
 	}
 	b := l.batch
 	l.sinceCompact.Add(int64(len(frames)))
+	l.staged.Add(1)
 	if apply != nil {
 		apply()
 	}
@@ -392,13 +400,44 @@ func (l *Log) flushLoop() {
 	for {
 		select {
 		case <-l.flushC:
-			if l.opts.Sync == SyncGroup && l.opts.FlushWindow > 0 {
-				// Linger: committers that arrive during the window (and
-				// during the fsync itself) share one flush.
-				time.Sleep(l.opts.FlushWindow)
+			if l.opts.Sync == SyncGroup {
+				switch {
+				case l.opts.FlushWindow == 0:
+					l.coalesce()
+				case l.opts.FlushWindow > 0:
+					time.Sleep(l.opts.FlushWindow)
+				}
 			}
 			l.flushOnce()
 		case <-l.quit:
+			return
+		}
+	}
+}
+
+// maxCoalesceYields bounds coalesce, so a steady stream of committers
+// cannot hold a flush back.
+const maxCoalesceYields = 64
+
+// coalesce is the default linger, and it sets no timer: the flusher
+// yields its thread and keeps yielding while its yields let other
+// committers stage. Committers that are already runnable (the STOREs of
+// one AppendBatch landing on this replica) join the pending batch and
+// share its fsync; a lone committer costs two yields. It stops after
+// two idle yields in a row, not one, because a yield can hand the
+// thread straight back: Gosched parks the flusher on the global run
+// queue, which the scheduler serves ahead of the local one on every
+// 61st tick. A sleep would cost far more than the fsync it amortizes:
+// below a millisecond the runtime's idle timer wait rounds up to about
+// 1ms.
+func (l *Log) coalesce() {
+	seen, idle := l.staged.Load(), 0
+	for range maxCoalesceYields {
+		runtime.Gosched()
+		now := l.staged.Load()
+		if now != seen {
+			seen, idle = now, 0
+		} else if idle++; idle == 2 {
 			return
 		}
 	}
