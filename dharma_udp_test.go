@@ -2,8 +2,10 @@ package dharma
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"net"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"dharma/internal/kadid"
+	"dharma/internal/likir"
 	"dharma/internal/obs"
 	"dharma/internal/wire"
 )
@@ -380,5 +383,114 @@ func TestUDPPeerMaintainOnce(t *testing.T) {
 	}
 	if st := b.Stats(); st.DigestMatches+st.DeltaEntries == 0 {
 		t.Fatalf("round moved no digests and no deltas: %+v", st)
+	}
+}
+
+// TestUDPPeerSecuredBoot boots real-UDP peers the way an operator does,
+// from a CA directory and identity files, with sessions required. Two
+// authorized peers write a signed URI and read it back. A third peer
+// whose identity is revoked while it is a live member loses its
+// sessions once everyone re-reads the bundle; its write is refused with
+// ErrUnauthorized and nothing it sent is readable. An identity paired
+// with another authority's ca.pub is refused at boot.
+func TestUDPPeerSecuredBoot(t *testing.T) {
+	start := time.Now()
+	ctx := context.Background()
+	dir := t.TempDir()
+	caDir := filepath.Join(dir, "ca")
+	auth, err := likir.NewAuthority(nil, time.Hour, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := auth.SaveCA(caDir); err != nil {
+		t.Fatal(err)
+	}
+	idPath := map[string]string{}
+	var mallory kadid.ID
+	for _, name := range []string{"alice", "bob", "mallory"} {
+		ident, err := auth.Issue(nil, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idPath[name] = filepath.Join(dir, name+".id")
+		if err := ident.Save(idPath[name]); err != nil {
+			t.Fatal(err)
+		}
+		if name == "mallory" {
+			mallory = ident.NodeID
+		}
+	}
+	boot := func(name string, via *Peer) *Peer {
+		t.Helper()
+		cfg := UDPPeerConfig{
+			Listen:          "127.0.0.1:0",
+			Timeout:         200 * time.Millisecond,
+			IdentityPath:    idPath[name],
+			CAPath:          likir.PublicKeyPath(caDir),
+			RevocationsPath: likir.BundlePath(caDir),
+			RequireAuth:     true,
+		}
+		if via != nil {
+			cfg.Bootstrap = []string{string(via.Node.Transport().Addr())}
+		}
+		p, err := NewUDPPeer(ctx, cfg)
+		if err != nil {
+			t.Fatalf("boot %s: %v", name, err)
+		}
+		t.Cleanup(func() { p.Close() })
+		return p
+	}
+	a := boot("alice", nil)
+	b := boot("bob", a)
+	m := boot("mallory", a)
+
+	if err := a.InsertResource(ctx, "song", "magnet:?xt=good", []string{"rock"}); err != nil {
+		t.Fatal(err)
+	}
+	if uri, err := b.ResolveURI(ctx, "song"); err != nil || uri != "magnet:?xt=good" {
+		t.Fatalf("bob resolves %q, %v; want alice's signed URI", uri, err)
+	}
+
+	// Revoke mallory and republish the bundle; every peer's maintenance
+	// round re-reads it.
+	auth.Revoke(mallory)
+	if err := auth.SaveCA(caDir); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*Peer{a, b, m} {
+		if _, err := p.MaintainOnce(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err = m.InsertResource(ctx, "evil", "magnet:?xt=evil", []string{"rock"})
+	if !errors.Is(err, wire.ErrUnauthorized) {
+		t.Fatalf("revoked peer's insert: %v, want ErrUnauthorized", err)
+	}
+	for _, p := range []*Peer{a, b} {
+		if uri, err := p.ResolveURI(ctx, "evil"); err == nil {
+			t.Fatalf("revoked peer's write is readable: %q", uri)
+		}
+	}
+
+	// An identity checked against another authority's key never boots.
+	other, err := likir.NewAuthority(nil, time.Hour, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherDir := filepath.Join(dir, "other")
+	if err := other.SaveCA(otherDir); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := NewUDPPeer(ctx, UDPPeerConfig{
+		Listen:       "127.0.0.1:0",
+		IdentityPath: idPath["alice"],
+		CAPath:       likir.PublicKeyPath(otherDir),
+	}); err == nil {
+		p.Close()
+		t.Fatal("an identity paired with another CA's ca.pub booted")
+	}
+
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("secured boot test took %v, want under 2s", d)
 	}
 }

@@ -15,7 +15,7 @@
 // DHARMA's block counts are approximate by design: increments applied
 // to disjoint replica subsets during a partition are reconciled by
 // max-merge to the larger side rather than added (see
-// kademlia/maintain.go). What an acknowledged Append(field, Count=c)
+// kademlia.Store.mergeLocked). What an acknowledged Append(field, Count=c)
 // does guarantee is that at least one replica applied it, leaving that
 // replica's count ≥ c; counts are monotone and every repair path
 // max-merges, so the block must forever contain the field with count

@@ -111,7 +111,10 @@ func BenchmarkRoutingTableUpdate(b *testing.B) {
 // BenchmarkHandleRPC is the composed serving path the alloc gate holds:
 // decode → admit → table update → dispatch → encode on a warmed node.
 // The budget is the reply buffer, which escapes to the transport (plus,
-// for find_value, the entry list Store.Get hands out).
+// for find_value, the entry list Store.Get hands out). store and
+// replicate gate the store's two mutation rules, append and max-merge;
+// replicate re-merges a field the block already holds at a higher
+// count, which is a republish round's steady state.
 func BenchmarkHandleRPC(b *testing.B) {
 	cl := benchCluster(b, 64)
 	srv, from := cl.Nodes[1], cl.Nodes[2].Self()
@@ -132,6 +135,7 @@ func BenchmarkHandleRPC(b *testing.B) {
 		{"find_node", wire.Message{Kind: wire.KindFindNode, Target: kadid.HashString("elsewhere")}, wire.KindNodes},
 		{"find_value", wire.Message{Kind: wire.KindFindValue, Target: key, TopN: 8}, wire.KindValue},
 		{"store", wire.Message{Kind: wire.KindStore, Target: key, Entries: block[3:4]}, wire.KindStoreAck},
+		{"replicate", wire.Message{Kind: wire.KindReplicate, Target: key, Entries: block[3:4]}, wire.KindStoreAck},
 	} {
 		b.Run(req.name, func(b *testing.B) {
 			req.msg.From = from

@@ -190,15 +190,13 @@ func (c *Cluster) Revive(ctx context.Context, n *Node, via int) (*Node, error) {
 	addr := simnet.Addr(n.Self().Addr)
 	node := n
 	if c.dataDir != "" {
-		store, _, err := OpenDurableStore(c.nodeDir(string(addr)), c.persistOpts)
-		if err != nil {
+		var err error
+		if node, err = c.start(addr, n.id, n.cfg); err != nil {
 			return nil, fmt.Errorf("kademlia: revive %s: %w", addr, err)
 		}
-		cfg := n.cfg
-		cfg.Store = store
-		node = NewNode(n.id, cfg)
+	} else {
+		node.Attach(c.Net.Attach(addr, node))
 	}
-	node.Attach(c.Net.Attach(addr, node))
 	c.Net.SetDown(addr, false)
 	if err := node.Bootstrap(ctx, []wire.Contact{seed}); err != nil {
 		node.Shutdown() //nolint:errcheck // disk state stays intact for the next attempt

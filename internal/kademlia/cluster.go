@@ -120,17 +120,10 @@ func NewCluster(cc ClusterConfig) (_ *Cluster, err error) {
 		} else {
 			id = kadid.Random(rng)
 		}
-		addr := fmt.Sprintf("node-%d", i)
-		if cl.dataDir != "" {
-			store, _, err := OpenDurableStore(cl.nodeDir(addr), cl.persistOpts)
-			if err != nil {
-				return nil, fmt.Errorf("kademlia: node %d: %w", i, err)
-			}
-			cfg.Store = store
+		node, err := cl.start(simnet.Addr(fmt.Sprintf("node-%d", i)), id, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("kademlia: node %d: %w", i, err)
 		}
-		node := NewNode(id, cfg)
-		tr := net.Attach(simnet.Addr(addr), node)
-		node.Attach(tr)
 		cl.Nodes[i] = node
 	}
 
@@ -217,16 +210,10 @@ func (c *Cluster) AddNode(ctx context.Context, cfg Config, seed int64, via int) 
 	seedContact := c.Nodes[via].Self()
 	c.mu.Unlock()
 
-	if c.dataDir != "" {
-		store, _, err := OpenDurableStore(c.nodeDir(string(addr)), c.persistOpts)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Store = store
+	node, err := c.start(addr, kadid.Random(rng), cfg)
+	if err != nil {
+		return nil, err
 	}
-	node := NewNode(kadid.Random(rng), cfg)
-
-	node.Attach(c.Net.Attach(addr, node))
 	if err := node.Bootstrap(ctx, []wire.Contact{seedContact}); err != nil {
 		node.Shutdown() //nolint:errcheck // join failed; leave disk state for a later retry
 		return nil, err
@@ -237,11 +224,21 @@ func (c *Cluster) AddNode(ctx context.Context, cfg Config, seed int64, via int) 
 	return node, nil
 }
 
-// nodeDir is where a node's durable store lives; addresses are unique
-// for the life of the cluster (minted, never reused), so the mapping is
-// stable across crashes and revivals.
-func (c *Cluster) nodeDir(addr string) string {
-	return filepath.Join(c.dataDir, addr)
+// start brings up one member at addr: on a durable cluster it opens
+// the member's store under dataDir/addr (addresses are minted, never
+// reused, so the directory is stable across crashes and revivals),
+// then builds the node and attaches it to the network.
+func (c *Cluster) start(addr simnet.Addr, id kadid.ID, cfg Config) (*Node, error) {
+	if c.dataDir != "" {
+		store, _, err := OpenDurableStore(filepath.Join(c.dataDir, string(addr)), c.persistOpts)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Store = store
+	}
+	node := NewNode(id, cfg)
+	node.Attach(c.Net.Attach(addr, node))
+	return node, nil
 }
 
 // Shutdown cleanly stops every current member: detach, flush and close

@@ -741,10 +741,12 @@ func (n *Node) Store(ctx context.Context, key kadid.ID, entries []wire.Entry) (i
 		}(i, c)
 	}
 	if self >= 0 {
-		// The local replica applies the same signed-mutation rule the
-		// remote ones enforce: a node must not hold entries it would
-		// refuse from the network.
-		if n.cfg.CAPub != nil && vetEntries(key, entries) != "" {
+		// The local replica applies the same rules the remote ones
+		// enforce: a node must not hold entries it would refuse from the
+		// network, for a bad signature or because their writer (here,
+		// the node itself) is revoked.
+		revoked := n.cfg.Revoked != nil && n.cfg.Revoked(n.id)
+		if revoked || n.cfg.CAPub != nil && vetEntries(key, entries) != "" {
 			outcomes[self] = wire.ErrUnauthorized
 		} else {
 			outcomes[self] = n.store.Append(ctx, key, entries)

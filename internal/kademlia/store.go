@@ -141,28 +141,7 @@ func NewStore() *Store {
 // error means the write must not be acked (the entries may or may not
 // have reached memory, but they were never promised to survive).
 func (s *Store) Append(ctx context.Context, key kadid.ID, entries []wire.Entry) error {
-	if len(entries) == 0 {
-		return nil
-	}
-	if m := s.metrics; m != nil {
-		start := time.Now()
-		defer func() {
-			m.appendLatency.Observe(time.Since(start))
-		}()
-	}
-	if s.dur != nil {
-		return s.dur.commit(ctx, persist.Record{Op: persist.OpAppend, Key: key, Entries: entries},
-			func() { s.applyAppend(key, entries) })
-	}
-	s.applyAppend(key, entries)
-	return nil
-}
-
-// applyAppend is the in-memory half of Append.
-func (s *Store) applyAppend(key kadid.ID, entries []wire.Entry) {
-	s.mu.Lock()
-	s.appendLocked(key, entries)
-	s.mu.Unlock()
+	return s.mutate(ctx, persist.OpAppend, BatchItem{Key: key, Entries: entries})
 }
 
 // AppendBatch merges every item in one pass under one lock. It is the
@@ -173,63 +152,105 @@ func (s *Store) applyAppend(key kadid.ID, entries []wire.Entry) {
 // On a durable store the whole batch is logged as one commit — one
 // group-commit flush covers every item.
 func (s *Store) AppendBatch(ctx context.Context, items []BatchItem) error {
-	if s.dur != nil {
-		recs := make([]persist.Record, 0, len(items))
-		for _, it := range items {
-			if len(it.Entries) == 0 {
-				continue
-			}
-			recs = append(recs, persist.Record{Op: persist.OpAppend, Key: it.Key, Entries: it.Entries})
-		}
-		if len(recs) == 0 {
-			return nil
-		}
-		return s.dur.commitAll(ctx, recs, func() { s.applyAppendBatch(items) })
+	return s.mutate(ctx, persist.OpAppend, items...)
+}
+
+// MergeMax merges entries into the block under key taking the maximum
+// count per field: the replica-maintenance rule (see mergeLocked).
+// Data and its signature envelope are adopted when the local copy has
+// none. Like Append, an empty entries slice materializes nothing, and a
+// durable store logs the merge before acknowledging — a node is a
+// replica, so replicated state must survive its restarts exactly like
+// state it stored first-hand.
+func (s *Store) MergeMax(ctx context.Context, key kadid.ID, entries []wire.Entry) error {
+	return s.mutate(ctx, persist.OpMergeMax, BatchItem{Key: key, Entries: entries})
+}
+
+// mutate is the one write path: it applies items under rule op (the
+// persist.Op the WAL logs it as), skipping empty ones. In memory every
+// item is applied under one lock; a durable store logs the non-empty
+// items as one WAL commit first (see commit).
+func (s *Store) mutate(ctx context.Context, op persist.Op, items ...BatchItem) error {
+	if m := s.metrics; m != nil {
+		start := time.Now()
+		defer func() {
+			m.appendLatency.Observe(time.Since(start))
+		}()
 	}
-	s.applyAppendBatch(items)
+	if s.dur != nil {
+		return s.commit(ctx, op, items)
+	}
+	s.apply(op, items)
 	return nil
 }
 
-// applyAppendBatch is the in-memory half of AppendBatch.
-func (s *Store) applyAppendBatch(items []BatchItem) {
+// apply is the in-memory half of mutate, and what WAL replay runs.
+func (s *Store) apply(op persist.Op, items []BatchItem) {
 	s.mu.Lock()
 	for i := range items {
 		if len(items[i].Entries) > 0 {
-			s.appendLocked(items[i].Key, items[i].Entries)
+			s.mergeLocked(op, items[i].Key, items[i].Entries)
 		}
 	}
 	s.mu.Unlock()
 }
 
-func (s *Store) appendLocked(key kadid.ID, entries []wire.Entry) {
+// mergeLocked applies entries to the block under key by one of the two
+// rules. The rules differ in three places only:
+//
+//   - creation: an append creates an absent field at Init when Init > 0
+//     (Approximation B), else at Count; a merge creates it at Count.
+//   - growth: an append adds Count; a merge takes the maximum.
+//   - Data (with its signature envelope): an append replaces the stored
+//     copy; a merge adopts it only when the local copy has none.
+//
+// The max rule is replica maintenance's. Kademlia keeps values alive
+// under churn by periodically republishing each stored block to the
+// nodes currently closest to its key; that must be idempotent —
+// replicas that already hold the block must not double-count its
+// weights — so republication merges by per-field maximum instead of
+// addition. Counts grow monotonically, so max-merge converges every
+// replica to the most complete state it has seen (an anti-entropy
+// exchange in the G-Counter style; increments applied to disjoint
+// replica sets during a partition are reconciled to the larger side
+// rather than summed, an approximation consistent with DHARMA's
+// tolerance for approximate weights).
+//
+// Under either rule counts only grow, so the digest, head-index and
+// version upkeep is shared.
+func (s *Store) mergeLocked(op persist.Op, key kadid.ID, entries []wire.Entry) {
 	blk, ok := s.blocks[key]
 	if !ok {
 		blk = &block{fields: make(map[string]*storedEntry, len(entries))}
 		s.blocks[key] = blk
 	}
+	add := op == persist.OpAppend
 	changed := false
 	for i := range entries {
 		e := &entries[i]
 		se, ok := blk.fields[e.Field]
 		if !ok {
-			se = &storedEntry{field: e.Field, pos: -1}
-			blk.fields[e.Field] = se
-			if e.Init > 0 {
+			se = &storedEntry{field: e.Field, count: e.Count, pos: -1}
+			if add && e.Init > 0 {
 				se.count = e.Init
-			} else {
-				se.count = e.Count
 			}
+			blk.fields[e.Field] = se
 			blk.digest ^= fieldDigest(e.Field, se.count)
 			blk.indexEnter(se)
 			changed = true
-		} else if e.Count > 0 {
-			blk.digest ^= fieldDigest(e.Field, se.count)
-			se.count += e.Count
-			blk.digest ^= fieldDigest(e.Field, se.count)
-			blk.indexBump(se)
-			changed = true
+		} else {
+			next := max(se.count, e.Count)
+			if add {
+				next = se.count + e.Count
+			}
+			if next != se.count {
+				blk.digest ^= fieldDigest(e.Field, se.count) ^ fieldDigest(e.Field, next)
+				se.count = next
+				blk.indexBump(se)
+				changed = true
+			}
 		}
-		if len(e.Data) > 0 {
+		if len(e.Data) > 0 && (add || len(se.data) == 0) {
 			se.data = append([]byte(nil), e.Data...)
 			se.author = append([]byte(nil), e.Author...)
 			se.sig = append([]byte(nil), e.Sig...)
@@ -278,44 +299,6 @@ func (b *block) indexEnter(se *storedEntry) {
 	}
 }
 
-// mergeMaxLocked applies the replica-maintenance merge rule: per-field
-// maximum instead of addition (see maintain.go). It shares the index
-// maintenance with appendLocked because counts still only grow.
-func (s *Store) mergeMaxLocked(key kadid.ID, entries []wire.Entry) {
-	blk, ok := s.blocks[key]
-	if !ok {
-		blk = &block{fields: make(map[string]*storedEntry, len(entries))}
-		s.blocks[key] = blk
-	}
-	changed := false
-	for i := range entries {
-		e := &entries[i]
-		se, ok := blk.fields[e.Field]
-		if !ok {
-			se = &storedEntry{field: e.Field, count: e.Count, pos: -1}
-			blk.fields[e.Field] = se
-			blk.digest ^= fieldDigest(e.Field, se.count)
-			blk.indexEnter(se)
-			changed = true
-		} else if e.Count > se.count {
-			blk.digest ^= fieldDigest(e.Field, se.count)
-			se.count = e.Count
-			blk.digest ^= fieldDigest(e.Field, se.count)
-			blk.indexBump(se)
-			changed = true
-		}
-		if len(se.data) == 0 && len(e.Data) > 0 {
-			se.data = append([]byte(nil), e.Data...)
-			se.author = append([]byte(nil), e.Author...)
-			se.sig = append([]byte(nil), e.Sig...)
-			changed = true
-		}
-	}
-	if changed {
-		blk.version++
-	}
-}
-
 // Get returns the block under key sorted by descending count (ties
 // broken by field name), truncated to topN entries when topN > 0. This
 // is the "index side filtering" of the paper: a popular tag's block may
@@ -355,16 +338,28 @@ func (s *Store) Get(key kadid.ID, topN int) ([]wire.Entry, bool) {
 		s.mu.RUnlock()
 		return out, true
 	}
-	out := make([]wire.Entry, len(blk.fields))
-	i := 0
-	for _, se := range blk.fields {
-		se.fill(&out[i])
-		i++
-	}
+	out := blk.list(true)
 	s.mu.RUnlock()
 
 	slices.SortFunc(out, compareEntries)
 	return out[:n], true
+}
+
+// list enumerates the block's fields in map order. With payload set
+// each entry carries copies of its Data/Author/Sig (see fill); without,
+// entries are count-only.
+func (b *block) list(payload bool) []wire.Entry {
+	out := make([]wire.Entry, len(b.fields))
+	i := 0
+	for _, se := range b.fields {
+		if payload {
+			se.fill(&out[i])
+		} else {
+			out[i].Field, out[i].Count = se.field, se.count
+		}
+		i++
+	}
+	return out
 }
 
 // fill writes se into e with copied byte slices, so callers can never

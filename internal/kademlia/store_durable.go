@@ -7,14 +7,13 @@ import (
 	"sync/atomic"
 
 	"dharma/internal/persist"
-	"dharma/internal/wire"
 )
 
 // Durable storage. OpenDurableStore puts a write-ahead log under the
 // block store: every Append/AppendBatch/MergeMax is logged (and
 // group-commit flushed) before it is acknowledged, so an acknowledged
 // write survives the death of the process. Recovery replays the newest
-// snapshot plus the WAL tail through the normal apply paths, which
+// snapshot plus the WAL tail through the store's one apply path, which
 // rebuilds each block's incremental top-N index as a side effect —
 // a recovered store filters reads exactly like the one that died.
 //
@@ -37,14 +36,10 @@ type durability struct {
 func OpenDurableStore(dir string, opts persist.Options) (*Store, persist.RecoveryStats, error) {
 	s := NewStore()
 	wal, stats, err := persist.Open(dir, opts, func(rec persist.Record) error {
-		switch rec.Op {
-		case persist.OpAppend:
-			s.applyAppend(rec.Key, rec.Entries)
-		case persist.OpMergeMax:
-			s.applyMergeMax(rec.Key, rec.Entries)
-		default:
+		if rec.Op != persist.OpAppend && rec.Op != persist.OpMergeMax {
 			return fmt.Errorf("kademlia: unknown logged op %d", rec.Op)
 		}
+		s.apply(rec.Op, []BatchItem{{Key: rec.Key, Entries: rec.Entries}})
 		return nil
 	})
 	if err != nil {
@@ -88,19 +83,29 @@ func (s *Store) SimulateCrash() {
 	}
 }
 
-// commit logs one record, applies it, and waits for durability.
-func (d *durability) commit(ctx context.Context, rec persist.Record, apply func()) error {
-	return d.commitAll(ctx, []persist.Record{rec}, apply)
-}
-
-// commitAll logs a group of records as one commit, applies them, waits
-// for durability, and triggers background compaction when the log has
-// outgrown its threshold.
-func (d *durability) commitAll(ctx context.Context, recs []persist.Record, apply func()) error {
-	if err := d.wal.Commit(ctx, recs, apply); err != nil {
+// commit is mutate's durable half: the non-empty items go to the log
+// as one commit, applied under the log's commit lock, and the call
+// returns once they are durable. It lives apart from mutate so the
+// in-memory path, which runs on a fresh goroutine stack for every
+// served STORE, keeps a small frame.
+func (s *Store) commit(ctx context.Context, op persist.Op, items []BatchItem) error {
+	var one [1]persist.Record // a one-item write logs without a heap slice
+	recs := one[:0]
+	if len(items) > 1 {
+		recs = make([]persist.Record, 0, len(items))
+	}
+	for _, it := range items {
+		if len(it.Entries) > 0 {
+			recs = append(recs, persist.Record{Op: op, Key: it.Key, Entries: it.Entries})
+		}
+	}
+	if len(recs) == 0 {
+		return nil
+	}
+	if err := s.dur.wal.Commit(ctx, recs, func() { s.apply(op, items) }); err != nil {
 		return err
 	}
-	d.maybeCompact()
+	s.dur.maybeCompact()
 	return nil
 }
 
@@ -144,12 +149,7 @@ func (s *Store) dumpBlocks(add func(persist.Record) error) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for key, blk := range s.blocks {
-		entries := make([]wire.Entry, 0, len(blk.fields))
-		for _, se := range blk.fields {
-			entries = append(entries, wire.Entry{})
-			se.fill(&entries[len(entries)-1])
-		}
-		if err := add(persist.Record{Op: persist.OpMergeMax, Key: key, Entries: entries}); err != nil {
+		if err := add(persist.Record{Op: persist.OpMergeMax, Key: key, Entries: blk.list(true)}); err != nil {
 			return err
 		}
 	}

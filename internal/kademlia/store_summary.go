@@ -96,9 +96,5 @@ func (s *Store) Counts(key kadid.ID) ([]wire.Entry, bool) {
 	if !ok {
 		return nil, false
 	}
-	out := make([]wire.Entry, 0, len(blk.fields))
-	for _, se := range blk.fields {
-		out = append(out, wire.Entry{Field: se.field, Count: se.count})
-	}
-	return out, true
+	return blk.list(false), true
 }

@@ -233,7 +233,15 @@ func (t *UDPTransport) Call(ctx context.Context, to simnet.Addr, payload []byte)
 	}
 
 	if t.sessions == nil {
-		return t.exchangePlain(ctx, dst, payload)
+		// Open transport: the first routed frame is the answer.
+		var resp []byte
+		err := t.exchange(ctx, dst,
+			func(id uint64) []byte { return append(header(frameRequest, id, len(payload)), payload...) },
+			func(_ uint64, fm frameMsg) (bool, error) {
+				resp = fm.payload
+				return true, nil
+			})
+		return resp, err
 	}
 	resp, err := t.exchangeSealed(ctx, string(to), dst, payload)
 	if errors.Is(err, errSessionStale) {
@@ -253,25 +261,6 @@ func (t *UDPTransport) Call(ctx context.Context, to simnet.Addr, payload []byte)
 // hold our session (anymore) and we should re-handshake.
 var errSessionStale = errors.New("wire: stale session")
 
-// exchangePlain is the open-transport request/response exchange.
-func (t *UDPTransport) exchangePlain(ctx context.Context, dst *net.UDPAddr, payload []byte) ([]byte, error) {
-	id, ch, cleanup := t.newPending()
-	defer cleanup()
-
-	frame := make([]byte, frameHeader+len(payload))
-	frame[0] = frameRequest
-	binary.BigEndian.PutUint64(frame[1:9], id)
-	copy(frame[frameHeader:], payload)
-	if err := t.send(frame, dst); err != nil {
-		return nil, err
-	}
-	fm, err := t.await(ctx, ch)
-	if err != nil {
-		return nil, err
-	}
-	return fm.payload, nil
-}
-
 // exchangeSealed seals payload under the session with addr (dialing one
 // if needed) and verifies the sealed response.
 func (t *UDPTransport) exchangeSealed(ctx context.Context, addr string, dst *net.UDPAddr, payload []byte) ([]byte, error) {
@@ -279,47 +268,39 @@ func (t *UDPTransport) exchangeSealed(ctx context.Context, addr string, dst *net
 	if err != nil {
 		return nil, err
 	}
-	id, ch, cleanup := t.newPending()
-	defer cleanup()
-
-	frame := make([]byte, frameHeader, frameHeader+session.Overhead+len(payload))
-	frame[0] = frameSecureRequest
-	binary.BigEndian.PutUint64(frame[1:9], id)
-	frame = s.Seal(frame, frameSecureRequest, id, payload)
-	if err := t.send(frame, dst); err != nil {
-		return nil, err
-	}
-
-	// Responses may race with forged plain frames; keep reading until a
-	// frame authenticates (or is an acceptable control answer).
-	timer := time.NewTimer(t.timeout)
-	defer timer.Stop()
-	for {
-		fm, err := t.awaitTimer(ctx, ch, timer)
-		if err != nil {
-			return nil, err
-		}
-		switch fm.kind {
-		case frameSecureResponse:
-			inner, err := s.Open(frameSecureResponse, id, fm.payload)
-			if err != nil {
-				continue // forged or corrupted; the real answer may follow
+	var resp []byte
+	err = t.exchange(ctx, dst,
+		func(id uint64) []byte {
+			return s.Seal(header(frameSecureRequest, id, session.Overhead+len(payload)), frameSecureRequest, id, payload)
+		},
+		// Responses may race with forged plain frames; keep reading until
+		// a frame authenticates (or is an acceptable control answer).
+		func(id uint64, fm frameMsg) (bool, error) {
+			switch fm.kind {
+			case frameSecureResponse:
+				inner, err := s.Open(frameSecureResponse, id, fm.payload)
+				if err != nil {
+					return false, nil // forged or corrupted; the real answer may follow
+				}
+				resp = inner
+				return true, nil
+			case frameResponse:
+				// A plain response to a sealed request is only meaningful as
+				// a transport control answer: BUSY from the admission gate
+				// (which runs before session lookup) or UNAUTHORIZED from a
+				// peer that does not hold our session. Anything else is
+				// unauthenticated and ignored.
+				switch peekKind(fm.payload) {
+				case KindBusy:
+					resp = fm.payload
+					return true, nil
+				case KindUnauthorized:
+					return true, errSessionStale
+				}
 			}
-			return inner, nil
-		case frameResponse:
-			// A plain response to a sealed request is only meaningful as a
-			// transport control answer: BUSY from the admission gate (which
-			// runs before session lookup) or UNAUTHORIZED from a peer that
-			// does not hold our session. Anything else is unauthenticated
-			// and ignored.
-			switch peekKind(fm.payload) {
-			case KindBusy:
-				return fm.payload, nil
-			case KindUnauthorized:
-				return nil, errSessionStale
-			}
-		}
-	}
+			return false, nil
+		})
+	return resp, err
 }
 
 // peekKind reads the message kind of an encoded frame without a full
@@ -372,43 +353,69 @@ func (t *UDPTransport) handshake(ctx context.Context, addr string, dst *net.UDPA
 	if err != nil {
 		return nil, err
 	}
-	id, ch, cleanup := t.newPending()
-	defer cleanup()
-
 	hello := hs.Payload()
-	frame := make([]byte, frameHeader+len(hello))
-	frame[0] = frameHello
-	binary.BigEndian.PutUint64(frame[1:9], id)
-	copy(frame[frameHeader:], hello)
-	if err := t.send(frame, dst); err != nil {
-		return nil, err
-	}
-	timer := time.NewTimer(t.timeout)
-	defer timer.Stop()
-	for {
-		fm, err := t.awaitTimer(ctx, ch, timer)
-		if err != nil {
-			return nil, err
-		}
-		if fm.kind != frameHelloReply {
-			continue // stray frame under a recycled id; keep waiting
-		}
-		return hs.Finish(fm.payload)
-	}
+	var s *session.Session
+	err = t.exchange(ctx, dst,
+		func(id uint64) []byte { return append(header(frameHello, id, len(hello)), hello...) },
+		func(_ uint64, fm frameMsg) (bool, error) {
+			if fm.kind != frameHelloReply {
+				return false, nil // stray frame under a recycled id; keep waiting
+			}
+			var ferr error
+			s, ferr = hs.Finish(fm.payload)
+			return true, ferr
+		})
+	return s, err
 }
 
-// newPending registers a response channel under a fresh request id.
-func (t *UDPTransport) newPending() (uint64, chan frameMsg, func()) {
+// exchange is the one client round trip: it registers a fresh request
+// id, sends the frame build returns for it, and hands every frame routed
+// back under that id to accept until accept reports done (with the
+// exchange's error, if any). The wait ends early when ctx ends, the
+// transport's own timeout fires or the transport closes; the pending
+// entry is deleted on the way out, so a late response is dropped.
+func (t *UDPTransport) exchange(ctx context.Context, dst *net.UDPAddr,
+	build func(id uint64) []byte, accept func(id uint64, fm frameMsg) (bool, error)) error {
 	id := t.nextID.Add(1)
 	ch := make(chan frameMsg, 4)
 	t.mu.Lock()
 	t.pending[id] = ch
 	t.mu.Unlock()
-	return id, ch, func() {
+	defer func() {
 		t.mu.Lock()
 		delete(t.pending, id)
 		t.mu.Unlock()
+	}()
+
+	if err := t.send(build(id), dst); err != nil {
+		return err
 	}
+	timer := time.NewTimer(t.timeout)
+	defer timer.Stop()
+	for {
+		select {
+		case fm := <-ch:
+			if done, err := accept(id, fm); done {
+				return err
+			}
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-timer.C:
+			return simnet.ErrTimeout
+		case <-t.closed:
+			return simnet.ErrClosed
+		}
+	}
+}
+
+// header starts a datagram of the given frame kind and request id, with
+// room for n more bytes; every client frame and every reply is built on
+// one.
+func header(kind byte, id uint64, n int) []byte {
+	frame := make([]byte, frameHeader, frameHeader+n)
+	frame[0] = kind
+	binary.BigEndian.PutUint64(frame[1:9], id)
+	return frame
 }
 
 // send writes one framed datagram and records transport metrics.
@@ -421,28 +428,6 @@ func (t *UDPTransport) send(frame []byte, dst *net.UDPAddr) error {
 		m.bytesOut.Add(int64(len(frame)))
 	}
 	return nil
-}
-
-// await waits for one routed frame under the transport's own timeout.
-func (t *UDPTransport) await(ctx context.Context, ch chan frameMsg) (frameMsg, error) {
-	timer := time.NewTimer(t.timeout)
-	defer timer.Stop()
-	return t.awaitTimer(ctx, ch, timer)
-}
-
-func (t *UDPTransport) awaitTimer(ctx context.Context, ch chan frameMsg, timer *time.Timer) (frameMsg, error) {
-	select {
-	case fm := <-ch:
-		return fm, nil
-	case <-ctx.Done():
-		// Abort the in-flight waiter: the pending entry is deleted by the
-		// caller's cleanup, so a late response is dropped on the floor.
-		return frameMsg{}, ctx.Err()
-	case <-timer.C:
-		return frameMsg{}, simnet.ErrTimeout
-	case <-t.closed:
-		return frameMsg{}, simnet.ErrClosed
-	}
 }
 
 // Close implements simnet.Transport. It stops the read loop, cancels
@@ -495,7 +480,7 @@ func (t *UDPTransport) readLoop() {
 			// unbounded signature verifications.
 			release, aerr := t.ctrl.Admit(from.String())
 			if aerr != nil {
-				t.reply(frameResponse, from, id, busyResponse())
+				t.reply(frameResponse, from, id, busyFrame)
 				continue
 			}
 			t.wg.Add(1)
@@ -540,7 +525,7 @@ func (t *UDPTransport) serve(kind byte, from *net.UDPAddr, id uint64, payload []
 				// it. This control answer is unsealed by necessity (no
 				// session to seal under); the dial side treats it only as a
 				// re-handshake hint, never as an RPC result.
-				t.reply(frameResponse, from, id, staleSessionResponse())
+				t.reply(frameResponse, from, id, staleSessionFrame)
 			}
 			return // bad MAC / replay: silence, as for any forged datagram
 		}
@@ -549,14 +534,14 @@ func (t *UDPTransport) serve(kind byte, from *net.UDPAddr, id uint64, payload []
 		if err != nil {
 			return
 		}
-		sealed := make([]byte, 0, session.Overhead+len(resp))
-		t.reply(frameSecureResponse, from, id, s.Seal(sealed, frameSecureResponse, id, resp))
+		frame := header(frameSecureResponse, id, session.Overhead+len(resp))
+		t.send(s.Seal(frame, frameSecureResponse, id, resp), from) //nolint:errcheck // best-effort reply
 		return
 	}
 	// Plain request.
 	if t.requireAuth {
 		t.authRej.Add(1)
-		t.reply(frameResponse, from, id, unauthorizedResponse())
+		t.reply(frameResponse, from, id, unauthFrame)
 		return
 	}
 	resp, err := t.handler.HandleRPC(t.baseCtx, simnet.Addr(from.String()), payload)
@@ -566,16 +551,9 @@ func (t *UDPTransport) serve(kind byte, from *net.UDPAddr, id uint64, payload []
 	t.reply(frameResponse, from, id, resp)
 }
 
+// reply sends one plain control or response frame, best effort.
 func (t *UDPTransport) reply(kind byte, from *net.UDPAddr, id uint64, resp []byte) {
-	frame := make([]byte, frameHeader+len(resp))
-	frame[0] = kind
-	binary.BigEndian.PutUint64(frame[1:9], id)
-	copy(frame[frameHeader:], resp)
-	t.conn.WriteToUDP(frame, from) //nolint:errcheck // best-effort reply
-	if m := t.metrics.Load(); m != nil {
-		m.datagramsOut.Inc()
-		m.bytesOut.Add(int64(len(frame)))
-	}
+	t.send(append(header(kind, id, len(resp)), resp...), from) //nolint:errcheck // best-effort reply
 }
 
 // Prebuilt control responses: encoding is cheap but an allocation per
@@ -585,9 +563,5 @@ var (
 	staleSessionFrame = Encode(&Message{Kind: KindUnauthorized, Err: "unknown session; re-handshake"})
 	unauthFrame       = Encode(&Message{Kind: KindUnauthorized, Err: "authenticated session required"})
 )
-
-func busyResponse() []byte         { return busyFrame }
-func staleSessionResponse() []byte { return staleSessionFrame }
-func unauthorizedResponse() []byte { return unauthFrame }
 
 var _ simnet.Transport = (*UDPTransport)(nil)
