@@ -20,7 +20,7 @@ package dht
 import (
 	"context"
 	"errors"
-	"sync"
+	"slices"
 	"sync/atomic"
 
 	"dharma/internal/kademlia"
@@ -159,27 +159,18 @@ func (o *Overlay) Append(ctx context.Context, key kadid.ID, entries []wire.Entry
 
 // AppendBatch implements Store. Each item is one overlay store (one
 // iterative lookup plus the replica RPCs, and one Table-I lookup on the
-// counter); the items target distinct keys and commute, so they are
-// issued concurrently — a batch costs the latency of the slowest item,
-// not the sum. All failures are reported, joined.
+// counter). The items target distinct keys and commute;
+// kademlia.Node.StoreBatch decides whether they overlap or run one after
+// another. All failures are reported, joined.
 func (o *Overlay) AppendBatch(ctx context.Context, items []BatchItem) error {
 	o.appends.Add(int64(len(items)))
-	if len(items) == 1 {
-		_, err := o.node.Store(ctx, items[0].Key, o.sign(items[0].Key, items[0].Entries))
-		return err
+	if o.signer != nil {
+		items = slices.Clone(items)
+		for i := range items {
+			items[i].Entries = o.sign(items[i].Key, items[i].Entries)
+		}
 	}
-	errs := make([]error, len(items))
-	var wg sync.WaitGroup
-	for i, it := range items {
-		wg.Add(1)
-		go func(i int, it BatchItem) {
-			defer wg.Done()
-			_, err := o.node.Store(ctx, it.Key, o.sign(it.Key, it.Entries))
-			errs[i] = err
-		}(i, it)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+	return o.node.StoreBatch(ctx, items)
 }
 
 // sign signs entries that carry Data but no signature yet, when the

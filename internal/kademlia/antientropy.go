@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"dharma/internal/kadid"
 	"dharma/internal/wire"
@@ -113,8 +114,8 @@ func (n *Node) AntiEntropyOnce(ctx context.Context, every int) AntiEntropyRound 
 	return r
 }
 
-// syncBlock reconciles the block under key with every target, in
-// parallel, using the summary exchange, and returns how many replicas
+// syncBlock reconciles the block under key with every target, through
+// fanOut, using the summary exchange, and returns how many replicas
 // acknowledged — a digest match counts: the replica demonstrably holds
 // the same weight map. The full block is fetched lazily, so a round
 // where every replica matches never materializes it.
@@ -134,25 +135,14 @@ func (n *Node) syncBlock(ctx context.Context, key kadid.ID, targets []wire.Conta
 		}
 		return full
 	}
-	acks := 0
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, c := range targets {
-		if c.ID == n.id {
-			continue // we already hold it
+	var acks atomic.Int64
+	n.fanOut(ctx, len(targets), func(i int) {
+		// The node's own entry needs no sync: we already hold the block.
+		if c := targets[i]; c.ID != n.id && n.syncBlockWith(ctx, key, local, c, fullEntries) {
+			acks.Add(1)
 		}
-		wg.Add(1)
-		go func(c wire.Contact) {
-			defer wg.Done()
-			if n.syncBlockWith(ctx, key, local, c, fullEntries) {
-				mu.Lock()
-				acks++
-				mu.Unlock()
-			}
-		}(c)
-	}
-	wg.Wait()
-	return acks
+	})
+	return int(acks.Load())
 }
 
 // syncBlockWith runs the summary exchange with one replica:

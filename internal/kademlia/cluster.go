@@ -227,7 +227,8 @@ func (c *Cluster) AddNode(ctx context.Context, cfg Config, seed int64, via int) 
 // start brings up one member at addr: on a durable cluster it opens
 // the member's store under dataDir/addr (addresses are minted, never
 // reused, so the directory is stable across crashes and revivals),
-// then builds the node and attaches it to the network.
+// then builds the node, marks it inMemory when no store of its own is
+// on disk, and attaches it to the network.
 func (c *Cluster) start(addr simnet.Addr, id kadid.ID, cfg Config) (*Node, error) {
 	if c.dataDir != "" {
 		store, _, err := OpenDurableStore(filepath.Join(c.dataDir, string(addr)), c.persistOpts)
@@ -237,6 +238,7 @@ func (c *Cluster) start(addr simnet.Addr, id kadid.ID, cfg Config) (*Node, error
 		cfg.Store = store
 	}
 	node := NewNode(id, cfg)
+	node.inMemory = c.dataDir == "" && cfg.Store == nil
 	node.Attach(c.Net.Attach(addr, node))
 	return node, nil
 }

@@ -7,37 +7,36 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"dharma/internal/kadid"
+	"dharma/internal/simnet"
 	"dharma/internal/wire"
 )
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// lookupResult is what one RPC in a lookup round produced.
-type lookupResult struct {
-	from     wire.Contact
-	contacts []wire.Contact
-	entries  []wire.Entry
-	isValue  bool
-	err      error
-	start    time.Duration // send offset from the lookup's start (tracing)
-	rtt      time.Duration // full exchange time, including busy retries
-}
-
 // candidate is one contact the lookup knows about and its query state.
+// A probe that timed out earns one retry (see iterativeLookup); retried
+// records that it was spent.
 type candidate struct {
 	contact   wire.Contact
 	queried   bool
 	responded bool
 	failed    bool
+	retried   bool
 }
 
-// probe is the request and reply of one in-flight lookup RPC. A wave's
-// replies are consumed before the next wave reuses the slots.
-type probe struct{ req, resp wire.Message }
+// probe is one RPC of a lookup wave: the contact asked, the request and
+// reply, and how the exchange ended. Each probe writes only its own
+// slot, and a wave's slots are consumed before the next wave reuses
+// them.
+type probe struct {
+	to         wire.Contact
+	req, resp  wire.Message
+	err        error
+	start, rtt time.Duration // send offset from the lookup's start, full exchange time (tracing)
+}
 
 // lookupArena is the reusable working state of one iterative lookup.
 // Arenas are recycled per node (see Node.arenas) so that steady-state
@@ -52,7 +51,7 @@ type lookupArena struct {
 	seen    map[kadid.ID]int32 // contact ID -> index into cands
 	seedBuf []wire.Contact     // reused by Table.ClosestInto for seeding
 	batch   []int32            // this round's query set (indices into cands)
-	probes  []probe            // this round's messages, one per batch slot
+	probes  []probe            // this round's exchanges, one per batch slot
 	spans   []TraceSpan        // per-RPC trace spans, cloned out only on capture
 }
 
@@ -74,6 +73,15 @@ func (a *lookupArena) reset() {
 // response into the candidate set. It stops when the k closest known
 // contacts have all been queried — or, in value mode, as soon as a
 // replica returns the block.
+//
+// A wave's probes go through fanOut, which runs them one after another
+// on the caller when each simulated exchange would run there anyway and
+// overlaps them otherwise. Either way the replies are merged after the
+// whole wave, in slot order, so the exchanges a lookup sends do not
+// depend on the schedule. A candidate whose probe timed out is not
+// failed at once: a datagram may just have been lost, so it is re-probed
+// once, in a later wave, if it is still inside the k-window then. BUSY,
+// too-large and cancelled probes get no second chance.
 //
 // In value mode (wantValue) the RPC is FIND_VALUE and entries from all
 // VALUE responses of the final round are merged field-wise, taking the
@@ -152,10 +160,19 @@ func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue b
 	var merged map[string]wire.Entry
 	foundValue := false
 
-	// One result channel serves every round; it is drained completely
-	// (wg.Wait before reading exactly len(batch) results), so reusing it
-	// across rounds is safe and saves a channel per round.
-	results := make(chan lookupResult, n.cfg.Alpha)
+	// send runs one probe of the current wave. It is built once per
+	// lookup, not per wave or per probe.
+	send := func(slot int) {
+		p := &arena.probes[slot]
+		if wantValue {
+			p.req = wire.Message{Kind: wire.KindFindValue, Target: target, TopN: uint32(topN)}
+		} else {
+			p.req = wire.Message{Kind: wire.KindFindNode, Target: target}
+		}
+		st := time.Now()
+		p.err = n.call(ctx, p.to, &p.req, &p.resp)
+		p.start, p.rtt = st.Sub(t0), time.Since(st)
+	}
 	for ctx.Err() == nil {
 		// Pick the α closest unqueried candidates among the k closest
 		// that have not failed: dead nodes must not occupy the window,
@@ -172,6 +189,8 @@ func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue b
 			}
 			inspected++
 			if !cd.queried {
+				cd.queried = true
+				arena.probes[len(arena.batch)].to = cd.contact
 				arena.batch = append(arena.batch, idx)
 				if len(arena.batch) >= n.cfg.Alpha {
 					break
@@ -185,75 +204,52 @@ func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue b
 		round++
 		tried += len(arena.batch)
 
-		var wg sync.WaitGroup
-		for slot, idx := range arena.batch {
-			cd := &arena.cands[idx]
-			cd.queried = true
-			wg.Add(1)
-			go func(c wire.Contact, msg, resp *wire.Message) {
-				defer wg.Done()
-				if wantValue {
-					*msg = wire.Message{Kind: wire.KindFindValue, Target: target, TopN: uint32(topN)}
-				} else {
-					*msg = wire.Message{Kind: wire.KindFindNode, Target: target}
-				}
-				st := time.Now()
-				err := n.call(ctx, c, msg, resp)
-				rtt := time.Since(st)
-				if err != nil {
-					results <- lookupResult{from: c, err: err, start: st.Sub(t0), rtt: rtt}
-					return
-				}
-				results <- lookupResult{
-					from:     c,
-					contacts: resp.Contacts,
-					entries:  resp.Entries,
-					isValue:  resp.Kind == wire.KindValue,
-					start:    st.Sub(t0),
-					rtt:      rtt,
-				}
-			}(cd.contact, &arena.probes[slot].req, &arena.probes[slot].resp)
-		}
-		wg.Wait()
+		n.fanOut(ctx, len(arena.batch), send)
 
-		for pending := len(arena.batch); pending > 0; pending-- {
-			res := <-results
+		// Merge in slot order; insert may grow cands, so index it afresh.
+		for slot, idx := range arena.batch {
+			p := &arena.probes[slot]
 			if tracing {
 				arena.spans = append(arena.spans, TraceSpan{
 					Round:   round,
-					Peer:    res.from,
+					Peer:    p.to,
 					Kind:    lookupKind(wantValue),
-					Start:   res.start,
-					RTT:     res.rtt,
-					Verdict: spanVerdict(ctx, &res),
+					Start:   p.start,
+					RTT:     p.rtt,
+					Verdict: spanVerdict(ctx, p),
 				})
 			}
-			if res.err != nil {
-				if errors.Is(res.err, wire.ErrBusy) {
+			if p.err != nil {
+				if errors.Is(p.err, wire.ErrBusy) {
 					busy++
 				}
 				// A cancelled exchange says nothing about the peer; only
 				// a genuinely failed one marks the candidate dead. A busy
 				// candidate is also marked failed — the lookup routes
 				// around it this round — but the distinction survives in
-				// the busy count and the peer stays in the table.
-				if idx, ok := arena.seen[res.from.ID]; ok && ctx.Err() == nil {
-					arena.cands[idx].failed = true
+				// the busy count and the peer stays in the table. A first
+				// timeout only un-queries the candidate (see above), so one
+				// lost datagram does not move the replica set off a live
+				// node.
+				if cd := &arena.cands[idx]; ctx.Err() == nil {
+					if !cd.retried && errors.Is(p.err, simnet.ErrTimeout) {
+						cd.retried, cd.queried = true, false
+					} else {
+						cd.failed = true
+					}
 				}
 				continue
 			}
-			if idx, ok := arena.seen[res.from.ID]; ok {
-				arena.cands[idx].responded = true
-			}
-			if res.isValue {
+			arena.cands[idx].responded = true
+			if p.resp.Kind == wire.KindValue {
 				foundValue = true
 				if merged == nil {
 					merged = make(map[string]wire.Entry)
 				}
-				mergeMax(merged, res.entries)
+				mergeMax(merged, p.resp.Entries)
 				continue
 			}
-			for _, c := range res.contacts {
+			for _, c := range p.resp.Contacts {
 				insert(c)
 			}
 		}

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -157,6 +158,9 @@ type Node struct {
 	// not interpret its own send failures as peers being dead — its
 	// routing table has to survive a crash the way its store does.
 	detached atomic.Bool
+	// inMemory marks a member Cluster.start built with no data directory
+	// and no caller-supplied Store (see fanOut); Attach leaves it alone.
+	inMemory bool
 
 	credBlob []byte
 
@@ -655,6 +659,31 @@ func (n *Node) callOnce(ctx context.Context, to wire.Contact, msg, resp *wire.Me
 	return nil
 }
 
+// fanOut runs task(0), …, task(count-1) and returns when all have
+// returned. On an inMemory node under a context that cannot end, each
+// simnet.Call already runs its handler on the caller and no handler
+// waits on a disk, so the tasks run one after another right here; a
+// goroutine per task would only add a fresh stack and a park. Elsewhere
+// the tasks overlap, the caller running the last.
+func (n *Node) fanOut(ctx context.Context, count int, task func(i int)) {
+	if n.inMemory && ctx.Done() == nil {
+		for i := range count {
+			task(i)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	for i := range count {
+		if i == count-1 {
+			task(i)
+			break
+		}
+		wg.Add(1)
+		go func() { defer wg.Done(); task(i) }()
+	}
+	wg.Wait()
+}
+
 // Ping probes a contact and returns whether it answered before ctx
 // ended.
 func (n *Node) Ping(ctx context.Context, c wire.Contact) bool {
@@ -703,13 +732,14 @@ func (n *Node) RefreshBucket(ctx context.Context, bucket int, seed int64) {
 // Store places entries under key on the k closest nodes to key
 // (replication at write time). The writer itself participates when it
 // is one of the k closest, so every writer converges on the same
-// replica set. Every remote STORE is sent first and the local replica
-// commits on the calling goroutine while those are in flight, so a
-// durable write waits for one round of commits. Store still waits for
-// every target before it returns how many replicas acknowledged. When
-// ctx ends mid-operation the in-flight replica RPCs are aborted; if the
-// quorum was not reached by then, ctx's error is returned with the
-// partial ack count.
+// replica set. The replica writes go through fanOut with the local one
+// last: where they overlap, every remote STORE is sent first and the
+// local replica commits on the calling goroutine while those are in
+// flight, so a durable write waits for one round of commits. Store
+// still waits for every target before it returns how many replicas
+// acknowledged. When ctx ends mid-operation the in-flight replica RPCs
+// are aborted; if the quorum was not reached by then, ctx's error is
+// returned with the partial ack count.
 func (n *Node) Store(ctx context.Context, key kadid.ID, entries []wire.Entry) (int, error) {
 	_, _, targets, _, lerr := n.iterativeLookup(ctx, key, false, 0)
 	if lerr != nil {
@@ -719,40 +749,32 @@ func (n *Node) Store(ctx context.Context, key kadid.ID, entries []wire.Entry) (i
 	if len(targets) == 0 {
 		return 0, ErrNoContacts
 	}
-	// One outcome per target, each written by one goroutine and read
-	// after wg.Wait.
+	if i, last := slices.IndexFunc(targets, func(c wire.Contact) bool { return c.ID == n.id }), len(targets)-1; i >= 0 {
+		targets[i], targets[last] = targets[last], targets[i]
+	}
+	// One outcome per target, each written by its own task.
 	outcomes := make([]error, len(targets))
-	var wg sync.WaitGroup
-	self := -1
-	for i, c := range targets {
-		if c.ID == n.id {
-			self = i
-			continue
-		}
-		wg.Add(1)
-		go func(i int, c wire.Contact) {
-			defer wg.Done()
-			var resp wire.Message
-			err := n.call(ctx, c, &wire.Message{Kind: wire.KindStore, Target: key, Entries: entries}, &resp)
-			if err == nil && resp.Kind != wire.KindStoreAck {
-				err = errNotAcked
+	n.fanOut(ctx, len(targets), func(i int) {
+		if targets[i].ID == n.id {
+			// The local replica applies the same rules the remote ones
+			// enforce: a node must not hold entries it would refuse from
+			// the network, for a bad signature or because their writer
+			// (here, the node itself) is revoked.
+			revoked := n.cfg.Revoked != nil && n.cfg.Revoked(n.id)
+			if revoked || n.cfg.CAPub != nil && vetEntries(key, entries) != "" {
+				outcomes[i] = wire.ErrUnauthorized
+			} else {
+				outcomes[i] = n.store.Append(ctx, key, entries)
 			}
-			outcomes[i] = err
-		}(i, c)
-	}
-	if self >= 0 {
-		// The local replica applies the same rules the remote ones
-		// enforce: a node must not hold entries it would refuse from the
-		// network, for a bad signature or because their writer (here,
-		// the node itself) is revoked.
-		revoked := n.cfg.Revoked != nil && n.cfg.Revoked(n.id)
-		if revoked || n.cfg.CAPub != nil && vetEntries(key, entries) != "" {
-			outcomes[self] = wire.ErrUnauthorized
-		} else {
-			outcomes[self] = n.store.Append(ctx, key, entries)
+			return
 		}
-	}
-	wg.Wait()
+		var resp wire.Message
+		err := n.call(ctx, targets[i], &wire.Message{Kind: wire.KindStore, Target: key, Entries: entries}, &resp)
+		if err == nil && resp.Kind != wire.KindStoreAck {
+			err = errNotAcked
+		}
+		outcomes[i] = err
+	})
 	acks, busy, unauth, tooLarge := 0, 0, 0, 0
 	for _, err := range outcomes {
 		switch {
@@ -795,6 +817,17 @@ func (n *Node) Store(ctx context.Context, key kadid.ID, entries []wire.Entry) (i
 			key.Short(), acks, n.cfg.MinStoreAcks)
 	}
 	return acks, nil
+}
+
+// StoreBatch stores every item as Store does. The items must target
+// distinct keys; they commute, so they go through fanOut. Every item's
+// failure is reported, joined.
+func (n *Node) StoreBatch(ctx context.Context, items []BatchItem) error {
+	errs := make([]error, len(items))
+	n.fanOut(ctx, len(items), func(i int) {
+		_, errs[i] = n.Store(ctx, items[i].Key, items[i].Entries)
+	})
+	return errors.Join(errs...)
 }
 
 // insertSelf adds the node's own contact to a distance-sorted contact

@@ -102,15 +102,15 @@ func lookupKind(wantValue bool) wire.Kind {
 }
 
 // spanVerdict classifies how one lookup RPC ended.
-func spanVerdict(ctx context.Context, res *lookupResult) string {
+func spanVerdict(ctx context.Context, p *probe) string {
 	switch {
-	case res.err == nil && res.isValue:
+	case p.err == nil && p.resp.Kind == wire.KindValue:
 		return VerdictValue
-	case res.err == nil:
+	case p.err == nil:
 		return VerdictOK
-	case errors.Is(res.err, wire.ErrBusy):
+	case errors.Is(p.err, wire.ErrBusy):
 		return VerdictBusy
-	case errors.Is(res.err, simnet.ErrTimeout), errors.Is(res.err, context.DeadlineExceeded):
+	case errors.Is(p.err, simnet.ErrTimeout), errors.Is(p.err, context.DeadlineExceeded):
 		return VerdictTimeout
 	case ctx.Err() != nil:
 		return VerdictCancel

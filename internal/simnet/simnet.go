@@ -9,8 +9,10 @@
 // partition pairs of endpoints. All randomness is seeded, so failures
 // are reproducible.
 //
-// Wall-clock time is never consumed: an exchange costs only the
-// handler's own work, which keeps large experiments fast.
+// The network adds no latency: an exchange costs the handler's work,
+// which may still wait, as a durable member's commit waits on its log.
+// Under an uncancellable ctx (ctx.Done() == nil) Call runs the handler
+// on the caller's goroutine, otherwise on a goroutine of its own.
 //
 // One RWMutex guards the endpoint, down and partition maps; Call holds
 // its read side once per exchange, so concurrent callers share it and
