@@ -1,9 +1,8 @@
 // Command dharma-gen generates and inspects the tagging workloads the
 // evaluation runs on: it prints the §V-A structural statistics
 // (Table II, Figure 5) for a chosen scale, dumps the raw ⟨user, item,
-// tag⟩ triples as CSV, loads such dumps back (so a real crawl can be
-// analysed the same way), and snapshots the built folksonomy graph for
-// fast reloading.
+// tag⟩ triples as CSV, and loads such dumps back (so a real crawl can be
+// analysed the same way).
 package main
 
 import (
@@ -20,7 +19,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "generator seed")
 	csvPath := flag.String("csv", "", "write the annotation triples to this file")
 	loadPath := flag.String("load", "", "load annotations from a CSV instead of generating")
-	snapPath := flag.String("snapshot", "", "write the built folksonomy graph (gob) to this file")
 	flag.Parse()
 
 	var w *exp.Workbench
@@ -68,19 +66,6 @@ func main() {
 			fail(err)
 		}
 		fmt.Printf("\nwrote %d annotations to %s\n", len(w.Dataset().Annotations), *csvPath)
-	}
-	if *snapPath != "" {
-		f, err := os.Create(*snapPath)
-		if err != nil {
-			fail(err)
-		}
-		if err := w.Graph().Save(f); err != nil {
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-		fmt.Printf("\nsnapshotted folksonomy graph to %s\n", *snapPath)
 	}
 }
 

@@ -181,7 +181,7 @@ func serveConfig(args []string) (dharma.UDPPeerConfig, serveOptions, error) {
 	fsync := fs.String("fsync", "group",
 		"durability policy with -data-dir: group (one fsync per commit group) or none (survives kill, not power loss)")
 	fs.IntVar(&cfg.QueueDepth, "queue-depth", admission.DefaultQueueDepth,
-		"concurrent request handlers admitted before answering BUSY (negative = unlimited)")
+		"concurrent request handlers admitted before answering BUSY (0 = default; negative is refused)")
 	fs.Float64Var(&cfg.PerPeerRate, "peer-rate", 0,
 		"admitted requests/sec per source peer before answering BUSY (0 = unlimited)")
 	fs.StringVar(&o.debugAddr, "debug-addr", "",
@@ -194,6 +194,9 @@ func serveConfig(args []string) (dharma.UDPPeerConfig, serveOptions, error) {
 	fs.DurationVar(&cfg.ChaosDelay, "chaos-delay", 0, "artificially delay every inbound RPC handler (deadline-shed testing)")
 	if err := fs.Parse(args); err != nil {
 		return cfg, o, err
+	}
+	if cfg.QueueDepth < 0 {
+		return cfg, o, fmt.Errorf("-queue-depth %d: the queue is always bounded (0 = default %d)", cfg.QueueDepth, admission.DefaultQueueDepth)
 	}
 	switch *fsync {
 	case "group":

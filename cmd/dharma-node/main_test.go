@@ -72,6 +72,11 @@ func TestServeConfig(t *testing.T) {
 			want: with(func(c *dharma.UDPPeerConfig) { c.QueueDepth, c.PerPeerRate = 64, 150 }),
 		},
 		{
+			name:    "-queue-depth -1 is refused, not unlimited",
+			args:    []string{"-queue-depth", "-1"},
+			wantErr: "-queue-depth",
+		},
+		{
 			name: "tracing and chaos",
 			args: []string{"-trace-slow", "1ns", "-chaos-delay", "300ms"},
 			want: with(func(c *dharma.UDPPeerConfig) {

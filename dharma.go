@@ -163,9 +163,10 @@ type Config struct {
 	MTU int
 	// QueueDepth caps how many RPCs each node handles concurrently;
 	// excess requests are rejected with a typed busy answer that clients
-	// back off from (0 = the admission layer's bounded default; negative
-	// = unlimited). This is the overload-protection knob: it bounds
-	// handler goroutines per node no matter how many callers pile up.
+	// back off from (≤ 0 = the admission layer's bounded default; there
+	// is no unbounded setting). This is the overload-protection knob: it
+	// bounds handler goroutines per node no matter how many callers pile
+	// up.
 	QueueDepth int
 	// PerPeerRate limits how many requests per second a node accepts
 	// from any single peer (0 = unlimited). Bursts up to twice the rate

@@ -37,7 +37,7 @@ import (
 var ErrBusy = errors.New("admission: server busy")
 
 // DefaultQueueDepth is the per-node concurrent-request cap used when
-// Config.QueueDepth is zero. It is deliberately always finite: an
+// Config.QueueDepth is not positive. There is no unbounded setting: an
 // unbounded handler pool is the bug this package exists to fix, so
 // "unconfigured" must not mean "unprotected".
 const DefaultQueueDepth = 1024
@@ -45,8 +45,7 @@ const DefaultQueueDepth = 1024
 // Config parameterises a Controller.
 type Config struct {
 	// QueueDepth caps how many requests may be admitted concurrently
-	// (0 = DefaultQueueDepth; negative = unlimited, an escape hatch for
-	// tests that need the historical unbounded behavior).
+	// (≤ 0 = DefaultQueueDepth).
 	QueueDepth int
 	// PerPeerRate is the sustained admission rate per remote peer in
 	// requests/second (0 = unlimited). A peer may burst max(8,
@@ -57,7 +56,7 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.QueueDepth == 0 {
+	if c.QueueDepth <= 0 {
 		c.QueueDepth = DefaultQueueDepth
 	}
 	if c.Now == nil {
@@ -80,6 +79,13 @@ type Stats struct {
 // Rejected is the total across both gates.
 func (s Stats) Rejected() int64 { return s.RejectedQueue + s.RejectedRate }
 
+// maxBuckets is the bucket count at which Admit starts forgetting
+// idle peers, the same bound as the session cache's default
+// (session.DefaultMaxSessions): one bucket per source address would
+// otherwise grow without end under ephemeral client ports and spoofed
+// sources.
+const maxBuckets = 4096
+
 // bucket is one peer's token bucket; lazily refilled on access.
 type bucket struct {
 	tokens float64
@@ -90,7 +96,7 @@ type bucket struct {
 // use by any number of transport goroutines.
 type Controller struct {
 	cfg   Config
-	slots chan struct{} // nil when QueueDepth < 0 (unlimited)
+	slots chan struct{} // one token per admitted, unreleased request
 
 	admitted atomic.Int64
 	rejQueue atomic.Int64
@@ -99,17 +105,15 @@ type Controller struct {
 
 	mu      sync.Mutex
 	buckets map[string]*bucket
-	burst   float64 // token-bucket capacity per peer
+	burst   float64   // token-bucket capacity per peer
+	swept   time.Time // last sweep of refilled buckets
 }
 
 // New builds a controller; the zero Config yields the default bounded
 // queue with no per-peer rate limit.
 func New(cfg Config) *Controller {
 	cfg = cfg.withDefaults()
-	c := &Controller{cfg: cfg}
-	if cfg.QueueDepth > 0 {
-		c.slots = make(chan struct{}, cfg.QueueDepth)
-	}
+	c := &Controller{cfg: cfg, slots: make(chan struct{}, cfg.QueueDepth)}
 	if cfg.PerPeerRate > 0 {
 		c.buckets = make(map[string]*bucket)
 		c.burst = float64(max(8, int(2*cfg.PerPeerRate)))
@@ -128,13 +132,11 @@ func (c *Controller) Admit(peer string) (release func(), err error) {
 		c.rejRate.Add(1)
 		return nil, ErrBusy
 	}
-	if c.slots != nil {
-		select {
-		case c.slots <- struct{}{}:
-		default:
-			c.rejQueue.Add(1)
-			return nil, ErrBusy
-		}
+	select {
+	case c.slots <- struct{}{}:
+	default:
+		c.rejQueue.Add(1)
+		return nil, ErrBusy
 	}
 	c.admitted.Add(1)
 	c.inFlight.Add(1)
@@ -142,9 +144,7 @@ func (c *Controller) Admit(peer string) (release func(), err error) {
 	return func() {
 		once.Do(func() {
 			c.inFlight.Add(-1)
-			if c.slots != nil {
-				<-c.slots
-			}
+			<-c.slots
 		})
 	}, nil
 }
@@ -161,6 +161,11 @@ func (c *Controller) takeToken(peer string) bool {
 	defer c.mu.Unlock()
 	b, ok := c.buckets[peer]
 	if !ok {
+		// Sweep at most once per token refill interval, so a flood of
+		// new sources costs one pass per interval, not one per admit.
+		if len(c.buckets) >= maxBuckets && now.Sub(c.swept).Seconds()*c.cfg.PerPeerRate >= 1 {
+			c.sweep(now)
+		}
 		b = &bucket{tokens: c.burst, last: now}
 		c.buckets[peer] = b
 	} else if dt := now.Sub(b.last).Seconds(); dt > 0 {
@@ -173,6 +178,18 @@ func (c *Controller) takeToken(peer string) bool {
 	}
 	b.tokens--
 	return true
+}
+
+// sweep forgets every bucket that has refilled to the burst. Such a
+// bucket admits exactly what a fresh one would, so no admission
+// decision changes. c.mu must be held.
+func (c *Controller) sweep(now time.Time) {
+	c.swept = now
+	for peer, b := range c.buckets {
+		if b.tokens+now.Sub(b.last).Seconds()*c.cfg.PerPeerRate >= c.burst {
+			delete(c.buckets, peer)
+		}
+	}
 }
 
 // Stats returns a snapshot of the controller's accounting.

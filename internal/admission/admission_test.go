@@ -2,6 +2,7 @@ package admission
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -62,19 +63,10 @@ func TestReleaseIsIdempotent(t *testing.T) {
 	}
 }
 
-func TestNegativeQueueDepthIsUnlimited(t *testing.T) {
-	c := New(Config{QueueDepth: -1})
-	for i := 0; i < 10*DefaultQueueDepth; i++ {
-		if _, err := c.Admit("p"); err != nil {
-			t.Fatalf("unlimited controller rejected admit %d: %v", i, err)
-		}
-	}
-}
-
 func TestPerPeerTokenBucket(t *testing.T) {
 	now := time.Unix(1000, 0)
 	c := New(Config{
-		QueueDepth:  -1,
+		QueueDepth:  64, // above the burst, so only the rate gate refuses
 		PerPeerRate: 10, // 10 req/s, so the burst is max(8, 20) = 20
 		Now:         func() time.Time { return now },
 	})
@@ -124,6 +116,43 @@ func TestPerPeerTokenBucket(t *testing.T) {
 	}
 	if _, err := c.Admit("hog"); !errors.Is(err, ErrBusy) {
 		t.Fatalf("burst cap not enforced after idle: %v", err)
+	}
+}
+
+// TestBucketsStayBounded: 10,000 distinct one-request peers arrive 1ms
+// apart while a hog asks every millisecond. Idle buckets are forgotten
+// once the map reaches maxBuckets, and the hog is still held to its
+// rate.
+func TestBucketsStayBounded(t *testing.T) {
+	now := time.Unix(1000, 0)
+	const rate, burst = 10, 20
+	c := New(Config{PerPeerRate: rate, Now: func() time.Time { return now }})
+	start := now
+	hogAdmitted, peak := 0, 0
+	for i := range 10_000 {
+		now = now.Add(time.Millisecond)
+		if rel, err := c.Admit(fmt.Sprintf("10.0.%d.%d:%d", i/256%256, i%256, 40000+i)); err != nil {
+			t.Fatalf("fresh peer %d refused: %v", i, err)
+		} else {
+			rel()
+		}
+		if rel, err := c.Admit("hog"); err == nil {
+			hogAdmitted++
+			rel()
+		}
+		c.mu.Lock()
+		peak = max(peak, len(c.buckets))
+		c.mu.Unlock()
+	}
+	if peak > maxBuckets {
+		t.Fatalf("bucket map peaked at %d entries, want at most %d", peak, maxBuckets)
+	}
+	// The hog may spend its burst plus what the rate refilled, no more.
+	if limit := burst + int(now.Sub(start).Seconds()*rate); hogAdmitted > limit {
+		t.Fatalf("hog admitted %d times, want at most %d", hogAdmitted, limit)
+	}
+	if _, err := c.Admit("hog"); !errors.Is(err, ErrBusy) {
+		t.Fatalf("active hog: got %v, want ErrBusy", err)
 	}
 }
 

@@ -28,7 +28,7 @@ type Counters struct {
 	LookupRounds   *obs.Counter // α-wide waves across all lookups: the Kademlia hop count
 	RPCServed      *obs.Counter // RPC requests answered
 	LookupBusy     *obs.Counter // lookup candidates still BUSY after the retry budget
-	TracesCaptured *obs.Counter // lookup traces captured (see TraceSlow)
+	TracesCaptured *obs.Counter // lookup traces captured, one per lookup that took at least TraceSlow
 
 	// Anti-entropy totals, across AntiEntropyOnce rounds and Handoff
 	// (whose exchanges are the same summary sync).
@@ -59,7 +59,7 @@ func newCounters(reg *obs.Registry) Counters {
 		LookupBusy: reg.Counter("dharma_lookup_busy_candidates_total",
 			"Lookup candidates that stayed BUSY after the retry budget."),
 		TracesCaptured: reg.Counter("dharma_lookup_traces_captured_total",
-			"Lookup traces captured (sampled, slow, or forced)."),
+			"Lookup traces captured, one per lookup that took at least TraceSlow."),
 		Synced: reg.Counter("dharma_antientropy_synced_total",
 			"Blocks synced by anti-entropy rounds."),
 		Suppressed: reg.Counter("dharma_antientropy_suppressed_total",

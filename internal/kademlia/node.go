@@ -81,7 +81,7 @@ type Config struct {
 	Store *Store
 	// BusyRetries is how many times an outbound RPC answered with BUSY
 	// is retried with jittered exponential backoff before the error is
-	// surfaced (default DefaultBusyRetries; negative disables retries).
+	// surfaced (≤ 0 = DefaultBusyRetries).
 	// A busy peer is alive — it is never evicted from the routing table.
 	BusyRetries int
 	// BusyBackoff is the base delay of the busy-retry schedule; attempt
@@ -125,7 +125,7 @@ func (c Config) withDefaults() Config {
 	if c.MinStoreAcks <= 0 {
 		c.MinStoreAcks = 1
 	}
-	if c.BusyRetries == 0 {
+	if c.BusyRetries <= 0 {
 		c.BusyRetries = DefaultBusyRetries
 	}
 	if c.BusyBackoff <= 0 {

@@ -428,12 +428,12 @@ func TestLookupsUnderPacketLoss(t *testing.T) {
 
 // TestStoreSendsBeforeLocalCommit: when the writer is one of a key's
 // replicas, its own durable commit runs while the remote STOREs are in
-// flight, not before them. The writer's WAL lingers 300 ms per group
-// commit, so every remote replica must hold the block well before the
-// writer's Store returns.
+// flight, not before them. A compaction freezes the writer's log, and
+// its dump holds the freeze until every remote replica holds the block,
+// so the remote STOREs must all land while the local commit cannot.
 func TestStoreSendsBeforeLocalCommit(t *testing.T) {
 	cl := newTestCluster(t, 7, 33)
-	store, _, err := OpenDurableStore(t.TempDir(), persist.Options{FlushWindow: 300 * time.Millisecond})
+	store, _, err := OpenDurableStore(t.TempDir(), persist.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,6 +445,32 @@ func TestStoreSendsBeforeLocalCommit(t *testing.T) {
 	// The writer is the closest replica of its own ID.
 	key := writer.Self().ID
 
+	// held counts the remote replicas holding the block.
+	held := func() int {
+		n := 0
+		for _, node := range cl.Nodes[:7] {
+			if node.LocalStore().Has(key) {
+				n++
+			}
+		}
+		return n
+	}
+	frozen := make(chan struct{})
+	heldAtRelease := make(chan int, 1)
+	compacted := make(chan error, 1)
+	go func() {
+		compacted <- store.WAL().Compact(func(add func(persist.Record) error) error {
+			close(frozen)
+			deadline := time.Now().Add(5 * time.Second)
+			for held() < 7 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			heldAtRelease <- held()
+			return store.dumpBlocks(add)
+		})
+	}()
+	<-frozen
+
 	type result struct {
 		acks int
 		err  error
@@ -455,26 +481,11 @@ func TestStoreSendsBeforeLocalCommit(t *testing.T) {
 		done <- result{acks, err}
 	}()
 
-	deadline := time.Now().Add(150 * time.Millisecond)
-	for {
-		held := 0
-		for _, n := range cl.Nodes[:7] {
-			if n.LocalStore().Has(key) {
-				held++
-			}
-		}
-		select {
-		case r := <-done:
-			t.Fatalf("Store returned (acks %d, err %v) with %d of 7 remote replicas holding the block first", r.acks, r.err, held)
-		default:
-		}
-		if held == 7 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d of 7 remote replicas hold the block 150ms into the writer's 300ms commit", held)
-		}
-		time.Sleep(time.Millisecond)
+	if n := <-heldAtRelease; n != 7 {
+		t.Fatalf("%d of 7 remote replicas hold the block while the writer's log is frozen", n)
+	}
+	if err := <-compacted; err != nil {
+		t.Fatalf("Compact: %v", err)
 	}
 	if r := <-done; r.err != nil || r.acks != 8 {
 		t.Fatalf("Store = %d acks, err %v; want 8 acks", r.acks, r.err)

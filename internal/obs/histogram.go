@@ -141,23 +141,6 @@ func (h *Histogram) Quantile(p float64) int64 {
 	return bucketLower(histBuckets - 1)
 }
 
-// Merge adds every sample recorded by other into h. Bucket-wise
-// addition makes merge associative and commutative up to atomic
-// interleaving; other should be quiescent for an exact result.
-// No-op when either side is nil.
-func (h *Histogram) Merge(other *Histogram) {
-	if h == nil || other == nil {
-		return
-	}
-	for i := range h.buckets {
-		if v := other.buckets[i].Load(); v != 0 {
-			h.buckets[i].Add(v)
-		}
-	}
-	h.count.Add(other.count.Load())
-	h.sum.Add(other.sum.Load())
-}
-
 // HistogramSnapshot is a point-in-time copy of a histogram's state,
 // safe to serialize or compare.
 type HistogramSnapshot struct {

@@ -65,47 +65,6 @@ func TestQuantileEdgeCases(t *testing.T) {
 	}
 }
 
-// TestMergeAssociativeCommutative is the property test for Merge:
-// bucket-wise addition must make (a+b)+c == a+(b+c) == (c+b)+a exactly.
-func TestMergeAssociativeCommutative(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	randomHist := func() *Histogram {
-		h := new(Histogram)
-		for i, n := 0, rng.Intn(500); i < n; i++ {
-			h.ObserveN(rng.Int63n(1 << 40))
-		}
-		return h
-	}
-	for trial := 0; trial < 20; trial++ {
-		a, b, c := randomHist(), randomHist(), randomHist()
-
-		left := new(Histogram) // (a+b)+c
-		left.Merge(a)
-		left.Merge(b)
-		left.Merge(c)
-
-		right := new(Histogram) // a+(b+c)
-		bc := new(Histogram)
-		bc.Merge(b)
-		bc.Merge(c)
-		right.Merge(a)
-		right.Merge(bc)
-
-		rev := new(Histogram) // (c+b)+a
-		rev.Merge(c)
-		rev.Merge(b)
-		rev.Merge(a)
-
-		ls, rs, vs := left.Snapshot(), right.Snapshot(), rev.Snapshot()
-		if ls != rs {
-			t.Fatalf("trial %d: merge not associative: %+v vs %+v", trial, ls, rs)
-		}
-		if ls != vs {
-			t.Fatalf("trial %d: merge not commutative: %+v vs %+v", trial, ls, vs)
-		}
-	}
-}
-
 // TestConcurrentObserve hammers one histogram from many goroutines and
 // checks the totals are exact — the -race run doubles as the data-race
 // proof for the lock-free record path.

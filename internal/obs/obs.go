@@ -9,9 +9,8 @@
 //   - Gauge: a settable point-in-time level (in-flight requests).
 //   - Histogram: a fixed array of power-of-two buckets over int64
 //     samples (latencies in nanoseconds, or unit-less values like
-//     lookup rounds), mergeable across instances, with p50/p99
-//     extraction. Recording is one atomic add — no locks, no
-//     allocation, no time-window bookkeeping.
+//     lookup rounds), with p50/p99 extraction. Recording is one atomic
+//     add — no locks, no allocation, no time-window bookkeeping.
 //
 // A Registry names instruments and renders them in the Prometheus text
 // exposition format (see expo.go); func-backed variants (CounterFunc,

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"dharma/internal/kadid"
 	"dharma/internal/wire"
@@ -16,26 +15,21 @@ import (
 // fsync per group, shared by every writer that staged while the
 // previous fsync ran or while the flusher yielded) is at least 10x the
 // throughput of fsync-per-append on the same workload. The baseline is
-// built here, not in the log: SyncGroup with no linger, and a
-// benchmark-local mutex held across each Commit so no two appends can
-// ever share an fsync.
+// built here, not in the log: a benchmark-local mutex held across each
+// Commit, so no two appends can ever share an fsync.
 //
 //	go test ./internal/persist/ -run xxx -bench WALAppend
 func BenchmarkWALAppend(b *testing.B) {
 	for _, mode := range []struct {
 		name   string
-		window time.Duration
 		serial bool
 	}{
-		{"group-commit", 0, false},
-		{"fsync-per-append", -1, true},
+		{"group-commit", false},
+		{"fsync-per-append", true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			dir := b.TempDir()
-			l, _, err := Open(dir, Options{
-				Sync: SyncGroup, SegmentBytes: 1 << 30, CompactBytes: -1,
-				FlushWindow: mode.window,
-			}, nil)
+			l, _, err := Open(dir, Options{Sync: SyncGroup, SegmentBytes: 1 << 30, CompactBytes: -1}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -36,10 +36,10 @@
 // and fsyncs the whole buffer at once, so every appender that arrived
 // while the previous fsync was in flight shares the next one. Before a
 // flush the flusher yields its thread for as long as each yield lets
-// another committer stage (see Options.FlushWindow), so committers that
-// are already runnable share the fsync while a lone commit pays only
-// its write and fsync. Under concurrent load this sustains one fsync
-// per group rather than one per append.
+// another committer stage (see coalesce), so committers that are
+// already runnable share the fsync while a lone commit pays only its
+// write and fsync. Under concurrent load this sustains one fsync per
+// group rather than one per append.
 package persist
 
 import (
@@ -99,19 +99,6 @@ type Options struct {
 	SegmentBytes int64
 	// Sync selects the fsync policy (default SyncGroup).
 	Sync SyncMode
-	// FlushWindow is what the group-commit flusher does between the
-	// first staged commit and its write and fsync. Only SyncGroup uses
-	// it; every commit staged by then is acknowledged by one write and
-	// one fsync.
-	//   - Zero (the default) coalesces without a timer: the flusher
-	//     yields its thread, and goes on yielding while its yields let
-	//     other committers stage (at most 64 yields). Runnable
-	//     committers share the flush; a lone commit waits for no clock.
-	//   - Positive sleeps that long, trading up to FlushWindow of ack
-	//     latency (rounded up to the runtime's timer resolution, about
-	//     1ms on an idle process) for a larger group.
-	//   - Negative flushes at once.
-	FlushWindow time.Duration
 	// CompactBytes is the number of logged bytes after which the
 	// embedding layer should snapshot-and-truncate. The Log itself
 	// never compacts spontaneously — it has no access to the state to
@@ -342,7 +329,7 @@ var errTorn = errors.New("torn record")
 // committer. The outcome of such an abandoned commit is unknown to the
 // caller — exactly the semantics of a write whose ack was lost — so
 // the caller must not acknowledge it. This is what keeps a cancelled
-// write from pinning a storage handler for the whole FlushWindow.
+// write from pinning a storage handler behind a slow fsync.
 //
 // Running apply under the commit lock is what keeps the snapshot exact:
 // compaction also takes the lock, so the in-memory state it dumps
@@ -401,12 +388,7 @@ func (l *Log) flushLoop() {
 		select {
 		case <-l.flushC:
 			if l.opts.Sync == SyncGroup {
-				switch {
-				case l.opts.FlushWindow == 0:
-					l.coalesce()
-				case l.opts.FlushWindow > 0:
-					time.Sleep(l.opts.FlushWindow)
-				}
+				l.coalesce()
 			}
 			l.flushOnce()
 		case <-l.quit:
@@ -419,7 +401,7 @@ func (l *Log) flushLoop() {
 // cannot hold a flush back.
 const maxCoalesceYields = 64
 
-// coalesce is the default linger, and it sets no timer: the flusher
+// coalesce is SyncGroup's linger, and it sets no timer: the flusher
 // yields its thread and keeps yielding while its yields let other
 // committers stage. Committers that are already runnable (the STOREs of
 // one AppendBatch landing on this replica) join the pending batch and

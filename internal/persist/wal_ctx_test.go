@@ -18,16 +18,19 @@ func rec(key, field string, count uint64) Record {
 	}
 }
 
-// TestCommitDeadlineBeatsFlushWindow: a committer with a 1ms deadline
-// must return promptly instead of sitting out a long group-commit
-// linger — while its staged record still reaches the log with the rest
-// of the batch.
-func TestCommitDeadlineBeatsFlushWindow(t *testing.T) {
+// TestCommitDeadlineBeatsStalledFlush: a committer with a 1ms deadline
+// must return promptly instead of waiting out a flush that cannot run —
+// while its staged record still reaches the log with the rest of the
+// batch once the flush goes ahead.
+func TestCommitDeadlineBeatsStalledFlush(t *testing.T) {
 	dir := t.TempDir()
-	const window = 300 * time.Millisecond
-	_, _, l := collect(t, dir, Options{Sync: SyncGroup, FlushWindow: window})
+	_, _, l := collect(t, dir, Options{Sync: SyncGroup})
 
-	// A background committer keeps the batch open for the full window.
+	// Holding the file lock stalls the flusher: every commit staged from
+	// here on waits for the release below.
+	l.fileMu.Lock()
+
+	// A background committer shares the stalled batch.
 	bgDone := make(chan error, 1)
 	go func() {
 		bgDone <- l.Commit(context.Background(), []Record{rec("k", "bg", 1)}, nil)
@@ -36,9 +39,16 @@ func TestCommitDeadlineBeatsFlushWindow(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	applied := false
-	start := time.Now()
-	err := l.Commit(ctx, []Record{rec("k", "hurried", 2)}, func() { applied = true })
-	elapsed := time.Since(start)
+	hurried := make(chan error, 1)
+	go func() {
+		hurried <- l.Commit(ctx, []Record{rec("k", "hurried", 2)}, func() { applied = true })
+	}()
+	var err error
+	select {
+	case err = <-hurried:
+	case <-time.After(5 * time.Second):
+		t.Fatal("deadline commit still waiting 5s into a stalled flush")
+	}
 
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("deadline commit: got %v, want DeadlineExceeded", err)
@@ -46,9 +56,12 @@ func TestCommitDeadlineBeatsFlushWindow(t *testing.T) {
 	if !applied {
 		t.Fatal("apply did not run: the record was staged, so the in-memory state must reflect it")
 	}
-	if elapsed >= window {
-		t.Fatalf("deadline commit took %v; must not wait out the %v flush window", elapsed, window)
+	select {
+	case err := <-bgDone:
+		t.Fatalf("background commit returned (%v) while the flush was stalled", err)
+	default:
 	}
+	l.fileMu.Unlock()
 
 	// The abandoned commit must not hurt the rest of the group.
 	if err := <-bgDone; err != nil {

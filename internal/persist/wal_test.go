@@ -197,7 +197,7 @@ func TestCrashPointRecovery(t *testing.T) {
 	dir := t.TempDir()
 	// Sequential commits each wait for their own flush, so the on-disk
 	// image matches the deterministic concatenation.
-	_, _, l := collect(t, dir, Options{Sync: SyncGroup, FlushWindow: -1, SegmentBytes: 1 << 30})
+	_, _, l := collect(t, dir, Options{Sync: SyncGroup, SegmentBytes: 1 << 30})
 	for i := range recs {
 		if err := l.Commit(context.Background(), []Record{recs[i]}, nil); err != nil {
 			t.Fatalf("Commit %d: %v", i, err)
@@ -330,7 +330,7 @@ func TestOversizedRecordChunksByBytes(t *testing.T) {
 // is no snapshot — is data loss, not a torn tail.
 func TestBoundarySegmentGapRefusesToOpen(t *testing.T) {
 	dir := t.TempDir()
-	_, _, l := collect(t, dir, Options{Sync: SyncGroup, FlushWindow: -1, SegmentBytes: 64})
+	_, _, l := collect(t, dir, Options{Sync: SyncGroup, SegmentBytes: 64})
 	for _, rec := range randomRecords(rand.New(rand.NewSource(11)), 12) {
 		if err := l.Commit(context.Background(), []Record{rec}, nil); err != nil {
 			t.Fatal(err)
@@ -372,7 +372,7 @@ func TestCorruptMiddleSegmentRefusesToOpen(t *testing.T) {
 	// Tiny segments force rotation: every flush that ends >= 64 bytes
 	// rolls, and sequential commits flush one record each, so the log
 	// spans several files.
-	_, _, l := collect(t, dir, Options{Sync: SyncGroup, FlushWindow: -1, SegmentBytes: 64})
+	_, _, l := collect(t, dir, Options{Sync: SyncGroup, SegmentBytes: 64})
 	recs := randomRecords(rand.New(rand.NewSource(3)), 30)
 	for i := range recs {
 		if err := l.Commit(context.Background(), []Record{recs[i]}, nil); err != nil {
