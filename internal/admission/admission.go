@@ -17,9 +17,11 @@
 //     address, so one aggressive client cannot monopolize the queue
 //     that every peer shares.
 //
-// Rejected requests fail fast with ErrBusy (surfaced to overlay
-// clients as wire.ErrBusy); well-behaved clients back off with
-// jittered exponential retry and never treat a busy peer as dead.
+// A transport brackets each request with Controller.Enter and Leave,
+// which allocate nothing. Rejected requests fail fast with ErrBusy
+// (surfaced to overlay clients as wire.ErrBusy); well-behaved clients
+// back off with jittered exponential retry and never treat a busy peer
+// as dead.
 package admission
 
 import (
@@ -79,7 +81,7 @@ type Stats struct {
 // Rejected is the total across both gates.
 func (s Stats) Rejected() int64 { return s.RejectedQueue + s.RejectedRate }
 
-// maxBuckets is the bucket count at which Admit starts forgetting
+// maxBuckets is the bucket count at which Enter starts forgetting
 // idle peers, the same bound as the session cache's default
 // (session.DefaultMaxSessions): one bucket per source address would
 // otherwise grow without end under ephemeral client ports and spoofed
@@ -121,32 +123,42 @@ func New(cfg Config) *Controller {
 	return c
 }
 
-// Admit asks to run one request from peer. On success it returns a
-// release function that MUST be called exactly once when the handler
-// finishes (however it finishes); on rejection it returns ErrBusy.
-// Admission never blocks — a full queue is an immediate rejection, not
-// a wait — so the transport's receive loop stays responsive no matter
-// how deep the backlog is.
-func (c *Controller) Admit(peer string) (release func(), err error) {
+// Enter asks to run one request from peer. On success the caller MUST
+// call Leave exactly once when the handler finishes (however it
+// finishes); on rejection it returns ErrBusy. Admission never blocks —
+// a full queue is an immediate rejection, not a wait — so the
+// transport's receive loop stays responsive no matter how deep the
+// backlog is.
+func (c *Controller) Enter(peer string) error {
 	if !c.takeToken(peer) {
 		c.rejRate.Add(1)
-		return nil, ErrBusy
+		return ErrBusy
 	}
 	select {
 	case c.slots <- struct{}{}:
 	default:
 		c.rejQueue.Add(1)
-		return nil, ErrBusy
+		return ErrBusy
 	}
 	c.admitted.Add(1)
 	c.inFlight.Add(1)
+	return nil
+}
+
+// Leave ends one request that Enter admitted, freeing its queue slot.
+func (c *Controller) Leave() {
+	c.inFlight.Add(-1)
+	<-c.slots
+}
+
+// Admit is Enter with Leave wrapped in a release function that is safe
+// to call more than once; unlike the pair, it allocates.
+func (c *Controller) Admit(peer string) (release func(), err error) {
+	if err := c.Enter(peer); err != nil {
+		return nil, err
+	}
 	var once sync.Once
-	return func() {
-		once.Do(func() {
-			c.inFlight.Add(-1)
-			<-c.slots
-		})
-	}, nil
+	return func() { once.Do(c.Leave) }, nil
 }
 
 // takeToken spends one token from peer's bucket, reporting whether one

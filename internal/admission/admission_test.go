@@ -156,32 +156,50 @@ func TestBucketsStayBounded(t *testing.T) {
 	}
 }
 
+// TestConcurrentAdmitRelease runs both forms of admission — Admit's
+// release closure and the Enter/Leave pair the transports use — from
+// several goroutines at once.
 func TestConcurrentAdmitRelease(t *testing.T) {
 	const depth = 16
-	c := New(Config{QueueDepth: depth})
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				rel, err := c.Admit("p")
-				if err != nil {
-					continue
-				}
-				if in := c.Stats().InFlight; in > depth {
-					t.Errorf("inFlight %d exceeds depth %d", in, depth)
-				}
-				rel()
+	for _, tc := range []struct {
+		name  string
+		enter func(c *Controller) (func(), error)
+	}{
+		{"admit", func(c *Controller) (func(), error) { return c.Admit("p") }},
+		{"enter_leave", func(c *Controller) (func(), error) {
+			if err := c.Enter("p"); err != nil {
+				return nil, err
 			}
-		}()
-	}
-	wg.Wait()
-	st := c.Stats()
-	if st.InFlight != 0 {
-		t.Fatalf("inFlight after quiesce = %d, want 0", st.InFlight)
-	}
-	if st.Admitted == 0 {
-		t.Fatal("no admissions recorded")
+			return c.Leave, nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(Config{QueueDepth: depth})
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 2000; i++ {
+						leave, err := tc.enter(c)
+						if err != nil {
+							continue
+						}
+						if in := c.Stats().InFlight; in > depth {
+							t.Errorf("inFlight %d exceeds depth %d", in, depth)
+						}
+						leave()
+					}
+				}()
+			}
+			wg.Wait()
+			st := c.Stats()
+			if st.InFlight != 0 {
+				t.Fatalf("inFlight after quiesce = %d, want 0", st.InFlight)
+			}
+			if st.Admitted == 0 {
+				t.Fatal("no admissions recorded")
+			}
+		})
 	}
 }

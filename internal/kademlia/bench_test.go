@@ -110,8 +110,9 @@ func BenchmarkRoutingTableUpdate(b *testing.B) {
 
 // BenchmarkHandleRPC is the composed serving path the alloc gate holds:
 // decode → admit → table update → dispatch → encode on a warmed node.
-// The budget is the reply buffer, which escapes to the transport (plus,
-// for find_value, the entry list Store.Get hands out). store and
+// Each reply is handed back to the wire free list, as a transport does,
+// so the budget is 0 (plus, for find_value, the entry list Store.Get
+// hands out). store and
 // replicate gate the store's two mutation rules, append and max-merge;
 // replicate re-merges a field the block already holds at a higher
 // count, which is a republish round's steady state.
@@ -150,9 +151,11 @@ func BenchmarkHandleRPC(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := srv.HandleRPC(ctx, simnet.Addr(from.Addr), payload); err != nil {
+				out, err := srv.HandleRPC(ctx, simnet.Addr(from.Addr), payload)
+				if err != nil {
 					b.Fatal(err)
 				}
+				wire.Recycle(out)
 			}
 		})
 	}
@@ -160,8 +163,9 @@ func BenchmarkHandleRPC(b *testing.B) {
 
 // BenchmarkCallRoundTrip is the composed client path over a simnet
 // endpoint: encode, admission at the receiver, its handler, and the
-// reply decoded into a message the caller owns. The budget is the
-// handler's reply buffer plus Admit's two.
+// reply decoded into a message the caller owns. Request and reply
+// buffers come from the wire free list and go back to it, and
+// admission allocates nothing, so the budget is 0.
 func BenchmarkCallRoundTrip(b *testing.B) {
 	cl := benchCluster(b, 64)
 	from, to := cl.Nodes[1], cl.Nodes[2].Self()

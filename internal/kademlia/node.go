@@ -451,7 +451,8 @@ func (n *Node) HandleRPC(ctx context.Context, from simnet.Addr, payload []byte) 
 		*resp = wire.Message{Kind: wire.KindError, Err: fmt.Sprintf("unexpected %v", msg.Kind)}
 	}
 	resp.From = n.Self()
-	out := wire.Encode(resp)
+	// A free-list buffer: the transport owns it now and hands it back.
+	out := wire.EncodePooled(resp)
 	if h := n.metrics.kindHist(msg.Kind); h != nil {
 		h.Observe(time.Since(start))
 		ki := int(msg.Kind) - 1
@@ -602,12 +603,11 @@ func (n *Node) callOnce(ctx context.Context, to wire.Contact, msg, resp *wire.Me
 			msg.Deadline = 1 // sub-µs remainder still counts as a budget
 		}
 	}
-	// The request is marshalled into a pooled buffer. It is recycled
+	// The request is marshalled into a free-list buffer. It is recycled
 	// only when the exchange did not end via ctx: a cancelled simnet
 	// call can leave an abandoned handler goroutine still draining the
 	// payload, so those buffers are dropped to the GC instead.
-	buf := wire.GetBuffer()
-	buf.B = wire.AppendEncode(buf.B[:0], msg)
+	req := wire.EncodePooled(msg)
 	// Maintenance-plane byte accounting: SUMMARY exchanges and REPLICATE
 	// pushes (anti-entropy and handoff) are what the bandwidth-frugality
 	// claim is about, so their payload sizes are metered
@@ -615,13 +615,13 @@ func (n *Node) callOnce(ctx context.Context, to wire.Contact, msg, resp *wire.Me
 	// request that never left (too large) or never got an answer moved
 	// no maintenance data.
 	maint := msg.Kind == wire.KindSummary || msg.Kind == wire.KindReplicate
-	raw, err := tr.Call(ctx, simnet.Addr(to.Addr), buf.B)
+	raw, err := tr.Call(ctx, simnet.Addr(to.Addr), req)
 	if maint && err == nil {
-		n.counters.MaintBytesSent.Add(int64(len(buf.B)))
+		n.counters.MaintBytesSent.Add(int64(len(req)))
 		n.counters.MaintBytesRecv.Add(int64(len(raw)))
 	}
 	if ctx.Err() == nil {
-		buf.Release()
+		wire.Recycle(req)
 	}
 	if err != nil {
 		// A local send failure (endpoint closed under us) says nothing
@@ -635,9 +635,11 @@ func (n *Node) callOnce(ctx context.Context, to wire.Contact, msg, resp *wire.Me
 		}
 		return err
 	}
+	// The reply is ours and resp holds only copies, so it goes back now.
 	sc := n.scratch.get()
 	err = sc.dec.DecodeInto(resp, raw)
 	n.scratch.put(sc)
+	wire.Recycle(raw)
 	if err != nil {
 		return err
 	}

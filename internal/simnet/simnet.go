@@ -14,6 +14,11 @@
 // Under an uncancellable ctx (ctx.Done() == nil) Call runs the handler
 // on the caller's goroutine, otherwise on a goroutine of its own.
 //
+// Payloads change hands, they are not shared: a handler's reply belongs
+// to the transport and a Call's result to its caller, and neither side
+// keeps a reference after handing the bytes on, so the receiver may
+// recycle them (the kademlia decoder copies blobs and interns strings).
+//
 // One RWMutex guards the endpoint, down and partition maps; Call holds
 // its read side once per exchange, so concurrent callers share it and
 // only topology changes (Attach, Detach, SetDown, Partition) write.
@@ -40,6 +45,9 @@ type Addr string
 // caller gives up or the serving transport shuts down, so long-running
 // handlers (storage commits, anything that blocks) should watch it and
 // stop wasting work that nobody will read.
+//
+// payload is lent for the call only and is never returned; the reply
+// belongs to the transport. The handler keeps no reference to either.
 type Handler interface {
 	HandleRPC(ctx context.Context, from Addr, payload []byte) ([]byte, error)
 }
@@ -60,7 +68,8 @@ type Transport interface {
 	// response arrives, the exchange fails, or ctx ends. A cancelled or
 	// expired ctx aborts the in-flight wait and returns ctx.Err() — the
 	// caller stops waiting immediately; whatever the exchange would have
-	// produced is discarded.
+	// produced is discarded. Once Call returns the transport keeps no
+	// reference to payload, and the result belongs to the caller.
 	Call(ctx context.Context, to Addr, payload []byte) ([]byte, error)
 	// Addr returns the local address of this endpoint.
 	Addr() Addr
@@ -248,8 +257,7 @@ func (ep *endpoint) Call(ctx context.Context, to Addr, payload []byte) ([]byte, 
 	// Admission at the receiver: the target either takes the request into
 	// its bounded work queue or answers busy immediately. Rejection is an
 	// explicit cheap reply, not silence — distinct from Drops.
-	release, aerr := target.ctrl.Admit(string(ep.addr))
-	if aerr != nil {
+	if aerr := target.ctrl.Enter(string(ep.addr)); aerr != nil {
 		n.counters.busy.Add(1)
 		return nil, fmt.Errorf("simnet: %s rejected request: %w", to, aerr)
 	}
@@ -257,7 +265,7 @@ func (ep *endpoint) Call(ctx context.Context, to Addr, payload []byte) ([]byte, 
 	if ctx.Done() == nil {
 		// Uncancellable context (Background/TODO): keep the synchronous
 		// fast path — no goroutine per simulated RPC.
-		defer release()
+		defer target.ctrl.Leave()
 		return ep.finish(target.handler.HandleRPC(ctx, ep.addr, payload))
 	}
 	type handled struct {
@@ -271,7 +279,7 @@ func (ep *endpoint) Call(ctx context.Context, to Addr, payload []byte) ([]byte, 
 		// bound that fixes the cancellation goroutine leak: abandoned
 		// handlers can pile up only to QueueDepth before the endpoint
 		// starts answering busy instead of spawning more.
-		defer release()
+		defer target.ctrl.Leave()
 		resp, err := target.handler.HandleRPC(ctx, ep.addr, payload)
 		ch <- handled{resp, err}
 	}()
@@ -279,9 +287,10 @@ func (ep *endpoint) Call(ctx context.Context, to Addr, payload []byte) ([]byte, 
 	case <-ctx.Done():
 		// The waiter is aborted; the handler observes the same ctx and is
 		// expected to wind down, though it may well have applied the write
-		// already — exactly like a response lost on the wire. Deliberately
-		// NOT counted as a drop: Drops measures the injected fault model,
-		// and a caller giving up is not simulated packet loss.
+		// already — exactly like a response lost on the wire. Its reply,
+		// if any, is never received and goes to the GC. Deliberately NOT
+		// counted as a drop: Drops measures the injected fault model, and
+		// a caller giving up is not simulated packet loss.
 		return nil, ctx.Err()
 	case h := <-ch:
 		return ep.finish(h.resp, h.err)

@@ -107,7 +107,7 @@ func TestBusyAfterQueueDrain(t *testing.T) {
 	n.Attach("srv", HandlerFunc(func(_ context.Context, _ Addr, p []byte) ([]byte, error) {
 		entered <- struct{}{}
 		<-gate
-		return p, nil
+		return append([]byte(nil), p...), nil
 	}))
 	a := n.Attach("a", echo())
 

@@ -179,7 +179,7 @@ func TestConcurrentCalls(t *testing.T) {
 		addr := Addr(fmt.Sprintf("srv-%d", i))
 		n.Attach(addr, HandlerFunc(func(_ context.Context, from Addr, p []byte) ([]byte, error) {
 			served.Store(string(p), true)
-			return p, nil
+			return append([]byte(nil), p...), nil
 		}))
 	}
 	client := n.Attach("client", echo())

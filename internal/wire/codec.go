@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"math/rand/v2"
+	"slices"
 	"sync"
 
 	"dharma/internal/kadid"
@@ -30,10 +32,9 @@ const codecVersion = 4
 var ErrMalformed = errors.New("wire: malformed message")
 
 // Encode serialises m into a fresh byte slice of exactly the encoded
-// length. Hot paths that can recycle their payloads should prefer
-// AppendEncode with a pooled Buffer; Encode is for callers whose output
-// escapes to an owner with an unknown lifetime (e.g. an RPC response
-// handed to the transport).
+// length. Hot paths whose payloads have one owner at a time use
+// EncodePooled and Recycle instead; Encode is for callers whose output
+// is kept or shared (a logged record, a prebuilt control frame).
 func Encode(m *Message) []byte {
 	return AppendEncode(make([]byte, 0, encodedLen(m)), m)
 }
@@ -193,39 +194,52 @@ func decodeInto(m *Message, b []byte, strs *interner) error {
 }
 
 // maxPooledBuf bounds the capacity of recycled encode buffers: a
-// one-off giant message must not pin its backing array in the pool.
+// one-off giant message must not pin its backing array in the free list.
 const maxPooledBuf = 1 << 16
 
-var bufPool = sync.Pool{New: func() any { return &Buffer{B: make([]byte, 0, 512)} }}
+// maxIdleBufs bounds the idle buffers kept over all shards of bufs.
+const maxIdleBufs = 64
 
-// Buffer is a pooled destination for AppendEncode, so steady-state
-// request marshalling recycles one backing array per in-flight RPC
-// instead of allocating per call.
-type Buffer struct {
-	B []byte
+// bufs is the free list behind EncodePooled and Recycle, shared by every
+// node in the process. Unlike a sync.Pool the GC never empties it, and a
+// []byte needs no interface allocation. Its shards are entered at
+// random, so goroutines seldom queue on one lock (one lock halved
+// TestOverloadUDP's goodput under -race); a get tries every shard first.
+var bufs [8]struct {
+	mu   sync.Mutex
+	idle [][]byte
 }
 
-// GetBuffer draws a buffer from the pool. Use as:
-//
-//	buf := wire.GetBuffer()
-//	buf.B = wire.AppendEncode(buf.B[:0], msg)
-//	... hand buf.B to the transport ...
-//	buf.Release()
-func GetBuffer() *Buffer {
-	return bufPool.Get().(*Buffer)
+// EncodePooled serialises m into a buffer from the free list. Whoever
+// ends up owning the bytes hands them back with Recycle once nothing
+// references them; a buffer that is never handed back goes to the GC.
+func EncodePooled(m *Message) []byte {
+	var b []byte
+	for i, first := 0, rand.N(len(bufs)); i < len(bufs) && b == nil; i++ {
+		sh := &bufs[(first+i)%len(bufs)]
+		sh.mu.Lock()
+		if last := len(sh.idle) - 1; last >= 0 {
+			b, sh.idle = sh.idle[last], sh.idle[:last]
+		}
+		sh.mu.Unlock()
+	}
+	return AppendEncode(slices.Grow(b, encodedLen(m)), m)
 }
 
-// Release returns the buffer to the pool. Callers must be certain
-// nothing still references the bytes: in particular, a transport call
-// that ended with ctx.Err() may have left the payload with an abandoned
-// handler still draining it (simnet's cancellable path) — such buffers
-// must NOT be released; simply drop them to the GC.
-func (b *Buffer) Release() {
-	if cap(b.B) > maxPooledBuf {
+// Recycle hands b to the free list for a later EncodePooled. Nobody may
+// reference b afterwards: a payload an abandoned handler may still read
+// goes to the GC instead. Buffers larger than maxPooledBuf, or that meet
+// a full shard, are not kept.
+func Recycle(b []byte) {
+	if cap(b) == 0 || cap(b) > maxPooledBuf {
 		return
 	}
-	b.B = b.B[:0]
-	bufPool.Put(b)
+	sh := &bufs[rand.N(len(bufs))]
+	sh.mu.Lock()
+	if len(sh.idle) < maxIdleBufs/len(bufs) {
+		sh.idle = append(sh.idle, b[:0])
+	}
+	sh.mu.Unlock()
 }
 
 type writer struct {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -122,16 +123,53 @@ func TestInternerBounded(t *testing.T) {
 	}
 }
 
+// TestBufferPoolRoundTrip: the free list behind EncodePooled and
+// Recycle hands a buffer back empty and reuses its array, keeps no
+// oversized buffer and holds at most maxIdleBufs idle ones.
 func TestBufferPoolRoundTrip(t *testing.T) {
-	buf := GetBuffer()
-	buf.B = AppendEncode(buf.B[:0], sampleMessage())
-	if _, err := Decode(buf.B); err != nil {
+	idle := func(drop bool) (n int) {
+		for i := range bufs {
+			sh := &bufs[i]
+			sh.mu.Lock()
+			n += len(sh.idle)
+			if drop {
+				sh.idle = nil
+			}
+			sh.mu.Unlock()
+		}
+		return n
+	}
+	idle(true)
+	defer idle(true)
+
+	m := sampleMessage()
+	first := EncodePooled(m)
+	if !bytes.Equal(first, Encode(m)) {
+		t.Fatal("EncodePooled differs from Encode")
+	}
+	Recycle(first)
+	ping := &Message{Kind: KindPing}
+	again := EncodePooled(ping)
+	if &again[0] != &first[0] {
+		t.Fatal("a recycled buffer was not reused")
+	}
+	if !bytes.Equal(again, Encode(ping)) {
+		t.Fatalf("a reused buffer kept %d stale bytes", len(again)-len(Encode(ping)))
+	}
+	if _, err := Decode(again); err != nil {
 		t.Fatal(err)
 	}
-	buf.Release()
-	// Oversized buffers are dropped, not pooled.
-	big := &Buffer{B: make([]byte, maxPooledBuf+1)}
-	big.Release() // must not panic; nothing further observable
+
+	Recycle(make([]byte, 0, maxPooledBuf+1))
+	if n := idle(false); n != 0 {
+		t.Fatalf("an oversized buffer was kept (%d idle)", n)
+	}
+	for range 2 * maxIdleBufs {
+		Recycle(make([]byte, 8))
+	}
+	if n := idle(false); n == 0 || n > maxIdleBufs {
+		t.Fatalf("%d idle buffers after %d recycled, want 1 to %d", n, 2*maxIdleBufs, maxIdleBufs)
+	}
 }
 
 // BenchmarkAppendEncode is the gated steady-state request-marshal path:
@@ -232,7 +270,7 @@ func BenchmarkDecodeIntoSummary(b *testing.B) {
 }
 
 // BenchmarkCodecRoundTrip is one full client-side RPC worth of codec
-// work — marshal the request into a pooled buffer, unmarshal the
+// work — marshal the request into a free-list buffer, unmarshal the
 // response with a warmed Decoder — and must be allocation-free.
 func BenchmarkCodecRoundTrip(b *testing.B) {
 	req := &Message{Kind: KindFindNode, From: Contact{ID: kadid.HashString("client"), Addr: "10.9.9.9:4100"}, Target: kadid.HashString("t")}
@@ -245,11 +283,10 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf := GetBuffer()
-		buf.B = AppendEncode(buf.B[:0], req)
+		buf := EncodePooled(req)
 		if err := d.DecodeInto(&resp, respBytes); err != nil {
 			b.Fatal(err)
 		}
-		buf.Release()
+		Recycle(buf)
 	}
 }

@@ -478,13 +478,13 @@ func (t *UDPTransport) readLoop() {
 			// pool — the read loop never blocks and never queues unboundedly.
 			// Hellos pass the same gate so a handshake flood cannot spawn
 			// unbounded signature verifications.
-			release, aerr := t.ctrl.Admit(from.String())
-			if aerr != nil {
+			addr := from.String()
+			if t.ctrl.Enter(addr) != nil {
 				t.reply(frameResponse, from, id, busyFrame)
 				continue
 			}
 			t.wg.Add(1)
-			go t.serve(kind, from, id, payload, release)
+			go t.serve(kind, from, addr, id, payload)
 		case frameResponse, frameHelloReply, frameSecureResponse:
 			t.mu.Lock()
 			ch, ok := t.pending[id]
@@ -499,9 +499,10 @@ func (t *UDPTransport) readLoop() {
 	}
 }
 
-func (t *UDPTransport) serve(kind byte, from *net.UDPAddr, id uint64, payload []byte, release func()) {
+// serve runs one request admitted from addr and recycles the reply.
+func (t *UDPTransport) serve(kind byte, from *net.UDPAddr, addr string, id uint64, payload []byte) {
 	defer t.wg.Done()
-	defer release()
+	defer t.ctrl.Leave()
 	switch kind {
 	case frameHello:
 		if t.sessions == nil {
@@ -530,12 +531,13 @@ func (t *UDPTransport) serve(kind byte, from *net.UDPAddr, id uint64, payload []
 			return // bad MAC / replay: silence, as for any forged datagram
 		}
 		ctx := session.WithPeer(t.baseCtx, s.Peer())
-		resp, err := t.handler.HandleRPC(ctx, simnet.Addr(from.String()), inner)
+		resp, err := t.handler.HandleRPC(ctx, simnet.Addr(addr), inner)
 		if err != nil {
 			return
 		}
 		frame := header(frameSecureResponse, id, session.Overhead+len(resp))
 		t.send(s.Seal(frame, frameSecureResponse, id, resp), from) //nolint:errcheck // best-effort reply
+		Recycle(resp)
 		return
 	}
 	// Plain request.
@@ -544,11 +546,12 @@ func (t *UDPTransport) serve(kind byte, from *net.UDPAddr, id uint64, payload []
 		t.reply(frameResponse, from, id, unauthFrame)
 		return
 	}
-	resp, err := t.handler.HandleRPC(t.baseCtx, simnet.Addr(from.String()), payload)
+	resp, err := t.handler.HandleRPC(t.baseCtx, simnet.Addr(addr), payload)
 	if err != nil {
 		return // silence, as over real UDP: the caller times out
 	}
 	t.reply(frameResponse, from, id, resp)
+	Recycle(resp)
 }
 
 // reply sends one plain control or response frame, best effort.

@@ -20,7 +20,7 @@ func TestUDPBusyReplyIsFast(t *testing.T) {
 		func(_ context.Context, _ simnet.Addr, p []byte) ([]byte, error) {
 			entered <- struct{}{}
 			<-gate
-			return p, nil
+			return append([]byte(nil), p...), nil
 		}), UDPOptions{Timeout: 5 * time.Second, Admission: admission.Config{QueueDepth: 1}})
 	if err != nil {
 		t.Fatal(err)

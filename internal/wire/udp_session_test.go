@@ -141,7 +141,9 @@ func TestUDPSessionRejectsWrongCA(t *testing.T) {
 func TestUDPSessionStaleRehandshake(t *testing.T) {
 	auth, ids := newTestCA(t, 2)
 	echo := simnet.HandlerFunc(
-		func(_ context.Context, _ simnet.Addr, p []byte) ([]byte, error) { return p, nil })
+		func(_ context.Context, _ simnet.Addr, p []byte) ([]byte, error) {
+			return append([]byte(nil), p...), nil
+		})
 
 	srv := newSecuredTransport(t, auth, ids[0], echo)
 	cli := newSecuredTransport(t, auth, ids[1], simnet.HandlerFunc(

@@ -76,7 +76,7 @@ func TestUDPHandlerErrorTimesOut(t *testing.T) {
 func TestUDPConcurrentCalls(t *testing.T) {
 	srv, err := ListenUDP("127.0.0.1:0", simnet.HandlerFunc(
 		func(_ context.Context, from simnet.Addr, p []byte) ([]byte, error) {
-			return p, nil // echo
+			return append([]byte(nil), p...), nil // echo
 		}), UDPOptions{Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
