@@ -18,11 +18,11 @@
 //	dharma-node resolve -bootstrap 127.0.0.1:9000 -r song
 //
 // A serving node exposes a live ops endpoint when -debug-addr is set:
-// Prometheus metrics under /metrics, a JSON stats snapshot under
-// /debug/stats, recent lookup traces under /debug/traces, and the
-// standard pprof profiles under /debug/pprof/. The scrape verb reads
-// that endpoint back, human-readable, and with -assert-rpc,
-// -assert-trace or -assert-min makes it a health check:
+// Prometheus metrics under /metrics (every Peer.Stats counter, Table I's
+// block operations included), recent lookup traces under
+// /debug/traces, and the standard pprof profiles under /debug/pprof/.
+// The scrape verb reads that endpoint back, human-readable, and with
+// -assert-rpc, -assert-trace or -assert-min makes it a health check:
 //
 //	dharma-node scrape -addr 127.0.0.1:9600 -assert-rpc -assert-trace
 package main
@@ -185,7 +185,7 @@ func serveConfig(args []string) (dharma.UDPPeerConfig, serveOptions, error) {
 	fs.Float64Var(&cfg.PerPeerRate, "peer-rate", 0,
 		"admitted requests/sec per source peer before answering BUSY (0 = unlimited)")
 	fs.StringVar(&o.debugAddr, "debug-addr", "",
-		"HTTP address for the ops endpoint (/metrics, /debug/stats, /debug/traces, /debug/pprof); empty disables")
+		"HTTP address for the ops endpoint (/metrics, /debug/traces, /debug/pprof); empty disables")
 	fs.DurationVar(&cfg.TraceSlow, "trace-slow", 0,
 		"capture and log every lookup slower than this (0 = default 250ms, negative = disabled)")
 	fs.StringVar(&o.logLevel, "log-level", "info", "log verbosity: debug, info, warn or error")
@@ -240,21 +240,12 @@ func serve(ctx context.Context, args []string) error {
 		"addr", node.Self().Addr, "contacts", node.Table().Len())
 
 	if o.debugAddr != "" {
-		statsFn := func() any {
-			return struct {
-				Node     string `json:"node"`
-				Addr     string `json:"addr"`
-				Contacts int    `json:"contacts"`
-				Blocks   int    `json:"blocks"`
-				dharma.Stats
-			}{node.Self().ID.Short(), node.Self().Addr, node.Table().Len(), node.LocalStore().Len(), p.Stats()}
-		}
 		ln, err := net.Listen("tcp", o.debugAddr)
 		if err != nil {
 			p.Close() //nolint:errcheck // boot failed; the listen error is the one to report
 			return fmt.Errorf("debug listen: %w", err)
 		}
-		debugSrv := &http.Server{Handler: obs.Handler(p.Metrics(), statsFn, func() any { return node.RecentTraces() })}
+		debugSrv := &http.Server{Handler: obs.Handler(p.Metrics(), func() any { return node.RecentTraces() })}
 		go func() {
 			if serr := debugSrv.Serve(ln); serr != nil && !errors.Is(serr, http.ErrServerClosed) {
 				logger.Error("debug endpoint failed", "err", serr)

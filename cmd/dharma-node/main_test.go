@@ -238,9 +238,7 @@ func TestScrapeAssertions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	srv := httptest.NewServer(obs.Handler(p.Metrics(),
-		func() any { return p.Stats() },
-		func() any { return p.Node.RecentTraces() }))
+	srv := httptest.NewServer(obs.Handler(p.Metrics(), func() any { return p.Node.RecentTraces() }))
 	defer srv.Close()
 	run := func(args ...string) (string, error) {
 		var out strings.Builder

@@ -19,7 +19,7 @@ import (
 
 // scrape reads a serving node's ops endpoint (serve -debug-addr) and
 // reports what the node is doing: per-kind RPC latency percentiles,
-// transport and admission traffic, the stats snapshot, and the
+// transport and admission traffic, Table I's block operations, and the
 // hop-by-hop timeline of a recent lookup trace. With -assert-rpc,
 // -assert-trace and -assert-min it doubles as the fleet health check
 // the metrics and auth smoke scripts run: a failed assertion is an
@@ -55,12 +55,6 @@ func scrape(ctx context.Context, args []string, w io.Writer) error {
 		return fmt.Errorf("parse /metrics: %w", err)
 	}
 	printMetrics(w, metrics)
-
-	stats, err := fetch(ctx, client, base+"/debug/stats")
-	if err != nil {
-		return fmt.Errorf("scrape /debug/stats: %w", err)
-	}
-	fmt.Fprintf(w, "\nstats: %s\n", strings.TrimSpace(string(stats)))
 
 	tbody, err := fetch(ctx, client, base+"/debug/traces")
 	if err != nil {

@@ -215,16 +215,13 @@ type Peer struct {
 	caPub    ed25519.PublicKey
 }
 
-// Engine exposes the peer's underlying DHARMA engine (the
-// option-less, context-first core API; the overload scenario drives
-// engines directly).
-func (p *Peer) Engine() *core.Engine { return p.engine }
-
 // Stats is a point-in-time snapshot of one peer's accounting,
 // consolidated across the engine's block store counters, the overlay
 // node's counters (Node.Counters) and its endpoint's admission gate.
-// Every field but Appends, Gets and Lookups reads the atomic behind a
-// /metrics series of a NewUDPPeer peer (Peer.Metrics).
+// It is the typed view for Go callers: every field reads the atomic
+// behind a /metrics series of a NewUDPPeer peer (Peer.Metrics) —
+// Appends and Gets are dharma_block_appends_total and
+// dharma_block_gets_total, and Lookups is their sum.
 type Stats struct {
 	// Appends and Gets are the block operations this peer issued — the
 	// paper's lookup unit; Lookups is their sum (the Table I cost).

@@ -67,6 +67,46 @@ func TestSystemWithIdentity(t *testing.T) {
 	if err != nil || uri != "uri:song" {
 		t.Fatalf("ResolveURI over Likir overlay = %q, %v", uri, err)
 	}
+
+	// A file-sharing index, the paper's motivating deployment: six
+	// signed URIs published from different peers still resolve once a
+	// third of the network is down, and a search step on the survivors
+	// still verifies its entries and finds related tags.
+	ctx := context.Background()
+	share, err := dharma.NewSystem(dharma.Config{Nodes: 24, Mode: dharma.Approximated, K: 4, WithIdentity: true, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer share.Shutdown()
+	files := []struct {
+		name, uri string
+		tags      []string
+	}{
+		{"ubuntu-24.04.iso", "magnet:?xt=ubuntu", []string{"linux", "iso", "os", "lts"}},
+		{"debian-12.iso", "magnet:?xt=debian", []string{"linux", "iso", "os", "stable"}},
+		{"go1.22.src.tar.gz", "magnet:?xt=gosrc", []string{"golang", "source", "compiler"}},
+		{"sicp.pdf", "magnet:?xt=sicp", []string{"book", "lisp", "cs"}},
+		{"k&r.pdf", "magnet:?xt=knr", []string{"book", "c", "cs"}},
+		{"tapl.pdf", "magnet:?xt=tapl", []string{"book", "types", "cs"}},
+	}
+	for i, f := range files {
+		if err := share.Peer(i).InsertResource(ctx, f.name, f.uri, f.tags); err != nil {
+			t.Fatalf("peer %d InsertResource(%s): %v", i, f.name, err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		share.SetDown(i, true)
+	}
+	seeker := share.Peer(19)
+	for _, f := range files {
+		if uri, err := seeker.ResolveURI(ctx, f.name); err != nil || uri != f.uri {
+			t.Errorf("with nodes 0-7 down, ResolveURI(%s) = %q, %v; want %q", f.name, uri, err, f.uri)
+		}
+	}
+	related, _, err := seeker.SearchStep(ctx, "cs")
+	if err != nil || len(related) == 0 {
+		t.Fatalf("with nodes 0-7 down, SearchStep(cs) = %v, %v; want related tags", related, err)
+	}
 }
 
 func TestSystemNaiveMode(t *testing.T) {

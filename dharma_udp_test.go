@@ -156,15 +156,17 @@ func TestUDPPeerInstrument(t *testing.T) {
 
 // TestStatsMatchMetrics: Peer.Stats and Peer.Metrics are two views of
 // one set of counters. After traffic and a maintenance round on two
-// deployed peers, every Stats field with a /metrics series equals the
-// scraped value; on a simulated peer the registry reports the same
-// nonzero lookup and served-RPC totals as Stats.
+// deployed peers, every Stats field equals the sum of the /metrics
+// series behind it — Table I's block operations included; on a
+// simulated peer the registry reports the same nonzero block-op,
+// lookup and served-RPC totals as Stats.
 func TestStatsMatchMetrics(t *testing.T) {
 	ctx := context.Background()
-	// series names the /metrics series (summed) behind each Stats field;
-	// nil marks the engine's block-op counters, which have none.
+	// series names the /metrics series (summed) behind each Stats field.
 	series := map[string][]string{
-		"Appends": nil, "Gets": nil, "Lookups": nil,
+		"Appends":          {"dharma_block_appends_total"},
+		"Gets":             {"dharma_block_gets_total"},
+		"Lookups":          {"dharma_block_appends_total", "dharma_block_gets_total"},
 		"NodeLookups":      {"dharma_lookups_total"},
 		"RPCServed":        {"dharma_rpc_served_total"},
 		"BusyRejected":     {"dharma_admission_rejected_queue_total", "dharma_admission_rejected_rate_total"},
@@ -234,9 +236,6 @@ func TestStatsMatchMetrics(t *testing.T) {
 			if !ok {
 				t.Fatalf("Stats.%s has no entry in the series table", name)
 			}
-			if names == nil {
-				continue
-			}
 			var sum float64
 			for _, n := range names {
 				mv, ok := m[n]
@@ -249,7 +248,7 @@ func TestStatsMatchMetrics(t *testing.T) {
 				t.Errorf("%s: Stats.%s = %d, /metrics %v = %v", p.Node.Self().Addr, name, got, names, sum)
 			}
 		}
-		if st.RPCServed == 0 || st.NodeLookups == 0 || st.MaintBytesSent == 0 || st.DigestMatches == 0 {
+		if st.Lookups == 0 || st.RPCServed == 0 || st.NodeLookups == 0 || st.MaintBytesSent == 0 || st.DigestMatches == 0 {
 			t.Fatalf("%s: traffic and a maintenance round left counters at zero: %+v", p.Node.Self().Addr, st)
 		}
 	}
@@ -265,8 +264,9 @@ func TestStatsMatchMetrics(t *testing.T) {
 	}
 	st, m := p.Stats(), scrape(p)
 	for name, got := range map[string]int64{
-		"dharma_lookups_total":    st.NodeLookups,
-		"dharma_rpc_served_total": st.RPCServed,
+		"dharma_block_appends_total": st.Appends,
+		"dharma_lookups_total":       st.NodeLookups,
+		"dharma_rpc_served_total":    st.RPCServed,
 	} {
 		if mv, ok := m[name]; !ok || got == 0 || float64(got) != mv.Value {
 			t.Errorf("simulated peer: Stats reports %d, /metrics %s = %+v", got, name, mv)

@@ -26,6 +26,7 @@ import (
 	"dharma/internal/kademlia"
 	"dharma/internal/kadid"
 	"dharma/internal/likir"
+	"dharma/internal/obs"
 	"dharma/internal/wire"
 )
 
@@ -140,19 +141,31 @@ func (l *Local) Raw() *kademlia.Store { return l.store }
 type Overlay struct {
 	node    *kademlia.Node
 	signer  *likir.Identity
-	appends atomic.Int64
-	gets    atomic.Int64
+	appends *obs.Counter
+	gets    *obs.Counter
 }
 
 // NewOverlay wraps a bootstrapped node. signer may be nil (open overlay).
+// The block-operation counts live in the node's metrics registry, as
+// dharma_block_appends_total and dharma_block_gets_total. Overlays over
+// one node therefore share them: the registry hands a second overlay
+// the counters the first one registered.
 func NewOverlay(node *kademlia.Node, signer *likir.Identity) *Overlay {
-	return &Overlay{node: node, signer: signer}
+	reg := node.Metrics()
+	return &Overlay{
+		node:   node,
+		signer: signer,
+		appends: reg.Counter("dharma_block_appends_total",
+			"Block appends issued through this node (Table I lookups)."),
+		gets: reg.Counter("dharma_block_gets_total",
+			"Block gets issued through this node (Table I lookups)."),
+	}
 }
 
 // Append implements Store: one iterative lookup locates the replica set,
 // then the entries are stored on the k closest nodes.
 func (o *Overlay) Append(ctx context.Context, key kadid.ID, entries []wire.Entry) error {
-	o.appends.Add(1)
+	o.appends.Inc()
 	_, err := o.node.Store(ctx, key, o.sign(key, entries))
 	return err
 }
@@ -191,7 +204,7 @@ func (o *Overlay) sign(key kadid.ID, entries []wire.Entry) []wire.Entry {
 
 // Get implements Store: one iterative value lookup.
 func (o *Overlay) Get(ctx context.Context, key kadid.ID, topN int) ([]wire.Entry, error) {
-	o.gets.Add(1)
+	o.gets.Inc()
 	es, err := o.node.FindValue(ctx, key, topN)
 	if errors.Is(err, kademlia.ErrNotFound) {
 		return nil, ErrNotFound

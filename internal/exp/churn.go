@@ -9,6 +9,7 @@ import (
 
 	"dharma"
 	"dharma/internal/core"
+	"dharma/internal/dht"
 )
 
 // ChurnResult is the A6 extension experiment: block availability under
@@ -48,6 +49,8 @@ func RunChurn(w *Workbench, nodes, annotations, cycles, kill, join, replication 
 		}
 		defer sys.Shutdown()
 		prober := sys.Peer(0)
+		// The availability probes read raw blocks through prober's node.
+		probe := dht.NewOverlay(prober.Node, prober.Node.Identity())
 		cl := sys.Cluster()
 		ctx := context.Background()
 
@@ -100,7 +103,7 @@ func RunChurn(w *Workbench, nodes, annotations, cycles, kill, join, replication 
 
 			found := 0
 			for _, tag := range probes {
-				if _, err := prober.Engine().Store().Get(ctx, core.BlockKey(tag, core.BlockTagNeighbors), 1); err == nil {
+				if _, err := probe.Get(ctx, core.BlockKey(tag, core.BlockTagNeighbors), 1); err == nil {
 					found++
 				}
 			}

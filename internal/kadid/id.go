@@ -183,13 +183,3 @@ func Parse(s string) (ID, error) {
 	copy(id[:], b)
 	return id, nil
 }
-
-// SortByDistance sorts ids in place by ascending XOR distance from
-// target (an insertion sort: callers pass short candidate lists).
-func SortByDistance(ids []ID, target ID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && Closer(ids[j], ids[j-1], target); j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-}

@@ -2,7 +2,6 @@ package kadid
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -205,21 +204,6 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 	if _, err := Parse("zzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzz"); err == nil {
 		t.Fatal("Parse accepted non-hex input")
-	}
-}
-
-func TestSortByDistance(t *testing.T) {
-	r := rng(6)
-	target := Random(r)
-	ids := make([]ID, 64)
-	for i := range ids {
-		ids[i] = Random(r)
-	}
-	SortByDistance(ids, target)
-	if !sort.SliceIsSorted(ids, func(i, j int) bool {
-		return Cmp(Distance(ids[i], target), Distance(ids[j], target)) < 0
-	}) {
-		t.Fatal("SortByDistance did not sort by XOR distance")
 	}
 }
 

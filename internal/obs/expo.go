@@ -41,8 +41,6 @@ func writeEntry(b *strings.Builder, e *entry) {
 		}
 	case kindCounterFunc:
 		fmt.Fprintf(b, "# TYPE %s counter\n%s %d\n", e.name, e.name, e.fn())
-	case kindGauge:
-		fmt.Fprintf(b, "# TYPE %s gauge\n%s %d\n", e.name, e.name, e.gauge.Load())
 	case kindGaugeFunc:
 		fmt.Fprintf(b, "# TYPE %s gauge\n%s %d\n", e.name, e.name, e.fn())
 	case kindHistogram, kindValueHist:

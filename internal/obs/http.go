@@ -10,24 +10,19 @@ import (
 // -debug-addr`:
 //
 //	/metrics        Prometheus text exposition of reg
-//	/debug/stats    JSON from stats() (Peer.Stats snapshot)
 //	/debug/traces   JSON from traces() (recent slow lookup traces)
 //	/debug/pprof/*  the standard runtime profiles
 //
-// stats and traces may be nil; their routes then answer 404. pprof is
-// wired explicitly rather than via the net/http/pprof side-effect
+// Every counter a peer keeps, Table I's block operations included, is a
+// /metrics series. traces may be nil; its route then answers 404. pprof
+// is wired explicitly rather than via the net/http/pprof side-effect
 // import so nothing leaks onto http.DefaultServeMux.
-func Handler(reg *Registry, stats func() any, traces func() any) http.Handler {
+func Handler(reg *Registry, traces func() any) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = reg.WritePrometheus(w)
 	})
-	if stats != nil {
-		mux.HandleFunc("/debug/stats", func(w http.ResponseWriter, _ *http.Request) {
-			serveJSON(w, stats())
-		})
-	}
 	if traces != nil {
 		mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, _ *http.Request) {
 			serveJSON(w, traces())

@@ -3,10 +3,9 @@
 // the paths the scale refactor de-allocated (codec round trips,
 // Table.Closest, lookup rounds) without moving their budgets off zero.
 //
-// Three instrument kinds cover the stack's needs:
+// Two instrument kinds cover the stack's needs:
 //
 //   - Counter: a monotone atomic total (requests served, bytes sent).
-//   - Gauge: a settable point-in-time level (in-flight requests).
 //   - Histogram: a fixed array of power-of-two buckets over int64
 //     samples (latencies in nanoseconds, or unit-less values like
 //     lookup rounds), with p50/p99 extraction. Recording is one atomic
@@ -14,8 +13,8 @@
 //
 // A Registry names instruments and renders them in the Prometheus text
 // exposition format (see expo.go); func-backed variants (CounterFunc,
-// GaugeFunc) adapt the pre-existing atomic counters of other packages
-// without double counting state.
+// and GaugeFunc, the only gauge) adapt the pre-existing atomic counters
+// and levels of other packages without double counting state.
 //
 // Every method is nil-receiver safe: a nil *Registry hands out nil
 // instruments, and recording on a nil instrument is a no-op branch.
@@ -55,41 +54,11 @@ func (c *Counter) Load() int64 {
 	return c.v.Load()
 }
 
-// Gauge is a settable level. The zero value is ready to use.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores the gauge's current level. No-op on a nil receiver.
-func (g *Gauge) Set(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(n)
-}
-
-// Add moves the gauge by n. No-op on a nil receiver.
-func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(n)
-}
-
-// Load returns the current level (0 on a nil receiver).
-func (g *Gauge) Load() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // kind discriminates registered instruments for exposition.
 type kind uint8
 
 const (
 	kindCounter kind = iota + 1
-	kindGauge
 	kindCounterFunc
 	kindGaugeFunc
 	kindHistogram // duration histogram: samples are nanoseconds, exposed in seconds
@@ -105,7 +74,6 @@ type entry struct {
 	label  string   // label name ("" for scalars)
 
 	counter  *Counter
-	gauge    *Gauge
 	fn       func() int64
 	hists    []*Histogram // one for scalars, one per label value for vecs
 	counters []*Counter   // per label value, for counter vecs
@@ -149,15 +117,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	}
 	e := r.register(&entry{name: name, help: help, kind: kindCounter, counter: &Counter{}})
 	return e.counter
-}
-
-// Gauge registers (or returns the existing) named gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	e := r.register(&entry{name: name, help: help, kind: kindGauge, gauge: &Gauge{}})
-	return e.gauge
 }
 
 // CounterFunc registers a counter whose value is read from f at scrape

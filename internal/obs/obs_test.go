@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -14,7 +13,6 @@ import (
 func TestExpositionRoundTrip(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("dharma_rpc_total", "RPCs served.").Add(42)
-	reg.Gauge("dharma_inflight", "In-flight requests.").Set(7)
 	reg.CounterFunc("dharma_busy_total", "Busy rejections.", func() int64 { return 13 })
 	reg.GaugeFunc("dharma_table_peers", "Routing table size.", func() int64 { return 99 })
 
@@ -50,13 +48,10 @@ func TestExpositionRoundTrip(t *testing.T) {
 	if m := got["dharma_rpc_total"]; m == nil || m.Value != 42 {
 		t.Fatalf("counter round trip: %+v", m)
 	}
-	if m := got["dharma_inflight"]; m == nil || m.Value != 7 || m.Type != "gauge" {
-		t.Fatalf("gauge round trip: %+v", m)
-	}
 	if m := got["dharma_busy_total"]; m == nil || m.Value != 13 {
 		t.Fatalf("counter func round trip: %+v", m)
 	}
-	if m := got["dharma_table_peers"]; m == nil || m.Value != 99 {
+	if m := got["dharma_table_peers"]; m == nil || m.Value != 99 || m.Type != "gauge" {
 		t.Fatalf("gauge func round trip: %+v", m)
 	}
 	if m := got["dharma_lookup_seconds"]; m == nil || m.Count != 1000 {
@@ -156,7 +151,6 @@ func (e *parseErr) Error() string { return "not a number: " + e.s }
 func TestNilRegistry(t *testing.T) {
 	var reg *Registry
 	c := reg.Counter("c", "")
-	g := reg.Gauge("g", "")
 	h := reg.Histogram("h", "")
 	vh := reg.ValueHistogram("v", "")
 	vec := reg.HistogramVec("hv", "", "k", []string{"a"})
@@ -165,13 +159,11 @@ func TestNilRegistry(t *testing.T) {
 
 	c.Inc()
 	c.Add(5)
-	g.Set(3)
-	g.Add(1)
 	h.Observe(time.Second)
 	vh.ObserveN(9)
 	vec.At(0).Observe(time.Second)
 	vec.At(99).Observe(time.Second)
-	if c.Load() != 0 || g.Load() != 0 || h.Count() != 0 || h.Quantile(50) != 0 {
+	if c.Load() != 0 || h.Count() != 0 || h.Quantile(50) != 0 {
 		t.Fatal("nil instruments must read zero")
 	}
 	var b strings.Builder
@@ -192,19 +184,16 @@ func TestRegistryIdempotent(t *testing.T) {
 			t.Fatal("cross-kind re-registration must panic")
 		}
 	}()
-	reg.Gauge("same", "")
+	reg.Histogram("same", "")
 }
 
-// TestHandler exercises the full ops endpoint: metrics, stats JSON,
-// traces JSON, and pprof.
+// TestHandler exercises the full ops endpoint: metrics, traces JSON
+// and pprof. /metrics is the one view of the counters: /debug/stats
+// answers 404.
 func TestHandler(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("up", "").Inc()
-	type stats struct{ Lookups int }
-	h := Handler(reg,
-		func() any { return stats{Lookups: 3} },
-		func() any { return []string{"trace-a"} },
-	)
+	h := Handler(reg, func() any { return []string{"trace-a"} })
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
@@ -229,13 +218,8 @@ func TestHandler(t *testing.T) {
 	if code, body := get("/metrics"); code != 200 || !strings.Contains(body, "up 1") {
 		t.Fatalf("/metrics: %d %q", code, body)
 	}
-	code, body := get("/debug/stats")
-	if code != 200 {
-		t.Fatalf("/debug/stats: %d", code)
-	}
-	var s stats
-	if err := json.Unmarshal([]byte(body), &s); err != nil || s.Lookups != 3 {
-		t.Fatalf("/debug/stats body %q: %v", body, err)
+	if code, _ := get("/debug/stats"); code != 404 {
+		t.Fatalf("/debug/stats: %d, want 404", code)
 	}
 	if code, body := get("/debug/traces"); code != 200 || !strings.Contains(body, "trace-a") {
 		t.Fatalf("/debug/traces: %d %q", code, body)

@@ -8,9 +8,9 @@
 # endpoint and asserts the two things the telemetry exists to show:
 # nonzero served-RPC latency histograms (-assert-rpc) and at least one
 # hop-level lookup trace with spans (-assert-trace). -assert-min checks
-# the counters kademlia.NewNode registers are live on every node. The
-# scrape also
-# exercises /metrics parsing, /debug/stats, /debug/traces JSON decoding,
+# the counters kademlia.NewNode registers, and Table I's block-operation
+# counters the peer's dht.Overlay registers, are live on every node. The
+# scrape also exercises /metrics parsing, /debug/traces JSON decoding
 # and the pprof mux, so a regression in any of them fails here.
 #
 #   ./scripts/metrics_smoke.sh
@@ -67,6 +67,7 @@ echo "== scraping every node's ops endpoint"
 for i in 0 1 2; do
   asserts=(-assert-rpc)
   mins=dharma_rpc_served_total=1,dharma_antientropy_digest_matches_total=0
+  mins+=,dharma_block_appends_total=0,dharma_block_gets_total=0
   if [ "$i" -gt 0 ]; then
     asserts+=(-assert-trace)
     mins="dharma_lookups_total=1,$mins"
@@ -113,4 +114,4 @@ for pid in "${PIDS[@]}"; do
 done
 PIDS=()
 
-echo "metrics smoke passed: all 3 ops endpoints served metrics, stats, traces and pprof"
+echo "metrics smoke passed: all 3 ops endpoints served metrics, traces and pprof"

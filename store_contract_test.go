@@ -33,7 +33,7 @@ func TestGetResultIsCallerOwned(t *testing.T) {
 		store dht.Store
 	}{
 		{"local", dht.NewLocal()},
-		{"overlay", sys.Peer(1).Engine().Store()},
+		{"overlay", dht.NewOverlay(sys.Peer(1).Node, sys.Peer(1).Node.Identity())},
 		{"recording", chaos.NewRecording(dht.NewLocal(), chaos.NewLedger())},
 	}
 	key := kadid.HashString("owned")
