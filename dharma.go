@@ -226,8 +226,10 @@ type Stats struct {
 	// Appends and Gets are the block operations this peer issued — the
 	// paper's lookup unit; Lookups is their sum (the Table I cost).
 	Appends, Gets, Lookups int64
-	// NodeLookups counts iterative lookup procedures the overlay node
-	// ran (each block operation needs one, plus maintenance traffic).
+	// NodeLookups counts iterative lookup procedures (walks) the
+	// overlay node ran: one per read, per maintenance lookup and per
+	// store whose replica set was not cached. A store to a cached set
+	// walks not at all; dharma_replica_set_hits_total counts those.
 	NodeLookups int64
 	// RPCServed counts inbound RPC requests this peer answered — the
 	// per-node load count, on either transport.

@@ -19,7 +19,7 @@ type Table1Row struct {
 	Param     int   // the m or |Tags(r)| the measurement used
 	Expected  int64 // formula evaluated at Param
 	Measured  int64 // block operations the peer issued (Peer.Lookups)
-	overlay   int64 // iterative lookups the peer's overlay node ran
+	overlay   int64 // walks plus replica-set hits of the peer's overlay node
 }
 
 // Table1Result reproduces Table I: the lookup cost of the distributed
@@ -47,7 +47,9 @@ func RunTable1(k int) (*Table1Result, error) {
 
 // measureTable1 boots one deployment in the given mode and runs each
 // primitive once from peer 0, recording how far the peer's block
-// operations and its node's iterative lookups moved.
+// operations moved and how far its node's walks plus replica-set hits
+// did: a Store to a key whose replica set the node already knows sends
+// straight to it instead of walking.
 func measureTable1(mode dharma.Mode, k int) ([]Table1Row, error) {
 	sys, err := dharma.NewSystem(dharma.Config{Nodes: table1Nodes, Mode: mode, K: k, Seed: 7})
 	if err != nil {
@@ -56,14 +58,15 @@ func measureTable1(mode dharma.Mode, k int) ([]Table1Row, error) {
 	defer sys.Shutdown()
 	p := sys.Peer(0)
 	ctx := context.Background()
+	c := p.Node.Counters()
+	overlay := func() int64 { return c.Lookups.Load() + c.ReplicaSetHits.Load() }
 	measure := func(row Table1Row, op func() error) (Table1Row, error) {
-		before := p.Stats()
+		before, overlay0 := p.Lookups(), overlay()
 		if err := op(); err != nil {
 			return row, err
 		}
-		after := p.Stats()
-		row.Measured = after.Lookups - before.Lookups
-		row.overlay = after.NodeLookups - before.NodeLookups
+		row.Measured = p.Lookups() - before
+		row.overlay = overlay() - overlay0
 		return row, nil
 	}
 
@@ -109,13 +112,13 @@ func (r *Table1Result) String() string {
 	}
 	dump("#lookups (naive)", r.NaiveRows)
 	dump("#lookups (approximated)", r.ApproxRows)
-	fmt.Fprintf(&b, "overlay-verified: %v, both modes on %d nodes, block ops = node lookups (paper: Insert 2+2m | Tag naive 4+|Tags(r)|, approx 4+k | Search 2)\n",
+	fmt.Fprintf(&b, "overlay-verified: %v, both modes on %d nodes, block ops = node walks + replica-set hits (paper: Insert 2+2m | Tag naive 4+|Tags(r)|, approx 4+k | Search 2)\n",
 		r.Verified(), table1Nodes)
 	return b.String()
 }
 
 // Verified reports whether every measured cost matched its formula and
-// every block operation ran exactly one overlay lookup.
+// every block operation ran exactly one overlay walk or replica-set hit.
 func (r *Table1Result) Verified() bool {
 	for _, rows := range [][]Table1Row{r.NaiveRows, r.ApproxRows} {
 		for _, row := range rows {

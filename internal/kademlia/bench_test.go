@@ -40,17 +40,53 @@ func BenchmarkIterativeLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreReplicated measures a replicated write (lookup + k
-// STOREs).
+// BenchmarkStoreReplicated measures a replicated write. cold writes a
+// fresh key every iteration, so each write is a lookup plus k STOREs;
+// cached rewrites keys whose replica sets the writers already hold, so
+// each write is the k STOREs alone.
 func BenchmarkStoreReplicated(b *testing.B) {
-	cl := benchCluster(b, 64)
 	entries := []wire.Entry{{Field: "f", Count: 1}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cl.Nodes[i%64].Store(context.Background(), kadid.HashString(fmt.Sprintf("k%d", i%256)), entries); err != nil {
-			b.Fatal(err)
+	b.Run("cold", func(b *testing.B) {
+		cl := benchCluster(b, 64)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := cl.Nodes[i%64].Store(context.Background(), kadid.HashString(fmt.Sprintf("k%d", i)), entries); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("cached", func(b *testing.B) {
+		cl := benchCluster(b, 64)
+		keys := make([]kadid.ID, 256)
+		for i := range keys {
+			keys[i] = kadid.HashString(fmt.Sprintf("k%d", i))
+		}
+		store := func(i int) {
+			if _, err := cl.Nodes[i%64].Store(context.Background(), keys[i%len(keys)], entries); err != nil {
+				b.Fatal(err)
+			}
+		}
+		// Twice round: the first walk of a key may still admit contacts,
+		// which starts a new routing epoch.
+		for i := range 2 * len(keys) {
+			store(i)
+		}
+		hits := func() (sum int64) {
+			for _, n := range cl.Nodes {
+				sum += n.Counters().ReplicaSetHits.Load()
+			}
+			return sum
+		}
+		hits0 := hits()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			store(i)
+		}
+		b.StopTimer()
+		if got := hits() - hits0; got != int64(b.N) {
+			b.Fatalf("%d of %d stores hit the replica-set cache", got, b.N)
+		}
+	})
 }
 
 // BenchmarkStoreDurable measures a replicated write on a fleet where

@@ -2,7 +2,9 @@ package kademlia
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -177,5 +179,83 @@ func TestLookupRecallUnderDrop(t *testing.T) {
 			t.Errorf("drop %.0f%%: %.2f%% of the true-closest nodes left out, want at most %.1f%%",
 				tc.drop*100, rate*100, tc.maxMissed*100)
 		}
+	}
+}
+
+// TestCachedPlacementUnderChurn guards the replica-set cache against
+// misplacing writes. On a wired 300-node overlay a writer caches the
+// replica sets of 200 keys; then 30 nodes join, 30 crash and the writer
+// runs one maintenance round. For every key, the share of the true
+// replicas (the 8 closest live nodes, less the writer) that the
+// writer's next Store reaches must be no lower than the share a fresh
+// lookup finds.
+func TestCachedPlacementUnderChurn(t *testing.T) {
+	cl, err := NewCluster(ClusterConfig{
+		N:         300,
+		Node:      Config{K: 8, Alpha: 3},
+		Seed:      43,
+		Bootstrap: BootstrapWired,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	writer := cl.Nodes[17]
+	keys := make([]kadid.ID, 200)
+	for i := range keys {
+		keys[i] = kadid.HashString(fmt.Sprintf("placement|%d", i))
+		if _, err := writer.Store(ctx, keys[i], []wire.Entry{{Field: "before", Count: 1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(writer.replicas.sets) == 0 {
+		t.Fatal("the writer cached no replica set before the churn")
+	}
+
+	rng := rand.New(rand.NewSource(12))
+	for i := range 30 {
+		if _, err := cl.AddNode(ctx, Config{K: 8, Alpha: 3}, int64(5000+i), rng.Intn(cl.Len())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for crashed := 0; crashed < 30; {
+		if i := rng.Intn(cl.Len()); cl.NodeAt(i) != writer {
+			if _, err := cl.Crash(i); err != nil {
+				t.Fatal(err)
+			}
+			crashed++
+		}
+	}
+	writer.MaintainOnce(ctx)
+
+	byID := make(map[kadid.ID]*Node)
+	for _, n := range cl.Snapshot() {
+		byID[n.Self().ID] = n
+	}
+	stored, found, total := 0, 0, 0
+	for _, key := range keys {
+		if _, err := writer.Store(ctx, key, []wire.Entry{{Field: "after", Count: 1}}); err != nil {
+			t.Fatal(err)
+		}
+		walked := make(map[kadid.ID]bool)
+		for _, c := range writer.IterativeFindNode(ctx, key) {
+			walked[c.ID] = true
+		}
+		for _, c := range cl.ClosestGroundTruth(key, 8) {
+			if c.ID == writer.Self().ID {
+				continue
+			}
+			total++
+			if es, ok := byID[c.ID].LocalStore().Get(key, 0); ok && slices.ContainsFunc(es, func(e wire.Entry) bool { return e.Field == "after" }) {
+				stored++
+			}
+			if walked[c.ID] {
+				found++
+			}
+		}
+	}
+	t.Logf("after churn: Store reached %d and a fresh lookup found %d of %d true replicas", stored, found, total)
+	if stored < found {
+		t.Errorf("Store reached %d of %d true replicas, a fresh lookup %d", stored, total, found)
 	}
 }

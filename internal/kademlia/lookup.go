@@ -96,13 +96,17 @@ func (a *lookupArena) reset() {
 // gathered so far; entries are withheld (a partial value is not a
 // value).
 //
+// clean reports that the walk's window can be trusted beyond this call:
+// ctx stayed live, no candidate was BUSY and no probe failed inside the
+// k-window. Store caches only clean walks.
+//
 // The busy return counts candidates whose exchange ultimately failed
 // with a BUSY rejection (after the call layer's own retries). The
 // lookup routes around busy nodes like failed ones, but the count lets
 // callers report "the neighbourhood is overloaded" instead of a
 // misleading not-found — and busy candidates are never evicted from
 // the routing table.
-func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue bool, topN int) (entriesOut []wire.Entry, found bool, closestOut []wire.Contact, busy int, errOut error) {
+func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue bool, topN int) (entriesOut []wire.Entry, found bool, closestOut []wire.Contact, busy int, clean bool, errOut error) {
 	n.counters.Lookups.Inc()
 	t0 := time.Now()
 
@@ -263,8 +267,11 @@ func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue b
 	// escapes to callers, so it is the one slice a lookup still
 	// allocates.
 	closest := make([]wire.Contact, 0, n.cfg.K)
+	clean = busy == 0
 	for _, idx := range arena.order {
-		if cd := &arena.cands[idx]; cd.responded {
+		if cd := &arena.cands[idx]; cd.failed {
+			clean = false
+		} else if cd.responded {
 			closest = append(closest, cd.contact)
 			if len(closest) >= n.cfg.K {
 				break
@@ -273,16 +280,16 @@ func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue b
 	}
 
 	if err := ctx.Err(); err != nil {
-		return nil, false, closest, busy, err
+		return nil, false, closest, busy, false, err
 	}
 	if !foundValue {
-		return nil, false, closest, busy, nil
+		return nil, false, closest, busy, clean, nil
 	}
 	out := sortedEntries(merged)
 	if topN > 0 && len(out) > topN {
 		out = out[:topN]
 	}
-	return out, true, closest, busy, nil
+	return out, true, closest, busy, clean, nil
 }
 
 // compareEntries is the block order every read returns: descending

@@ -47,6 +47,9 @@ func (n *Node) MaintainOnce(ctx context.Context) MaintenanceRound {
 	if n.Detached() {
 		return r
 	}
+	// A round is where the table and the replicas move (evictions,
+	// refreshes, anti-entropy onto joiners): stores after it walk again.
+	n.table.newEpoch()
 	r.Evicted = n.EvictDead(ctx)
 	rng := newRand(int64(binary.BigEndian.Uint64(n.id[:8])) + n.maintRounds.Add(1))
 	buckets := n.table.NonEmptyBuckets()

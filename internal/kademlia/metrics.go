@@ -24,7 +24,8 @@ var kindNames = func() []string {
 // /metrics series, Peer.Stats and tests all read these same atomics.
 // The fields are set once by NewNode and never reassigned.
 type Counters struct {
-	Lookups        *obs.Counter // iterative lookups initiated: the paper's Table I unit
+	Lookups        *obs.Counter // iterative lookups (walks) initiated; a block op is one walk or one replica-set hit
+	ReplicaSetHits *obs.Counter // Stores sent to a cached replica set instead of walking
 	LookupRounds   *obs.Counter // α-wide waves across all lookups: the Kademlia hop count
 	RPCServed      *obs.Counter // RPC requests answered
 	LookupBusy     *obs.Counter // lookup candidates still BUSY after the retry budget
@@ -51,7 +52,9 @@ type Counters struct {
 func newCounters(reg *obs.Registry) Counters {
 	return Counters{
 		Lookups: reg.Counter("dharma_lookups_total",
-			"Iterative lookup procedures initiated."),
+			"Iterative lookup procedures (walks) initiated: every read, maintenance lookup and uncached store."),
+		ReplicaSetHits: reg.Counter("dharma_replica_set_hits_total",
+			"Stores that sent to a cached replica set instead of walking."),
 		LookupRounds: reg.Counter("dharma_lookup_rounds_total",
 			"Lookup rounds (α-wide waves) executed."),
 		RPCServed: reg.Counter("dharma_rpc_served_total",

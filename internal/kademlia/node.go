@@ -159,8 +159,12 @@ type Node struct {
 	// routing table has to survive a crash the way its store does.
 	detached atomic.Bool
 	// inMemory marks a member Cluster.start built with no data directory
-	// and no caller-supplied Store (see fanOut); Attach leaves it alone.
+	// and no caller-supplied Store (see fanOut and acquireBlockOp);
+	// Attach leaves it alone.
 	inMemory bool
+	// blockOps holds one token per block operation an in-memory member
+	// is running (see maxInMemoryBlockOps).
+	blockOps chan struct{}
 
 	credBlob []byte
 
@@ -181,12 +185,18 @@ type Node struct {
 
 	maintRounds atomic.Int64 // MaintainOnce rounds run; seeds each round's refresh choices
 
+	// replicas remembers the replica set of each key this node stored
+	// to, so the next Store of the key skips the walk (see Store).
+	replicas replicaSets
+
 	// arenas recycles lookup working state (candidate lists, seen map,
-	// seed buffer, probe messages) and scratch the per-RPC decode state
-	// of both ends, so steady-state lookups and served requests allocate
-	// no bookkeeping. See lookupArena, rpcScratch and freeList.
+	// seed buffer, probe messages), scratch the per-RPC decode state of
+	// both ends and writes a Store's targets and outcomes, so
+	// steady-state lookups, stores and served requests allocate no
+	// bookkeeping. See lookupArena, rpcScratch, replicaWrite and freeList.
 	arenas  freeList[lookupArena]
 	scratch freeList[rpcScratch]
+	writes  freeList[replicaWrite]
 
 	// Telemetry (metrics.go, trace.go). reg holds every instrument the
 	// node registers; counters are registered by NewNode, metrics is the
@@ -219,6 +229,8 @@ func NewNode(self kadid.ID, cfg Config) *Node {
 		aeSeen:    make(map[kadid.ID]uint64),
 		aeSyncedV: make(map[kadid.ID]uint64),
 		aeRoundAt: make(map[kadid.ID]int64),
+		replicas:  replicaSets{max: max(1, replicaCacheContacts/cfg.K), sets: make(map[kadid.ID][]wire.Contact)},
+		blockOps:  make(chan struct{}, maxInMemoryBlockOps),
 		reg:       reg,
 		counters:  newCounters(reg),
 	}
@@ -240,12 +252,15 @@ func (n *Node) Detached() bool { return n.detached.Load() }
 // Attach binds the node to a transport endpoint. The typical sequence
 // is: node := NewNode(...); tr := net.Attach(addr, node); node.Attach(tr).
 // Re-attaching (a crashed node reviving) is safe while RPCs are in
-// flight.
+// flight. It starts a new routing epoch: a node coming back learns
+// nothing of what moved while it was away, so the replica sets it
+// cached before are not trusted.
 func (n *Node) Attach(tr simnet.Transport) {
 	n.selfMu.Lock()
 	n.transport = tr
 	n.self.Addr = string(tr.Addr())
 	n.selfMu.Unlock()
+	n.table.newEpoch()
 	n.detached.Store(false)
 }
 
@@ -661,6 +676,38 @@ func (n *Node) callOnce(ctx context.Context, to wire.Contact, msg, resp *wire.Me
 	return nil
 }
 
+// maxInMemoryBlockOps bounds the block operations (Store, FindValue) an
+// in-memory member runs at once; more wait their turn under their ctx.
+// Every member of an in-memory cluster shares one process's CPUs and its
+// exchanges are function calls, so past a few dozen concurrent
+// operations more only slow each other down. Unbounded, a 4× overload
+// (TestOverloadSimnet) ran thousands of operations at once until most
+// overran their deadlines. A member with a network or a disk to wait on
+// is not bounded here.
+const maxInMemoryBlockOps = 64
+
+// acquireBlockOp waits, on an in-memory member, until fewer than
+// maxInMemoryBlockOps block operations are running, or ctx ends;
+// elsewhere it returns at once. A nil return must be paired with
+// releaseBlockOp.
+func (n *Node) acquireBlockOp(ctx context.Context) error {
+	if !n.inMemory {
+		return nil
+	}
+	select {
+	case n.blockOps <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+func (n *Node) releaseBlockOp() {
+	if n.inMemory {
+		<-n.blockOps
+	}
+}
+
 // fanOut runs task(0), …, task(count-1) and returns when all have
 // returned. On an inMemory node under a context that cannot end, each
 // simnet.Call already runs its handler on the caller and no handler
@@ -742,53 +789,66 @@ func (n *Node) RefreshBucket(ctx context.Context, bucket int, seed int64) {
 // acknowledged. When ctx ends mid-operation the in-flight replica RPCs
 // are aborted; if the quorum was not reached by then, ctx's error is
 // returned with the partial ack count.
+//
+// The replica set comes from the node's replica-set cache when it holds
+// one for key under the routing table's current epoch, and from an
+// iterative lookup otherwise. A replica write that fails for any reason
+// but BUSY, a policy verdict or the caller's ctx ending drops key's
+// entry; otherwise a lookup's set is cached when the walk ended cleanly
+// (ctx live, no BUSY, no failed probe in its k-window). Any
+// routing-table change (see Table.Epoch) invalidates every entry.
 func (n *Node) Store(ctx context.Context, key kadid.ID, entries []wire.Entry) (int, error) {
-	_, _, targets, _, lerr := n.iterativeLookup(ctx, key, false, 0)
-	if lerr != nil {
-		return 0, lerr
+	if err := n.acquireBlockOp(ctx); err != nil {
+		return 0, err
 	}
-	targets = n.insertSelf(targets, key)
+	defer n.releaseBlockOp()
+	epoch := n.table.Epoch()
+	set := n.replicas.get(key, epoch)
+	cacheable := false
+	if set != nil {
+		n.counters.ReplicaSetHits.Inc()
+	} else {
+		var lerr error
+		if _, _, set, _, cacheable, lerr = n.iterativeLookup(ctx, key, false, 0); lerr != nil {
+			return 0, lerr
+		}
+	}
+	op := n.writes.get()
+	defer op.release(&n.writes)
+	// set is the cache's (or about to be): the targets are a copy.
+	targets := n.insertSelf(append(op.targets[:0], set...), key)
 	if len(targets) == 0 {
 		return 0, ErrNoContacts
 	}
 	if i, last := slices.IndexFunc(targets, func(c wire.Contact) bool { return c.ID == n.id }), len(targets)-1; i >= 0 {
 		targets[i], targets[last] = targets[last], targets[i]
 	}
-	// One outcome per target, each written by its own task.
-	outcomes := make([]error, len(targets))
-	n.fanOut(ctx, len(targets), func(i int) {
-		if targets[i].ID == n.id {
-			// The local replica applies the same rules the remote ones
-			// enforce: a node must not hold entries it would refuse from
-			// the network, for a bad signature or because their writer
-			// (here, the node itself) is revoked.
-			revoked := n.cfg.Revoked != nil && n.cfg.Revoked(n.id)
-			if revoked || n.cfg.CAPub != nil && vetEntries(key, entries) != "" {
-				outcomes[i] = wire.ErrUnauthorized
-			} else {
-				outcomes[i] = n.store.Append(ctx, key, entries)
-			}
-			return
-		}
-		var resp wire.Message
-		err := n.call(ctx, targets[i], &wire.Message{Kind: wire.KindStore, Target: key, Entries: entries}, &resp)
-		if err == nil && resp.Kind != wire.KindStoreAck {
-			err = errNotAcked
-		}
-		outcomes[i] = err
-	})
-	acks, busy, unauth, tooLarge := 0, 0, 0, 0
-	for _, err := range outcomes {
+	op.bind(ctx, n, key, entries, targets)
+	n.fanOut(ctx, len(targets), op.write)
+	acks, busy, unauth, tooLarge, failed := 0, 0, 0, 0, 0
+	for _, err := range op.outcomes {
 		switch {
 		case err == nil:
 			acks++
+			continue
 		case errors.Is(err, wire.ErrBusy):
+			// Busy is alive, and still a replica: a walk to replace the
+			// set would only add load where it is being shed.
 			busy++
+			continue
 		case errors.Is(err, wire.ErrUnauthorized):
 			unauth++
+			continue // a policy verdict: any replica set would give it
 		case errors.Is(err, simnet.ErrTooLarge):
 			tooLarge++
 		}
+		failed++
+	}
+	switch {
+	case failed == 0 && cacheable && len(set) > 0:
+		n.replicas.put(key, set, epoch)
+	case failed > 0 && ctx.Err() == nil: // a caller giving up is no evidence
+		n.replicas.drop(key)
 	}
 	if acks < n.cfg.MinStoreAcks {
 		if err := ctx.Err(); err != nil {
@@ -819,6 +879,63 @@ func (n *Node) Store(ctx context.Context, key kadid.ID, entries []wire.Entry) (i
 			key.Short(), acks, n.cfg.MinStoreAcks)
 	}
 	return acks, nil
+}
+
+// replicaWrite is the reusable working state of one Store: its targets,
+// one outcome per target, and the replica-write task fanOut runs. Like
+// the lookup arenas they are recycled per node (Node.writes), and write
+// is bound once per replicaWrite, so a Store allocates neither its
+// target list nor its outcomes nor a closure.
+type replicaWrite struct {
+	n        *Node
+	ctx      context.Context
+	key      kadid.ID
+	entries  []wire.Entry
+	targets  []wire.Contact
+	outcomes []error
+	write    func(i int) // writeReplica, bound once
+}
+
+// bind readies op for one Store to targets.
+func (op *replicaWrite) bind(ctx context.Context, n *Node, key kadid.ID, entries []wire.Entry, targets []wire.Contact) {
+	op.n, op.ctx, op.key, op.entries, op.targets = n, ctx, key, entries, targets
+	op.outcomes = slices.Grow(op.outcomes[:0], len(targets))[:len(targets)]
+	if op.write == nil {
+		op.write = op.writeReplica
+	}
+}
+
+// release drops op's references to the caller's data and returns it to
+// f.
+func (op *replicaWrite) release(f *freeList[replicaWrite]) {
+	op.n, op.ctx, op.entries = nil, nil, nil
+	clear(op.outcomes)
+	f.put(op)
+}
+
+// writeReplica writes op's entries to its i-th target and records the
+// outcome; each task writes only its own slot.
+func (op *replicaWrite) writeReplica(i int) {
+	n, ctx, key, entries := op.n, op.ctx, op.key, op.entries
+	if op.targets[i].ID == n.id {
+		// The local replica applies the same rules the remote ones
+		// enforce: a node must not hold entries it would refuse from the
+		// network, for a bad signature or because their writer (here, the
+		// node itself) is revoked.
+		revoked := n.cfg.Revoked != nil && n.cfg.Revoked(n.id)
+		if revoked || n.cfg.CAPub != nil && vetEntries(key, entries) != "" {
+			op.outcomes[i] = wire.ErrUnauthorized
+		} else {
+			op.outcomes[i] = n.store.Append(ctx, key, entries)
+		}
+		return
+	}
+	var resp wire.Message
+	err := n.call(ctx, op.targets[i], &wire.Message{Kind: wire.KindStore, Target: key, Entries: entries}, &resp)
+	if err == nil && resp.Kind != wire.KindStoreAck {
+		err = errNotAcked
+	}
+	op.outcomes[i] = err
 }
 
 // StoreBatch stores every item as Store does. The items must target
@@ -854,7 +971,11 @@ func (n *Node) insertSelf(sorted []wire.Contact, key kadid.ID) []wire.Contact {
 // value was assembled, ctx.Err() is returned instead — the caller's
 // deadline wins over every internal retry budget.
 func (n *Node) FindValue(ctx context.Context, key kadid.ID, topN int) ([]wire.Entry, error) {
-	entries, found, _, busy, lerr := n.iterativeLookup(ctx, key, true, topN)
+	if err := n.acquireBlockOp(ctx); err != nil {
+		return nil, err
+	}
+	defer n.releaseBlockOp()
+	entries, found, _, busy, _, lerr := n.iterativeLookup(ctx, key, true, topN)
 	if lerr != nil {
 		return nil, lerr
 	}
@@ -892,6 +1013,6 @@ func (n *Node) FindValue(ctx context.Context, key kadid.ID, topN int) ([]wire.En
 // short; the contacts gathered so far are returned best-effort (callers
 // that must distinguish a complete window check ctx.Err() themselves).
 func (n *Node) IterativeFindNode(ctx context.Context, target kadid.ID) []wire.Contact {
-	_, _, closest, _, _ := n.iterativeLookup(ctx, target, false, 0)
+	_, _, closest, _, _, _ := n.iterativeLookup(ctx, target, false, 0)
 	return closest
 }

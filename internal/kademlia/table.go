@@ -2,6 +2,7 @@ package kademlia
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"dharma/internal/kadid"
 	"dharma/internal/wire"
@@ -27,6 +28,9 @@ type Table struct {
 	count    int // total contacts across all buckets
 	occupied int // buckets holding at least one contact
 	top      int // 1 + index of the highest non-empty bucket
+	// epoch counts changes to the buckets' membership (an admission or
+	// a removal) plus every newEpoch; see Epoch.
+	epoch atomic.Uint64
 }
 
 // NewTable creates a routing table for the node with identifier self.
@@ -91,6 +95,7 @@ func (t *Table) Update(c wire.Contact) {
 		}
 		t.count++
 		t.buckets[idx] = append(b, c)
+		t.epoch.Add(1)
 		return
 	}
 	sp := t.spares[idx]
@@ -124,6 +129,7 @@ func (t *Table) Remove(id kadid.ID) {
 		return
 	}
 	b = append(b[:i], b[i+1:]...)
+	t.epoch.Add(1)
 	if last := len(sp) - 1; last >= 0 {
 		b = append(b, sp[last])
 		t.spares[idx] = sp[:last]
@@ -138,6 +144,16 @@ func (t *Table) Remove(id kadid.ID) {
 		}
 	}
 }
+
+// Epoch returns the table's routing epoch. It advances whenever a
+// contact enters or leaves a bucket (not the replacement lists, which
+// no lookup reads) and at every newEpoch, so a result derived from the
+// table — a cached replica set — is current while the epoch it was
+// derived at still is.
+func (t *Table) Epoch() uint64 { return t.epoch.Load() }
+
+// newEpoch advances the epoch without a membership change.
+func (t *Table) newEpoch() { t.epoch.Add(1) }
 
 // Closest returns up to n known contacts sorted by ascending XOR
 // distance from target. It allocates the result; hot paths that can

@@ -148,10 +148,22 @@ if "$NODE" insert -bootstrap "127.0.0.1:$((BASE_PORT + 3))" \
   exit 1
 fi
 # ...and the SERVER must have observed the expiry: the shed counter
-# proves the budget crossed the wire rather than dying client-side.
-"$NODE" scrape -addr "127.0.0.1:$((DEBUG_PORT + 3))" \
-  -assert-min "dharma_rpc_deadline_shed_total=1" \
-  >"$WORK/scrape3.out"
+# proves the budget crossed the wire rather than dying client-side. The
+# server sheds only when its 300ms delay ends, which can be after the
+# client has exited, so the scrape is retried every 100ms for up to 5s.
+for attempt in $(seq 50); do
+  if "$NODE" scrape -addr "127.0.0.1:$((DEBUG_PORT + 3))" \
+    -assert-min "dharma_rpc_deadline_shed_total=1" \
+    >"$WORK/scrape3.out" 2>&1; then
+    break
+  fi
+  if [ "$attempt" -eq 50 ]; then
+    echo "FAIL: node 3 counted no deadline shed within 5s" >&2
+    cat "$WORK/scrape3.out" >&2
+    exit 1
+  fi
+  sleep 0.1
+done
 grep -E '^assert-min ok' "$WORK/scrape3.out"
 
 echo "== clean SIGTERM stop of every node"
