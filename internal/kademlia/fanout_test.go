@@ -184,11 +184,14 @@ func TestLookupRecallUnderDrop(t *testing.T) {
 
 // TestCachedPlacementUnderChurn guards the replica-set cache against
 // misplacing writes. On a wired 300-node overlay a writer caches the
-// replica sets of 200 keys; then 30 nodes join, 30 crash and the writer
-// runs one maintenance round. For every key, the share of the true
-// replicas (the 8 closest live nodes, less the writer) that the
-// writer's next Store reaches must be no lower than the share a fresh
-// lookup finds.
+// replica sets of 200 keys; then 30 nodes join and 30 crash, the writer
+// stores every key again, and 5 more nodes join. None of those joins
+// moves the writer's epoch (each lands in a full bucket, among its
+// spares), so the writer's next Stores, before any maintenance round,
+// go to cached sets that predate the joiners. Those Stores must reach
+// every true replica (the 8 closest live nodes, less the writer) that a
+// fresh lookup finds, except the joiners' slots; the Stores after one
+// maintenance round must reach all of them.
 func TestCachedPlacementUnderChurn(t *testing.T) {
 	cl, err := NewCluster(ClusterConfig{
 		N:         300,
@@ -226,36 +229,80 @@ func TestCachedPlacementUnderChurn(t *testing.T) {
 			crashed++
 		}
 	}
-	writer.MaintainOnce(ctx)
-
 	byID := make(map[kadid.ID]*Node)
 	for _, n := range cl.Snapshot() {
 		byID[n.Self().ID] = n
 	}
-	stored, found, total := 0, 0, 0
+	// reached counts the true replicas of every key that hold field.
+	reached := func(field string) (stored, total int) {
+		for _, key := range keys {
+			for _, c := range cl.ClosestGroundTruth(key, 8) {
+				if c.ID == writer.Self().ID {
+					continue
+				}
+				total++
+				if es, ok := byID[c.ID].LocalStore().Get(key, 0); ok && slices.ContainsFunc(es, func(e wire.Entry) bool { return e.Field == field }) {
+					stored++
+				}
+			}
+		}
+		return stored, total
+	}
+
+	// Between the churn and the next maintenance round.
+	for _, key := range keys {
+		if _, err := writer.Store(ctx, key, []wire.Entry{{Field: "rewarm", Count: 1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	epoch, joined := writer.Table().Epoch(), make(map[kadid.ID]bool)
+	for i := range 5 {
+		n, err := cl.AddNode(ctx, Config{K: 8, Alpha: 3}, int64(6000+i), rng.Intn(cl.Len()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		joined[n.Self().ID], byID[n.Self().ID] = true, n
+	}
+	if writer.Table().Epoch() != epoch {
+		t.Fatal("a join moved the writer's epoch: the Stores below would not measure cached sets")
+	}
+	_, hits0 := walksAndHits(writer)
+	for _, key := range keys {
+		if _, err := writer.Store(ctx, key, []wire.Entry{{Field: "between", Count: 1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, hits := walksAndHits(writer)
+	between, total := reached("between")
+
+	writer.MaintainOnce(ctx)
 	for _, key := range keys {
 		if _, err := writer.Store(ctx, key, []wire.Entry{{Field: "after", Count: 1}}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	after, _ := reached("after")
+	found, joinerSlots := 0, 0
+	for _, key := range keys {
 		walked := make(map[kadid.ID]bool)
 		for _, c := range writer.IterativeFindNode(ctx, key) {
 			walked[c.ID] = true
 		}
 		for _, c := range cl.ClosestGroundTruth(key, 8) {
-			if c.ID == writer.Self().ID {
-				continue
-			}
-			total++
-			if es, ok := byID[c.ID].LocalStore().Get(key, 0); ok && slices.ContainsFunc(es, func(e wire.Entry) bool { return e.Field == "after" }) {
-				stored++
-			}
-			if walked[c.ID] {
+			if c.ID != writer.Self().ID && walked[c.ID] {
 				found++
+				if joined[c.ID] {
+					joinerSlots++
+				}
 			}
 		}
 	}
-	t.Logf("after churn: Store reached %d and a fresh lookup found %d of %d true replicas", stored, found, total)
-	if stored < found {
-		t.Errorf("Store reached %d of %d true replicas, a fresh lookup %d", stored, total, found)
+	t.Logf("of %d true replicas: %d reached by Stores before the maintenance round (%d of %d from the cache), %d by Stores after it, %d found by a fresh lookup, %d of them joiners",
+		total, between, hits-hits0, len(keys), after, found, joinerSlots)
+	if between < found-joinerSlots {
+		t.Errorf("Store before the round reached %d of %d true replicas; a fresh lookup found %d, %d of them joiners", between, total, found, joinerSlots)
+	}
+	if after < found {
+		t.Errorf("Store after the round reached %d of %d true replicas, a fresh lookup %d", after, total, found)
 	}
 }

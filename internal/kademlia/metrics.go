@@ -26,6 +26,7 @@ var kindNames = func() []string {
 type Counters struct {
 	Lookups        *obs.Counter // iterative lookups (walks) initiated; a block op is one walk or one replica-set hit
 	ReplicaSetHits *obs.Counter // Stores sent to a cached replica set instead of walking
+	BlockOpsShed   *obs.Counter // Stores and FindValues refused at the node's block-operation limit
 	LookupRounds   *obs.Counter // α-wide waves across all lookups: the Kademlia hop count
 	RPCServed      *obs.Counter // RPC requests answered
 	LookupBusy     *obs.Counter // lookup candidates still BUSY after the retry budget
@@ -55,6 +56,8 @@ func newCounters(reg *obs.Registry) Counters {
 			"Iterative lookup procedures (walks) initiated: every read, maintenance lookup and uncached store."),
 		ReplicaSetHits: reg.Counter("dharma_replica_set_hits_total",
 			"Stores that sent to a cached replica set instead of walking."),
+		BlockOpsShed: reg.Counter("dharma_block_ops_shed_total",
+			"Stores and FindValues refused BUSY at once because the node already ran as many as its adaptive limit allows."),
 		LookupRounds: reg.Counter("dharma_lookup_rounds_total",
 			"Lookup rounds (α-wide waves) executed."),
 		RPCServed: reg.Counter("dharma_rpc_served_total",

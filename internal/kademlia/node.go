@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dharma/internal/admission"
 	"dharma/internal/kadid"
 	"dharma/internal/likir"
 	"dharma/internal/obs"
@@ -159,12 +160,11 @@ type Node struct {
 	// routing table has to survive a crash the way its store does.
 	detached atomic.Bool
 	// inMemory marks a member Cluster.start built with no data directory
-	// and no caller-supplied Store (see fanOut and acquireBlockOp);
-	// Attach leaves it alone.
+	// and no caller-supplied Store (see fanOut); Attach leaves it alone.
 	inMemory bool
-	// blockOps holds one token per block operation an in-memory member
-	// is running (see maxInMemoryBlockOps).
-	blockOps chan struct{}
+	// ops bounds the block operations (Store, FindValue) the node runs
+	// at once, adaptively: see admission.Limit and startBlockOp.
+	ops *admission.Limit
 
 	credBlob []byte
 
@@ -190,13 +190,11 @@ type Node struct {
 	replicas replicaSets
 
 	// arenas recycles lookup working state (candidate lists, seen map,
-	// seed buffer, probe messages), scratch the per-RPC decode state of
-	// both ends and writes a Store's targets and outcomes, so
-	// steady-state lookups, stores and served requests allocate no
-	// bookkeeping. See lookupArena, rpcScratch, replicaWrite and freeList.
+	// seed buffer, probe messages) and scratch the per-RPC decode state
+	// of both ends, so steady-state lookups and served requests allocate
+	// no bookkeeping. See lookupArena, rpcScratch and freeList.
 	arenas  freeList[lookupArena]
 	scratch freeList[rpcScratch]
-	writes  freeList[replicaWrite]
 
 	// Telemetry (metrics.go, trace.go). reg holds every instrument the
 	// node registers; counters are registered by NewNode, metrics is the
@@ -230,7 +228,7 @@ func NewNode(self kadid.ID, cfg Config) *Node {
 		aeSyncedV: make(map[kadid.ID]uint64),
 		aeRoundAt: make(map[kadid.ID]int64),
 		replicas:  replicaSets{max: max(1, replicaCacheContacts/cfg.K), sets: make(map[kadid.ID][]wire.Contact)},
-		blockOps:  make(chan struct{}, maxInMemoryBlockOps),
+		ops:       admission.NewLimit(0),
 		reg:       reg,
 		counters:  newCounters(reg),
 	}
@@ -238,6 +236,8 @@ func NewNode(self kadid.ID, cfg Config) *Node {
 	n.table = NewTable(self, cfg.K, nil)
 	reg.GaugeFunc("dharma_routing_table_peers",
 		"Live contacts in the routing table.", func() int64 { return int64(n.table.Len()) })
+	reg.GaugeFunc("dharma_block_op_limit",
+		"Block operations the node may run at once: its adaptive limit, halved by overload.", func() int64 { return int64(n.ops.Value()) })
 	reg.GaugeFunc("dharma_store_blocks",
 		"Blocks held by the local store.", func() int64 { return int64(n.store.Len()) })
 	if cfg.Identity != nil {
@@ -676,38 +676,6 @@ func (n *Node) callOnce(ctx context.Context, to wire.Contact, msg, resp *wire.Me
 	return nil
 }
 
-// maxInMemoryBlockOps bounds the block operations (Store, FindValue) an
-// in-memory member runs at once; more wait their turn under their ctx.
-// Every member of an in-memory cluster shares one process's CPUs and its
-// exchanges are function calls, so past a few dozen concurrent
-// operations more only slow each other down. Unbounded, a 4× overload
-// (TestOverloadSimnet) ran thousands of operations at once until most
-// overran their deadlines. A member with a network or a disk to wait on
-// is not bounded here.
-const maxInMemoryBlockOps = 64
-
-// acquireBlockOp waits, on an in-memory member, until fewer than
-// maxInMemoryBlockOps block operations are running, or ctx ends;
-// elsewhere it returns at once. A nil return must be paired with
-// releaseBlockOp.
-func (n *Node) acquireBlockOp(ctx context.Context) error {
-	if !n.inMemory {
-		return nil
-	}
-	select {
-	case n.blockOps <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (n *Node) releaseBlockOp() {
-	if n.inMemory {
-		<-n.blockOps
-	}
-}
-
 // fanOut runs task(0), …, task(count-1) and returns when all have
 // returned. On an inMemory node under a context that cannot end, each
 // simnet.Call already runs its handler on the caller and no handler
@@ -797,11 +765,50 @@ func (n *Node) RefreshBucket(ctx context.Context, bucket int, seed int64) {
 // entry; otherwise a lookup's set is cached when the walk ended cleanly
 // (ctx live, no BUSY, no failed probe in its k-window). Any
 // routing-table change (see Table.Epoch) invalidates every entry.
+//
+// Store runs under the node's block-operation limit (see startBlockOp).
 func (n *Node) Store(ctx context.Context, key kadid.ID, entries []wire.Entry) (int, error) {
-	if err := n.acquireBlockOp(ctx); err != nil {
-		return 0, err
+	ticket, ok := n.startBlockOp()
+	if !ok {
+		return 0, errShed
 	}
-	defer n.releaseBlockOp()
+	var busy int
+	acks, err := n.storeReplicas(ctx, key, entries, &busy)
+	n.endBlockOp(ctx, ticket, err, busy)
+	return acks, err
+}
+
+// startBlockOp admits one block operation under the node's adaptive
+// limit (admission.Limit), or reports false when the node already runs
+// as many as the limit allows; the caller then fails at once with
+// errShed. An admitted operation must end with endBlockOp.
+func (n *Node) startBlockOp() (ticket uint64, ok bool) {
+	if ticket, ok = n.ops.Acquire(); !ok {
+		n.counters.BlockOpsShed.Inc()
+	}
+	return ticket, ok
+}
+
+// endBlockOp ends an operation startBlockOp admitted, which returned
+// err after busy of its exchanges were answered BUSY past their
+// retries. A failure that met BUSY answers, or whose deadline ran out,
+// is overload and cuts the limit; anything else raises it. A success is
+// never overload, even one that met BUSY answers: enough replicas
+// acknowledged. A deadline can also run out for a caller with a short
+// budget or against a dead peer; such a cut stays above what a healthy
+// node runs (admission.MinOps), so it refuses nothing.
+func (n *Node) endBlockOp(ctx context.Context, ticket uint64, err error, busy int) {
+	n.ops.Release(ticket, err != nil && (busy > 0 || errors.Is(ctx.Err(), context.DeadlineExceeded)))
+}
+
+// errShed is a block operation's answer when its node already runs as
+// many as its limit allows: the node is overloaded, so the operation
+// fails at once rather than join the queue into its deadline.
+var errShed = fmt.Errorf("kademlia: node at its block-operation limit: %w", wire.ErrBusy)
+
+// storeReplicas is Store's body. It counts into busy the candidates and
+// replicas that answered BUSY past their retries.
+func (n *Node) storeReplicas(ctx context.Context, key kadid.ID, entries []wire.Entry, busy *int) (int, error) {
 	epoch := n.table.Epoch()
 	set := n.replicas.get(key, epoch)
 	cacheable := false
@@ -809,24 +816,44 @@ func (n *Node) Store(ctx context.Context, key kadid.ID, entries []wire.Entry) (i
 		n.counters.ReplicaSetHits.Inc()
 	} else {
 		var lerr error
-		if _, _, set, _, cacheable, lerr = n.iterativeLookup(ctx, key, false, 0); lerr != nil {
+		_, _, set, *busy, cacheable, lerr = n.iterativeLookup(ctx, key, false, 0)
+		if lerr != nil {
 			return 0, lerr
 		}
 	}
-	op := n.writes.get()
-	defer op.release(&n.writes)
 	// set is the cache's (or about to be): the targets are a copy.
-	targets := n.insertSelf(append(op.targets[:0], set...), key)
+	targets := n.insertSelf(slices.Clone(set), key)
 	if len(targets) == 0 {
 		return 0, ErrNoContacts
 	}
 	if i, last := slices.IndexFunc(targets, func(c wire.Contact) bool { return c.ID == n.id }), len(targets)-1; i >= 0 {
 		targets[i], targets[last] = targets[last], targets[i]
 	}
-	op.bind(ctx, n, key, entries, targets)
-	n.fanOut(ctx, len(targets), op.write)
-	acks, busy, unauth, tooLarge, failed := 0, 0, 0, 0, 0
-	for _, err := range op.outcomes {
+	// One outcome per target, each written by its own task.
+	outcomes := make([]error, len(targets))
+	n.fanOut(ctx, len(targets), func(i int) {
+		if targets[i].ID == n.id {
+			// The local replica applies the same rules the remote ones
+			// enforce: a node must not hold entries it would refuse from
+			// the network, for a bad signature or because their writer
+			// (here, the node itself) is revoked.
+			revoked := n.cfg.Revoked != nil && n.cfg.Revoked(n.id)
+			if revoked || n.cfg.CAPub != nil && vetEntries(key, entries) != "" {
+				outcomes[i] = wire.ErrUnauthorized
+			} else {
+				outcomes[i] = n.store.Append(ctx, key, entries)
+			}
+			return
+		}
+		var resp wire.Message
+		err := n.call(ctx, targets[i], &wire.Message{Kind: wire.KindStore, Target: key, Entries: entries}, &resp)
+		if err == nil && resp.Kind != wire.KindStoreAck {
+			err = errNotAcked
+		}
+		outcomes[i] = err
+	})
+	acks, unauth, tooLarge, failed := 0, 0, 0, 0
+	for _, err := range outcomes {
 		switch {
 		case err == nil:
 			acks++
@@ -834,7 +861,7 @@ func (n *Node) Store(ctx context.Context, key kadid.ID, entries []wire.Entry) (i
 		case errors.Is(err, wire.ErrBusy):
 			// Busy is alive, and still a replica: a walk to replace the
 			// set would only add load where it is being shed.
-			busy++
+			*busy++
 			continue
 		case errors.Is(err, wire.ErrUnauthorized):
 			unauth++
@@ -866,11 +893,11 @@ func (n *Node) Store(ctx context.Context, key kadid.ID, entries []wire.Entry) (i
 			// resending it unchanged never will.
 			return 0, fmt.Errorf("kademlia: store of %s to %d replica(s): %w", key.Short(), tooLarge, simnet.ErrTooLarge)
 		}
-		if busy > 0 {
+		if *busy > 0 {
 			// The replica set is saturated, not gone: surface the typed
 			// busy error so upper layers can back off instead of treating
 			// the write target as unreachable.
-			return 0, fmt.Errorf("kademlia: %d replica(s) rejected store of %s: %w", busy, key.Short(), wire.ErrBusy)
+			return 0, fmt.Errorf("kademlia: %d replica(s) rejected store of %s: %w", *busy, key.Short(), wire.ErrBusy)
 		}
 		return 0, fmt.Errorf("kademlia: no replica acknowledged store of %s", key.Short())
 	}
@@ -879,63 +906,6 @@ func (n *Node) Store(ctx context.Context, key kadid.ID, entries []wire.Entry) (i
 			key.Short(), acks, n.cfg.MinStoreAcks)
 	}
 	return acks, nil
-}
-
-// replicaWrite is the reusable working state of one Store: its targets,
-// one outcome per target, and the replica-write task fanOut runs. Like
-// the lookup arenas they are recycled per node (Node.writes), and write
-// is bound once per replicaWrite, so a Store allocates neither its
-// target list nor its outcomes nor a closure.
-type replicaWrite struct {
-	n        *Node
-	ctx      context.Context
-	key      kadid.ID
-	entries  []wire.Entry
-	targets  []wire.Contact
-	outcomes []error
-	write    func(i int) // writeReplica, bound once
-}
-
-// bind readies op for one Store to targets.
-func (op *replicaWrite) bind(ctx context.Context, n *Node, key kadid.ID, entries []wire.Entry, targets []wire.Contact) {
-	op.n, op.ctx, op.key, op.entries, op.targets = n, ctx, key, entries, targets
-	op.outcomes = slices.Grow(op.outcomes[:0], len(targets))[:len(targets)]
-	if op.write == nil {
-		op.write = op.writeReplica
-	}
-}
-
-// release drops op's references to the caller's data and returns it to
-// f.
-func (op *replicaWrite) release(f *freeList[replicaWrite]) {
-	op.n, op.ctx, op.entries = nil, nil, nil
-	clear(op.outcomes)
-	f.put(op)
-}
-
-// writeReplica writes op's entries to its i-th target and records the
-// outcome; each task writes only its own slot.
-func (op *replicaWrite) writeReplica(i int) {
-	n, ctx, key, entries := op.n, op.ctx, op.key, op.entries
-	if op.targets[i].ID == n.id {
-		// The local replica applies the same rules the remote ones
-		// enforce: a node must not hold entries it would refuse from the
-		// network, for a bad signature or because their writer (here, the
-		// node itself) is revoked.
-		revoked := n.cfg.Revoked != nil && n.cfg.Revoked(n.id)
-		if revoked || n.cfg.CAPub != nil && vetEntries(key, entries) != "" {
-			op.outcomes[i] = wire.ErrUnauthorized
-		} else {
-			op.outcomes[i] = n.store.Append(ctx, key, entries)
-		}
-		return
-	}
-	var resp wire.Message
-	err := n.call(ctx, op.targets[i], &wire.Message{Kind: wire.KindStore, Target: key, Entries: entries}, &resp)
-	if err == nil && resp.Kind != wire.KindStoreAck {
-		err = errNotAcked
-	}
-	op.outcomes[i] = err
 }
 
 // StoreBatch stores every item as Store does. The items must target
@@ -970,12 +940,24 @@ func (n *Node) insertSelf(sorted []wire.Contact, key kadid.ID) []wire.Contact {
 // ErrNotFound if no replica holds the block. When ctx ends before a
 // value was assembled, ctx.Err() is returned instead — the caller's
 // deadline wins over every internal retry budget.
+//
+// FindValue runs under the node's block-operation limit, as Store does.
 func (n *Node) FindValue(ctx context.Context, key kadid.ID, topN int) ([]wire.Entry, error) {
-	if err := n.acquireBlockOp(ctx); err != nil {
-		return nil, err
+	ticket, ok := n.startBlockOp()
+	if !ok {
+		return nil, errShed
 	}
-	defer n.releaseBlockOp()
-	entries, found, _, busy, _, lerr := n.iterativeLookup(ctx, key, true, topN)
+	var busy int
+	entries, err := n.findValue(ctx, key, topN, &busy)
+	n.endBlockOp(ctx, ticket, err, busy)
+	return entries, err
+}
+
+// findValue is FindValue's body; it counts BUSY candidates into busy
+// as storeReplicas does.
+func (n *Node) findValue(ctx context.Context, key kadid.ID, topN int, busy *int) ([]wire.Entry, error) {
+	entries, found, _, nbusy, _, lerr := n.iterativeLookup(ctx, key, true, topN)
+	*busy = nbusy
 	if lerr != nil {
 		return nil, lerr
 	}
@@ -989,10 +971,10 @@ func (n *Node) FindValue(ctx context.Context, key kadid.ID, topN int) ([]wire.En
 		}
 	}
 	if !found {
-		if busy > 0 {
+		if *busy > 0 {
 			// Replicas rejected the read at admission; "not found" would
 			// be a lie (the block may exist behind the saturation).
-			return nil, fmt.Errorf("kademlia: %d candidate(s) busy during lookup of %s: %w", busy, key.Short(), wire.ErrBusy)
+			return nil, fmt.Errorf("kademlia: %d candidate(s) busy during lookup of %s: %w", *busy, key.Short(), wire.ErrBusy)
 		}
 		return nil, ErrNotFound
 	}

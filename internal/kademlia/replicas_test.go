@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"dharma/internal/admission"
 	"dharma/internal/kadid"
 	"dharma/internal/obs"
 	"dharma/internal/simnet"
@@ -322,13 +323,80 @@ func TestBusyStoreKeepsReplicaSet(t *testing.T) {
 	}
 }
 
-// TestInMemoryBlockOpsAreBounded: an in-memory member runs at most
-// maxInMemoryBlockOps block operations at once. With every slot held by
-// a Store whose STOREs cannot finish, one more Store waits out its ctx
-// without walking, and the held ones all complete once released.
-func TestInMemoryBlockOpsAreBounded(t *testing.T) {
+// TestReaddressedMemberMovesEpoch: a replica-set member that comes
+// back at a new address is a routing change. Once the writer hears
+// from it there, the next Store walks and writes to the new address,
+// and the member stays in the writer's table.
+func TestReaddressedMemberMovesEpoch(t *testing.T) {
+	cl := wiredCluster(t, 8, 89)
+	writer := cl.Nodes[5]
+	ctx := context.Background()
+	key := kadid.HashString("readdress|1")
+	if _, err := writer.Store(ctx, key, []wire.Entry{{Field: "before", Count: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	set := cachedSet(writer, key)
+	if set == nil {
+		t.Fatal("no cached replica set after a clean walk")
+	}
+	var member *Node
+	for _, n := range cl.Nodes {
+		if n != writer && n.Self().ID == set[0].ID {
+			member = n
+		}
+	}
+	old := simnet.Addr(member.Self().Addr)
+	cl.Net.Detach(old)
+	member.Attach(cl.Net.Attach(old+"-moved", member))
+	if !member.Ping(ctx, writer.Self()) {
+		t.Fatal("the moved member could not reach the writer")
+	}
+
+	walks0, hits0 := walksAndHits(writer)
+	if _, err := writer.Store(ctx, key, []wire.Entry{{Field: "after", Count: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if walks, hits := walksAndHits(writer); walks != walks0+1 || hits != hits0 {
+		t.Errorf("Store after a member moved: %d walks and %d hits, want 1 and 0", walks-walks0, hits-hits0)
+	}
+	if es, ok := member.LocalStore().Get(key, 0); !ok || !slices.ContainsFunc(es, func(e wire.Entry) bool { return e.Field == "after" }) {
+		t.Error("the Store after the move did not reach the member at its new address")
+	}
+	if !slices.ContainsFunc(writer.Table().Closest(key, 8), func(c wire.Contact) bool { return c.ID == member.Self().ID }) {
+		t.Error("the writer dropped the moved member from its table")
+	}
+}
+
+// amongClosest reports whether n is one of the k members of cl closest
+// to key.
+func amongClosest(cl *Cluster, n *Node, k int, key kadid.ID) bool {
+	closer := 0
+	for _, m := range cl.Nodes {
+		if m != n && kadid.Closer(m.Self().ID, n.Self().ID, key) {
+			closer++
+		}
+	}
+	return closer < k
+}
+
+// farKey returns a key whose k closest members do not include n.
+func farKey(cl *Cluster, n *Node, k int, prefix string) kadid.ID {
+	for i := 0; ; i++ {
+		if key := kadid.HashString(fmt.Sprintf("%s|%d", prefix, i)); !amongClosest(cl, n, k, key) {
+			return key
+		}
+	}
+}
+
+// TestBlockOpsPastTheLimitFailBusy: a node runs at most its adaptive
+// limit of block operations at once. With the limit held by Stores
+// whose STOREs cannot finish, one more Store and one more FindValue fail
+// BUSY at once, without walking, and the held ones complete once
+// released.
+func TestBlockOpsPastTheLimitFailBusy(t *testing.T) {
 	cl := wiredCluster(t, 8, 87)
 	writer := cl.Nodes[0]
+	writer.ops = admission.NewLimit(2)
 	release := make(chan struct{})
 	for _, n := range cl.Nodes[1:] {
 		h := simnet.HandlerFunc(func(ctx context.Context, from simnet.Addr, payload []byte) ([]byte, error) {
@@ -342,35 +410,101 @@ func TestInMemoryBlockOpsAreBounded(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	entries := []wire.Entry{{Field: "f", Count: 1}}
-	errs := make(chan error, maxInMemoryBlockOps)
-	for i := range maxInMemoryBlockOps {
+	held := make(chan error, 2)
+	for i := range 2 {
 		go func() {
-			_, err := writer.Store(ctx, kadid.HashString(fmt.Sprintf("bounded|%d", i)), entries)
-			errs <- err
+			_, err := writer.Store(ctx, kadid.HashString(fmt.Sprintf("limited|%d", i)), entries)
+			held <- err
 		}()
 	}
-	for deadline := time.Now().Add(2 * time.Second); len(writer.blockOps) < maxInMemoryBlockOps; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, ok := writer.ops.Acquire(); !ok {
+			break
+		} else if writer.ops.Release(0, false); time.Now().After(deadline) {
 			close(release)
-			t.Fatalf("%d of %d block operations started", len(writer.blockOps), maxInMemoryBlockOps)
+			t.Fatal("the two held Stores never both started")
 		}
 	}
 
 	walks0, _ := walksAndHits(writer)
-	short, stop := context.WithTimeout(ctx, 20*time.Millisecond)
-	_, err := writer.Store(short, kadid.HashString("bounded|extra"), entries)
-	stop()
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("Store beyond the bound = %v, want it to wait out its deadline", err)
+	if _, err := writer.Store(ctx, kadid.HashString("limited|extra"), entries); !errors.Is(err, wire.ErrBusy) {
+		t.Errorf("Store past the limit = %v, want wire.ErrBusy", err)
+	}
+	if _, err := writer.FindValue(ctx, kadid.HashString("limited|extra"), 0); !errors.Is(err, wire.ErrBusy) {
+		t.Errorf("FindValue past the limit = %v, want wire.ErrBusy", err)
 	}
 	if walks, _ := walksAndHits(writer); walks != walks0 {
-		t.Errorf("Store beyond the bound walked %d times, want 0", walks-walks0)
+		t.Errorf("operations past the limit walked %d times, want 0", walks-walks0)
 	}
-
+	if got := writer.Counters().BlockOpsShed.Load(); got != 2 {
+		t.Errorf("dharma_block_ops_shed_total = %d, want 2", got)
+	}
 	close(release)
-	for range maxInMemoryBlockOps {
-		if err := <-errs; err != nil {
+	for range 2 {
+		if err := <-held; err != nil {
 			t.Errorf("held Store: %v", err)
 		}
+	}
+}
+
+// TestOverloadFailuresCutTheLimit: a block operation that fails after
+// BUSY answers, or out of time, cuts its node's limit (here to the
+// floor, being alone in flight); one that fails for any other reason,
+// or succeeds despite BUSY answers, does not.
+func TestOverloadFailuresCutTheLimit(t *testing.T) {
+	cl := wiredCluster(t, 8, 88)
+	ctx := context.Background()
+	entries := []wire.Entry{{Field: "f", Count: 1}}
+	busyKey := farKey(cl, cl.Nodes[0], 8, "cut|busy")
+	// cl.Nodes[3] is itself a replica of ownKey.
+	var ownKey kadid.ID
+	for i := 0; ownKey.IsZero(); i++ {
+		if key := kadid.HashString(fmt.Sprintf("cut|own|%d", i)); amongClosest(cl, cl.Nodes[3], 8, key) {
+			ownKey = key
+		}
+	}
+	for _, n := range cl.Nodes {
+		n.Attach(cl.Net.Attach(simnet.Addr(n.Self().Addr), simnet.HandlerFunc(func(ctx context.Context, from simnet.Addr, payload []byte) ([]byte, error) {
+			if m, err := wire.Decode(payload); err == nil && m.Kind == wire.KindStore && (m.Target == busyKey || m.Target == ownKey) {
+				return wire.Encode(&wire.Message{Kind: wire.KindBusy}), nil
+			}
+			return n.HandleRPC(ctx, from, payload)
+		})))
+	}
+
+	clean := cl.Nodes[1]
+	if _, err := clean.FindValue(ctx, kadid.HashString("cut|missing"), 0); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("FindValue of an unwritten key = %v, want ErrNotFound", err)
+	}
+	if got := clean.ops.Value(); got != admission.DefaultMaxOps {
+		t.Errorf("limit after a not-found = %d, want %d unchanged", got, admission.DefaultMaxOps)
+	}
+
+	busy := cl.Nodes[0]
+	if _, err := busy.Store(ctx, busyKey, entries); !errors.Is(err, wire.ErrBusy) {
+		t.Fatalf("Store whose replicas all answer BUSY = %v, want wire.ErrBusy", err)
+	}
+	if got := busy.ops.Value(); got != admission.MinOps {
+		t.Errorf("limit after a Store failed BUSY = %d, want the floor %d", got, admission.MinOps)
+	}
+
+	late := cl.Nodes[2]
+	dead, stop := context.WithDeadline(ctx, time.Now().Add(-time.Second))
+	defer stop()
+	if _, err := late.FindValue(dead, kadid.HashString("cut|late"), 0); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("FindValue past its deadline = %v, want context.DeadlineExceeded", err)
+	}
+	if got := late.ops.Value(); got != admission.MinOps {
+		t.Errorf("limit after a FindValue ran out of time = %d, want the floor %d", got, admission.MinOps)
+	}
+
+	// Every remote replica answers BUSY, but the writer's own replica
+	// acknowledges: the Store succeeds, and is no overload.
+	own := cl.Nodes[3]
+	if acks, err := own.Store(ctx, ownKey, entries); err != nil || acks != 1 {
+		t.Fatalf("Store acknowledged only by the writer = %d acks, err %v; want 1 ack", acks, err)
+	}
+	if got := own.ops.Value(); got != admission.DefaultMaxOps {
+		t.Errorf("limit after a Store that succeeded beside BUSY answers = %d, want %d", got, admission.DefaultMaxOps)
 	}
 }

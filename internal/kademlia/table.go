@@ -29,7 +29,8 @@ type Table struct {
 	occupied int // buckets holding at least one contact
 	top      int // 1 + index of the highest non-empty bucket
 	// epoch counts changes to the buckets' membership (an admission or
-	// a removal) plus every newEpoch; see Epoch.
+	// a removal) and to their contacts' addresses, plus every newEpoch;
+	// see Epoch.
 	epoch atomic.Uint64
 }
 
@@ -85,7 +86,11 @@ func (t *Table) Update(c wire.Contact) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	b := t.buckets[idx]
-	if touch(b, c) {
+	if i := contactIndex(b, c.ID); i >= 0 {
+		if b[i].Addr != c.Addr {
+			t.epoch.Add(1) // a known peer at a new address is a routing change
+		}
+		touch(b, c)
 		return
 	}
 	if len(b) < t.k {
@@ -146,8 +151,9 @@ func (t *Table) Remove(id kadid.ID) {
 }
 
 // Epoch returns the table's routing epoch. It advances whenever a
-// contact enters or leaves a bucket (not the replacement lists, which
-// no lookup reads) and at every newEpoch, so a result derived from the
+// contact enters or leaves a bucket or a bucket's contact changes
+// address (not the replacement lists, which no lookup reads) and at
+// every newEpoch, so a result derived from the
 // table — a cached replica set — is current while the epoch it was
 // derived at still is.
 func (t *Table) Epoch() uint64 { return t.epoch.Load() }
