@@ -130,6 +130,26 @@ func BenchmarkFindValueHot(b *testing.B) {
 	}
 }
 
+// BenchmarkFindValueWide measures a search step's read of a wide block:
+// the top 100 of a 2,000-field block, whose replicas agree.
+func BenchmarkFindValueWide(b *testing.B) {
+	cl := benchCluster(b, 64)
+	key := kadid.HashString("wide")
+	block := make([]wire.Entry, 2000)
+	for i := range block {
+		block[i] = wire.Entry{Field: fmt.Sprintf("arc%04d", i), Count: uint64(i%97 + 1)}
+	}
+	if _, err := cl.Nodes[0].Store(context.Background(), key, block); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if es, err := cl.Nodes[i%64].FindValue(context.Background(), key, 100); err != nil || len(es) != 100 {
+			b.Fatalf("%d entries, err %v", len(es), err)
+		}
+	}
+}
+
 // BenchmarkRoutingTableUpdate measures the table's hot path.
 func BenchmarkRoutingTableUpdate(b *testing.B) {
 	tab := NewTable(kadid.HashString("self"), 20, nil)
@@ -147,9 +167,8 @@ func BenchmarkRoutingTableUpdate(b *testing.B) {
 // BenchmarkHandleRPC is the composed serving path the alloc gate holds:
 // decode → admit → table update → dispatch → encode on a warmed node.
 // Each reply is handed back to the wire free list, as a transport does,
-// so the budget is 0 (plus, for find_value, the entry list Store.Get
-// hands out). store and
-// replicate gate the store's two mutation rules, append and max-merge;
+// and find_value's entry list is the request scratch's, so the budget
+// is 0. store and replicate gate the store's two mutation rules, append and max-merge;
 // replicate re-merges a field the block already holds at a higher
 // count, which is a republish round's steady state.
 func BenchmarkHandleRPC(b *testing.B) {

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"errors"
+	"maps"
 	"math/rand"
 	"slices"
 	"strings"
@@ -39,12 +40,12 @@ type probe struct {
 }
 
 // lookupArena is the reusable working state of one iterative lookup.
-// Arenas are recycled per node (see Node.arenas) so that steady-state
-// lookup rounds allocate no candidate bookkeeping: the candidate slice,
-// the distance-ordered index list, the seen map, the table seed buffer
-// and the α probe messages all retain their capacity across lookups.
-// order holds indices into cands (not pointers), so growing cands never
-// invalidates it.
+// Arenas are recycled per node (see Node.arenas and putArena) so that
+// steady-state lookup rounds allocate no candidate bookkeeping: the
+// candidate slice, the distance-ordered index list, the seen map, the
+// table seed buffer, the α probe messages and a value read's replies
+// all retain their capacity across lookups. order holds indices into
+// cands (not pointers), so growing cands never invalidates it.
 type lookupArena struct {
 	cands   []candidate
 	order   []int32            // indices into cands, ascending distance to target
@@ -53,6 +54,13 @@ type lookupArena struct {
 	batch   []int32            // this round's query set (indices into cands)
 	probes  []probe            // this round's exchanges, one per batch slot
 	spans   []TraceSpan        // per-RPC trace spans, cloned out only on capture
+
+	// Value mode: the replies the answer is built from (views of the
+	// final wave's probe replies and of local), the node's own replica,
+	// and mergeReplies' duplicate-field set.
+	replies [][]wire.Entry
+	local   []wire.Entry
+	fields  map[string]struct{}
 }
 
 func (a *lookupArena) reset() {
@@ -65,6 +73,27 @@ func (a *lookupArena) reset() {
 	} else {
 		clear(a.seen)
 	}
+	if a.fields == nil {
+		a.fields = make(map[string]struct{})
+	}
+}
+
+// putArena recycles a. Like putScratch it bounds what an idle arena
+// retains: a reply array wider than maxScratchEntries is dropped and the
+// used part of the rest cleared, so one unfiltered read of a wide block
+// pins neither its arrays nor their entries' payloads, and a duplicate
+// set grown past the same bound is dropped too (a map never shrinks).
+func (n *Node) putArena(a *lookupArena) {
+	for i := range a.probes {
+		a.probes[i].resp.Entries = idleEntries(a.probes[i].resp.Entries)
+	}
+	a.local = idleEntries(a.local)
+	clear(a.replies)
+	a.replies = a.replies[:0]
+	if len(a.fields) > maxScratchEntries {
+		a.fields = nil
+	}
+	n.arenas.put(a)
 }
 
 // iterativeLookup is the Kademlia node-lookup procedure. Starting from
@@ -83,18 +112,23 @@ func (a *lookupArena) reset() {
 // once, in a later wave, if it is still inside the k-window then. BUSY,
 // too-large and cancelled probes get no second chance.
 //
-// In value mode (wantValue) the RPC is FIND_VALUE and entries from all
-// VALUE responses of the final round are merged field-wise, taking the
-// maximum count per field: counts only grow, so the maximum is the most
-// complete replica state.
+// In value mode (wantValue) the RPC is FIND_VALUE. The VALUE replies of
+// the final round, in slot order, and then the node's own replica, if
+// it holds one, are the replies the answer is built from (see
+// mergeReplies): a copy of the first when they all agree, their
+// field-wise maximum otherwise — counts only grow, so the maximum is the
+// most complete replica state. A read whose replies disagreed counts in
+// Counters.ValueMerges. found reports that some replica held the block;
+// the answer is a fresh slice the caller owns. A value read returns no
+// contact window: its one caller, FindValue, has no use for one.
 //
 // ctx bounds the whole procedure. Cancellation is checked between
 // rounds AND aborts the round's in-flight RPC waiters, so a lookup
 // stuck on non-answering peers returns as soon as the caller gives up,
 // not when the transport's retry timers expire. On early termination
-// the ctx error is returned along with the best-effort contact window
-// gathered so far; entries are withheld (a partial value is not a
-// value).
+// the ctx error is returned, in node mode along with the best-effort
+// contact window gathered so far; entries are withheld (a partial value
+// is not a value).
 //
 // clean reports that the walk's window can be trusted beyond this call:
 // ctx stayed live, no candidate was BUSY and no probe failed inside the
@@ -117,7 +151,7 @@ func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue b
 
 	arena := n.arenas.get()
 	arena.reset()
-	defer n.arenas.put(arena)
+	defer n.putArena(arena)
 	if len(arena.probes) < n.cfg.Alpha {
 		arena.probes = make([]probe, n.cfg.Alpha)
 	}
@@ -160,9 +194,6 @@ func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue b
 	for _, c := range arena.seedBuf {
 		insert(c)
 	}
-
-	var merged map[string]wire.Entry
-	foundValue := false
 
 	// send runs one probe of the current wave. It is built once per
 	// lookup, not per wave or per probe.
@@ -246,25 +277,39 @@ func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue b
 			}
 			arena.cands[idx].responded = true
 			if p.resp.Kind == wire.KindValue {
-				foundValue = true
-				if merged == nil {
-					merged = make(map[string]wire.Entry)
-				}
-				mergeMax(merged, p.resp.Entries)
+				arena.replies = append(arena.replies, p.resp.Entries)
 				continue
 			}
 			for _, c := range p.resp.Contacts {
 				insert(c)
 			}
 		}
-		if foundValue {
+		if len(arena.replies) > 0 {
 			break
 		}
 	}
 
+	if wantValue {
+		if err := ctx.Err(); err != nil {
+			return nil, false, nil, busy, false, err
+		}
+		var ok bool
+		if arena.local, ok = n.store.getInto(arena.local[:0], target, topN); ok {
+			arena.replies = append(arena.replies, arena.local)
+		}
+		if len(arena.replies) == 0 {
+			return nil, false, nil, busy, false, nil
+		}
+		out, merged := mergeReplies(arena.replies, topN, arena.fields)
+		if merged {
+			n.counters.ValueMerges.Inc()
+		}
+		return out, true, nil, busy, false, nil
+	}
+
 	// The k closest responders, in distance order, are the lookup's
 	// node-set result (used for replica placement by Store). The result
-	// escapes to callers, so it is the one slice a lookup still
+	// escapes to callers, so it is the one slice a node lookup still
 	// allocates.
 	closest := make([]wire.Contact, 0, n.cfg.K)
 	clean = busy == 0
@@ -282,14 +327,7 @@ func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue b
 	if err := ctx.Err(); err != nil {
 		return nil, false, closest, busy, false, err
 	}
-	if !foundValue {
-		return nil, false, closest, busy, clean, nil
-	}
-	out := sortedEntries(merged)
-	if topN > 0 && len(out) > topN {
-		out = out[:topN]
-	}
-	return out, true, closest, busy, clean, nil
+	return nil, false, closest, busy, clean, nil
 }
 
 // compareEntries is the block order every read returns: descending
@@ -301,32 +339,77 @@ func compareEntries(a, b wire.Entry) int {
 	return strings.Compare(a.Field, b.Field)
 }
 
-// mergeMax folds es into m field-wise, keeping the larger count per
-// field: counts only grow, so the maximum is the most complete replica
-// state.
-func mergeMax(m map[string]wire.Entry, es []wire.Entry) {
-	for _, e := range es {
-		if cur, ok := m[e.Field]; !ok || e.Count > cur.Count {
-			m[e.Field] = e
+// mergeReplies builds a value read's answer from the replies of the
+// block's replicas, truncated to topN when topN > 0. The answer is a
+// fresh slice: it shares no array with any reply.
+//
+// Replicas of a block almost always agree. When every reply holds the
+// same fields with the same counts at the same indices as the first,
+// and the first is strictly in block order with no field twice, the
+// answer is a copy of the first. Otherwise the replies are max-merged:
+// per field the entry with the largest count, the earliest reply
+// winning a tie, in block order. Both give the same entries in the same
+// order whenever the first applies. merged reports that the max-merge
+// ran. fields is scratch for the duplicate check and is left empty.
+func mergeReplies(replies [][]wire.Entry, topN int, fields map[string]struct{}) (out []wire.Entry, merged bool) {
+	first := replies[0]
+	if agree(replies) && inBlockOrder(first, fields) {
+		n := len(first)
+		if topN > 0 && n > topN {
+			n = topN
+		}
+		out = make([]wire.Entry, n)
+		copy(out, first)
+		return out, false
+	}
+	m := make(map[string]wire.Entry)
+	for _, r := range replies {
+		for _, e := range r {
+			if cur, ok := m[e.Field]; !ok || e.Count > cur.Count {
+				m[e.Field] = e
+			}
 		}
 	}
-}
-
-// sortedEntries returns m's entries in block order.
-func sortedEntries(m map[string]wire.Entry) []wire.Entry {
-	out := make([]wire.Entry, 0, len(m))
-	for _, e := range m {
-		out = append(out, e)
+	out = slices.SortedFunc(maps.Values(m), compareEntries)
+	if topN > 0 && len(out) > topN {
+		out = out[:topN]
 	}
-	slices.SortFunc(out, compareEntries)
-	return out
+	return out, true
 }
 
-// mergeEntriesMax merges two entry lists field-wise, keeping the larger
-// count per field, and returns the result in block order.
-func mergeEntriesMax(a, b []wire.Entry) []wire.Entry {
-	m := make(map[string]wire.Entry, len(a)+len(b))
-	mergeMax(m, a)
-	mergeMax(m, b)
-	return sortedEntries(m)
+// agree reports whether every reply holds the first's fields with the
+// first's counts, index by index.
+func agree(replies [][]wire.Entry) bool {
+	first := replies[0]
+	for _, r := range replies[1:] {
+		if len(r) != len(first) {
+			return false
+		}
+		for i := range r {
+			if r[i].Count != first[i].Count || r[i].Field != first[i].Field {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// inBlockOrder reports whether es is strictly in block order — count
+// descending, then field ascending — with no field twice. seen is
+// scratch and is left empty.
+func inBlockOrder(es []wire.Entry, seen map[string]struct{}) bool {
+	ok := true
+	for i := range es {
+		if i > 0 && compareEntries(es[i-1], es[i]) >= 0 {
+			ok = false
+			break
+		}
+		if _, dup := seen[es[i].Field]; dup {
+			ok = false
+			break
+		}
+		seen[es[i].Field] = struct{}{}
+	}
+	clear(seen)
+	return ok
 }

@@ -1,9 +1,11 @@
 package kademlia
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -255,7 +257,8 @@ func mapsEqual(a, b map[string]uint64) bool {
 }
 
 // TestMergeEntriesMaxLargeReplicas merges two shuffled replicas of a
-// 20,000-arc block, as an unfiltered read of a hot tag does. The result
+// 20,000-arc block, as an unfiltered read of a hot tag whose replicas
+// diverged does, so mergeReplies takes its max-merge. The result
 // must hold the field-wise maximum in block order: count descending,
 // ties by field ascending. Counts are drawn from a small range so most
 // of the order comes from the tie-break.
@@ -276,7 +279,10 @@ func TestMergeEntriesMaxLargeReplicas(t *testing.T) {
 	rng.Shuffle(arcs, func(i, j int) { b[i], b[j] = b[j], b[i] })
 
 	start := time.Now()
-	got := mergeEntriesMax(a, b)
+	got, merged := mergeReplies([][]wire.Entry{a, b}, 0, map[string]struct{}{})
+	if !merged {
+		t.Fatal("shuffled replicas were not max-merged")
+	}
 	t.Logf("merged 2 x %d entries in %v", arcs, time.Since(start))
 
 	if len(got) != arcs {
@@ -292,6 +298,178 @@ func TestMergeEntriesMaxLargeReplicas(t *testing.T) {
 		prev := got[i-1]
 		if prev.Count < e.Count || (prev.Count == e.Count && prev.Field >= e.Field) {
 			t.Fatalf("entries %d,%d out of block order: %+v then %+v", i-1, i, prev, e)
+		}
+	}
+}
+
+// oldMergeMax and oldSortedEntries are the value read's merge before
+// mergeReplies, kept verbatim as TestMergeRepliesMatchesMaxMerge's
+// oracle.
+func oldMergeMax(m map[string]wire.Entry, es []wire.Entry) {
+	for _, e := range es {
+		if cur, ok := m[e.Field]; !ok || e.Count > cur.Count {
+			m[e.Field] = e
+		}
+	}
+}
+
+func oldSortedEntries(m map[string]wire.Entry) []wire.Entry {
+	out := make([]wire.Entry, 0, len(m))
+	for _, e := range m {
+		out = append(out, e)
+	}
+	slices.SortFunc(out, compareEntries)
+	return out
+}
+
+// oldMerge composes the oracle as a read did: the final wave's VALUE
+// replies max-merged, sorted and truncated to topN, then the reader's
+// own replica, when it held one, max-merged into that and truncated
+// again.
+func oldMerge(remote [][]wire.Entry, local []wire.Entry, topN int) []wire.Entry {
+	truncate := func(es []wire.Entry) []wire.Entry {
+		if topN > 0 && len(es) > topN {
+			return es[:topN]
+		}
+		return es
+	}
+	var out []wire.Entry
+	if len(remote) > 0 {
+		m := make(map[string]wire.Entry)
+		for _, r := range remote {
+			oldMergeMax(m, r)
+		}
+		out = truncate(oldSortedEntries(m))
+	}
+	if local != nil {
+		m := make(map[string]wire.Entry, len(out)+len(local))
+		oldMergeMax(m, out)
+		oldMergeMax(m, local)
+		out = truncate(oldSortedEntries(m))
+	}
+	return out
+}
+
+// TestMergeRepliesMatchesMaxMerge checks mergeReplies against the old
+// map-and-sort merge on random replies: it must return the same entries,
+// Data included, in the same order, in a slice that shares no array
+// with any reply, and it must report a max-merge exactly when the
+// replies were not the agreeing, ordered, duplicate-free kind.
+func TestMergeRepliesMatchesMaxMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(4747))
+	const (
+		agreeing = iota
+		stale
+		missingTail
+		outOfOrder
+		duplicated
+		sameCountsOtherData
+		cases
+	)
+	names := []string{"agreeing", "stale replica", "missing tail", "out of order",
+		"duplicated field", "equal counts, other Data"}
+	fields := make(map[string]struct{})
+	for trial := 0; trial < 3000; trial++ {
+		kind := trial % cases
+		// The block every up-to-date replica holds, in block order; counts
+		// tie often so the field tie-break matters.
+		size := 1 + rng.Intn(40)
+		block := make([]wire.Entry, size)
+		for i, f := range rng.Perm(60)[:size] {
+			block[i] = wire.Entry{Field: fmt.Sprintf("f%02d", f), Count: uint64(2 + rng.Intn(8))}
+			if rng.Intn(3) == 0 {
+				block[i].Data = []byte(fmt.Sprintf("uri-%d", f))
+			}
+		}
+		slices.SortFunc(block, compareEntries)
+		topN := 0
+		if rng.Intn(2) == 0 {
+			topN = 1 + rng.Intn(size+5) // truncating or not
+		}
+		// view is what a replica holding es answers: its top-topN.
+		view := func(es []wire.Entry) []wire.Entry {
+			es = slices.Clone(es)
+			if topN > 0 && len(es) > topN {
+				es = es[:topN]
+			}
+			return es
+		}
+
+		replies := make([][]wire.Entry, 1+rng.Intn(4))
+		for i := range replies {
+			replies[i] = view(block)
+		}
+		odd := rng.Intn(len(replies))
+		switch kind {
+		case stale:
+			older := slices.Clone(block)
+			for i := range older {
+				if rng.Intn(2) == 0 {
+					older[i].Count -= uint64(1 + rng.Intn(2))
+				}
+			}
+			slices.SortFunc(older, compareEntries)
+			replies[odd] = view(older)
+		case missingTail:
+			if r := replies[odd]; len(r) > 0 {
+				replies[odd] = r[:rng.Intn(len(r))]
+			}
+		case outOfOrder:
+			r := replies[odd]
+			rng.Shuffle(len(r), func(i, j int) { r[i], r[j] = r[j], r[i] })
+		case duplicated:
+			// Still strictly in block order, and the same in every reply,
+			// so only the duplicate check tells it apart.
+			last := replies[0][len(replies[0])-1]
+			dup := wire.Entry{Field: replies[0][rng.Intn(len(replies[0]))].Field, Count: last.Count - 1}
+			for i := range replies {
+				replies[i] = append(replies[i], dup)
+			}
+		case sameCountsOtherData:
+			for i, r := range replies {
+				for j := range r {
+					r[j].Data = []byte(fmt.Sprintf("reply-%d", i))
+				}
+			}
+		}
+		remote, local := replies, []wire.Entry(nil)
+		if len(replies) > 1 && rng.Intn(2) == 0 {
+			remote, local = replies[:len(replies)-1], replies[len(replies)-1]
+		}
+		want := oldMerge(remote, local, topN)
+
+		got, merged := mergeReplies(replies, topN, fields)
+		name := names[kind]
+		if len(fields) != 0 {
+			t.Fatalf("trial %d (%s): the duplicate set was left with %d fields", trial, name, len(fields))
+		}
+		if len(got) != len(want) {
+			t.Fatalf("trial %d (%s): %d entries, the old merge gives %d", trial, name, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Field != want[i].Field || got[i].Count != want[i].Count || !bytes.Equal(got[i].Data, want[i].Data) {
+				t.Fatalf("trial %d (%s): entry %d = %s/%d/%q, the old merge gives %s/%d/%q", trial, name, i,
+					got[i].Field, got[i].Count, got[i].Data, want[i].Field, want[i].Count, want[i].Data)
+			}
+		}
+		for _, r := range replies {
+			if len(got) > 0 && len(r) > 0 && &got[0] == &r[0] {
+				t.Fatalf("trial %d (%s): the answer is a view of a reply", trial, name)
+			}
+		}
+		disagreed := false
+		for _, r := range replies[1:] {
+			disagreed = disagreed || len(r) != len(replies[0])
+			for i := 0; !disagreed && i < len(r); i++ {
+				disagreed = r[i].Field != replies[0][i].Field || r[i].Count != replies[0][i].Count
+			}
+		}
+		wantMerged := disagreed || kind == outOfOrder && odd == 0 || kind == duplicated
+		if kind == outOfOrder && odd == 0 && slices.IsSortedFunc(replies[0], compareEntries) {
+			wantMerged = disagreed // the shuffle left it in order
+		}
+		if merged != wantMerged {
+			t.Fatalf("trial %d (%s): merged = %v, want %v", trial, name, merged, wantMerged)
 		}
 	}
 }

@@ -26,6 +26,7 @@ var kindNames = func() []string {
 type Counters struct {
 	Lookups        *obs.Counter // iterative lookups (walks) initiated; a block op is one walk or one replica-set hit
 	ReplicaSetHits *obs.Counter // Stores sent to a cached replica set instead of walking
+	ValueMerges    *obs.Counter // value reads whose replies disagreed (or one was out of block order), so the max-merge ran
 	BlockOpsShed   *obs.Counter // Stores and FindValues refused at the node's block-operation limit
 	LookupRounds   *obs.Counter // α-wide waves across all lookups: the Kademlia hop count
 	RPCServed      *obs.Counter // RPC requests answered
@@ -56,6 +57,8 @@ func newCounters(reg *obs.Registry) Counters {
 			"Iterative lookup procedures (walks) initiated: every read, maintenance lookup and uncached store."),
 		ReplicaSetHits: reg.Counter("dharma_replica_set_hits_total",
 			"Stores that sent to a cached replica set instead of walking."),
+		ValueMerges: reg.Counter("dharma_value_merges_total",
+			"Value reads whose replica replies disagreed (or one was out of block order), so the field-wise max-merge ran."),
 		BlockOpsShed: reg.Counter("dharma_block_ops_shed_total",
 			"Stores and FindValues refused BUSY at once because the node already ran as many as its adaptive limit allows."),
 		LookupRounds: reg.Counter("dharma_lookup_rounds_total",

@@ -316,26 +316,39 @@ func (n *Node) RPCServed() int64 { return n.counters.RPCServed.Load() }
 
 // rpcScratch is the reusable working state of one end of an RPC. The
 // decoder's intern table makes repeated addresses and field names free;
-// req, reply and cs are HandleRPC's request, response and NODES contact
-// list, which live only until the response is encoded. What a handler
-// keeps from req is safe to keep: strings are immutable, blobs are
-// fresh copies, and the store and its WAL finish reading req.Entries
-// before Append/MergeMax return, even when ctx ends first.
+// req, reply, cs and entries are HandleRPC's request, response, NODES
+// contact list and VALUE entry list, which live only until the response
+// is encoded. What a handler keeps from req is safe to keep: strings are
+// immutable, blobs are fresh copies, and the store and its WAL finish
+// reading req.Entries before Append/MergeMax return, even when ctx ends
+// first.
 type rpcScratch struct {
 	dec        wire.Decoder
 	req, reply wire.Message
 	cs         []wire.Contact
+	entries    []wire.Entry
 }
 
-// maxScratchEntries bounds the request entry list an idle scratch
-// retains: one bulk REPLICATE must not pin its array for good.
+// maxScratchEntries bounds the entry lists idle scratch retains: one
+// bulk REPLICATE or one unfiltered read of a wide block must not pin its
+// array for good.
 const maxScratchEntries = 256
+
+// idleEntries returns what idle scratch keeps of es: nothing when its
+// array is wider than maxScratchEntries, else es emptied, its used part
+// cleared so that no entry payload outlives the exchange that read it.
+func idleEntries(es []wire.Entry) []wire.Entry {
+	if cap(es) > maxScratchEntries {
+		return nil
+	}
+	clear(es)
+	return es[:0]
+}
 
 func (n *Node) putScratch(sc *rpcScratch) {
 	sc.reply = wire.Message{} // drop the references to store results
-	if cap(sc.req.Entries) > maxScratchEntries {
-		sc.req.Entries = nil
-	}
+	sc.req.Entries = idleEntries(sc.req.Entries)
+	sc.entries = idleEntries(sc.entries)
 	n.scratch.put(sc)
 }
 
@@ -410,8 +423,9 @@ func (n *Node) HandleRPC(ctx context.Context, from simnet.Addr, payload []byte) 
 		}
 
 	case wire.KindFindValue:
-		if entries, ok := n.store.Get(msg.Target, int(msg.TopN)); ok {
-			*resp = wire.Message{Kind: wire.KindValue, Entries: entries}
+		var ok bool
+		if sc.entries, ok = n.store.getInto(sc.entries[:0], msg.Target, int(msg.TopN)); ok {
+			*resp = wire.Message{Kind: wire.KindValue, Entries: sc.entries}
 		} else {
 			*resp = wire.Message{
 				Kind:     wire.KindNodes,
@@ -937,7 +951,8 @@ func (n *Node) insertSelf(sorted []wire.Contact, key kadid.ID) []wire.Contact {
 
 // FindValue retrieves the block stored under key, asking for at most
 // topN entries (0 = all). It performs one iterative lookup and returns
-// ErrNotFound if no replica holds the block. When ctx ends before a
+// ErrNotFound if no replica holds the block, the reader's own included.
+// The caller owns the entries returned. When ctx ends before a
 // value was assembled, ctx.Err() is returned instead — the caller's
 // deadline wins over every internal retry budget.
 //
@@ -960,15 +975,6 @@ func (n *Node) findValue(ctx context.Context, key kadid.ID, topN int, busy *int)
 	*busy = nbusy
 	if lerr != nil {
 		return nil, lerr
-	}
-	if local, ok := n.store.Get(key, topN); ok {
-		// The reader may itself hold a replica; merge it in field-wise,
-		// keeping the larger count (counts only grow).
-		entries = mergeEntriesMax(entries, local)
-		found = true
-		if topN > 0 && len(entries) > topN {
-			entries = entries[:topN]
-		}
 	}
 	if !found {
 		if *busy > 0 {

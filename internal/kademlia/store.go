@@ -312,8 +312,17 @@ func (b *block) indexEnter(se *storedEntry) {
 // wider read copies every field under the lock and sorts the copies
 // after releasing it, so writers wait only for the copy.
 // Returned entries never alias internal storage — Data/Author/Sig are
-// copied on the way out — so the caller owns the result.
+// copied on the way out — so the caller owns the result, whose array
+// holds exactly the entries returned.
 func (s *Store) Get(key kadid.ID, topN int) ([]wire.Entry, bool) {
+	return s.getInto(nil, key, topN)
+}
+
+// getInto is Get appending into dst: it returns dst extended by the
+// entries Get would return, in dst's array when it has room for them,
+// so a reader that reuses one dst across reads allocates no entry list.
+// When the block does not exist dst comes back unchanged.
+func (s *Store) getInto(dst []wire.Entry, key kadid.ID, topN int) ([]wire.Entry, bool) {
 	if m := s.metrics; m != nil {
 		start := time.Now()
 		defer func() {
@@ -324,25 +333,39 @@ func (s *Store) Get(key kadid.ID, topN int) ([]wire.Entry, bool) {
 	blk, ok := s.blocks[key]
 	if !ok {
 		s.mu.RUnlock()
-		return nil, false
+		return dst, false
 	}
 	n := len(blk.fields)
 	if topN > 0 && topN < n {
 		n = topN
 	}
 	if n <= len(blk.top) {
-		out := make([]wire.Entry, n)
+		base := len(dst)
+		dst = growEntries(dst, n)[:base+n]
 		for i, se := range blk.top[:n] {
-			se.fill(&out[i])
+			se.fill(&dst[base+i])
 		}
 		s.mu.RUnlock()
-		return out, true
+		return dst, true
 	}
-	out := blk.list(true)
+	all := blk.list(true)
 	s.mu.RUnlock()
 
-	slices.SortFunc(out, compareEntries)
-	return out[:n], true
+	slices.SortFunc(all, compareEntries)
+	if len(dst) == 0 && cap(dst) < n && n == len(all) {
+		return all, true // the sorted copy is exactly the answer
+	}
+	return append(growEntries(dst, n), all[:n]...), true
+}
+
+// growEntries returns es with room for n more entries. A nil es gets an
+// array of exactly n, so what Get returns pins nothing beyond itself; a
+// reused one grows as append grows it.
+func growEntries(es []wire.Entry, n int) []wire.Entry {
+	if es == nil {
+		return make([]wire.Entry, 0, n)
+	}
+	return slices.Grow(es, n)
 }
 
 // list enumerates the block's fields in map order. With payload set
@@ -365,7 +388,7 @@ func (b *block) list(payload bool) []wire.Entry {
 // fill writes se into e with copied byte slices, so callers can never
 // mutate stored state through a Get result.
 func (se *storedEntry) fill(e *wire.Entry) {
-	e.Field, e.Count = se.field, se.count
+	e.Field, e.Count, e.Init = se.field, se.count, 0
 	e.Data, e.Author, e.Sig = bytes.Clone(se.data), bytes.Clone(se.author), bytes.Clone(se.sig)
 }
 

@@ -85,6 +85,52 @@ func TestStoreGetTopNOrdering(t *testing.T) {
 	}
 }
 
+// TestStoreGetIsSizedToItsAnswer: a read wider than the maintained head
+// (topIndexCap < topN < fields) sorts a copy of the whole block, but the
+// slice it returns holds exactly its topN entries, so the caller does
+// not keep the rest of the copy alive. A head-served read is sized the
+// same way.
+func TestStoreGetIsSizedToItsAnswer(t *testing.T) {
+	s := NewStore()
+	key := kadid.HashString("wide")
+	block := make([]wire.Entry, 500)
+	for i := range block {
+		block[i] = wire.Entry{Field: fmt.Sprintf("f%03d", i), Count: uint64(i%17 + 1)}
+	}
+	s.Append(context.Background(), key, block)
+	for _, topN := range []int{10, topIndexCap, topIndexCap + 1, 300} {
+		es, ok := s.Get(key, topN)
+		if !ok || len(es) != topN || cap(es) != topN {
+			t.Errorf("Get(%d): ok=%v len=%d cap=%d, want len and cap %d", topN, ok, len(es), cap(es), topN)
+		}
+	}
+}
+
+// TestStoreGetIntoAppends: getInto extends dst with what Get returns,
+// in dst's own array when it has room, and leaves dst as it was when the
+// block does not exist.
+func TestStoreGetIntoAppends(t *testing.T) {
+	s := NewStore()
+	key := kadid.HashString("k")
+	s.Append(context.Background(), key, []wire.Entry{{Field: "a", Count: 2}, {Field: "b", Count: 3, Data: []byte("x")}})
+	want, _ := s.Get(key, 0)
+
+	dst := make([]wire.Entry, 1, 8)
+	dst[0] = wire.Entry{Field: "kept"}
+	got, ok := s.getInto(dst, key, 0)
+	if !ok || len(got) != 3 || &got[0] != &dst[0] || got[0].Field != "kept" {
+		t.Fatalf("getInto = %+v (ok=%v), want %q then the block in dst's array", got, ok, "kept")
+	}
+	for i, e := range got[1:] {
+		if e.Field != want[i].Field || e.Count != want[i].Count || string(e.Data) != string(want[i].Data) {
+			t.Fatalf("getInto entry %d = %+v, Get gives %+v", i, e, want[i])
+		}
+	}
+	if got, ok := s.getInto(dst, kadid.HashString("nope"), 0); ok || len(got) != 1 || &got[0] != &dst[0] {
+		t.Fatalf("getInto of a missing block = %+v (ok=%v), want dst unchanged", got, ok)
+	}
+}
+
 func TestStoreGetMissing(t *testing.T) {
 	s := NewStore()
 	if _, ok := s.Get(kadid.HashString("nope"), 0); ok {
