@@ -19,8 +19,9 @@ import (
 // calling dharma.NewUDPPeer.
 func TestServeConfig(t *testing.T) {
 	defaults := dharma.UDPPeerConfig{
-		Listen: "127.0.0.1:9000",
-		Config: dharma.Config{Replication: 20, Alpha: 3, QueueDepth: admission.DefaultQueueDepth},
+		Listen:      "127.0.0.1:9000",
+		Config:      dharma.Config{Replication: 20, Alpha: 3, QueueDepth: admission.DefaultQueueDepth},
+		RequireAuth: true,
 	}
 	with := func(edit func(*dharma.UDPPeerConfig)) dharma.UDPPeerConfig {
 		c := defaults
@@ -93,6 +94,20 @@ func TestServeConfig(t *testing.T) {
 			args: []string{"-identity", "n.id", "-ca", "ca.pub", "-revocations", "rev.bin", "-require-auth"},
 			want: with(func(c *dharma.UDPPeerConfig) {
 				c.IdentityPath, c.CAPath, c.RevocationsPath, c.RequireAuth = "n.id", "ca.pub", "rev.bin", true
+			}),
+		},
+		{
+			name: "a secured node requires sessions by default",
+			args: []string{"-identity", "n.id", "-ca", "ca.pub"},
+			want: with(func(c *dharma.UDPPeerConfig) {
+				c.IdentityPath, c.CAPath, c.RequireAuth = "n.id", "ca.pub", true
+			}),
+		},
+		{
+			name: "-require-auth=false is the rolling-upgrade mode",
+			args: []string{"-identity", "n.id", "-ca", "ca.pub", "-require-auth=false"},
+			want: with(func(c *dharma.UDPPeerConfig) {
+				c.IdentityPath, c.CAPath, c.RequireAuth = "n.id", "ca.pub", false
 			}),
 		},
 		{

@@ -263,26 +263,22 @@ type Stats struct {
 // internally consistent only on a quiescent peer.
 func (p *Peer) Stats() Stats {
 	c := p.Node.Counters()
-	st := Stats{
+	adm := p.Node.AdmissionStats()
+	return Stats{
 		Appends:          p.store.Appends(),
 		Gets:             p.store.Gets(),
 		Lookups:          p.store.Lookups(),
 		NodeLookups:      c.Lookups.Load(),
 		RPCServed:        c.RPCServed.Load(),
+		BusyRejected:     adm.Rejected(),
+		Admitted:         adm.Admitted,
+		InFlight:         adm.InFlight,
 		MaintBytesSent:   c.MaintBytesSent.Load(),
 		MaintBytesRecv:   c.MaintBytesRecv.Load(),
 		DigestMatches:    c.DigestMatches.Load(),
 		SuppressedRounds: c.Suppressed.Load(),
 		DeltaEntries:     c.DeltaEntries.Load(),
 	}
-	// Both transports report their endpoint's admission controller.
-	if tr, ok := p.Node.Transport().(interface{ AdmissionStats() admission.Stats }); ok {
-		adm := tr.AdmissionStats()
-		st.Admitted = adm.Admitted
-		st.InFlight = adm.InFlight
-		st.BusyRejected = adm.Rejected()
-	}
-	return st
 }
 
 // Metrics returns the peer's metrics registry, ready for obs.Handler:
@@ -497,9 +493,11 @@ type UDPPeerConfig struct {
 	// revocation bundle (revocations.bin); the peer refuses revoked
 	// peers and MaintainOnce re-reads the file live.
 	RevocationsPath string
-	// RequireAuth rejects plain (session-less) inbound requests with
-	// KindUnauthorized. Leave false during a rolling upgrade; set true
-	// once the fleet speaks sessions.
+	// RequireAuth refuses plain (session-less) inbound requests with
+	// wire.ErrUnauthorized; `dharma-node serve` sets it by default. Leave
+	// it false only for a rolling upgrade: a member's credential travels
+	// in clear in every HELLO, so any plain caller can present it, store
+	// as that member and map the member's ID to its own address.
 	RequireAuth bool
 	// ChaosDelay artificially delays every inbound RPC handler — a
 	// test knob for observing deadline-shed behaviour under load.

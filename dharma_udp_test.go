@@ -50,15 +50,15 @@ func TestUDPPeerStatsSurfaceAdmission(t *testing.T) {
 	var busy int
 	for i := 0; i < 20; i++ {
 		resp, err := client.Call(ctx, p.Node.Transport().Addr(), ping)
-		if err != nil {
-			t.Fatalf("call %d: %v", i, err)
-		}
-		m, err := wire.Decode(resp)
-		if err != nil {
-			t.Fatalf("call %d: %v", i, err)
-		}
-		if m.Kind == wire.KindBusy {
+		if errors.Is(err, wire.ErrBusy) {
 			busy++
+			continue
+		}
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if m, err := wire.Decode(resp); err != nil || m.Kind != wire.KindPong {
+			t.Fatalf("call %d: answered %v (%v), want PONG", i, m, err)
 		}
 	}
 	if busy == 0 {
@@ -156,10 +156,10 @@ func TestUDPPeerInstrument(t *testing.T) {
 
 // TestStatsMatchMetrics: Peer.Stats and Peer.Metrics are two views of
 // one set of counters. After traffic and a maintenance round on two
-// deployed peers, every Stats field equals the sum of the /metrics
-// series behind it — Table I's block operations included; on a
-// simulated peer the registry reports the same nonzero block-op,
-// lookup and served-RPC totals as Stats.
+// deployed peers, and after traffic on a simulated one, every Stats
+// field equals the sum of the /metrics series behind it — Table I's
+// block operations and the admission accounting included, on either
+// transport.
 func TestStatsMatchMetrics(t *testing.T) {
 	ctx := context.Background()
 	// series names the /metrics series (summed) behind each Stats field.
@@ -189,6 +189,38 @@ func TestStatsMatchMetrics(t *testing.T) {
 			t.Fatal(err)
 		}
 		return parsed
+	}
+	check := func(p *Peer) Stats {
+		t.Helper()
+		// A handler gives its admission slot back just after its reply
+		// is written: wait for the last one before taking the two views.
+		for deadline := time.Now().Add(5 * time.Second); p.Stats().InFlight != 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("admission slots still held after the traffic ended")
+			}
+		}
+		st := p.Stats()
+		m := scrape(p)
+		sv := reflect.ValueOf(st)
+		for i := 0; i < sv.NumField(); i++ {
+			name := sv.Type().Field(i).Name
+			names, ok := series[name]
+			if !ok {
+				t.Fatalf("Stats.%s has no entry in the series table", name)
+			}
+			var sum float64
+			for _, n := range names {
+				mv, ok := m[n]
+				if !ok {
+					t.Fatalf("%s: /metrics has no %s", p.Node.Self().Addr, n)
+				}
+				sum += mv.Value
+			}
+			if got := sv.Field(i).Int(); float64(got) != sum {
+				t.Errorf("%s: Stats.%s = %d, /metrics %v = %v", p.Node.Self().Addr, name, got, names, sum)
+			}
+		}
+		return st
 	}
 
 	a, err := NewUDPPeer(ctx, UDPPeerConfig{Listen: "127.0.0.1:0"})
@@ -220,34 +252,7 @@ func TestStatsMatchMetrics(t *testing.T) {
 	}
 
 	for _, p := range []*Peer{a, b} {
-		// A handler gives its admission slot back just after its reply
-		// is written: wait for the last one before taking the two views.
-		for deadline := time.Now().Add(5 * time.Second); p.Stats().InFlight != 0; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatal("admission slots still held after the traffic ended")
-			}
-		}
-		st := p.Stats()
-		m := scrape(p)
-		sv := reflect.ValueOf(st)
-		for i := 0; i < sv.NumField(); i++ {
-			name := sv.Type().Field(i).Name
-			names, ok := series[name]
-			if !ok {
-				t.Fatalf("Stats.%s has no entry in the series table", name)
-			}
-			var sum float64
-			for _, n := range names {
-				mv, ok := m[n]
-				if !ok {
-					t.Fatalf("%s: /metrics has no %s", p.Node.Self().Addr, n)
-				}
-				sum += mv.Value
-			}
-			if got := sv.Field(i).Int(); float64(got) != sum {
-				t.Errorf("%s: Stats.%s = %d, /metrics %v = %v", p.Node.Self().Addr, name, got, names, sum)
-			}
-		}
+		st := check(p)
 		if st.Lookups == 0 || st.RPCServed == 0 || st.NodeLookups == 0 || st.MaintBytesSent == 0 || st.DigestMatches == 0 {
 			t.Fatalf("%s: traffic and a maintenance round left counters at zero: %+v", p.Node.Self().Addr, st)
 		}
@@ -262,15 +267,8 @@ func TestStatsMatchMetrics(t *testing.T) {
 	if err := p.InsertResource(ctx, "song", "uri:song", []string{"rock"}); err != nil {
 		t.Fatal(err)
 	}
-	st, m := p.Stats(), scrape(p)
-	for name, got := range map[string]int64{
-		"dharma_block_appends_total": st.Appends,
-		"dharma_lookups_total":       st.NodeLookups,
-		"dharma_rpc_served_total":    st.RPCServed,
-	} {
-		if mv, ok := m[name]; !ok || got == 0 || float64(got) != mv.Value {
-			t.Errorf("simulated peer: Stats reports %d, /metrics %s = %+v", got, name, mv)
-		}
+	if st := check(p); st.Appends == 0 || st.NodeLookups == 0 || st.RPCServed == 0 || st.Admitted == 0 {
+		t.Fatalf("simulated peer: traffic left counters at zero: %+v", st)
 	}
 }
 

@@ -3,17 +3,21 @@ package kademlia
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"dharma/internal/admission"
 	"dharma/internal/kadid"
+	"dharma/internal/likir"
+	"dharma/internal/session"
 	"dharma/internal/simnet"
 	"dharma/internal/wire"
 )
 
-// busyThenPong answers KindBusy for the first busyCount requests, then
-// a proper PONG. It records the arrival time of every request so tests
+// busyThenPong refuses the first busyCount requests with ErrBusy, then
+// answers a proper PONG. It records the arrival time of every request so tests
 // can verify the caller's backoff schedule.
 type busyThenPong struct {
 	self      wire.Contact
@@ -29,7 +33,7 @@ func (b *busyThenPong) HandleRPC(_ context.Context, _ simnet.Addr, _ []byte) ([]
 	n := len(b.arrivals)
 	b.mu.Unlock()
 	if n <= b.busyCount {
-		return wire.Encode(&wire.Message{Kind: wire.KindBusy}), nil
+		return nil, wire.ErrBusy
 	}
 	return wire.Encode(&wire.Message{Kind: wire.KindPong, From: b.self}), nil
 }
@@ -45,8 +49,8 @@ func (b *busyThenPong) times() []time.Time {
 // without ever dropping the busy peer from its routing table.
 func TestBusyRetryBacksOffAndSucceeds(t *testing.T) {
 	net := simnet.New(simnet.Config{})
-	const backoff = 4 * time.Millisecond
-	n := NewNode(kadid.HashString("client"), Config{K: 4, BusyBackoff: backoff})
+	const backoff = busyBackoff
+	n := NewNode(kadid.HashString("client"), Config{K: 4})
 	n.Attach(net.Attach("client", n))
 
 	peer := wire.Contact{ID: kadid.HashString("busy-peer"), Addr: "busy-peer"}
@@ -82,7 +86,7 @@ func TestBusyRetryBacksOffAndSucceeds(t *testing.T) {
 // peer still stays in the routing table.
 func TestBusyExhaustionSurfacesTypedError(t *testing.T) {
 	net := simnet.New(simnet.Config{})
-	n := NewNode(kadid.HashString("client"), Config{K: 4, BusyRetries: 2, BusyBackoff: time.Millisecond})
+	n := NewNode(kadid.HashString("client"), Config{K: 4})
 	n.Attach(net.Attach("client", n))
 
 	peer := wire.Contact{ID: kadid.HashString("forever-busy"), Addr: "forever-busy"}
@@ -94,24 +98,29 @@ func TestBusyExhaustionSurfacesTypedError(t *testing.T) {
 	if !errors.Is(err, wire.ErrBusy) {
 		t.Fatalf("exhausted retries: got %v, want wire.ErrBusy", err)
 	}
-	if got := len(srv.times()); got != 3 {
-		t.Fatalf("server saw %d attempts, want 3 (initial + 2 retries)", got)
+	if got := len(srv.times()); got != 1+busyRetries {
+		t.Fatalf("server saw %d attempts, want %d (initial + %d retries)", got, 1+busyRetries, busyRetries)
+	}
+	if got := net.Counters().Busy; got != 1+busyRetries {
+		t.Fatalf("network counted %d busy exchanges, want %d", got, 1+busyRetries)
 	}
 	if got := n.Table().Closest(peer.ID, 1); len(got) == 0 || got[0].ID != peer.ID {
 		t.Fatal("busy peer was evicted from the routing table")
 	}
 }
 
-// TestBusyRetryHonorsContext: cancellation during the backoff sleep
-// returns promptly with the ctx error instead of finishing the retry
-// schedule.
+// TestBusyRetryHonorsContext: a BUSY answer that arrives after the
+// caller's deadline passed ends the call with the ctx error, without a
+// retry: the backoff sleep is cut short by ctx.
 func TestBusyRetryHonorsContext(t *testing.T) {
-	net := simnet.New(simnet.Config{})
-	n := NewNode(kadid.HashString("client"), Config{K: 4, BusyRetries: 10, BusyBackoff: 200 * time.Millisecond})
-	n.Attach(net.Attach("client", n))
-
+	n := NewNode(kadid.HashString("client"), Config{K: 4})
+	var attempts int
+	n.Attach(stubTransport(func(ctx context.Context) error {
+		attempts++
+		<-ctx.Done()
+		return fmt.Errorf("wire: forever-busy refused request: %w", wire.ErrBusy)
+	}))
 	peer := wire.Contact{ID: kadid.HashString("forever-busy"), Addr: "forever-busy"}
-	net.Attach("forever-busy", &busyThenPong{self: peer, busyCount: 1 << 30})
 	n.Table().Update(peer)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
@@ -121,8 +130,86 @@ func TestBusyRetryHonorsContext(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want DeadlineExceeded", err)
 	}
+	if attempts != 1 {
+		t.Fatalf("%d attempts, want 1: a busy answer past the deadline must not be retried", attempts)
+	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("call took %v; ctx must cut the backoff sleep short", elapsed)
+	}
+	if !inTable(n, peer) {
+		t.Fatal("busy peer evicted after the caller's deadline")
+	}
+}
+
+// stubTransport is a transport whose every Call ends with the error the
+// function returns for it: one verdict, wrapped the way a transport
+// wraps it, without a network behind it.
+type stubTransport func(ctx context.Context) error
+
+func (f stubTransport) Call(ctx context.Context, _ simnet.Addr, _ []byte) ([]byte, error) {
+	return nil, f(ctx)
+}
+func (stubTransport) Addr() simnet.Addr { return "stub" }
+func (stubTransport) Close() error      { return nil }
+
+func inTable(n *Node, c wire.Contact) bool {
+	got := n.Table().Closest(c.ID, 1)
+	return len(got) == 1 && got[0].ID == c.ID
+}
+
+// TestRefusalKeepsPeer is the "a refusal never evicts a live peer"
+// guarantee as one table: every verdict either transport returns for a
+// live peer, wrapped as that transport wraps it, leaves the contact in
+// the routing table. Only a timeout, the one answer a dead peer gives,
+// removes it.
+func TestRefusalKeepsPeer(t *testing.T) {
+	cases := []struct {
+		name string
+		call func(ctx context.Context, cancel context.CancelFunc) error
+		keep bool
+	}{
+		{"busy at simnet admission", func(context.Context, context.CancelFunc) error {
+			return fmt.Errorf("simnet: peer refused request: %w", simnet.ErrBusy)
+		}, true},
+		{"busy refused frame over UDP", func(context.Context, context.CancelFunc) error {
+			return fmt.Errorf("wire: 127.0.0.1:1 refused request: %w", wire.ErrBusy)
+		}, true},
+		{"unauthorized: session required", func(context.Context, context.CancelFunc) error {
+			return fmt.Errorf("wire: 127.0.0.1:1 refused request: authenticated session required: %w", wire.ErrUnauthorized)
+		}, true},
+		{"unauthorized: session rejected after re-handshake", func(context.Context, context.CancelFunc) error {
+			return fmt.Errorf("%w: peer rejects session after re-handshake", wire.ErrUnauthorized)
+		}, true},
+		{"too large", func(context.Context, context.CancelFunc) error {
+			return fmt.Errorf("%w: 70000 bytes", simnet.ErrTooLarge)
+		}, true},
+		{"closed under the caller", func(context.Context, context.CancelFunc) error {
+			return simnet.ErrClosed
+		}, true},
+		{"caller cancelled", func(ctx context.Context, cancel context.CancelFunc) error {
+			cancel()
+			return ctx.Err()
+		}, true},
+		{"timeout", func(context.Context, context.CancelFunc) error {
+			return simnet.ErrTimeout
+		}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			n := NewNode(kadid.HashString("client"), Config{K: 4})
+			n.Attach(stubTransport(func(context.Context) error { return tc.call(ctx, cancel) }))
+			peer := wire.Contact{ID: kadid.HashString("peer"), Addr: "peer"}
+			n.Table().Update(peer)
+
+			if err := n.call(ctx, peer, &wire.Message{Kind: wire.KindPing}, new(wire.Message)); err == nil {
+				t.Fatal("call succeeded against a transport that only fails")
+			}
+			if got := inTable(n, peer); got != tc.keep {
+				t.Fatalf("peer in table after the call = %v, want %v", got, tc.keep)
+			}
+		})
 	}
 }
 
@@ -172,5 +259,124 @@ func TestRemoveNodeHungHandoffHonorsContext(t *testing.T) {
 	}
 	if got := cl.Len(); got != 2 {
 		t.Fatalf("membership after removal = %d, want 2", got)
+	}
+}
+
+// TestRefusalUDPHandshakeBusy: a sealed dial to a server whose only
+// admission slot is held is refused BUSY at the handshake, well inside
+// the transport timeout, and the server stays in the caller's table.
+func TestRefusalUDPHandshakeBusy(t *testing.T) {
+	auth, err := likir.NewAuthority(nil, time.Hour, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	manager := func(name string) (*likir.Identity, *session.Manager) {
+		id, err := auth.Issue(nil, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := session.NewManager(session.Config{Identity: id, CAPub: auth.PublicKey()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id, m
+	}
+	srvID, srvSessions := manager("server")
+	gate, entered := make(chan struct{}), make(chan struct{}, 1)
+	srv, err := wire.ListenUDP("127.0.0.1:0", simnet.HandlerFunc(
+		func(context.Context, simnet.Addr, []byte) ([]byte, error) {
+			entered <- struct{}{}
+			<-gate
+			return nil, errors.New("released")
+		}), wire.UDPOptions{Sessions: srvSessions, Admission: admission.Config{QueueDepth: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	defer close(gate)
+
+	// An open caller's plain request takes the only slot and sticks.
+	holder, err := wire.ListenUDP("127.0.0.1:0", nil, wire.UDPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer holder.Close()
+	go holder.Call(context.Background(), srv.Addr(), []byte("hold")) //nolint:errcheck // ends when holder closes
+	<-entered
+
+	cliID, cliSessions := manager("client")
+	n := NewNode(kadid.ID{}, Config{K: 4, Identity: cliID, CAPub: auth.PublicKey()})
+	tr, err := wire.ListenUDP("127.0.0.1:0", n, wire.UDPOptions{Sessions: cliSessions})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	n.Attach(tr)
+	peer := wire.Contact{ID: srvID.NodeID, Addr: string(srv.Addr())}
+	n.Table().Update(peer)
+
+	start := time.Now()
+	_, err = tr.Call(context.Background(), srv.Addr(), []byte("ping"))
+	if elapsed := time.Since(start); !errors.Is(err, wire.ErrBusy) || elapsed > wire.DefaultUDPTimeout/10 {
+		t.Fatalf("sealed dial to a full queue = %v after %v, want ErrBusy well inside %v", err, elapsed, wire.DefaultUDPTimeout)
+	}
+	start = time.Now()
+	err = n.call(context.Background(), peer, &wire.Message{Kind: wire.KindPing}, new(wire.Message))
+	if elapsed := time.Since(start); !errors.Is(err, wire.ErrBusy) || elapsed > wire.DefaultUDPTimeout/10 {
+		t.Fatalf("node call to a full queue = %v after %v, want ErrBusy well inside %v", err, elapsed, wire.DefaultUDPTimeout)
+	}
+	if !inTable(n, peer) {
+		t.Fatal("busy server evicted from the caller's table")
+	}
+	if got := srv.AdmissionStats().RejectedQueue; got != 2+busyRetries {
+		t.Fatalf("server refused %d hellos, want %d (one dial, then a call and its retries)", got, 2+busyRetries)
+	}
+}
+
+// TestRefusalUDPRequireAuth: a plain caller refused by a server that
+// requires sessions gets ErrUnauthorized and keeps the server.
+func TestRefusalUDPRequireAuth(t *testing.T) {
+	auth, err := likir.NewAuthority(nil, time.Hour, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvID, err := auth.Issue(nil, "server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvSessions, err := session.NewManager(session.Config{Identity: srvID, CAPub: auth.PublicKey()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := wire.ListenUDP("127.0.0.1:0", simnet.HandlerFunc(
+		func(context.Context, simnet.Addr, []byte) ([]byte, error) {
+			t.Error("handler ran for a plain request under require-auth")
+			return nil, nil
+		}), wire.UDPOptions{Sessions: srvSessions, RequireAuth: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	n := NewNode(kadid.HashString("plain"), Config{K: 4})
+	tr, err := wire.ListenUDP("127.0.0.1:0", n, wire.UDPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	n.Attach(tr)
+	peer := wire.Contact{ID: srvID.NodeID, Addr: string(srv.Addr())}
+	n.Table().Update(peer)
+
+	start := time.Now()
+	err = n.call(context.Background(), peer, &wire.Message{Kind: wire.KindPing}, new(wire.Message))
+	if elapsed := time.Since(start); !errors.Is(err, wire.ErrUnauthorized) || elapsed > wire.DefaultUDPTimeout/10 {
+		t.Fatalf("plain call under require-auth = %v after %v, want ErrUnauthorized well inside %v", err, elapsed, wire.DefaultUDPTimeout)
+	}
+	if !inTable(n, peer) {
+		t.Fatal("refusing server evicted from the caller's table")
+	}
+	if got := srv.AuthRejected(); got != 1 {
+		t.Fatalf("server counted %d refusals, want 1", got)
 	}
 }

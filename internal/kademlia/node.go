@@ -38,12 +38,12 @@ const (
 	DefaultK     = 20
 	DefaultAlpha = 3
 
-	// DefaultBusyRetries and DefaultBusyBackoff shape the client's
-	// reaction to BUSY rejections: up to 3 retries starting from a 2ms
-	// base, doubling each attempt with uniform jitter, so a storm of
-	// rejected writers decorrelates instead of re-arriving in lockstep.
-	DefaultBusyRetries = 3
-	DefaultBusyBackoff = 2 * time.Millisecond
+	// busyRetries and busyBackoff shape the client's reaction to BUSY
+	// refusals: up to 3 retries starting from a 2ms base, doubling each
+	// attempt with uniform jitter, so a storm of refused writers
+	// decorrelates instead of re-arriving in lockstep.
+	busyRetries = 3
+	busyBackoff = 2 * time.Millisecond
 )
 
 // Errors returned by overlay operations.
@@ -80,15 +80,6 @@ type Config struct {
 	// durable store from OpenDurableStore, so the node's blocks outlive
 	// its process. Nil creates a fresh in-memory store.
 	Store *Store
-	// BusyRetries is how many times an outbound RPC answered with BUSY
-	// is retried with jittered exponential backoff before the error is
-	// surfaced (≤ 0 = DefaultBusyRetries).
-	// A busy peer is alive — it is never evicted from the routing table.
-	BusyRetries int
-	// BusyBackoff is the base delay of the busy-retry schedule; attempt
-	// i sleeps a uniformly jittered multiple of BusyBackoff·2^i
-	// (default DefaultBusyBackoff).
-	BusyBackoff time.Duration
 	// MinStoreAcks is how many replica acknowledgements a Store needs
 	// before reporting success (default 1). The churn invariant —
 	// acknowledged writes survive replica crashes — is only as strong
@@ -125,12 +116,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinStoreAcks <= 0 {
 		c.MinStoreAcks = 1
-	}
-	if c.BusyRetries <= 0 {
-		c.BusyRetries = DefaultBusyRetries
-	}
-	if c.BusyBackoff <= 0 {
-		c.BusyBackoff = DefaultBusyBackoff
 	}
 	if c.TraceSlow == 0 {
 		c.TraceSlow = DefaultTraceSlow
@@ -240,6 +225,14 @@ func NewNode(self kadid.ID, cfg Config) *Node {
 		"Block operations the node may run at once: its adaptive limit, halved by overload.", func() int64 { return int64(n.ops.Value()) })
 	reg.GaugeFunc("dharma_store_blocks",
 		"Blocks held by the local store.", func() int64 { return int64(n.store.Len()) })
+	reg.CounterFunc("dharma_admission_admitted_total",
+		"Inbound requests that passed the admission gate.", func() int64 { return n.AdmissionStats().Admitted })
+	reg.CounterFunc("dharma_admission_rejected_queue_total",
+		"Inbound requests rejected by the full work queue.", func() int64 { return n.AdmissionStats().RejectedQueue })
+	reg.CounterFunc("dharma_admission_rejected_rate_total",
+		"Inbound requests rejected by a peer's exhausted token bucket.", func() int64 { return n.AdmissionStats().RejectedRate })
+	reg.GaugeFunc("dharma_admission_in_flight",
+		"Admitted requests currently in their handler.", func() int64 { return n.AdmissionStats().InFlight })
 	if cfg.Identity != nil {
 		n.credBlob = cfg.Identity.Credential.Marshal()
 	}
@@ -293,6 +286,16 @@ func (n *Node) Transport() simnet.Transport {
 	n.selfMu.RLock()
 	defer n.selfMu.RUnlock()
 	return n.transport
+}
+
+// AdmissionStats reports the admission accounting of the node's current
+// transport (either kind keeps one per endpoint; zero for one that keeps
+// none). The dharma_admission_* series and the facade's Stats read it.
+func (n *Node) AdmissionStats() admission.Stats {
+	if tr, ok := n.Transport().(interface{ AdmissionStats() admission.Stats }); ok {
+		return tr.AdmissionStats()
+	}
+	return admission.Stats{}
 }
 
 // Table exposes the routing table (read-mostly; used by tests and the
@@ -575,15 +578,15 @@ func (n *Node) rejectUnauthorized(k wire.Kind) {
 
 // call sends one RPC and maintains the routing table on success and
 // failure. ctx bounds the exchange: when it ends, the transport's
-// in-flight waiter is aborted and ctx.Err() comes back. BUSY answers
-// are retried with jittered exponential backoff (up to
-// Config.BusyRetries times) before being surfaced. The reply is decoded
-// into resp, which the caller owns (see callOnce).
+// in-flight waiter is aborted and ctx.Err() comes back. BUSY refusals
+// are retried with jittered exponential backoff (up to busyRetries
+// times) before being surfaced. The reply is decoded into resp, which
+// the caller owns (see callOnce).
 func (n *Node) call(ctx context.Context, to wire.Contact, msg, resp *wire.Message) error {
-	backoff := n.cfg.BusyBackoff
+	backoff := busyBackoff
 	for attempt := 0; ; attempt++ {
 		err := n.callOnce(ctx, to, msg, resp)
-		if err == nil || !errors.Is(err, wire.ErrBusy) || attempt >= n.cfg.BusyRetries {
+		if err == nil || !errors.Is(err, wire.ErrBusy) || attempt >= busyRetries {
 			return err
 		}
 		// Uniform jitter in [0.5, 1.5)·backoff: retriers that were
@@ -598,11 +601,8 @@ func (n *Node) call(ctx context.Context, to wire.Contact, msg, resp *wire.Messag
 	}
 }
 
-// callOnce performs a single exchange. A BUSY answer — whether a
-// transport-level admission rejection or a decoded KindBusy reply — is
-// returned wrapping wire.ErrBusy and, crucially, does NOT evict the
-// peer from the routing table: busy means alive, the same way
-// cancellation means nothing (PR 5's rule).
+// callOnce performs a single exchange. Only a timeout evicts the peer
+// (see keepsPeer): a refusal is an answer from a live peer.
 //
 // The reply is decoded into resp through a per-node interning decoder.
 // resp's Contacts and Entries arrays are reused across calls, so a
@@ -653,13 +653,7 @@ func (n *Node) callOnce(ctx context.Context, to wire.Contact, msg, resp *wire.Me
 		wire.Recycle(req)
 	}
 	if err != nil {
-		// A local send failure (endpoint closed under us) says nothing
-		// about the peer; only a timed-out exchange does. Likewise a
-		// caller giving up (ctx ended) is not evidence the peer is dead,
-		// and neither is an explicit busy rejection or a size verdict on
-		// a message too large for the transport.
-		if !errors.Is(err, simnet.ErrClosed) && !errors.Is(err, wire.ErrBusy) &&
-			!errors.Is(err, simnet.ErrTooLarge) && ctx.Err() == nil {
+		if !keepsPeer(ctx, err) {
 			n.table.Remove(to.ID)
 		}
 		return err
@@ -671,9 +665,6 @@ func (n *Node) callOnce(ctx context.Context, to wire.Contact, msg, resp *wire.Me
 	wire.Recycle(raw)
 	if err != nil {
 		return err
-	}
-	if resp.Kind == wire.KindBusy {
-		return fmt.Errorf("kademlia: %s is busy: %w", to.Addr, wire.ErrBusy)
 	}
 	if resp.Kind == wire.KindUnauthorized {
 		// An UNAUTHORIZED verdict comes from a live, policy-enforcing
@@ -688,6 +679,15 @@ func (n *Node) callOnce(ctx context.Context, to wire.Contact, msg, resp *wire.Me
 		n.table.Update(resp.From)
 	}
 	return nil
+}
+
+// keepsPeer reports whether a failed exchange leaves the peer routable:
+// only a timeout is evidence it is dead. Our endpoint closing or our
+// caller giving up says nothing about it, and a busy, unauthorized or
+// too-large verdict is an answer from a live peer, on either transport.
+func keepsPeer(ctx context.Context, err error) bool {
+	return ctx.Err() != nil || errors.Is(err, simnet.ErrClosed) || errors.Is(err, wire.ErrBusy) ||
+		errors.Is(err, wire.ErrUnauthorized) || errors.Is(err, simnet.ErrTooLarge)
 }
 
 // fanOut runs task(0), …, task(count-1) and returns when all have

@@ -279,13 +279,13 @@ func TestReplicaSetHitsExported(t *testing.T) {
 	}
 }
 
-// busyStores answers every STORE with BUSY and hands everything else to
+// busyStores refuses every STORE with ErrBusy and hands everything else to
 // the node it wraps.
 type busyStores struct{ *Node }
 
 func (b busyStores) HandleRPC(ctx context.Context, from simnet.Addr, payload []byte) ([]byte, error) {
 	if m, err := wire.Decode(payload); err == nil && m.Kind == wire.KindStore {
-		return wire.Encode(&wire.Message{Kind: wire.KindBusy}), nil
+		return nil, wire.ErrBusy
 	}
 	return b.Node.HandleRPC(ctx, from, payload)
 }
@@ -466,7 +466,7 @@ func TestOverloadFailuresCutTheLimit(t *testing.T) {
 	for _, n := range cl.Nodes {
 		n.Attach(cl.Net.Attach(simnet.Addr(n.Self().Addr), simnet.HandlerFunc(func(ctx context.Context, from simnet.Addr, payload []byte) ([]byte, error) {
 			if m, err := wire.Decode(payload); err == nil && m.Kind == wire.KindStore && (m.Target == busyKey || m.Target == ownKey) {
-				return wire.Encode(&wire.Message{Kind: wire.KindBusy}), nil
+				return nil, wire.ErrBusy
 			}
 			return n.HandleRPC(ctx, from, payload)
 		})))

@@ -67,7 +67,9 @@ var (
 	ErrReplay = errors.New("session: replayed frame")
 )
 
-// Defaults for the session cache.
+// Bounds of the session cache: it holds at most DefaultMaxSessions
+// sessions (dial + accept), evicting the idlest at the cap, and expires
+// sessions idle longer than DefaultTTL.
 const (
 	DefaultMaxSessions = 4096
 	DefaultTTL         = 10 * time.Minute
@@ -100,12 +102,6 @@ type Config struct {
 	// Revoked reports whether a node identifier is revoked; nil means
 	// nothing is.
 	Revoked func(kadid.ID) bool
-	// MaxSessions caps the total session cache (dial + accept); 0
-	// selects DefaultMaxSessions. At the cap the idlest session is
-	// evicted.
-	MaxSessions int
-	// TTL expires sessions idle longer than this; 0 selects DefaultTTL.
-	TTL time.Duration
 	// Now is the clock used for TTLs and credential windows; nil means
 	// time.Now.
 	Now func() time.Time
@@ -142,12 +138,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	if len(cfg.CAPub) != ed25519.PublicKeySize {
 		return nil, errors.New("session: Config.CAPub is required")
-	}
-	if cfg.MaxSessions <= 0 {
-		cfg.MaxSessions = DefaultMaxSessions
-	}
-	if cfg.TTL <= 0 {
-		cfg.TTL = DefaultTTL
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -202,7 +192,7 @@ func (m *Manager) Peer(addr string) (*Session, bool) {
 	if !ok {
 		return nil, false
 	}
-	if now-s.lastUsed.Load() > int64(m.cfg.TTL) {
+	if now-s.lastUsed.Load() > int64(DefaultTTL) {
 		delete(m.dial, addr)
 		return nil, false
 	}
@@ -250,11 +240,11 @@ func (m *Manager) DropRevoked() int {
 // entries, then (still at the cap) the idlest session. Callers hold
 // m.mu.
 func (m *Manager) evictLocked() {
-	if len(m.dial)+len(m.accept) < m.cfg.MaxSessions {
+	if len(m.dial)+len(m.accept) < DefaultMaxSessions {
 		return
 	}
 	now := m.cfg.Now().UnixNano()
-	ttl := int64(m.cfg.TTL)
+	ttl := int64(DefaultTTL)
 	var idleKeyD string
 	var idleKeyA uint64
 	var idleS *Session
@@ -282,7 +272,7 @@ func (m *Manager) evictLocked() {
 			oldest, idleS, idleKeyD, idleKeyA = last, s, "", id
 		}
 	}
-	if len(m.dial)+len(m.accept) < m.cfg.MaxSessions {
+	if len(m.dial)+len(m.accept) < DefaultMaxSessions {
 		return
 	}
 	if idleS == nil {
@@ -546,7 +536,7 @@ func (h *Handshake) Finish(reply []byte) (*Session, error) {
 // provisionally trusted until its first valid MACed frame arrives (key
 // confirmation); a replayed HELLO therefore costs the attacker nothing
 // but costs us one cache slot until the TTL reaps it — bounded by
-// MaxSessions and the transport's admission gate.
+// DefaultMaxSessions and the transport's admission gate.
 func (m *Manager) Accept(init []byte) ([]byte, error) {
 	reject := func(err error) ([]byte, error) {
 		if mm := m.metrics.Load(); mm != nil {

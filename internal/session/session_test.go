@@ -224,7 +224,6 @@ func TestSessionTTLAndEviction(t *testing.T) {
 	id, _ := auth.Issue(rng, "ttl")
 	m, err := NewManager(Config{
 		Identity: id, CAPub: auth.PublicKey(), Rand: rng,
-		TTL: time.Minute, MaxSessions: 2,
 		Now: func() time.Time { return now },
 	})
 	if err != nil {
@@ -257,18 +256,30 @@ func TestSessionTTLAndEviction(t *testing.T) {
 		t.Fatal("fresh session missing")
 	}
 	// Idle past the TTL: the cache treats it as gone.
-	now = now.Add(2 * time.Minute)
+	now = now.Add(DefaultTTL + time.Minute)
 	if _, ok := m.Peer("p1:1"); ok {
 		t.Fatal("expired session served")
 	}
 
-	// Cap eviction: with MaxSessions=2, a third dial evicts the idlest.
+	// Cap eviction: at DefaultMaxSessions, a further dial evicts the
+	// idlest. Fillers stand in for handshaked sessions up to the cap, so
+	// the case costs no 4,096 handshakes.
 	dialTo("p2:1", peerMgr("p2"))
 	now = now.Add(time.Second)
+	fill := DefaultMaxSessions - 1 - m.Len()
+	m.mu.Lock()
+	for i := range fill {
+		m.dial[fmt.Sprintf("filler:%d", i)] = newSession(m, uint64(i), nil, make([]byte, keyLen))
+	}
+	m.mu.Unlock()
+	now = now.Add(time.Second)
 	dialTo("p3:1", peerMgr("p3"))
+	if m.Len() != DefaultMaxSessions {
+		t.Fatalf("cache holds %d sessions, want the cap %d", m.Len(), DefaultMaxSessions)
+	}
 	now = now.Add(time.Second)
 	dialTo("p4:1", peerMgr("p4"))
-	if m.Len() > 2 {
+	if m.Len() > DefaultMaxSessions {
 		t.Fatalf("cache above cap: %d", m.Len())
 	}
 	if _, ok := m.Peer("p2:1"); ok {

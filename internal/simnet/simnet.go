@@ -48,6 +48,10 @@ type Addr string
 //
 // payload is lent for the call only and is never returned; the reply
 // belongs to the transport. The handler keeps no reference to either.
+//
+// A handler that sheds load returns an error wrapping ErrBusy, and both
+// transports refuse the request BUSY as admission does; any other
+// handler error is silence, which the caller sees as ErrTimeout.
 type Handler interface {
 	HandleRPC(ctx context.Context, from Addr, payload []byte) ([]byte, error)
 }
@@ -115,7 +119,7 @@ type Config struct {
 type Counters struct {
 	Calls    int64 // RPC exchanges attempted
 	Drops    int64 // exchanges lost to injected faults
-	Busy     int64 // exchanges rejected at admission (ErrBusy)
+	Busy     int64 // exchanges refused busy, at admission or by the handler (ErrBusy)
 	BytesOut int64 // request payload bytes
 	BytesIn  int64 // response payload bytes
 }
@@ -259,14 +263,15 @@ func (ep *endpoint) Call(ctx context.Context, to Addr, payload []byte) ([]byte, 
 	// explicit cheap reply, not silence — distinct from Drops.
 	if aerr := target.ctrl.Enter(string(ep.addr)); aerr != nil {
 		n.counters.busy.Add(1)
-		return nil, fmt.Errorf("simnet: %s rejected request: %w", to, aerr)
+		return nil, fmt.Errorf("simnet: %s refused request: %w", to, aerr)
 	}
 
 	if ctx.Done() == nil {
 		// Uncancellable context (Background/TODO): keep the synchronous
 		// fast path — no goroutine per simulated RPC.
 		defer target.ctrl.Leave()
-		return ep.finish(target.handler.HandleRPC(ctx, ep.addr, payload))
+		resp, err := target.handler.HandleRPC(ctx, ep.addr, payload)
+		return ep.finish(to, resp, err)
 	}
 	type handled struct {
 		resp []byte
@@ -293,17 +298,22 @@ func (ep *endpoint) Call(ctx context.Context, to Addr, payload []byte) ([]byte, 
 		// a caller giving up is not simulated packet loss.
 		return nil, ctx.Err()
 	case h := <-ch:
-		return ep.finish(h.resp, h.err)
+		return ep.finish(to, h.resp, h.err)
 	}
 }
 
 // finish applies the response-side accounting and fault model shared by
 // the synchronous and cancellable call paths.
-func (ep *endpoint) finish(resp []byte, err error) ([]byte, error) {
+func (ep *endpoint) finish(to Addr, resp []byte, err error) ([]byte, error) {
 	n := ep.net
 	if err != nil {
-		// A handler error is delivered as a timeout: over UDP the caller
-		// would simply never hear back.
+		if errors.Is(err, ErrBusy) {
+			// The handler shed the request: the same verdict as admission.
+			n.counters.busy.Add(1)
+			return nil, fmt.Errorf("simnet: %s refused request: %w", to, ErrBusy)
+		}
+		// Any other handler error is delivered as a timeout: over UDP the
+		// caller would simply never hear back.
 		n.counters.drops.Add(1)
 		return nil, ErrTimeout
 	}

@@ -27,7 +27,7 @@ const (
 	KindValue        // response carrying block entries
 	KindError        // response carrying an error string
 	KindReplicate    // max-merge a replica of the block under Target
-	KindBusy         // admission rejection: retry with backoff, peer is alive
+	KindBusy         // reserved: no message carries it; BUSY is a transport refusal (ErrBusy), and the number stays so later kinds keep their codec-v4 values
 	KindSummary      // anti-entropy: compare block summaries before moving data
 	KindSummaryReply // response carrying the receiver's summary (+ counts on mismatch)
 	KindUnauthorized // identity rejection: sender or entries failed Likir verification

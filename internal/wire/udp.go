@@ -16,23 +16,29 @@ import (
 	"dharma/internal/simnet"
 )
 
-// ErrBusy is returned by Call when the remote peer answered with a
-// KindBusy admission rejection (and by a local admission gate). It is
-// the same sentinel across transports: errors.Is(err, wire.ErrBusy)
-// works whether the RPC travelled over simnet or UDP. Busy peers are
-// alive — back off and retry, do not evict them from routing state.
+// ErrBusy is returned by Call when the remote peer refused the request
+// at admission, or its handler refused it with an error wrapping
+// ErrBusy. It is the same sentinel across transports: errors.Is(err,
+// wire.ErrBusy) works whether the RPC travelled over simnet or UDP. Busy
+// peers are alive — back off and retry, do not evict them from routing
+// state.
 var ErrBusy = admission.ErrBusy
 
 // ErrUnauthorized is the typed rejection of the identity layer: the
-// sender (or the entries it tried to write) failed Likir verification.
-// It is NOT an eviction signal — the rejecting peer is healthy; the
-// rejected party is the caller.
+// sender (or the entries it tried to write) failed Likir verification,
+// or the transport refused a request that arrived outside a session it
+// holds. It is NOT an eviction signal — the rejecting peer is healthy;
+// the rejected party is the caller.
 var ErrUnauthorized = errors.New("wire: unauthorized")
 
-// UDP framing: 1-byte frame kind + 8-byte request id + payload.
-// Secure frames wrap the same payloads in a session seal
+// UDP framing: 1-byte frame kind + 8-byte request id + payload. The
+// transport never reads a payload: RPC messages are the handler's
+// business. Secure frames wrap the same payloads in a session seal
 // ([sid ‖ seq ‖ tag ‖ payload]); hello frames carry the session
-// handshake and exist only at the transport layer.
+// handshake. A refused frame answers a request the transport will not
+// serve with a one-byte reason, and the exchange turns it into the
+// error simnet returns for the same verdict. It is unsealed by
+// necessity (a refusal may mean there is no session to seal under).
 const (
 	frameRequest        = 0x01
 	frameResponse       = 0x02
@@ -40,9 +46,20 @@ const (
 	frameHelloReply     = 0x04
 	frameSecureRequest  = 0x05
 	frameSecureResponse = 0x06
+	frameRefused        = 0x07
 	frameHeader         = 1 + 8
 	maxDatagram         = 64 << 10
 )
+
+// Refusal reasons, the one payload byte of a refused frame, and the
+// verdict each is to the caller: the error simnet returns for it.
+const (
+	refusedBusy         = 0x01 // admission gate full, or the handler shed the request
+	refusedStaleSession = 0x02 // sealed under a session the receiver does not hold
+	refusedNoSession    = 0x03 // plain request to a transport that requires a session
+)
+
+var verdicts = map[byte]error{refusedBusy: ErrBusy, refusedStaleSession: errSessionStale, refusedNoSession: ErrUnauthorized}
 
 // DefaultUDPTimeout is how long a Call waits for a response before it
 // reports simnet.ErrTimeout.
@@ -94,9 +111,10 @@ type UDPOptions struct {
 	// handshake on first contact with a peer and seal every datagram;
 	// inbound sealed requests are verified against the session cache.
 	Sessions *session.Manager
-	// RequireAuth (with Sessions set) rejects plain inbound requests
-	// with KindUnauthorized instead of serving them. Leave false during
-	// a rolling upgrade, set true once the fleet speaks sessions.
+	// RequireAuth (with Sessions set) refuses plain inbound requests
+	// (the caller sees ErrUnauthorized) instead of serving them. Leave
+	// false only during a rolling upgrade: a plain request carries no
+	// proof that its sender holds the credential it presents.
 	RequireAuth bool
 }
 
@@ -156,9 +174,10 @@ type udpMetrics struct {
 }
 
 // Instrument registers the transport's instruments on reg: datagram
-// and byte counters for both directions, plus the admission gate's
-// accounting as scrape-time funcs. Safe to call while the transport is
-// serving; a nil reg is a no-op.
+// and byte counters for both directions, the session layer's
+// rejections and the session manager's instruments. The admission
+// gate's accounting is the node's to register (AdmissionStats). Safe
+// to call while the transport is serving; a nil reg is a no-op.
 func (t *UDPTransport) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -173,18 +192,6 @@ func (t *UDPTransport) Instrument(reg *obs.Registry) {
 		bytesOut: reg.Counter("dharma_udp_written_bytes_total",
 			"Bytes written to the UDP socket, framing included."),
 	})
-	reg.CounterFunc("dharma_admission_admitted_total",
-		"Inbound requests that passed the admission gate.",
-		func() int64 { return t.ctrl.Stats().Admitted })
-	reg.CounterFunc("dharma_admission_rejected_queue_total",
-		"Inbound requests rejected by the full work queue.",
-		func() int64 { return t.ctrl.Stats().RejectedQueue })
-	reg.CounterFunc("dharma_admission_rejected_rate_total",
-		"Inbound requests rejected by a peer's exhausted token bucket.",
-		func() int64 { return t.ctrl.Stats().RejectedRate })
-	reg.GaugeFunc("dharma_admission_in_flight",
-		"Admitted requests currently in their handler.",
-		func() int64 { return t.ctrl.Stats().InFlight })
 	reg.CounterFunc("dharma_udp_unauthenticated_rejected_total",
 		"Inbound frames rejected by the transport's session layer (failed handshakes and plain requests under require-auth).",
 		t.authRej.Load)
@@ -211,10 +218,12 @@ func (t *UDPTransport) Addr() simnet.Addr {
 // aborted as soon as ctx ends — a caller with a 100ms deadline is not
 // held hostage by the transport's own retry timeout.
 //
-// With sessions enabled the payload is sealed under the peer's session
-// (handshaking on first contact). If the peer no longer recognises the
-// session — it restarted or evicted us — it answers with a plain
-// UNAUTHORIZED control frame; Call re-handshakes and retries once.
+// A refusal comes back as its error: ErrBusy, or ErrUnauthorized for a
+// plain request to a peer that requires a session. With sessions
+// enabled the payload is sealed under the peer's session (handshaking
+// on first contact). If the peer no longer recognises the session — it
+// restarted or evicted us — it refuses the frame as stale; Call
+// re-handshakes and retries once.
 func (t *UDPTransport) Call(ctx context.Context, to simnet.Addr, payload []byte) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -256,10 +265,11 @@ func (t *UDPTransport) Call(ctx context.Context, to simnet.Addr, payload []byte)
 	return resp, err
 }
 
-// errSessionStale is the internal signal that the remote answered a
-// sealed request with a plain UNAUTHORIZED control frame: it does not
-// hold our session (anymore) and we should re-handshake.
-var errSessionStale = errors.New("wire: stale session")
+// errSessionStale is the internal signal that the remote refused a
+// sealed request as stale: it does not hold our session (anymore) and
+// we should re-handshake. It wraps ErrUnauthorized, which is what it
+// means to a caller that cannot re-handshake.
+var errSessionStale = fmt.Errorf("%w: stale session", ErrUnauthorized)
 
 // exchangeSealed seals payload under the session with addr (dialing one
 // if needed) and verifies the sealed response.
@@ -273,43 +283,20 @@ func (t *UDPTransport) exchangeSealed(ctx context.Context, addr string, dst *net
 		func(id uint64) []byte {
 			return s.Seal(header(frameSecureRequest, id, session.Overhead+len(payload)), frameSecureRequest, id, payload)
 		},
-		// Responses may race with forged plain frames; keep reading until
-		// a frame authenticates (or is an acceptable control answer).
+		// Responses may race with forged frames; keep reading until one
+		// authenticates. A plain response to a sealed request is ignored.
 		func(id uint64, fm frameMsg) (bool, error) {
-			switch fm.kind {
-			case frameSecureResponse:
-				inner, err := s.Open(frameSecureResponse, id, fm.payload)
-				if err != nil {
-					return false, nil // forged or corrupted; the real answer may follow
-				}
-				resp = inner
-				return true, nil
-			case frameResponse:
-				// A plain response to a sealed request is only meaningful as
-				// a transport control answer: BUSY from the admission gate
-				// (which runs before session lookup) or UNAUTHORIZED from a
-				// peer that does not hold our session. Anything else is
-				// unauthenticated and ignored.
-				switch peekKind(fm.payload) {
-				case KindBusy:
-					resp = fm.payload
-					return true, nil
-				case KindUnauthorized:
-					return true, errSessionStale
-				}
+			if fm.kind != frameSecureResponse {
+				return false, nil
 			}
-			return false, nil
+			inner, err := s.Open(frameSecureResponse, id, fm.payload)
+			if err != nil {
+				return false, nil // forged or corrupted; the real answer may follow
+			}
+			resp = inner
+			return true, nil
 		})
 	return resp, err
-}
-
-// peekKind reads the message kind of an encoded frame without a full
-// decode (layout: version byte, then kind byte).
-func peekKind(payload []byte) Kind {
-	if len(payload) < 2 {
-		return 0
-	}
-	return Kind(payload[1])
 }
 
 // dialSession returns the cached live session for addr or performs the
@@ -371,7 +358,8 @@ func (t *UDPTransport) handshake(ctx context.Context, addr string, dst *net.UDPA
 // exchange is the one client round trip: it registers a fresh request
 // id, sends the frame build returns for it, and hands every frame routed
 // back under that id to accept until accept reports done (with the
-// exchange's error, if any). The wait ends early when ctx ends, the
+// exchange's error, if any). A refused frame ends the exchange with its
+// verdict before accept sees it. The wait ends early when ctx ends, the
 // transport's own timeout fires or the transport closes; the pending
 // entry is deleted on the way out, so a late response is dropped.
 func (t *UDPTransport) exchange(ctx context.Context, dst *net.UDPAddr,
@@ -395,6 +383,12 @@ func (t *UDPTransport) exchange(ctx context.Context, dst *net.UDPAddr,
 	for {
 		select {
 		case fm := <-ch:
+			if fm.kind == frameRefused {
+				if len(fm.payload) == 1 && verdicts[fm.payload[0]] != nil {
+					return fmt.Errorf("wire: %s refused request: %w", dst, verdicts[fm.payload[0]])
+				}
+				continue // unknown reason: as malformed as any stray frame
+			}
 			if done, err := accept(id, fm); done {
 				return err
 			}
@@ -474,18 +468,18 @@ func (t *UDPTransport) readLoop() {
 		switch kind {
 		case frameRequest, frameSecureRequest, frameHello:
 			// Admission before the goroutine spawn: past QueueDepth the
-			// transport answers busy inline instead of growing the handler
+			// transport refuses busy inline instead of growing the handler
 			// pool — the read loop never blocks and never queues unboundedly.
 			// Hellos pass the same gate so a handshake flood cannot spawn
 			// unbounded signature verifications.
 			addr := from.String()
 			if t.ctrl.Enter(addr) != nil {
-				t.reply(frameResponse, from, id, busyFrame)
+				t.refuse(from, id, refusedBusy)
 				continue
 			}
 			t.wg.Add(1)
 			go t.serve(kind, from, addr, id, payload)
-		case frameResponse, frameHelloReply, frameSecureResponse:
+		case frameResponse, frameHelloReply, frameSecureResponse, frameRefused:
 			t.mu.Lock()
 			ch, ok := t.pending[id]
 			t.mu.Unlock()
@@ -503,11 +497,11 @@ func (t *UDPTransport) readLoop() {
 func (t *UDPTransport) serve(kind byte, from *net.UDPAddr, addr string, id uint64, payload []byte) {
 	defer t.wg.Done()
 	defer t.ctrl.Leave()
-	switch kind {
-	case frameHello:
-		if t.sessions == nil {
-			return // no session layer: hellos are noise
-		}
+	ctx, s := t.baseCtx, (*session.Session)(nil)
+	switch {
+	case kind != frameRequest && t.sessions == nil:
+		return // no session layer: hellos and sealed frames are noise
+	case kind == frameHello:
 		reply, err := t.sessions.Accept(payload)
 		if err != nil {
 			t.authRej.Add(1)
@@ -515,56 +509,45 @@ func (t *UDPTransport) serve(kind byte, from *net.UDPAddr, addr string, id uint6
 		}
 		t.reply(frameHelloReply, from, id, reply)
 		return
-	case frameSecureRequest:
-		if t.sessions == nil {
-			return
-		}
-		inner, s, err := t.sessions.OpenRequest(frameSecureRequest, id, payload)
-		if err != nil {
+	case kind == frameSecureRequest:
+		var err error
+		if payload, s, err = t.sessions.OpenRequest(frameSecureRequest, id, payload); err != nil {
 			if errors.Is(err, session.ErrUnknownSession) {
-				// Tell the caller to re-handshake: we restarted or evicted
-				// it. This control answer is unsealed by necessity (no
-				// session to seal under); the dial side treats it only as a
-				// re-handshake hint, never as an RPC result.
-				t.reply(frameResponse, from, id, staleSessionFrame)
+				// We restarted or evicted the caller: it re-handshakes.
+				t.refuse(from, id, refusedStaleSession)
 			}
 			return // bad MAC / replay: silence, as for any forged datagram
 		}
-		ctx := session.WithPeer(t.baseCtx, s.Peer())
-		resp, err := t.handler.HandleRPC(ctx, simnet.Addr(addr), inner)
-		if err != nil {
-			return
+		ctx = session.WithPeer(ctx, s.Peer())
+	case t.requireAuth:
+		t.authRej.Add(1)
+		t.refuse(from, id, refusedNoSession)
+		return
+	}
+	resp, err := t.handler.HandleRPC(ctx, simnet.Addr(addr), payload)
+	if err != nil {
+		if errors.Is(err, ErrBusy) {
+			t.refuse(from, id, refusedBusy) // the handler shed the request
 		}
+		return // any other error is silence, as over real UDP: the caller times out
+	}
+	if s != nil {
 		frame := header(frameSecureResponse, id, session.Overhead+len(resp))
 		t.send(s.Seal(frame, frameSecureResponse, id, resp), from) //nolint:errcheck // best-effort reply
-		Recycle(resp)
-		return
+	} else {
+		t.reply(frameResponse, from, id, resp)
 	}
-	// Plain request.
-	if t.requireAuth {
-		t.authRej.Add(1)
-		t.reply(frameResponse, from, id, unauthFrame)
-		return
-	}
-	resp, err := t.handler.HandleRPC(t.baseCtx, simnet.Addr(addr), payload)
-	if err != nil {
-		return // silence, as over real UDP: the caller times out
-	}
-	t.reply(frameResponse, from, id, resp)
 	Recycle(resp)
 }
 
-// reply sends one plain control or response frame, best effort.
+// reply sends one plain frame, best effort.
 func (t *UDPTransport) reply(kind byte, from *net.UDPAddr, id uint64, resp []byte) {
 	t.send(append(header(kind, id, len(resp)), resp...), from) //nolint:errcheck // best-effort reply
 }
 
-// Prebuilt control responses: encoding is cheap but an allocation per
-// rejection is not free under a storm.
-var (
-	busyFrame         = Encode(&Message{Kind: KindBusy})
-	staleSessionFrame = Encode(&Message{Kind: KindUnauthorized, Err: "unknown session; re-handshake"})
-	unauthFrame       = Encode(&Message{Kind: KindUnauthorized, Err: "authenticated session required"})
-)
+// refuse answers request id with a refused frame carrying reason.
+func (t *UDPTransport) refuse(from *net.UDPAddr, id uint64, reason byte) {
+	t.reply(frameRefused, from, id, []byte{reason})
+}
 
 var _ simnet.Transport = (*UDPTransport)(nil)

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -10,9 +12,9 @@ import (
 )
 
 // TestUDPBusyReplyIsFast: with the single work-queue slot held by a
-// stuck handler, the next request must get an explicit KindBusy reply
-// almost immediately — not sit out the client's full retry timeout the
-// way silence would.
+// stuck handler, the next request must be refused BUSY almost
+// immediately — not sit out the client's full retry timeout the way
+// silence would.
 func TestUDPBusyReplyIsFast(t *testing.T) {
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 1)
@@ -43,17 +45,10 @@ func TestUDPBusyReplyIsFast(t *testing.T) {
 	<-entered // slot held
 
 	start := time.Now()
-	raw, err := cli.Call(context.Background(), srv.Addr(), Encode(&Message{Kind: KindPing}))
+	_, err = cli.Call(context.Background(), srv.Addr(), Encode(&Message{Kind: KindPing}))
 	elapsed := time.Since(start)
-	if err != nil {
-		t.Fatalf("second call failed at transport level: %v", err)
-	}
-	resp, err := Decode(raw)
-	if err != nil {
-		t.Fatalf("Decode busy reply: %v", err)
-	}
-	if resp.Kind != KindBusy {
-		t.Fatalf("reply kind = %v, want BUSY", resp.Kind)
+	if !errors.Is(err, ErrBusy) {
+		t.Fatalf("second call = %v, want ErrBusy", err)
 	}
 	if elapsed > time.Second {
 		t.Fatalf("busy reply took %v; rejection must be near-instant, not a timeout", elapsed)
@@ -67,4 +62,33 @@ func TestUDPBusyReplyIsFast(t *testing.T) {
 
 	gate <- struct{}{} // release the stuck handler
 	<-firstDone
+}
+
+// TestUDPHandlerBusyIsRefused: a handler that sheds load with ErrBusy is
+// answered BUSY, as the admission gate answers, while any other handler
+// error stays silence the caller times out on.
+func TestUDPHandlerBusyIsRefused(t *testing.T) {
+	srv, err := ListenUDP("127.0.0.1:0", simnet.HandlerFunc(
+		func(_ context.Context, _ simnet.Addr, p []byte) ([]byte, error) {
+			if string(p) == "shed" {
+				return nil, fmt.Errorf("handler: %w", ErrBusy)
+			}
+			return nil, errors.New("handler failed")
+		}), UDPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := ListenUDP("127.0.0.1:0", nil, UDPOptions{Timeout: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	if _, err := cli.Call(context.Background(), srv.Addr(), []byte("shed")); !errors.Is(err, ErrBusy) {
+		t.Fatalf("shed request = %v, want ErrBusy", err)
+	}
+	if _, err := cli.Call(context.Background(), srv.Addr(), []byte("fail")); !errors.Is(err, simnet.ErrTimeout) {
+		t.Fatalf("failed request = %v, want ErrTimeout", err)
+	}
 }

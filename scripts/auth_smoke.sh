@@ -4,9 +4,11 @@
 # A CA is initialised on disk (`dharma-node ca init`), identities are
 # issued to three serving nodes and two clients, and one client
 # (mallory) is revoked before the fleet boots. The 3-node fleet runs
-# over real UDP with -require-auth: every datagram travels inside an
+# over real UDP and requires sessions: every datagram travels inside an
 # authenticated session, every mutation is vetted against the CA key
-# and the revocation bundle.
+# and the revocation bundle. Node 0 is started without -require-auth,
+# so the plain writer it refuses proves that a secured `serve` requires
+# sessions by default.
 #
 # The script then proves the three properties the layer exists for:
 #
@@ -50,9 +52,9 @@ done
 
 SEC=(-ca "$CA/ca.pub" -revocations "$CA/revocations.bin")
 
-echo "== 3-node secured fleet (-require-auth) on ${BASE_PORT}..$((BASE_PORT + 2))"
+echo "== 3-node secured fleet on ${BASE_PORT}..$((BASE_PORT + 2)) (node 0 requires sessions by default)"
 "$NODE" serve -listen "127.0.0.1:${BASE_PORT}" \
-  -identity "$WORK/node0.id" "${SEC[@]}" -require-auth \
+  -identity "$WORK/node0.id" "${SEC[@]}" \
   -debug-addr "127.0.0.1:${DEBUG_PORT}" \
   >"$WORK/node0.log" 2>&1 &
 PIDS+=($!)
@@ -116,7 +118,8 @@ echo "   neither malicious write left a readable trace"
 
 echo "== scraping the security telemetry"
 # Node 0 accepted the fleet's and alice's handshakes, holds live
-# sessions, and refused the plain caller at the transport.
+# sessions, and refused the plain caller at the transport — with no
+# -require-auth flag of its own.
 "$NODE" scrape -addr "127.0.0.1:${DEBUG_PORT}" -assert-rpc \
   -assert-min "dharma_session_accepted_total=2,dharma_session_cache_size=1,dharma_udp_unauthenticated_rejected_total=1" \
   >"$WORK/scrape0.out"
