@@ -380,3 +380,51 @@ func TestRefusalUDPRequireAuth(t *testing.T) {
 		t.Fatalf("server counted %d refusals, want 1", got)
 	}
 }
+
+// TestRefusalUDPNoSessionLayer: a secured node that pings an open one
+// has its handshake refused at once with ErrUnauthorized, not after the
+// transport timeout, and keeps the open node in its table.
+func TestRefusalUDPNoSessionLayer(t *testing.T) {
+	auth, err := likir.NewAuthority(nil, time.Hour, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cliID, err := auth.Issue(nil, "client")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cliSessions, err := session.NewManager(session.Config{Identity: cliID, CAPub: auth.PublicKey()})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	open := NewNode(kadid.HashString("open"), Config{K: 4})
+	srv, err := wire.ListenUDP("127.0.0.1:0", open, wire.UDPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	open.Attach(srv)
+
+	n := NewNode(kadid.ID{}, Config{K: 4, Identity: cliID, CAPub: auth.PublicKey()})
+	tr, err := wire.ListenUDP("127.0.0.1:0", n, wire.UDPOptions{Sessions: cliSessions})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	n.Attach(tr)
+	peer := open.Self()
+	n.Table().Update(peer)
+
+	start := time.Now()
+	err = n.call(context.Background(), peer, &wire.Message{Kind: wire.KindPing}, new(wire.Message))
+	if elapsed := time.Since(start); !errors.Is(err, wire.ErrUnauthorized) || elapsed > 100*time.Millisecond {
+		t.Fatalf("secured ping of an open node = %v after %v, want ErrUnauthorized within 100ms", err, elapsed)
+	}
+	if n.Ping(context.Background(), peer) {
+		t.Fatal("secured ping of an open node succeeded")
+	}
+	if !inTable(n, peer) {
+		t.Fatal("open node evicted from the secured caller's table")
+	}
+}

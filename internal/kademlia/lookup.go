@@ -61,6 +61,17 @@ type lookupArena struct {
 	replies [][]wire.Entry
 	local   []wire.Entry
 	fields  map[string]struct{}
+
+	// The running lookup's parameters, which sendProbe reads; send is
+	// sendProbe bound once per arena, so a walk hands fanOut no fresh
+	// closure. ctx is dropped when the arena is put back.
+	node      *Node
+	ctx       context.Context
+	target    kadid.ID
+	wantValue bool
+	topN      int
+	t0        time.Time
+	send      func(slot int)
 }
 
 func (a *lookupArena) reset() {
@@ -93,6 +104,7 @@ func (n *Node) putArena(a *lookupArena) {
 	if len(a.fields) > maxScratchEntries {
 		a.fields = nil
 	}
+	a.ctx = nil
 	n.arenas.put(a)
 }
 
@@ -155,6 +167,10 @@ func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue b
 	if len(arena.probes) < n.cfg.Alpha {
 		arena.probes = make([]probe, n.cfg.Alpha)
 	}
+	if arena.send == nil {
+		arena.node, arena.send = n, arena.sendProbe
+	}
+	arena.ctx, arena.target, arena.wantValue, arena.topN, arena.t0 = ctx, target, wantValue, topN, t0
 
 	round, tried := 0, 0
 	defer func() {
@@ -195,19 +211,6 @@ func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue b
 		insert(c)
 	}
 
-	// send runs one probe of the current wave. It is built once per
-	// lookup, not per wave or per probe.
-	send := func(slot int) {
-		p := &arena.probes[slot]
-		if wantValue {
-			p.req = wire.Message{Kind: wire.KindFindValue, Target: target, TopN: uint32(topN)}
-		} else {
-			p.req = wire.Message{Kind: wire.KindFindNode, Target: target}
-		}
-		st := time.Now()
-		p.err = n.call(ctx, p.to, &p.req, &p.resp)
-		p.start, p.rtt = st.Sub(t0), time.Since(st)
-	}
 	for ctx.Err() == nil {
 		// Pick the α closest unqueried candidates among the k closest
 		// that have not failed: dead nodes must not occupy the window,
@@ -239,7 +242,7 @@ func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue b
 		round++
 		tried += len(arena.batch)
 
-		n.fanOut(ctx, len(arena.batch), send)
+		n.fanOut(ctx, len(arena.batch), arena.send)
 
 		// Merge in slot order; insert may grow cands, so index it afresh.
 		for slot, idx := range arena.batch {
@@ -328,6 +331,19 @@ func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue b
 		return nil, false, closest, busy, false, err
 	}
 	return nil, false, closest, busy, clean, nil
+}
+
+// sendProbe runs the probe in slot of the current wave.
+func (a *lookupArena) sendProbe(slot int) {
+	p := &a.probes[slot]
+	if a.wantValue {
+		p.req = wire.Message{Kind: wire.KindFindValue, Target: a.target, TopN: uint32(a.topN)}
+	} else {
+		p.req = wire.Message{Kind: wire.KindFindNode, Target: a.target}
+	}
+	st := time.Now()
+	p.err = a.node.call(a.ctx, p.to, &p.req, &p.resp)
+	p.start, p.rtt = st.Sub(a.t0), time.Since(st)
 }
 
 // compareEntries is the block order every read returns: descending

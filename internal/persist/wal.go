@@ -239,7 +239,9 @@ func kindOp(k wire.Kind) (Op, error) {
 }
 
 // appendFrames encodes rec into dst as one or more framed records
-// (chunking entry lists beyond the codec's bound) and returns dst.
+// (chunking entry lists beyond the codec's bound) and returns dst. Each
+// payload is encoded in place behind its header, which is filled in
+// once the payload's length and CRC are known.
 func appendFrames(dst []byte, rec *Record) ([]byte, error) {
 	kind, err := opKind(rec.Op)
 	if err != nil {
@@ -249,12 +251,11 @@ func appendFrames(dst []byte, rec *Record) ([]byte, error) {
 	for first := true; first || len(entries) > 0; first = false {
 		var chunk []wire.Entry
 		chunk, entries = splitChunk(entries)
-		payload := wire.Encode(&wire.Message{Kind: kind, Target: rec.Key, Entries: chunk})
-		var hdr [8]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-		dst = append(dst, hdr[:]...)
-		dst = append(dst, payload...)
+		hdr := len(dst)
+		dst = wire.AppendEncode(append(dst, make([]byte, 8)...), &wire.Message{Kind: kind, Target: rec.Key, Entries: chunk})
+		payload := dst[hdr+8:]
+		binary.LittleEndian.PutUint32(dst[hdr:], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(dst[hdr+4:], crc32.Checksum(payload, crcTable))
 	}
 	return dst, nil
 }
@@ -340,10 +341,14 @@ func (l *Log) Commit(ctx context.Context, recs []Record, apply func()) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	var frames []byte
+	// The frames are staged in a free-list buffer: it becomes the batch
+	// buffer when it opens the batch (flushOnce recycles that once
+	// written) and is recycled here otherwise.
+	frames := wire.Borrow(0)
 	var err error
 	for i := range recs {
 		if frames, err = appendFrames(frames, &recs[i]); err != nil {
+			wire.Recycle(frames)
 			return err
 		}
 	}
@@ -351,12 +356,18 @@ func (l *Log) Commit(ctx context.Context, recs []Record, apply func()) error {
 	l.mu.Lock()
 	if l.closed || l.err != nil {
 		defer l.mu.Unlock()
+		wire.Recycle(frames)
 		if l.err != nil {
 			return l.err
 		}
 		return ErrClosed
 	}
-	l.buf = append(l.buf, frames...)
+	if l.buf == nil {
+		l.buf = frames
+	} else {
+		l.buf = append(l.buf, frames...)
+		wire.Recycle(frames)
+	}
 	if l.batch == nil {
 		l.batch = &flushBatch{done: make(chan struct{})}
 	}
@@ -441,6 +452,7 @@ func (l *Log) flushOnce() {
 	}
 
 	err := l.writeOut(seg, buf)
+	wire.Recycle(buf)
 	if err != nil {
 		l.poison(err)
 	}

@@ -197,23 +197,24 @@ func decodeInto(m *Message, b []byte, strs *interner) error {
 // one-off giant message must not pin its backing array in the free list.
 const maxPooledBuf = 1 << 16
 
-// maxIdleBufs bounds the idle buffers kept over all shards of bufs.
-const maxIdleBufs = 64
+// maxIdleBufs bounds the idle buffers over all shards (16 MiB at most).
+const maxIdleBufs = 256
 
-// bufs is the free list behind EncodePooled and Recycle, shared by every
-// node in the process. Unlike a sync.Pool the GC never empties it, and a
-// []byte needs no interface allocation. Its shards are entered at
-// random, so goroutines seldom queue on one lock (one lock halved
+// bufs is the free list behind Borrow, EncodePooled and Recycle, shared
+// by every node in the process. Unlike a sync.Pool the GC never empties
+// it, and a []byte needs no interface allocation. Its shards are entered
+// at random, so goroutines seldom queue on one lock (one lock halved
 // TestOverloadUDP's goodput under -race); a get tries every shard first.
 var bufs [8]struct {
 	mu   sync.Mutex
 	idle [][]byte
 }
 
-// EncodePooled serialises m into a buffer from the free list. Whoever
-// ends up owning the bytes hands them back with Recycle once nothing
-// references them; a buffer that is never handed back goes to the GC.
-func EncodePooled(m *Message) []byte {
+// Borrow returns an empty buffer with room for n bytes from the free
+// list. Whoever ends up owning the bytes hands them back with Recycle
+// once nothing references them; a buffer that is never handed back goes
+// to the GC.
+func Borrow(n int) []byte {
 	var b []byte
 	for i, first := 0, rand.N(len(bufs)); i < len(bufs) && b == nil; i++ {
 		sh := &bufs[(first+i)%len(bufs)]
@@ -223,10 +224,13 @@ func EncodePooled(m *Message) []byte {
 		}
 		sh.mu.Unlock()
 	}
-	return AppendEncode(slices.Grow(b, encodedLen(m)), m)
+	return slices.Grow(b, n)
 }
 
-// Recycle hands b to the free list for a later EncodePooled. Nobody may
+// EncodePooled serialises m into a Borrow buffer.
+func EncodePooled(m *Message) []byte { return AppendEncode(Borrow(encodedLen(m)), m) }
+
+// Recycle hands b to the free list for a later Borrow. Nobody may
 // reference b afterwards: a payload an abandoned handler may still read
 // goes to the GC instead. Buffers larger than maxPooledBuf, or that meet
 // a full shard, are not kept.

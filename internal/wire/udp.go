@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,18 +28,29 @@ var ErrBusy = admission.ErrBusy
 // ErrUnauthorized is the typed rejection of the identity layer: the
 // sender (or the entries it tried to write) failed Likir verification,
 // or the transport refused a request that arrived outside a session it
-// holds. It is NOT an eviction signal — the rejecting peer is healthy;
-// the rejected party is the caller.
+// holds, or a hello or sealed request it has no session layer for. It
+// is NOT an eviction signal — the rejecting peer is healthy; the
+// rejected party is the caller.
 var ErrUnauthorized = errors.New("wire: unauthorized")
 
 // UDP framing: 1-byte frame kind + 8-byte request id + payload. The
 // transport never reads a payload: RPC messages are the handler's
 // business. Secure frames wrap the same payloads in a session seal
 // ([sid ‖ seq ‖ tag ‖ payload]); hello frames carry the session
-// handshake. A refused frame answers a request the transport will not
-// serve with a one-byte reason, and the exchange turns it into the
-// error simnet returns for the same verdict. It is unsealed by
-// necessity (a refusal may mean there is no session to seal under).
+// handshake. A reply's kind is its request's plus one. A refused frame
+// answers a request the transport will not serve with a one-byte
+// reason, and the exchange turns it into the error simnet returns for
+// the same verdict. It is unsealed by necessity (a refusal may mean
+// there is no session to seal under).
+//
+// Buffer ownership: write builds every datagram in a free-list buffer
+// (Borrow) and recycles it once the socket has it. The read loop copies
+// each payload it keeps into another: serve lends a request's copy to
+// the handler and recycles it when HandleRPC returns, and recycles the
+// handler's reply once written. A reply's copy goes to the exchange
+// waiting on its id, which recycles what it rejects; release recycles
+// what is still queued when the exchange ends, route what no exchange
+// takes. The reply an exchange returns belongs to Call's caller.
 const (
 	frameRequest        = 0x01
 	frameResponse       = 0x02
@@ -54,12 +66,13 @@ const (
 // Refusal reasons, the one payload byte of a refused frame, and the
 // verdict each is to the caller: the error simnet returns for it.
 const (
-	refusedBusy         = 0x01 // admission gate full, or the handler shed the request
-	refusedStaleSession = 0x02 // sealed under a session the receiver does not hold
-	refusedNoSession    = 0x03 // plain request to a transport that requires a session
+	refusedBusy           = 0x01 // admission gate full, or the handler shed the request
+	refusedStaleSession   = 0x02 // sealed under a session the receiver does not hold
+	refusedNoSession      = 0x03 // plain request to a transport that requires a session
+	refusedNoSessionLayer = 0x04 // hello or sealed request to a transport without sessions
 )
 
-var verdicts = map[byte]error{refusedBusy: ErrBusy, refusedStaleSession: errSessionStale, refusedNoSession: ErrUnauthorized}
+var verdicts = map[byte]error{refusedBusy: ErrBusy, refusedStaleSession: errSessionStale, refusedNoSession: ErrUnauthorized, refusedNoSessionLayer: ErrUnauthorized}
 
 // DefaultUDPTimeout is how long a Call waits for a response before it
 // reports simnet.ErrTimeout.
@@ -84,9 +97,12 @@ type UDPTransport struct {
 	hsMu       sync.Mutex
 	hsInflight map[string]chan struct{} // singleflight per dial addr
 
-	nextID  atomic.Uint64
-	mu      sync.Mutex
-	pending map[uint64]chan frameMsg
+	nextID   atomic.Uint64
+	mu       sync.Mutex
+	pending  map[uint64]*slot // in-flight exchanges by request id
+	idle     []*slot          // released slots for reuse, at most maxIdleSlots
+	ctxMu    sync.Mutex
+	peerCtxs map[*session.Session]context.Context // handler context per accepted session
 
 	authRej atomic.Int64 // inbound requests rejected unauthenticated
 
@@ -142,7 +158,8 @@ func ListenUDP(bind string, h simnet.Handler, o UDPOptions) (*UDPTransport, erro
 		sessions:    o.Sessions,
 		requireAuth: o.RequireAuth && o.Sessions != nil,
 		hsInflight:  make(map[string]chan struct{}),
-		pending:     make(map[uint64]chan frameMsg),
+		pending:     make(map[uint64]*slot),
+		peerCtxs:    make(map[*session.Session]context.Context),
 		baseCtx:     baseCtx,
 		baseCancel:  baseCancel,
 		closed:      make(chan struct{}),
@@ -152,12 +169,21 @@ func ListenUDP(bind string, h simnet.Handler, o UDPOptions) (*UDPTransport, erro
 	return t, nil
 }
 
-// frameMsg is one routed response frame: the frame kind decides whether
-// the payload is sealed.
+// frameMsg is a routed reply frame; its kind says if the payload is sealed.
 type frameMsg struct {
 	kind    byte
 	payload []byte
 }
+
+// slot is an exchange's reply channel and timeout, reused (see acquire
+// and release). A transport idles at most maxIdleSlots; its read loop
+// starts its address table afresh past maxPeerNames sources.
+type slot struct {
+	ch    chan frameMsg
+	timer *time.Timer
+}
+
+const maxIdleSlots, maxPeerNames = 256, 4096
 
 // AdmissionStats reports this transport's admission accounting: how
 // many inbound requests were admitted vs rejected busy.
@@ -219,11 +245,11 @@ func (t *UDPTransport) Addr() simnet.Addr {
 // held hostage by the transport's own retry timeout.
 //
 // A refusal comes back as its error: ErrBusy, or ErrUnauthorized for a
-// plain request to a peer that requires a session. With sessions
-// enabled the payload is sealed under the peer's session (handshaking
-// on first contact). If the peer no longer recognises the session — it
-// restarted or evicted us — it refuses the frame as stale; Call
-// re-handshakes and retries once.
+// plain request to a peer that requires a session or a sealed one to a
+// peer without sessions. With sessions enabled the payload is sealed
+// under the peer's session (handshaking on first contact). If the peer
+// no longer recognises the session — it restarted or evicted us — it
+// refuses the frame as stale; Call re-handshakes and retries once.
 func (t *UDPTransport) Call(ctx context.Context, to simnet.Addr, payload []byte) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -233,24 +259,16 @@ func (t *UDPTransport) Call(ctx context.Context, to simnet.Addr, payload []byte)
 		return nil, simnet.ErrClosed
 	default:
 	}
-	dst, err := net.ResolveUDPAddr("udp", string(to))
+	dst, err := peerAddr(to)
 	if err != nil {
-		return nil, fmt.Errorf("wire: resolve %q: %w", to, err)
+		return nil, err
 	}
 	if len(payload)+frameHeader+session.Overhead > maxDatagram {
 		return nil, fmt.Errorf("%w: %d bytes", simnet.ErrTooLarge, len(payload))
 	}
 
 	if t.sessions == nil {
-		// Open transport: the first routed frame is the answer.
-		var resp []byte
-		err := t.exchange(ctx, dst,
-			func(id uint64) []byte { return append(header(frameRequest, id, len(payload)), payload...) },
-			func(_ uint64, fm frameMsg) (bool, error) {
-				resp = fm.payload
-				return true, nil
-			})
-		return resp, err
+		return t.exchange(ctx, dst, frameRequest, nil, payload)
 	}
 	resp, err := t.exchangeSealed(ctx, string(to), dst, payload)
 	if errors.Is(err, errSessionStale) {
@@ -265,44 +283,41 @@ func (t *UDPTransport) Call(ctx context.Context, to simnet.Addr, payload []byte)
 	return resp, err
 }
 
+// peerAddr parses to, unmapped so an IPv4 socket can send to it. Only a
+// host name goes to the resolver; an empty host is this machine.
+func peerAddr(to simnet.Addr) (netip.AddrPort, error) {
+	ap, err := netip.ParseAddrPort(string(to))
+	if err != nil {
+		ua, rerr := net.ResolveUDPAddr("udp", string(to))
+		if rerr != nil {
+			return ap, fmt.Errorf("wire: resolve %q: %w", to, rerr)
+		}
+		if ap = ua.AddrPort(); !ap.Addr().IsValid() {
+			ap = netip.AddrPortFrom(netip.IPv4Unspecified(), ap.Port())
+		}
+	}
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()), nil
+}
+
 // errSessionStale is the internal signal that the remote refused a
 // sealed request as stale: it does not hold our session (anymore) and
 // we should re-handshake. It wraps ErrUnauthorized, which is what it
 // means to a caller that cannot re-handshake.
 var errSessionStale = fmt.Errorf("%w: stale session", ErrUnauthorized)
 
-// exchangeSealed seals payload under the session with addr (dialing one
-// if needed) and verifies the sealed response.
-func (t *UDPTransport) exchangeSealed(ctx context.Context, addr string, dst *net.UDPAddr, payload []byte) ([]byte, error) {
+// exchangeSealed is exchange under the session with addr, dialed if need be.
+func (t *UDPTransport) exchangeSealed(ctx context.Context, addr string, dst netip.AddrPort, payload []byte) ([]byte, error) {
 	s, err := t.dialSession(ctx, addr, dst)
 	if err != nil {
 		return nil, err
 	}
-	var resp []byte
-	err = t.exchange(ctx, dst,
-		func(id uint64) []byte {
-			return s.Seal(header(frameSecureRequest, id, session.Overhead+len(payload)), frameSecureRequest, id, payload)
-		},
-		// Responses may race with forged frames; keep reading until one
-		// authenticates. A plain response to a sealed request is ignored.
-		func(id uint64, fm frameMsg) (bool, error) {
-			if fm.kind != frameSecureResponse {
-				return false, nil
-			}
-			inner, err := s.Open(frameSecureResponse, id, fm.payload)
-			if err != nil {
-				return false, nil // forged or corrupted; the real answer may follow
-			}
-			resp = inner
-			return true, nil
-		})
-	return resp, err
+	return t.exchange(ctx, dst, frameSecureRequest, s, payload)
 }
 
 // dialSession returns the cached live session for addr or performs the
 // two-message handshake. Concurrent dials to the same peer are
 // collapsed into one handshake.
-func (t *UDPTransport) dialSession(ctx context.Context, addr string, dst *net.UDPAddr) (*session.Session, error) {
+func (t *UDPTransport) dialSession(ctx context.Context, addr string, dst netip.AddrPort) (*session.Session, error) {
 	for {
 		if s, ok := t.sessions.Peer(addr); ok {
 			return s, nil
@@ -335,91 +350,123 @@ func (t *UDPTransport) dialSession(ctx context.Context, addr string, dst *net.UD
 }
 
 // handshake runs one HELLO / HELLO_REPLY exchange with the peer.
-func (t *UDPTransport) handshake(ctx context.Context, addr string, dst *net.UDPAddr) (*session.Session, error) {
+func (t *UDPTransport) handshake(ctx context.Context, addr string, dst netip.AddrPort) (*session.Session, error) {
 	hs, err := t.sessions.NewHandshake(addr)
 	if err != nil {
 		return nil, err
 	}
-	hello := hs.Payload()
-	var s *session.Session
-	err = t.exchange(ctx, dst,
-		func(id uint64) []byte { return append(header(frameHello, id, len(hello)), hello...) },
-		func(_ uint64, fm frameMsg) (bool, error) {
-			if fm.kind != frameHelloReply {
-				return false, nil // stray frame under a recycled id; keep waiting
-			}
-			var ferr error
-			s, ferr = hs.Finish(fm.payload)
-			return true, ferr
-		})
-	return s, err
+	reply, err := t.exchange(ctx, dst, frameHello, nil, hs.Payload())
+	if err != nil {
+		return nil, err
+	}
+	defer Recycle(reply) // Finish copies what it keeps
+	return hs.Finish(reply)
 }
 
-// exchange is the one client round trip: it registers a fresh request
-// id, sends the frame build returns for it, and hands every frame routed
-// back under that id to accept until accept reports done (with the
-// exchange's error, if any). A refused frame ends the exchange with its
-// verdict before accept sees it. The wait ends early when ctx ends, the
-// transport's own timeout fires or the transport closes; the pending
-// entry is deleted on the way out, so a late response is dropped.
-func (t *UDPTransport) exchange(ctx context.Context, dst *net.UDPAddr,
-	build func(id uint64) []byte, accept func(id uint64, fm frameMsg) (bool, error)) error {
+// exchange is the one client round trip: it sends payload as a frame of
+// kind under a fresh request id, sealed under s if set, and returns the
+// first reply of kind+1 routed back under that id (opened under s). A
+// refusal ends it with its verdict; any other frame is dropped. The
+// wait ends early when ctx ends, the timeout fires or t closes.
+func (t *UDPTransport) exchange(ctx context.Context, dst netip.AddrPort, kind byte, s *session.Session, payload []byte) ([]byte, error) {
 	id := t.nextID.Add(1)
-	ch := make(chan frameMsg, 4)
-	t.mu.Lock()
-	t.pending[id] = ch
-	t.mu.Unlock()
-	defer func() {
-		t.mu.Lock()
-		delete(t.pending, id)
-		t.mu.Unlock()
-	}()
-
-	if err := t.send(build(id), dst); err != nil {
-		return err
+	sl := t.acquire(id)
+	defer t.release(id, sl)
+	if err := t.write(dst, kind, id, s, payload); err != nil {
+		return nil, err
 	}
-	timer := time.NewTimer(t.timeout)
-	defer timer.Stop()
+	sl.timer.Reset(t.timeout)
 	for {
 		select {
-		case fm := <-ch:
-			if fm.kind == frameRefused {
-				if len(fm.payload) == 1 && verdicts[fm.payload[0]] != nil {
-					return fmt.Errorf("wire: %s refused request: %w", dst, verdicts[fm.payload[0]])
+		case fm := <-sl.ch:
+			if fm.kind == frameRefused && len(fm.payload) == 1 && verdicts[fm.payload[0]] != nil {
+				err := fmt.Errorf("wire: %s refused request: %w", dst, verdicts[fm.payload[0]])
+				Recycle(fm.payload)
+				return nil, err
+			}
+			if fm.kind == kind+1 {
+				if s == nil {
+					return fm.payload, nil
 				}
-				continue // unknown reason: as malformed as any stray frame
+				if inner, err := s.Open(fm.kind, id, fm.payload); err == nil {
+					return inner, nil
+				}
 			}
-			if done, err := accept(id, fm); done {
-				return err
-			}
+			Recycle(fm.payload) // stray, or forged: the real reply may follow
 		case <-ctx.Done():
-			return ctx.Err()
-		case <-timer.C:
-			return simnet.ErrTimeout
+			return nil, ctx.Err()
+		case <-sl.timer.C:
+			return nil, simnet.ErrTimeout
 		case <-t.closed:
-			return simnet.ErrClosed
+			return nil, simnet.ErrClosed
 		}
 	}
 }
 
-// header starts a datagram of the given frame kind and request id, with
-// room for n more bytes; every client frame and every reply is built on
-// one.
-func header(kind byte, id uint64, n int) []byte {
-	frame := make([]byte, frameHeader, frameHeader+n)
-	frame[0] = kind
-	binary.BigEndian.PutUint64(frame[1:9], id)
-	return frame
+// acquire registers request id on an idle slot, or on a new one.
+func (t *UDPTransport) acquire(id uint64) *slot {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var sl *slot
+	if last := len(t.idle) - 1; last >= 0 {
+		sl, t.idle = t.idle[last], t.idle[:last]
+	} else {
+		sl = &slot{ch: make(chan frameMsg, 4), timer: time.NewTimer(t.timeout)} // room for strays beside the reply
+	}
+	t.pending[id] = sl
+	return sl
 }
 
-// send writes one framed datagram and records transport metrics.
-func (t *UDPTransport) send(frame []byte, dst *net.UDPAddr) error {
-	if _, err := t.conn.WriteToUDP(frame, dst); err != nil {
+// release unregisters request id and idles its slot. route sends under
+// mu, so once id is deleted nothing more reaches the slot, and its next
+// exchange sees only frames sent under its own id.
+func (t *UDPTransport) release(id uint64, sl *slot) {
+	sl.timer.Stop()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	delete(t.pending, id)
+	for len(sl.ch) > 0 {
+		Recycle((<-sl.ch).payload)
+	}
+	if len(t.idle) < maxIdleSlots {
+		t.idle = append(t.idle, sl)
+	}
+}
+
+// route hands a reply frame to the exchange waiting on id, or recycles
+// its payload when none takes it; it reports whether one did.
+func (t *UDPTransport) route(kind byte, id uint64, payload []byte) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if sl, ok := t.pending[id]; ok {
+		select {
+		case sl.ch <- frameMsg{kind: kind, payload: payload}:
+			return true
+		default: // channel full; the waiter has enough to chew on
+		}
+	}
+	Recycle(payload)
+	return false
+}
+
+// write sends one datagram: kind, request id and payload, sealed under
+// s when s is set. The frame is a free-list buffer, recycled once the
+// socket has it.
+func (t *UDPTransport) write(to netip.AddrPort, kind byte, id uint64, s *session.Session, payload []byte) error {
+	frame := binary.BigEndian.AppendUint64(append(Borrow(frameHeader+session.Overhead+len(payload)), kind), id)
+	if s != nil {
+		frame = s.Seal(frame, kind, id, payload)
+	} else {
+		frame = append(frame, payload...)
+	}
+	n, err := t.conn.WriteToUDPAddrPort(frame, to)
+	Recycle(frame)
+	if err != nil {
 		return fmt.Errorf("wire: send: %w", err)
 	}
 	if m := t.metrics.Load(); m != nil {
 		m.datagramsOut.Inc()
-		m.bytesOut.Add(int64(len(frame)))
+		m.bytesOut.Add(int64(n))
 	}
 	return nil
 }
@@ -441,8 +488,10 @@ func (t *UDPTransport) Close() error {
 func (t *UDPTransport) readLoop() {
 	defer t.wg.Done()
 	buf := make([]byte, maxDatagram)
+	// names: each source's host:port as UDPAddr.String() gives it.
+	names := make(map[netip.AddrPort]string)
 	for {
-		n, from, err := t.conn.ReadFromUDP(buf)
+		n, from, err := t.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			select {
 			case <-t.closed:
@@ -463,51 +512,53 @@ func (t *UDPTransport) readLoop() {
 		}
 		kind := buf[0]
 		id := binary.BigEndian.Uint64(buf[1:9])
-		payload := append([]byte(nil), buf[frameHeader:n]...)
 
 		switch kind {
 		case frameRequest, frameSecureRequest, frameHello:
+			addr, ok := names[from]
+			if !ok {
+				if len(names) >= maxPeerNames {
+					clear(names)
+				}
+				addr = netip.AddrPortFrom(from.Addr().Unmap(), from.Port()).String()
+				names[from] = addr
+			}
 			// Admission before the goroutine spawn: past QueueDepth the
 			// transport refuses busy inline instead of growing the handler
 			// pool — the read loop never blocks and never queues unboundedly.
 			// Hellos pass the same gate so a handshake flood cannot spawn
 			// unbounded signature verifications.
-			addr := from.String()
 			if t.ctrl.Enter(addr) != nil {
 				t.refuse(from, id, refusedBusy)
 				continue
 			}
 			t.wg.Add(1)
-			go t.serve(kind, from, addr, id, payload)
+			go t.serve(kind, from, addr, id, append(Borrow(n-frameHeader), buf[frameHeader:n]...))
 		case frameResponse, frameHelloReply, frameSecureResponse, frameRefused:
-			t.mu.Lock()
-			ch, ok := t.pending[id]
-			t.mu.Unlock()
-			if ok {
-				select {
-				case ch <- frameMsg{kind: kind, payload: payload}:
-				default: // channel full; the waiter has enough to chew on
-				}
-			}
+			t.route(kind, id, append(Borrow(n-frameHeader), buf[frameHeader:n]...))
 		}
 	}
 }
 
-// serve runs one request admitted from addr and recycles the reply.
-func (t *UDPTransport) serve(kind byte, from *net.UDPAddr, addr string, id uint64, payload []byte) {
+// serve runs one request admitted from addr, recycling the request once
+// served and the reply once written.
+func (t *UDPTransport) serve(kind byte, from netip.AddrPort, addr string, id uint64, payload []byte) {
 	defer t.wg.Done()
 	defer t.ctrl.Leave()
+	defer Recycle(payload) // the buffer read, even once payload is its opened part
 	ctx, s := t.baseCtx, (*session.Session)(nil)
 	switch {
 	case kind != frameRequest && t.sessions == nil:
-		return // no session layer: hellos and sealed frames are noise
+		// No session layer: say so, or a secured caller times out on us.
+		t.refuse(from, id, refusedNoSessionLayer)
+		return
 	case kind == frameHello:
 		reply, err := t.sessions.Accept(payload)
 		if err != nil {
 			t.authRej.Add(1)
 			return // reject silently: the initiator failed authentication
 		}
-		t.reply(frameHelloReply, from, id, reply)
+		t.write(from, frameHelloReply, id, nil, reply) //nolint:errcheck // best-effort reply
 		return
 	case kind == frameSecureRequest:
 		var err error
@@ -518,7 +569,7 @@ func (t *UDPTransport) serve(kind byte, from *net.UDPAddr, addr string, id uint6
 			}
 			return // bad MAC / replay: silence, as for any forged datagram
 		}
-		ctx = session.WithPeer(ctx, s.Peer())
+		ctx = t.peerContext(s)
 	case t.requireAuth:
 		t.authRej.Add(1)
 		t.refuse(from, id, refusedNoSession)
@@ -531,23 +582,28 @@ func (t *UDPTransport) serve(kind byte, from *net.UDPAddr, addr string, id uint6
 		}
 		return // any other error is silence, as over real UDP: the caller times out
 	}
-	if s != nil {
-		frame := header(frameSecureResponse, id, session.Overhead+len(resp))
-		t.send(s.Seal(frame, frameSecureResponse, id, resp), from) //nolint:errcheck // best-effort reply
-	} else {
-		t.reply(frameResponse, from, id, resp)
-	}
+	t.write(from, kind+1, id, s, resp) //nolint:errcheck // best-effort reply
 	Recycle(resp)
 }
 
-// reply sends one plain frame, best effort.
-func (t *UDPTransport) reply(kind byte, from *net.UDPAddr, id uint64, resp []byte) {
-	t.send(append(header(kind, id, len(resp)), resp...), from) //nolint:errcheck // best-effort reply
+// peerContext returns the handler context of requests sealed under s:
+// the base context carrying s's peer, built once per accepted session.
+func (t *UDPTransport) peerContext(s *session.Session) context.Context {
+	t.ctxMu.Lock()
+	defer t.ctxMu.Unlock()
+	if ctx, ok := t.peerCtxs[s]; ok {
+		return ctx
+	}
+	if len(t.peerCtxs) >= session.DefaultMaxSessions {
+		clear(t.peerCtxs)
+	}
+	t.peerCtxs[s] = session.WithPeer(t.baseCtx, s.Peer())
+	return t.peerCtxs[s]
 }
 
 // refuse answers request id with a refused frame carrying reason.
-func (t *UDPTransport) refuse(from *net.UDPAddr, id uint64, reason byte) {
-	t.reply(frameRefused, from, id, []byte{reason})
+func (t *UDPTransport) refuse(to netip.AddrPort, id uint64, reason byte) {
+	t.write(to, frameRefused, id, nil, []byte{reason}) //nolint:errcheck // best-effort reply
 }
 
 var _ simnet.Transport = (*UDPTransport)(nil)
