@@ -91,7 +91,7 @@ func usage() {
                       [-data-dir path] [-fsync group|none]
                       [-queue-depth n] [-peer-rate r] [-debug-addr host:port]
                       [-trace-slow d] [-log-level l]
-                      [-identity file -ca file [-revocations file] [-require-auth=false]]
+                      [-identity file -ca file [-revocations file]]
   dharma-node insert  -bootstrap host:port -r name -uri uri [-tags a,b,c] [-timeout d]
   dharma-node tag     -bootstrap host:port -r name -t tag [-timeout d]
   dharma-node search  -bootstrap host:port -t tag [-top n] [-timeout d]
@@ -190,8 +190,6 @@ func serveConfig(args []string) (dharma.UDPPeerConfig, serveOptions, error) {
 		"capture and log every lookup slower than this (0 = default 250ms, negative = disabled)")
 	fs.StringVar(&o.logLevel, "log-level", "info", "log verbosity: debug, info, warn or error")
 	securityFlags(fs, &cfg)
-	fs.BoolVar(&cfg.RequireAuth, "require-auth", true,
-		"with -identity, refuse plain (session-less) requests as unauthorized; false only for a rolling upgrade, and it lets a plain caller speak for any member")
 	fs.DurationVar(&cfg.ChaosDelay, "chaos-delay", 0, "artificially delay every inbound RPC handler (deadline-shed testing)")
 	if err := fs.Parse(args); err != nil {
 		return cfg, o, err
@@ -235,7 +233,7 @@ func serve(ctx context.Context, args []string) error {
 	if id := node.Identity(); id != nil {
 		logger.Info("Likir layer active",
 			"identity", id.Name, "node-id", id.NodeID.Short(),
-			"require-auth", cfg.RequireAuth, "revocations", cfg.RevocationsPath)
+			"revocations", cfg.RevocationsPath)
 	}
 	logger.Info(fmt.Sprintf("node %s serving", node.Self().ID.Short()),
 		"addr", node.Self().Addr, "contacts", node.Table().Len())

@@ -19,9 +19,8 @@ import (
 // calling dharma.NewUDPPeer.
 func TestServeConfig(t *testing.T) {
 	defaults := dharma.UDPPeerConfig{
-		Listen:      "127.0.0.1:9000",
-		Config:      dharma.Config{Replication: 20, Alpha: 3, QueueDepth: admission.DefaultQueueDepth},
-		RequireAuth: true,
+		Listen: "127.0.0.1:9000",
+		Config: dharma.Config{Replication: 20, Alpha: 3, QueueDepth: admission.DefaultQueueDepth},
 	}
 	with := func(edit func(*dharma.UDPPeerConfig)) dharma.UDPPeerConfig {
 		c := defaults
@@ -91,24 +90,22 @@ func TestServeConfig(t *testing.T) {
 		},
 		{
 			name: "security",
-			args: []string{"-identity", "n.id", "-ca", "ca.pub", "-revocations", "rev.bin", "-require-auth"},
+			args: []string{"-identity", "n.id", "-ca", "ca.pub", "-revocations", "rev.bin"},
 			want: with(func(c *dharma.UDPPeerConfig) {
-				c.IdentityPath, c.CAPath, c.RevocationsPath, c.RequireAuth = "n.id", "ca.pub", "rev.bin", true
+				c.IdentityPath, c.CAPath, c.RevocationsPath = "n.id", "ca.pub", "rev.bin"
 			}),
 		},
 		{
 			name: "a secured node requires sessions by default",
 			args: []string{"-identity", "n.id", "-ca", "ca.pub"},
 			want: with(func(c *dharma.UDPPeerConfig) {
-				c.IdentityPath, c.CAPath, c.RequireAuth = "n.id", "ca.pub", true
+				c.IdentityPath, c.CAPath = "n.id", "ca.pub"
 			}),
 		},
 		{
-			name: "-require-auth=false is the rolling-upgrade mode",
-			args: []string{"-identity", "n.id", "-ca", "ca.pub", "-require-auth=false"},
-			want: with(func(c *dharma.UDPPeerConfig) {
-				c.IdentityPath, c.CAPath, c.RequireAuth = "n.id", "ca.pub", false
-			}),
+			name:    "-require-auth is gone",
+			args:    []string{"-identity", "n.id", "-ca", "ca.pub", "-require-auth=false"},
+			wantErr: "flag provided but not defined: -require-auth",
 		},
 		{
 			name:    "-identity without -ca",

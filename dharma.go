@@ -484,20 +484,19 @@ type UDPPeerConfig struct {
 	// deployed peer: IdentityPath is an identity file issued by
 	// `dharma-node ca issue`, CAPath the authority's public key file
 	// (ca.pub). Set together or not at all. With them set the peer's
-	// overlay ID is the credential's node ID, outbound RPCs carry the
-	// credential, every datagram travels inside an authenticated
-	// session, and URI entries are signed.
+	// overlay ID is the credential's node ID, every request travels
+	// inside an authenticated session, which is the proof of who sent
+	// it (plain requests are refused with wire.ErrUnauthorized), and URI
+	// entries are signed.
 	IdentityPath string
 	CAPath       string
 	// RevocationsPath, when set, points at the authority's signed
 	// revocation bundle (revocations.bin); the peer refuses revoked
 	// peers and MaintainOnce re-reads the file live.
 	RevocationsPath string
-	// RequireAuth refuses plain (session-less) inbound requests with
-	// wire.ErrUnauthorized; `dharma-node serve` sets it by default. Leave
-	// it false only for a rolling upgrade: a member's credential travels
-	// in clear in every HELLO, so any plain caller can present it, store
-	// as that member and map the member's ID to its own address.
+	// Deprecated: RequireAuth has no effect: a secured peer always
+	// refuses plain (session-less) requests. It remains so that code
+	// setting it still compiles.
 	RequireAuth bool
 	// ChaosDelay artificially delays every inbound RPC handler — a
 	// test knob for observing deadline-shed behaviour under load.
@@ -605,10 +604,9 @@ func NewUDPPeer(ctx context.Context, ucfg UDPPeerConfig) (_ *Peer, err error) {
 		wal.Instrument(node.Metrics())
 	}
 	tr, err := wire.ListenUDP(ucfg.Listen, node, wire.UDPOptions{
-		Timeout:     ucfg.Timeout,
-		Admission:   admission.Config{QueueDepth: cfg.QueueDepth, PerPeerRate: cfg.PerPeerRate},
-		Sessions:    sessions,
-		RequireAuth: ucfg.RequireAuth,
+		Timeout:   ucfg.Timeout,
+		Admission: admission.Config{QueueDepth: cfg.QueueDepth, PerPeerRate: cfg.PerPeerRate},
+		Sessions:  sessions,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("dharma: %w", err)

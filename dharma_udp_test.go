@@ -426,7 +426,6 @@ func TestUDPPeerSecuredBoot(t *testing.T) {
 			IdentityPath:    idPath[name],
 			CAPath:          likir.PublicKeyPath(caDir),
 			RevocationsPath: likir.BundlePath(caDir),
-			RequireAuth:     true,
 		}
 		if via != nil {
 			cfg.Bootstrap = []string{string(via.Node.Transport().Addr())}

@@ -95,10 +95,3 @@ func TestDurableWipeRecover(t *testing.T) {
 		t.Fatal("test exercised nothing: no acknowledged writes recorded")
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -259,17 +259,3 @@ func PopularTags(g *folksonomy.Graph, n int) []string {
 	}
 	return out
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -173,10 +173,3 @@ func emergeStr(e int) string {
 	}
 	return fmt.Sprintf("%d", e)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -2,11 +2,14 @@ package kademlia
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
 	"dharma/internal/kadid"
 	"dharma/internal/likir"
+	"dharma/internal/session"
+	"dharma/internal/simnet"
 	"dharma/internal/wire"
 )
 
@@ -74,6 +77,150 @@ func TestAdmitRejectsBadCredentials(t *testing.T) {
 		}
 		if got := rejected.Load(); got != int64(i+1) {
 			t.Fatalf("%s: AuthRejected[STORE] = %d, want %d", tc.name, got, i+1)
+		}
+	}
+}
+
+// securedUDP opens a loopback UDP transport with a session layer for
+// id, serving h.
+func securedUDP(t *testing.T, auth *likir.Authority, id *likir.Identity, h simnet.Handler) *wire.UDPTransport {
+	t.Helper()
+	m, err := session.NewManager(session.Config{Identity: id, CAPub: auth.PublicKey()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := wire.ListenUDP("127.0.0.1:0", h, wire.UDPOptions{Sessions: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tr.Close() })
+	return tr
+}
+
+// securedUDPNode boots a secured node for id on a securedUDP transport.
+func securedUDPNode(t *testing.T, auth *likir.Authority, id *likir.Identity) *Node {
+	t.Helper()
+	n := NewNode(kadid.ID{}, Config{K: 4, Identity: id, CAPub: auth.PublicKey()})
+	n.Attach(securedUDP(t, auth, id, n))
+	return n
+}
+
+// TestAdmitSessionIsTheSender: over real UDP, a member that names
+// another member as the sender of a request sealed under its own
+// session, and presents that member's (public) credential, is refused.
+// Nothing lands, the refusal is counted once, and the named member's
+// contact keeps its real address.
+func TestAdmitSessionIsTheSender(t *testing.T) {
+	auth, err := likir.NewAuthority(nil, time.Hour, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	issue := func(name string) *likir.Identity {
+		id, err := auth.Issue(nil, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	srvID, bobID, malloryID := issue("server"), issue("bob"), issue("mallory")
+	srv := securedUDPNode(t, auth, srvID)
+	bob := securedUDPNode(t, auth, bobID)
+	ctx := context.Background()
+	if !bob.Ping(ctx, srv.Self()) {
+		t.Fatal("bob's ping failed")
+	}
+	if !inTable(srv, bob.Self()) {
+		t.Fatal("server did not learn bob from his ping")
+	}
+
+	mallory := securedUDP(t, auth, malloryID, nil)
+	chosen := "127.0.0.1:9"
+	rejected := srv.Counters().AuthRejected.At(int(wire.KindStore) - 1)
+	before := rejected.Load()
+	raw, err := mallory.Call(ctx, simnet.Addr(srv.Self().Addr), wire.Encode(&wire.Message{
+		Kind:    wire.KindStore,
+		From:    wire.Contact{ID: bobID.NodeID, Addr: chosen},
+		Cred:    bobID.Credential.Marshal(),
+		Target:  kadid.HashString("block"),
+		Entries: []wire.Entry{{Field: "arc", Count: 1}},
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := wire.Decode(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Kind != wire.KindUnauthorized {
+		t.Fatalf("STORE naming another member answered %v, want UNAUTHORIZED", resp.Kind)
+	}
+	if srv.LocalStore().Len() != 0 {
+		t.Fatal("refused STORE reached the store")
+	}
+	if got := rejected.Load() - before; got != 1 {
+		t.Fatalf("AuthRejected[STORE] moved by %d, want 1", got)
+	}
+	got := srv.Table().Closest(bobID.NodeID, 1)
+	if len(got) != 1 || got[0] != bob.Self() {
+		t.Fatalf("server maps bob to %v, want %v", got, bob.Self())
+	}
+}
+
+// TestSealedRequestCarriesNoCredential: a secured node's request over
+// its own session transport reaches the handler without a credential
+// blob, since the session proves the sender; over a transport that
+// hides its session layer (a wrapper) the node still attaches it.
+func TestSealedRequestCarriesNoCredential(t *testing.T) {
+	auth, err := likir.NewAuthority(nil, time.Hour, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvID, err := auth.Issue(nil, "server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvNode := NewNode(kadid.ID{}, Config{K: 4, Identity: srvID, CAPub: auth.PublicKey()})
+	var mu sync.Mutex
+	var creds [][]byte
+	srv := securedUDP(t, auth, srvID, simnet.HandlerFunc(
+		func(ctx context.Context, from simnet.Addr, p []byte) ([]byte, error) {
+			m, err := wire.Decode(p)
+			if err != nil {
+				return nil, err
+			}
+			mu.Lock()
+			creds = append(creds, m.Cred)
+			mu.Unlock()
+			return srvNode.HandleRPC(ctx, from, p)
+		}))
+	srvNode.Attach(srv)
+
+	for i, tc := range []struct {
+		name     string
+		wrap     bool
+		wantCred bool
+	}{
+		{"session transport", false, false},
+		{"wrapped transport", true, true},
+	} {
+		id, err := auth.Issue(nil, tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := NewNode(kadid.ID{}, Config{K: 4, Identity: id, CAPub: auth.PublicKey()})
+		var tr simnet.Transport = securedUDP(t, auth, id, n)
+		if tc.wrap {
+			tr = struct{ simnet.Transport }{tr}
+		}
+		n.Attach(tr)
+		if !n.Ping(context.Background(), srvNode.Self()) {
+			t.Fatalf("%s: ping failed", tc.name)
+		}
+		mu.Lock()
+		got := creds[i]
+		mu.Unlock()
+		if (len(got) > 0) != tc.wantCred {
+			t.Fatalf("%s: request carried %d credential bytes, want a credential: %v", tc.name, len(got), tc.wantCred)
 		}
 	}
 }

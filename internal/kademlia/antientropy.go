@@ -40,6 +40,13 @@ const DefaultRepublishEvery = 4
 // force-sync rule fires on the first round that sees them.
 const aeNeverSynced = math.MinInt64 / 2
 
+// aeTimer is one block's anti-entropy timer.
+type aeTimer struct {
+	seen     uint64 // version observed at the previous round
+	syncedV  uint64 // version at the last completed sync
+	syncedAt int64  // round of the last completed sync; aeNeverSynced before it
+}
+
 // AntiEntropyRound reports what one AntiEntropyOnce round did.
 type AntiEntropyRound struct {
 	Synced     int // blocks summary-synced this round
@@ -82,22 +89,22 @@ func (n *Node) AntiEntropyOnce(ctx context.Context, every int) AntiEntropyRound 
 			continue
 		}
 		n.aeMu.Lock()
-		seen, seenOK := n.aeSeen[key]
-		syncedV := n.aeSyncedV[key]
-		lastRound, syncedOK := n.aeRoundAt[key]
-		if !syncedOK {
-			lastRound = aeNeverSynced
+		tm, seenOK := n.aeTimers[key]
+		if !seenOK {
+			tm.syncedAt = aeNeverSynced
 		}
-		n.aeSeen[key] = v
+		written := seenOK && tm.seen != v
+		tm.seen = v
+		n.aeTimers[key] = tm
 		n.aeMu.Unlock()
 
-		due := round-lastRound >= int64(every)
+		due := round-tm.syncedAt >= int64(every)
 		switch {
-		case !due && seenOK && seen != v:
+		case !due && written:
 			r.Suppressed++
 			n.counters.Suppressed.Inc()
 			continue
-		case !due && syncedOK && syncedV == v:
+		case !due && tm.syncedV == v:
 			r.Skipped++
 			n.counters.Skipped.Inc()
 			continue
@@ -107,8 +114,9 @@ func (n *Node) AntiEntropyOnce(ctx context.Context, every int) AntiEntropyRound 
 		r.Acks += n.syncBlock(ctx, key, targets)
 		r.Synced++
 		n.aeMu.Lock()
-		n.aeSyncedV[key] = v
-		n.aeRoundAt[key] = round
+		tm = n.aeTimers[key]
+		tm.syncedV, tm.syncedAt = v, round
+		n.aeTimers[key] = tm
 		n.aeMu.Unlock()
 	}
 	return r

@@ -295,14 +295,26 @@ func TestRefusalUDPHandshakeBusy(t *testing.T) {
 	defer srv.Close()
 	defer close(gate)
 
-	// An open caller's plain request takes the only slot and sticks.
-	holder, err := wire.ListenUDP("127.0.0.1:0", nil, wire.UDPOptions{})
+	// Another member's sealed request takes the only slot and sticks.
+	// Its handshake passes the gate first, and the request can land
+	// before the handshake has left the slot, so a BUSY is retried and
+	// the refusals counted below start once the slot is held.
+	_, holderSessions := manager("holder")
+	holder, err := wire.ListenUDP("127.0.0.1:0", nil, wire.UDPOptions{Sessions: holderSessions})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer holder.Close()
-	go holder.Call(context.Background(), srv.Addr(), []byte("hold")) //nolint:errcheck // ends when holder closes
+	go func() {
+		for {
+			// Ends when holder closes.
+			if _, err := holder.Call(context.Background(), srv.Addr(), []byte("hold")); !errors.Is(err, wire.ErrBusy) {
+				return
+			}
+		}
+	}()
 	<-entered
+	refused := srv.AdmissionStats().RejectedQueue
 
 	cliID, cliSessions := manager("client")
 	n := NewNode(kadid.ID{}, Config{K: 4, Identity: cliID, CAPub: auth.PublicKey()})
@@ -328,14 +340,14 @@ func TestRefusalUDPHandshakeBusy(t *testing.T) {
 	if !inTable(n, peer) {
 		t.Fatal("busy server evicted from the caller's table")
 	}
-	if got := srv.AdmissionStats().RejectedQueue; got != 2+busyRetries {
+	if got := srv.AdmissionStats().RejectedQueue - refused; got != 2+busyRetries {
 		t.Fatalf("server refused %d hellos, want %d (one dial, then a call and its retries)", got, 2+busyRetries)
 	}
 }
 
-// TestRefusalUDPRequireAuth: a plain caller refused by a server that
-// requires sessions gets ErrUnauthorized and keeps the server.
-func TestRefusalUDPRequireAuth(t *testing.T) {
+// TestRefusalUDPPlainCaller: a plain caller refused by a server with a
+// session layer gets ErrUnauthorized and keeps the server.
+func TestRefusalUDPPlainCaller(t *testing.T) {
 	auth, err := likir.NewAuthority(nil, time.Hour, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -350,9 +362,9 @@ func TestRefusalUDPRequireAuth(t *testing.T) {
 	}
 	srv, err := wire.ListenUDP("127.0.0.1:0", simnet.HandlerFunc(
 		func(context.Context, simnet.Addr, []byte) ([]byte, error) {
-			t.Error("handler ran for a plain request under require-auth")
+			t.Error("handler ran for a plain request to a secured transport")
 			return nil, nil
-		}), wire.UDPOptions{Sessions: srvSessions, RequireAuth: true})
+		}), wire.UDPOptions{Sessions: srvSessions})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +383,7 @@ func TestRefusalUDPRequireAuth(t *testing.T) {
 	start := time.Now()
 	err = n.call(context.Background(), peer, &wire.Message{Kind: wire.KindPing}, new(wire.Message))
 	if elapsed := time.Since(start); !errors.Is(err, wire.ErrUnauthorized) || elapsed > wire.DefaultUDPTimeout/10 {
-		t.Fatalf("plain call under require-auth = %v after %v, want ErrUnauthorized well inside %v", err, elapsed, wire.DefaultUDPTimeout)
+		t.Fatalf("plain call to a secured transport = %v after %v, want ErrUnauthorized well inside %v", err, elapsed, wire.DefaultUDPTimeout)
 	}
 	if !inTable(n, peer) {
 		t.Fatal("refusing server evicted from the caller's table")

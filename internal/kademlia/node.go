@@ -139,6 +139,10 @@ type Node struct {
 	selfMu    sync.RWMutex
 	self      wire.Contact
 	transport simnet.Transport
+	// cred is the marshalled Likir credential callOnce attaches to every
+	// request: nil on an open node, and on a transport whose sessions
+	// already prove who sent a request.
+	cred []byte
 	// detached is true while the node has no live endpoint (never
 	// attached, gracefully departed, or crashed). A detached node must
 	// not interpret its own send failures as peers being dead — its
@@ -151,21 +155,15 @@ type Node struct {
 	// at once, adaptively: see admission.Limit and startBlockOp.
 	ops *admission.Limit
 
-	credBlob []byte
-
 	// credCache remembers peers whose credential already verified, so
 	// the Ed25519 check runs once per peer rather than once per message.
 	credMu   sync.RWMutex
 	credSeen map[kadid.ID]bool
 
 	// Anti-entropy state (antientropy.go). aeMu guards the per-block
-	// timer maps: the version observed at the previous round (aeSeen),
-	// the version and round of the last completed sync (aeSyncedV,
-	// aeRoundAt) and the round counter.
+	// timers and the round counter.
 	aeMu       sync.Mutex
-	aeSeen     map[kadid.ID]uint64
-	aeSyncedV  map[kadid.ID]uint64
-	aeRoundAt  map[kadid.ID]int64
+	aeTimers   map[kadid.ID]aeTimer
 	aeRoundCtr int64
 
 	maintRounds atomic.Int64 // MaintainOnce rounds run; seeds each round's refresh choices
@@ -204,18 +202,16 @@ func NewNode(self kadid.ID, cfg Config) *Node {
 	}
 	reg := obs.NewRegistry()
 	n := &Node{
-		cfg:       cfg,
-		id:        self,
-		self:      wire.Contact{ID: self},
-		store:     store,
-		credSeen:  make(map[kadid.ID]bool),
-		aeSeen:    make(map[kadid.ID]uint64),
-		aeSyncedV: make(map[kadid.ID]uint64),
-		aeRoundAt: make(map[kadid.ID]int64),
-		replicas:  replicaSets{max: max(1, replicaCacheContacts/cfg.K), sets: make(map[kadid.ID][]wire.Contact)},
-		ops:       admission.NewLimit(0),
-		reg:       reg,
-		counters:  newCounters(reg),
+		cfg:      cfg,
+		id:       self,
+		self:     wire.Contact{ID: self},
+		store:    store,
+		credSeen: make(map[kadid.ID]bool),
+		aeTimers: make(map[kadid.ID]aeTimer),
+		replicas: replicaSets{max: max(1, replicaCacheContacts/cfg.K), sets: make(map[kadid.ID][]wire.Contact)},
+		ops:      admission.NewLimit(0),
+		reg:      reg,
+		counters: newCounters(reg),
 	}
 	n.detached.Store(true) // until Attach
 	n.table = NewTable(self, cfg.K, nil)
@@ -233,9 +229,6 @@ func NewNode(self kadid.ID, cfg Config) *Node {
 		"Inbound requests rejected by a peer's exhausted token bucket.", func() int64 { return n.AdmissionStats().RejectedRate })
 	reg.GaugeFunc("dharma_admission_in_flight",
 		"Admitted requests currently in their handler.", func() int64 { return n.AdmissionStats().InFlight })
-	if cfg.Identity != nil {
-		n.credBlob = cfg.Identity.Credential.Marshal()
-	}
 	return n
 }
 
@@ -247,11 +240,18 @@ func (n *Node) Detached() bool { return n.detached.Load() }
 // Re-attaching (a crashed node reviving) is safe while RPCs are in
 // flight. It starts a new routing epoch: a node coming back learns
 // nothing of what moved while it was away, so the replica sets it
-// cached before are not trusted.
+// cached before are not trusted. A secured node's requests carry its
+// credential unless tr seals them under sessions, which prove the
+// sender instead.
 func (n *Node) Attach(tr simnet.Transport) {
+	var cred []byte
+	if n.cfg.Identity != nil && !seals(tr) {
+		cred = n.cfg.Identity.Credential.Marshal()
+	}
 	n.selfMu.Lock()
 	n.transport = tr
 	n.self.Addr = string(tr.Addr())
+	n.cred = cred
 	n.selfMu.Unlock()
 	n.table.newEpoch()
 	n.detached.Store(false)
@@ -286,6 +286,13 @@ func (n *Node) Transport() simnet.Transport {
 	n.selfMu.RLock()
 	defer n.selfMu.RUnlock()
 	return n.transport
+}
+
+// seals reports whether tr runs a session layer: every request it sends
+// is sealed, and every request it serves arrived on a session.
+func seals(tr simnet.Transport) bool {
+	s, ok := tr.(interface{ Sessions() *session.Manager })
+	return ok && s.Sessions() != nil
 }
 
 // AdmissionStats reports the admission accounting of the node's current
@@ -495,13 +502,13 @@ func (n *Node) HandleRPC(ctx context.Context, from simnet.Addr, payload []byte) 
 }
 
 // admit enforces Likir node admission when a CA public key is
-// configured: requests must carry a valid credential matching the
-// claimed sender identifier. Requests arriving over a transport
-// session (wire.UDPTransport handshake) were already authenticated
-// against the same CA key; the per-message credential check is skipped
-// for them — revocation is still consulted every time, because a
-// bundle refresh can outdate a session that verified cleanly at
-// handshake.
+// configured. A request that arrived on a transport session
+// (wire.UDPTransport handshake) comes from the session's peer, whom the
+// handshake verified against the same CA key: it may name that peer or
+// no one, and its credential blob is not read. Any other request must
+// carry a valid credential matching the claimed sender identifier.
+// Revocation is consulted every time, because a bundle refresh can
+// outdate a session that verified cleanly at handshake.
 func (n *Node) admit(ctx context.Context, msg *wire.Message) error {
 	if n.cfg.Revoked != nil && n.cfg.Revoked(msg.From.ID) {
 		return errors.New("kademlia: peer identity revoked")
@@ -509,8 +516,11 @@ func (n *Node) admit(ctx context.Context, msg *wire.Message) error {
 	if n.cfg.CAPub == nil {
 		return nil
 	}
-	if peer, ok := session.PeerFromContext(ctx); ok && peer.NodeID == msg.From.ID {
-		return nil // session handshake already verified this identity
+	if peer, ok := session.PeerFromContext(ctx); ok {
+		if msg.From.ID != (kadid.ID{}) && msg.From.ID != peer.NodeID {
+			return errors.New("kademlia: sender id is not the session's peer")
+		}
+		return nil
 	}
 	if msg.From.ID == (kadid.ID{}) {
 		return nil // anonymous probe (no routing-table update happens)
@@ -614,9 +624,9 @@ func (n *Node) callOnce(ctx context.Context, to wire.Contact, msg, resp *wire.Me
 	}
 	n.selfMu.RLock()
 	msg.From = n.self
+	msg.Cred = n.cred
 	tr := n.transport
 	n.selfMu.RUnlock()
-	msg.Cred = n.credBlob
 	// Stamp the caller's remaining budget on the wire so the receiver
 	// can shed the request if it arrives already dead. Zero means "no
 	// deadline"; a context that is over before encoding is refused here,

@@ -173,10 +173,3 @@ func clamp(v, lo, hi int) int {
 	}
 	return v
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

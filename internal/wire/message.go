@@ -163,5 +163,5 @@ type Message struct {
 	Contacts []Contact
 	Entries  []Entry
 	Err      string
-	Cred     []byte // Likir credential blob of the sender (optional)
+	Cred     []byte // Likir credential blob of the sender; empty when a session proves it
 }

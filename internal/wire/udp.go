@@ -37,11 +37,15 @@ var ErrUnauthorized = errors.New("wire: unauthorized")
 // transport never reads a payload: RPC messages are the handler's
 // business. Secure frames wrap the same payloads in a session seal
 // ([sid ‖ seq ‖ tag ‖ payload]); hello frames carry the session
-// handshake. A reply's kind is its request's plus one. A refused frame
-// answers a request the transport will not serve with a one-byte
-// reason, and the exchange turns it into the error simnet returns for
-// the same verdict. It is unsealed by necessity (a refusal may mean
-// there is no session to seal under).
+// handshake. A transport with a session layer sends and serves secure
+// requests only: the session is the proof of who sent a request, and
+// the handler sees its peer on the request context. A transport
+// without one sends and serves plain requests only. A reply's kind is
+// its request's plus one. A refused frame answers a request the
+// transport will not serve with a one-byte reason, and the exchange
+// turns it into the error simnet returns for the same verdict. It is
+// unsealed by necessity (a refusal may mean there is no session to
+// seal under).
 //
 // Buffer ownership: write builds every datagram in a free-list buffer
 // (Borrow) and recycles it once the socket has it. The read loop copies
@@ -68,7 +72,7 @@ const (
 const (
 	refusedBusy           = 0x01 // admission gate full, or the handler shed the request
 	refusedStaleSession   = 0x02 // sealed under a session the receiver does not hold
-	refusedNoSession      = 0x03 // plain request to a transport that requires a session
+	refusedNoSession      = 0x03 // plain request to a transport with a session layer
 	refusedNoSessionLayer = 0x04 // hello or sealed request to a transport without sessions
 )
 
@@ -88,11 +92,11 @@ type UDPTransport struct {
 	ctrl    *admission.Controller
 
 	// sessions enables the authenticated-session layer: outbound calls
-	// are sealed under a per-peer session (handshaking on first use) and
+	// are sealed under a per-peer session (handshaking on first use),
 	// inbound sealed requests are verified and served with the peer's
-	// identity on the handler context. nil = open transport.
-	sessions    *session.Manager
-	requireAuth bool // reject plain (unsealed) inbound requests
+	// identity on the handler context, and plain ones are refused.
+	// nil = open transport.
+	sessions *session.Manager
 
 	hsMu       sync.Mutex
 	hsInflight map[string]chan struct{} // singleflight per dial addr
@@ -125,13 +129,9 @@ type UDPOptions struct {
 	Admission admission.Config
 	// Sessions enables the authenticated-session layer. Outbound calls
 	// handshake on first contact with a peer and seal every datagram;
-	// inbound sealed requests are verified against the session cache.
+	// inbound sealed requests are verified against the session cache,
+	// and plain ones are refused (the caller sees ErrUnauthorized).
 	Sessions *session.Manager
-	// RequireAuth (with Sessions set) refuses plain inbound requests
-	// (the caller sees ErrUnauthorized) instead of serving them. Leave
-	// false only during a rolling upgrade: a plain request carries no
-	// proof that its sender holds the credential it presents.
-	RequireAuth bool
 }
 
 // ListenUDP binds a UDP socket on bind (e.g. "127.0.0.1:0") and serves
@@ -151,18 +151,17 @@ func ListenUDP(bind string, h simnet.Handler, o UDPOptions) (*UDPTransport, erro
 	}
 	baseCtx, baseCancel := context.WithCancel(context.Background())
 	t := &UDPTransport{
-		conn:        conn,
-		handler:     h,
-		timeout:     timeout,
-		ctrl:        admission.New(o.Admission),
-		sessions:    o.Sessions,
-		requireAuth: o.RequireAuth && o.Sessions != nil,
-		hsInflight:  make(map[string]chan struct{}),
-		pending:     make(map[uint64]*slot),
-		peerCtxs:    make(map[*session.Session]context.Context),
-		baseCtx:     baseCtx,
-		baseCancel:  baseCancel,
-		closed:      make(chan struct{}),
+		conn:       conn,
+		handler:    h,
+		timeout:    timeout,
+		ctrl:       admission.New(o.Admission),
+		sessions:   o.Sessions,
+		hsInflight: make(map[string]chan struct{}),
+		pending:    make(map[uint64]*slot),
+		peerCtxs:   make(map[*session.Session]context.Context),
+		baseCtx:    baseCtx,
+		baseCancel: baseCancel,
+		closed:     make(chan struct{}),
 	}
 	t.wg.Add(1)
 	go t.readLoop()
@@ -219,7 +218,7 @@ func (t *UDPTransport) Instrument(reg *obs.Registry) {
 			"Bytes written to the UDP socket, framing included."),
 	})
 	reg.CounterFunc("dharma_udp_unauthenticated_rejected_total",
-		"Inbound frames rejected by the transport's session layer (failed handshakes and plain requests under require-auth).",
+		"Inbound frames rejected by the transport's session layer: failed handshakes and plain (session-less) requests.",
 		t.authRej.Load)
 	if t.sessions != nil {
 		t.sessions.Instrument(reg)
@@ -227,7 +226,7 @@ func (t *UDPTransport) Instrument(reg *obs.Registry) {
 }
 
 // AuthRejected is the number of inbound frames the session layer
-// rejected: failed handshakes plus plain requests under require-auth.
+// rejected: failed handshakes plus plain requests.
 func (t *UDPTransport) AuthRejected() int64 { return t.authRej.Load() }
 
 // Sessions exposes the transport's session manager (nil when the
@@ -245,8 +244,8 @@ func (t *UDPTransport) Addr() simnet.Addr {
 // held hostage by the transport's own retry timeout.
 //
 // A refusal comes back as its error: ErrBusy, or ErrUnauthorized for a
-// plain request to a peer that requires a session or a sealed one to a
-// peer without sessions. With sessions enabled the payload is sealed
+// plain request to a peer with sessions or a sealed one to a peer
+// without them. With sessions enabled the payload is sealed
 // under the peer's session (handshaking on first contact). If the peer
 // no longer recognises the session — it restarted or evicted us — it
 // refuses the frame as stale; Call re-handshakes and retries once.
@@ -570,7 +569,8 @@ func (t *UDPTransport) serve(kind byte, from netip.AddrPort, addr string, id uin
 			return // bad MAC / replay: silence, as for any forged datagram
 		}
 		ctx = t.peerContext(s)
-	case t.requireAuth:
+	case t.sessions != nil:
+		// A plain request proves no sender: only a session does.
 		t.authRej.Add(1)
 		t.refuse(from, id, refusedNoSession)
 		return

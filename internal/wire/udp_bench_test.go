@@ -39,7 +39,7 @@ func BenchmarkUDPCall(b *testing.B) {
 						b.Fatal(err)
 					}
 					cfg.Identity, cfg.CAPub = id, auth.PublicKey()
-					opts = wire.UDPOptions{Sessions: m, RequireAuth: true}
+					opts = wire.UDPOptions{Sessions: m}
 				}
 				n := kademlia.NewNode(kadid.HashString(seed), cfg)
 				tr, err := wire.ListenUDP("127.0.0.1:0", n, opts)

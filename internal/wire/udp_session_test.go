@@ -39,9 +39,8 @@ func newSecuredTransport(t *testing.T, auth *likir.Authority, id *likir.Identity
 		t.Fatalf("session.NewManager: %v", err)
 	}
 	tr, err := ListenUDP("127.0.0.1:0", h, UDPOptions{
-		Timeout:     time.Second,
-		Sessions:    mgr,
-		RequireAuth: true,
+		Timeout:  time.Second,
+		Sessions: mgr,
 	})
 	if err != nil {
 		t.Fatalf("ListenUDP: %v", err)
@@ -86,7 +85,7 @@ func TestUDPSessionRoundTrip(t *testing.T) {
 	}
 }
 
-func TestUDPRequireAuthRejectsPlainCaller(t *testing.T) {
+func TestUDPSessionRejectsPlainCaller(t *testing.T) {
 	auth, ids := newTestCA(t, 1)
 	srv := newSecuredTransport(t, auth, ids[0], simnet.HandlerFunc(
 		func(context.Context, simnet.Addr, []byte) ([]byte, error) {
@@ -158,7 +157,7 @@ func TestUDPSessionStaleRehandshake(t *testing.T) {
 	var srv2 *UDPTransport
 	for i := 0; ; i++ {
 		srv2, err = ListenUDP(string(addr), echo, UDPOptions{
-			Timeout: time.Second, Sessions: mgr2, RequireAuth: true,
+			Timeout: time.Second, Sessions: mgr2,
 		})
 		if err == nil {
 			break

@@ -6,9 +6,7 @@
 # (mallory) is revoked before the fleet boots. The 3-node fleet runs
 # over real UDP and requires sessions: every datagram travels inside an
 # authenticated session, every mutation is vetted against the CA key
-# and the revocation bundle. Node 0 is started without -require-auth,
-# so the plain writer it refuses proves that a secured `serve` requires
-# sessions by default.
+# and the revocation bundle.
 #
 # The script then proves the three properties the layer exists for:
 #
@@ -52,7 +50,7 @@ done
 
 SEC=(-ca "$CA/ca.pub" -revocations "$CA/revocations.bin")
 
-echo "== 3-node secured fleet on ${BASE_PORT}..$((BASE_PORT + 2)) (node 0 requires sessions by default)"
+echo "== 3-node secured fleet on ${BASE_PORT}..$((BASE_PORT + 2))"
 "$NODE" serve -listen "127.0.0.1:${BASE_PORT}" \
   -identity "$WORK/node0.id" "${SEC[@]}" \
   -debug-addr "127.0.0.1:${DEBUG_PORT}" \
@@ -62,7 +60,7 @@ sleep 0.5
 for i in 1 2; do
   "$NODE" serve -listen "127.0.0.1:$((BASE_PORT + i))" \
     -bootstrap "127.0.0.1:${BASE_PORT}" \
-    -identity "$WORK/node$i.id" "${SEC[@]}" -require-auth \
+    -identity "$WORK/node$i.id" "${SEC[@]}" \
     -debug-addr "127.0.0.1:$((DEBUG_PORT + i))" \
     >"$WORK/node$i.log" 2>&1 &
   PIDS+=($!)
@@ -118,8 +116,7 @@ echo "   neither malicious write left a readable trace"
 
 echo "== scraping the security telemetry"
 # Node 0 accepted the fleet's and alice's handshakes, holds live
-# sessions, and refused the plain caller at the transport — with no
-# -require-auth flag of its own.
+# sessions, and refused the plain caller at the transport.
 "$NODE" scrape -addr "127.0.0.1:${DEBUG_PORT}" -assert-rpc \
   -assert-min "dharma_session_accepted_total=2,dharma_session_cache_size=1,dharma_udp_unauthenticated_rejected_total=1" \
   >"$WORK/scrape0.out"
@@ -133,7 +130,7 @@ grep -E '^assert-min ok' "$WORK/scrape1.out"
 
 echo "== deadline propagation: 100ms client budget, 300ms server delay"
 "$NODE" serve -listen "127.0.0.1:$((BASE_PORT + 3))" \
-  -identity "$WORK/node3.id" "${SEC[@]}" -require-auth \
+  -identity "$WORK/node3.id" "${SEC[@]}" \
   -chaos-delay 300ms \
   -debug-addr "127.0.0.1:$((DEBUG_PORT + 3))" \
   >"$WORK/node3.log" 2>&1 &
