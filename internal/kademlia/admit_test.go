@@ -13,21 +13,31 @@ import (
 	"dharma/internal/wire"
 )
 
-// TestAdmitRejectsBadCredentials drives admit's credential branches on
-// a secured simnet node: a STORE whose credential blob does not parse,
-// was issued by another authority, or names a different node than the
-// sender must be answered UNAUTHORIZED, land nothing, and be counted.
+// TestAdmitRejectsBadCredentials drives admit's one rule on a secured
+// simnet node with requests that carry no transport peer but name a
+// sender: a STORE whose credential blob does not parse, was issued by
+// another authority, or names a different node than its credential, and
+// a STORE that names a member the node already knows (bob, who pinged
+// it) with no credential at all, from an address of the sender's
+// choosing. Each must be answered UNAUTHORIZED, land nothing, and be
+// counted; bob's contact keeps his real address.
 func TestAdmitRejectsBadCredentials(t *testing.T) {
 	auth, err := likir.NewAuthority(nil, time.Hour, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := NewCluster(ClusterConfig{N: 1, Node: Config{K: 4}, Seed: 5, Authority: auth})
+	cl, err := NewCluster(ClusterConfig{N: 2, Node: Config{K: 4}, Seed: 5, Authority: auth})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Shutdown()
-	srv := cl.Nodes[0]
+	srv, bob := cl.Nodes[0], cl.Nodes[1]
+	if !bob.Ping(context.Background(), srv.Self()) {
+		t.Fatal("bob's ping failed")
+	}
+	if !inTable(srv, bob.Self()) {
+		t.Fatal("server did not learn bob from his ping")
+	}
 
 	client, err := auth.Issue(nil, "client")
 	if err != nil {
@@ -46,22 +56,24 @@ func TestAdmitRejectsBadCredentials(t *testing.T) {
 	cases := []struct {
 		name string
 		from kadid.ID
+		addr string
 		cred []byte
 	}{
-		{"malformed", client.NodeID, []byte{0xde, 0xad, 0xbe, 0xef}},
-		{"other CA", foreign.NodeID, foreign.Credential.Marshal()},
-		{"id mismatch", kadid.HashString("impostor"), client.Credential.Marshal()},
+		{"malformed", client.NodeID, "client-addr", []byte{0xde, 0xad, 0xbe, 0xef}},
+		{"other CA", foreign.NodeID, "client-addr", foreign.Credential.Marshal()},
+		{"id mismatch", kadid.HashString("impostor"), "client-addr", client.Credential.Marshal()},
+		{"known member, no credential", bob.Self().ID, "mallory:9", nil},
 	}
 	rejected := srv.Counters().AuthRejected.At(int(wire.KindStore) - 1)
 	for i, tc := range cases {
 		payload := wire.Encode(&wire.Message{
 			Kind:    wire.KindStore,
-			From:    wire.Contact{ID: tc.from, Addr: "client-addr"},
+			From:    wire.Contact{ID: tc.from, Addr: tc.addr},
 			Cred:    tc.cred,
 			Target:  key,
 			Entries: []wire.Entry{{Field: "arc", Count: 1}},
 		})
-		out, err := srv.HandleRPC(context.Background(), "client-addr", payload)
+		out, err := srv.HandleRPC(context.Background(), simnet.Addr(tc.addr), payload)
 		if err != nil {
 			t.Fatalf("%s: HandleRPC: %v", tc.name, err)
 		}
@@ -78,6 +90,10 @@ func TestAdmitRejectsBadCredentials(t *testing.T) {
 		if got := rejected.Load(); got != int64(i+1) {
 			t.Fatalf("%s: AuthRejected[STORE] = %d, want %d", tc.name, got, i+1)
 		}
+	}
+	got := srv.Table().Closest(bob.Self().ID, 1)
+	if len(got) != 1 || got[0] != bob.Self() {
+		t.Fatalf("server maps bob to %v, want %v", got, bob.Self())
 	}
 }
 
@@ -166,10 +182,11 @@ func TestAdmitSessionIsTheSender(t *testing.T) {
 	}
 }
 
-// TestSealedRequestCarriesNoCredential: a secured node's request over
-// its own session transport reaches the handler without a credential
-// blob, since the session proves the sender; over a transport that
-// hides its session layer (a wrapper) the node still attaches it.
+// TestSealedRequestCarriesNoCredential: no request a secured node sends
+// carries a credential blob, on any transport, because the transport
+// proves the sender: its own UDP session transport, a wrapper that
+// hides the session layer, and a secured simnet cluster's endpoint.
+// Each request is still admitted under the node's name.
 func TestSealedRequestCarriesNoCredential(t *testing.T) {
 	auth, err := likir.NewAuthority(nil, time.Hour, nil)
 	if err != nil {
@@ -179,11 +196,10 @@ func TestSealedRequestCarriesNoCredential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srvNode := NewNode(kadid.ID{}, Config{K: 4, Identity: srvID, CAPub: auth.PublicKey()})
 	var mu sync.Mutex
 	var creds [][]byte
-	srv := securedUDP(t, auth, srvID, simnet.HandlerFunc(
-		func(ctx context.Context, from simnet.Addr, p []byte) ([]byte, error) {
+	record := func(srv *Node) simnet.Handler {
+		return simnet.HandlerFunc(func(ctx context.Context, from simnet.Addr, p []byte) ([]byte, error) {
 			m, err := wire.Decode(p)
 			if err != nil {
 				return nil, err
@@ -191,36 +207,50 @@ func TestSealedRequestCarriesNoCredential(t *testing.T) {
 			mu.Lock()
 			creds = append(creds, m.Cred)
 			mu.Unlock()
-			return srvNode.HandleRPC(ctx, from, p)
-		}))
-	srvNode.Attach(srv)
+			return srv.HandleRPC(ctx, from, p)
+		})
+	}
+	udpSrv := NewNode(kadid.ID{}, Config{K: 4, Identity: srvID, CAPub: auth.PublicKey()})
+	udpSrv.Attach(securedUDP(t, auth, srvID, record(udpSrv)))
+
+	cl, err := NewCluster(ClusterConfig{N: 1, Node: Config{K: 4}, Seed: 7, Authority: auth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Shutdown()
+	simSrv := NewNode(kadid.ID{}, Config{K: 4, Identity: srvID, CAPub: auth.PublicKey()})
+	simSrv.Attach(cl.Net.Attach("server", record(simSrv)))
 
 	for i, tc := range []struct {
-		name     string
-		wrap     bool
-		wantCred bool
+		name string
+		wrap bool
+		sim  bool
 	}{
 		{"session transport", false, false},
-		{"wrapped transport", true, true},
+		{"wrapped transport", true, false},
+		{"secured simnet cluster", false, true},
 	} {
-		id, err := auth.Issue(nil, tc.name)
-		if err != nil {
-			t.Fatal(err)
+		n, to := cl.Nodes[0], simSrv.Self()
+		if !tc.sim {
+			id, err := auth.Issue(nil, tc.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, to = NewNode(kadid.ID{}, Config{K: 4, Identity: id, CAPub: auth.PublicKey()}), udpSrv.Self()
+			var tr simnet.Transport = securedUDP(t, auth, id, n)
+			if tc.wrap {
+				tr = struct{ simnet.Transport }{tr}
+			}
+			n.Attach(tr)
 		}
-		n := NewNode(kadid.ID{}, Config{K: 4, Identity: id, CAPub: auth.PublicKey()})
-		var tr simnet.Transport = securedUDP(t, auth, id, n)
-		if tc.wrap {
-			tr = struct{ simnet.Transport }{tr}
-		}
-		n.Attach(tr)
-		if !n.Ping(context.Background(), srvNode.Self()) {
+		if !n.Ping(context.Background(), to) {
 			t.Fatalf("%s: ping failed", tc.name)
 		}
 		mu.Lock()
 		got := creds[i]
 		mu.Unlock()
-		if (len(got) > 0) != tc.wantCred {
-			t.Fatalf("%s: request carried %d credential bytes, want a credential: %v", tc.name, len(got), tc.wantCred)
+		if len(got) > 0 {
+			t.Fatalf("%s: request carried %d credential bytes, want none", tc.name, len(got))
 		}
 	}
 }

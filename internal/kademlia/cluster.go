@@ -48,7 +48,9 @@ type ClusterConfig struct {
 	// Seed drives node identifier generation.
 	Seed int64
 	// Authority, when set, issues a Likir identity to every node and
-	// enables credential checking cluster-wide (Node.CAPub is filled).
+	// secures the cluster (Node.CAPub is filled): each node's simnet
+	// endpoint proves its identity to the nodes it calls, and a request
+	// that names any other sender is refused.
 	Authority *likir.Authority
 	// Bootstrap selects how routing tables are populated (zero value:
 	// BootstrapIterative). Large clusters should use BootstrapWired.

@@ -115,7 +115,7 @@ func TestSessionPeerSkipsCredentialCheck(t *testing.T) {
 		t.Fatalf("session-authenticated ping answered %v, want PONG", resp.Kind)
 	}
 
-	// Same request, no session on the context: credential required.
+	// Same request, no session on the context: it proves no sender.
 	out, err = n.HandleRPC(context.Background(), "client-addr", payload)
 	if err != nil {
 		t.Fatalf("HandleRPC: %v", err)

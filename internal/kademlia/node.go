@@ -65,11 +65,13 @@ type Config struct {
 	K int
 	// Alpha is the lookup parallelism (default DefaultAlpha).
 	Alpha int
-	// Identity is the node's Likir identity. When set, outbound RPCs
-	// carry the marshalled credential.
+	// Identity is the node's Likir identity. It fixes the node's ID, and
+	// the transport proves it to every peer the node calls: a UDP
+	// session, or the simnet endpoint attached for the node.
 	Identity *likir.Identity
-	// CAPub, when set, makes the node reject RPCs from peers without a
-	// valid credential and drop stored entries whose signature fails.
+	// CAPub, when set, makes the node refuse a request that names a
+	// sender its transport did not prove, and refuse stored entries
+	// whose signature fails.
 	CAPub ed25519.PublicKey
 	// Revoked, when set, rejects peers whose identifier it reports as
 	// withdrawn. It is consulted on every message (a revocation cuts
@@ -139,10 +141,6 @@ type Node struct {
 	selfMu    sync.RWMutex
 	self      wire.Contact
 	transport simnet.Transport
-	// cred is the marshalled Likir credential callOnce attaches to every
-	// request: nil on an open node, and on a transport whose sessions
-	// already prove who sent a request.
-	cred []byte
 	// detached is true while the node has no live endpoint (never
 	// attached, gracefully departed, or crashed). A detached node must
 	// not interpret its own send failures as peers being dead — its
@@ -154,11 +152,6 @@ type Node struct {
 	// ops bounds the block operations (Store, FindValue) the node runs
 	// at once, adaptively: see admission.Limit and startBlockOp.
 	ops *admission.Limit
-
-	// credCache remembers peers whose credential already verified, so
-	// the Ed25519 check runs once per peer rather than once per message.
-	credMu   sync.RWMutex
-	credSeen map[kadid.ID]bool
 
 	// Anti-entropy state (antientropy.go). aeMu guards the per-block
 	// timers and the round counter.
@@ -206,7 +199,6 @@ func NewNode(self kadid.ID, cfg Config) *Node {
 		id:       self,
 		self:     wire.Contact{ID: self},
 		store:    store,
-		credSeen: make(map[kadid.ID]bool),
 		aeTimers: make(map[kadid.ID]aeTimer),
 		replicas: replicaSets{max: max(1, replicaCacheContacts/cfg.K), sets: make(map[kadid.ID][]wire.Contact)},
 		ops:      admission.NewLimit(0),
@@ -240,18 +232,13 @@ func (n *Node) Detached() bool { return n.detached.Load() }
 // Re-attaching (a crashed node reviving) is safe while RPCs are in
 // flight. It starts a new routing epoch: a node coming back learns
 // nothing of what moved while it was away, so the replica sets it
-// cached before are not trusted. A secured node's requests carry its
-// credential unless tr seals them under sessions, which prove the
-// sender instead.
+// cached before are not trusted. The node's requests carry no
+// credential: tr proves who sent them (a UDP session, or a simnet
+// endpoint attached for this node, which reads its Identity).
 func (n *Node) Attach(tr simnet.Transport) {
-	var cred []byte
-	if n.cfg.Identity != nil && !seals(tr) {
-		cred = n.cfg.Identity.Credential.Marshal()
-	}
 	n.selfMu.Lock()
 	n.transport = tr
 	n.self.Addr = string(tr.Addr())
-	n.cred = cred
 	n.selfMu.Unlock()
 	n.table.newEpoch()
 	n.detached.Store(false)
@@ -286,13 +273,6 @@ func (n *Node) Transport() simnet.Transport {
 	n.selfMu.RLock()
 	defer n.selfMu.RUnlock()
 	return n.transport
-}
-
-// seals reports whether tr runs a session layer: every request it sends
-// is sealed, and every request it serves arrived on a session.
-func seals(tr simnet.Transport) bool {
-	s, ok := tr.(interface{ Sessions() *session.Manager })
-	return ok && s.Sessions() != nil
 }
 
 // AdmissionStats reports the admission accounting of the node's current
@@ -502,51 +482,24 @@ func (n *Node) HandleRPC(ctx context.Context, from simnet.Addr, payload []byte) 
 }
 
 // admit enforces Likir node admission when a CA public key is
-// configured. A request that arrived on a transport session
-// (wire.UDPTransport handshake) comes from the session's peer, whom the
-// handshake verified against the same CA key: it may name that peer or
-// no one, and its credential blob is not read. Any other request must
-// carry a valid credential matching the claimed sender identifier.
-// Revocation is consulted every time, because a bundle refresh can
-// outdate a session that verified cleanly at handshake.
+// configured, with one rule on both transports: the peer the transport
+// put on ctx (session.PeerFromContext — a UDP session's, verified
+// against the same CA key at handshake, or a simnet endpoint's) is the
+// sender, and a request may name that peer or no one. A request with no
+// peer is anonymous: it names no one, vetMutation keeps it read-only,
+// and it enters no routing table. Revocation is consulted first and
+// every time, because a bundle refresh can outdate a session that
+// verified cleanly at handshake.
 func (n *Node) admit(ctx context.Context, msg *wire.Message) error {
 	if n.cfg.Revoked != nil && n.cfg.Revoked(msg.From.ID) {
 		return errors.New("kademlia: peer identity revoked")
 	}
-	if n.cfg.CAPub == nil {
+	if n.cfg.CAPub == nil || msg.From.ID == (kadid.ID{}) {
 		return nil
 	}
-	if peer, ok := session.PeerFromContext(ctx); ok {
-		if msg.From.ID != (kadid.ID{}) && msg.From.ID != peer.NodeID {
-			return errors.New("kademlia: sender id is not the session's peer")
-		}
-		return nil
+	if peer, ok := session.PeerFromContext(ctx); !ok || peer.NodeID != msg.From.ID {
+		return errors.New("kademlia: sender id is not the transport's peer")
 	}
-	if msg.From.ID == (kadid.ID{}) {
-		return nil // anonymous probe (no routing-table update happens)
-	}
-	n.credMu.RLock()
-	ok := n.credSeen[msg.From.ID]
-	n.credMu.RUnlock()
-	if ok {
-		return nil
-	}
-	if len(msg.Cred) == 0 {
-		return errors.New("kademlia: credential required")
-	}
-	cred, err := likir.UnmarshalCredential(msg.Cred)
-	if err != nil {
-		return err
-	}
-	if err := likir.VerifyCredential(n.cfg.CAPub, cred, nil); err != nil {
-		return err
-	}
-	if cred.NodeID != msg.From.ID {
-		return fmt.Errorf("%w: sender id does not match credential", likir.ErrBadCredential)
-	}
-	n.credMu.Lock()
-	n.credSeen[msg.From.ID] = true
-	n.credMu.Unlock()
 	return nil
 }
 
@@ -624,7 +577,6 @@ func (n *Node) callOnce(ctx context.Context, to wire.Contact, msg, resp *wire.Me
 	}
 	n.selfMu.RLock()
 	msg.From = n.self
-	msg.Cred = n.cred
 	tr := n.transport
 	n.selfMu.RUnlock()
 	// Stamp the caller's remaining budget on the wire so the receiver

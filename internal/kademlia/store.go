@@ -400,14 +400,17 @@ func (s *Store) Has(key kadid.ID) bool {
 	return ok
 }
 
-// Keys returns the identifiers of all stored blocks.
+// Keys returns the identifiers of all stored blocks in ascending
+// order, so maintenance that walks them (anti-entropy, handoff) sends
+// its RPCs in the same order on every run of a seeded simulation.
 func (s *Store) Keys() []kadid.ID {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
 	out := make([]kadid.ID, 0, len(s.blocks))
 	for k := range s.blocks {
 		out = append(out, k)
 	}
+	s.mu.RUnlock()
+	slices.SortFunc(out, kadid.Cmp)
 	return out
 }
 

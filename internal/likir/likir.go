@@ -166,7 +166,8 @@ func VerifyCredential(caPub ed25519.PublicKey, cred *Credential, now func() time
 	return nil
 }
 
-// Marshal encodes the credential for transport in wire.Message.Cred.
+// Marshal encodes the credential for a session HELLO and an identity
+// file.
 func (c *Credential) Marshal() []byte {
 	var b bytes.Buffer
 	writeBlob(&b, []byte(c.Name))

@@ -698,14 +698,16 @@ func readUint64(b []byte) (uint64, []byte, error) {
 type peerKey struct{}
 
 // WithPeer tags ctx with the authenticated remote credential of the
-// session a request arrived on.
+// session a request arrived on. A nil cred shadows any peer ctx already
+// carries: the request proves no sender.
 func WithPeer(ctx context.Context, cred *likir.Credential) context.Context {
 	return context.WithValue(ctx, peerKey{}, cred)
 }
 
 // PeerFromContext returns the transport-authenticated remote identity,
-// if the request arrived over an established session.
+// if the request arrived over an established session; ok is false when
+// ctx carries no peer or a nil one.
 func PeerFromContext(ctx context.Context) (*likir.Credential, bool) {
-	cred, ok := ctx.Value(peerKey{}).(*likir.Credential)
-	return cred, ok
+	cred, _ := ctx.Value(peerKey{}).(*likir.Credential)
+	return cred, cred != nil
 }

@@ -1,6 +1,7 @@
 package session
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -385,4 +386,23 @@ func TestManagerConfigValidation(t *testing.T) {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	_ = fmt.Sprintf // keep fmt imported if assertions change
+}
+
+// TestPeerFromContextNilPeer: a nil credential is no peer, and it
+// shadows the peer an outer context carries.
+func TestPeerFromContextNilPeer(t *testing.T) {
+	if _, ok := PeerFromContext(context.Background()); ok {
+		t.Fatal("empty context reports a peer")
+	}
+	if cred, ok := PeerFromContext(WithPeer(context.Background(), nil)); ok || cred != nil {
+		t.Fatalf("nil peer reported as (%v, %v), want (nil, false)", cred, ok)
+	}
+	_, ma, _ := testPair(t)
+	outer := WithPeer(context.Background(), &ma.cfg.Identity.Credential)
+	if cred, ok := PeerFromContext(outer); !ok || cred.NodeID != ma.cfg.Identity.NodeID {
+		t.Fatalf("peer reported as (%v, %v), want alice", cred, ok)
+	}
+	if _, ok := PeerFromContext(WithPeer(outer, nil)); ok {
+		t.Fatal("nil peer does not shadow the outer one")
+	}
 }

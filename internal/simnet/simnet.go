@@ -23,6 +23,12 @@
 // its read side once per exchange, so concurrent callers share it and
 // only topology changes (Attach, Detach, SetDown, Partition) write.
 // BenchmarkCallContention measures it under 1–64 callers.
+//
+// The network is the sender, as a UDP session is: an endpoint whose
+// handler has a Likir identity runs every handler it calls under
+// session.WithPeer with that identity's credential, and any other
+// endpoint runs it with no peer, so a handler reads who called it the
+// same way on both transports.
 package simnet
 
 import (
@@ -34,6 +40,8 @@ import (
 	"sync/atomic"
 
 	"dharma/internal/admission"
+	"dharma/internal/likir"
+	"dharma/internal/session"
 )
 
 // Addr identifies an endpoint on the network.
@@ -148,6 +156,7 @@ type endpoint struct {
 	addr    Addr
 	handler Handler
 	ctrl    *admission.Controller
+	peer    *likir.Credential // proven to every handler this endpoint calls; nil for none
 	closed  atomic.Bool
 }
 
@@ -163,9 +172,17 @@ func New(cfg Config) *Network {
 }
 
 // Attach registers a handler under addr and returns its Transport.
-// Attaching an address twice replaces the previous endpoint.
+// Attaching an address twice replaces the previous endpoint. When h has
+// a Likir identity (an Identity method returning non-nil, as a
+// kademlia.Node has), the endpoint's requests reach their handlers as
+// sent by that identity's credential; otherwise they carry no peer.
 func (n *Network) Attach(addr Addr, h Handler) Transport {
 	ep := &endpoint{net: n, addr: addr, handler: h, ctrl: admission.New(n.cfg.Admission)}
+	if ih, ok := h.(interface{ Identity() *likir.Identity }); ok {
+		if id := ih.Identity(); id != nil {
+			ep.peer = &id.Credential
+		}
+	}
 	n.mu.Lock()
 	n.nodes[addr] = ep
 	n.mu.Unlock()
@@ -266,11 +283,12 @@ func (ep *endpoint) Call(ctx context.Context, to Addr, payload []byte) ([]byte, 
 		return nil, fmt.Errorf("simnet: %s refused request: %w", to, aerr)
 	}
 
+	hctx := ep.senderContext(ctx)
 	if ctx.Done() == nil {
 		// Uncancellable context (Background/TODO): keep the synchronous
 		// fast path — no goroutine per simulated RPC.
 		defer target.ctrl.Leave()
-		resp, err := target.handler.HandleRPC(ctx, ep.addr, payload)
+		resp, err := target.handler.HandleRPC(hctx, ep.addr, payload)
 		return ep.finish(to, resp, err)
 	}
 	type handled struct {
@@ -285,7 +303,7 @@ func (ep *endpoint) Call(ctx context.Context, to Addr, payload []byte) ([]byte, 
 		// handlers can pile up only to QueueDepth before the endpoint
 		// starts answering busy instead of spawning more.
 		defer target.ctrl.Leave()
-		resp, err := target.handler.HandleRPC(ctx, ep.addr, payload)
+		resp, err := target.handler.HandleRPC(hctx, ep.addr, payload)
 		ch <- handled{resp, err}
 	}()
 	select {
@@ -300,6 +318,21 @@ func (ep *endpoint) Call(ctx context.Context, to Addr, payload []byte) ([]byte, 
 	case h := <-ch:
 		return ep.finish(to, h.resp, h.err)
 	}
+}
+
+// senderContext returns the handler context of a request this endpoint
+// sends: ctx carrying the endpoint's credential as the peer. ctx is the
+// caller's own, which may be a handler's context carrying the peer that
+// called it, so an endpoint without an identity shadows that peer
+// rather than pass it on; a ctx with no peer is used as it is.
+func (ep *endpoint) senderContext(ctx context.Context) context.Context {
+	if ep.peer != nil {
+		return session.WithPeer(ctx, ep.peer)
+	}
+	if _, ok := session.PeerFromContext(ctx); ok {
+		return session.WithPeer(ctx, nil)
+	}
+	return ctx
 }
 
 // finish applies the response-side accounting and fault model shared by

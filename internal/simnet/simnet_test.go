@@ -8,6 +8,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dharma/internal/likir"
+	"dharma/internal/session"
 )
 
 func echo() Handler {
@@ -236,5 +239,69 @@ func TestCallCtxAbortsHungHandler(t *testing.T) {
 	ccancel()
 	if _, err := a.Call(cctx, "hung", nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Call under canceled ctx = %v, want Canceled", err)
+	}
+}
+
+// identified is a handler with a Likir identity, as a kademlia.Node is.
+type identified struct {
+	Handler
+	id *likir.Identity
+}
+
+func (h identified) Identity() *likir.Identity { return h.id }
+
+// TestEndpointIsTheSender: a handler learns its caller's identity from
+// the network, not from the caller's context. An endpoint attached for
+// an identity proves it, on the synchronous and the cancellable path;
+// an endpoint without one (no Identity method, or a nil identity)
+// proves none, even when its caller's context carries a peer, as a
+// handler's context does when the handler calls out.
+func TestEndpointIsTheSender(t *testing.T) {
+	auth, err := likir.NewAuthority(nil, time.Hour, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alice, err := auth.Issue(nil, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bob, err := auth.Issue(nil, "bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := New(Config{})
+	var got *likir.Credential
+	n.Attach("srv", HandlerFunc(func(ctx context.Context, _ Addr, p []byte) ([]byte, error) {
+		got, _ = session.PeerFromContext(ctx)
+		return p, nil
+	}))
+	fromAlice := n.Attach("alice", identified{echo(), alice})
+	anon := n.Attach("anon", echo())
+	nilID := n.Attach("nil-id", identified{echo(), nil})
+
+	asBob := session.WithPeer(context.Background(), &bob.Credential)
+	cancellable, cancel := context.WithCancel(asBob)
+	defer cancel()
+	for _, tc := range []struct {
+		name string
+		ep   Transport
+		ctx  context.Context
+		want *likir.Credential
+	}{
+		{"identity", fromAlice, context.Background(), &alice.Credential},
+		{"identity over the caller's peer", fromAlice, asBob, &alice.Credential},
+		{"identity, cancellable", fromAlice, cancellable, &alice.Credential},
+		{"no identity", anon, context.Background(), nil},
+		{"no identity shadows the caller's peer", anon, asBob, nil},
+		{"no identity shadows, cancellable", anon, cancellable, nil},
+		{"nil identity shadows the caller's peer", nilID, asBob, nil},
+	} {
+		got = nil
+		if _, err := tc.ep.Call(tc.ctx, "srv", []byte("x")); err != nil {
+			t.Fatalf("%s: Call: %v", tc.name, err)
+		}
+		if got != tc.want {
+			t.Fatalf("%s: handler saw peer %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }

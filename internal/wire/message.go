@@ -142,10 +142,11 @@ type BlockSummary struct {
 
 // Message is a single overlay RPC request or response.
 //
-// TraceID and Hop are codec fields the overlay no longer sets: lookup
-// traces are assembled on the client (kademlia.LookupTrace). They stay
-// in the encoding because write-ahead-log payloads use this codec, so
-// dropping them would change its version. Both are zero in practice.
+// TraceID, Hop and Cred are codec fields the overlay no longer sets:
+// lookup traces are assembled on the client (kademlia.LookupTrace), and
+// the transport, not the message, proves the sender. They stay in the
+// encoding because write-ahead-log payloads use this codec, so dropping
+// them would change its version (v4). All three are empty in practice.
 //
 // Deadline is the deadline-propagation field: the caller's remaining
 // budget in microseconds at send time (0 = unbounded). A server installs
@@ -163,5 +164,5 @@ type Message struct {
 	Contacts []Contact
 	Entries  []Entry
 	Err      string
-	Cred     []byte // Likir credential blob of the sender; empty when a session proves it
+	Cred     []byte // unused; always empty, kept for the codec (see above)
 }
