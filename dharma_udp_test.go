@@ -3,6 +3,7 @@ package dharma
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"path/filepath"
@@ -489,5 +490,102 @@ func TestUDPPeerSecuredBoot(t *testing.T) {
 
 	if d := time.Since(start); d > 2*time.Second {
 		t.Fatalf("secured boot test took %v, want under 2s", d)
+	}
+}
+
+// TestWildcardPeerFiledAtSource: a peer bound to a wildcard address
+// (":0", which it reports as "[::]:<port>") that joins through a
+// loopback peer is held there at the address its requests came from,
+// 127.0.0.1:<port>, and answers at it.
+func TestWildcardPeerFiledAtSource(t *testing.T) {
+	ctx := context.Background()
+	seed, err := NewUDPPeer(ctx, UDPPeerConfig{Listen: "127.0.0.1:0", Config: Config{Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seed.Close()
+	wild, err := NewUDPPeer(ctx, UDPPeerConfig{
+		Listen: ":0", Config: Config{Seed: 2},
+		Bootstrap: []string{string(seed.Node.Transport().Addr())},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wild.Close()
+	_, port, err := net.SplitHostPort(wild.Node.Self().Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := wire.Contact{ID: wild.Node.Self().ID, Addr: net.JoinHostPort("127.0.0.1", port)}
+	got := seed.Node.Table().Closest(want.ID, 1)
+	if len(got) != 1 || got[0] != want {
+		t.Fatalf("seed holds the wildcard peer (bound at %s) as %v, want %v", wild.Node.Self().Addr, got, want)
+	}
+	if !seed.Node.Ping(ctx, want) {
+		t.Fatalf("the wildcard peer does not answer at %s", want.Addr)
+	}
+}
+
+// TestAddressesDoNotFlap: once every node of a fleet has exchanged with
+// every other, a seeded run of writes with no maintenance round leaves
+// every routing table's epoch where it was, so no cached replica set is
+// invalidated. That holds only if the address a peer is dialled at is
+// the address its requests come from. It runs on a loopback UDP fleet
+// and on a simulated system.
+func TestAddressesDoNotFlap(t *testing.T) {
+	ctx := context.Background()
+	udp := make([]*Peer, 4)
+	for i := range udp {
+		cfg := UDPPeerConfig{Listen: "127.0.0.1:0", Config: Config{Seed: int64(i + 1)}}
+		if i > 0 {
+			cfg.Bootstrap = []string{string(udp[0].Node.Transport().Addr())}
+		}
+		p, err := NewUDPPeer(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		udp[i] = p
+	}
+	sys, err := NewSystem(Config{Nodes: 16, Seed: 52})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Shutdown()
+
+	for _, fleet := range []struct {
+		name  string
+		peers []*Peer
+	}{{"udp", udp}, {"simnet", sys.Peers()}} {
+		for _, p := range fleet.peers {
+			for _, q := range fleet.peers {
+				if p != q && !p.Node.Ping(ctx, q.Node.Self()) {
+					t.Fatalf("%s: ping %s -> %s failed", fleet.name, p.Node.Self().Addr, q.Node.Self().Addr)
+				}
+			}
+		}
+		epochs := make([]uint64, len(fleet.peers))
+		for i, p := range fleet.peers {
+			epochs[i] = p.Node.Table().Epoch()
+		}
+		rng := rand.New(rand.NewSource(52))
+		for i := range 200 {
+			p := fleet.peers[rng.Intn(len(fleet.peers))]
+			tag := fmt.Sprintf("t%d", rng.Intn(20))
+			if i < 50 {
+				r := fmt.Sprintf("r%d", i)
+				err = p.InsertResource(ctx, r, "uri:"+r, []string{tag})
+			} else {
+				err = p.Tag(ctx, fmt.Sprintf("r%d", rng.Intn(50)), tag)
+			}
+			if err != nil {
+				t.Fatalf("%s: op %d: %v", fleet.name, i, err)
+			}
+		}
+		for i, p := range fleet.peers {
+			if got := p.Node.Table().Epoch(); got != epochs[i] {
+				t.Errorf("%s: node %d's routing epoch moved from %d to %d", fleet.name, i, epochs[i], got)
+			}
+		}
 	}
 }

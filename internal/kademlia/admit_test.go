@@ -254,3 +254,58 @@ func TestSealedRequestCarriesNoCredential(t *testing.T) {
 		}
 	}
 }
+
+// TestClaimedAddressIgnored: a member's PING and STORE that name it at
+// an address of its choosing are answered, and the server files the
+// member at the address its transport saw the request come from — its
+// simnet endpoint, or its UDP source — never at the named one.
+func TestClaimedAddressIgnored(t *testing.T) {
+	auth, err := likir.NewAuthority(nil, time.Hour, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := NewCluster(ClusterConfig{N: 2, Node: Config{K: 4}, Seed: 9, Authority: auth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Shutdown()
+	issue := func(name string) *likir.Identity {
+		id, err := auth.Issue(nil, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	udpSrv, udpBob := securedUDPNode(t, auth, issue("server")), securedUDPNode(t, auth, issue("bob"))
+
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name     string
+		srv, bob *Node
+	}{
+		{"secured simnet cluster", cl.Nodes[0], cl.Nodes[1]},
+		{"udp session", udpSrv, udpBob},
+	} {
+		for i, req := range []wire.Message{
+			{Kind: wire.KindPing},
+			{Kind: wire.KindStore, Target: kadid.HashString("block"), Entries: []wire.Entry{{Field: "arc", Count: 1}}},
+		} {
+			req.From = wire.Contact{ID: tc.bob.Self().ID, Addr: "victim:1"}
+			raw, err := tc.bob.Transport().Call(ctx, simnet.Addr(tc.srv.Self().Addr), wire.Encode(&req))
+			if err != nil {
+				t.Fatalf("%s: %v: %v", tc.name, req.Kind, err)
+			}
+			resp, err := wire.Decode(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := []wire.Kind{wire.KindPong, wire.KindStoreAck}[i]; resp.Kind != want {
+				t.Fatalf("%s: %v answered %v, want %v", tc.name, req.Kind, resp.Kind, want)
+			}
+			got := tc.srv.Table().Closest(tc.bob.Self().ID, 1)
+			if len(got) != 1 || got[0] != tc.bob.Self() {
+				t.Fatalf("%s: after %v the server maps bob to %v, want %v", tc.name, req.Kind, got, tc.bob.Self())
+			}
+		}
+	}
+}

@@ -80,7 +80,7 @@ func (a *lookupArena) reset() {
 	a.batch = a.batch[:0]
 	a.spans = a.spans[:0]
 	if a.seen == nil {
-		a.seen = make(map[kadid.ID]int32)
+		a.seen = make(map[kadid.ID]int32, 32) // sized for a walk, so a first lookup does not regrow it
 	} else {
 		clear(a.seen)
 	}

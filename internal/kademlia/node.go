@@ -342,8 +342,8 @@ func (n *Node) putScratch(sc *rpcScratch) {
 	n.scratch.put(sc)
 }
 
-// HandleRPC implements simnet.Handler: it decodes one request, updates
-// the routing table with the caller, and dispatches. ctx is the
+// HandleRPC implements simnet.Handler: it decodes one request, files
+// the caller at from in the routing table, and dispatches. ctx is the
 // server-side request context: work whose caller has already given up
 // (or whose transport is shutting down) is shed at the door, and
 // storage commits run under it so a cancelled write does not pin the
@@ -391,11 +391,9 @@ func (n *Node) HandleRPC(ctx context.Context, from simnet.Addr, payload []byte) 
 
 	if err := n.admit(ctx, msg); err != nil {
 		n.rejectUnauthorized(msg.Kind)
-		return wire.Encode(&wire.Message{Kind: wire.KindUnauthorized, From: n.Self(), Err: err.Error()}), nil
+		return wire.Encode(&wire.Message{Kind: wire.KindUnauthorized, From: wire.Contact{ID: n.id}, Err: err.Error()}), nil
 	}
-	if msg.From.ID != (kadid.ID{}) && msg.From.Addr != "" {
-		n.table.Update(msg.From)
-	}
+	n.table.Update(wire.Contact{ID: msg.From.ID, Addr: string(from)}) // the transport's address, never a claimed one
 
 	closest := func(target kadid.ID) []wire.Contact {
 		sc.cs = n.table.ClosestInto(target, n.cfg.K, sc.cs)
@@ -469,7 +467,7 @@ func (n *Node) HandleRPC(ctx context.Context, from simnet.Addr, payload []byte) 
 	default:
 		*resp = wire.Message{Kind: wire.KindError, Err: fmt.Sprintf("unexpected %v", msg.Kind)}
 	}
-	resp.From = n.Self()
+	resp.From = wire.Contact{ID: n.id}
 	// A free-list buffer: the transport owns it now and hands it back.
 	out := wire.EncodePooled(resp)
 	if h := n.metrics.kindHist(msg.Kind); h != nil {
@@ -575,10 +573,12 @@ func (n *Node) callOnce(ctx context.Context, to wire.Contact, msg, resp *wire.Me
 	if n.detached.Load() {
 		return errDetached
 	}
-	n.selfMu.RLock()
-	msg.From = n.self
-	tr := n.transport
-	n.selfMu.RUnlock()
+	if len(msg.Entries) > wire.MaxListLen || len(msg.Contacts) > wire.MaxListLen {
+		// Sent, the receiver could not decode it and would stay silent.
+		return fmt.Errorf("%w: a list over %d", simnet.ErrTooLarge, wire.MaxListLen)
+	}
+	msg.From = wire.Contact{ID: n.id}
+	tr := n.Transport()
 	// Stamp the caller's remaining budget on the wire so the receiver
 	// can shed the request if it arrives already dead. Zero means "no
 	// deadline"; a context that is over before encoding is refused here,
@@ -637,9 +637,7 @@ func (n *Node) callOnce(ctx context.Context, to wire.Contact, msg, resp *wire.Me
 	if resp.Kind == wire.KindError {
 		return fmt.Errorf("kademlia: remote error: %s", resp.Err)
 	}
-	if resp.From.ID != (kadid.ID{}) && resp.From.Addr != "" {
-		n.table.Update(resp.From)
-	}
+	n.table.Update(wire.Contact{ID: resp.From.ID, Addr: to.Addr})
 	return nil
 }
 
@@ -685,18 +683,17 @@ func (n *Node) Ping(ctx context.Context, c wire.Contact) bool {
 	return err == nil && resp.Kind == wire.KindPong
 }
 
-// Discover pings a bare address and returns the full contact of the
-// node answering there — how a joining node learns its bootstrap
-// contact from a host:port alone.
+// Discover pings a bare address and returns the ID answering there at
+// addr: how a joining node learns its bootstrap contact from a host:port.
 func (n *Node) Discover(ctx context.Context, addr string) (wire.Contact, error) {
 	var resp wire.Message
 	if err := n.call(ctx, wire.Contact{Addr: addr}, &wire.Message{Kind: wire.KindPing}, &resp); err != nil {
 		return wire.Contact{}, err
 	}
-	if resp.From.ID.IsZero() || resp.From.Addr == "" {
+	if resp.From.ID.IsZero() {
 		return wire.Contact{}, errors.New("kademlia: peer did not identify itself")
 	}
-	return resp.From, nil
+	return wire.Contact{ID: resp.From.ID, Addr: addr}, nil
 }
 
 // Bootstrap introduces the node to the overlay through seed contacts:

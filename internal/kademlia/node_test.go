@@ -544,3 +544,58 @@ func TestStoreTooLargeIsNotDeath(t *testing.T) {
 		}
 	}
 }
+
+// TestListPastTheCodecIsASizeVerdict: a message listing more entries
+// than the codec decodes (wire.MaxListLen) is refused before it is sent,
+// with simnet.ErrTooLarge. Sent, the receiver would drop it unanswered
+// and the caller would read the silence as a dead peer. Anti-entropy's
+// whole-block push of a block that wide fails the same way, evicting no
+// one.
+func TestListPastTheCodecIsASizeVerdict(t *testing.T) {
+	cl, err := NewCluster(ClusterConfig{N: 2, Node: Config{K: 4}, Seed: 35})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Shutdown()
+	a, b := cl.Nodes[0], cl.Nodes[1]
+	if !inTable(a, b.Self()) {
+		t.Fatal("a does not know b after boot")
+	}
+	ctx := context.Background()
+	key := kadid.HashString("wide")
+	wide := make([]wire.Entry, wire.MaxListLen+1)
+	for i := range wide {
+		wide[i] = wire.Entry{Field: fmt.Sprintf("f%06d", i), Count: 1}
+	}
+	var resp wire.Message
+	err = a.call(ctx, b.Self(), &wire.Message{Kind: wire.KindReplicate, Target: key, Entries: wide}, &resp)
+	if !errors.Is(err, simnet.ErrTooLarge) {
+		t.Fatalf("REPLICATE of %d entries: want ErrTooLarge, got %v", len(wide), err)
+	}
+	if !inTable(a, b.Self()) {
+		t.Fatal("a size verdict evicted the live receiver")
+	}
+	if b.LocalStore().Has(key) {
+		t.Fatal("the refused REPLICATE reached the receiver")
+	}
+
+	// Both replicas hold the block, too wide for b to enumerate in its
+	// SUMMARY_REPLY, and a holds one field more: a falls back to pushing
+	// the whole block, which cannot travel either.
+	if err := b.LocalStore().MergeMax(ctx, key, wide); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.LocalStore().MergeMax(ctx, key, append(wide, wire.Entry{Field: "extra", Count: 1})); err != nil {
+		t.Fatal(err)
+	}
+	full := a.Counters().FullBlocks.Load()
+	if r := a.AntiEntropyOnce(ctx, 1); r.Synced != 1 || r.Acks != 0 {
+		t.Fatalf("sync of the wide block = %+v, want 1 synced, 0 acks", r)
+	}
+	if got := a.Counters().FullBlocks.Load() - full; got != 1 {
+		t.Fatalf("whole-block fallbacks = %d, want 1", got)
+	}
+	if !inTable(a, b.Self()) {
+		t.Fatal("the failed whole-block push evicted the live replica")
+	}
+}

@@ -49,8 +49,10 @@ type Addr string
 
 // Handler processes one inbound RPC and returns the response payload.
 // Handlers are invoked concurrently and must be safe for concurrent use.
-// ctx is the server-side context for this request: it ends when the
-// caller gives up or the serving transport shuts down, so long-running
+// from is where the request came from (the caller's endpoint, or the
+// UDP source): the address a routing table files the caller at. ctx is
+// the server-side context for this request: it ends when the caller
+// gives up or the serving transport shuts down, so long-running
 // handlers (storage commits, anything that blocks) should watch it and
 // stop wasting work that nobody will read.
 //

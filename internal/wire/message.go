@@ -142,11 +142,11 @@ type BlockSummary struct {
 
 // Message is a single overlay RPC request or response.
 //
-// TraceID, Hop and Cred are codec fields the overlay no longer sets:
-// lookup traces are assembled on the client (kademlia.LookupTrace), and
-// the transport, not the message, proves the sender. They stay in the
-// encoding because write-ahead-log payloads use this codec, so dropping
-// them would change its version (v4). All three are empty in practice.
+// TraceID, Hop, Cred and From.Addr are codec fields the overlay no
+// longer sets: traces are assembled on the client (kademlia.LookupTrace)
+// and the transport proves the sender and reports its address. They
+// stay in the encoding because write-ahead-log payloads use this codec,
+// so dropping them would change its version (v4). All four are empty.
 //
 // Deadline is the deadline-propagation field: the caller's remaining
 // budget in microseconds at send time (0 = unbounded). A server installs
@@ -154,7 +154,7 @@ type BlockSummary struct {
 // already ran out — the caller is gone, answering is pure waste.
 type Message struct {
 	Kind     Kind
-	From     Contact  // the sender, so receivers can refresh routing state
+	From     Contact  // the sender's ID; Addr unused (see above)
 	Target   kadid.ID // lookup target or block key
 	TopN     uint32   // FIND_VALUE: return at most this many entries (0 = all)
 	TraceID  uint64   // unused; kept for the codec (see above)

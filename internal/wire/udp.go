@@ -487,7 +487,8 @@ func (t *UDPTransport) Close() error {
 func (t *UDPTransport) readLoop() {
 	defer t.wg.Done()
 	buf := make([]byte, maxDatagram)
-	// names: each source's host:port as UDPAddr.String() gives it.
+	// names: each source's host:port, unmapped, as UDPAddr.String() gives
+	// it: the from a handler files the sender at, so it must dial back.
 	names := make(map[netip.AddrPort]string)
 	for {
 		n, from, err := t.conn.ReadFromUDPAddrPort(buf)
