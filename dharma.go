@@ -475,7 +475,8 @@ type UDPPeerConfig struct {
 	// Listen is the UDP bind address (e.g. "127.0.0.1:0").
 	Listen string
 	// Bootstrap lists addresses of running nodes to join through
-	// (empty = this peer founds a new overlay).
+	// (empty = this peer founds a new overlay). A host name is resolved
+	// to its ip:port once, at boot.
 	Bootstrap []string
 	// Timeout bounds each overlay RPC (0 = the transport default).
 	Timeout time.Duration
@@ -621,7 +622,13 @@ func NewUDPPeer(ctx context.Context, ucfg UDPPeerConfig) (_ *Peer, err error) {
 
 	var seeds []wire.Contact
 	for _, b := range ucfg.Bootstrap {
-		contact, err := node.Discover(ctx, b)
+		// A host name is resolved once, here: the seed is then held at
+		// the ip:port its requests come from, not refiled when they do.
+		ap, err := wire.PeerAddr(simnet.Addr(b))
+		if err != nil {
+			return nil, fmt.Errorf("dharma: discover %s: %w", b, err)
+		}
+		contact, err := node.Discover(ctx, ap.String())
 		if err != nil {
 			return nil, fmt.Errorf("dharma: discover %s: %w", b, err)
 		}

@@ -16,6 +16,7 @@ import (
 	"dharma/internal/kadid"
 	"dharma/internal/likir"
 	"dharma/internal/obs"
+	"dharma/internal/simnet"
 	"dharma/internal/wire"
 )
 
@@ -526,12 +527,58 @@ func TestWildcardPeerFiledAtSource(t *testing.T) {
 	}
 }
 
+// TestUnfilteredReadPastTheDatagram: on a loopback fleet of three
+// peers, two hold an 8,000-entry block, more than one datagram carries.
+// The third peer's read of the whole block ends in a size verdict, not
+// "not found", a read of its top 100 returns them, and both holders
+// stay in the reader's routing table.
+func TestUnfilteredReadPastTheDatagram(t *testing.T) {
+	ctx := context.Background()
+	peers := make([]*Peer, 3)
+	for i := range peers {
+		cfg := UDPPeerConfig{Listen: "127.0.0.1:0", Config: Config{Seed: int64(i + 1)}}
+		if i > 0 {
+			cfg.Bootstrap = []string{string(peers[0].Node.Transport().Addr())}
+		}
+		p, err := NewUDPPeer(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		peers[i] = p
+	}
+	key := kadid.HashString("wide")
+	block := make([]wire.Entry, 8000)
+	for i := range block {
+		block[i] = wire.Entry{Field: fmt.Sprintf("r%05d", i), Count: uint64(i%7 + 1)}
+	}
+	for _, h := range peers[1:] {
+		if err := h.Node.LocalStore().MergeMax(ctx, key, block); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reader := peers[0]
+	if _, err := reader.store.Get(ctx, key, 0); !errors.Is(err, simnet.ErrTooLarge) {
+		t.Fatalf("unfiltered read of %d entries: want ErrTooLarge, got %v", len(block), err)
+	}
+	for _, h := range peers[1:] {
+		if got := reader.Node.Table().Closest(h.Node.Self().ID, 1); len(got) != 1 || got[0] != h.Node.Self() {
+			t.Errorf("the reader holds the holder %v as %v after the size verdict", h.Node.Self(), got)
+		}
+	}
+	if es, err := reader.store.Get(ctx, key, 100); err != nil || len(es) != 100 {
+		t.Fatalf("read of the top 100 = %d entries, %v; want 100", len(es), err)
+	}
+}
+
 // TestAddressesDoNotFlap: once every node of a fleet has exchanged with
 // every other, a seeded run of writes with no maintenance round leaves
 // every routing table's epoch where it was, so no cached replica set is
 // invalidated. That holds only if the address a peer is dialled at is
 // the address its requests come from. It runs on a loopback UDP fleet
-// and on a simulated system.
+// and on a simulated system. The fleet's last peer joins through the
+// seed's host name, so it holds the seed at the seed's ip:port from the
+// start, and the seed's first call to it moves nothing either.
 func TestAddressesDoNotFlap(t *testing.T) {
 	ctx := context.Background()
 	udp := make([]*Peer, 4)
@@ -540,12 +587,24 @@ func TestAddressesDoNotFlap(t *testing.T) {
 		if i > 0 {
 			cfg.Bootstrap = []string{string(udp[0].Node.Transport().Addr())}
 		}
+		if i == len(udp)-1 {
+			_, port, _ := net.SplitHostPort(cfg.Bootstrap[0])
+			cfg.Bootstrap = []string{net.JoinHostPort("localhost", port)}
+		}
 		p, err := NewUDPPeer(ctx, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer p.Close()
 		udp[i] = p
+	}
+	joiner := udp[len(udp)-1].Node
+	before := joiner.Table().Epoch()
+	if !udp[0].Node.Ping(ctx, joiner.Self()) {
+		t.Fatal("the seed cannot reach the peer that joined through its host name")
+	}
+	if got := joiner.Table().Epoch(); got != before {
+		t.Errorf("the seed's first call moved the routing epoch of the peer that joined through its host name from %d to %d", before, got)
 	}
 	sys, err := NewSystem(Config{Nodes: 16, Seed: 52})
 	if err != nil {

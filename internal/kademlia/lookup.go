@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"errors"
+	"fmt"
 	"maps"
 	"math/rand"
 	"slices"
@@ -151,7 +152,10 @@ func (n *Node) putArena(a *lookupArena) {
 // lookup routes around busy nodes like failed ones, but the count lets
 // callers report "the neighbourhood is overloaded" instead of a
 // misleading not-found — and busy candidates are never evicted from
-// the routing table.
+// the routing table. Candidates that answered too large (a block wider
+// than a reply can carry) are counted the same way: a value lookup that
+// met them and found no value returns an error wrapping
+// simnet.ErrTooLarge, not a not-found.
 func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue bool, topN int) (entriesOut []wire.Entry, found bool, closestOut []wire.Contact, busy int, clean bool, errOut error) {
 	n.counters.Lookups.Inc()
 	t0 := time.Now()
@@ -172,7 +176,7 @@ func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue b
 	}
 	arena.ctx, arena.target, arena.wantValue, arena.topN, arena.t0 = ctx, target, wantValue, topN, t0
 
-	round, tried := 0, 0
+	round, tried, tooLarge := 0, 0, 0
 	defer func() {
 		wall := time.Since(t0)
 		n.metrics.lookupWall.Observe(wall)
@@ -260,6 +264,8 @@ func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue b
 			if p.err != nil {
 				if errors.Is(p.err, wire.ErrBusy) {
 					busy++
+				} else if errors.Is(p.err, simnet.ErrTooLarge) {
+					tooLarge++
 				}
 				// A cancelled exchange says nothing about the peer; only
 				// a genuinely failed one marks the candidate dead. A busy
@@ -301,6 +307,11 @@ func (n *Node) iterativeLookup(ctx context.Context, target kadid.ID, wantValue b
 			arena.replies = append(arena.replies, arena.local)
 		}
 		if len(arena.replies) == 0 {
+			if tooLarge > 0 {
+				// Replicas hold the block but cannot send it: "not found"
+				// would be a lie, and the size verdict is what happened.
+				return nil, false, nil, busy, false, fmt.Errorf("kademlia: %d candidate(s) answered too large during lookup of %s: %w", tooLarge, target.Short(), simnet.ErrTooLarge)
+			}
 			return nil, false, nil, busy, false, nil
 		}
 		out, merged := mergeReplies(arena.replies, topN, arena.fields)

@@ -467,6 +467,9 @@ func (n *Node) HandleRPC(ctx context.Context, from simnet.Addr, payload []byte) 
 	default:
 		*resp = wire.Message{Kind: wire.KindError, Err: fmt.Sprintf("unexpected %v", msg.Kind)}
 	}
+	if tooWide(resp) {
+		return nil, errTooWide // FIND_VALUE of a block wider than the codec decodes
+	}
 	resp.From = wire.Contact{ID: n.id}
 	// A free-list buffer: the transport owns it now and hands it back.
 	out := wire.EncodePooled(resp)
@@ -573,9 +576,8 @@ func (n *Node) callOnce(ctx context.Context, to wire.Contact, msg, resp *wire.Me
 	if n.detached.Load() {
 		return errDetached
 	}
-	if len(msg.Entries) > wire.MaxListLen || len(msg.Contacts) > wire.MaxListLen {
-		// Sent, the receiver could not decode it and would stay silent.
-		return fmt.Errorf("%w: a list over %d", simnet.ErrTooLarge, wire.MaxListLen)
+	if tooWide(msg) {
+		return errTooWide
 	}
 	msg.From = wire.Contact{ID: n.id}
 	tr := n.Transport()
@@ -639,6 +641,15 @@ func (n *Node) callOnce(ctx context.Context, to wire.Contact, msg, resp *wire.Me
 	}
 	n.table.Update(wire.Contact{ID: resp.From.ID, Addr: to.Addr})
 	return nil
+}
+
+// errTooWide is the size verdict on a message that lists more entries
+// or contacts than the codec decodes (wire.MaxListLen): sent, its
+// receiver could not read it, and would stay silent or fail the read.
+var errTooWide = fmt.Errorf("kademlia: a list over %d: %w", wire.MaxListLen, simnet.ErrTooLarge)
+
+func tooWide(m *wire.Message) bool {
+	return len(m.Entries) > wire.MaxListLen || len(m.Contacts) > wire.MaxListLen
 }
 
 // keepsPeer reports whether a failed exchange leaves the peer routable:
@@ -910,7 +921,9 @@ func (n *Node) insertSelf(sorted []wire.Contact, key kadid.ID) []wire.Contact {
 
 // FindValue retrieves the block stored under key, asking for at most
 // topN entries (0 = all). It performs one iterative lookup and returns
-// ErrNotFound if no replica holds the block, the reader's own included.
+// ErrNotFound if no replica holds the block, the reader's own included,
+// or an error wrapping simnet.ErrTooLarge if replicas answered that the
+// block is too large to send and none sent it.
 // The caller owns the entries returned. When ctx ends before a
 // value was assembled, ctx.Err() is returned instead — the caller's
 // deadline wins over every internal retry budget.

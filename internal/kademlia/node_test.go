@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
 	"dharma/internal/kadid"
 	"dharma/internal/likir"
 	"dharma/internal/persist"
+	"dharma/internal/session"
 	"dharma/internal/simnet"
 	"dharma/internal/wire"
 )
@@ -548,9 +550,10 @@ func TestStoreTooLargeIsNotDeath(t *testing.T) {
 // TestListPastTheCodecIsASizeVerdict: a message listing more entries
 // than the codec decodes (wire.MaxListLen) is refused before it is sent,
 // with simnet.ErrTooLarge. Sent, the receiver would drop it unanswered
-// and the caller would read the silence as a dead peer. Anti-entropy's
-// whole-block push of a block that wide fails the same way, evicting no
-// one.
+// and the caller would read the silence as a dead peer. An unfiltered
+// read of a block that wide is answered with the same size verdict, not
+// "not found", and anti-entropy's whole-block push of it fails the same
+// way, evicting no one.
 func TestListPastTheCodecIsASizeVerdict(t *testing.T) {
 	cl, err := NewCluster(ClusterConfig{N: 2, Node: Config{K: 4}, Seed: 35})
 	if err != nil {
@@ -579,12 +582,24 @@ func TestListPastTheCodecIsASizeVerdict(t *testing.T) {
 		t.Fatal("the refused REPLICATE reached the receiver")
 	}
 
-	// Both replicas hold the block, too wide for b to enumerate in its
-	// SUMMARY_REPLY, and a holds one field more: a falls back to pushing
-	// the whole block, which cannot travel either.
+	// b holds the block: a read of all of it cannot travel, a filtered
+	// one can.
 	if err := b.LocalStore().MergeMax(ctx, key, wide); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := a.FindValue(ctx, key, 0); !errors.Is(err, simnet.ErrTooLarge) {
+		t.Fatalf("unfiltered read of %d fields: want ErrTooLarge, got %v", len(wide), err)
+	}
+	if !inTable(a, b.Self()) {
+		t.Fatal("the size verdict on a read evicted the holder")
+	}
+	if es, err := a.FindValue(ctx, key, 100); err != nil || len(es) != 100 {
+		t.Fatalf("read of the top 100 = %d entries, %v; want 100", len(es), err)
+	}
+
+	// Both replicas hold the block, too wide for b to enumerate in its
+	// SUMMARY_REPLY, and a holds one field more: a falls back to pushing
+	// the whole block, which cannot travel either.
 	if err := a.LocalStore().MergeMax(ctx, key, append(wide, wire.Entry{Field: "extra", Count: 1})); err != nil {
 		t.Fatal(err)
 	}
@@ -597,5 +612,55 @@ func TestListPastTheCodecIsASizeVerdict(t *testing.T) {
 	}
 	if !inTable(a, b.Self()) {
 		t.Fatal("the failed whole-block push evicted the live replica")
+	}
+}
+
+// TestRequestPastTheDatagramIsASizeVerdict: over sealed UDP, a request
+// one byte larger than a datagram carries is refused before it is sent,
+// with simnet.ErrTooLarge, and the receiver stays in the caller's table;
+// a request at the bound travels and is stored. The bound is IPv4's
+// largest UDP payload, 65,507 bytes, less the frame header (kind and
+// request id, 9 bytes) and the seal.
+func TestRequestPastTheDatagramIsASizeVerdict(t *testing.T) {
+	auth, err := likir.NewAuthority(nil, time.Hour, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nodes [2]*Node
+	for i := range nodes {
+		id, err := auth.Issue(nil, fmt.Sprintf("node-%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = securedUDPNode(t, auth, id)
+	}
+	a, b := nodes[0], nodes[1]
+	a.Table().Update(b.Self())
+	bound := 65507 - 9 - session.Overhead
+
+	// Entries with long fields up to the bound plus one byte, as callOnce
+	// encodes them (From is the caller, no deadline).
+	msg := &wire.Message{Kind: wire.KindStore, Target: kadid.HashString("big"), From: wire.Contact{ID: a.Self().ID}}
+	size := func() int { return len(wire.Encode(msg)) }
+	for i := 0; size() < bound-3000; i++ {
+		msg.Entries = append(msg.Entries, wire.Entry{Field: fmt.Sprintf("%04d%s", i, strings.Repeat("x", 1000)), Count: 1})
+	}
+	msg.Entries = append(msg.Entries, wire.Entry{Count: 1})
+	last := &msg.Entries[len(msg.Entries)-1]
+	for size() != bound+1 {
+		last.Field = strings.Repeat("y", len(last.Field)+bound+1-size())
+	}
+
+	ctx := context.Background()
+	var resp wire.Message
+	if err := a.call(ctx, b.Self(), msg, &resp); !errors.Is(err, simnet.ErrTooLarge) {
+		t.Fatalf("request of %d bytes: want ErrTooLarge, got %v", bound+1, err)
+	}
+	if !inTable(a, b.Self()) {
+		t.Fatal("a size verdict evicted the live receiver")
+	}
+	last.Field = last.Field[1:]
+	if err := a.call(ctx, b.Self(), msg, &resp); err != nil || resp.Kind != wire.KindStoreAck {
+		t.Fatalf("request of %d bytes = %v, %v; want it stored", bound, resp.Kind, err)
 	}
 }

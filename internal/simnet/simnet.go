@@ -29,6 +29,10 @@
 // session.WithPeer with that identity's credential, and any other
 // endpoint runs it with no peer, so a handler reads who called it the
 // same way on both transports.
+//
+// A Server is the serving chain both transports build around their
+// handler: the one place where a served request is admitted and its
+// handler's outcome judged (busy, too large, or silence).
 package simnet
 
 import (
@@ -59,9 +63,10 @@ type Addr string
 // payload is lent for the call only and is never returned; the reply
 // belongs to the transport. The handler keeps no reference to either.
 //
-// A handler that sheds load returns an error wrapping ErrBusy, and both
-// transports refuse the request BUSY as admission does; any other
-// handler error is silence, which the caller sees as ErrTimeout.
+// A handler that sheds load returns an error wrapping ErrBusy, and one
+// whose reply cannot travel an error wrapping ErrTooLarge; the caller
+// sees that verdict on either transport (see Server). Any other handler
+// error is silence, which the caller sees as ErrTimeout.
 type Handler interface {
 	HandleRPC(ctx context.Context, from Addr, payload []byte) ([]byte, error)
 }
@@ -154,12 +159,11 @@ type Network struct {
 }
 
 type endpoint struct {
-	net     *Network
-	addr    Addr
-	handler Handler
-	ctrl    *admission.Controller
-	peer    *likir.Credential // proven to every handler this endpoint calls; nil for none
-	closed  atomic.Bool
+	net    *Network
+	addr   Addr
+	srv    *Server
+	peer   *likir.Credential // proven to every handler this endpoint calls; nil for none
+	closed atomic.Bool
 }
 
 // New creates an empty network with the given configuration.
@@ -179,7 +183,7 @@ func New(cfg Config) *Network {
 // kademlia.Node has), the endpoint's requests reach their handlers as
 // sent by that identity's credential; otherwise they carry no peer.
 func (n *Network) Attach(addr Addr, h Handler) Transport {
-	ep := &endpoint{net: n, addr: addr, handler: h, ctrl: admission.New(n.cfg.Admission)}
+	ep := &endpoint{net: n, addr: addr, srv: NewServer(h, n.cfg.Admission, n.cfg.MTU)}
 	if ih, ok := h.(interface{ Identity() *likir.Identity }); ok {
 		if id := ih.Identity(); id != nil {
 			ep.peer = &id.Credential
@@ -247,8 +251,8 @@ func (n *Network) roll() bool {
 }
 
 // AdmissionStats reports this endpoint's admission accounting, as
-// wire.UDPTransport does; the controller lives and dies with the endpoint.
-func (ep *endpoint) AdmissionStats() admission.Stats { return ep.ctrl.Stats() }
+// wire.UDPTransport does; the chain lives and dies with the endpoint.
+func (ep *endpoint) AdmissionStats() admission.Stats { return ep.srv.AdmissionStats() }
 
 // Call implements Transport.
 func (ep *endpoint) Call(ctx context.Context, to Addr, payload []byte) ([]byte, error) {
@@ -280,17 +284,15 @@ func (ep *endpoint) Call(ctx context.Context, to Addr, payload []byte) ([]byte, 
 	// Admission at the receiver: the target either takes the request into
 	// its bounded work queue or answers busy immediately. Rejection is an
 	// explicit cheap reply, not silence — distinct from Drops.
-	if aerr := target.ctrl.Enter(string(ep.addr)); aerr != nil {
-		n.counters.busy.Add(1)
-		return nil, fmt.Errorf("simnet: %s refused request: %w", to, aerr)
+	if err := target.srv.Admit(ep.addr); err != nil {
+		return ep.finish(to, nil, err)
 	}
 
 	hctx := ep.senderContext(ctx)
 	if ctx.Done() == nil {
 		// Uncancellable context (Background/TODO): keep the synchronous
 		// fast path — no goroutine per simulated RPC.
-		defer target.ctrl.Leave()
-		resp, err := target.handler.HandleRPC(hctx, ep.addr, payload)
+		resp, err := target.srv.Serve(hctx, ep.addr, payload)
 		return ep.finish(to, resp, err)
 	}
 	type handled struct {
@@ -304,8 +306,7 @@ func (ep *endpoint) Call(ctx context.Context, to Addr, payload []byte) ([]byte, 
 		// bound that fixes the cancellation goroutine leak: abandoned
 		// handlers can pile up only to QueueDepth before the endpoint
 		// starts answering busy instead of spawning more.
-		defer target.ctrl.Leave()
-		resp, err := target.handler.HandleRPC(hctx, ep.addr, payload)
+		resp, err := target.srv.Serve(hctx, ep.addr, payload)
 		ch <- handled{resp, err}
 	}()
 	select {
@@ -337,27 +338,20 @@ func (ep *endpoint) senderContext(ctx context.Context) context.Context {
 	return ctx
 }
 
-// finish applies the response-side accounting and fault model shared by
-// the synchronous and cancellable call paths.
+// finish counts the outcome of an exchange the target's chain judged:
+// a reply, a busy verdict, or a lost one (silence or too large).
 func (ep *endpoint) finish(to Addr, resp []byte, err error) ([]byte, error) {
 	n := ep.net
-	if err != nil {
-		if errors.Is(err, ErrBusy) {
-			// The handler shed the request: the same verdict as admission.
-			n.counters.busy.Add(1)
-			return nil, fmt.Errorf("simnet: %s refused request: %w", to, ErrBusy)
-		}
-		// Any other handler error is delivered as a timeout: over UDP the
-		// caller would simply never hear back.
-		n.counters.drops.Add(1)
-		return nil, ErrTimeout
+	switch {
+	case err == nil:
+		n.counters.bytesIn.Add(int64(len(resp)))
+		return resp, nil
+	case errors.Is(err, ErrBusy):
+		n.counters.busy.Add(1)
+		return nil, fmt.Errorf("simnet: %s refused request: %w", to, err)
 	}
-	if n.cfg.MTU > 0 && len(resp) > n.cfg.MTU {
-		n.counters.drops.Add(1)
-		return nil, fmt.Errorf("%w: response %d > %d", ErrTooLarge, len(resp), n.cfg.MTU)
-	}
-	n.counters.bytesIn.Add(int64(len(resp)))
-	return resp, nil
+	n.counters.drops.Add(1)
+	return nil, err
 }
 
 // Addr implements Transport.

@@ -4,6 +4,12 @@
 // UDP transport in this package). Messages are encoded with a compact
 // hand-rolled binary codec so that payload sizes — and therefore the
 // UDP-MTU pressure the paper discusses — are realistic.
+//
+// The UDP transport serves each request through simnet.Server, the one
+// serving chain both transports share: the one place where a served
+// request is admitted and its outcome judged (busy, too large, or
+// silence). The transport adds only its session stage, and carries the
+// chain's verdict back to the caller as a refused frame.
 package wire
 
 import (

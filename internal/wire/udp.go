@@ -17,12 +17,9 @@ import (
 	"dharma/internal/simnet"
 )
 
-// ErrBusy is returned by Call when the remote peer refused the request
-// at admission, or its handler refused it with an error wrapping
-// ErrBusy. It is the same sentinel across transports: errors.Is(err,
-// wire.ErrBusy) works whether the RPC travelled over simnet or UDP. Busy
-// peers are alive — back off and retry, do not evict them from routing
-// state.
+// ErrBusy is Call's error when the remote chain refused the request
+// busy (simnet.Server), the same sentinel on both transports. Busy
+// peers are alive — back off and retry, do not evict them.
 var ErrBusy = admission.ErrBusy
 
 // ErrUnauthorized is the typed rejection of the identity layer: the
@@ -45,7 +42,8 @@ var ErrUnauthorized = errors.New("wire: unauthorized")
 // transport will not serve with a one-byte reason, and the exchange
 // turns it into the error simnet returns for the same verdict. It is
 // unsealed by necessity (a refusal may mean there is no session to
-// seal under).
+// seal under). Serving keeps only its session stage here: the serving
+// chain, a simnet.Server as on simnet, admits and judges each request.
 //
 // Buffer ownership: write builds every datagram in a free-list buffer
 // (Borrow) and recycles it once the socket has it. The read loop copies
@@ -64,19 +62,22 @@ const (
 	frameSecureResponse = 0x06
 	frameRefused        = 0x07
 	frameHeader         = 1 + 8
-	maxDatagram         = 64 << 10
+	maxDatagram         = 65507                                        // IPv4's largest UDP payload: the kernel sends no larger one
+	maxPayload          = maxDatagram - frameHeader - session.Overhead // largest request or reply, sealed or not
 )
 
-// Refusal reasons, the one payload byte of a refused frame, and the
-// verdict each is to the caller: the error simnet returns for it.
-const (
-	refusedBusy           = 0x01 // admission gate full, or the handler shed the request
-	refusedStaleSession   = 0x02 // sealed under a session the receiver does not hold
-	refusedNoSession      = 0x03 // plain request to a transport with a session layer
-	refusedNoSessionLayer = 0x04 // hello or sealed request to a transport without sessions
-)
-
-var verdicts = map[byte]error{refusedBusy: ErrBusy, refusedStaleSession: errSessionStale, refusedNoSession: ErrUnauthorized, refusedNoSessionLayer: ErrUnauthorized}
+// verdicts is the refusal table: a refused frame's one payload byte, its
+// reason, indexes the verdict it is to the caller, the error simnet
+// returns for it. The table runs both ways: refuse sends the reason of a
+// verdict, and the exchange returns the verdict of the reason it reads.
+// The reasons are wire format: append, never renumber.
+var verdicts = [...]error{
+	1: ErrBusy,            // admission gate full, or the handler shed the request
+	2: errSessionStale,    // sealed under a session the receiver does not hold
+	3: errNoSession,       // plain request to a transport with a session layer
+	4: errNoSessionLayer,  // hello or sealed request to a transport without sessions
+	5: simnet.ErrTooLarge, // the handler's reply cannot travel in one datagram
+}
 
 // DefaultUDPTimeout is how long a Call waits for a response before it
 // reports simnet.ErrTimeout.
@@ -87,16 +88,10 @@ const DefaultUDPTimeout = 2 * time.Second
 // the Kademlia node code is identical in simulation and deployment.
 type UDPTransport struct {
 	conn    *net.UDPConn
-	handler simnet.Handler
+	srv     *simnet.Server
 	timeout time.Duration
-	ctrl    *admission.Controller
 
-	// sessions enables the authenticated-session layer: outbound calls
-	// are sealed under a per-peer session (handshaking on first use),
-	// inbound sealed requests are verified and served with the peer's
-	// identity on the handler context, and plain ones are refused.
-	// nil = open transport.
-	sessions *session.Manager
+	sessions *session.Manager // the session layer (UDPOptions.Sessions); nil = open transport
 
 	hsMu       sync.Mutex
 	hsInflight map[string]chan struct{} // singleflight per dial addr
@@ -152,9 +147,8 @@ func ListenUDP(bind string, h simnet.Handler, o UDPOptions) (*UDPTransport, erro
 	baseCtx, baseCancel := context.WithCancel(context.Background())
 	t := &UDPTransport{
 		conn:       conn,
-		handler:    h,
+		srv:        simnet.NewServer(h, o.Admission, maxPayload),
 		timeout:    timeout,
-		ctrl:       admission.New(o.Admission),
 		sessions:   o.Sessions,
 		hsInflight: make(map[string]chan struct{}),
 		pending:    make(map[uint64]*slot),
@@ -186,7 +180,7 @@ const maxIdleSlots, maxPeerNames = 256, 4096
 
 // AdmissionStats reports this transport's admission accounting: how
 // many inbound requests were admitted vs rejected busy.
-func (t *UDPTransport) AdmissionStats() admission.Stats { return t.ctrl.Stats() }
+func (t *UDPTransport) AdmissionStats() admission.Stats { return t.srv.AdmissionStats() }
 
 // udpMetrics holds the transport's datagram/byte instruments. All
 // fields are nil-safe obs counters, so the record sites stay branchless
@@ -243,12 +237,11 @@ func (t *UDPTransport) Addr() simnet.Addr {
 // aborted as soon as ctx ends — a caller with a 100ms deadline is not
 // held hostage by the transport's own retry timeout.
 //
-// A refusal comes back as its error: ErrBusy, or ErrUnauthorized for a
-// plain request to a peer with sessions or a sealed one to a peer
-// without them. With sessions enabled the payload is sealed
-// under the peer's session (handshaking on first contact). If the peer
-// no longer recognises the session — it restarted or evicted us — it
-// refuses the frame as stale; Call re-handshakes and retries once.
+// A refusal comes back as its verdict's error (see verdicts). With
+// sessions enabled the payload is sealed under the peer's session
+// (handshaking on first contact). If the peer no longer recognises the
+// session — it restarted or evicted us — it refuses the frame as stale;
+// Call re-handshakes and retries once.
 func (t *UDPTransport) Call(ctx context.Context, to simnet.Addr, payload []byte) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -258,11 +251,11 @@ func (t *UDPTransport) Call(ctx context.Context, to simnet.Addr, payload []byte)
 		return nil, simnet.ErrClosed
 	default:
 	}
-	dst, err := peerAddr(to)
+	dst, err := PeerAddr(to)
 	if err != nil {
 		return nil, err
 	}
-	if len(payload)+frameHeader+session.Overhead > maxDatagram {
+	if len(payload) > maxPayload {
 		return nil, fmt.Errorf("%w: %d bytes", simnet.ErrTooLarge, len(payload))
 	}
 
@@ -282,9 +275,9 @@ func (t *UDPTransport) Call(ctx context.Context, to simnet.Addr, payload []byte)
 	return resp, err
 }
 
-// peerAddr parses to, unmapped so an IPv4 socket can send to it. Only a
+// PeerAddr parses to, unmapped so an IPv4 socket can send to it. Only a
 // host name goes to the resolver; an empty host is this machine.
-func peerAddr(to simnet.Addr) (netip.AddrPort, error) {
+func PeerAddr(to simnet.Addr) (netip.AddrPort, error) {
 	ap, err := netip.ParseAddrPort(string(to))
 	if err != nil {
 		ua, rerr := net.ResolveUDPAddr("udp", string(to))
@@ -298,11 +291,14 @@ func peerAddr(to simnet.Addr) (netip.AddrPort, error) {
 	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()), nil
 }
 
-// errSessionStale is the internal signal that the remote refused a
-// sealed request as stale: it does not hold our session (anymore) and
-// we should re-handshake. It wraps ErrUnauthorized, which is what it
-// means to a caller that cannot re-handshake.
-var errSessionStale = fmt.Errorf("%w: stale session", ErrUnauthorized)
+// The session refusals. errSessionStale refuses a request sealed under
+// a session the remote does not hold (anymore): re-handshake. Each
+// wraps ErrUnauthorized, which is what it means to any other caller.
+var (
+	errSessionStale   = fmt.Errorf("%w: stale session", ErrUnauthorized)
+	errNoSession      = fmt.Errorf("%w: authenticated session required", ErrUnauthorized)
+	errNoSessionLayer = fmt.Errorf("%w: no session layer", ErrUnauthorized)
+)
 
 // exchangeSealed is exchange under the session with addr, dialed if need be.
 func (t *UDPTransport) exchangeSealed(ctx context.Context, addr string, dst netip.AddrPort, payload []byte) ([]byte, error) {
@@ -378,7 +374,7 @@ func (t *UDPTransport) exchange(ctx context.Context, dst netip.AddrPort, kind by
 	for {
 		select {
 		case fm := <-sl.ch:
-			if fm.kind == frameRefused && len(fm.payload) == 1 && verdicts[fm.payload[0]] != nil {
+			if fm.kind == frameRefused && len(fm.payload) == 1 && int(fm.payload[0]) < len(verdicts) && verdicts[fm.payload[0]] != nil {
 				err := fmt.Errorf("wire: %s refused request: %w", dst, verdicts[fm.payload[0]])
 				Recycle(fm.payload)
 				return nil, err
@@ -523,13 +519,11 @@ func (t *UDPTransport) readLoop() {
 				addr = netip.AddrPortFrom(from.Addr().Unmap(), from.Port()).String()
 				names[from] = addr
 			}
-			// Admission before the goroutine spawn: past QueueDepth the
-			// transport refuses busy inline instead of growing the handler
-			// pool — the read loop never blocks and never queues unboundedly.
-			// Hellos pass the same gate so a handshake flood cannot spawn
-			// unbounded signature verifications.
-			if t.ctrl.Enter(addr) != nil {
-				t.refuse(from, id, refusedBusy)
+			// Admission before the goroutine spawn, hellos included: past
+			// QueueDepth the read loop refuses busy inline, so neither
+			// handlers nor handshake verifications pile up unbounded.
+			if err := t.srv.Admit(simnet.Addr(addr)); err != nil {
+				t.refuse(from, id, err)
 				continue
 			}
 			t.wg.Add(1)
@@ -540,48 +534,40 @@ func (t *UDPTransport) readLoop() {
 	}
 }
 
-// serve runs one request admitted from addr, recycling the request once
-// served and the reply once written.
+// serve runs one request admitted from addr: its session stage (a
+// hello's handshake, a sealed request's opening, the session refusals),
+// then the chain for a request that passes it. Either stage's verdict
+// goes back through refuse. serve recycles the request once served and
+// the reply once written.
 func (t *UDPTransport) serve(kind byte, from netip.AddrPort, addr string, id uint64, payload []byte) {
 	defer t.wg.Done()
-	defer t.ctrl.Leave()
 	defer Recycle(payload) // the buffer read, even once payload is its opened part
-	ctx, s := t.baseCtx, (*session.Session)(nil)
+	ctx, s, resp, err := t.baseCtx, (*session.Session)(nil), []byte(nil), error(nil)
 	switch {
 	case kind != frameRequest && t.sessions == nil:
-		// No session layer: say so, or a secured caller times out on us.
-		t.refuse(from, id, refusedNoSessionLayer)
-		return
+		err = errNoSessionLayer // say so, or a secured caller times out on us
 	case kind == frameHello:
-		reply, err := t.sessions.Accept(payload)
-		if err != nil {
-			t.authRej.Add(1)
-			return // reject silently: the initiator failed authentication
+		if resp, err = t.sessions.Accept(payload); err != nil {
+			t.authRej.Add(1) // the initiator failed authentication: silence
 		}
-		t.write(from, frameHelloReply, id, nil, reply) //nolint:errcheck // best-effort reply
-		return
 	case kind == frameSecureRequest:
-		var err error
-		if payload, s, err = t.sessions.OpenRequest(frameSecureRequest, id, payload); err != nil {
-			if errors.Is(err, session.ErrUnknownSession) {
-				// We restarted or evicted the caller: it re-handshakes.
-				t.refuse(from, id, refusedStaleSession)
-			}
-			return // bad MAC / replay: silence, as for any forged datagram
-		}
-		ctx = t.peerContext(s)
+		if payload, s, err = t.sessions.OpenRequest(frameSecureRequest, id, payload); err == nil {
+			ctx = t.peerContext(s)
+		} else if errors.Is(err, session.ErrUnknownSession) {
+			err = errSessionStale // we restarted or evicted the caller: it re-handshakes
+		} // a bad MAC or a replay is silence, as for any forged datagram
 	case t.sessions != nil:
-		// A plain request proves no sender: only a session does.
 		t.authRej.Add(1)
-		t.refuse(from, id, refusedNoSession)
-		return
+		err = errNoSession // a plain request proves no sender: only a session does
 	}
-	resp, err := t.handler.HandleRPC(ctx, simnet.Addr(addr), payload)
+	if err != nil || kind == frameHello {
+		t.srv.Release()
+	} else {
+		resp, err = t.srv.Serve(ctx, simnet.Addr(addr), payload)
+	}
 	if err != nil {
-		if errors.Is(err, ErrBusy) {
-			t.refuse(from, id, refusedBusy) // the handler shed the request
-		}
-		return // any other error is silence, as over real UDP: the caller times out
+		t.refuse(from, id, err)
+		return
 	}
 	t.write(from, kind+1, id, s, resp) //nolint:errcheck // best-effort reply
 	Recycle(resp)
@@ -602,9 +588,16 @@ func (t *UDPTransport) peerContext(s *session.Session) context.Context {
 	return t.peerCtxs[s]
 }
 
-// refuse answers request id with a refused frame carrying reason.
-func (t *UDPTransport) refuse(to netip.AddrPort, id uint64, reason byte) {
-	t.write(to, frameRefused, id, nil, []byte{reason}) //nolint:errcheck // best-effort reply
+// refuse answers request id with the refused frame whose reason
+// carries verdict; a verdict no reason carries is silence, as over any
+// lossy network: the caller times out.
+func (t *UDPTransport) refuse(to netip.AddrPort, id uint64, verdict error) {
+	for r, v := range verdicts {
+		if v != nil && errors.Is(verdict, v) {
+			t.write(to, frameRefused, id, nil, []byte{byte(r)}) //nolint:errcheck // best-effort reply
+			return
+		}
+	}
 }
 
 var _ simnet.Transport = (*UDPTransport)(nil)
